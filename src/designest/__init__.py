@@ -4,6 +4,7 @@ assignment mechanisms, including network interference."""
 from .bounds import (
     VarianceBound,
     aronow_samii_bound,
+    build_bound,
     certify_bound,
     custom_bound,
     neyman_bound_crd,
@@ -57,7 +58,6 @@ from .model_assisted import (
 from .moments import (
     DesignMoments,
     SecondOrderTensor,
-    WelfordAccumulator,
     analytic_bernoulli_moments,
     crd_first_order_matrix,
     design_complexity,

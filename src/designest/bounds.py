@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import DesignMoments, rescaled_demeaning_matrix
+from .designs import CompletelyRandomizedDesign
+from .moments import DesignMoments, analytic_crd_moments, rescaled_demeaning_matrix
 
 PSD_TOL = 1e-8
 
@@ -112,27 +113,29 @@ def neyman_bound_crd(n: int, n_t: int) -> VarianceBound:
     Dt = np.zeros((2 * n, 2 * n))
     Dt[:n, :n] = (n / n_t) * a
     Dt[n:, n:] = (n / n_c) * a
-    # CRD joint inclusion probabilities, assembled analytically
-    p = np.empty((2 * n, 2 * n))
-    pt, pc = n_t / n, n_c / n
-    p[:n, :n] = pt * (n_t - 1) / (n - 1)
-    p[n:, n:] = pc * (n_c - 1) / (n - 1)
-    p[:n, n:] = pt * n_c / (n - 1)
-    p[n:, :n] = pt * n_c / (n - 1)
-    idx = np.arange(n)
-    p[idx, idx] = pt
-    p[n + idx, n + idx] = pc
-    p[idx, n + idx] = 0.0
-    p[n + idx, idx] = 0.0
-    mask = np.zeros((2 * n, 2 * n), dtype=bool)
-    mask[idx, n + idx] = True
-    mask[n + idx, idx] = True
+    p = analytic_crd_moments(CompletelyRandomizedDesign(n, [n_t, n_c])).p
     return VarianceBound(
         Dt=Dt,
-        mask_minus1=mask,
+        mask_minus1=p == 0,  # the two arms of one unit
         Dt_over_p=_weighted_form(Dt, p),
         name="neyman",
     )
+
+
+def build_bound(
+    design, moments: DesignMoments, kind: str = "aronow_samii", clip: bool = False
+) -> VarianceBound:
+    """The named bound for a design, optionally with its weighted form
+    psd-clipped. "neyman" needs a two-arm completely randomized design."""
+    if kind == "aronow_samii":
+        bound = aronow_samii_bound(moments)
+    elif kind == "neyman":
+        if not (isinstance(design, CompletelyRandomizedDesign) and design.k == 2):
+            raise ValueError("the neyman bound needs a two-arm completely randomized design")
+        bound = neyman_bound_crd(design.n, int(design.counts[0]))
+    else:
+        raise ValueError(f"unknown bound kind {kind!r}")
+    return psd_clip(bound) if clip else bound
 
 
 def custom_bound(Dt: np.ndarray, moments: DesignMoments, tol: float = PSD_TOL) -> VarianceBound:

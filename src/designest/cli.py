@@ -14,20 +14,17 @@ import sys
 import numpy as np
 import yaml
 
-from .bounds import aronow_samii_bound, certify_bound, neyman_bound_crd, psd_clip
-from .designs import CompletelyRandomizedDesign, build_design
+from .bounds import aronow_samii_bound, build_bound, certify_bound
+from .designs import AssignmentRealization, CompletelyRandomizedDesign, build_design
 from .harness import (
     SimConfig,
+    estimator,
     impute_potential_outcomes,
     preprocess_covariates,
     run_simulation,
 )
-from .linear import (
-    ExperimentData,
-    estimate_report,
-    load_covariates_csv,
-    load_observed_csv,
-)
+from .linear import ExperimentData, load_covariates_csv, load_observed_csv
+from .model_assisted import OptimizerConfig
 from .moments import (
     DesignMoments,
     closed_form_or_exact_moments,
@@ -113,15 +110,7 @@ def cmd_complexity(args):
 def cmd_bound(args):
     design = _design_from_args(args)
     moments = _moments_from_args(args, design)
-    if args.kind == "neyman":
-        if not (isinstance(design, CompletelyRandomizedDesign) and design.k == 2):
-            print("error: the neyman bound needs a two-arm completely randomized design", file=sys.stderr)
-            return 2
-        bound = neyman_bound_crd(design.n, int(design.counts[0]))
-    else:
-        bound = aronow_samii_bound(moments)
-    if args.psd_clip:
-        bound = psd_clip(bound)
+    bound = build_bound(design, moments, args.kind, args.psd_clip)
     cert = certify_bound(moments, bound)
     if args.out:
         bound.to_csv(args.out)
@@ -138,16 +127,20 @@ def cmd_bound(args):
 def cmd_estimate(args):
     design = _design_from_args(args)
     moments = _moments_from_args(args, design)
-    arms, y = load_observed_csv(args.data)
+    unit_ids, arms, y = load_observed_csv(args.data, return_ids=True)
     if len(arms) != design.n:
-        print("error: observed rows do not match the design size", file=sys.stderr)
-        return 2
+        raise ValueError("observed rows do not match the design size")
     if args.covariates:
-        X = preprocess_covariates(load_covariates_csv(args.covariates))
+        covariate_ids, raw = load_covariates_csv(args.covariates, return_ids=True)
+        if not np.array_equal(unit_ids, covariate_ids):
+            only_in_one = np.setxor1d(unit_ids, covariate_ids)
+            raise ValueError(
+                "observed and covariate CSVs have different unit_id sets "
+                f"(in one only: {only_in_one[:5].tolist()})"
+            )
+        X = preprocess_covariates(raw)
     else:
         X = np.zeros((design.n, 0))
-    from .designs import AssignmentRealization
-
     data = ExperimentData(
         n=design.n,
         k=design.k,
@@ -156,14 +149,14 @@ def cmd_estimate(args):
         X=X,
         moments=moments,
     )
-    bound = aronow_samii_bound(moments)
-    if args.psd_clip:
-        bound = psd_clip(bound)
-    contrast = [float(v) for v in args.contrast.split(",")]
-    reports = [
-        estimate_report(kind.strip(), data, bound, contrast).__dict__
-        for kind in args.estimators.split(",")
-    ]
+    bound = build_bound(design, moments, "aronow_samii", args.psd_clip)
+    contrast = np.array([float(v) for v in args.contrast.split(",")])
+    optimizer = OptimizerConfig()
+    reports = []
+    for name in (name.strip() for name in args.estimators.split(",")):
+        report = estimator(name).fit(data, contrast, bound, optimizer, 0)
+        report.estimator = name
+        reports.append(report.to_dict())
     text = json.dumps(reports, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -198,8 +191,6 @@ def cmd_simulate(args):
     preloaded = (
         DesignMoments.load_npz(moments_spec["npz"]) if "npz" in moments_spec else None
     )
-    from .model_assisted import OptimizerConfig
-
     cfg = SimConfig(
         design=design,
         y_full=y_full,
@@ -319,7 +310,9 @@ def build_parser():
     _add_moment_source_args(p)
     p.add_argument("--data", required=True, help="observed-data CSV (unit_id,arm,y)")
     p.add_argument("--covariates", help="covariates CSV (unit_id,x1..xp)")
-    p.add_argument("--estimators", default="ht,hajek", help="comma-separated kinds")
+    p.add_argument(
+        "--estimators", default="ht,hajek", help="comma-separated names from the estimator table"
+    )
     p.add_argument("--contrast", required=True, help="comma-separated contrast vector")
     p.add_argument("--psd-clip", action="store_true")
     p.add_argument("--out", help="report JSON path")

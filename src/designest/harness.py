@@ -8,27 +8,31 @@ import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.stats import norm
 
-from .bounds import VarianceBound, aronow_samii_bound, neyman_bound_crd, psd_clip
-from .designs import Design, stream_rng
+from .bounds import build_bound
+from .designs import AssignmentRealization, Design, stream_rng
 from .linear import (
+    LINEAR_KINDS,
+    EstimateReport,
     ExperimentData,
-    estimate_linear,
+    estimate_report,
     intercept_matrix,
-    plugin_varbound,
     z_vector,
 )
 from .model_assisted import (
     ImputationModel,
     OptimizerConfig,
+    contrast_residual,
     fit_qmle,
     no_harm_gr,
     opt_gr_linear,
     opt_gr_logit,
     opt_i_gr,
+    opt_i_rows,
     population_no_harm_alpha,
     population_opt_gr_linear,
     population_opt_i_beta,
@@ -38,19 +42,125 @@ from .model_assisted import (
 )
 from .moments import DesignMoments, closed_form_or_exact_moments, mc_moments
 
-ESTIMATOR_NAMES = (
-    "ht",
-    "hajek",
-    "ols",
-    "wls",
-    "noharm_wls",
-    "qmle_logit",
-    "noharm_logit",
-    "opt_linear",
-    "opt_logit",
-    "opt_i_ols",
-    "opt_i_logit",
-)
+
+@dataclass(frozen=True)
+class Estimator:
+    """One row of the estimator table.
+
+    fit(data, c, bound, optimizer, seed) fits the estimator on one observed
+    experiment and returns its contrast value and plug-in bound as an
+    EstimateReport. residual(X, y_full, moments, c) is the population
+    linearization vector v, with n x asymptotic variance v'Dv/n. For the
+    model-assisted estimators v = w (y - f), with the imputations f fitted
+    to the full outcome vector where the sample fit uses its IPW observed
+    analog.
+    """
+
+    fit: Callable[..., EstimateReport]
+    residual: Callable[..., np.ndarray]
+
+
+def _linear(kind):
+    def fit(data, c, bound, optimizer, seed):
+        return estimate_report(kind, data, bound, c)
+
+    def residual(X, y_full, moments, c):
+        arm_of = np.zeros(moments.n, dtype=np.int64)  # ignored on the population path
+        realization = AssignmentRealization(moments.n, moments.k, arm_of)
+        data = ExperimentData.from_full(y_full, realization, X, moments)
+        return z_vector(kind, data, population=True) @ c
+
+    return Estimator(fit, residual)
+
+
+def _imputing(sample, imputations):
+    """Model-assisted table row from its sample fit and its population
+    imputations(X, y_full, moments, c)."""
+    return Estimator(
+        sample, lambda X, y, m, c: contrast_residual(imputations(X, y, m, c), y, c, m.n)
+    )
+
+
+# Second stages on a pseudo-likelihood fit: the sample report from the fitted
+# theta, and the population imputations from the population fit's f.
+_SECOND_STAGE = {
+    "qmle": (
+        lambda theta, model, data, c, bound: qmle_gr(theta, model, data, c, bound=bound),
+        lambda f, y_full, m, c: f,
+    ),
+    "no_harm": (
+        lambda theta, model, data, c, bound: no_harm_gr(
+            theta, model, data, data.moments.D, c, bound=bound
+        ),
+        lambda f, y_full, m, c: population_no_harm_alpha(f, y_full, m.D, c, m.n) * f,
+    ),
+    "opt_i": (
+        lambda theta, model, data, c, bound: opt_i_gr(
+            theta, model, data, data.moments.D, c, bound=bound
+        ),
+        lambda f, y_full, m, c: opt_i_rows(f, m.n, m.k)
+        @ population_opt_i_beta(f, y_full, m.D, c, m.n, m.k),
+    ),
+}
+
+
+def _two_stage(family, omega, stage):
+    """Imputations from a pseudo-likelihood fit whose cells weigh omega
+    ("ones" or "pi") in the population loss, then a second stage."""
+    sample, population = _SECOND_STAGE[stage]
+
+    def fit(data, c, bound, optimizer, seed):
+        model = ImputationModel(family, data.k, data.p)
+        return sample(fit_qmle(model, data, omega=omega), model, data, c, bound)
+
+    def imputations(X, y_full, moments, c):
+        model = ImputationModel(family, moments.k, X.shape[1])
+        weights = moments.pi if omega == "pi" else None
+        f = model.predict(population_qmle(model, X, y_full, omega=weights), X)
+        return population(f, y_full, moments, c)
+
+    return _imputing(fit, imputations)
+
+
+def _opt_linear_imputations(X, y_full, moments, c):
+    rows = ImputationModel("linear", moments.k, X.shape[1]).design_rows(X)
+    return rows @ population_opt_gr_linear(rows, y_full, moments.D, c, moments.n)
+
+
+def _opt_logit_imputations(X, y_full, moments, c):
+    model = ImputationModel("logistic", moments.k, X.shape[1])
+    return model.predict(population_opt_logit(model, X, y_full, moments.D, c, moments.n), X)
+
+
+ESTIMATORS = {
+    **{kind: _linear(kind) for kind in LINEAR_KINDS},
+    "noharm_wls": _two_stage("linear", "ones", "no_harm"),
+    "qmle_logit": _two_stage("logistic", "pi", "qmle"),
+    "noharm_logit": _two_stage("logistic", "pi", "no_harm"),
+    "opt_linear": _imputing(
+        lambda data, c, bound, optimizer, seed: opt_gr_linear(
+            data, data.moments.D, c, bound=bound
+        ),
+        _opt_linear_imputations,
+    ),
+    "opt_logit": _imputing(
+        lambda data, c, bound, optimizer, seed: opt_gr_logit(
+            data, data.moments.D, c, cfg=optimizer, bound=bound, seed=seed
+        ),
+        _opt_logit_imputations,
+    ),
+    "opt_i_ols": _two_stage("linear", "pi", "opt_i"),
+    "opt_i_logit": _two_stage("logistic", "pi", "opt_i"),
+}
+ESTIMATOR_NAMES = tuple(ESTIMATORS)
+
+
+def estimator(name: str) -> Estimator:
+    """The table row of an estimator name."""
+    if name not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {name!r}; known: {', '.join(ESTIMATOR_NAMES)}")
+    return ESTIMATORS[name]
+
 
 REPLICATION_CHUNK = 64  # fixed chunking keeps results worker-count invariant
 
@@ -192,9 +302,8 @@ class SimConfig:
             raise ValueError("replications must be at least 1")
         if self.contrast.shape != (self.design.k,):
             raise ValueError("contrast length must match the number of arms")
-        unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
-        if unknown:
-            raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        for name in self.estimators:
+            estimator(name)  # raises on a name outside the table
         self.y_full = np.asarray(self.y_full, dtype=float)
         if self.y_full.shape != (self.design.n * self.design.k,):
             raise ValueError("y_full must be a stacked kn vector")
@@ -255,56 +364,6 @@ class MetricsTable:
         return "\n".join(lines)
 
 
-def _build_bound(cfg: SimConfig, moments: DesignMoments) -> VarianceBound:
-    if cfg.bound_kind == "aronow_samii":
-        bound = aronow_samii_bound(moments)
-    elif cfg.bound_kind == "neyman":
-        from .designs import CompletelyRandomizedDesign
-
-        if not (isinstance(cfg.design, CompletelyRandomizedDesign) and cfg.design.k == 2):
-            raise ValueError("the neyman bound applies to two-arm completely randomized designs")
-        bound = neyman_bound_crd(cfg.design.n, int(cfg.design.counts[0]))
-    else:
-        raise ValueError(f"unknown bound kind {cfg.bound_kind!r}")
-    return psd_clip(bound) if cfg.apply_psd_clip else bound
-
-
-def _estimate_one(name, data, c, bound, D, opt_cfg, rep_seed):
-    if name in ("ht", "hajek", "ols", "wls"):
-        m_weights = {"ht": None, "hajek": None, "ols": "identity", "wls": "invpi"}[name]
-        fit = estimate_linear(name, data, m_weights=m_weights)
-        value = float(c @ fit.mu_hat)
-        plugin = plugin_varbound(fit.z_hat, data.assignment, bound, c)
-        return value, plugin.times_n
-    if name == "noharm_wls":
-        model = ImputationModel("linear", data.k, data.p)
-        theta = fit_qmle(model, data, omega="ones")
-        report = no_harm_gr(theta, model, data, D, c, bound=bound)
-    elif name == "qmle_logit":
-        model = ImputationModel("logistic", data.k, data.p)
-        theta = fit_qmle(model, data, omega="pi")
-        report = qmle_gr(theta, model, data, c, bound=bound)
-    elif name == "noharm_logit":
-        model = ImputationModel("logistic", data.k, data.p)
-        theta = fit_qmle(model, data, omega="pi")
-        report = no_harm_gr(theta, model, data, D, c, bound=bound)
-    elif name == "opt_linear":
-        report = opt_gr_linear(data, D, c, bound=bound)
-    elif name == "opt_logit":
-        report = opt_gr_logit(data, D, c, cfg=opt_cfg, bound=bound, seed=rep_seed)
-    elif name == "opt_i_ols":
-        model = ImputationModel("linear", data.k, data.p)
-        theta = fit_qmle(model, data, omega="pi")
-        report = opt_i_gr(theta, model, data, D, c, bound=bound)
-    elif name == "opt_i_logit":
-        model = ImputationModel("logistic", data.k, data.p)
-        theta = fit_qmle(model, data, omega="pi")
-        report = opt_i_gr(theta, model, data, D, c, bound=bound)
-    else:
-        raise ValueError(f"unknown estimator {name!r}")
-    return report.contrast_value, report.varbound_times_n
-
-
 _WORKER_PAYLOAD = None  # inherited by forked workers; avoids re-pickling moments
 
 
@@ -328,9 +387,8 @@ def _replication_chunk(payload, rep_indices):
             warnings.simplefilter("ignore")
             for name in estimators:
                 try:
-                    row[name] = _estimate_one(
-                        name, data, c, bound, moments.D, payload["optimizer"], rep
-                    )
+                    report = ESTIMATORS[name].fit(data, c, bound, payload["optimizer"], rep)
+                    row[name] = (report.contrast_value, report.varbound_times_n)
                 except Exception as exc:  # recorded and excluded from aggregates
                     row[name] = ("failed", repr(exc))
         out[rep] = row
@@ -343,66 +401,10 @@ def population_contrast_residual(
     y_full: np.ndarray,
     moments: DesignMoments,
     contrast: np.ndarray,
-    optimizer: OptimizerConfig | None = None,
 ) -> np.ndarray:
-    """Contrast-weighted population linearization vector v with
-    n x asymptotic variance = v' M v / n."""
-    n, k = moments.n, moments.k
-    c = np.asarray(contrast, dtype=float)
-    w = np.repeat(c, n)
-    ones = intercept_matrix(n, k)
-    D = moments.D
-    if name == "ht":
-        return w * y_full
-    if name == "hajek":
-        mu = ones.T @ y_full / n
-        return w * (y_full - ones @ mu)
-    if name in ("ols", "wls"):
-        dummy = _dummy_data(X, y_full, moments)
-        z = z_vector(name, dummy, fit=None, population=True)
-        return z @ c
-    if name == "noharm_wls":
-        model = ImputationModel("linear", k, X.shape[1])
-        theta = population_qmle(model, X, y_full)
-        f = model.predict(theta, X)
-        alpha = population_no_harm_alpha(f, y_full, D, c, n)
-        return w * (y_full - alpha * f)
-    if name == "qmle_logit":
-        model = ImputationModel("logistic", k, X.shape[1])
-        theta = population_qmle(model, X, y_full, omega=moments.pi)
-        return w * (y_full - model.predict(theta, X))
-    if name == "noharm_logit":
-        model = ImputationModel("logistic", k, X.shape[1])
-        theta = population_qmle(model, X, y_full, omega=moments.pi)
-        f = model.predict(theta, X)
-        alpha = population_no_harm_alpha(f, y_full, D, c, n)
-        return w * (y_full - alpha * f)
-    if name == "opt_linear":
-        model = ImputationModel("linear", k, X.shape[1])
-        rows = model.design_rows(X)
-        beta = population_opt_gr_linear(rows, y_full, D, c, n)
-        return w * (y_full - rows @ beta)
-    if name == "opt_logit":
-        model = ImputationModel("logistic", k, X.shape[1])
-        theta = population_opt_logit(model, X, y_full, D, c, n)
-        return w * (y_full - model.predict(theta, X))
-    if name in ("opt_i_ols", "opt_i_logit"):
-        family = "linear" if name == "opt_i_ols" else "logistic"
-        model = ImputationModel(family, k, X.shape[1])
-        theta = population_qmle(model, X, y_full, omega=moments.pi)
-        f_model = model.predict(theta, X)
-        beta = population_opt_i_beta(f_model, y_full, D, c, n, k)
-        xi = np.hstack([ones, f_model[:, None]])
-        return w * (y_full - xi @ beta)
-    raise ValueError(f"unknown estimator {name!r}")
-
-
-def _dummy_data(X, y_full, moments):
-    from .designs import AssignmentRealization
-
-    arm_of = np.zeros(moments.n, dtype=np.int64)  # ignored on the population path
-    realization = AssignmentRealization(moments.n, moments.k, arm_of)
-    return ExperimentData.from_full(np.asarray(y_full, dtype=float), realization, X, moments)
+    """Contrast-weighted population linearization vector v of a table
+    estimator, with n x asymptotic variance = v' M v / n."""
+    return estimator(name).residual(X, y_full, moments, np.asarray(contrast, dtype=float))
 
 
 def run_simulation(cfg: SimConfig) -> MetricsTable:
@@ -414,7 +416,7 @@ def run_simulation(cfg: SimConfig) -> MetricsTable:
             moments = closed_form_or_exact_moments(cfg.design)
         else:
             moments = mc_moments(cfg.design, reps=cfg.moments_reps, seed=cfg.seed + 1)
-    bound = _build_bound(cfg, moments)
+    bound = build_bound(cfg.design, moments, cfg.bound_kind, cfg.apply_psd_clip)
     n = cfg.design.n
     truth = float(
         cfg.contrast @ (intercept_matrix(n, cfg.design.k).T @ cfg.y_full) / n
@@ -474,9 +476,7 @@ def run_simulation(cfg: SimConfig) -> MetricsTable:
         half = z_crit * np.sqrt(np.maximum(bounds_tn, 0.0) / n)
         covered = (np.abs(values - truth) <= half) & (bounds_tn >= 0)
         try:
-            theo = population_contrast_residual(
-                name, cfg.X, cfg.y_full, moments, cfg.contrast, cfg.optimizer
-            )
+            theo = population_contrast_residual(name, cfg.X, cfg.y_full, moments, cfg.contrast)
             theo_var = float(theo @ moments.D @ theo) / n
             theo_bound = float(theo @ bound.Dt @ theo) / n
         except Exception:

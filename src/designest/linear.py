@@ -166,6 +166,19 @@ def _wls_coefficients(data: ExperimentData, m: np.ndarray):
     return A_inv @ rhs, deficient, cond
 
 
+def gr_point_estimate(f: np.ndarray, data: ExperimentData) -> np.ndarray:
+    """Imputation mean plus inverse-probability-weighted residual, per arm."""
+    n, k = data.n, data.k
+    cells = data.observed_cells
+    arms = data.assignment.arm_of
+    pi_obs = data.moments.pi[cells]
+    impute = f.reshape(k, n).mean(axis=1)
+    correction = (
+        np.bincount(arms, weights=(data.y_obs - f[cells]) / pi_obs, minlength=k) / n
+    )
+    return impute + correction
+
+
 def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFit:
     """Point estimates of the k arm means for one estimator kind.
 
@@ -216,9 +229,7 @@ def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFi
         observed_fitted = np.bincount(arms, weights=fitted[cells], minlength=k)
         mu = (observed_sum + all_fitted - observed_fitted) / n
     else:  # gr
-        mu = intercept_matrix(n, k).T @ fitted / n + np.bincount(
-            arms, weights=(data.y_obs - fitted[cells]) / pi_obs, minlength=k
-        ) / n
+        mu = gr_point_estimate(fitted, data)
     fit = LinearFit(
         kind=kind,
         mu_hat=mu,
@@ -229,14 +240,6 @@ def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFi
     )
     fit.z_hat = z_vector(kind, data, fit)
     return fit
-
-
-def _population_b(data: ExperimentData, m: np.ndarray) -> np.ndarray:
-    x = model_matrix(data)
-    w = m * data.moments.pi
-    A = x.T @ (x * w[:, None])
-    A_inv, _ = _pinv_flagged(A)
-    return A_inv @ (x.T @ (w * data.y_full))
 
 
 def z_vector(kind: str, data: ExperimentData, fit: LinearFit | None = None, population: bool = False) -> np.ndarray:
@@ -271,22 +274,19 @@ def z_vector(kind: str, data: ExperimentData, fit: LinearFit | None = None, popu
     m_weights = fit.m_weights if fit is not None else ("identity" if kind == "ols" else "invpi")
     m = m_weight_vector(data, m_weights)
     x = model_matrix(data)
+    # the regression fit: every cell weighted m pi with the full outcomes,
+    # or the observed cells weighted m with the observed outcomes
     if population:
-        b = _population_b(data, m)
-        A = x.T @ (x * (m * pi)[:, None])
+        rows, w, y_fit = x, m * pi, y
     else:
-        if fit is not None and fit.b_hat is not None:
-            b = fit.b_hat
-        else:
-            b, _, _ = _wls_coefficients(data, m)
         cells = data.observed_cells
-        xo = x[cells]
-        A = xo.T @ (xo * m[cells][:, None])
+        rows, w, y_fit = x[cells], m[cells], data.y_obs
+    A_inv, _ = _pinv_flagged(rows.T @ (rows * w[:, None]))
+    b = A_inv @ (rows.T @ (w * y_fit))
     u = (y - x @ b) * pi * m
 
     if kind == "gr":
         return ones * (y - x @ b)[:, None]
-    A_inv, _ = _pinv_flagged(A)
     if kind in ("ols", "wls"):
         selector = np.zeros((k + data.p, k))
         selector[:k, :k] = np.eye(k)
@@ -346,33 +346,86 @@ def normal_ci(contrast_value: float, varbound_times_n: float, n: int, level: flo
 
 @dataclass
 class EstimateReport:
+    """Contrast estimate and plug-in bound of one fit. The normal interval
+    is derived on access, so callers that need only the value and the bound
+    (simulation replications) never compute it."""
+
     estimator: str
     contrast: list
     contrast_value: float
     varbound_times_n: float
     varbound_raw: float
-    ci_low: float
-    ci_high: float
-    level: float
+    n: int
+    level: float = 0.95
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json(self, path=None):
-        payload = {
+    @property
+    def interval(self) -> tuple[float, float]:
+        if not self.varbound_raw >= 0:  # negative or missing bound
+            return np.nan, np.nan
+        return normal_ci(self.contrast_value, self.varbound_times_n, self.n, self.level)
+
+    @property
+    def ci_low(self) -> float:
+        return self.interval[0]
+
+    @property
+    def ci_high(self) -> float:
+        return self.interval[1]
+
+    def to_dict(self) -> dict:
+        lo, hi = self.interval
+        return {
             "estimator": self.estimator,
-            "contrast": list(np.asarray(self.contrast, dtype=float)),
+            "contrast": list(self.contrast),
             "contrast_value": self.contrast_value,
             "varbound_times_n": self.varbound_times_n,
             "varbound_raw": self.varbound_raw,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
+            "ci_low": lo,
+            "ci_high": hi,
             "level": self.level,
             "diagnostics": self.diagnostics,
         }
-        text = json.dumps(payload, indent=2)
+
+    def to_json(self, path=None):
+        text = json.dumps(self.to_dict(), indent=2)
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)
         return text
+
+
+def contrast_report(
+    estimator: str,
+    mu_hat: np.ndarray,
+    z_hat: np.ndarray,
+    data: ExperimentData,
+    bound: VarianceBound | None,
+    c,
+    level: float = 0.95,
+    diagnostics: dict | None = None,
+) -> EstimateReport:
+    """Report for the contrast c of the arm estimates mu_hat, with the
+    plug-in bound of the linearization z_hat (NaN without a bound)."""
+    c = np.asarray(c, dtype=float)
+    diagnostics = dict(diagnostics or {})
+    raw = times_n = np.nan
+    if bound is not None:
+        raw, times_n, diagnostics["negative_bound"] = plugin_varbound(
+            z_hat, data.assignment, bound, c
+        )
+    if np.any(data.moments.maybe_zero_mask):
+        diagnostics["possibly_zero_cells"] = int(data.moments.maybe_zero_mask.sum())
+    return EstimateReport(
+        estimator=estimator,
+        contrast=c.tolist(),
+        contrast_value=float(c @ mu_hat),
+        varbound_times_n=times_n,
+        varbound_raw=raw,
+        n=data.n,
+        level=level,
+        diagnostics=diagnostics,
+    )
 
 
 def estimate_report(
@@ -384,30 +437,11 @@ def estimate_report(
     level: float = 0.95,
 ) -> EstimateReport:
     """Fit one linear estimator and assemble the full report for a contrast."""
-    c = np.asarray(c, dtype=float)
     fit = estimate_linear(kind, data, m_weights=m_weights)
-    value = float(c @ fit.mu_hat)
-    plugin = plugin_varbound(fit.z_hat, data.assignment, bound, c)
-    if plugin.raw >= 0:
-        lo, hi = normal_ci(value, plugin.times_n, data.n, level)
-    else:
-        lo = hi = np.nan
-    diagnostics = {"rank_deficient": fit.rank_deficient, "negative_bound": plugin.negative}
+    diagnostics = {"rank_deficient": fit.rank_deficient}
     if fit.condition_number is not None:
         diagnostics["condition_number"] = fit.condition_number
-    if np.any(data.moments.maybe_zero_mask):
-        diagnostics["possibly_zero_cells"] = int(data.moments.maybe_zero_mask.sum())
-    return EstimateReport(
-        estimator=kind,
-        contrast=c.tolist(),
-        contrast_value=value,
-        varbound_times_n=plugin.times_n,
-        varbound_raw=plugin.raw,
-        ci_low=lo,
-        ci_high=hi,
-        level=level,
-        diagnostics=diagnostics,
-    )
+    return contrast_report(kind, fit.mu_hat, fit.z_hat, data, bound, c, level, diagnostics)
 
 
 @dataclass
@@ -450,8 +484,19 @@ def check_interpretation(data: ExperimentData, m_weights=None) -> Interpretation
     )
 
 
-def load_observed_csv(path):
-    """unit_id,arm,y with 1-based arms; rows sorted by unit_id on load."""
+def _sorted_by_unit_id(rows, label):
+    """Rows sorted by their leading unit id; duplicate ids are an error."""
+    rows.sort(key=lambda row: row[0])
+    ids = np.array([row[0] for row in rows], dtype=np.int64)
+    repeated = np.unique(ids[1:][ids[1:] == ids[:-1]])
+    if repeated.size:
+        raise ValueError(f"duplicate unit_id in the {label} CSV: {repeated[:5].tolist()}")
+    return ids, rows
+
+
+def load_observed_csv(path, return_ids: bool = False):
+    """unit_id,arm,y with 1-based arms; rows sorted by unit_id on load.
+    Returns (arms, y), or (unit_ids, arms, y) with return_ids."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -459,20 +504,21 @@ def load_observed_csv(path):
             raise ValueError("observed-data CSV must have columns unit_id,arm,y")
         for row in reader:
             rows.append((int(row["unit_id"]), int(row["arm"]), float(row["y"])))
-    rows.sort()
+    ids, rows = _sorted_by_unit_id(rows, "observed-data")
     arms = np.array([r[1] - 1 for r in rows], dtype=np.int64)
     y = np.array([r[2] for r in rows])
-    return arms, y
+    return (ids, arms, y) if return_ids else (arms, y)
 
 
-def load_covariates_csv(path):
-    """unit_id,x1..xp; returns the raw (uncentered) covariate matrix."""
+def load_covariates_csv(path, return_ids: bool = False):
+    """unit_id,x1..xp; returns the raw (uncentered) covariate matrix with
+    rows sorted by unit_id, or (unit_ids, matrix) with return_ids."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header[0] != "unit_id":
             raise ValueError("covariates CSV must start with unit_id column")
-        rows = sorted(
-            (int(r[0]), [float(v) if v != "" else np.nan for v in r[1:]]) for r in reader
-        )
-    return np.array([r[1] for r in rows])
+        rows = [(int(r[0]), [float(v) if v != "" else np.nan for v in r[1:]]) for r in reader]
+    ids, rows = _sorted_by_unit_id(rows, "covariates")
+    X = np.array([r[1] for r in rows])
+    return (ids, X) if return_ids else X

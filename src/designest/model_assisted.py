@@ -7,6 +7,10 @@ Four parameter-selection strategies are provided: pseudo-likelihood
 asymptotically than the unadjusted estimator (no_harm_gr), direct
 minimization of the implied asymptotic variance (opt_gr_linear /
 opt_gr_logit), and a single-imputed-covariate linear layer (opt_i_gr).
+Sample and population versions share one body that takes the outcome
+vector: the sample version passes the inverse-probability-weighted observed
+vector where the population version passes the full potential outcomes (the
+pseudo-likelihood fits pass the observed cells, weighted omega / pi).
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from .linear import (
     EstimateReport,
     ExperimentData,
     _pinv_flagged,
+    contrast_report,
+    gr_point_estimate,
     intercept_matrix,
-    normal_ci,
-    plugin_varbound,
 )
 
 EIG_WARN_RATIO = 1e-8
@@ -147,20 +151,28 @@ def fit_qmle(
     tol: float = 1e-10,
     coef_cap: float = 10.0,
 ):
-    """Minimize the inverse-probability-weighted sample loss.
-
-    Squared loss has the weighted-least-squares closed form; the logistic
-    likelihood is solved by Newton-Raphson with step halving. Observed cell
-    i enters with weight omega / pi at its realized cell.
-    """
+    """Minimize the inverse-probability-weighted sample loss: observed cell
+    i enters with weight omega / pi at its realized cell."""
     cells = data.observed_cells
     pi_obs = data.moments.pi[cells]
     if np.any(pi_obs <= 0):
         raise ValueError("observed cell with zero inclusion probability")
     w = _omega_weights(data, omega)[cells] / pi_obs
     rows = model.design_rows(data.X)[cells]
-    y = data.y_obs
+    return _weighted_qmle(model, rows, data.y_obs, w, max_iter, tol, coef_cap)
 
+
+def population_qmle(model: ImputationModel, X, y_full, omega=None, max_iter: int = 500):
+    """Population loss minimizer: every cell enters with weight omega
+    (default one)."""
+    w = np.ones(model.k * X.shape[0]) if omega is None else np.asarray(omega, dtype=float)
+    return _weighted_qmle(model, model.design_rows(X), np.asarray(y_full, dtype=float), w, max_iter)
+
+
+def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
+    """Minimize sum_i w_i loss(y_i, rows_i theta). Squared loss has the
+    weighted-least-squares closed form; the logistic likelihood is solved
+    by Newton-Raphson with step halving."""
     if model.family == "linear":
         a = rows.T @ (rows * w[:, None])
         a_inv, deficient = _pinv_flagged(a)
@@ -203,29 +215,21 @@ def fit_qmle(
     return theta
 
 
-def gr_point_estimate(f: np.ndarray, data: ExperimentData) -> np.ndarray:
-    """Imputation mean plus inverse-probability-weighted residual, per arm."""
-    n, k = data.n, data.k
-    cells = data.observed_cells
-    arms = data.assignment.arm_of
-    pi_obs = data.moments.pi[cells]
-    impute = f.reshape(k, n).mean(axis=1)
-    correction = (
-        np.bincount(arms, weights=(data.y_obs - f[cells]) / pi_obs, minlength=k) / n
-    )
-    return impute + correction
-
-
-def _contrast_weights(data: ExperimentData, c: np.ndarray) -> np.ndarray:
-    return np.repeat(np.asarray(c, dtype=float), data.n)
-
-
 def _ipw_observed(data: ExperimentData) -> np.ndarray:
-    """kn vector of y/pi at observed cells, zero elsewhere."""
+    """kn vector of y/pi at observed cells, zero elsewhere: the unbiased
+    sample analog of the full outcome vector."""
     out = np.zeros(data.n * data.k)
     cells = data.observed_cells
     out[cells] = data.y_obs / data.moments.pi[cells]
     return out
+
+
+def contrast_residual(f, y, c, n: int) -> np.ndarray:
+    """Contrast-weighted residual w (y - f), the linearization vector of the
+    imputation-plus-correction estimator with imputations f."""
+    return np.repeat(np.asarray(c, dtype=float), n) * (
+        np.asarray(y, dtype=float) - np.asarray(f, dtype=float)
+    )
 
 
 def _gr_report(
@@ -237,37 +241,10 @@ def _gr_report(
     level: float,
     diagnostics: dict,
 ) -> EstimateReport:
-    c = np.asarray(c, dtype=float)
     mu = gr_point_estimate(f, data)
-    value = float(c @ mu)
-    diagnostics = dict(diagnostics)
-    diagnostics["mu_hat"] = mu.tolist()
-    if bound is None:
-        return EstimateReport(
-            estimator=estimator,
-            contrast=c.tolist(),
-            contrast_value=value,
-            varbound_times_n=np.nan,
-            varbound_raw=np.nan,
-            ci_low=np.nan,
-            ci_high=np.nan,
-            level=level,
-            diagnostics=diagnostics,
-        )
     z_hat = intercept_matrix(data.n, data.k) * (data.y_stacked_observed() - f)[:, None]
-    plugin = plugin_varbound(z_hat, data.assignment, bound, c)
-    lo, hi = normal_ci(value, plugin.times_n, data.n, level) if plugin.raw >= 0 else (np.nan, np.nan)
-    diagnostics["negative_bound"] = plugin.negative
-    return EstimateReport(
-        estimator=estimator,
-        contrast=c.tolist(),
-        contrast_value=value,
-        varbound_times_n=plugin.times_n,
-        varbound_raw=plugin.raw,
-        ci_low=lo,
-        ci_high=hi,
-        level=level,
-        diagnostics=diagnostics,
+    return contrast_report(
+        estimator, mu, z_hat, data, bound, c, level, {**diagnostics, "mu_hat": mu.tolist()}
     )
 
 
@@ -299,33 +276,28 @@ def no_harm_alpha(
     D: np.ndarray,
     c,
 ) -> float:
-    """Feasible multiplicative rescaling of the imputations.
-
-    Ratio of the weighted cross form between observed outcomes and
-    imputations to the imputation quadratic form; errors out when the
-    denominator is too small for the rescaling to be identified.
-    """
+    """Feasible multiplicative rescaling of the imputations: the population
+    constant with the outcome vector replaced by its IPW observed analog."""
     f = model.predict(theta_hat, data.X)
-    w = _contrast_weights(data, np.asarray(c, dtype=float))
-    wf = w * f
-    denominator = float(wf @ D @ wf)
-    if abs(denominator) / data.n < NOHARM_DENOM_TOL:
-        raise WeakIdentificationError(
-            "imputation quadratic form is near zero; the rescaled estimator is "
-            "weakly identified and not recommended here"
-        )
-    numerator = float((w * _ipw_observed(data)) @ D @ wf)
-    return numerator / denominator
+    return population_no_harm_alpha(f, _ipw_observed(data), D, c, data.n)
 
 
-def population_no_harm_alpha(f: np.ndarray, y_full: np.ndarray, D: np.ndarray, c, n: int) -> float:
-    """Oracle rescaling constant from the full potential-outcome vector."""
+def population_no_harm_alpha(f: np.ndarray, y: np.ndarray, D: np.ndarray, c, n: int) -> float:
+    """Rescaling constant of the imputations f for outcome vector y.
+
+    Ratio of the weighted cross form between outcomes and imputations to
+    the imputation quadratic form; errors out when the denominator is too
+    small for the rescaling to be identified.
+    """
     w = np.repeat(np.asarray(c, dtype=float), n)
     wf = w * f
     denominator = float(wf @ D @ wf)
     if abs(denominator) / n < NOHARM_DENOM_TOL:
-        raise WeakIdentificationError("population rescaling denominator near zero")
-    return float((w * y_full) @ D @ wf) / denominator
+        raise WeakIdentificationError(
+            "imputation quadratic form is near zero; the rescaled estimator is "
+            "weakly identified and not recommended here"
+        )
+    return float((w * y) @ D @ wf) / denominator
 
 
 def no_harm_gr(
@@ -364,6 +336,20 @@ def _inspect_eigenvalues(A: np.ndarray, label: str) -> bool:
     return flagged
 
 
+def _variance_minimizing_beta(rows, y, Omega, c, n: int, label: str | None = None):
+    """Coefficients minimizing the contrast-weighted residual form in Omega
+    of y - rows beta, in closed form, and whether they are weakly
+    identified. With a label, near-zero eigenvalues of the design form are
+    warned about."""
+    w = np.repeat(np.asarray(c, dtype=float), n)
+    xt = rows * w[:, None]
+    gram = xt.T @ Omega @ xt
+    flagged = label is not None and _inspect_eigenvalues(gram / n, label)
+    gram_inv, deficient = _pinv_flagged(gram)
+    beta = gram_inv @ (xt.T @ (Omega @ (w * np.asarray(y, dtype=float))))
+    return beta, flagged or deficient
+
+
 def opt_gr_linear(
     data: ExperimentData,
     Omega: np.ndarray,
@@ -372,43 +358,31 @@ def opt_gr_linear(
     bound: VarianceBound | None = None,
     level: float = 0.95,
 ) -> EstimateReport:
-    """Variance-minimizing linear imputations, closed form.
-
-    The coefficient solves the contrast-weighted normal equations in Omega,
-    with the unobservable outcome side replaced by its inverse-probability
-    weighted sample analog.
-    """
-    c = np.asarray(c, dtype=float)
+    """Variance-minimizing linear imputations, closed form, with the outcome
+    vector replaced by its IPW observed analog."""
     Omega = _check_omega(Omega, data.n * data.k)
     if model is None:
         model = ImputationModel("linear", data.k, data.p)
     if model.family != "linear":
         raise ValueError("opt_gr_linear needs a linear imputation model")
     rows = model.design_rows(data.X)
-    w = _contrast_weights(data, c)
-    xt = rows * w[:, None]
-    gram = xt.T @ Omega @ xt
-    flagged = _inspect_eigenvalues(gram / data.n, "contrast-weighted design form")
-    gram_inv, deficient = _pinv_flagged(gram)
-    beta = gram_inv @ (xt.T @ (Omega @ (w * _ipw_observed(data))))
-    f = rows @ beta
+    beta, flagged = _variance_minimizing_beta(
+        rows, _ipw_observed(data), Omega, c, data.n, "contrast-weighted design form"
+    )
     return _gr_report(
         "opt_gr_linear",
-        f,
+        rows @ beta,
         data,
         c,
         bound,
         level,
-        {"beta": beta.tolist(), "identification_flagged": flagged or deficient},
+        {"beta": beta.tolist(), "identification_flagged": flagged},
     )
 
 
 def population_opt_gr_linear(X_rows, y_full, Omega, c, n):
     """Oracle linear coefficients minimizing the population residual form."""
-    w = np.repeat(np.asarray(c, dtype=float), n)
-    xt = X_rows * w[:, None]
-    gram_inv, _ = _pinv_flagged(xt.T @ Omega @ xt)
-    return gram_inv @ (xt.T @ (Omega @ (w * y_full)))
+    return _variance_minimizing_beta(X_rows, y_full, Omega, c, n)[0]
 
 
 def moment_vector(
@@ -419,23 +393,26 @@ def moment_vector(
     c: np.ndarray,
 ) -> np.ndarray:
     """Sample first-order-condition vector for the variance criterion."""
-    w = _contrast_weights(data, c)
-    f = model.predict(theta, data.X)
-    grad = model.grad(theta, data.X)
-    r = w * (_ipw_observed(data) - f)
-    return grad.T @ (w * (Omega @ r)) / data.n
+    return population_moment_vector(theta, model, data.X, _ipw_observed(data), Omega, c, data.n)
 
 
-def population_moment_vector(theta, model, X, y_full, Omega, c, n):
-    """Population version: full outcomes instead of weighted observations."""
+def population_moment_vector(theta, model, X, y, Omega, c, n):
+    """First-order-condition vector of the variance criterion for outcome
+    vector y (the full potential outcomes, or their IPW observed analog)."""
     w = np.repeat(np.asarray(c, dtype=float), n)
     f = model.predict(theta, X)
     grad = model.grad(theta, X)
-    r = w * (y_full - f)
+    r = w * (y - f)
     return grad.T @ (w * (Omega @ r)) / n
 
 
-def population_moment_jacobian(theta, model, X, y_full, Omega, c, n):
+def moment_jacobian(theta, model, data, Omega, c):
+    """Analytic Jacobian of the sample moment vector."""
+    return population_moment_jacobian(theta, model, data.X, _ipw_observed(data), Omega, c, data.n)
+
+
+def population_moment_jacobian(theta, model, X, y, Omega, c, n):
+    """Analytic Jacobian of population_moment_vector in theta."""
     w = np.repeat(np.asarray(c, dtype=float), n)
     f = model.predict(theta, X)
     grad = model.grad(theta, X)
@@ -444,7 +421,7 @@ def population_moment_jacobian(theta, model, X, y_full, Omega, c, n):
     jac = -(wg.T @ Omega @ wg) / n
     h = model.hess_factor(theta, X)
     if np.any(h != 0):
-        r = w * (np.asarray(y_full, dtype=float) - f)
+        r = w * (np.asarray(y, dtype=float) - f)
         scale = (w * (Omega @ r)) * h
         jac = jac + rows.T @ (rows * scale[:, None]) / n
     return jac
@@ -461,39 +438,17 @@ def population_opt_logit(model, X, y_full, Omega, c, n, start=None):
     if start is None:
         start = population_qmle(model, X, y_full)
 
-    def crit(theta):
-        g = population_moment_vector(theta, model, X, y_full, Omega, c, n)
-        return float(g @ g)
-
-    def grad(theta):
-        g = population_moment_vector(theta, model, X, y_full, Omega, c, n)
-        jac = population_moment_jacobian(theta, model, X, y_full, Omega, c, n)
-        return 2.0 * jac.T @ g
-
-    result = minimize(crit, np.asarray(start, dtype=float), jac=grad, method="BFGS",
+    result = minimize(lambda th: _criterion_and_grad(th, model, X, y_full, Omega, c, n)[:2],
+                      np.asarray(start, dtype=float), jac=True, method="BFGS",
                       options={"gtol": 1e-12, "maxiter": 500})
     return result.x
 
 
-def moment_jacobian(theta, model, data, Omega, c):
-    """Analytic Jacobian of the sample moment vector."""
-    w = _contrast_weights(data, c)
-    f = model.predict(theta, data.X)
-    grad = model.grad(theta, data.X)
-    rows = model.design_rows(data.X)
-    wg = grad * w[:, None]
-    jac = -(wg.T @ Omega @ wg) / data.n
-    h = model.hess_factor(theta, data.X)
-    if np.any(h != 0):
-        r = w * (_ipw_observed(data) - f)
-        scale = (w * (Omega @ r)) * h
-        jac = jac + rows.T @ (rows * scale[:, None]) / data.n
-    return jac
-
-
-def _criterion_and_grad(theta, model, data, Omega, c):
-    g = moment_vector(theta, model, data, Omega, c)
-    jac = moment_jacobian(theta, model, data, Omega, c)
+def _criterion_and_grad(theta, model, X, y, Omega, c, n):
+    """Squared moment norm of the variance criterion for outcome vector y,
+    its gradient in theta, and the moment vector."""
+    g = population_moment_vector(theta, model, X, y, Omega, c, n)
+    jac = population_moment_jacobian(theta, model, X, y, Omega, c, n)
     return float(g @ g), 2.0 * jac.T @ g, g
 
 
@@ -521,12 +476,13 @@ def opt_gr_logit(
         model = ImputationModel("logistic", data.k, data.p)
     if model.family != "logistic":
         raise ValueError("opt_gr_logit needs a logistic imputation model")
+    criterion_args = (model, data.X, _ipw_observed(data), Omega, c, data.n)
     rng = np.random.default_rng(seed)
     candidates = []
     for attempt in range(cfg.restarts):
         half_width = cfg.box_half_width + attempt * cfg.box_expand / 2.0
         theta = rng.normal(0.0, cfg.restart_sd, size=model.s)
-        value, grad, g = _criterion_and_grad(theta, model, data, Omega, c)
+        value, grad, g = _criterion_and_grad(theta, *criterion_args)
         interior = True
         for _ in range(cfg.max_steps):
             if np.linalg.norm(g) <= cfg.grad_tol:
@@ -545,7 +501,7 @@ def opt_gr_logit(
             if np.any(np.abs(theta) > half_width):
                 interior = False
                 break
-            value, grad, g = _criterion_and_grad(theta, model, data, Omega, c)
+            value, grad, g = _criterion_and_grad(theta, *criterion_args)
         if interior and np.linalg.norm(g) <= cfg.grad_tol:
             candidates.append((value, attempt, theta, g))
     if not candidates:
@@ -554,13 +510,12 @@ def opt_gr_logit(
             f"{cfg.restarts} restarts"
         )
     value, attempt, theta, g = min(candidates, key=lambda item: (item[0], item[1]))
-    hess = _numerical_hessian(
-        lambda th: float(
-            moment_vector(th, model, data, Omega, c) @ moment_vector(th, model, data, Omega, c)
-        ),
-        theta,
-    )
-    hess_eigs = np.linalg.eigvalsh(hess)
+
+    def criterion(th):
+        g_th = moment_vector(th, model, data, Omega, c)
+        return float(g_th @ g_th)
+
+    hess_eigs = np.linalg.eigvalsh(_numerical_hessian(criterion, theta))
     f = model.predict(theta, data.X)
     return _gr_report(
         "opt_gr_logit",
@@ -583,7 +538,6 @@ def opt_gr_logit(
 def _numerical_hessian(fun, theta, h: float = 1e-4):
     s = len(theta)
     hess = np.zeros((s, s))
-    f0 = fun(theta)
     for i in range(s):
         for j in range(i, s):
             ei = np.zeros(s)
@@ -597,6 +551,12 @@ def _numerical_hessian(fun, theta, h: float = 1e-4):
     return hess
 
 
+def opt_i_rows(f_model, n: int, k: int) -> np.ndarray:
+    """Regressors of the single-imputed-covariate layer: the arm intercepts
+    plus the fitted imputations."""
+    return np.hstack([intercept_matrix(n, k), np.asarray(f_model, dtype=float)[:, None]])
+
+
 def opt_i_gr(
     theta_hat: np.ndarray,
     model: ImputationModel,
@@ -606,67 +566,31 @@ def opt_i_gr(
     bound: VarianceBound | None = None,
     level: float = 0.95,
 ) -> EstimateReport:
-    """Optimal linear layer over one imputed covariate.
-
-    Regressors are the arm intercepts plus the fitted imputations; the k+1
-    coefficients solve the same contrast-weighted normal equations as the
-    linear variance-minimizing estimator.
-    """
-    c = np.asarray(c, dtype=float)
-    f_model = model.predict(theta_hat, data.X)
-    xi = np.hstack([intercept_matrix(data.n, data.k), f_model[:, None]])
-    w = _contrast_weights(data, c)
-    xc = xi * w[:, None]
-    gram = xc.T @ D @ xc
-    flagged = _inspect_eigenvalues(gram / data.n, "imputed-covariate design form")
-    gram_inv, deficient = _pinv_flagged(gram)
-    beta = gram_inv @ (xc.T @ (D @ (w * _ipw_observed(data))))
-    f = xi @ beta
+    """Optimal linear layer over one imputed covariate: the k+1 coefficients
+    solve the same contrast-weighted normal equations as the linear
+    variance-minimizing estimator."""
+    xi = opt_i_rows(model.predict(theta_hat, data.X), data.n, data.k)
+    beta, flagged = _variance_minimizing_beta(
+        xi, _ipw_observed(data), D, c, data.n, "imputed-covariate design form"
+    )
     return _gr_report(
         "opt_i_" + model.family,
-        f,
+        xi @ beta,
         data,
         c,
         bound,
         level,
-        {"beta": beta.tolist(), "identification_flagged": flagged or deficient},
+        {"beta": beta.tolist(), "identification_flagged": flagged},
     )
 
 
 def population_opt_i_beta(f_model, y_full, D, c, n: int, k: int):
     """Oracle Opt-I coefficients with the true outcome side."""
-    xi = np.hstack([intercept_matrix(n, k), np.asarray(f_model, dtype=float)[:, None]])
-    w = np.repeat(np.asarray(c, dtype=float), n)
-    xc = xi * w[:, None]
-    gram_inv, _ = _pinv_flagged(xc.T @ D @ xc)
-    return gram_inv @ (xc.T @ (D @ (w * np.asarray(y_full, dtype=float))))
+    return _variance_minimizing_beta(opt_i_rows(f_model, n, k), y_full, D, c, n)[0]
 
 
 def theoretical_asy_variance(f, y_full, M, c, n: int) -> float:
     """n x Var of the linearized contrast estimator with imputations f:
     the contrast-weighted residual quadratic form in M, divided by n."""
-    c = np.asarray(c, dtype=float)
-    w = np.repeat(c, n)
-    v = w * (np.asarray(y_full, dtype=float) - np.asarray(f, dtype=float))
+    v = contrast_residual(f, y_full, c, n)
     return float(v @ M @ v) / n
-
-
-def population_qmle(model: ImputationModel, X, y_full, omega=None, max_iter: int = 200):
-    """Population loss minimizer: every cell enters with weight omega."""
-    kn = model.k * X.shape[0]
-    w = np.ones(kn) if omega is None else np.asarray(omega, dtype=float)
-    rows = model.design_rows(X)
-    y = np.asarray(y_full, dtype=float)
-    if model.family == "linear":
-        a_inv, _ = _pinv_flagged(rows.T @ (rows * w[:, None]))
-        return a_inv @ (rows.T @ (w * y))
-    theta = np.zeros(model.s)
-    for _ in range(max_iter):
-        f = expit(rows @ theta)
-        grad = rows.T @ (w * (y - f))
-        if np.linalg.norm(grad) < 1e-12:
-            break
-        hess = rows.T @ (rows * (w * f * (1.0 - f))[:, None])
-        h_inv, _ = _pinv_flagged(hess)
-        theta = theta + h_inv @ grad
-    return theta

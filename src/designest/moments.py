@@ -16,68 +16,10 @@ import numpy as np
 
 from .designs import Design, SupportTable, stream_rng
 
-MC_BLOCK_SIZE = 4096  # fixed blocking => results independent of worker count
+MC_BLOCK_SIZE = 4096  # draws per random stream; part of what a seed reproduces
 DENSE_LIMIT = 8192  # largest kn stored dense
 TENSOR_CAP = 64
 PSD_TOL = 1e-8
-
-
-class WelfordAccumulator:
-    """Online mean / covariance of a vector stream, mergeable across blocks.
-
-    Covariance is accumulated around the running mean (Welford update,
-    batch form); merging follows the pairwise-update equations so a fixed
-    merge order gives bitwise-reproducible results.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.count = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros((dim, dim))
-
-    def update(self, x: np.ndarray):
-        self.update_batch(np.asarray(x, dtype=float)[None, :])
-
-    def update_batch(self, xs: np.ndarray):
-        b = len(xs)
-        if b == 0:
-            return
-        batch = WelfordAccumulator(self.dim)
-        batch.count = b
-        batch.mean = xs.mean(axis=0)
-        centered = xs - batch.mean
-        batch.m2 = centered.T @ centered
-        self.merge(batch)
-
-    def update_gram(self, count: int, total: np.ndarray, gram: np.ndarray):
-        """Fold in a block summarized by its count, column sums, and Gram
-        matrix X'X (cheaper than materializing the centered copy)."""
-        if count == 0:
-            return
-        batch = WelfordAccumulator(self.dim)
-        batch.count = count
-        batch.mean = total / count
-        batch.m2 = gram - count * np.outer(batch.mean, batch.mean)
-        self.merge(batch)
-
-    def merge(self, other: "WelfordAccumulator"):
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self.m2 = other.count, other.mean.copy(), other.m2.copy()
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.m2 = self.m2 + other.m2 + np.outer(delta, delta) * (self.count * other.count / total)
-        self.mean = self.mean + delta * (other.count / total)
-        self.count = total
-
-    def covariance(self) -> np.ndarray:
-        """Population-normalized covariance (divide by count)."""
-        if self.count < 1:
-            raise ValueError("no observations accumulated")
-        return self.m2 / self.count
 
 
 @dataclass
@@ -288,59 +230,31 @@ def moments_from_support(table: SupportTable) -> DesignMoments:
     )
 
 
-def mc_moments(
-    design: Design,
-    reps: int,
-    seed: int,
-    workers: int = 1,
-    block_size: int = MC_BLOCK_SIZE,
-) -> DesignMoments:
-    """Monte-Carlo moments with Welford accumulation.
+def mc_moments(design: Design, reps: int, seed: int) -> DesignMoments:
+    """Monte-Carlo moments from hit counts.
 
-    Replication r draws from an independent stream keyed by (seed, block),
-    and blocks merge in index order, so the result is identical for any
-    worker count. pi and p come from hit counts; D from the merged
-    covariance of the stacked indicators, reweighted by the estimated pi.
+    Block b of MC_BLOCK_SIZE draws comes from an independent stream keyed by
+    (seed, b). pi and p are hit frequencies, and D is assembled from them as
+    for exact moments, with the never-hit cells left unusable.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
-    kn = design.n * design.k
+    n = design.n
+    kn = n * design.k
     _warn_dense(kn)
-    blocks = [(b, min(block_size, reps - b * block_size)) for b in range((reps + block_size - 1) // block_size)]
-
-    def block_stats(args):
-        index, size = args
+    joint_counts = np.zeros((kn, kn))
+    for index, start in enumerate(range(0, reps, MC_BLOCK_SIZE)):
+        size = min(MC_BLOCK_SIZE, reps - start)
         rng = stream_rng(seed, index)
         arms = np.stack([design.sample(rng).arm_of for _ in range(size)])
         h = np.zeros((size, kn))
-        h[np.arange(size)[:, None], arms * design.n + np.arange(design.n)] = 1.0
-        gram = h.T @ h
-        return size, h.sum(axis=0), gram
+        h[np.arange(size)[:, None], arms * n + np.arange(n)] = 1.0
+        joint_counts += h.T @ h
 
-    acc = WelfordAccumulator(kn)
-    joint_counts = np.zeros((kn, kn))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # waves of one block per worker keep memory bounded while the
-            # merge order stays the block order
-            for start in range(0, len(blocks), workers):
-                wave = blocks[start : start + workers]
-                for size, total, gram in pool.map(block_stats, wave):
-                    joint_counts += gram
-                    acc.update_gram(size, total, gram)
-    else:
-        for block in blocks:
-            size, total, gram = block_stats(block)
-            joint_counts += gram
-            acc.update_gram(size, total, gram)
-
-    pi = acc.mean
     p = joint_counts / reps
+    pi = np.diag(p).copy()
     never_hit = pi == 0
     proven = design.structural_zero_cells()
-    zero_mask = never_hit & proven
     maybe_zero = never_hit & ~proven
     if maybe_zero.any():
         warnings.warn(
@@ -348,19 +262,14 @@ def mc_moments(
             "not provably impossible; their moments are flagged, not zeroed",
             RuntimeWarning,
         )
-    ok = ~never_hit
-    D = np.zeros((kn, kn))
-    cov = acc.covariance()
-    D[np.ix_(ok, ok)] = cov[np.ix_(ok, ok)] / np.outer(pi[ok], pi[ok])
-    D[(p == 0) & np.outer(ok, ok)] = -1.0
     return DesignMoments(
-        n=design.n,
+        n=n,
         k=design.k,
         pi=pi,
         p=p,
-        D=D,
+        D=_assemble_d(pi, p, never_hit),
         method="monte_carlo",
-        zero_mask=zero_mask,
+        zero_mask=never_hit & proven,
         maybe_zero_mask=maybe_zero,
         reps=reps,
         seed=seed,
@@ -388,12 +297,9 @@ def crd_first_order_matrix(n: int, n_t: int) -> np.ndarray:
 def largest_eigenvalue(
     M: np.ndarray,
     zero_diag: bool = False,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
     zero_mask: np.ndarray | None = None,
-    seed: int = 0,
 ) -> float:
-    """Largest eigenvalue of a symmetric matrix by shifted power iteration.
+    """Largest eigenvalue of a symmetric matrix (dense symmetric solver).
 
     Cells flagged as zero-probability make the measure infinite (the
     worst-case variance is unbounded). zero_diag computes the variant with
@@ -411,37 +317,10 @@ def largest_eigenvalue(
         np.fill_diagonal(M, 0.0)
     if M.shape[0] == 0:
         return 0.0
-    shift = float(np.max(np.sum(np.abs(M), axis=1)))
-    if shift == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = M @ v + shift * v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:  # v in the nullspace of the shifted matrix
-            v = rng.standard_normal(M.shape[0])
-            v /= np.linalg.norm(v)
-            continue
-        v_new = w / norm
-        lam_new = float(v_new @ (M @ v_new))
-        residual = np.linalg.norm(M @ v_new - lam_new * v_new)
-        converged = residual <= tol * max(abs(lam_new), 1.0)
-        v, lam = v_new, lam_new
-        if converged:
-            return lam
-    warnings.warn("power iteration hit the iteration cap; returning best estimate", RuntimeWarning)
-    return lam
+    return float(np.linalg.eigvalsh(M)[-1])
 
 
-def design_complexity(
-    moments: DesignMoments,
-    arms=None,
-    zero_diag: bool = False,
-    tol: float = 1e-8,
-) -> float:
+def design_complexity(moments: DesignMoments, arms=None, zero_diag: bool = False) -> float:
     """Spectral complexity measure for a design (optionally an arm subset).
 
     Infinite when a participating cell has a proven zero probability; a
@@ -455,7 +334,7 @@ def design_complexity(
             "complexity computed with possibly-zero cells; value may be unreliable",
             RuntimeWarning,
         )
-    return largest_eigenvalue(sub.D, zero_diag=zero_diag, tol=tol)
+    return largest_eigenvalue(sub.D, zero_diag=zero_diag)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from designest.cli import main
+from designest.harness import ESTIMATOR_NAMES
 
 
 @pytest.fixture
@@ -181,3 +182,89 @@ def test_exposure_design_yaml_with_rules_and_edge_csv(tmp_path, capsys):
     assert main(["complexity", "--design", str(design_yaml), "--exact"]) == 0
     output = capsys.readouterr().out
     assert "arm4" in output
+
+
+def _write_estimate_inputs(tmp_path, obs_ids, cov_ids):
+    obs = tmp_path / "obs.csv"
+    obs.write_text(
+        "unit_id,arm,y\n" + "".join(f"{i},{1 + j % 2},{0.5 * j}\n" for j, i in enumerate(obs_ids))
+    )
+    cov = tmp_path / "x.csv"
+    cov.write_text("unit_id,x1\n" + "".join(f"{i},{(i * 7) % 5}.0\n" for i in cov_ids))
+    return obs, cov
+
+
+def _estimate_argv(design_yaml, obs, cov, estimators="ht"):
+    return [
+        "estimate", "--design", str(design_yaml), "--data", str(obs),
+        "--covariates", str(cov), "--estimators", estimators, "--contrast=-1,1",
+    ]
+
+
+def test_estimate_rejects_duplicate_unit_ids(crd_design_yaml, tmp_path, capsys):
+    obs, cov = _write_estimate_inputs(tmp_path, [0, 1, 2, 3, 4, 4], range(6))
+    assert main(_estimate_argv(crd_design_yaml, obs, cov)) == 2
+    assert "duplicate unit_id" in capsys.readouterr().err
+
+
+def test_estimate_rejects_mismatched_unit_ids(crd_design_yaml, tmp_path, capsys):
+    obs, cov = _write_estimate_inputs(tmp_path, range(6), [0, 1, 2, 3, 4, 9])
+    assert main(_estimate_argv(crd_design_yaml, obs, cov)) == 2
+    assert "different unit_id sets" in capsys.readouterr().err
+
+
+def test_estimate_pairs_rows_by_unit_id(crd_design_yaml, tmp_path):
+    # the same units listed in another order give the same report
+    out = []
+    for order in (range(6), [3, 0, 5, 1, 4, 2]):
+        obs, cov = _write_estimate_inputs(tmp_path, range(6), order)
+        path = tmp_path / "report.json"
+        assert main(_estimate_argv(crd_design_yaml, obs, cov, "wls") + ["--out", str(path)]) == 0
+        out.append(path.read_text())
+    assert out[0] == out[1]
+
+
+@pytest.fixture(scope="module")
+def table_instance(tmp_path_factory):
+    """A two-arm CRD with two covariates on which every table estimator is
+    defined: covariates and outcomes for simulate, one observed dataset for
+    estimate."""
+    tmp = tmp_path_factory.mktemp("table")
+    n = 40
+    rng = np.random.default_rng(2024)
+    X = rng.standard_normal((n, 2))
+    (tmp / "x.csv").write_text(
+        "unit_id,x1,x2\n" + "".join(f"{i},{X[i, 0]:.17g},{X[i, 1]:.17g}\n" for i in range(n))
+    )
+    arms = rng.permutation(np.repeat([1, 2], n // 2))
+    y = (rng.uniform(size=n) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
+    (tmp / "obs.csv").write_text(
+        "unit_id,arm,y\n" + "".join(f"{i},{arms[i]},{y[i]}\n" for i in range(n))
+    )
+    design = f"design:\n  kind: completely_randomized\n  n: {n}\n  counts: [{n // 2}, {n // 2}]\n"
+    (tmp / "design.yaml").write_text(design)
+    return tmp, design
+
+
+@pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+def test_every_table_estimator_runs_in_simulate_and_estimate(table_instance, name):
+    tmp, design = table_instance
+    config = tmp / f"sim_{name}.yaml"
+    config.write_text(
+        design
+        + f"covariates: {{csv: {tmp / 'x.csv'}}}\n"
+        + "outcome: {coeffs: [1.0, -0.5], intercepts: [-0.2, 0.4], seed: 3}\n"
+        + f"estimators: [{name}]\n"
+        + "contrast: [-1, 1]\nreplications: 3\nseed: 5\n"
+    )
+    sim = tmp / f"sim_{name}.json"
+    assert main(["simulate", "--config", str(config), "--json", str(sim)]) == 0
+    row = json.loads(sim.read_text())["metrics"][name]
+    assert np.isfinite(row["theo_var_times_n"]) and np.isfinite(row["theo_bound_times_n"])
+
+    out = tmp / f"estimate_{name}.json"
+    argv = _estimate_argv(tmp / "design.yaml", tmp / "obs.csv", tmp / "x.csv", name)
+    assert main(argv + ["--out", str(out)]) == 0
+    (report,) = json.loads(out.read_text())
+    assert report["estimator"] == name
+    assert np.isfinite(report["contrast_value"])

@@ -8,7 +8,6 @@ from designest.designs import (
     stream_rng,
 )
 from designest.moments import (
-    WelfordAccumulator,
     crd_first_order_matrix,
     design_complexity,
     exact_moments,
@@ -27,29 +26,6 @@ CRD2_D = np.array(
         [1.0, -1.0, -1.0, 1.0],
     ]
 )
-
-
-class TestWelford:
-    def test_matches_direct_covariance(self):
-        rng = stream_rng(0)
-        xs = rng.standard_normal((500, 4))
-        acc = WelfordAccumulator(4)
-        for x in xs:
-            acc.update(x)
-        assert np.allclose(acc.mean, xs.mean(axis=0))
-        direct = np.cov(xs, rowvar=False, ddof=0) * 1.0
-        assert np.allclose(acc.covariance(), direct, atol=1e-10)
-
-    def test_merge_order_independent_of_partition(self):
-        rng = stream_rng(1)
-        xs = rng.standard_normal((300, 3))
-        whole = WelfordAccumulator(3)
-        whole.update_batch(xs)
-        pieces = WelfordAccumulator(3)
-        for chunk in np.array_split(xs, 7):
-            pieces.update_batch(chunk)
-        assert np.allclose(whole.covariance(), pieces.covariance(), atol=1e-12)
-        assert np.allclose(whole.mean, pieces.mean, atol=1e-13)
 
 
 class TestExactMoments:
@@ -135,14 +111,6 @@ class TestMonteCarloMoments:
     def test_bernoulli_pi_close(self):
         mc = mc_moments(BernoulliDesign(3, [0.5, 0.5]), reps=100_000, seed=5)
         assert np.max(np.abs(mc.pi - 0.5)) < 0.01
-
-    def test_worker_count_does_not_change_result(self):
-        design = CompletelyRandomizedDesign(4, [2, 2])
-        one = mc_moments(design, reps=5000, seed=3, workers=1)
-        four = mc_moments(design, reps=5000, seed=3, workers=4)
-        assert np.array_equal(one.D, four.D)
-        assert np.array_equal(one.pi, four.pi)
-        assert np.array_equal(one.p, four.p)
 
     def test_exact_vs_mc_agreement_small_designs(self):
         # agreement property: enumerable designs, modest rep budget
