@@ -130,6 +130,12 @@ def cmd_estimate(args):
     unit_ids, arms, y = load_observed_csv(args.data, return_ids=True)
     if len(arms) != design.n:
         raise ValueError("observed rows do not match the design size")
+    if design.unit_ids is not None and not np.array_equal(unit_ids, design.unit_ids):
+        only_in_one = np.setxor1d(unit_ids, design.unit_ids)
+        raise ValueError(
+            "observed and design group CSVs have different unit_id sets "
+            f"(in one only: {only_in_one[:5].tolist()})"
+        )
     if args.covariates:
         covariate_ids, raw = load_covariates_csv(args.covariates, return_ids=True)
         if not np.array_equal(unit_ids, covariate_ids):
@@ -152,9 +158,15 @@ def cmd_estimate(args):
     bound = build_bound(design, moments, "aronow_samii", args.psd_clip)
     contrast = np.array([float(v) for v in args.contrast.split(",")])
     optimizer = OptimizerConfig()
+    names = [name.strip() for name in args.estimators.split(",")]
+    rows = [estimator(name) for name in names]  # an unknown name fails before any fit
     reports = []
-    for name in (name.strip() for name in args.estimators.split(",")):
-        report = estimator(name).fit(data, contrast, bound, optimizer, 0)
+    for name, row in zip(names, rows):
+        try:
+            report = row.fit(data, contrast, bound, optimizer, 0)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            reports.append({"estimator": name, "error": f"{type(exc).__name__}: {exc}"})
+            continue
         report.estimator = name
         reports.append(report.to_dict())
     text = json.dumps(reports, indent=2)
@@ -163,7 +175,7 @@ def cmd_estimate(args):
             fh.write(text)
     else:
         print(text)
-    return 0
+    return 1 if any("error" in report for report in reports) else 0
 
 
 def cmd_simulate(args):

@@ -110,6 +110,7 @@ class Design:
     n: int
     k: int
     kind: str = "abstract"
+    unit_ids: np.ndarray | None = None  # sorted ids of the strata/cluster CSV read
 
     def sample(self, rng: np.random.Generator) -> AssignmentRealization:
         raise NotImplementedError
@@ -392,30 +393,36 @@ def build_design(spec: dict) -> Design:
     Recognized kinds: bernoulli, completely_randomized, stratified,
     clustered, exposure_derived. Stratified specs accept per-stratum
     ``counts``, shared ``proportions`` (remainders to descending arms), or a
-    repeated arm-label ``pattern``.
+    repeated arm-label ``pattern``. A design read from a strata or cluster
+    CSV, or derived from such a design, keeps that file's sorted unit ids as
+    ``unit_ids``.
     """
     kind = spec.get("kind")
     if kind == "bernoulli":
         return BernoulliDesign(spec["n"], spec["probs"])
     if kind == "completely_randomized":
         return CompletelyRandomizedDesign(spec["n"], spec["counts"])
+    unit_ids = None
     if kind == "stratified":
         if "strata_csv" in spec:
-            _, strata = read_group_csv(spec["strata_csv"])
+            unit_ids, strata = read_group_csv(spec["strata_csv"])
             n = sum(len(s) for s in strata)
         else:
             strata = spec["strata"]
             n = spec.get("n", sum(len(s) for s in strata))
         if "counts" in spec:
-            return StratifiedDesign(n, strata, spec["counts"])
-        if "proportions" in spec:
-            return StratifiedDesign.from_proportions(n, strata, spec["proportions"])
-        if "pattern" in spec:
-            return StratifiedDesign.from_pattern(n, strata, spec["pattern"], spec["k"])
-        raise ValueError("stratified spec needs counts, proportions, or pattern")
+            design = StratifiedDesign(n, strata, spec["counts"])
+        elif "proportions" in spec:
+            design = StratifiedDesign.from_proportions(n, strata, spec["proportions"])
+        elif "pattern" in spec:
+            design = StratifiedDesign.from_pattern(n, strata, spec["pattern"], spec["k"])
+        else:
+            raise ValueError("stratified spec needs counts, proportions, or pattern")
+        design.unit_ids = unit_ids
+        return design
     if kind == "clustered":
         if "cluster_csv" in spec:
-            _, groups = read_group_csv(spec["cluster_csv"])
+            unit_ids, groups = read_group_csv(spec["cluster_csv"])
             n = sum(len(g) for g in groups)
             cluster_of = np.empty(n, dtype=np.int64)
             for cid, members in enumerate(groups):
@@ -423,7 +430,9 @@ def build_design(spec: dict) -> Design:
         else:
             cluster_of = np.asarray(spec["cluster_of"], dtype=np.int64)
             n = len(cluster_of)
-        return ClusteredDesign(n, cluster_of, build_design(spec["cluster_design"]))
+        design = ClusteredDesign(n, cluster_of, build_design(spec["cluster_design"]))
+        design.unit_ids = unit_ids
+        return design
     if kind == "exposure_derived":
         from .network import ExposureRules, InterferenceGraph, derive_exposure_design
 
@@ -434,5 +443,7 @@ def build_design(spec: dict) -> Design:
             else InterferenceGraph(base.n, spec["edges"])
         )
         rules = ExposureRules.from_config(spec["rules"], base.k)
-        return derive_exposure_design(base, graph, rules, spec.get("undirected", False))
+        design = derive_exposure_design(base, graph, rules, spec.get("undirected", False))
+        design.unit_ids = base.unit_ids
+        return design
     raise ValueError(f"unknown design kind: {kind!r}")

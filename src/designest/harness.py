@@ -14,14 +14,14 @@ import numpy as np
 from scipy.stats import norm
 
 from .bounds import build_bound
-from .designs import AssignmentRealization, Design, stream_rng
+from .designs import Design, stream_rng
 from .linear import (
     LINEAR_KINDS,
     EstimateReport,
     ExperimentData,
     estimate_report,
     intercept_matrix,
-    z_vector,
+    population_z,
 )
 from .model_assisted import (
     ImputationModel,
@@ -61,16 +61,10 @@ class Estimator:
 
 
 def _linear(kind):
-    def fit(data, c, bound, optimizer, seed):
-        return estimate_report(kind, data, bound, c)
-
-    def residual(X, y_full, moments, c):
-        arm_of = np.zeros(moments.n, dtype=np.int64)  # ignored on the population path
-        realization = AssignmentRealization(moments.n, moments.k, arm_of)
-        data = ExperimentData.from_full(y_full, realization, X, moments)
-        return z_vector(kind, data, population=True) @ c
-
-    return Estimator(fit, residual)
+    return Estimator(
+        lambda data, c, bound, optimizer, seed: estimate_report(kind, data, bound, c),
+        lambda X, y_full, moments, c: population_z(kind, X, y_full, moments) @ c,
+    )
 
 
 def _imputing(sample, imputations):

@@ -3,7 +3,10 @@
 All estimators here are weighted combinations of the observed outcomes. The
 family shares one linearization structure: each estimator has a kn x k
 matrix z such that the (asymptotic) variance of the arm estimates is
-z' D z / n^2, which is what the plug-in bound machinery consumes.
+z' D z / n^2, which is what the plug-in bound machinery consumes. One body
+per kind serves both uses: a sample fit passes the observed outcomes (zero
+elsewhere) with cell weights r the observed-cell indicator, and the
+population fit passes the full outcome vector with r = pi.
 """
 
 from __future__ import annotations
@@ -95,28 +98,25 @@ def intercept_matrix(n: int, k: int) -> np.ndarray:
     return np.kron(np.eye(k), np.ones((n, 1)))
 
 
-def model_matrix(data: ExperimentData) -> np.ndarray:
-    """kn x (k+p) augmented matrix: arm intercepts plus covariates repeated
-    per arm (same-slope layout)."""
-    ones = intercept_matrix(data.n, data.k)
-    if data.p == 0:
+def model_matrix(X: np.ndarray, k: int) -> np.ndarray:
+    """kn x (k+p) augmented matrix: arm intercepts plus the n x p covariates
+    X repeated per arm (same-slope layout)."""
+    ones = intercept_matrix(X.shape[0], k)
+    if X.shape[1] == 0:
         return ones
-    return np.hstack([ones, np.tile(data.X, (data.k, 1))])
+    return np.hstack([ones, np.tile(X, (k, 1))])
 
 
-def m_weight_vector(data: ExperimentData, m_weights) -> np.ndarray:
-    """Diagonal of the WLS weight matrix on the stacked cells."""
-    kn = data.n * data.k
+def m_weight_vector(pi: np.ndarray, m_weights) -> np.ndarray:
+    """Diagonal of the WLS weight matrix on the stacked cells with inclusion
+    probabilities pi."""
+    kn = len(pi)
     if m_weights is None or (isinstance(m_weights, str) and m_weights == "identity"):
         return np.ones(kn)
     if isinstance(m_weights, str):
         if m_weights not in ("invpi", "inverse_probability"):
             raise ValueError(f"unknown m weights {m_weights!r}")
-        pi = data.moments.pi
-        out = np.zeros(kn)
-        live = pi > 0
-        out[live] = 1.0 / pi[live]
-        return out
+        return np.divide(1.0, pi, out=np.zeros(kn), where=pi > 0)
     m = np.asarray(m_weights, dtype=float)
     if m.shape != (kn,):
         raise ValueError("custom m weights must be a kn vector")
@@ -126,178 +126,123 @@ def m_weight_vector(data: ExperimentData, m_weights) -> np.ndarray:
 
 
 def _pinv_flagged(A: np.ndarray):
+    """Pseudoinverse of the symmetric matrix A, whether A is rank deficient,
+    and its condition number, all from one SVD."""
     u, s, vt = np.linalg.svd(A, hermitian=True)
     cutoff = PINV_RCOND * (s[0] if len(s) else 0.0)
     keep = s > cutoff
-    deficient = not keep.all()
     inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (vt.T * inv_s) @ u.T, deficient
+    cond = float(s[0] / s[-1]) if s.size and s[-1] > 0 else np.inf
+    return (vt.T * inv_s) @ u.T, not keep.all(), cond
 
 
 @dataclass
 class LinearFit:
-    kind: str
+    """Arm estimates mu_hat and kn x k linearization z_hat of one fit; the
+    regression family adds its coefficients, rank flag and the condition
+    number of its weighted Gram matrix."""
+
     mu_hat: np.ndarray
-    m_weights: str | np.ndarray | None
+    z_hat: np.ndarray
     b_hat: np.ndarray | None = None
-    z_hat: np.ndarray | None = None
     rank_deficient: bool = False
     condition_number: float | None = None
 
 
-def _check_positivity(data: ExperimentData):
-    pi_obs = data.moments.pi[data.observed_cells]
-    if np.any(pi_obs <= 0):
-        raise ValueError("observed cell with zero inclusion probability")
+def _arm_sums(v: np.ndarray, k: int) -> np.ndarray:
+    """Per-arm sums of a stacked kn vector."""
+    return v.reshape(k, -1).sum(axis=1)
 
 
-def _wls_coefficients(data: ExperimentData, m: np.ndarray):
-    x = model_matrix(data)
-    cells = data.observed_cells
-    xo = x[cells]
-    mo = m[cells]
-    A = xo.T @ (xo * mo[:, None])
-    rhs = xo.T @ (mo * data.y_obs)
-    A_inv, deficient = _pinv_flagged(A)
-    if deficient:
-        warnings.warn("rank-deficient WLS design matrix; pseudoinverse used", RuntimeWarning)
-    sv = np.linalg.svd(A, compute_uv=False, hermitian=True)
-    cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else np.inf
-    return A_inv @ rhs, deficient, cond
+def _linear_fit(kind, X, k, pi, y, r, m_weights=None) -> LinearFit:
+    """One linear estimator for the outcome vector y and cell weights r.
 
-
-def gr_point_estimate(f: np.ndarray, data: ExperimentData) -> np.ndarray:
-    """Imputation mean plus inverse-probability-weighted residual, per arm."""
-    n, k = data.n, data.k
-    cells = data.observed_cells
-    arms = data.assignment.arm_of
-    pi_obs = data.moments.pi[cells]
-    impute = f.reshape(k, n).mean(axis=1)
-    correction = (
-        np.bincount(arms, weights=(data.y_obs - f[cells]) / pi_obs, minlength=k) / n
-    )
-    return impute + correction
-
-
-def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFit:
-    """Point estimates of the k arm means for one estimator kind.
-
-    kinds: ht, hajek (no adjustment); ols, wls, ci, mi, gr (regression
-    family; ols forces identity weights, wls defaults to inverse
-    probabilities).
+    The inverse-probability weights are r / pi (zero where r is zero, since
+    pi may be zero there) and cell c enters the regression fit with weight
+    m[c] r[c]; ols forces identity m weights, the rest of the regression
+    family defaults to inverse probabilities.
     """
     kind = kind.lower()
     if kind not in LINEAR_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
-    _check_positivity(data)
-    n, k = data.n, data.k
-    cells = data.observed_cells
-    arms = data.assignment.arm_of
-    pi_obs = data.moments.pi[cells]
-
+    n = X.shape[0]
+    ones = intercept_matrix(n, k)
+    ipw = np.divide(r, pi, out=np.zeros(len(r)), where=r > 0)
     if kind == "ht":
-        mu = np.bincount(arms, weights=data.y_obs / pi_obs, minlength=k) / n
-        fit = LinearFit(kind=kind, mu_hat=mu, m_weights=None)
-        fit.z_hat = z_vector(kind, data, fit)
-        return fit
+        return LinearFit(_arm_sums(ipw * y, k) / n, ones * y[:, None])
     if kind == "hajek":
-        num = np.bincount(arms, weights=data.y_obs / pi_obs, minlength=k)
-        den = np.bincount(arms, weights=1.0 / pi_obs, minlength=k)
+        den = _arm_sums(ipw, k)
         if np.any(den == 0):
             empty = np.flatnonzero(den == 0) + 1
             raise HajekUndefinedError(f"no observed units in arm(s) {empty.tolist()}")
-        fit = LinearFit(kind=kind, mu_hat=num / den, m_weights=None)
-        fit.z_hat = z_vector(kind, data, fit)
-        return fit
+        mu = _arm_sums(ipw * y, k) / den
+        return LinearFit(mu, ones * (y - np.repeat(mu, n))[:, None])
 
     if kind == "ols":
         m_weights = "identity"
-    elif m_weights is None:
-        m_weights = "invpi"
-    m = m_weight_vector(data, m_weights)
-    b_hat, deficient, cond = _wls_coefficients(data, m)
-    x = model_matrix(data)
-    fitted = x @ b_hat
-
+    m = m_weight_vector(pi, "invpi" if m_weights is None else m_weights)
+    x = model_matrix(X, k)
+    w = m * r
+    a_inv, deficient, cond = _pinv_flagged(x.T @ (x * w[:, None]))
+    if deficient:
+        warnings.warn("rank-deficient WLS design matrix; pseudoinverse used", RuntimeWarning)
+    b = a_inv @ (x.T @ (w * y))
+    fitted = x @ b
+    e = y - fitted
+    gain = ((e * pi * m)[:, None] * x) @ a_inv
     if kind in ("ols", "wls"):
-        mu = b_hat[:k]
+        mu, z = b[:k], n * gain[:, :k]
     elif kind == "ci":
-        mu = intercept_matrix(n, k).T @ fitted / n
+        mu, z = _arm_sums(fitted, k) / n, gain @ (x.T @ ones)
     elif kind == "mi":
-        observed_sum = np.bincount(arms, weights=data.y_obs, minlength=k)
-        all_fitted = intercept_matrix(n, k).T @ fitted
-        observed_fitted = np.bincount(arms, weights=fitted[cells], minlength=k)
-        mu = (observed_sum + all_fitted - observed_fitted) / n
+        mu = _arm_sums(r * y + (1.0 - r) * fitted, k) / n
+        z = (e * pi)[:, None] * ones + gain @ (x.T @ ((1.0 - pi)[:, None] * ones))
     else:  # gr
-        mu = gr_point_estimate(fitted, data)
-    fit = LinearFit(
-        kind=kind,
-        mu_hat=mu,
-        m_weights=m_weights,
-        b_hat=b_hat,
-        rank_deficient=deficient,
-        condition_number=cond,
-    )
-    fit.z_hat = z_vector(kind, data, fit)
-    return fit
+        mu, z = _arm_sums(fitted + ipw * e, k) / n, ones * e[:, None]
+    return LinearFit(mu, z, b, deficient, cond)
 
 
-def z_vector(kind: str, data: ExperimentData, fit: LinearFit | None = None, population: bool = False) -> np.ndarray:
+def gr_point_estimate(f: np.ndarray, data: ExperimentData) -> np.ndarray:
+    """Imputation mean plus inverse-probability-weighted residual, per arm."""
+    ipw = np.zeros(data.n * data.k)
+    ipw[data.observed_cells] = 1.0 / data.moments.pi[data.observed_cells]
+    return _arm_sums(f + ipw * (data.y_stacked_observed() - f), data.k) / data.n
+
+
+def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFit:
+    """Point estimates of the k arm means and the sample linearization for
+    one estimator kind.
+
+    kinds: ht, hajek (no adjustment); ols, wls, ci, mi, gr (regression
+    family; ols forces identity weights, wls defaults to inverse
+    probabilities). Only the rows of z_hat at observed cells are meaningful.
+    """
+    pi = data.moments.pi
+    if np.any(pi[data.observed_cells] <= 0):
+        raise ValueError("observed cell with zero inclusion probability")
+    y, r = data.y_stacked_observed(), data.assignment.indicator()
+    return _linear_fit(kind, data.X, data.k, pi, y, r, m_weights)
+
+
+def population_z(kind: str, X, y_full, moments: DesignMoments) -> np.ndarray:
+    """kn x k population linearization matrix of the estimator: the same
+    functional at the full potential outcomes, every cell weighted by pi."""
+    X, y_full = np.asarray(X, dtype=float), np.asarray(y_full, dtype=float)
+    return _linear_fit(kind, X, moments.k, moments.pi, y_full, moments.pi).z_hat
+
+
+def z_vector(kind: str, data: ExperimentData, population: bool = False) -> np.ndarray:
     """kn x k linearization matrix for the estimator.
 
     population=True uses the full potential-outcome vector and the fixed
     design matrix (simulation mode); otherwise unknowns are replaced by
     their sample plug-ins and only rows at observed cells are meaningful.
     """
-    kind = kind.lower()
-    n, k = data.n, data.k
-    ones = intercept_matrix(n, k)
-    pi = data.moments.pi
-    if population:
-        if data.y_full is None:
-            raise ValueError("population z needs the full potential-outcome vector")
-        y = data.y_full
-    else:
-        y = data.y_stacked_observed()
-
-    if kind == "ht":
-        return ones * y[:, None]
-    if kind == "hajek":
-        if population:
-            mu = ones.T @ y / n
-        else:
-            if fit is None or fit.kind != "hajek":
-                fit = estimate_linear("hajek", data)
-            mu = fit.mu_hat
-        return ones * (y - ones @ mu)[:, None]
-
-    m_weights = fit.m_weights if fit is not None else ("identity" if kind == "ols" else "invpi")
-    m = m_weight_vector(data, m_weights)
-    x = model_matrix(data)
-    # the regression fit: every cell weighted m pi with the full outcomes,
-    # or the observed cells weighted m with the observed outcomes
-    if population:
-        rows, w, y_fit = x, m * pi, y
-    else:
-        cells = data.observed_cells
-        rows, w, y_fit = x[cells], m[cells], data.y_obs
-    A_inv, _ = _pinv_flagged(rows.T @ (rows * w[:, None]))
-    b = A_inv @ (rows.T @ (w * y_fit))
-    u = (y - x @ b) * pi * m
-
-    if kind == "gr":
-        return ones * (y - x @ b)[:, None]
-    if kind in ("ols", "wls"):
-        selector = np.zeros((k + data.p, k))
-        selector[:k, :k] = np.eye(k)
-        return (u[:, None] * x) @ (A_inv * n) @ selector
-    if kind == "ci":
-        return (u[:, None] * x) @ A_inv @ (x.T @ ones)
-    if kind == "mi":
-        first = ((y - x @ b) * pi)[:, None] * ones
-        second = (u[:, None] * x) @ A_inv @ (x.T @ ((1.0 - pi)[:, None] * ones))
-        return first + second
-    raise ValueError(f"no z vector for kind {kind!r}")
+    if not population:
+        return estimate_linear(kind, data).z_hat
+    if data.y_full is None:
+        raise ValueError("population z needs the full potential-outcome vector")
+    return population_z(kind, data.X, data.y_full, data.moments)
 
 
 class PluginVariance(NamedTuple):
@@ -402,7 +347,6 @@ def contrast_report(
     data: ExperimentData,
     bound: VarianceBound | None,
     c,
-    level: float = 0.95,
     diagnostics: dict | None = None,
 ) -> EstimateReport:
     """Report for the contrast c of the arm estimates mu_hat, with the
@@ -423,7 +367,6 @@ def contrast_report(
         varbound_times_n=times_n,
         varbound_raw=raw,
         n=data.n,
-        level=level,
         diagnostics=diagnostics,
     )
 
@@ -434,14 +377,13 @@ def estimate_report(
     bound: VarianceBound,
     c,
     m_weights=None,
-    level: float = 0.95,
 ) -> EstimateReport:
     """Fit one linear estimator and assemble the full report for a contrast."""
     fit = estimate_linear(kind, data, m_weights=m_weights)
     diagnostics = {"rank_deficient": fit.rank_deficient}
     if fit.condition_number is not None:
         diagnostics["condition_number"] = fit.condition_number
-    return contrast_report(kind, fit.mu_hat, fit.z_hat, data, bound, c, level, diagnostics)
+    return contrast_report(kind, fit.mu_hat, fit.z_hat, data, bound, c, diagnostics)
 
 
 @dataclass
@@ -459,11 +401,11 @@ def check_interpretation(data: ExperimentData, m_weights=None) -> Interpretation
     The completely-imputed family needs every column of m^-1 pi^-1 1 in
     col(x); the missing-imputed family needs m^-1 (i - pi^-1) 1 there.
     """
-    m = m_weight_vector(data, m_weights)
     pi = data.moments.pi
+    m = m_weight_vector(pi, m_weights)
     if np.any(pi <= 0):
         raise ValueError("interpretation checks need strictly positive inclusion probabilities")
-    x = model_matrix(data)
+    x = model_matrix(data.X, data.k)
     ones = intercept_matrix(data.n, data.k)
     ci_target = (1.0 / (m * pi))[:, None] * ones
     mi_target = ((1.0 - 1.0 / pi) / m)[:, None] * ones

@@ -29,6 +29,7 @@ from .linear import (
     contrast_report,
     gr_point_estimate,
     intercept_matrix,
+    model_matrix,
 )
 
 EIG_WARN_RATIO = 1e-8
@@ -73,15 +74,14 @@ class ImputationModel:
     def design_rows(self, X: np.ndarray) -> np.ndarray:
         """kn x s matrix of linear-predictor rows in arm-major cell order."""
         n = X.shape[0]
-        ones = intercept_matrix(n, self.k)
         if self.p == 0:
-            return ones
+            return intercept_matrix(n, self.k)
         if self.slope_sharing == "same_slope":
-            return np.hstack([ones, np.tile(X, (self.k, 1))])
+            return model_matrix(X, self.k)
         blocks = np.zeros((self.k * n, self.k * self.p))
         for a in range(self.k):
             blocks[a * n : (a + 1) * n, a * self.p : (a + 1) * self.p] = X
-        return np.hstack([ones, blocks])
+        return np.hstack([intercept_matrix(n, self.k), blocks])
 
     def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         eta = self.design_rows(X) @ np.asarray(theta, dtype=float)
@@ -175,7 +175,7 @@ def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
     by Newton-Raphson with step halving."""
     if model.family == "linear":
         a = rows.T @ (rows * w[:, None])
-        a_inv, deficient = _pinv_flagged(a)
+        a_inv, deficient, _ = _pinv_flagged(a)
         if deficient:
             warnings.warn("rank-deficient QMLE design matrix; pseudoinverse used", RuntimeWarning)
         return a_inv @ (rows.T @ (w * y))
@@ -194,7 +194,7 @@ def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
         if np.linalg.norm(grad) < tol * max(1.0, abs(value)):
             break
         hess = rows.T @ (rows * (w * f * (1.0 - f))[:, None])
-        h_inv, deficient = _pinv_flagged(hess)
+        h_inv, _, _ = _pinv_flagged(hess)
         step = h_inv @ grad
         t = 1.0
         for _ in range(50):  # step halving
@@ -238,13 +238,12 @@ def _gr_report(
     data: ExperimentData,
     c: np.ndarray,
     bound: VarianceBound | None,
-    level: float,
     diagnostics: dict,
 ) -> EstimateReport:
     mu = gr_point_estimate(f, data)
     z_hat = intercept_matrix(data.n, data.k) * (data.y_stacked_observed() - f)[:, None]
     return contrast_report(
-        estimator, mu, z_hat, data, bound, c, level, {**diagnostics, "mu_hat": mu.tolist()}
+        estimator, mu, z_hat, data, bound, c, {**diagnostics, "mu_hat": mu.tolist()}
     )
 
 
@@ -254,7 +253,6 @@ def qmle_gr(
     data: ExperimentData,
     c,
     bound: VarianceBound | None = None,
-    level: float = 0.95,
 ) -> EstimateReport:
     """Imputation-plus-correction estimate at the pseudo-likelihood fit."""
     f = model.predict(theta_hat, data.X)
@@ -264,7 +262,6 @@ def qmle_gr(
         data,
         c,
         bound,
-        level,
         {"theta": np.asarray(theta_hat, dtype=float).tolist()},
     )
 
@@ -307,11 +304,10 @@ def no_harm_gr(
     D: np.ndarray,
     c,
     bound: VarianceBound | None = None,
-    level: float = 0.95,
 ) -> EstimateReport:
     alpha = no_harm_alpha(theta_hat, model, data, D, c)
     f = alpha * model.predict(theta_hat, data.X)
-    return _gr_report("no_harm_" + model.family, f, data, c, bound, level, {"alpha": alpha})
+    return _gr_report("no_harm_" + model.family, f, data, c, bound, {"alpha": alpha})
 
 
 def _check_omega(Omega: np.ndarray, kn: int):
@@ -345,7 +341,7 @@ def _variance_minimizing_beta(rows, y, Omega, c, n: int, label: str | None = Non
     xt = rows * w[:, None]
     gram = xt.T @ Omega @ xt
     flagged = label is not None and _inspect_eigenvalues(gram / n, label)
-    gram_inv, deficient = _pinv_flagged(gram)
+    gram_inv, deficient, _ = _pinv_flagged(gram)
     beta = gram_inv @ (xt.T @ (Omega @ (w * np.asarray(y, dtype=float))))
     return beta, flagged or deficient
 
@@ -356,7 +352,6 @@ def opt_gr_linear(
     c,
     model: ImputationModel | None = None,
     bound: VarianceBound | None = None,
-    level: float = 0.95,
 ) -> EstimateReport:
     """Variance-minimizing linear imputations, closed form, with the outcome
     vector replaced by its IPW observed analog."""
@@ -375,7 +370,6 @@ def opt_gr_linear(
         data,
         c,
         bound,
-        level,
         {"beta": beta.tolist(), "identification_flagged": flagged},
     )
 
@@ -459,7 +453,6 @@ def opt_gr_logit(
     cfg: OptimizerConfig | None = None,
     model: ImputationModel | None = None,
     bound: VarianceBound | None = None,
-    level: float = 0.95,
     seed: int = 0,
 ) -> EstimateReport:
     """Variance-minimizing logistic imputations via damped gradient descent.
@@ -492,7 +485,7 @@ def opt_gr_logit(
                 break  # stationary without solving the moment conditions
             t = 1.0
             while True:
-                g_cand = moment_vector(theta - t * grad, model, data, Omega, c)
+                g_cand = population_moment_vector(theta - t * grad, *criterion_args)
                 cand_value = float(g_cand @ g_cand)
                 if cand_value <= value - cfg.step * t * grad_norm2 or t < 1e-14:
                     break
@@ -512,7 +505,7 @@ def opt_gr_logit(
     value, attempt, theta, g = min(candidates, key=lambda item: (item[0], item[1]))
 
     def criterion(th):
-        g_th = moment_vector(th, model, data, Omega, c)
+        g_th = population_moment_vector(th, *criterion_args)
         return float(g_th @ g_th)
 
     hess_eigs = np.linalg.eigvalsh(_numerical_hessian(criterion, theta))
@@ -523,7 +516,6 @@ def opt_gr_logit(
         data,
         c,
         bound,
-        level,
         {
             "theta": theta.tolist(),
             "moment_norm": float(np.linalg.norm(g)),
@@ -564,7 +556,6 @@ def opt_i_gr(
     D: np.ndarray,
     c,
     bound: VarianceBound | None = None,
-    level: float = 0.95,
 ) -> EstimateReport:
     """Optimal linear layer over one imputed covariate: the k+1 coefficients
     solve the same contrast-weighted normal equations as the linear
@@ -579,7 +570,6 @@ def opt_i_gr(
         data,
         c,
         bound,
-        level,
         {"beta": beta.tolist(), "identification_flagged": flagged},
     )
 

@@ -224,6 +224,49 @@ def test_estimate_pairs_rows_by_unit_id(crd_design_yaml, tmp_path):
     assert out[0] == out[1]
 
 
+def test_estimate_reports_a_failing_estimator_and_keeps_the_rest(crd_design_yaml, tmp_path):
+    # without covariates the no-harm rescaling is not identified
+    obs = tmp_path / "obs.csv"
+    obs.write_text("unit_id,arm,y\n" + "".join(f"{i},{1 + i % 2},{0.5 * i}\n" for i in range(6)))
+    out = tmp_path / "report.json"
+    argv = ["estimate", "--design", str(crd_design_yaml), "--data", str(obs),
+            "--estimators", "ht,noharm_wls", "--contrast=-1,1", "--out", str(out)]
+    assert main(argv) == 1
+    ht, noharm = json.loads(out.read_text())
+    assert ht["estimator"] == "ht" and np.isfinite(ht["contrast_value"])
+    assert noharm["estimator"] == "noharm_wls"
+    assert noharm["error"].startswith("WeakIdentificationError: ")
+    assert main(argv[:5] + ["--estimators", "ht,nonesuch", "--contrast=-1,1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        "kind: stratified\n  strata_csv: {groups}\n  counts: [[1, 1], [1, 1]]\n",
+        "kind: clustered\n  cluster_csv: {groups}\n"
+        "  cluster_design: {{kind: completely_randomized, n: 2, counts: [1, 1]}}\n",
+        "kind: exposure_derived\n  edges: [[0, 1]]\n"
+        "  base: {{kind: stratified, strata_csv: {groups}, counts: [[1, 1], [1, 1]]}}\n"
+        "  rules: [{{label: c, own_arms: [1]}}, {{label: t, own_arms: [2]}}]\n",
+    ],
+    ids=["stratified", "clustered", "exposure_derived"],
+)
+def test_estimate_checks_unit_ids_against_group_csv(design, tmp_path, capsys):
+    groups = tmp_path / "groups.csv"
+    groups.write_text("unit_id,group_id\n10,a\n20,a\n30,b\n40,b\n")
+    design_yaml = tmp_path / "design.yaml"
+    design_yaml.write_text("design:\n  " + design.format(groups=groups))
+    obs = tmp_path / "obs.csv"
+    argv = ["estimate", "--design", str(design_yaml), "--data", str(obs), "--estimators", "ht",
+            "--contrast=-1,1"]
+    for ids, code in (([10, 20, 30, 40], 0), ([1, 2, 3, 4], 2)):
+        obs.write_text("unit_id,arm,y\n" + "".join(
+            f"{u},{arm},{y}\n" for u, arm, y in zip(ids, [1, 2, 2, 1], [0.5, 1.0, 2.0, 0.0])
+        ))
+        assert main(argv) == code
+    assert "different unit_id sets" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def table_instance(tmp_path_factory):
     """A two-arm CRD with two covariates on which every table estimator is

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from designest.bounds import aronow_samii_bound, neyman_bound_crd
-from designest.designs import BernoulliDesign, CompletelyRandomizedDesign, stream_rng
+from designest.designs import (
+    AssignmentRealization,
+    BernoulliDesign,
+    CompletelyRandomizedDesign,
+    stream_rng,
+)
 from designest.linear import (
+    LINEAR_KINDS,
     ExperimentData,
     HajekUndefinedError,
     check_interpretation,
@@ -164,7 +170,7 @@ class TestRegressionFamily:
         y_full = rng.standard_normal(10)
         data = make_data(design, y_full, X=X, seed=6)
         fit = estimate_linear("mi", data)
-        x = model_matrix(data)
+        x = model_matrix(data.X, data.k)
         r = np.zeros(10)
         r[data.observed_cells] = 1.0
         dense = intercept_matrix(5, 2).T @ (
@@ -186,6 +192,35 @@ class TestRegressionFamily:
         design = CompletelyRandomizedDesign(4, [2, 2])
         with pytest.raises(ValueError):
             make_data(design, np.zeros(8), X=np.ones((4, 1)))
+
+
+# contrast value and sample plug-in bound (aronow_samii, c = (-1, 1)) of each
+# linear kind on one fixed 5/7 CRD realization with two centred covariates
+PINNED_REPORTS = {
+    "ht": (1.013285182037286, 0.20884297476580652),
+    "hajek": (1.0132851820372852, 0.12328073642111269),
+    "ols": (1.0069978545964753, 0.05949183307575309),
+    "wls": (1.0443864690714408, 0.0557048778262461),
+    "ci": (1.0443864690714408, 0.0557048778262461),
+    "mi": (1.0443864690714408, 0.04979151952835409),
+    "gr": (1.0443864690714406, 0.04599900435110028),
+}
+
+
+@pytest.mark.parametrize("kind", LINEAR_KINDS)
+def test_linear_report_pinned(kind):
+    n = 12
+    i = np.arange(n)
+    X = centered(np.column_stack([np.sin(i), np.cos(2.0 * i) + 0.1 * i]))
+    y_full = np.concatenate(
+        [0.5 * X[:, 0] - X[:, 1] + 0.3 * np.sin(3.0 * i), 1.0 + X[:, 0] + 0.2 * np.cos(5.0 * i)]
+    )
+    arms = AssignmentRealization(n, 2, [0, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1, 0])
+    data = make_data(CompletelyRandomizedDesign(n, [5, 7]), y_full, X=X, realization=arms)
+    report = estimate_report(kind, data, aronow_samii_bound(data.moments), [-1.0, 1.0])
+    value, bound = PINNED_REPORTS[kind]
+    assert report.contrast_value == pytest.approx(value, rel=1e-12)
+    assert report.varbound_raw == pytest.approx(bound, rel=1e-12)
 
 
 class TestZVectors:

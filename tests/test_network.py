@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from designest.designs import BernoulliDesign, CompletelyRandomizedDesign
+from designest.linear import population_z
 from designest.moments import exact_moments, mc_moments
 from designest.network import (
     ExposureRules,
@@ -226,6 +227,22 @@ class TestDerivedDesign:
         z2[perm] = z
         labels2 = exposure_map(z2, g2, rules)
         assert np.array_equal(labels2[perm], labels)
+
+    def test_hajek_population_z_ignores_impossible_cells(self):
+        # the Hajek linearization centres at the mean over cells the design
+        # can reach, so outcomes at zero-probability cells cannot move it
+        g = InterferenceGraph(4, [(0, 1), (1, 0), (1, 2), (2, 1)])  # unit 3 isolated
+        design = derive_exposure_design(
+            BernoulliDesign(4, [0.5, 0.5]), g, standard_binary_exposure_rules()
+        )
+        moments = exact_moments(design)
+        dead = moments.pi == 0
+        assert dead.any()
+        y = np.linspace(-1.0, 2.0, 16)
+        shifted = np.where(dead, y + 5.0, y)
+        X = np.zeros((4, 0))
+        z = population_z("hajek", X, y, moments)
+        assert np.allclose(population_z("hajek", X, shifted, moments)[~dead], z[~dead])
 
     def test_crd_base_not_provable(self):
         g = InterferenceGraph(3, [(0, 1)])
