@@ -4,6 +4,13 @@ A design assigns each of n units to exactly one of k arms. Everything
 downstream (moments, bounds, estimators) consumes the kn stacked indicator
 vector in arm-major order: entry a*n + i is the indicator that unit i is in
 arm a (0-based).
+
+Sampling contract: every design kind implements ``sample_batch(rng, size)``,
+which returns a (size, n) int64 matrix of arms, and nothing else. Row r is
+exactly the draw that the r-th of ``size`` successive ``sample(rng)`` calls
+would make on the same generator, so a Monte-Carlo loop may draw a block at
+once without changing its stream. ``Design.sample`` is the one wrapper that
+turns a one-row batch into an ``AssignmentRealization``.
 """
 
 from __future__ import annotations
@@ -28,6 +35,17 @@ def stream_rng(seed, *index):
     return np.random.default_rng([int(seed), *(int(j) for j in index)])
 
 
+def check_arms(arms, shape: tuple, k: int) -> np.ndarray:
+    """int64 array of arms, checked to have the given shape and every arm
+    in [0, k); raises ValueError otherwise."""
+    arms = np.asarray(arms, dtype=np.int64)
+    if arms.shape != shape:
+        raise ValueError(f"arm_of must have shape {shape}")
+    if arms.size and (arms.min() < 0 or arms.max() >= k):
+        raise ValueError("arm indices must lie in [0, k)")
+    return arms
+
+
 @dataclass(frozen=True)
 class AssignmentRealization:
     """One realized assignment: unit i sits in arm arm_of[i] (0-based)."""
@@ -37,12 +55,7 @@ class AssignmentRealization:
     arm_of: np.ndarray
 
     def __post_init__(self):
-        arm_of = np.asarray(self.arm_of, dtype=np.int64)
-        object.__setattr__(self, "arm_of", arm_of)
-        if arm_of.shape != (self.n,):
-            raise ValueError(f"arm_of must have shape ({self.n},)")
-        if arm_of.min(initial=0) < 0 or (self.n and arm_of.max() >= self.k):
-            raise ValueError("arm indices must lie in [0, k)")
+        object.__setattr__(self, "arm_of", check_arms(self.arm_of, (self.n,), self.k))
 
     @property
     def observed_cells(self) -> np.ndarray:
@@ -103,8 +116,11 @@ class NotEnumerableError(TypeError):
 class Design:
     """Base class: a sampleable distribution over assignment realizations.
 
-    Immutable after construction; samplers take an explicit generator, so
-    instances are safe to share across workers.
+    A new kind implements ``sample_batch(rng, size)`` only: a (size, n)
+    int64 arm matrix whose row r is exactly the r-th of ``size`` successive
+    ``sample(rng)`` draws on the same generator. ``sample`` is derived from
+    it. Immutable after construction; samplers take an explicit generator,
+    so instances are safe to share across workers.
     """
 
     n: int
@@ -112,8 +128,13 @@ class Design:
     kind: str = "abstract"
     unit_ids: np.ndarray | None = None  # sorted ids of the strata/cluster CSV read
 
-    def sample(self, rng: np.random.Generator) -> AssignmentRealization:
+    def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """(size, n) int64 arms of size successive draws from rng."""
         raise NotImplementedError
+
+    def sample(self, rng: np.random.Generator) -> AssignmentRealization:
+        """One draw: the first row of a one-draw batch."""
+        return AssignmentRealization(self.n, self.k, self.sample_batch(rng, 1)[0])
 
     def support_size(self) -> int | None:
         """Exact support size, or None when the design is not enumerable."""
@@ -154,10 +175,8 @@ class BernoulliDesign(Design):
         self.k = len(probs)
         self.probs = probs
 
-    def sample(self, rng):
-        return AssignmentRealization(
-            self.n, self.k, rng.choice(self.k, size=self.n, p=self.probs)
-        )
+    def sample_batch(self, rng, size):
+        return rng.choice(self.k, size=(size, self.n), p=self.probs)
 
     def support_size(self):
         positive = int(np.sum(self.probs > 0))
@@ -189,8 +208,8 @@ class CompletelyRandomizedDesign(Design):
         self.counts = counts
         self._labels = np.repeat(np.arange(self.k), counts)
 
-    def sample(self, rng):
-        return AssignmentRealization(self.n, self.k, rng.permutation(self._labels))
+    def sample_batch(self, rng, size):
+        return rng.permuted(np.broadcast_to(self._labels, (size, self.n)), axis=1)
 
     def support_size(self):
         size = math.factorial(self.n)
@@ -274,11 +293,13 @@ class StratifiedDesign(Design):
         counts = [counts_from_pattern(len(s), pattern, k) for s in strata]
         return cls(n, strata, counts)
 
-    def sample(self, rng):
-        arm_of = np.empty(self.n, dtype=np.int64)
-        for units, sub in zip(self.strata, self._subdesigns):
-            arm_of[units] = sub.sample(rng).arm_of
-        return AssignmentRealization(self.n, self.k, arm_of)
+    def sample_batch(self, rng, size):
+        # Draw-major: the strata of one draw interleave on the stream.
+        arms = np.empty((size, self.n), dtype=np.int64)
+        for row in arms:
+            for units, sub in zip(self.strata, self._subdesigns):
+                row[units] = sub.sample_batch(rng, 1)[0]
+        return arms
 
     def support_size(self):
         size = 1
@@ -323,9 +344,9 @@ class ClusteredDesign(Design):
         self.cluster_design = cluster_design
         self.k = cluster_design.k
 
-    def sample(self, rng):
-        cluster_arms = self.cluster_design.sample(rng).arm_of
-        return AssignmentRealization(self.n, self.k, cluster_arms[self.cluster_of])
+    def sample_batch(self, rng, size):
+        shape = (size, self.cluster_design.n)
+        return check_arms(self.cluster_design.sample_batch(rng, size), shape, self.k)[:, self.cluster_of]
 
     def support_size(self):
         return self.cluster_design.support_size()
@@ -350,8 +371,9 @@ class CustomDesign(Design):
         self.k = int(k)
         self.sampler = sampler
 
-    def sample(self, rng):
-        return AssignmentRealization(self.n, self.k, np.asarray(self.sampler(rng)))
+    def sample_batch(self, rng, size):
+        # Stacked as returned; mc_moments and sample() check shape and range.
+        return np.stack([np.asarray(self.sampler(rng)) for _ in range(size)])
 
 
 def sample_assignment(design: Design, rng: np.random.Generator) -> AssignmentRealization:
@@ -395,7 +417,8 @@ def build_design(spec: dict) -> Design:
     ``counts``, shared ``proportions`` (remainders to descending arms), or a
     repeated arm-label ``pattern``. A design read from a strata or cluster
     CSV, or derived from such a design, keeps that file's sorted unit ids as
-    ``unit_ids``.
+    ``unit_ids``; an exposure design over such a base reads its
+    ``edges_csv`` in those ids, otherwise as 0-based unit positions.
     """
     kind = spec.get("kind")
     if kind == "bernoulli":
@@ -438,7 +461,7 @@ def build_design(spec: dict) -> Design:
 
         base = build_design(spec["base"])
         graph = (
-            InterferenceGraph.from_csv(spec["edges_csv"], base.n)
+            InterferenceGraph.from_csv(spec["edges_csv"], base.n, base.unit_ids)
             if "edges_csv" in spec
             else InterferenceGraph(base.n, spec["edges"])
         )

@@ -84,24 +84,34 @@ class ImputationModel:
         return np.hstack([intercept_matrix(n, self.k), blocks])
 
     def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        eta = self.design_rows(X) @ np.asarray(theta, dtype=float)
-        if self.family == "linear":
-            return eta
-        return expit(eta)
+        return self._predict_rows(theta, self.design_rows(X))
 
     def grad(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         """kn x s matrix of per-cell prediction gradients."""
         rows = self.design_rows(X)
-        if self.family == "linear":
-            return rows.copy()
-        f = expit(rows @ np.asarray(theta, dtype=float))
-        return rows * (f * (1.0 - f))[:, None]
+        return self._grad_rows(rows, self._predict_rows(theta, rows))
 
     def hess_factor(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Per-cell scalar h with prediction Hessian h * row row'."""
+        rows = self.design_rows(X)
+        return self._hess_factor(self._predict_rows(theta, rows))
+
+    # The row-based forms below let one call build design_rows(X) once and
+    # derive predictions, gradients and Hessian factors from it.
+    def _predict_rows(self, theta, rows):
+        eta = rows @ np.asarray(theta, dtype=float)
         if self.family == "linear":
-            return np.zeros(self.k * X.shape[0])
-        f = expit(self.design_rows(X) @ np.asarray(theta, dtype=float))
+            return eta
+        return expit(eta)
+
+    def _grad_rows(self, rows, f):
+        if self.family == "linear":
+            return rows.copy()
+        return rows * (f * (1.0 - f))[:, None]
+
+    def _hess_factor(self, f):
+        if self.family == "linear":
+            return np.zeros(len(f))
         return f * (1.0 - f) * (1.0 - 2.0 * f)
 
 
@@ -394,8 +404,9 @@ def population_moment_vector(theta, model, X, y, Omega, c, n):
     """First-order-condition vector of the variance criterion for outcome
     vector y (the full potential outcomes, or their IPW observed analog)."""
     w = np.repeat(np.asarray(c, dtype=float), n)
-    f = model.predict(theta, X)
-    grad = model.grad(theta, X)
+    rows = model.design_rows(X)
+    f = model._predict_rows(theta, rows)
+    grad = model._grad_rows(rows, f)
     r = w * (y - f)
     return grad.T @ (w * (Omega @ r)) / n
 
@@ -408,12 +419,12 @@ def moment_jacobian(theta, model, data, Omega, c):
 def population_moment_jacobian(theta, model, X, y, Omega, c, n):
     """Analytic Jacobian of population_moment_vector in theta."""
     w = np.repeat(np.asarray(c, dtype=float), n)
-    f = model.predict(theta, X)
-    grad = model.grad(theta, X)
     rows = model.design_rows(X)
+    f = model._predict_rows(theta, rows)
+    grad = model._grad_rows(rows, f)
     wg = grad * w[:, None]
     jac = -(wg.T @ Omega @ wg) / n
-    h = model.hess_factor(theta, X)
+    h = model._hess_factor(f)
     if np.any(h != 0):
         r = w * (np.asarray(y, dtype=float) - f)
         scale = (w * (Omega @ r)) * h

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .designs import Design, SupportTable, stream_rng
+from .designs import Design, SupportTable, check_arms, stream_rng
 
 MC_BLOCK_SIZE = 4096  # draws per random stream; part of what a seed reproduces
 DENSE_LIMIT = 8192  # largest kn stored dense
@@ -70,7 +70,9 @@ class DesignMoments:
         )
 
     def save_npz(self, path):
-        np.savez_compressed(
+        """Uncompressed: the floats barely compress and zlib dominates the
+        write. load_npz also reads files written compressed."""
+        np.savez(
             path,
             n=self.n,
             k=self.k,
@@ -233,9 +235,10 @@ def moments_from_support(table: SupportTable) -> DesignMoments:
 def mc_moments(design: Design, reps: int, seed: int) -> DesignMoments:
     """Monte-Carlo moments from hit counts.
 
-    Block b of MC_BLOCK_SIZE draws comes from an independent stream keyed by
-    (seed, b). pi and p are hit frequencies, and D is assembled from them as
-    for exact moments, with the never-hit cells left unusable.
+    Block b of MC_BLOCK_SIZE draws is one ``sample_batch`` call on an
+    independent stream keyed by (seed, b), checked for shape and arm range.
+    pi and p are hit frequencies, and D is assembled from them as for exact
+    moments, with the never-hit cells left unusable.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
@@ -245,9 +248,9 @@ def mc_moments(design: Design, reps: int, seed: int) -> DesignMoments:
     joint_counts = np.zeros((kn, kn))
     for index, start in enumerate(range(0, reps, MC_BLOCK_SIZE)):
         size = min(MC_BLOCK_SIZE, reps - start)
-        rng = stream_rng(seed, index)
-        arms = np.stack([design.sample(rng).arm_of for _ in range(size)])
-        h = np.zeros((size, kn))
+        arms = check_arms(design.sample_batch(stream_rng(seed, index), size), (size, n), design.k)
+        # float32 is exact here: 0/1 products summed over at most 4096 rows.
+        h = np.zeros((size, kn), dtype=np.float32)
         h[np.arange(size)[:, None], arms * n + np.arange(n)] = 1.0
         joint_counts += h.T @ h
 
@@ -351,7 +354,7 @@ class SecondOrderTensor:
         return np.einsum("ij,kl->ijkl", Dt, Dt) * self.entries
 
     def save_npz(self, path):
-        np.savez_compressed(path, kn=self.kn, entries=self.entries)
+        np.savez(path, kn=self.kn, entries=self.entries)
 
 
 def second_order_tensor(design: Design, cap: int = TENSOR_CAP) -> SecondOrderTensor:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .designs import AssignmentRealization, BernoulliDesign, Design
+from .designs import BernoulliDesign, Design, check_arms
 from .moments import DesignMoments
 
 POSITIVITY_THRESHOLD = 0.01
@@ -40,8 +40,14 @@ class InterferenceGraph:
         )
 
     @classmethod
-    def from_csv(cls, path, n: int | None = None):
-        """Edge list CSV with columns src_id,dst_id."""
+    def from_csv(cls, path, n: int | None = None, unit_ids=None):
+        """Edge list CSV with columns src_id,dst_id.
+
+        With unit_ids (the sorted ids of the units, as kept by a design read
+        from a strata or cluster CSV) each id is mapped to its unit position
+        and an unknown id is an error; without them ids are 0-based unit
+        positions.
+        """
         edges = []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -49,6 +55,13 @@ class InterferenceGraph:
                 raise ValueError("edge CSV must have columns src_id,dst_id")
             for row in reader:
                 edges.append((int(row["src_id"]), int(row["dst_id"])))
+        if unit_ids is not None:
+            position = {int(u): i for i, u in enumerate(unit_ids)}
+            unknown = sorted({u for edge in edges for u in edge} - position.keys())
+            if unknown:
+                raise ValueError(f"edge CSV names unknown unit_id {', '.join(map(str, unknown))}")
+            edges = [(position[a], position[b]) for a, b in edges]
+            n = len(position) if n is None else n
         if n is None:
             n = 1 + max(max(e) for e in edges) if edges else 0
         return cls(n, edges)
@@ -152,22 +165,23 @@ class ExposureRules:
         )
 
     def match_all(self, own_arms: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Vectorized per-unit matching; assumes the rule set validated as
-        exhaustive and mutually exclusive on the relevant degrees."""
-        n = len(own_arms)
-        hit_count = np.zeros(n, dtype=np.int64)
-        labels = np.zeros(n, dtype=np.int64)
+        """Vectorized matching of (..., n) own arms with (..., n, base_k)
+        neighbor counts to (..., n) labels; any entry matched by no rule or
+        by several raises with that entry's own arm and counts."""
+        own_arms = np.asarray(own_arms)
+        hit_count = np.zeros(own_arms.shape, dtype=np.int64)
+        labels = np.zeros(own_arms.shape, dtype=np.int64)
         for idx, rule in enumerate(self.rules):
             ok = np.isin(own_arms, list(rule.own_arms))
             for arm, lo, hi in rule.count_intervals:
-                ok &= counts[:, arm] >= lo
+                ok &= counts[..., arm] >= lo
                 if hi is not None:
-                    ok &= counts[:, arm] <= hi
+                    ok &= counts[..., arm] <= hi
             hit_count += ok
             labels[ok] = idx
         if np.any(hit_count != 1):
-            bad = int(np.flatnonzero(hit_count != 1)[0])
-            self.match(int(own_arms[bad]), counts[bad])  # raises with details
+            bad = np.unravel_index(np.flatnonzero(hit_count != 1)[0], hit_count.shape)
+            self.match(int(own_arms[bad]), counts[bad].tolist())  # raises with details
         return labels
 
     def validate_on_degrees(self, degrees):
@@ -224,14 +238,19 @@ def exposure_map(
     """Per-unit exposure labels (0-based indices into the rule list) for a
     base assignment vector."""
     Z = np.asarray(Z, dtype=np.int64)
-    counts = _neighbor_counts(Z, graph, rules.base_k, undirected)
+    counts = _neighbor_counts(Z, graph.neighbor_matrix(undirected), rules.base_k)
     return rules.match_all(Z, counts)
 
 
-def _neighbor_counts(Z, graph, base_k, undirected):
-    onehot = np.zeros((graph.n, base_k))
-    onehot[np.arange(graph.n), Z] = 1.0
-    return np.asarray(graph.neighbor_matrix(undirected) @ onehot, dtype=np.int64)
+def _neighbor_counts(Z, neighbors, base_k):
+    """(..., n, base_k) counts of each unit's neighbors in each base arm for
+    (..., n) base arms, from one sparse product over the whole batch."""
+    n = neighbors.shape[0]
+    columns = Z.reshape(-1, n).T  # (n, draws)
+    onehot = (columns[:, :, None] == np.arange(base_k)).astype(float)
+    counts = neighbors @ onehot.reshape(n, -1)
+    counts = np.asarray(counts, dtype=np.int64).reshape(n, -1, base_k)
+    return counts.transpose(1, 0, 2).reshape(*Z.shape, base_k)
 
 
 class ExposureDerivedDesign(Design):
@@ -259,13 +278,13 @@ class ExposureDerivedDesign(Design):
         self.k = len(rules)
         self._neighbors = graph.neighbor_matrix(undirected)
 
-    def sample(self, rng):
-        z = self.base.sample(rng).arm_of
-        return AssignmentRealization(self.n, self.k, self._map(z))
+    def sample_batch(self, rng, size):
+        base_arms = check_arms(self.base.sample_batch(rng, size), (size, self.n), self.base.k)
+        return self._map(base_arms)
 
     def _map(self, z):
-        counts = _neighbor_counts(z, self.graph, self.base.k, self.undirected)
-        return self.rules.match_all(np.asarray(z, dtype=np.int64), counts)
+        z = np.asarray(z, dtype=np.int64)
+        return self.rules.match_all(z, _neighbor_counts(z, self._neighbors, self.base.k))
 
     def support_size(self):
         return self.base.support_size()

@@ -184,6 +184,45 @@ def test_exposure_design_yaml_with_rules_and_edge_csv(tmp_path, capsys):
     assert "arm4" in output
 
 
+def _exposure_over_strata_csv(tmp_path, edges):
+    groups = tmp_path / "groups.csv"
+    groups.write_text("unit_id,group_id\n10,a\n20,a\n30,b\n40,b\n")
+    design_yaml = tmp_path / "exposure.yaml"
+    design_yaml.write_text(
+        "design:\n"
+        "  kind: exposure_derived\n"
+        f"  base: {{kind: stratified, strata_csv: {groups}, counts: [[1, 1], [1, 1]]}}\n"
+        f"  {edges}\n"
+        "  rules: [{label: c, own_arms: [1]}, {label: t, own_arms: [2], counts: {2: [0, 0]}},\n"
+        "          {label: s, own_arms: [2], counts: {2: [1, null]}}]\n"
+    )
+    return design_yaml
+
+
+def test_edge_csv_ids_are_the_strata_csv_unit_ids(tmp_path):
+    from designest.moments import DesignMoments
+
+    edges = tmp_path / "edges.csv"
+    edges.write_text("src_id,dst_id\n10,20\n20,10\n40,10\n")
+    by_id = _exposure_over_strata_csv(tmp_path, f"edges_csv: {edges}")
+    assert main(["moments", "--design", str(by_id), "--exact", "--out", str(tmp_path / "a.npz")]) == 0
+    by_position = _exposure_over_strata_csv(tmp_path, "edges: [[0, 1], [1, 0], [3, 0]]")
+    assert main(["moments", "--design", str(by_position), "--exact",
+                 "--out", str(tmp_path / "b.npz")]) == 0
+    a = DesignMoments.load_npz(tmp_path / "a.npz")
+    b = DesignMoments.load_npz(tmp_path / "b.npz")
+    assert np.array_equal(a.pi, b.pi) and np.array_equal(a.p, b.p)
+    assert a.pi[2 * 4 + 3] == 0.25  # unit 40 and its nominee 10 both treated
+
+
+def test_edge_csv_with_unknown_unit_id_exits_2(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("src_id,dst_id\n10,20\n0,1\n")
+    design_yaml = _exposure_over_strata_csv(tmp_path, f"edges_csv: {edges}")
+    assert main(["moments", "--design", str(design_yaml), "--exact"]) == 2
+    assert "unknown unit_id 0" in capsys.readouterr().err
+
+
 def _write_estimate_inputs(tmp_path, obs_ids, cov_ids):
     obs = tmp_path / "obs.csv"
     obs.write_text(

@@ -219,3 +219,12 @@ def test_structural_zero_cells():
     design = CompletelyRandomizedDesign(3, [0, 3])
     mask = design.structural_zero_cells()
     assert mask.tolist() == [True] * 3 + [False] * 3
+
+
+def test_sample_batch_rows_are_successive_sample_draws(design_of_each_kind):
+    design = design_of_each_kind
+    batch = design.sample_batch(stream_rng(17), 25)
+    rng = stream_rng(17)
+    draws = np.stack([design.sample(rng).arm_of for _ in range(25)])
+    assert batch.dtype == np.int64 and batch.shape == (25, design.n)
+    assert batch.tobytes() == draws.tobytes()

@@ -1,13 +1,20 @@
+import zipfile
+
 import numpy as np
 import pytest
 
 from designest.designs import (
     BernoulliDesign,
+    ClusteredDesign,
     CompletelyRandomizedDesign,
+    CustomDesign,
     StratifiedDesign,
     stream_rng,
 )
 from designest.moments import (
+    MC_BLOCK_SIZE,
+    DesignMoments,
+    _assemble_d,
     crd_first_order_matrix,
     design_complexity,
     exact_moments,
@@ -16,6 +23,11 @@ from designest.moments import (
     second_order_tensor,
     tensor_sigma_max_oracle,
     tensor_slice_norm_bound,
+)
+from designest.network import (
+    InterferenceGraph,
+    derive_exposure_design,
+    standard_binary_exposure_rules,
 )
 
 CRD2_D = np.array(
@@ -303,3 +315,69 @@ class TestTensorBounds:
         t[0, 0, 0, 0] = np.inf
         with pytest.raises(ValueError):
             tensor_slice_norm_bound(t)
+
+
+def _per_draw_mc(design, reps, seed):
+    """Reference accumulator: one sample() call and one outer product per
+    draw, block b of MC_BLOCK_SIZE draws on stream (seed, b)."""
+    kn = design.n * design.k
+    counts = np.zeros((kn, kn))
+    for index, start in enumerate(range(0, reps, MC_BLOCK_SIZE)):
+        rng = stream_rng(seed, index)
+        for _ in range(min(MC_BLOCK_SIZE, reps - start)):
+            ind = design.sample(rng).indicator()
+            counts += np.outer(ind, ind)
+    p = counts / reps
+    return np.diag(p).copy(), p
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mc_moments_equal_per_draw_reference(design_of_each_kind):
+    design = design_of_each_kind
+    reps = MC_BLOCK_SIZE + 300  # crosses a block boundary
+    m = mc_moments(design, reps, seed=11)
+    pi, p = _per_draw_mc(design, reps, seed=11)
+    never_hit = pi == 0
+    proven = design.structural_zero_cells()
+    assert m.pi.tobytes() == pi.tobytes()
+    assert m.p.tobytes() == p.tobytes()
+    assert m.D.tobytes() == _assemble_d(pi, p, never_hit).tobytes()
+    assert m.zero_mask.tolist() == (never_hit & proven).tolist()
+    assert m.maybe_zero_mask.tolist() == (never_hit & ~proven).tolist()
+
+
+@pytest.mark.parametrize(
+    "design, message",
+    [
+        (CustomDesign(4, 2, lambda rng: np.where(rng.random(4) < 0.5, 0, 2)),
+         "arm indices must lie in"),
+        (CustomDesign(4, 2, lambda rng: rng.integers(0, 2, size=3)), "arm_of must have shape"),
+        (CustomDesign(4, 2, lambda rng: rng.integers(0, 2, size=1)), "arm_of must have shape"),
+        (ClusteredDesign(4, [0, 0, 1, 1], CustomDesign(2, 2, lambda rng: rng.integers(0, 2, size=3))),
+         "arm_of must have shape"),
+        (derive_exposure_design(CustomDesign(3, 2, lambda rng: np.array([0, 1, 2])),
+                                InterferenceGraph(3, [(0, 1)]), standard_binary_exposure_rules()),
+         "arm indices must lie in"),
+    ],
+    ids=["arm_k", "short", "length_one", "clustered_long", "exposure_base_arm_k"],
+)
+def test_mc_moments_rejects_invalid_custom_draws(design, message):
+    with pytest.raises(ValueError, match=message):
+        mc_moments(design, 50, seed=0)
+
+
+def test_moments_npz_is_uncompressed_and_old_compressed_files_load(tmp_path, monkeypatch):
+    m = mc_moments(CompletelyRandomizedDesign(5, [2, 3]), 200, seed=3)
+    new = tmp_path / "new.npz"
+    m.save_npz(new)
+    with zipfile.ZipFile(new) as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+    old = tmp_path / "old.npz"
+    monkeypatch.setattr(np, "savez", np.savez_compressed)
+    m.save_npz(old)
+    with zipfile.ZipFile(old) as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+    loaded = DesignMoments.load_npz(old)
+    for name in ("pi", "p", "D", "zero_mask", "maybe_zero_mask"):
+        assert np.array_equal(getattr(loaded, name), getattr(m, name))
+    assert (loaded.n, loaded.k, loaded.method, loaded.reps, loaded.seed) == (5, 2, "monte_carlo", 200, 3)

@@ -68,6 +68,22 @@ class TestExposureRules:
         with pytest.raises(ValueError, match="overlap"):
             rules.validate_on_degrees([0])
 
+    def test_match_all_on_a_batch_names_the_unmatched_entry(self):
+        config = [
+            {"label": "a", "own_arms": [1], "counts": {2: [0, 0]}},
+            {"label": "b", "own_arms": [2], "counts": {}},
+        ]
+        rules = ExposureRules.from_config(config, base_k=2)
+        own = np.array([[1, 0, 1], [0, 1, 0]])
+        counts = np.zeros((2, 3, 2), dtype=np.int64)
+        counts[0, 1] = [2, 0]
+        counts[0, 2] = [0, 4]
+        counts[1, 2] = [1, 3]  # own arm 1 (1-based) with a neighbor in arm 2
+        with pytest.raises(ValueError, match=r"own arm 1 with counts \[1, 3\]$"):
+            rules.match_all(own, counts)
+        counts[1, 2] = [1, 0]
+        assert rules.match_all(own, counts).tolist() == [[1, 0, 1], [0, 1, 0]]
+
 
 def four_arm_session_rules():
     """Twelve exposure labels over four base sessions (two first-round,
