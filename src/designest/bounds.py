@@ -18,6 +18,7 @@ from .designs import CompletelyRandomizedDesign
 from .moments import DesignMoments, analytic_crd_moments, rescaled_demeaning_matrix
 
 PSD_TOL = 1e-8
+MINUS_ONE_TOL = 1e-12
 
 
 class NotIdentifiedError(ValueError):
@@ -53,23 +54,23 @@ def _weighted_form(Dt: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def minus_one_mask(moments: DesignMoments, tol_m1: float = 1e-12) -> np.ndarray:
+def minus_one_mask(moments: DesignMoments) -> np.ndarray:
     """Entries of D with value -1 (never jointly observed pairs).
 
-    Exact moments: |d + 1| <= tol detection. Monte Carlo: zero joint hits in
-    p, the primary and less noisy datum.
+    Exact moments: |d + 1| <= MINUS_ONE_TOL detection. Monte Carlo: zero
+    joint hits in p, the primary and less noisy datum.
     """
     live = ~(moments.zero_mask | moments.maybe_zero_mask)
     pair_live = np.outer(live, live)
     if moments.method == "exact":
-        mask = (np.abs(moments.D + 1.0) <= tol_m1) & pair_live
+        mask = (np.abs(moments.D + 1.0) <= MINUS_ONE_TOL) & pair_live
     else:
         mask = (moments.p == 0) & pair_live
     np.fill_diagonal(mask, False)
     return mask
 
 
-def aronow_samii_bound(moments: DesignMoments, tol_m1: float = 1e-12) -> VarianceBound:
+def aronow_samii_bound(moments: DesignMoments) -> VarianceBound:
     """General-purpose bound: add back the -1 entries and put their row
     counts on the diagonal (diagonally dominant increment, so validity is
     immediate from Gershgorin)."""
@@ -83,7 +84,7 @@ def aronow_samii_bound(moments: DesignMoments, tol_m1: float = 1e-12) -> Varianc
             "possibly-zero cells present; bound built on the remaining cells",
             RuntimeWarning,
         )
-    mask = minus_one_mask(moments, tol_m1)
+    mask = minus_one_mask(moments)
     indicator = mask.astype(float)
     Dt = moments.D + indicator + np.diag(indicator.sum(axis=1))
     Dt[mask] = 0.0  # exact zeros at identified -1 entries

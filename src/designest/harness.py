@@ -358,7 +358,12 @@ class MetricsTable:
         return "\n".join(lines)
 
 
-_WORKER_PAYLOAD = None  # inherited by forked workers; avoids re-pickling moments
+_WORKER_PAYLOAD = None  # set once per worker process by _init_worker
+
+
+def _init_worker(payload):
+    global _WORKER_PAYLOAD
+    _WORKER_PAYLOAD = payload
 
 
 def _chunk_via_global(rep_indices):
@@ -432,14 +437,11 @@ def run_simulation(cfg: SimConfig) -> MetricsTable:
     ]
     results = {}
     if cfg.workers > 1:
-        global _WORKER_PAYLOAD
-        _WORKER_PAYLOAD = payload
-        try:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                for chunk_result in pool.map(_chunk_via_global, chunks):
-                    results.update(chunk_result)
-        finally:
-            _WORKER_PAYLOAD = None
+        with ProcessPoolExecutor(
+            max_workers=cfg.workers, initializer=_init_worker, initargs=(payload,)
+        ) as pool:
+            for chunk_result in pool.map(_chunk_via_global, chunks):
+                results.update(chunk_result)
     else:
         for chunk in chunks:
             results.update(_replication_chunk(payload, chunk))

@@ -403,8 +403,16 @@ def moment_vector(
 def population_moment_vector(theta, model, X, y, Omega, c, n):
     """First-order-condition vector of the variance criterion for outcome
     vector y (the full potential outcomes, or their IPW observed analog)."""
-    w = np.repeat(np.asarray(c, dtype=float), n)
-    rows = model.design_rows(X)
+    return _moment_vector(theta, *_criterion_args(model, X, y, Omega, c, n))
+
+
+def _criterion_args(model, X, y, Omega, c, n):
+    """The variance criterion's arguments after theta, with the design rows
+    and cell contrast weights built once for every evaluation."""
+    return model, model.design_rows(X), y, Omega, np.repeat(np.asarray(c, dtype=float), n), n
+
+
+def _moment_vector(theta, model, rows, y, Omega, w, n):
     f = model._predict_rows(theta, rows)
     grad = model._grad_rows(rows, f)
     r = w * (y - f)
@@ -418,8 +426,10 @@ def moment_jacobian(theta, model, data, Omega, c):
 
 def population_moment_jacobian(theta, model, X, y, Omega, c, n):
     """Analytic Jacobian of population_moment_vector in theta."""
-    w = np.repeat(np.asarray(c, dtype=float), n)
-    rows = model.design_rows(X)
+    return _moment_jacobian(theta, *_criterion_args(model, X, y, Omega, c, n))
+
+
+def _moment_jacobian(theta, model, rows, y, Omega, w, n):
     f = model._predict_rows(theta, rows)
     grad = model._grad_rows(rows, f)
     wg = grad * w[:, None]
@@ -442,18 +452,18 @@ def population_opt_logit(model, X, y_full, Omega, c, n, start=None):
 
     if start is None:
         start = population_qmle(model, X, y_full)
-
-    result = minimize(lambda th: _criterion_and_grad(th, model, X, y_full, Omega, c, n)[:2],
+    args = _criterion_args(model, X, y_full, Omega, c, n)
+    result = minimize(lambda th: _criterion_and_grad(th, *args)[:2],
                       np.asarray(start, dtype=float), jac=True, method="BFGS",
                       options={"gtol": 1e-12, "maxiter": 500})
     return result.x
 
 
-def _criterion_and_grad(theta, model, X, y, Omega, c, n):
-    """Squared moment norm of the variance criterion for outcome vector y,
-    its gradient in theta, and the moment vector."""
-    g = population_moment_vector(theta, model, X, y, Omega, c, n)
-    jac = population_moment_jacobian(theta, model, X, y, Omega, c, n)
+def _criterion_and_grad(theta, *args):
+    """Squared moment norm of the variance criterion at theta, its gradient
+    in theta, and the moment vector; args as built by _criterion_args."""
+    g = _moment_vector(theta, *args)
+    jac = _moment_jacobian(theta, *args)
     return float(g @ g), 2.0 * jac.T @ g, g
 
 
@@ -480,7 +490,7 @@ def opt_gr_logit(
         model = ImputationModel("logistic", data.k, data.p)
     if model.family != "logistic":
         raise ValueError("opt_gr_logit needs a logistic imputation model")
-    criterion_args = (model, data.X, _ipw_observed(data), Omega, c, data.n)
+    criterion_args = _criterion_args(model, data.X, _ipw_observed(data), Omega, c, data.n)
     rng = np.random.default_rng(seed)
     candidates = []
     for attempt in range(cfg.restarts):
@@ -496,7 +506,7 @@ def opt_gr_logit(
                 break  # stationary without solving the moment conditions
             t = 1.0
             while True:
-                g_cand = population_moment_vector(theta - t * grad, *criterion_args)
+                g_cand = _moment_vector(theta - t * grad, *criterion_args)
                 cand_value = float(g_cand @ g_cand)
                 if cand_value <= value - cfg.step * t * grad_norm2 or t < 1e-14:
                     break
@@ -516,7 +526,7 @@ def opt_gr_logit(
     value, attempt, theta, g = min(candidates, key=lambda item: (item[0], item[1]))
 
     def criterion(th):
-        g_th = population_moment_vector(th, *criterion_args)
+        g_th = _moment_vector(th, *criterion_args)
         return float(g_th @ g_th)
 
     hess_eigs = np.linalg.eigvalsh(_numerical_hessian(criterion, theta))

@@ -3,6 +3,8 @@
 An exposure mapping turns a base assignment vector plus a unit's network
 neighborhood into an effective treatment label; the derived design over
 those labels plugs straight back into the moments/estimation machinery.
+Exposure rules are checked against the base design's arms, and one rule
+evaluator serves mapping, table validation and structural zeros.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .designs import BernoulliDesign, Design, check_arms
-from .moments import DesignMoments
+from .moments import MC_BLOCK_SIZE, DesignMoments
 
 POSITIVITY_THRESHOLD = 0.01
 
@@ -98,21 +100,12 @@ class ExposureRule:
     own_arms: frozenset
     count_intervals: tuple  # ((arm, lo, hi_or_None), ...)
 
-    def matches(self, own_arm: int, counts) -> bool:
-        if own_arm not in self.own_arms:
-            return False
-        for arm, lo, hi in self.count_intervals:
-            value = counts[arm]
-            if value < lo:
-                return False
-            if hi is not None and value > hi:
-                return False
-        return True
-
 
 class ExposureRules:
-    """Ordered exposure definitions; validated to be exhaustive and
-    mutually exclusive over every (own arm, neighbor-count profile) that a
+    """Ordered exposure definitions over the arms of a base design. Rule
+    arms must be base arms and count intervals nonempty and nonnegative. One
+    evaluator serves mapping, validation and structural zeros; the table must
+    hold exactly one rule for each (own arm, neighbor-count profile) that a
     given graph can produce."""
 
     def __init__(self, rules: list[ExposureRule], base_k: int):
@@ -123,6 +116,17 @@ class ExposureRules:
             raise ValueError("duplicate exposure labels")
         self.rules = list(rules)
         self.base_k = int(base_k)
+        self._own = np.zeros((len(rules), self.base_k), dtype=bool)
+        for idx, rule in enumerate(rules):
+            arms = {*rule.own_arms, *(arm for arm, _, _ in rule.count_intervals)}
+            if not rule.own_arms or not arms <= set(range(self.base_k)):
+                raise ValueError(
+                    f"exposure {rule.label!r}: own_arms must be nonempty and every "
+                    f"arm in 1..{self.base_k}"
+                )
+            if any(lo < 0 or (hi is not None and hi < lo) for _, lo, hi in rule.count_intervals):
+                raise ValueError(f"exposure {rule.label!r}: count intervals need 0 <= lo <= hi")
+            self._own[idx, list(rule.own_arms)] = True
 
     def __len__(self):
         return len(self.rules)
@@ -151,70 +155,63 @@ class ExposureRules:
             )
         return cls(rules, base_k)
 
-    def match(self, own_arm: int, counts) -> int:
-        hits = [idx for idx, rule in enumerate(self.rules) if rule.matches(own_arm, counts)]
-        if len(hits) == 1:
-            return hits[0]
-        if not hits:
-            raise ValueError(
-                f"no exposure matches own arm {own_arm + 1} with counts {list(counts)}"
-            )
-        raise ValueError(
-            f"rules {[self.rules[h].label for h in hits]} overlap on own arm "
-            f"{own_arm + 1} with counts {list(counts)}"
-        )
-
-    def match_all(self, own_arms: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Vectorized matching of (..., n) own arms with (..., n, base_k)
-        neighbor counts to (..., n) labels; any entry matched by no rule or
-        by several raises with that entry's own arm and counts."""
-        own_arms = np.asarray(own_arms)
-        hit_count = np.zeros(own_arms.shape, dtype=np.int64)
-        labels = np.zeros(own_arms.shape, dtype=np.int64)
+    def _hits(self, own_arms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """(R, ...) mask: whether rule r holds at each entry of (...) own
+        arms with (..., base_k) neighbor counts."""
+        hits = np.empty((len(self.rules), *own_arms.shape), dtype=bool)
         for idx, rule in enumerate(self.rules):
-            ok = np.isin(own_arms, list(rule.own_arms))
+            ok = hits[idx]
+            np.take(self._own[idx], own_arms, out=ok)
             for arm, lo, hi in rule.count_intervals:
                 ok &= counts[..., arm] >= lo
                 if hi is not None:
                     ok &= counts[..., arm] <= hi
-            hit_count += ok
-            labels[ok] = idx
-        if np.any(hit_count != 1):
-            bad = np.unravel_index(np.flatnonzero(hit_count != 1)[0], hit_count.shape)
-            self.match(int(own_arms[bad]), counts[bad].tolist())  # raises with details
-        return labels
+        return hits
+
+    def match_all(self, own_arms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Labels (rule indices) of (..., n) own arms with (..., n, base_k)
+        neighbor counts; an entry matched by no rule or by several raises
+        with that entry's own arm and counts."""
+        own_arms = check_arms(own_arms, np.shape(own_arms), self.base_k)
+        hits = self._hits(own_arms, counts)
+        n_hits = hits.sum(axis=0)
+        if np.any(n_hits != 1):
+            bad = np.unravel_index(np.flatnonzero(n_hits != 1)[0], n_hits.shape)
+            where = f"own arm {int(own_arms[bad]) + 1} with counts {counts[bad].tolist()}"
+            matched = [self.rules[r].label for r in np.flatnonzero(hits[(slice(None), *bad)])]
+            if not matched:
+                raise ValueError(f"no exposure matches {where}")
+            raise ValueError(f"rules {matched} overlap on {where}")
+        return hits.argmax(axis=0)
 
     def validate_on_degrees(self, degrees):
         """Check exhaustiveness and exclusivity over all count compositions
-        realizable at the given degrees."""
+        realizable at the given degrees; the first failure in (degree,
+        composition, own arm) order raises."""
+        arms = np.arange(self.base_k)
         for d in sorted(set(int(d) for d in degrees)):
-            for counts in _compositions(d, self.base_k):
-                for own_arm in range(self.base_k):
-                    self.match(own_arm, counts)  # raises on gaps/overlaps
-
-    def feasible(self, exposure_idx: int, degree: int, arm_possible) -> bool:
-        """Whether any (own arm, composition of the degree) satisfies the
-        rule, given which base arms are possible at all."""
-        rule = self.rules[exposure_idx]
-        if not any(arm_possible[a] for a in rule.own_arms):
-            return False
-        for counts in _compositions(int(degree), self.base_k):
-            if any(counts[a] > 0 and not arm_possible[a] for a in range(self.base_k)):
-                continue
-            for own_arm in rule.own_arms:
-                if arm_possible[own_arm] and rule.matches(own_arm, counts):
-                    return True
-        return False
+            self.match_all(*_degree_grid(d, arms, self.base_k))
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of the given length summing to total."""
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """(C, parts) int64 array of all nonnegative integer vectors of the
+    given length summing to total, in lexicographic order."""
     if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head, *tail)
+        return np.array([[total]], dtype=np.int64)
+    return np.concatenate([
+        np.insert(_compositions(total - head, parts - 1), 0, head, axis=1)
+        for head in range(total + 1)
+    ])
+
+
+def _degree_grid(degree: int, arms: np.ndarray, base_k: int):
+    """Every (own arm, neighbor counts) of a unit with the given degree when
+    only the given base arms occur: (G,) own arms and (G, base_k) counts,
+    compositions outer and own arm inner."""
+    compositions = _compositions(degree, len(arms))
+    counts = np.zeros((len(compositions), base_k), dtype=np.int64)
+    counts[:, arms] = compositions
+    return np.tile(arms, len(counts)), np.repeat(counts, len(arms), axis=0)
 
 
 def standard_binary_exposure_rules() -> ExposureRules:
@@ -237,9 +234,13 @@ def exposure_map(
 ) -> np.ndarray:
     """Per-unit exposure labels (0-based indices into the rule list) for a
     base assignment vector."""
+    return _exposure_labels(Z, graph.neighbor_matrix(undirected), rules)
+
+
+def _exposure_labels(Z, neighbors, rules):
+    """Exposure labels of (..., n) base arms."""
     Z = np.asarray(Z, dtype=np.int64)
-    counts = _neighbor_counts(Z, graph.neighbor_matrix(undirected), rules.base_k)
-    return rules.match_all(Z, counts)
+    return rules.match_all(Z, _neighbor_counts(Z, neighbors, rules.base_k))
 
 
 def _neighbor_counts(Z, neighbors, base_k):
@@ -280,47 +281,41 @@ class ExposureDerivedDesign(Design):
 
     def sample_batch(self, rng, size):
         base_arms = check_arms(self.base.sample_batch(rng, size), (size, self.n), self.base.k)
-        return self._map(base_arms)
-
-    def _map(self, z):
-        z = np.asarray(z, dtype=np.int64)
-        return self.rules.match_all(z, _neighbor_counts(z, self._neighbors, self.base.k))
+        return _exposure_labels(base_arms, self._neighbors, self.rules)
 
     def support_size(self):
         return self.base.support_size()
 
     def _enumerate(self):
+        """Map the base support in blocks of MC_BLOCK_SIZE rows, then merge
+        equal label rows, summing their probabilities in support order."""
         from .designs import SupportTable
 
-        base_table = self.base.enumerate_support()
-        merged: dict[tuple, float] = {}
-        for row, prob in zip(base_table.realizations, base_table.probabilities):
-            key = tuple(self._map(row))
-            merged[key] = merged.get(key, 0.0) + prob
-        rows = np.array(sorted(merged), dtype=np.int64)
-        probs = np.array([merged[tuple(r)] for r in rows])
+        base = self.base.enumerate_support()
+        Z = base.realizations
+        labels = np.concatenate([
+            _exposure_labels(Z[start:start + MC_BLOCK_SIZE], self._neighbors, self.rules)
+            for start in range(0, len(Z), MC_BLOCK_SIZE)
+        ])
+        rows, inverse = np.unique(labels, axis=0, return_inverse=True)
+        probs = np.bincount(inverse.ravel(), weights=base.probabilities, minlength=len(rows))
         return SupportTable(rows, probs, self.n, self.k)
 
     def structural_zero_cells(self) -> np.ndarray:
         """Provable impossibility: under an independent base with known
         positive arms, an exposure is impossible for a unit exactly when no
-        (own arm, neighbor composition of its degree) satisfies the rule.
-        Non-independent bases are left to enumeration or flagged as
-        possibly-zero downstream."""
-        mask = np.zeros(self.n * self.k, dtype=bool)
+        (own arm, neighbor composition of its degree) over the positive arms
+        satisfies the rule. Non-independent bases are left to enumeration or
+        flagged as possibly-zero downstream."""
+        mask = np.zeros((self.k, self.n), dtype=bool)
         if not isinstance(self.base, BernoulliDesign):
-            return mask
-        arm_possible = self.base.probs > 0
+            return mask.ravel()
+        possible = np.flatnonzero(self.base.probs > 0)
         degrees = self.graph.degrees(self.undirected)
-        feasible_by_degree: dict[tuple, bool] = {}
-        for e in range(self.k):
-            for i in range(self.n):
-                key = (e, int(degrees[i]))
-                if key not in feasible_by_degree:
-                    feasible_by_degree[key] = self.rules.feasible(e, degrees[i], arm_possible)
-                if not feasible_by_degree[key]:
-                    mask[e * self.n + i] = True
-        return mask
+        for d in np.unique(degrees):
+            feasible = self.rules._hits(*_degree_grid(int(d), possible, self.base.k)).any(axis=1)
+            mask[np.ix_(~feasible, degrees == d)] = True
+        return mask.ravel()
 
 
 def derive_exposure_design(

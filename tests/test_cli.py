@@ -223,6 +223,19 @@ def test_edge_csv_with_unknown_unit_id_exits_2(tmp_path, capsys):
     assert "unknown unit_id 0" in capsys.readouterr().err
 
 
+def test_exposure_rule_count_arm_outside_base_exits_2(tmp_path, capsys):
+    design_yaml = tmp_path / "exposure.yaml"
+    design_yaml.write_text(
+        "design:\n"
+        "  kind: exposure_derived\n"
+        "  base: {kind: bernoulli, n: 3, probs: [0.5, 0.5]}\n"
+        "  edges: [[0, 1], [1, 2]]\n"
+        "  rules: [{label: c, own_arms: [1]}, {label: t, own_arms: [2], counts: {3: [0, null]}}]\n"
+    )
+    assert main(["moments", "--design", str(design_yaml), "--exact"]) == 2
+    assert "'t'" in capsys.readouterr().err
+
+
 def _write_estimate_inputs(tmp_path, obs_ids, cov_ids):
     obs = tmp_path / "obs.csv"
     obs.write_text(

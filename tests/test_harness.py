@@ -1,3 +1,7 @@
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -181,6 +185,20 @@ class TestRunSimulation:
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         t1.to_csv(p1)
         t2.to_csv(p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_workers_under_spawn_match_one_worker(self, tmp_path, monkeypatch):
+        # spawned workers inherit no module state from the parent, so the
+        # replication payload must reach them through the pool itself
+        from designest import harness
+
+        spawn_pool = functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        )
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", spawn_pool)
+        p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        run_simulation(small_sim_config(replications=60, workers=1)).to_csv(p1)
+        run_simulation(small_sim_config(replications=60, workers=2)).to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_failures_are_counted_and_excluded(self):

@@ -297,3 +297,200 @@ class TestPositivityReport:
         for i in range(1, 5):  # interior units have degree 2: pi = 1/8 < 0.2
             assert (d10, i) in flagged
         assert report.zero_count == 0
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        {"label": "bad", "own_arms": [3]},
+        {"label": "bad", "own_arms": [0]},
+        {"label": "bad", "own_arms": []},
+        {"label": "bad", "own_arms": [2], "counts": {3: [0, None]}},
+        {"label": "bad", "own_arms": [2], "counts": {2: [2, 1]}},
+        {"label": "bad", "own_arms": [2], "counts": {2: [-1, 0]}},
+    ],
+    ids=["own_arm_above", "own_arm_zero", "no_own_arms", "count_arm_above",
+         "empty_interval", "negative_lo"],
+)
+def test_rules_outside_the_base_arms_are_rejected(rule):
+    config = [{"label": "ok", "own_arms": [1]}, rule]
+    with pytest.raises(ValueError, match="exposure 'bad'"):
+        ExposureRules.from_config(config, base_k=2)
+
+
+# Scalar reference for the rule evaluator: one rule, one (own arm, counts).
+def reference_matches(rule, own_arm, counts):
+    if own_arm not in rule.own_arms:
+        return False
+    return all(
+        counts[arm] >= lo and (hi is None or counts[arm] <= hi)
+        for arm, lo, hi in rule.count_intervals
+    )
+
+
+def reference_match(rules, own_arm, counts):
+    hits = [idx for idx, rule in enumerate(rules.rules) if reference_matches(rule, own_arm, counts)]
+    if len(hits) == 1:
+        return hits[0]
+    where = f"own arm {own_arm + 1} with counts {list(counts)}"
+    if not hits:
+        raise ValueError(f"no exposure matches {where}")
+    raise ValueError(f"rules {[rules.rules[h].label for h in hits]} overlap on {where}")
+
+
+def reference_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in reference_compositions(total - head, parts - 1):
+            yield (head, *tail)
+
+
+def reference_neighbors(graph, undirected):
+    neighbors = [set() for _ in range(graph.n)]
+    for src, dst in graph.edges.tolist():
+        neighbors[src].add(dst)
+        if undirected:
+            neighbors[dst].add(src)
+    return neighbors
+
+
+def reference_counts(z, neighbors, base_k):
+    return [[sum(int(z[j]) == a for j in nbrs) for a in range(base_k)] for nbrs in neighbors]
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def random_rule_config(rng, base_k, breakage):
+    """An exhaustive, exclusive table (own arms grouped at random, each group
+    split by intervals of one count arm), then broken by dropping a rule (a
+    gap) or widening one (an overlap) for each entry of breakage."""
+    arms = rng.permutation(base_k) + 1
+    cuts = sorted(rng.choice(np.arange(1, base_k), size=rng.integers(0, base_k), replace=False))
+    config = []
+    for g, own in enumerate(np.split(arms, cuts)):
+        count_arm = int(rng.integers(1, base_k + 1))
+        starts = [0, *sorted(set(rng.integers(1, 4, size=rng.integers(0, 3)).tolist()))]
+        for j, lo in enumerate(starts):
+            hi = starts[j + 1] - 1 if j + 1 < len(starts) else None
+            config.append({"label": f"g{g}_{j}", "own_arms": own.tolist(),
+                           "counts": {count_arm: [lo, hi]}})
+    for kind in breakage:
+        victim = config[int(rng.integers(len(config)))]
+        if kind == "gap" and len(config) > 1:
+            config.remove(victim)
+        elif kind == "overlap":
+            (count_arm, (lo, hi)), = victim["counts"].items()
+            victim["counts"] = {count_arm: [max(lo - 1, 0), None]}
+    return config
+
+
+def random_graph(rng, n):
+    return InterferenceGraph(n, rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist())
+
+
+def rule_tables(seed, count=40):
+    rng = np.random.default_rng(seed)
+    tables = [standard_binary_exposure_rules(), four_arm_session_rules()]
+    for t in range(count):
+        base_k = int(rng.integers(2, 5))
+        breakage = [(), ("gap",), ("overlap",), ("gap", "overlap"), ("gap", "gap")][t % 5]
+        tables.append(ExposureRules.from_config(random_rule_config(rng, base_k, breakage), base_k))
+    return rng, tables
+
+
+class TestEvaluatorAgainstScalarReference:
+    def test_match_all_labels_and_errors(self):
+        rng, tables = rule_tables(101)
+        raised = 0
+        for rules in tables:
+            n = int(rng.integers(4, 9))
+            neighbors = reference_neighbors(random_graph(rng, n), bool(rng.integers(2)))
+            own = rng.integers(0, rules.base_k, size=(6, n))
+            counts = np.array([reference_counts(z, neighbors, rules.base_k) for z in own])
+            expected = []
+            for z, draw_counts in zip(own.tolist(), counts.tolist()):
+                expected.append([outcome(reference_match, rules, a, c) for a, c in zip(z, draw_counts)])
+            errors = [e for row in expected for e in row if isinstance(e, str)]
+            got = outcome(rules.match_all, own, counts)
+            if errors:
+                raised += 1
+                assert got == errors[0]
+            else:
+                assert got.tolist() == expected
+        assert 0 < raised < len(tables)
+
+    def test_validate_on_degrees_messages(self):
+        rng, tables = rule_tables(202)
+
+        def nested_loop(rules, degrees):
+            for d in sorted(set(degrees)):
+                for counts in reference_compositions(d, rules.base_k):
+                    for own_arm in range(rules.base_k):
+                        reference_match(rules, own_arm, counts)
+
+        raised = 0
+        for rules in tables:
+            degrees = rng.integers(0, 6, size=3).tolist()
+            expected = outcome(nested_loop, rules, degrees)
+            raised += expected is not None
+            assert outcome(rules.validate_on_degrees, degrees) == expected
+        assert 0 < raised < len(tables)
+
+    def test_structural_zero_cells(self):
+        rng, tables = rule_tables(303)
+        checked = 0
+        for rules in tables:
+            n = int(rng.integers(3, 8))
+            graph = random_graph(rng, n)
+            undirected = bool(rng.integers(2))
+            probs = rng.random(rules.base_k) * (rng.random(rules.base_k) < 0.7)
+            if probs.sum() == 0 or outcome(rules.validate_on_degrees, graph.degrees(undirected)):
+                continue
+            design = derive_exposure_design(
+                BernoulliDesign(n, probs / probs.sum()), graph, rules, undirected
+            )
+            possible = probs > 0
+            degrees = graph.degrees(undirected)
+            expected = np.zeros(design.k * n, dtype=bool)
+            for e, rule in enumerate(rules.rules):
+                for i in range(n):
+                    expected[e * n + i] = not any(
+                        possible[own] and reference_matches(rule, own, counts)
+                        for counts in reference_compositions(int(degrees[i]), rules.base_k)
+                        if all(possible[a] or counts[a] == 0 for a in range(rules.base_k))
+                        for own in range(rules.base_k)
+                    )
+            assert np.array_equal(design.structural_zero_cells(), expected)
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize(
+        "n, probs, rules, undirected",
+        [
+            (13, [0.3, 0.7], standard_binary_exposure_rules(), False),  # 8192 > one MC block
+            (5, [0.1, 0.2, 0.3, 0.4], four_arm_session_rules(), True),
+        ],
+    )
+    def test_enumerate_support_equals_dict_merge(self, n, probs, rules, undirected):
+        rng = np.random.default_rng(n)
+        graph = random_graph(rng, n)
+        base = BernoulliDesign(n, probs)
+        table = derive_exposure_design(base, graph, rules, undirected).enumerate_support()
+        base_table = base.enumerate_support()
+        neighbors = reference_neighbors(graph, undirected)
+        merged = {}
+        for z, prob in zip(base_table.realizations, base_table.probabilities):
+            counts = reference_counts(z, neighbors, rules.base_k)
+            key = tuple(reference_match(rules, int(z[i]), counts[i]) for i in range(n))
+            merged[key] = merged.get(key, 0.0) + prob
+        rows = np.array(sorted(merged), dtype=np.int64)
+        assert table.realizations.tobytes() == rows.tobytes()
+        assert table.probabilities.tobytes() == np.array([merged[tuple(r)] for r in rows]).tobytes()
