@@ -69,6 +69,16 @@ class AssignmentRealization:
         return r
 
 
+def _has_duplicate_rows(rows: np.ndarray) -> bool:
+    """Whether the 2-D int64 matrix repeats a row, from one np.unique over
+    the rows viewed as byte strings (np.unique(axis=0) compares column by
+    column and is no faster than a Python set of row tuples)."""
+    if rows.shape[1] == 0:
+        return len(rows) > 1
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))
+    return len(np.unique(keys)) < len(rows)
+
+
 @dataclass(frozen=True)
 class SupportTable:
     """Exhaustive support of an enumerable design with exact probabilities."""
@@ -87,7 +97,7 @@ class SupportTable:
             raise ValueError("support probabilities must sum to 1")
         if np.any(probabilities <= 0):
             raise ValueError("support probabilities must be positive")
-        if len({tuple(row) for row in realizations}) != len(realizations):
+        if _has_duplicate_rows(realizations):
             raise ValueError("duplicate realizations in support")
 
     def __len__(self):
@@ -103,6 +113,25 @@ class SupportTable:
 
     def realization(self, idx: int) -> AssignmentRealization:
         return AssignmentRealization(self.n, self.k, self.realizations[idx])
+
+
+def _multiset_permutations(counts) -> np.ndarray:
+    """(S, n) int64 matrix of every distinct sequence holding counts[a]
+    copies of label a, rows in lexicographic order.
+
+    Built one position at a time: each row so far is extended by every
+    label it has left, in increasing label order, which keeps the rows
+    sorted.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = counts[None, :]
+    for _ in range(int(counts.sum())):
+        parent, label = np.nonzero(left > 0)
+        rows = np.column_stack([rows[parent], label])
+        left = left[parent]
+        left[np.arange(len(label)), label] -= 1
+    return rows
 
 
 class SupportTooLargeError(ValueError):
@@ -218,9 +247,7 @@ class CompletelyRandomizedDesign(Design):
         return size
 
     def _enumerate(self):
-        from sympy.utilities.iterables import multiset_permutations
-
-        rows = np.array(list(multiset_permutations(self._labels.tolist())), dtype=np.int64)
+        rows = _multiset_permutations(self.counts)
         probs = np.full(len(rows), 1.0 / len(rows))
         return SupportTable(rows, probs, self.n, self.k)
 

@@ -8,20 +8,28 @@ import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from scipy.stats import norm
 
 from .bounds import build_bound
-from .designs import Design, stream_rng
+from .designs import AssignmentRealization, Design, stream_rng
 from .linear import (
     LINEAR_KINDS,
+    ZERO_PI_MESSAGE,
     EstimateReport,
     ExperimentData,
+    _gr_fit,
+    _ipw,
+    _linear_fit,
+    check_covariates,
     estimate_report,
     intercept_matrix,
+    plugin_raw,
     population_z,
+    zero_pi_rows,
 )
 from .model_assisted import (
     ImputationModel,
@@ -39,8 +47,64 @@ from .model_assisted import (
     population_opt_logit,
     population_qmle,
     qmle_gr,
+    sample_qmle,
 )
 from .moments import DesignMoments, closed_form_or_exact_moments, mc_moments
+
+
+class ReplicationChunk:
+    """The assignments of one chunk of replications, stacked.
+
+    Replication rep draws from stream_rng(seed, rep), so the draws do not
+    depend on the chunking. Row b of every array belongs to reps[b]: arms
+    (B, n), the observed cells (B, n) and outcomes y_obs (B, n), and the kn
+    observed-cell indicator r and observed outcome vector y (zero
+    elsewhere), each (B, kn). zero_pi flags the rows with an observed cell
+    of zero inclusion probability, on which no weighted estimator is
+    defined.
+    """
+
+    def __init__(self, payload, reps):
+        design, moments = payload["design"], payload["moments"]
+        self.reps = list(reps)
+        self.n, self.k = design.n, design.k
+        self.X = check_covariates(payload["X"], design.n)
+        self.y_full, self.moments = payload["y_full"], moments
+        self.arms = np.stack(
+            [design.sample(stream_rng(payload["seed"], rep)).arm_of for rep in self.reps]
+        )
+        self.cells = self.arms * self.n + np.arange(self.n)
+        self.y_obs = self.y_full[self.cells]
+        self.r = np.zeros((len(self.reps), self.n * self.k))
+        np.put_along_axis(self.r, self.cells, 1.0, axis=1)
+        self.y = np.zeros_like(self.r)
+        np.put_along_axis(self.y, self.cells, self.y_obs, axis=1)
+        self.zero_pi = zero_pi_rows(moments.pi, self.cells)
+
+    @cached_property
+    def data(self) -> list:
+        """One ExperimentData per replication, for the per-replication fits."""
+        return [
+            ExperimentData.from_full(
+                self.y_full, AssignmentRealization(self.n, self.k, arms), self.X, self.moments
+            )
+            for arms in self.arms
+        ]
+
+    def entries(self, mu, z, errors, c, bound) -> list:
+        """Table entries from a batched fit over the rows without zero-pi
+        observed cells: arm estimates mu (b, k), linearizations z (b, kn, k)
+        and, by fitted row, the errors of undefined fits."""
+        fitted = np.flatnonzero(~self.zero_pi)
+        values = np.matmul(c, mu[..., None])[..., 0]
+        times_n = plugin_raw(z @ c, self.cells[fitted], bound.Dt_over_p) * self.n
+        out = [("failed", repr(ValueError(ZERO_PI_MESSAGE)))] * len(self.reps)
+        for j, b in enumerate(fitted):
+            if j in errors:
+                out[b] = ("failed", repr(errors[j]))
+            else:
+                out[b] = (float(values[j]), float(times_n[j]))
+        return out
 
 
 @dataclass(frozen=True)
@@ -53,25 +117,50 @@ class Estimator:
     linearization vector v, with n x asymptotic variance v'Dv/n. For the
     model-assisted estimators v = w (y - f), with the imputations f fitted
     to the full outcome vector where the sample fit uses its IPW observed
-    analog.
+    analog. batch(chunk, c, bound), where given, fits a whole
+    ReplicationChunk as arrays with the same numbers as fit.
     """
 
     fit: Callable[..., EstimateReport]
     residual: Callable[..., np.ndarray]
+    batch: Callable[..., list] | None = None
+
+    def fit_chunk(self, chunk: ReplicationChunk, c, bound, optimizer) -> list:
+        """One entry per replication of the chunk: (contrast value, plug-in
+        bound x n), or ("failed", repr(exception)) for a failed fit."""
+        if self.batch is not None:
+            try:
+                return self.batch(chunk, c, bound)
+            except Exception:
+                pass  # refit one replication at a time, so the failure stays with its replication
+        entries = []
+        for rep, data in zip(chunk.reps, chunk.data):
+            try:
+                report = self.fit(data, c, bound, optimizer, rep)
+                entries.append((report.contrast_value, report.varbound_times_n))
+            except Exception as exc:  # recorded and excluded from aggregates
+                entries.append(("failed", repr(exc)))
+        return entries
 
 
 def _linear(kind):
+    def batch(chunk, c, bound):
+        ok = ~chunk.zero_pi
+        fit = _linear_fit(kind, chunk.X, chunk.k, chunk.moments.pi, chunk.y[ok], chunk.r[ok])
+        return chunk.entries(fit.mu_hat, fit.z_hat, fit.errors, c, bound)
+
     return Estimator(
         lambda data, c, bound, optimizer, seed: estimate_report(kind, data, bound, c),
         lambda X, y_full, moments, c: population_z(kind, X, y_full, moments) @ c,
+        batch,
     )
 
 
-def _imputing(sample, imputations):
+def _imputing(sample, imputations, batch=None):
     """Model-assisted table row from its sample fit and its population
     imputations(X, y_full, moments, c)."""
     return Estimator(
-        sample, lambda X, y, m, c: contrast_residual(imputations(X, y, m, c), y, c, m.n)
+        sample, lambda X, y, m, c: contrast_residual(imputations(X, y, m, c), y, c, m.n), batch
     )
 
 
@@ -113,7 +202,17 @@ def _two_stage(family, omega, stage):
         f = model.predict(population_qmle(model, X, y_full, omega=weights), X)
         return population(f, y_full, moments, c)
 
-    return _imputing(fit, imputations)
+    def qmle_batch(chunk, c, bound):
+        model = ImputationModel(family, chunk.k, chunk.X.shape[1])
+        ok = ~chunk.zero_pi
+        rows = model.design_rows(chunk.X)
+        pi = chunk.moments.pi
+        theta = sample_qmle(model, rows, pi, omega, chunk.cells[ok], chunk.y_obs[ok])
+        f = model._predict_rows(theta, rows)
+        mu, z = _gr_fit(f, chunk.y[ok], _ipw(chunk.r[ok], pi), chunk.k)
+        return chunk.entries(mu, z, {}, c, bound)
+
+    return _imputing(fit, imputations, qmle_batch if stage == "qmle" else None)
 
 
 def _opt_linear_imputations(X, y_full, moments, c):
@@ -371,27 +470,17 @@ def _chunk_via_global(rep_indices):
 
 
 def _replication_chunk(payload, rep_indices):
-    design = payload["design"]
-    moments = payload["moments"]
-    bound = payload["bound"]
-    estimators = payload["estimators"]
-    c = payload["contrast"]
-    out = {}
-    for rep in rep_indices:
-        rng = stream_rng(payload["seed"], rep)
-        realization = design.sample(rng)
-        data = ExperimentData.from_full(payload["y_full"], realization, payload["X"], moments)
-        row = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for name in estimators:
-                try:
-                    report = ESTIMATORS[name].fit(data, c, bound, payload["optimizer"], rep)
-                    row[name] = (report.contrast_value, report.varbound_times_n)
-                except Exception as exc:  # recorded and excluded from aggregates
-                    row[name] = ("failed", repr(exc))
-        out[rep] = row
-    return out
+    chunk = ReplicationChunk(payload, rep_indices)
+    args = payload["contrast"], payload["bound"], payload["optimizer"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        columns = {
+            name: ESTIMATORS[name].fit_chunk(chunk, *args) for name in payload["estimators"]
+        }
+    return {
+        rep: {name: column[b] for name, column in columns.items()}
+        for b, rep in enumerate(chunk.reps)
+    }
 
 
 def population_contrast_residual(

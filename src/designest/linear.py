@@ -35,6 +35,17 @@ class HajekUndefinedError(ValueError):
     """An arm has no observed units, so its Hajek denominator is zero."""
 
 
+def check_covariates(X, n: int) -> np.ndarray:
+    """X as a float n x p matrix; raises ValueError unless its columns are
+    centered."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != n:
+        raise ValueError("X must be n x p")
+    if X.size and np.max(np.abs(X.mean(axis=0))) > CENTERING_TOL:
+        raise ValueError("covariate columns must be centered")
+    return X
+
+
 @dataclass
 class ExperimentData:
     """Observed experiment: outcomes, assignment, centered covariates, and
@@ -51,11 +62,7 @@ class ExperimentData:
 
     def __post_init__(self):
         self.y_obs = np.asarray(self.y_obs, dtype=float)
-        self.X = np.asarray(self.X, dtype=float)
-        if self.X.ndim != 2 or self.X.shape[0] != self.n:
-            raise ValueError("X must be n x p")
-        if self.X.size and np.max(np.abs(self.X.mean(axis=0))) > CENTERING_TOL:
-            raise ValueError("covariate columns must be centered")
+        self.X = check_covariates(self.X, self.n)
         if self.y_full is not None:
             self.y_full = np.asarray(self.y_full, dtype=float)
             if self.y_full.shape != (self.n * self.k,):
@@ -95,7 +102,7 @@ class ExperimentData:
 
 def intercept_matrix(n: int, k: int) -> np.ndarray:
     """kn x k block matrix of arm intercepts."""
-    return np.kron(np.eye(k), np.ones((n, 1)))
+    return np.repeat(np.eye(k), n, axis=0)
 
 
 def model_matrix(X: np.ndarray, k: int) -> np.ndarray:
@@ -125,88 +132,142 @@ def m_weight_vector(pi: np.ndarray, m_weights) -> np.ndarray:
     return m
 
 
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v over leading batch axes. Each slice takes the same BLAS call as
+    the 2-D a @ v, so it is bitwise equal to it."""
+    return np.matmul(a, v[..., None])[..., 0]
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes of a and b over leading batch axes,
+    each bitwise equal to the 1-D a @ b."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _pinv_flagged(A: np.ndarray):
-    """Pseudoinverse of the symmetric matrix A, whether A is rank deficient,
-    and its condition number, all from one SVD."""
+    """Pseudoinverse of each symmetric matrix in the stack A (..., s, s),
+    whether it is rank deficient, and its condition number, all from one
+    SVD per matrix."""
     u, s, vt = np.linalg.svd(A, hermitian=True)
-    cutoff = PINV_RCOND * (s[0] if len(s) else 0.0)
-    keep = s > cutoff
+    keep = s > PINV_RCOND * s[..., :1]
     inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    cond = float(s[0] / s[-1]) if s.size and s[-1] > 0 else np.inf
-    return (vt.T * inv_s) @ u.T, not keep.all(), cond
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(s[..., -1] > 0, s[..., 0] / s[..., -1], np.inf)
+    pinv = (np.swapaxes(vt, -1, -2) * inv_s[..., None, :]) @ np.swapaxes(u, -1, -2)
+    return pinv, ~keep.all(axis=-1), cond
 
 
 @dataclass
 class LinearFit:
     """Arm estimates mu_hat and kn x k linearization z_hat of one fit; the
     regression family adds its coefficients, rank flag and the condition
-    number of its weighted Gram matrix."""
+    number of its weighted Gram matrix. A batched fit carries a leading
+    batch axis on every array and, in errors, the exception of each batch
+    row whose estimator is undefined."""
 
     mu_hat: np.ndarray
     z_hat: np.ndarray
     b_hat: np.ndarray | None = None
     rank_deficient: bool = False
     condition_number: float | None = None
+    errors: dict = field(default_factory=dict)
+
+    def single(self) -> "LinearFit":
+        """The fit of a batch of one; raises its error, if it has one."""
+        if self.errors:
+            raise self.errors[0]
+        if self.b_hat is None:
+            return LinearFit(self.mu_hat[0], self.z_hat[0])
+        return LinearFit(
+            self.mu_hat[0],
+            self.z_hat[0],
+            self.b_hat[0],
+            bool(self.rank_deficient[0]),
+            float(self.condition_number[0]),
+        )
 
 
 def _arm_sums(v: np.ndarray, k: int) -> np.ndarray:
-    """Per-arm sums of a stacked kn vector."""
-    return v.reshape(k, -1).sum(axis=1)
+    """Per-arm sums of stacked kn vectors (the last axis)."""
+    return v.reshape(*v.shape[:-1], k, -1).sum(axis=-1)
+
+
+def _ipw(r: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Inverse-probability weights r / pi, zero where r is zero (pi may be
+    zero there)."""
+    return np.divide(r, pi, out=np.zeros(np.shape(r)), where=r > 0)
+
+
+def _gr_fit(f: np.ndarray, y: np.ndarray, ipw: np.ndarray, k: int):
+    """Arm estimates and linearization of the imputation-plus-correction
+    form: imputations f plus the inverse-probability-weighted residual."""
+    n = y.shape[-1] // k
+    e = y - f
+    return _arm_sums(f + ipw * e, k) / n, intercept_matrix(n, k) * e[..., None]
 
 
 def _linear_fit(kind, X, k, pi, y, r, m_weights=None) -> LinearFit:
-    """One linear estimator for the outcome vector y and cell weights r.
+    """One linear estimator for each row of the (B, kn) outcome matrix y
+    and cell-weight matrix r; row b of the fit depends on row b of y and r
+    only, and equals bitwise the fit of a batch of one.
 
     The inverse-probability weights are r / pi (zero where r is zero, since
     pi may be zero there) and cell c enters the regression fit with weight
     m[c] r[c]; ols forces identity m weights, the rest of the regression
-    family defaults to inverse probabilities.
+    family defaults to inverse probabilities. A hajek row with an empty arm
+    gets NaN estimates and its HajekUndefinedError in errors.
     """
     kind = kind.lower()
     if kind not in LINEAR_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
     n = X.shape[0]
     ones = intercept_matrix(n, k)
-    ipw = np.divide(r, pi, out=np.zeros(len(r)), where=r > 0)
+    ipw = _ipw(r, pi)
     if kind == "ht":
-        return LinearFit(_arm_sums(ipw * y, k) / n, ones * y[:, None])
+        return LinearFit(_arm_sums(ipw * y, k) / n, ones * y[..., None])
     if kind == "hajek":
         den = _arm_sums(ipw, k)
-        if np.any(den == 0):
-            empty = np.flatnonzero(den == 0) + 1
-            raise HajekUndefinedError(f"no observed units in arm(s) {empty.tolist()}")
-        mu = _arm_sums(ipw * y, k) / den
-        return LinearFit(mu, ones * (y - np.repeat(mu, n))[:, None])
+        errors = {
+            b: HajekUndefinedError(
+                f"no observed units in arm(s) {(np.flatnonzero(den[b] == 0) + 1).tolist()}"
+            )
+            for b in np.flatnonzero((den == 0).any(axis=-1))
+        }
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu = _arm_sums(ipw * y, k) / den
+        return LinearFit(mu, ones * (y - np.repeat(mu, n, axis=-1))[..., None], errors=errors)
 
     if kind == "ols":
         m_weights = "identity"
     m = m_weight_vector(pi, "invpi" if m_weights is None else m_weights)
     x = model_matrix(X, k)
     w = m * r
-    a_inv, deficient, cond = _pinv_flagged(x.T @ (x * w[:, None]))
-    if deficient:
+    a_inv, deficient, cond = _pinv_flagged(x.T @ (x * w[..., None]))
+    if deficient.any():
         warnings.warn("rank-deficient WLS design matrix; pseudoinverse used", RuntimeWarning)
-    b = a_inv @ (x.T @ (w * y))
-    fitted = x @ b
+    b = _matvec(a_inv, _matvec(x.T, w * y))
+    fitted = _matvec(x, b)
     e = y - fitted
-    gain = ((e * pi * m)[:, None] * x) @ a_inv
+    gain = ((e * pi * m)[..., None] * x) @ a_inv
     if kind in ("ols", "wls"):
-        mu, z = b[:k], n * gain[:, :k]
+        mu, z = b[..., :k], n * gain[..., :k]
     elif kind == "ci":
         mu, z = _arm_sums(fitted, k) / n, gain @ (x.T @ ones)
     elif kind == "mi":
         mu = _arm_sums(r * y + (1.0 - r) * fitted, k) / n
-        z = (e * pi)[:, None] * ones + gain @ (x.T @ ((1.0 - pi)[:, None] * ones))
+        z = (e * pi)[..., None] * ones + gain @ (x.T @ ((1.0 - pi)[:, None] * ones))
     else:  # gr
-        mu, z = _arm_sums(fitted + ipw * e, k) / n, ones * e[:, None]
+        mu, z = _gr_fit(fitted, y, ipw, k)
     return LinearFit(mu, z, b, deficient, cond)
 
 
-def gr_point_estimate(f: np.ndarray, data: ExperimentData) -> np.ndarray:
-    """Imputation mean plus inverse-probability-weighted residual, per arm."""
-    ipw = np.zeros(data.n * data.k)
-    ipw[data.observed_cells] = 1.0 / data.moments.pi[data.observed_cells]
-    return _arm_sums(f + ipw * (data.y_stacked_observed() - f), data.k) / data.n
+def zero_pi_rows(pi: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Per row of the (B, n) observed cells: whether some observed cell has
+    zero inclusion probability, so that no weighted estimator is defined."""
+    return (pi[cells] <= 0).any(axis=-1)
+
+
+ZERO_PI_MESSAGE = "observed cell with zero inclusion probability"
 
 
 def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFit:
@@ -218,17 +279,18 @@ def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFi
     probabilities). Only the rows of z_hat at observed cells are meaningful.
     """
     pi = data.moments.pi
-    if np.any(pi[data.observed_cells] <= 0):
-        raise ValueError("observed cell with zero inclusion probability")
+    if zero_pi_rows(pi, data.observed_cells):
+        raise ValueError(ZERO_PI_MESSAGE)
     y, r = data.y_stacked_observed(), data.assignment.indicator()
-    return _linear_fit(kind, data.X, data.k, pi, y, r, m_weights)
+    return _linear_fit(kind, data.X, data.k, pi, y[None], r[None], m_weights).single()
 
 
 def population_z(kind: str, X, y_full, moments: DesignMoments) -> np.ndarray:
     """kn x k population linearization matrix of the estimator: the same
     functional at the full potential outcomes, every cell weighted by pi."""
     X, y_full = np.asarray(X, dtype=float), np.asarray(y_full, dtype=float)
-    return _linear_fit(kind, X, moments.k, moments.pi, y_full, moments.pi).z_hat
+    fit = _linear_fit(kind, X, moments.k, moments.pi, y_full[None], moments.pi[None])
+    return fit.single().z_hat
 
 
 def z_vector(kind: str, data: ExperimentData, population: bool = False) -> np.ndarray:
@@ -269,9 +331,7 @@ def plugin_varbound(
         v = z_hat @ c
     else:
         v = z_hat
-    cells = assignment.observed_cells
-    vs = v[cells]
-    raw = float(vs @ bound.Dt_over_p[np.ix_(cells, cells)] @ vs) / assignment.n**2
+    raw = float(plugin_raw(v[None], assignment.observed_cells[None], bound.Dt_over_p)[0])
     negative = raw < 0
     if negative:
         warnings.warn(
@@ -279,6 +339,30 @@ def plugin_varbound(
             RuntimeWarning,
         )
     return PluginVariance(raw=raw, times_n=raw * assignment.n, negative=negative)
+
+
+# Bound entries gathered per block: 0.5 MB, and as much again in indices, so
+# that a batch of plug-in bounds needs no more memory than one at a time.
+PLUGIN_BLOCK_ENTRIES = 1 << 16
+
+
+def plugin_raw(v: np.ndarray, cells: np.ndarray, Dt_over_p: np.ndarray) -> np.ndarray:
+    """Plug-in bound z'Dt z / n^2 of each row of the contrast-contracted
+    linearizations v (B, kn), read at that row's observed cells (B, n).
+
+    Row b is bitwise the 2-D vs @ Dt_over_p[cells_b, cells_b] @ vs; the
+    gathered (b, n, n) blocks are capped at PLUGIN_BLOCK_ENTRIES entries.
+    """
+    n, kn = cells.shape[-1], len(Dt_over_p)
+    flat = np.ascontiguousarray(Dt_over_p).ravel()
+    vs = np.take_along_axis(v, cells, axis=-1)
+    quad = np.empty(len(vs))
+    step = max(1, PLUGIN_BLOCK_ENTRIES // max(n * n, 1))
+    for lo in range(0, len(vs), step):
+        block, vb = cells[lo : lo + step], vs[lo : lo + step]
+        gathered = flat[block[:, :, None] * kn + block[:, None, :]]
+        quad[lo : lo + step] = _rowdot(np.matmul(vb[:, None, :], gathered)[:, 0], vb)
+    return quad / n**2
 
 
 def normal_ci(contrast_value: float, varbound_times_n: float, n: int, level: float = 0.95):

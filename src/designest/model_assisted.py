@@ -23,13 +23,18 @@ from scipy.special import expit
 
 from .bounds import VarianceBound
 from .linear import (
+    ZERO_PI_MESSAGE,
     EstimateReport,
     ExperimentData,
+    _gr_fit,
+    _ipw,
+    _matvec,
     _pinv_flagged,
+    _rowdot,
     contrast_report,
-    gr_point_estimate,
     intercept_matrix,
     model_matrix,
+    zero_pi_rows,
 )
 
 EIG_WARN_RATIO = 1e-8
@@ -91,15 +96,12 @@ class ImputationModel:
         rows = self.design_rows(X)
         return self._grad_rows(rows, self._predict_rows(theta, rows))
 
-    def hess_factor(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Per-cell scalar h with prediction Hessian h * row row'."""
-        rows = self.design_rows(X)
-        return self._hess_factor(self._predict_rows(theta, rows))
-
     # The row-based forms below let one call build design_rows(X) once and
     # derive predictions, gradients and Hessian factors from it.
     def _predict_rows(self, theta, rows):
-        eta = rows @ np.asarray(theta, dtype=float)
+        """Predictions at the rows for theta, or for each row of a (B, s)
+        theta."""
+        eta = _matvec(rows, np.asarray(theta, dtype=float))
         if self.family == "linear":
             return eta
         return expit(eta)
@@ -137,10 +139,11 @@ class OptimizerConfig:
             raise ValueError("grad_tol must be positive")
 
 
-def _omega_weights(data: ExperimentData, omega) -> np.ndarray:
-    kn = data.n * data.k
+def _omega_weights(omega, pi: np.ndarray) -> np.ndarray:
+    """kn vector of population cell weights: pi, ones, or a positive vector."""
+    kn = len(pi)
     if omega is None or (isinstance(omega, str) and omega == "pi"):
-        return data.moments.pi.copy()
+        return pi.copy()
     if isinstance(omega, str):
         if omega != "ones":
             raise ValueError(f"unknown omega spec {omega!r}")
@@ -163,59 +166,83 @@ def fit_qmle(
 ):
     """Minimize the inverse-probability-weighted sample loss: observed cell
     i enters with weight omega / pi at its realized cell."""
-    cells = data.observed_cells
-    pi_obs = data.moments.pi[cells]
-    if np.any(pi_obs <= 0):
-        raise ValueError("observed cell with zero inclusion probability")
-    w = _omega_weights(data, omega)[cells] / pi_obs
-    rows = model.design_rows(data.X)[cells]
-    return _weighted_qmle(model, rows, data.y_obs, w, max_iter, tol, coef_cap)
+    cells = data.observed_cells[None]
+    if zero_pi_rows(data.moments.pi, cells)[0]:
+        raise ValueError(ZERO_PI_MESSAGE)
+    return sample_qmle(
+        model, model.design_rows(data.X), data.moments.pi, omega, cells, data.y_obs[None],
+        max_iter, tol, coef_cap,
+    )[0]
+
+
+def sample_qmle(model, rows, pi, omega, cells, y_obs, max_iter=500, tol=1e-10, coef_cap=10.0):
+    """fit_qmle for each row of the (B, n) observed cells and outcomes, with
+    the kn x s design rows and the inclusion probabilities pi; returns
+    (B, s). Every observed cell must have positive pi."""
+    w = _omega_weights(omega, pi)[cells] / pi[cells]
+    return _weighted_qmle(model, rows[cells], y_obs, w, max_iter, tol, coef_cap)
 
 
 def population_qmle(model: ImputationModel, X, y_full, omega=None, max_iter: int = 500):
     """Population loss minimizer: every cell enters with weight omega
     (default one)."""
     w = np.ones(model.k * X.shape[0]) if omega is None else np.asarray(omega, dtype=float)
-    return _weighted_qmle(model, model.design_rows(X), np.asarray(y_full, dtype=float), w, max_iter)
+    rows, y_full = model.design_rows(X), np.asarray(y_full, dtype=float)
+    return _weighted_qmle(model, rows[None], y_full[None], w[None], max_iter)[0]
 
 
 def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
-    """Minimize sum_i w_i loss(y_i, rows_i theta). Squared loss has the
-    weighted-least-squares closed form; the logistic likelihood is solved
-    by Newton-Raphson with step halving."""
+    """Minimize sum_i w_i loss(y_i, rows_i theta) for each batch row: rows
+    is (B, m, s), y and w are (B, m), and the (B, s) result's row b depends
+    on row b of the inputs only, bitwise as in a batch of one.
+
+    Squared loss has the weighted-least-squares closed form. The logistic
+    likelihood is solved by Newton-Raphson with step halving, each row on
+    its own. A row stops when its gradient is small; when its accepted step
+    leaves theta bitwise unchanged (a stall: every further iteration would
+    repeat that same step, so running on to the cap would return the same
+    theta); or at max_iter, which warns.
+    """
     if model.family == "linear":
-        a = rows.T @ (rows * w[:, None])
-        a_inv, deficient, _ = _pinv_flagged(a)
-        if deficient:
+        rows_t = np.swapaxes(rows, -1, -2)
+        a_inv, deficient, _ = _pinv_flagged(rows_t @ (rows * w[..., None]))
+        if deficient.any():
             warnings.warn("rank-deficient QMLE design matrix; pseudoinverse used", RuntimeWarning)
-        return a_inv @ (rows.T @ (w * y))
+        return _matvec(a_inv, _matvec(rows_t, w * y))
 
-    theta = np.zeros(model.s)
+    def negloglik(theta, idx):
+        eta = _matvec(rows[idx], theta)
+        return -np.sum(w[idx] * (y[idx] * eta - np.logaddexp(0.0, eta)), axis=-1)
 
-    def negloglik(th):
-        eta = rows @ th
-        return -float(np.sum(w * (y * eta - np.logaddexp(0.0, eta))))
-
-    value = negloglik(theta)
+    theta = np.zeros((len(rows), model.s))
+    value = negloglik(theta, slice(None))
+    active = np.arange(len(rows))  # rows still iterating
     for _ in range(max_iter):
-        eta = rows @ theta
-        f = expit(eta)
-        grad = rows.T @ (w * (y - f))  # likelihood gradient (maximize)
-        if np.linalg.norm(grad) < tol * max(1.0, abs(value)):
+        R = rows[active]
+        f = expit(_matvec(R, theta[active]))
+        grad = _matvec(np.swapaxes(R, -1, -2), w[active] * (y[active] - f))  # maximize
+        moving = ~(np.sqrt(_rowdot(grad, grad)) < tol * np.fmax(1.0, np.abs(value[active])))
+        active, R, f, grad = active[moving], R[moving], f[moving], grad[moving]
+        if not active.size:
             break
-        hess = rows.T @ (rows * (w * f * (1.0 - f))[:, None])
-        h_inv, _, _ = _pinv_flagged(hess)
-        step = h_inv @ grad
-        t = 1.0
+        hess = np.swapaxes(R, -1, -2) @ (R * (w[active] * f * (1.0 - f))[..., None])
+        step = _matvec(_pinv_flagged(hess)[0], grad)
+        start, old = theta[active], value[active]
+        t = np.ones(len(active))
+        halving = np.arange(len(active))
         for _ in range(50):  # step halving
-            candidate = theta + t * step
-            new_value = negloglik(candidate)
-            if new_value <= value:
+            candidate = start[halving] + t[halving, None] * step[halving]
+            rejected = ~(negloglik(candidate, active[halving]) <= old[halving])
+            halving = halving[rejected]
+            if not halving.size:
                 break
-            t *= 0.5
-        theta = theta + t * step
-        value = negloglik(theta)
-    else:
+            t[halving] *= 0.5
+        theta[active] = start + t[:, None] * step
+        value[active] = negloglik(theta[active], active)
+        active = active[~(theta[active] == start).all(axis=-1)]
+        if not active.size:
+            break
+    if active.size:
         warnings.warn("logistic QMLE hit the iteration cap", RuntimeWarning)
     if np.any(np.abs(theta) >= coef_cap):
         warnings.warn(
@@ -250,8 +277,8 @@ def _gr_report(
     bound: VarianceBound | None,
     diagnostics: dict,
 ) -> EstimateReport:
-    mu = gr_point_estimate(f, data)
-    z_hat = intercept_matrix(data.n, data.k) * (data.y_stacked_observed() - f)[:, None]
+    ipw = _ipw(data.assignment.indicator(), data.moments.pi)
+    mu, z_hat = _gr_fit(f, data.y_stacked_observed(), ipw, data.k)
     return contrast_report(
         estimator, mu, z_hat, data, bound, c, {**diagnostics, "mu_hat": mu.tolist()}
     )
@@ -353,7 +380,7 @@ def _variance_minimizing_beta(rows, y, Omega, c, n: int, label: str | None = Non
     flagged = label is not None and _inspect_eigenvalues(gram / n, label)
     gram_inv, deficient, _ = _pinv_flagged(gram)
     beta = gram_inv @ (xt.T @ (Omega @ (w * np.asarray(y, dtype=float))))
-    return beta, flagged or deficient
+    return beta, flagged or bool(deficient)
 
 
 def opt_gr_linear(

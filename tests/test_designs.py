@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -10,7 +10,9 @@ from designest.designs import (
     ClusteredDesign,
     CompletelyRandomizedDesign,
     StratifiedDesign,
+    SupportTable,
     SupportTooLargeError,
+    _multiset_permutations,
     build_design,
     counts_from_pattern,
     counts_from_proportions,
@@ -90,6 +92,32 @@ def test_enumerate_crd_10_4_matches_combination_oracle():
             row[u] = 0
         expected.add(tuple(row))
     assert {tuple(r) for r in table.realizations} == expected
+
+
+@pytest.mark.parametrize(
+    "counts", [[1, 1], [3, 2], [0, 4], [4, 0], [2, 2, 2], [1, 3, 2], [0, 2, 1], [2, 1, 1]]
+)
+def test_multiset_permutations_match_sorted_unique_permutations(counts):
+    labels = np.repeat(np.arange(len(counts)), counts).tolist()
+    reference = np.array(sorted(set(permutations(labels))), dtype=np.int64)
+    rows = _multiset_permutations(counts)
+    assert rows.dtype == np.int64 and rows.flags.c_contiguous
+    assert rows.shape == reference.shape
+    assert rows.tobytes() == reference.tobytes()
+
+
+def test_crd_enumeration_rows_are_lexicographic_label_arrangements():
+    table = enumerate_support(CompletelyRandomizedDesign(5, [2, 1, 2]))
+    reference = sorted(set(permutations([0, 0, 1, 2, 2])))
+    assert table.realizations.tolist() == [list(row) for row in reference]
+    assert np.allclose(table.probabilities, 1.0 / len(reference))
+
+
+def test_support_table_rejects_duplicate_rows():
+    rows = np.array([[0, 1, 1], [1, 0, 1], [0, 1, 1]])
+    with pytest.raises(ValueError, match="duplicate realizations"):
+        SupportTable(rows, np.full(3, 1.0 / 3.0), n=3, k=2)
+    SupportTable(rows[:2], np.full(2, 0.5), n=3, k=2)  # distinct rows are accepted
 
 
 def test_enumeration_cap_raises():

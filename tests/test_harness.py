@@ -1,21 +1,33 @@
+import dataclasses
 import functools
 import multiprocessing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from designest.bounds import build_bound
 from designest.designs import BernoulliDesign, CompletelyRandomizedDesign, stream_rng
 from designest.harness import (
+    ESTIMATORS,
+    OptimizerConfig,
     SimConfig,
+    _replication_chunk,
     fine_strata,
     impute_potential_outcomes,
     population_contrast_residual,
     preprocess_covariates,
     run_simulation,
 )
-from designest.moments import exact_moments
+from designest.linear import ExperimentData
+from designest.moments import closed_form_or_exact_moments, exact_moments, mc_moments
+from designest.network import (
+    InterferenceGraph,
+    derive_exposure_design,
+    standard_binary_exposure_rules,
+)
 
 
 def centered(X):
@@ -240,6 +252,137 @@ class TestRunSimulation:
             small_sim_config(contrast=np.array([1.0, -1.0, 0.0]))
         with pytest.raises(ValueError):
             small_sim_config(estimators=["nope"])
+
+
+BATCHED = ["ht", "hajek", "ols", "wls", "ci", "mi", "gr", "qmle_logit"]
+
+
+def ring_with_chords(n):
+    edges = []
+    for i in range(n):
+        for j in ((i + 1) % n, (i + n // 2) % n):
+            edges += [(i, j), (j, i)]
+    return edges
+
+
+def chunk_payload(design, moments, X, y_full, contrast, seed):
+    """What run_simulation hands each chunk, with every batched kind and one
+    per-replication kind."""
+    return {
+        "design": design,
+        "moments": moments,
+        "bound": build_bound(design, moments, "aronow_samii", False),
+        "estimators": BATCHED + ["noharm_logit"],
+        "contrast": np.asarray(contrast, dtype=float),
+        "y_full": y_full,
+        "X": X,
+        "seed": seed,
+        "optimizer": OptimizerConfig(),
+    }
+
+
+def network_payload():
+    n = 40
+    base = BernoulliDesign(n, [0.5, 0.5])
+    graph = InterferenceGraph(n, ring_with_chords(n))
+    design = derive_exposure_design(base, graph, standard_binary_exposure_rules())
+    moments = mc_moments(design, reps=1500, seed=3)
+    X = centered(stream_rng(4).standard_normal((n, 3)))
+    y_full = impute_potential_outcomes(X, [0.8, 0.6, -0.5], [1.0, -1.5, 0.2, -0.5], seed=5)
+    return chunk_payload(design, moments, X, y_full, [0, 1, 0, -1], 6)
+
+
+def rare_cell_payload():
+    # 40 draws miss some possible cells, whose pi then reads zero: a draw
+    # that observes one fails every weighted estimator
+    n = 20
+    base = BernoulliDesign(n, [0.85, 0.15])
+    graph = InterferenceGraph(n, ring_with_chords(n))
+    design = derive_exposure_design(base, graph, standard_binary_exposure_rules())
+    X = centered(stream_rng(8).standard_normal((n, 1)))
+    y_full = impute_potential_outcomes(X, [0.5], [0.3, -0.2, 0.1, -0.4], seed=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        moments = mc_moments(design, reps=40, seed=4)
+        return chunk_payload(design, moments, X, y_full, [1, 0, 0, -1], 5)
+
+
+def empty_arm_payload():
+    # five units over three arms: some draws leave an arm empty
+    design = BernoulliDesign(5, [0.2, 0.5, 0.3])
+    X = centered(stream_rng(21).standard_normal((5, 1)))
+    y_full = impute_potential_outcomes(X, [0.5], [0.3, -0.2, 0.1], seed=22)
+    return chunk_payload(design, closed_form_or_exact_moments(design), X, y_full, [1, 0, -1], 9)
+
+
+def reference_chunk(payload, reps):
+    """The per-replication loop: one draw, one ExperimentData and one fit
+    of each estimator per replication."""
+    out = {}
+    for rep in reps:
+        realization = payload["design"].sample(stream_rng(payload["seed"], rep))
+        data = ExperimentData.from_full(
+            payload["y_full"], realization, payload["X"], payload["moments"]
+        )
+        row = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for name in payload["estimators"]:
+                try:
+                    report = ESTIMATORS[name].fit(
+                        data, payload["contrast"], payload["bound"], payload["optimizer"], rep
+                    )
+                    row[name] = (report.contrast_value, report.varbound_times_n)
+                except Exception as exc:
+                    row[name] = ("failed", repr(exc))
+        out[rep] = row
+    return out
+
+
+class TestBatchedChunk:
+    @pytest.mark.parametrize("make", [network_payload, rare_cell_payload, empty_arm_payload])
+    def test_chunk_matches_the_per_replication_loop(self, make):
+        payload = make()
+        chunk = _replication_chunk(payload, range(64))
+        reference = reference_chunk(payload, range(64))
+        assert list(chunk) == list(range(64))
+        for rep in range(64):
+            assert list(chunk[rep]) == payload["estimators"]
+            for name, entry in chunk[rep].items():
+                expected = reference[rep][name]
+                if expected[0] == "failed":
+                    assert entry == expected
+                else:
+                    assert entry[0] != "failed"
+                    np.testing.assert_allclose(entry, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("make", [network_payload, rare_cell_payload, empty_arm_payload])
+    def test_chunk_of_64_equals_64_chunks_of_one(self, make):
+        payload = make()
+        chunk = _replication_chunk(payload, range(64))
+        for rep in range(64):
+            assert _replication_chunk(payload, [rep])[rep] == chunk[rep]
+
+    def test_scenarios_cover_both_per_replication_failures(self):
+        messages = set()
+        for payload in (rare_cell_payload(), empty_arm_payload()):
+            for row in _replication_chunk(payload, range(64)).values():
+                messages |= {entry[1] for entry in row.values() if entry[0] == "failed"}
+        assert "ValueError('observed cell with zero inclusion probability')" in messages
+        hajek = "HajekUndefinedError('no observed units in arm(s)"
+        assert any(message.startswith(hajek) for message in messages)
+
+    def test_a_batch_that_raises_is_refit_per_replication(self, monkeypatch):
+        def boom(chunk, c, bound):
+            raise FloatingPointError("batch")
+
+        payload = empty_arm_payload()
+        payload["estimators"] = ["hajek", "qmle_logit"]
+        expected = _replication_chunk(payload, range(64))
+        for name in payload["estimators"]:
+            failing = dataclasses.replace(ESTIMATORS[name], batch=boom)
+            monkeypatch.setitem(ESTIMATORS, name, failing)
+        assert _replication_chunk(payload, range(64)) == expected
 
 
 def test_coverage_benchmark_bernoulli_500():

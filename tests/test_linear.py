@@ -20,6 +20,7 @@ from designest.linear import (
     load_observed_csv,
     model_matrix,
     normal_ci,
+    plugin_raw,
     plugin_varbound,
     z_vector,
 )
@@ -305,6 +306,24 @@ class TestPluginVariance:
             acc += table.probabilities[idx] * est.raw
         zc = z @ c
         assert acc == pytest.approx(zc @ bound.Dt @ zc / 16, abs=1e-10)
+
+    def test_batched_rows_equal_the_gathered_quadratic_form(self, monkeypatch):
+        design = BernoulliDesign(9, [0.3, 0.5, 0.2])
+        bound = aronow_samii_bound(exact_moments(design))
+        rng = stream_rng(17)
+        v = rng.standard_normal((12, 27))
+        arms = design.sample_batch(rng, 12)
+        cells = arms * 9 + np.arange(9)
+        batch = plugin_raw(v, cells, bound.Dt_over_p)
+        for b in range(12):
+            vs = v[b, cells[b]]
+            reference = float(vs @ bound.Dt_over_p[np.ix_(cells[b], cells[b])] @ vs) / 81
+            assert batch[b] == reference
+            realization = AssignmentRealization(9, 3, arms[b])
+            assert plugin_varbound(v[b], realization, bound).raw == reference
+        # gathering the bound in blocks of a few rows changes nothing
+        monkeypatch.setattr("designest.linear.PLUGIN_BLOCK_ENTRIES", 3 * 81)
+        assert plugin_raw(v, cells, bound.Dt_over_p).tobytes() == batch.tobytes()
 
     def test_contrast_length_checked(self):
         design = BernoulliDesign(2, [0.5, 0.5])

@@ -1,17 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from designest.bounds import aronow_samii_bound
 from designest.designs import BernoulliDesign, CompletelyRandomizedDesign, stream_rng
-from designest.linear import ExperimentData, estimate_linear, intercept_matrix
+from designest.linear import ExperimentData, _pinv_flagged, estimate_linear, intercept_matrix
 from designest.model_assisted import (
     ImputationModel,
     OptimizerConfig,
     OptimizationError,
     WeakIdentificationError,
+    _weighted_qmle,
     fit_qmle,
-    gr_point_estimate,
     moment_jacobian,
     moment_vector,
     no_harm_alpha,
@@ -129,7 +131,8 @@ class TestQmleGr:
         rng = stream_rng(7)
         y_full = rng.standard_normal(12)
         data = make_data(design, y_full, np.zeros((6, 0)), seed=4)
-        mu = gr_point_estimate(np.zeros(12), data)
+        report = qmle_gr(np.zeros(2), ImputationModel("linear", 2, 0), data, [-1.0, 1.0])
+        mu = np.array(report.diagnostics["mu_hat"])
         ht = estimate_linear("ht", data).mu_hat
         assert np.allclose(mu, ht, atol=1e-12)
 
@@ -495,3 +498,78 @@ def test_population_qmle_linear_matches_lstsq():
     theta = population_qmle(model, X, y_full)
     expected, *_ = np.linalg.lstsq(rows, y_full, rcond=None)
     assert np.allclose(theta, expected, atol=1e-10)
+
+
+def reference_logistic_qmle(rows, y, w, max_iter=500, tol=1e-10):
+    """The scalar Newton loop of the logistic pseudo-likelihood without the
+    stall rule: theta, and whether it ran to the iteration cap."""
+    theta = np.zeros(rows.shape[1])
+
+    def negloglik(th):
+        eta = rows @ th
+        return -float(np.sum(w * (y * eta - np.logaddexp(0.0, eta))))
+
+    value = negloglik(theta)
+    for _ in range(max_iter):
+        f = expit(rows @ theta)
+        grad = rows.T @ (w * (y - f))
+        if np.linalg.norm(grad) < tol * max(1.0, abs(value)):
+            return theta, False
+        hess = rows.T @ (rows * (w * f * (1.0 - f))[:, None])
+        step = _pinv_flagged(hess)[0] @ grad
+        t = 1.0
+        for _ in range(50):
+            if negloglik(theta + t * step) <= value:
+                break
+            t *= 0.5
+        theta = theta + t * step
+        value = negloglik(theta)
+    return theta, True
+
+
+def logistic_instance(seed):
+    """A small one-covariate logistic fit; seed 146 is one whose Newton step
+    stops moving theta before the gradient test passes (found by search)."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(6, 14))
+    X = rng.standard_normal((m, 1))
+    rows = np.hstack([np.ones((m, 1)), X])
+    y = (X[:, 0] + 0.3 * rng.standard_normal(m) > 0).astype(float)
+    return rows, y, np.ones(m)
+
+
+class TestLogisticNewton:
+    model = ImputationModel("logistic", k=1, p=1)
+
+    def test_stalled_fit_returns_the_reference_theta_without_a_cap_warning(self):
+        rows, y, w = logistic_instance(146)
+        reference, capped = reference_logistic_qmle(rows, y, w)
+        assert capped  # the reference repeats its unmoving step until the cap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta = _weighted_qmle(self.model, rows[None], y[None], w[None])[0]
+        assert theta.tobytes() == reference.tobytes()
+
+    def test_short_iteration_cap_still_warns(self):
+        rows, y, w = logistic_instance(146)
+        reference, capped = reference_logistic_qmle(rows, y, w, max_iter=2)
+        assert capped
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            theta = _weighted_qmle(self.model, rows[None], y[None], w[None], max_iter=2)[0]
+        assert theta.tobytes() == reference.tobytes()
+
+    def test_batch_rows_equal_the_reference_and_batches_of_one(self):
+        # same row count, so that the instances stack; some are separated
+        instances = [logistic_instance(seed) for seed in range(200)]
+        instances = [inst for inst in instances if len(inst[0]) == 13][:24]
+        rows, y, w = (np.stack(parts) for parts in zip(*instances))
+        w = w * np.linspace(0.5, 2.0, 13)  # unequal cell weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batch = _weighted_qmle(self.model, rows, y, w)
+            for b in range(len(rows)):
+                single = _weighted_qmle(self.model, rows[b : b + 1], y[b : b + 1], w[b : b + 1])
+                assert batch[b].tobytes() == single[0].tobytes()
+                reference = reference_logistic_qmle(rows[b], y[b], w[b])[0]
+                assert batch[b].tobytes() == reference.tobytes()
+        assert np.abs(batch).max() >= 10.0  # the batch includes a separated fit
