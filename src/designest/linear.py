@@ -189,7 +189,7 @@ class LinearFit:
 
 def _arm_sums(v: np.ndarray, k: int) -> np.ndarray:
     """Per-arm sums of stacked kn vectors (the last axis)."""
-    return v.reshape(*v.shape[:-1], k, -1).sum(axis=-1)
+    return v.reshape(*v.shape[:-1], k, v.shape[-1] // k).sum(axis=-1)
 
 
 def _ipw(r: np.ndarray, pi: np.ndarray) -> np.ndarray:
