@@ -17,13 +17,14 @@ import yaml
 from .bounds import aronow_samii_bound, build_bound, certify_bound
 from .designs import AssignmentRealization, CompletelyRandomizedDesign, build_design
 from .harness import (
+    ReplicationChunk,
     SimConfig,
     estimator,
     impute_potential_outcomes,
     preprocess_covariates,
     run_simulation,
 )
-from .linear import ExperimentData, load_covariates_csv, load_observed_csv
+from .linear import ExperimentData, contrast_report, load_covariates_csv, load_observed_csv
 from .model_assisted import OptimizerConfig
 from .moments import (
     DesignMoments,
@@ -147,27 +148,25 @@ def cmd_estimate(args):
         X = preprocess_covariates(raw)
     else:
         X = np.zeros((design.n, 0))
-    data = ExperimentData(
-        n=design.n,
-        k=design.k,
-        y_obs=y,
-        assignment=AssignmentRealization(design.n, design.k, arms),
-        X=X,
-        moments=moments,
-    )
+    realization = AssignmentRealization(design.n, design.k, arms)
+    chunk = ReplicationChunk(realization.arm_of[None], y[None], X, moments)
     bound = build_bound(design, moments, "aronow_samii", args.psd_clip)
     contrast = np.array([float(v) for v in args.contrast.split(",")])
+    if contrast.shape != (design.k,):
+        raise ValueError("contrast length must match the number of arms")
     optimizer = OptimizerConfig()
     names = [name.strip() for name in args.estimators.split(",")]
     rows = [estimator(name) for name in names]  # an unknown name fails before any fit
     reports = []
     for name, row in zip(names, rows):
-        try:
-            report = row.fit(data, contrast, bound, optimizer, 0)
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
-            reports.append({"estimator": name, "error": f"{type(exc).__name__}: {exc}"})
+        fit = chunk.fit(row, contrast, optimizer)  # no rows if a zero-pi cell is observed
+        error = chunk.failed.get(0) or fit.errors.get(0)
+        if error is not None:
+            reports.append({"estimator": name, "error": f"{type(error).__name__}: {error}"})
             continue
-        report.estimator = name
+        report = contrast_report(
+            name, fit.mu[0], fit.z[0], realization, moments, bound, contrast, fit.diagnostics[0]
+        )
         reports.append(report.to_dict())
     text = json.dumps(reports, indent=2)
     if args.out:

@@ -8,24 +8,20 @@ import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.stats import norm
 
 from .bounds import build_bound
-from .designs import AssignmentRealization, Design, stream_rng
+from .designs import Design, stream_rng
 from .linear import (
     LINEAR_KINDS,
     ZERO_PI_MESSAGE,
-    EstimateReport,
-    ExperimentData,
     _gr_fit,
     _ipw,
     _linear_fit,
     check_covariates,
-    estimate_report,
     intercept_matrix,
     plugin_raw,
     population_z,
@@ -34,190 +30,204 @@ from .linear import (
 from .model_assisted import (
     ImputationModel,
     OptimizerConfig,
+    _check_omega,
     contrast_residual,
-    fit_qmle,
-    no_harm_gr,
-    opt_gr_linear,
-    opt_gr_logit,
-    opt_i_gr,
-    opt_i_rows,
+    opt_i_imputations,
+    opt_linear_imputations,
+    opt_logit_descent,
     population_no_harm_alpha,
-    population_opt_gr_linear,
-    population_opt_i_beta,
     population_opt_logit,
     population_qmle,
-    qmle_gr,
     sample_qmle,
 )
 from .moments import DesignMoments, closed_form_or_exact_moments, mc_moments
 
 
-class ReplicationChunk:
-    """The assignments of one chunk of replications, stacked.
+class SampleFit(NamedTuple):
+    """An estimator's fits on the rows of a chunk: arm estimates mu (B, k),
+    linearizations z (B, kn, k), one diagnostics dict per row, and the
+    exception of each row whose estimator is undefined."""
 
-    Replication rep draws from stream_rng(seed, rep), so the draws do not
-    depend on the chunking. Row b of every array belongs to reps[b]: arms
-    (B, n), the observed cells (B, n) and outcomes y_obs (B, n), and the kn
-    observed-cell indicator r and observed outcome vector y (zero
-    elsewhere), each (B, kn). zero_pi flags the rows with an observed cell
-    of zero inclusion probability, on which no weighted estimator is
-    defined.
+    mu: np.ndarray
+    z: np.ndarray
+    diagnostics: list
+    errors: dict
+
+
+class ReplicationChunk:
+    """The observed experiments of a chunk of replications, stacked.
+
+    Row b belongs to replication reps[b]: its observed cells and outcomes
+    y_obs (B, n) and, over the kn cells, the observed-cell indicator r, its
+    inverse-probability weights ipw, and the observed outcome vector y and
+    its IPW analog y_ipw, zero off the observed cells (B, kn); by default
+    the chunk is one observed experiment, replication 0. A replication with
+    an observed cell of zero inclusion probability, on which no weighted
+    estimator is defined, gets no row: failed maps it to that error.
     """
 
-    def __init__(self, payload, reps):
-        design, moments = payload["design"], payload["moments"]
-        self.reps = list(reps)
-        self.n, self.k = design.n, design.k
-        self.X = check_covariates(payload["X"], design.n)
-        self.y_full, self.moments = payload["y_full"], moments
-        self.arms = np.stack(
-            [design.sample(stream_rng(payload["seed"], rep)).arm_of for rep in self.reps]
-        )
-        self.cells = self.arms * self.n + np.arange(self.n)
-        self.y_obs = self.y_full[self.cells]
-        self.r = np.zeros((len(self.reps), self.n * self.k))
+    def __init__(self, arms, y_obs, X, moments: DesignMoments, reps=(0,)):
+        n, pi = moments.n, moments.pi
+        self.n, self.k, self.moments = n, moments.k, moments
+        self.X = check_covariates(X, n)
+        cells = arms * n + np.arange(n)
+        zero = zero_pi_rows(pi, cells)
+        self.failed = {rep: ValueError(ZERO_PI_MESSAGE) for rep, z in zip(reps, zero) if z}
+        self.reps = [rep for rep, z in zip(reps, zero) if not z]
+        self.arms, self.cells, self.y_obs = arms[~zero], cells[~zero], y_obs[~zero]
+        self.r = np.zeros((len(self.reps), n * self.k))
         np.put_along_axis(self.r, self.cells, 1.0, axis=1)
+        self.ipw = _ipw(self.r, pi)
         self.y = np.zeros_like(self.r)
         np.put_along_axis(self.y, self.cells, self.y_obs, axis=1)
-        self.zero_pi = zero_pi_rows(moments.pi, self.cells)
+        self.y_ipw = np.zeros_like(self.r)
+        np.put_along_axis(self.y_ipw, self.cells, self.y_obs / pi[self.cells], axis=1)
+        self._first_stages = {}
 
-    @cached_property
-    def data(self) -> list:
-        """One ExperimentData per replication, for the per-replication fits."""
-        return [
-            ExperimentData.from_full(
-                self.y_full, AssignmentRealization(self.n, self.k, arms), self.X, self.moments
+    def first_stage(self, family: str, omega: str):
+        """Pseudo-likelihood theta (B, s) of every row, its cells weighing
+        omega in the population loss, and its imputations f (B, kn); fitted
+        once per chunk and shared by the estimators that start from it."""
+        if (family, omega) not in self._first_stages:
+            model = ImputationModel(family, self.k, self.X.shape[1])
+            rows = model.design_rows(self.X)
+            theta = sample_qmle(model, rows, self.moments.pi, omega, self.cells, self.y_obs)
+            self._first_stages[family, omega] = theta, model._predict_rows(theta, rows)
+        return self._first_stages[family, omega]
+
+    def fit(self, row: "Estimator", c, optimizer) -> SampleFit:
+        """row.sample on the chunk. A sample that raises on several rows is
+        refit one replication at a time, so that the failure stays with its
+        replication."""
+        try:
+            return row.sample(self, c, optimizer)
+        except Exception as exc:  # recorded against the replication
+            B = len(self.reps)
+            if B <= 1:
+                nan = np.full((B, self.n * self.k, self.k), np.nan)
+                return SampleFit(nan[:, 0], nan, [{}] * B, dict.fromkeys(range(B), exc))
+            fits = [
+                ReplicationChunk(self.arms[[b]], self.y_obs[[b]], self.X, self.moments, [rep])
+                .fit(row, c, optimizer)
+                for b, rep in enumerate(self.reps)
+            ]
+            return SampleFit(
+                np.concatenate([fit.mu for fit in fits]),
+                np.concatenate([fit.z for fit in fits]),
+                [fit.diagnostics[0] for fit in fits],
+                {b: fit.errors[0] for b, fit in enumerate(fits) if fit.errors},
             )
-            for arms in self.arms
-        ]
-
-    def entries(self, mu, z, errors, c, bound) -> list:
-        """Table entries from a batched fit over the rows without zero-pi
-        observed cells: arm estimates mu (b, k), linearizations z (b, kn, k)
-        and, by fitted row, the errors of undefined fits."""
-        fitted = np.flatnonzero(~self.zero_pi)
-        values = np.matmul(c, mu[..., None])[..., 0]
-        times_n = plugin_raw(z @ c, self.cells[fitted], bound.Dt_over_p) * self.n
-        out = [("failed", repr(ValueError(ZERO_PI_MESSAGE)))] * len(self.reps)
-        for j, b in enumerate(fitted):
-            if j in errors:
-                out[b] = ("failed", repr(errors[j]))
-            else:
-                out[b] = (float(values[j]), float(times_n[j]))
-        return out
 
 
 @dataclass(frozen=True)
 class Estimator:
     """One row of the estimator table.
 
-    fit(data, c, bound, optimizer, seed) fits the estimator on one observed
-    experiment and returns its contrast value and plug-in bound as an
-    EstimateReport. residual(X, y_full, moments, c) is the population
-    linearization vector v, with n x asymptotic variance v'Dv/n. For the
-    model-assisted estimators v = w (y - f), with the imputations f fitted
-    to the full outcome vector where the sample fit uses its IPW observed
-    analog. batch(chunk, c, bound), where given, fits a whole
-    ReplicationChunk as arrays with the same numbers as fit.
+    sample(chunk, c, optimizer) fits the estimator on every row of a
+    ReplicationChunk (replication reps[b] seeds row b's randomness) and
+    returns a SampleFit. residual(X, y_full, moments, c) is the population
+    linearization vector v, with n x asymptotic variance v'Dv/n; for the
+    model-assisted estimators v = w (y - f), with the second stage of a
+    sample row run on the full outcome vector.
     """
 
-    fit: Callable[..., EstimateReport]
+    sample: Callable[..., SampleFit]
     residual: Callable[..., np.ndarray]
-    batch: Callable[..., list] | None = None
-
-    def fit_chunk(self, chunk: ReplicationChunk, c, bound, optimizer) -> list:
-        """One entry per replication of the chunk: (contrast value, plug-in
-        bound x n), or ("failed", repr(exception)) for a failed fit."""
-        if self.batch is not None:
-            try:
-                return self.batch(chunk, c, bound)
-            except Exception:
-                pass  # refit one replication at a time, so the failure stays with its replication
-        entries = []
-        for rep, data in zip(chunk.reps, chunk.data):
-            try:
-                report = self.fit(data, c, bound, optimizer, rep)
-                entries.append((report.contrast_value, report.varbound_times_n))
-            except Exception as exc:  # recorded and excluded from aggregates
-                entries.append(("failed", repr(exc)))
-        return entries
 
 
 def _linear(kind):
-    def batch(chunk, c, bound):
-        ok = ~chunk.zero_pi
-        fit = _linear_fit(kind, chunk.X, chunk.k, chunk.moments.pi, chunk.y[ok], chunk.r[ok])
-        return chunk.entries(fit.mu_hat, fit.z_hat, fit.errors, c, bound)
+    def sample(chunk, c, optimizer):
+        fit = _linear_fit(kind, chunk.X, chunk.k, chunk.moments.pi, chunk.y, chunk.r)
+        if fit.b_hat is None:
+            diagnostics = [{"rank_deficient": False}] * len(chunk.reps)
+        else:
+            diagnostics = [
+                {"rank_deficient": flag, "condition_number": cond}
+                for flag, cond in zip(fit.rank_deficient.tolist(), fit.condition_number.tolist())
+            ]
+        return SampleFit(fit.mu_hat, fit.z_hat, diagnostics, fit.errors)
 
-    return Estimator(
-        lambda data, c, bound, optimizer, seed: estimate_report(kind, data, bound, c),
-        lambda X, y_full, moments, c: population_z(kind, X, y_full, moments) @ c,
-        batch,
-    )
+    return Estimator(sample, lambda X, y, moments, c: population_z(kind, X, y, moments) @ c)
 
 
-def _imputing(sample, imputations, batch=None):
+def _imputing(sample, imputations):
     """Model-assisted table row from its sample fit and its population
     imputations(X, y_full, moments, c)."""
     return Estimator(
-        sample, lambda X, y, m, c: contrast_residual(imputations(X, y, m, c), y, c, m.n), batch
+        sample, lambda X, y, m, c: contrast_residual(imputations(X, y, m, c), y, c, m.n)
     )
 
 
-# Second stages on a pseudo-likelihood fit: the sample report from the fitted
-# theta, and the population imputations from the population fit's f.
-_SECOND_STAGE = {
-    "qmle": (
-        lambda theta, model, data, c, bound: qmle_gr(theta, model, data, c, bound=bound),
-        lambda f, y_full, m, c: f,
-    ),
-    "no_harm": (
-        lambda theta, model, data, c, bound: no_harm_gr(
-            theta, model, data, data.moments.D, c, bound=bound
-        ),
-        lambda f, y_full, m, c: population_no_harm_alpha(f, y_full, m.D, c, m.n) * f,
-    ),
-    "opt_i": (
-        lambda theta, model, data, c, bound: opt_i_gr(
-            theta, model, data, data.moments.D, c, bound=bound
-        ),
-        lambda f, y_full, m, c: opt_i_rows(f, m.n, m.k)
-        @ population_opt_i_beta(f, y_full, m.D, c, m.n, m.k),
-    ),
-}
+def _corrected(chunk, f, diagnostics, errors=None) -> SampleFit:
+    """Imputation-plus-correction fits of the chunk's rows at imputations
+    f (B, kn), each row's arm estimates added to its diagnostics."""
+    mu, z = _gr_fit(f, chunk.y, chunk.ipw, chunk.k)
+    diagnostics = [{**d, "mu_hat": m} for d, m in zip(diagnostics, mu.tolist())]
+    return SampleFit(mu, z, diagnostics, errors or {})
 
 
-def _two_stage(family, omega, stage):
+def _row_by_row(chunk, second_stage) -> SampleFit:
+    """_corrected at the imputations and diagnostics of second_stage(b),
+    run for each row b; a row whose second stage raises fails alone."""
+    f = np.full((len(chunk.reps), chunk.n * chunk.k), np.nan)
+    diagnostics, errors = [{}] * len(chunk.reps), {}
+    for b in range(len(chunk.reps)):
+        try:
+            f[b], diagnostics[b] = second_stage(b)
+        except Exception as exc:  # this row's estimator is undefined
+            errors[b] = exc
+    return _corrected(chunk, f, diagnostics, errors)
+
+
+def _two_stage(family, omega, stage=None):
     """Imputations from a pseudo-likelihood fit whose cells weigh omega
-    ("ones" or "pi") in the population loss, then a second stage."""
-    sample, population = _SECOND_STAGE[stage]
+    ("ones" or "pi") in the population loss, then the second stage
+    stage(f, y, D, c, n, inspect) for outcome vector y; with no stage, the
+    fit itself."""
 
-    def fit(data, c, bound, optimizer, seed):
-        model = ImputationModel(family, data.k, data.p)
-        return sample(fit_qmle(model, data, omega=omega), model, data, c, bound)
+    def sample(chunk, c, optimizer):
+        theta, f = chunk.first_stage(family, omega)
+        if stage is None:
+            return _corrected(chunk, f, [{"theta": row} for row in theta.tolist()])
+        D, n = chunk.moments.D, chunk.n
+        return _row_by_row(chunk, lambda b: stage(f[b], chunk.y_ipw[b], D, c, n, True))
 
     def imputations(X, y_full, moments, c):
         model = ImputationModel(family, moments.k, X.shape[1])
         weights = moments.pi if omega == "pi" else None
         f = model.predict(population_qmle(model, X, y_full, omega=weights), X)
-        return population(f, y_full, moments, c)
+        return f if stage is None else stage(f, y_full, moments.D, c, moments.n, False)[0]
 
-    def qmle_batch(chunk, c, bound):
-        model = ImputationModel(family, chunk.k, chunk.X.shape[1])
-        ok = ~chunk.zero_pi
-        rows = model.design_rows(chunk.X)
-        pi = chunk.moments.pi
-        theta = sample_qmle(model, rows, pi, omega, chunk.cells[ok], chunk.y_obs[ok])
-        f = model._predict_rows(theta, rows)
-        mu, z = _gr_fit(f, chunk.y[ok], _ipw(chunk.r[ok], pi), chunk.k)
-        return chunk.entries(mu, z, {}, c, bound)
+    return _imputing(sample, imputations)
 
-    return _imputing(fit, imputations, qmle_batch if stage == "qmle" else None)
+
+def _no_harm(f, y, D, c, n, inspect):
+    alpha = population_no_harm_alpha(f, y, D, c, n)
+    return alpha * f, {"alpha": alpha}
+
+
+def _opt_linear_sample(chunk, c, optimizer):
+    rows = ImputationModel("linear", chunk.k, chunk.X.shape[1]).design_rows(chunk.X)
+    D = _check_omega(chunk.moments.D, chunk.n * chunk.k)
+    return _row_by_row(
+        chunk, lambda b: opt_linear_imputations(rows, chunk.y_ipw[b], D, c, chunk.n, True)
+    )
 
 
 def _opt_linear_imputations(X, y_full, moments, c):
     rows = ImputationModel("linear", moments.k, X.shape[1]).design_rows(X)
-    return rows @ population_opt_gr_linear(rows, y_full, moments.D, c, moments.n)
+    return opt_linear_imputations(rows, y_full, moments.D, c, moments.n)[0]
+
+
+def _opt_logit_sample(chunk, c, optimizer):
+    model = ImputationModel("logistic", chunk.k, chunk.X.shape[1])
+    rows, D = model.design_rows(chunk.X), _check_omega(chunk.moments.D, chunk.n * chunk.k)
+    return _row_by_row(
+        chunk,
+        lambda b: opt_logit_descent(
+            model, rows, chunk.y_ipw[b], D, c, chunk.n, optimizer, chunk.reps[b]
+        ),
+    )
 
 
 def _opt_logit_imputations(X, y_full, moments, c):
@@ -227,23 +237,13 @@ def _opt_logit_imputations(X, y_full, moments, c):
 
 ESTIMATORS = {
     **{kind: _linear(kind) for kind in LINEAR_KINDS},
-    "noharm_wls": _two_stage("linear", "ones", "no_harm"),
-    "qmle_logit": _two_stage("logistic", "pi", "qmle"),
-    "noharm_logit": _two_stage("logistic", "pi", "no_harm"),
-    "opt_linear": _imputing(
-        lambda data, c, bound, optimizer, seed: opt_gr_linear(
-            data, data.moments.D, c, bound=bound
-        ),
-        _opt_linear_imputations,
-    ),
-    "opt_logit": _imputing(
-        lambda data, c, bound, optimizer, seed: opt_gr_logit(
-            data, data.moments.D, c, cfg=optimizer, bound=bound, seed=seed
-        ),
-        _opt_logit_imputations,
-    ),
-    "opt_i_ols": _two_stage("linear", "pi", "opt_i"),
-    "opt_i_logit": _two_stage("logistic", "pi", "opt_i"),
+    "noharm_wls": _two_stage("linear", "ones", _no_harm),
+    "qmle_logit": _two_stage("logistic", "pi"),
+    "noharm_logit": _two_stage("logistic", "pi", _no_harm),
+    "opt_linear": _imputing(_opt_linear_sample, _opt_linear_imputations),
+    "opt_logit": _imputing(_opt_logit_sample, _opt_logit_imputations),
+    "opt_i_ols": _two_stage("linear", "pi", opt_i_imputations),
+    "opt_i_logit": _two_stage("logistic", "pi", opt_i_imputations),
 }
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
 
@@ -470,17 +470,28 @@ def _chunk_via_global(rep_indices):
 
 
 def _replication_chunk(payload, rep_indices):
-    chunk = ReplicationChunk(payload, rep_indices)
-    args = payload["contrast"], payload["bound"], payload["optimizer"]
+    """Per replication and estimator: (contrast value, plug-in bound x n),
+    or ("failed", repr(exception))."""
+    design = payload["design"]  # replication rep draws from stream_rng(seed, rep) in any chunking
+    arms = np.stack([design.sample(stream_rng(payload["seed"], rep)).arm_of for rep in rep_indices])
+    y_obs = payload["y_full"][arms * design.n + np.arange(design.n)]
+    chunk = ReplicationChunk(arms, y_obs, payload["X"], payload["moments"], list(rep_indices))
+    names, c = payload["estimators"], payload["contrast"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        columns = {
-            name: ESTIMATORS[name].fit_chunk(chunk, *args) for name in payload["estimators"]
+        fits = [chunk.fit(ESTIMATORS[name], c, payload["optimizer"]) for name in names]
+    values = [np.matmul(c, fit.mu[..., None])[..., 0] for fit in fits]
+    v = np.stack([fit.z @ c for fit in fits], axis=1)
+    times_n = plugin_raw(v, chunk.cells, payload["bound"].Dt_over_p) * chunk.n
+    out = {rep: dict.fromkeys(names, ("failed", repr(exc))) for rep, exc in chunk.failed.items()}
+    for b, rep in enumerate(chunk.reps):
+        out[rep] = {
+            name: ("failed", repr(fit.errors[b]))
+            if b in fit.errors
+            else (float(values[e][b]), float(times_n[b, e]))
+            for e, (name, fit) in enumerate(zip(names, fits))
         }
-    return {
-        rep: {name: column[b] for name, column in columns.items()}
-        for b, rep in enumerate(chunk.reps)
-    }
+    return {rep: out[rep] for rep in rep_indices}
 
 
 def population_contrast_residual(

@@ -49,8 +49,9 @@ def check_covariates(X, n: int) -> np.ndarray:
 @dataclass
 class ExperimentData:
     """Observed experiment: outcomes, assignment, centered covariates, and
-    the design moments. y_full (kn, arm-major) is present in simulation
-    mode only and must agree with y_obs on observed cells."""
+    the design moments, with positive inclusion probability at every
+    observed cell. y_full (kn, arm-major) is present in simulation mode only
+    and must agree with y_obs on observed cells."""
 
     n: int
     k: int
@@ -63,6 +64,8 @@ class ExperimentData:
     def __post_init__(self):
         self.y_obs = np.asarray(self.y_obs, dtype=float)
         self.X = check_covariates(self.X, self.n)
+        if zero_pi_rows(self.moments.pi, self.observed_cells[None])[0]:
+            raise ValueError(ZERO_PI_MESSAGE)
         if self.y_full is not None:
             self.y_full = np.asarray(self.y_full, dtype=float)
             if self.y_full.shape != (self.n * self.k,):
@@ -279,8 +282,6 @@ def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFi
     probabilities). Only the rows of z_hat at observed cells are meaningful.
     """
     pi = data.moments.pi
-    if zero_pi_rows(pi, data.observed_cells):
-        raise ValueError(ZERO_PI_MESSAGE)
     y, r = data.y_stacked_observed(), data.assignment.indicator()
     return _linear_fit(kind, data.X, data.k, pi, y[None], r[None], m_weights).single()
 
@@ -331,7 +332,7 @@ def plugin_varbound(
         v = z_hat @ c
     else:
         v = z_hat
-    raw = float(plugin_raw(v[None], assignment.observed_cells[None], bound.Dt_over_p)[0])
+    raw = float(plugin_raw(v[None, None], assignment.observed_cells[None], bound.Dt_over_p)[0, 0])
     negative = raw < 0
     if negative:
         warnings.warn(
@@ -347,21 +348,25 @@ PLUGIN_BLOCK_ENTRIES = 1 << 16
 
 
 def plugin_raw(v: np.ndarray, cells: np.ndarray, Dt_over_p: np.ndarray) -> np.ndarray:
-    """Plug-in bound z'Dt z / n^2 of each row of the contrast-contracted
-    linearizations v (B, kn), read at that row's observed cells (B, n).
+    """Plug-in bounds z'Dt z / n^2 of E estimators on B rows: the
+    contrast-contracted linearizations v (B, E, kn), each read at its row's
+    observed cells (B, n). Returns (B, E).
 
-    Row b is bitwise the 2-D vs @ Dt_over_p[cells_b, cells_b] @ vs; the
-    gathered (b, n, n) blocks are capped at PLUGIN_BLOCK_ENTRIES entries.
+    Entry (b, e) is bitwise the 2-D vs @ Dt_over_p[cells_b, cells_b] @ vs.
+    Each row's bound block is gathered once for all E estimators, in
+    (b, n, n) blocks capped at PLUGIN_BLOCK_ENTRIES entries.
     """
     n, kn = cells.shape[-1], len(Dt_over_p)
     flat = np.ascontiguousarray(Dt_over_p).ravel()
-    vs = np.take_along_axis(v, cells, axis=-1)
-    quad = np.empty(len(vs))
+    vs = np.take_along_axis(v, cells[:, None, :], axis=-1)
+    quad = np.empty(vs.shape[:2])
     step = max(1, PLUGIN_BLOCK_ENTRIES // max(n * n, 1))
     for lo in range(0, len(vs), step):
-        block, vb = cells[lo : lo + step], vs[lo : lo + step]
+        block = cells[lo : lo + step]
         gathered = flat[block[:, :, None] * kn + block[:, None, :]]
-        quad[lo : lo + step] = _rowdot(np.matmul(vb[:, None, :], gathered)[:, 0], vb)
+        for e in range(vs.shape[1]):
+            vb = np.ascontiguousarray(vs[lo : lo + step, e])
+            quad[lo : lo + step, e] = _rowdot(np.matmul(vb[:, None, :], gathered)[:, 0], vb)
     return quad / n**2
 
 
@@ -428,29 +433,29 @@ def contrast_report(
     estimator: str,
     mu_hat: np.ndarray,
     z_hat: np.ndarray,
-    data: ExperimentData,
+    assignment: AssignmentRealization,
+    moments: DesignMoments,
     bound: VarianceBound | None,
     c,
     diagnostics: dict | None = None,
 ) -> EstimateReport:
     """Report for the contrast c of the arm estimates mu_hat, with the
-    plug-in bound of the linearization z_hat (NaN without a bound)."""
+    plug-in bound of the linearization z_hat at the observed assignment
+    (NaN without a bound)."""
     c = np.asarray(c, dtype=float)
     diagnostics = dict(diagnostics or {})
     raw = times_n = np.nan
     if bound is not None:
-        raw, times_n, diagnostics["negative_bound"] = plugin_varbound(
-            z_hat, data.assignment, bound, c
-        )
-    if np.any(data.moments.maybe_zero_mask):
-        diagnostics["possibly_zero_cells"] = int(data.moments.maybe_zero_mask.sum())
+        raw, times_n, diagnostics["negative_bound"] = plugin_varbound(z_hat, assignment, bound, c)
+    if np.any(moments.maybe_zero_mask):
+        diagnostics["possibly_zero_cells"] = int(moments.maybe_zero_mask.sum())
     return EstimateReport(
         estimator=estimator,
         contrast=c.tolist(),
         contrast_value=float(c @ mu_hat),
         varbound_times_n=times_n,
         varbound_raw=raw,
-        n=data.n,
+        n=assignment.n,
         diagnostics=diagnostics,
     )
 
@@ -467,7 +472,9 @@ def estimate_report(
     diagnostics = {"rank_deficient": fit.rank_deficient}
     if fit.condition_number is not None:
         diagnostics["condition_number"] = fit.condition_number
-    return contrast_report(kind, fit.mu_hat, fit.z_hat, data, bound, c, diagnostics)
+    return contrast_report(
+        kind, fit.mu_hat, fit.z_hat, data.assignment, data.moments, bound, c, diagnostics
+    )
 
 
 @dataclass

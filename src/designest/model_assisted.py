@@ -7,10 +7,12 @@ Four parameter-selection strategies are provided: pseudo-likelihood
 asymptotically than the unadjusted estimator (no_harm_gr), direct
 minimization of the implied asymptotic variance (opt_gr_linear /
 opt_gr_logit), and a single-imputed-covariate linear layer (opt_i_gr).
-Sample and population versions share one body that takes the outcome
-vector: the sample version passes the inverse-probability-weighted observed
+Each second stage (population_no_harm_alpha, opt_linear_imputations,
+opt_i_imputations, opt_logit_descent) is one body that takes the outcome
+vector: a sample fit passes the inverse-probability-weighted observed
 vector where the population version passes the full potential outcomes (the
-pseudo-likelihood fits pass the observed cells, weighted omega / pi).
+pseudo-likelihood fits pass the observed cells, weighted omega / pi); the
+per-replication functions above wrap those bodies.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from scipy.special import expit
 
 from .bounds import VarianceBound
 from .linear import (
-    ZERO_PI_MESSAGE,
     EstimateReport,
     ExperimentData,
     _gr_fit,
@@ -34,7 +35,6 @@ from .linear import (
     contrast_report,
     intercept_matrix,
     model_matrix,
-    zero_pi_rows,
 )
 
 EIG_WARN_RATIO = 1e-8
@@ -90,11 +90,6 @@ class ImputationModel:
 
     def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         return self._predict_rows(theta, self.design_rows(X))
-
-    def grad(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """kn x s matrix of per-cell prediction gradients."""
-        rows = self.design_rows(X)
-        return self._grad_rows(rows, self._predict_rows(theta, rows))
 
     # The row-based forms below let one call build design_rows(X) once and
     # derive predictions, gradients and Hessian factors from it.
@@ -156,39 +151,27 @@ def _omega_weights(omega, pi: np.ndarray) -> np.ndarray:
     return omega
 
 
-def fit_qmle(
-    model: ImputationModel,
-    data: ExperimentData,
-    omega="pi",
-    max_iter: int = 500,
-    tol: float = 1e-10,
-    coef_cap: float = 10.0,
-):
+def fit_qmle(model: ImputationModel, data: ExperimentData, omega="pi"):
     """Minimize the inverse-probability-weighted sample loss: observed cell
     i enters with weight omega / pi at its realized cell."""
-    cells = data.observed_cells[None]
-    if zero_pi_rows(data.moments.pi, cells)[0]:
-        raise ValueError(ZERO_PI_MESSAGE)
-    return sample_qmle(
-        model, model.design_rows(data.X), data.moments.pi, omega, cells, data.y_obs[None],
-        max_iter, tol, coef_cap,
-    )[0]
+    rows, cells = model.design_rows(data.X), data.observed_cells[None]
+    return sample_qmle(model, rows, data.moments.pi, omega, cells, data.y_obs[None])[0]
 
 
-def sample_qmle(model, rows, pi, omega, cells, y_obs, max_iter=500, tol=1e-10, coef_cap=10.0):
+def sample_qmle(model, rows, pi, omega, cells, y_obs):
     """fit_qmle for each row of the (B, n) observed cells and outcomes, with
     the kn x s design rows and the inclusion probabilities pi; returns
     (B, s). Every observed cell must have positive pi."""
     w = _omega_weights(omega, pi)[cells] / pi[cells]
-    return _weighted_qmle(model, rows[cells], y_obs, w, max_iter, tol, coef_cap)
+    return _weighted_qmle(model, rows[cells], y_obs, w)
 
 
-def population_qmle(model: ImputationModel, X, y_full, omega=None, max_iter: int = 500):
+def population_qmle(model: ImputationModel, X, y_full, omega=None):
     """Population loss minimizer: every cell enters with weight omega
     (default one)."""
     w = np.ones(model.k * X.shape[0]) if omega is None else np.asarray(omega, dtype=float)
     rows, y_full = model.design_rows(X), np.asarray(y_full, dtype=float)
-    return _weighted_qmle(model, rows[None], y_full[None], w[None], max_iter)[0]
+    return _weighted_qmle(model, rows[None], y_full[None], w[None])[0]
 
 
 def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
@@ -280,7 +263,8 @@ def _gr_report(
     ipw = _ipw(data.assignment.indicator(), data.moments.pi)
     mu, z_hat = _gr_fit(f, data.y_stacked_observed(), ipw, data.k)
     return contrast_report(
-        estimator, mu, z_hat, data, bound, c, {**diagnostics, "mu_hat": mu.tolist()}
+        estimator, mu, z_hat, data.assignment, data.moments, bound, c,
+        {**diagnostics, "mu_hat": mu.tolist()},
     )
 
 
@@ -377,7 +361,7 @@ def _variance_minimizing_beta(rows, y, Omega, c, n: int, label: str | None = Non
     w = np.repeat(np.asarray(c, dtype=float), n)
     xt = rows * w[:, None]
     gram = xt.T @ Omega @ xt
-    flagged = label is not None and _inspect_eigenvalues(gram / n, label)
+    flagged = bool(label) and _inspect_eigenvalues(gram / n, label)
     gram_inv, deficient, _ = _pinv_flagged(gram)
     beta = gram_inv @ (xt.T @ (Omega @ (w * np.asarray(y, dtype=float))))
     return beta, flagged or bool(deficient)
@@ -397,18 +381,22 @@ def opt_gr_linear(
         model = ImputationModel("linear", data.k, data.p)
     if model.family != "linear":
         raise ValueError("opt_gr_linear needs a linear imputation model")
-    rows = model.design_rows(data.X)
-    beta, flagged = _variance_minimizing_beta(
-        rows, _ipw_observed(data), Omega, c, data.n, "contrast-weighted design form"
+    f, diagnostics = opt_linear_imputations(
+        model.design_rows(data.X), _ipw_observed(data), Omega, c, data.n, inspect=True
     )
-    return _gr_report(
-        "opt_gr_linear",
-        rows @ beta,
-        data,
-        c,
-        bound,
-        {"beta": beta.tolist(), "identification_flagged": flagged},
-    )
+    return _gr_report("opt_gr_linear", f, data, c, bound, diagnostics)
+
+
+def _layer_imputations(rows, y, Omega, c, n: int, label: str | None):
+    beta, flagged = _variance_minimizing_beta(rows, y, Omega, c, n, label)
+    return rows @ beta, {"beta": beta.tolist(), "identification_flagged": flagged}
+
+
+def opt_linear_imputations(rows, y, Omega, c, n: int, inspect: bool = False):
+    """Imputations rows @ beta with the variance-minimizing coefficients
+    for outcome vector y, and (beta, weak identification) as diagnostics;
+    inspect warns about near-zero eigenvalues of the design form."""
+    return _layer_imputations(rows, y, Omega, c, n, inspect and "contrast-weighted design form")
 
 
 def population_opt_gr_linear(X_rows, y_full, Omega, c, n):
@@ -448,12 +436,8 @@ def _moment_vector(theta, model, rows, y, Omega, w, n):
 
 def moment_jacobian(theta, model, data, Omega, c):
     """Analytic Jacobian of the sample moment vector."""
-    return population_moment_jacobian(theta, model, data.X, _ipw_observed(data), Omega, c, data.n)
-
-
-def population_moment_jacobian(theta, model, X, y, Omega, c, n):
-    """Analytic Jacobian of population_moment_vector in theta."""
-    return _moment_jacobian(theta, *_criterion_args(model, X, y, Omega, c, n))
+    args = _criterion_args(model, data.X, _ipw_observed(data), Omega, c, data.n)
+    return _moment_jacobian(theta, *args)
 
 
 def _moment_jacobian(theta, model, rows, y, Omega, w, n):
@@ -503,21 +487,27 @@ def opt_gr_logit(
     bound: VarianceBound | None = None,
     seed: int = 0,
 ) -> EstimateReport:
-    """Variance-minimizing logistic imputations via damped gradient descent.
-
-    Multi-restart descent on the squared moment-vector norm: backtracking
-    line search, a parameter box that widens after each failed restart, and
-    the winner chosen by (criterion value, restart index).
-    """
-    c = np.asarray(c, dtype=float)
+    """Variance-minimizing logistic imputations via damped gradient descent
+    (opt_logit_descent) on the IPW observed outcome vector."""
     Omega = _check_omega(Omega, data.n * data.k)
-    if cfg is None:
-        cfg = OptimizerConfig()
     if model is None:
         model = ImputationModel("logistic", data.k, data.p)
     if model.family != "logistic":
         raise ValueError("opt_gr_logit needs a logistic imputation model")
-    criterion_args = _criterion_args(model, data.X, _ipw_observed(data), Omega, c, data.n)
+    f, diagnostics = opt_logit_descent(
+        model, model.design_rows(data.X), _ipw_observed(data), Omega, c, data.n,
+        cfg or OptimizerConfig(), seed,
+    )
+    return _gr_report("opt_gr_logit", f, data, c, bound, diagnostics)
+
+
+def opt_logit_descent(model, rows, y, Omega, c, n: int, cfg: OptimizerConfig, seed: int):
+    """Variance-minimizing logistic imputations for outcome vector y, and
+    diagnostics. Multi-restart descent (restarts from default_rng(seed)) on
+    the squared moment-vector norm: backtracking line search, a parameter
+    box that widens after each failed restart, and the winner chosen by
+    (criterion value, restart index)."""
+    criterion_args = model, rows, y, Omega, np.repeat(np.asarray(c, dtype=float), n), n
     rng = np.random.default_rng(seed)
     candidates = []
     for attempt in range(cfg.restarts):
@@ -557,22 +547,14 @@ def opt_gr_logit(
         return float(g_th @ g_th)
 
     hess_eigs = np.linalg.eigvalsh(_numerical_hessian(criterion, theta))
-    f = model.predict(theta, data.X)
-    return _gr_report(
-        "opt_gr_logit",
-        f,
-        data,
-        c,
-        bound,
-        {
-            "theta": theta.tolist(),
-            "moment_norm": float(np.linalg.norm(g)),
-            "criterion": value,
-            "restart": attempt,
-            "hessian_min_eig": float(hess_eigs.min()),
-            "hessian_max_eig": float(hess_eigs.max()),
-        },
-    )
+    return model._predict_rows(theta, rows), {
+        "theta": theta.tolist(),
+        "moment_norm": float(np.linalg.norm(g)),
+        "criterion": value,
+        "restart": attempt,
+        "hessian_min_eig": float(hess_eigs.min()),
+        "hessian_max_eig": float(hess_eigs.max()),
+    }
 
 
 def _numerical_hessian(fun, theta, h: float = 1e-4):
@@ -608,18 +590,18 @@ def opt_i_gr(
     """Optimal linear layer over one imputed covariate: the k+1 coefficients
     solve the same contrast-weighted normal equations as the linear
     variance-minimizing estimator."""
-    xi = opt_i_rows(model.predict(theta_hat, data.X), data.n, data.k)
-    beta, flagged = _variance_minimizing_beta(
-        xi, _ipw_observed(data), D, c, data.n, "imputed-covariate design form"
+    f, diagnostics = opt_i_imputations(
+        model.predict(theta_hat, data.X), _ipw_observed(data), D, c, data.n, inspect=True
     )
-    return _gr_report(
-        "opt_i_" + model.family,
-        xi @ beta,
-        data,
-        c,
-        bound,
-        {"beta": beta.tolist(), "identification_flagged": flagged},
-    )
+    return _gr_report("opt_i_" + model.family, f, data, c, bound, diagnostics)
+
+
+def opt_i_imputations(f_model, y, D, c, n: int, inspect: bool = False):
+    """Imputations of the optimal linear layer over the imputed covariate
+    f_model for outcome vector y, and (beta, weak identification) as
+    diagnostics; inspect warns about near-zero eigenvalues."""
+    xi = opt_i_rows(f_model, n, len(f_model) // n)
+    return _layer_imputations(xi, y, D, c, n, inspect and "imputed-covariate design form")
 
 
 def population_opt_i_beta(f_model, y_full, D, c, n: int, k: int):

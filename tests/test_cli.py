@@ -289,6 +289,34 @@ def test_estimate_reports_a_failing_estimator_and_keeps_the_rest(crd_design_yaml
     assert noharm["estimator"] == "noharm_wls"
     assert noharm["error"].startswith("WeakIdentificationError: ")
     assert main(argv[:5] + ["--estimators", "ht,nonesuch", "--contrast=-1,1"]) == 2
+    assert main(argv[:5] + ["--estimators", "ht", "--contrast=-1,1,0"]) == 2  # one too many
+
+
+@pytest.mark.parametrize("name", ["ht", "opt_linear", "opt_logit"])
+def test_estimate_fails_on_an_observed_never_hit_cell(tmp_path, name):
+    # five Monte-Carlo draws of a 10% arm leave some units' arm-2 cells at
+    # pi = 0; observing one must fail every estimator (opt_linear used to
+    # report NaN and exit 0, opt_logit an OptimizationError)
+    from designest.moments import DesignMoments
+
+    design = tmp_path / "design.yaml"
+    design.write_text("design:\n  kind: bernoulli\n  n: 6\n  probs: [0.9, 0.1]\n")
+    npz = tmp_path / "m.npz"
+    argv = ["moments", "--design", str(design), "--mc", "5", "--seed", "0", "--out", str(npz)]
+    assert main(argv) == 0
+    never = np.flatnonzero(DesignMoments.load_npz(npz).pi[6:] == 0)
+    assert never.size
+    arms = [2 if i == never[0] else 1 + i % 2 for i in range(6)]
+    obs = tmp_path / "obs.csv"
+    obs.write_text("unit_id,arm,y\n" + "".join(f"{i},{a},{0.3 * i}\n" for i, a in enumerate(arms)))
+    out = tmp_path / "report.json"
+    argv = ["estimate", "--design", str(design), "--data", str(obs), "--load-moments", str(npz),
+            "--estimators", name, "--contrast=-1,1", "--out", str(out)]
+    assert main(argv) == 1
+    (report,) = json.loads(out.read_text())
+    assert report == {
+        "estimator": name, "error": "ValueError: observed cell with zero inclusion probability"
+    }
 
 
 @pytest.mark.parametrize(

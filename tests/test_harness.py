@@ -11,6 +11,7 @@ from scipy.special import expit
 from designest.bounds import build_bound
 from designest.designs import BernoulliDesign, CompletelyRandomizedDesign, stream_rng
 from designest.harness import (
+    ESTIMATOR_NAMES,
     ESTIMATORS,
     OptimizerConfig,
     SimConfig,
@@ -21,7 +22,16 @@ from designest.harness import (
     preprocess_covariates,
     run_simulation,
 )
-from designest.linear import ExperimentData
+from designest.linear import LINEAR_KINDS, ExperimentData, estimate_report
+from designest.model_assisted import (
+    ImputationModel,
+    fit_qmle,
+    no_harm_gr,
+    opt_gr_linear,
+    opt_gr_logit,
+    opt_i_gr,
+    qmle_gr,
+)
 from designest.moments import closed_form_or_exact_moments, exact_moments, mc_moments
 from designest.network import (
     InterferenceGraph,
@@ -254,7 +264,53 @@ class TestRunSimulation:
             small_sim_config(estimators=["nope"])
 
 
-BATCHED = ["ht", "hajek", "ols", "wls", "ci", "mi", "gr", "qmle_logit"]
+# A short descent budget keeps opt_logit cheap; most of its fits succeed and
+# some fail, so both kinds of entry are compared.
+SHORT_DESCENT = OptimizerConfig(restarts=2, max_steps=40, grad_tol=0.2)
+
+
+def _linear_reference(kind):
+    return lambda data, c, bound, rep: estimate_report(kind, data, bound, c)
+
+
+def _two_stage_reference(fit_second_stage, family, omega):
+    def fit(data, c, bound, rep):
+        model = ImputationModel(family, data.k, data.p)
+        return fit_second_stage(fit_qmle(model, data, omega=omega), model, data, c, bound)
+
+    return fit
+
+
+def _no_harm(theta, model, data, c, bound):
+    return no_harm_gr(theta, model, data, data.moments.D, c, bound=bound)
+
+
+def _opt_i(theta, model, data, c, bound):
+    return opt_i_gr(theta, model, data, data.moments.D, c, bound=bound)
+
+
+def _qmle(theta, model, data, c, bound):
+    return qmle_gr(theta, model, data, c, bound=bound)
+
+
+# Each table name's fit of one observed experiment through the public
+# per-replication functions; rep seeds the opt_logit descent.
+REFERENCE = {
+    **{kind: _linear_reference(kind) for kind in LINEAR_KINDS},
+    "noharm_wls": _two_stage_reference(_no_harm, "linear", "ones"),
+    "qmle_logit": _two_stage_reference(_qmle, "logistic", "pi"),
+    "noharm_logit": _two_stage_reference(_no_harm, "logistic", "pi"),
+    "opt_linear": lambda data, c, bound, rep: opt_gr_linear(data, data.moments.D, c, bound=bound),
+    "opt_logit": lambda data, c, bound, rep: opt_gr_logit(
+        data, data.moments.D, c, cfg=SHORT_DESCENT, bound=bound, seed=rep
+    ),
+    "opt_i_ols": _two_stage_reference(_opt_i, "linear", "pi"),
+    "opt_i_logit": _two_stage_reference(_opt_i, "logistic", "pi"),
+}
+
+
+def test_reference_covers_the_table():
+    assert tuple(REFERENCE) == ESTIMATOR_NAMES
 
 
 def ring_with_chords(n):
@@ -266,18 +322,17 @@ def ring_with_chords(n):
 
 
 def chunk_payload(design, moments, X, y_full, contrast, seed):
-    """What run_simulation hands each chunk, with every batched kind and one
-    per-replication kind."""
+    """What run_simulation hands each chunk, with every table estimator."""
     return {
         "design": design,
         "moments": moments,
         "bound": build_bound(design, moments, "aronow_samii", False),
-        "estimators": BATCHED + ["noharm_logit"],
+        "estimators": list(ESTIMATOR_NAMES),
         "contrast": np.asarray(contrast, dtype=float),
         "y_full": y_full,
         "X": X,
         "seed": seed,
-        "optimizer": OptimizerConfig(),
+        "optimizer": SHORT_DESCENT,
     }
 
 
@@ -316,22 +371,24 @@ def empty_arm_payload():
 
 
 def reference_chunk(payload, reps):
-    """The per-replication loop: one draw, one ExperimentData and one fit
-    of each estimator per replication."""
+    """The per-replication loop: one draw, one ExperimentData and one call
+    of each estimator's public function per replication."""
     out = {}
     for rep in reps:
         realization = payload["design"].sample(stream_rng(payload["seed"], rep))
-        data = ExperimentData.from_full(
-            payload["y_full"], realization, payload["X"], payload["moments"]
-        )
+        try:
+            data = ExperimentData.from_full(
+                payload["y_full"], realization, payload["X"], payload["moments"]
+            )
+        except ValueError as exc:  # an observed cell of zero inclusion probability
+            out[rep] = dict.fromkeys(payload["estimators"], ("failed", repr(exc)))
+            continue
         row = {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for name in payload["estimators"]:
                 try:
-                    report = ESTIMATORS[name].fit(
-                        data, payload["contrast"], payload["bound"], payload["optimizer"], rep
-                    )
+                    report = REFERENCE[name](data, payload["contrast"], payload["bound"], rep)
                     row[name] = (report.contrast_value, report.varbound_times_n)
                 except Exception as exc:
                     row[name] = ("failed", repr(exc))
@@ -339,22 +396,18 @@ def reference_chunk(payload, reps):
     return out
 
 
+ZERO_PI_FAILURE = ("failed", "ValueError('observed cell with zero inclusion probability')")
+
+
 class TestBatchedChunk:
     @pytest.mark.parametrize("make", [network_payload, rare_cell_payload, empty_arm_payload])
     def test_chunk_matches_the_per_replication_loop(self, make):
         payload = make()
         chunk = _replication_chunk(payload, range(64))
-        reference = reference_chunk(payload, range(64))
+        assert chunk == reference_chunk(payload, range(64))  # bitwise, failures included
         assert list(chunk) == list(range(64))
-        for rep in range(64):
-            assert list(chunk[rep]) == payload["estimators"]
-            for name, entry in chunk[rep].items():
-                expected = reference[rep][name]
-                if expected[0] == "failed":
-                    assert entry == expected
-                else:
-                    assert entry[0] != "failed"
-                    np.testing.assert_allclose(entry, expected, rtol=1e-12, atol=0)
+        for row in chunk.values():
+            assert list(row) == payload["estimators"]
 
     @pytest.mark.parametrize("make", [network_payload, rare_cell_payload, empty_arm_payload])
     def test_chunk_of_64_equals_64_chunks_of_one(self, make):
@@ -368,21 +421,55 @@ class TestBatchedChunk:
         for payload in (rare_cell_payload(), empty_arm_payload()):
             for row in _replication_chunk(payload, range(64)).values():
                 messages |= {entry[1] for entry in row.values() if entry[0] == "failed"}
-        assert "ValueError('observed cell with zero inclusion probability')" in messages
+        assert ZERO_PI_FAILURE[1] in messages
         hajek = "HajekUndefinedError('no observed units in arm(s)"
         assert any(message.startswith(hajek) for message in messages)
 
-    def test_a_batch_that_raises_is_refit_per_replication(self, monkeypatch):
-        def boom(chunk, c, bound):
-            raise FloatingPointError("batch")
+    def test_a_zero_pi_replication_fails_every_estimator(self):
+        # opt_linear used to return NaN there and opt_logit to run every
+        # restart on infinite data and report an OptimizationError
+        chunk = _replication_chunk(rare_cell_payload(), range(64))
+        failed = [rep for rep, row in chunk.items() if row["ht"] == ZERO_PI_FAILURE]
+        assert len(failed) == 9
+        for rep in failed:
+            assert set(chunk[rep].values()) == {ZERO_PI_FAILURE}
+        assert not any(np.isnan(entry[0]) for row in chunk.values() for entry in row.values()
+                       if entry[0] != "failed")
 
+    def test_a_batch_that_raises_is_refit_per_replication(self, monkeypatch):
         payload = empty_arm_payload()
-        payload["estimators"] = ["hajek", "qmle_logit"]
+        payload["estimators"] = ["hajek", "qmle_logit", "opt_i_ols"]
         expected = _replication_chunk(payload, range(64))
         for name in payload["estimators"]:
-            failing = dataclasses.replace(ESTIMATORS[name], batch=boom)
+            def sample(chunk, c, optimizer, original=ESTIMATORS[name].sample):
+                if len(chunk.reps) > 1 or chunk.reps == [7]:
+                    raise FloatingPointError(f"chunk {chunk.reps[0]}")
+                return original(chunk, c, optimizer)
+
+            failing = dataclasses.replace(ESTIMATORS[name], sample=sample)
             monkeypatch.setitem(ESTIMATORS, name, failing)
-        assert _replication_chunk(payload, range(64)) == expected
+        refit = _replication_chunk(payload, range(64))
+        failure = ("failed", "FloatingPointError('chunk 7')")
+        expected[7] = dict.fromkeys(payload["estimators"], failure)
+        assert refit == expected
+
+
+def test_simulate_counts_zero_pi_replications_as_failures():
+    payload = rare_cell_payload()
+    cfg = SimConfig(
+        design=payload["design"],
+        y_full=payload["y_full"],
+        X=payload["X"],
+        estimators=["ht", "opt_linear"],
+        contrast=payload["contrast"],
+        replications=64,
+        seed=payload["seed"],
+        moments=payload["moments"],
+    )
+    table = run_simulation(cfg)
+    assert table.failures == {"ht": 9, "opt_linear": 9}
+    for name in cfg.estimators:
+        assert all(np.isfinite(value) for value in table.metrics[name].values())
 
 
 def test_coverage_benchmark_bernoulli_500():

@@ -311,16 +311,18 @@ class TestPluginVariance:
         design = BernoulliDesign(9, [0.3, 0.5, 0.2])
         bound = aronow_samii_bound(exact_moments(design))
         rng = stream_rng(17)
-        v = rng.standard_normal((12, 27))
+        v = rng.standard_normal((12, 3, 27))  # three estimators on twelve rows
         arms = design.sample_batch(rng, 12)
         cells = arms * 9 + np.arange(9)
         batch = plugin_raw(v, cells, bound.Dt_over_p)
+        assert batch.shape == (12, 3)
         for b in range(12):
-            vs = v[b, cells[b]]
-            reference = float(vs @ bound.Dt_over_p[np.ix_(cells[b], cells[b])] @ vs) / 81
-            assert batch[b] == reference
             realization = AssignmentRealization(9, 3, arms[b])
-            assert plugin_varbound(v[b], realization, bound).raw == reference
+            for e in range(3):
+                vs = v[b, e, cells[b]]
+                reference = float(vs @ bound.Dt_over_p[np.ix_(cells[b], cells[b])] @ vs) / 81
+                assert batch[b, e] == reference
+                assert plugin_varbound(v[b, e], realization, bound).raw == reference
         # gathering the bound in blocks of a few rows changes nothing
         monkeypatch.setattr("designest.linear.PLUGIN_BLOCK_ENTRIES", 3 * 81)
         assert plugin_raw(v, cells, bound.Dt_over_p).tobytes() == batch.tobytes()

@@ -1,0 +1,100 @@
+"""Property tests over random small designs of every enumerable kind.
+
+One ReplicationChunk holds the whole enumerated support, so the
+probability-weighted mean of a table estimator over its rows is its exact
+design expectation: HT must hit the arm means and its plug-in bound must
+hit v'D~v/n^2, each to rounding.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from designest.bounds import build_bound
+from designest.designs import (
+    BernoulliDesign,
+    ClusteredDesign,
+    CompletelyRandomizedDesign,
+    StratifiedDesign,
+)
+from designest.harness import ESTIMATORS, ReplicationChunk
+from designest.linear import intercept_matrix, plugin_raw
+from designest.moments import exact_moments
+from designest.network import (
+    InterferenceGraph,
+    derive_exposure_design,
+    standard_binary_exposure_rules,
+)
+
+
+@st.composite
+def probabilities(draw, k):
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=k, max_size=k)))
+    return weights / weights.sum()
+
+
+@st.composite
+def positive_counts(draw, m, k):
+    """k positive counts summing to m (m >= k), so every arm is possible."""
+    cuts = draw(st.lists(st.integers(1, m - 1), min_size=k - 1, max_size=k - 1, unique=True))
+    return np.diff([0, *sorted(cuts), m])
+
+
+@st.composite
+def designs(draw):
+    """A small design whose every cell has positive inclusion probability."""
+    kind = draw(st.sampled_from(["bernoulli", "crd", "stratified", "clustered", "exposure"]))
+    k = draw(st.integers(2, 3))
+    if kind == "bernoulli":
+        return BernoulliDesign(draw(st.integers(1, 5)), draw(probabilities(k)))
+    if kind == "crd":
+        n = draw(st.integers(k, 6))
+        return CompletelyRandomizedDesign(n, draw(positive_counts(n, k)))
+    if kind == "stratified":
+        sizes = draw(st.lists(st.integers(k, 3 + (k == 2)), min_size=1, max_size=2))
+        units = draw(st.permutations(range(sum(sizes))))
+        strata = np.split(np.array(units), np.cumsum(sizes)[:-1])
+        counts = [draw(positive_counts(len(s), k)) for s in strata]
+        return StratifiedDesign(sum(sizes), strata, counts)
+    if kind == "clustered":
+        clusters = draw(st.integers(k, 4))
+        extra = draw(st.lists(st.integers(0, clusters - 1), max_size=3))
+        cluster_of = draw(st.permutations([*range(clusters), *extra]))
+        base = CompletelyRandomizedDesign(clusters, draw(positive_counts(clusters, k)))
+        return ClusteredDesign(len(cluster_of), cluster_of, base)
+    # exposure arms over a ring with chords: every unit has a neighbour, so
+    # all four exposures are possible under an independent base
+    n = draw(st.integers(3, 6))
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(a, b) for a, b in chords if a != b]
+    base = BernoulliDesign(n, draw(probabilities(2)))
+    return derive_exposure_design(
+        base, InterferenceGraph(n, edges), standard_binary_exposure_rules(),
+        undirected=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(design=designs(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_ht_and_its_plugin_bound_are_exactly_unbiased_over_the_support(design, seed, data):
+    n, k = design.n, design.k
+    table = design.enumerate_support()
+    moments = exact_moments(design)
+    assert np.all(moments.pi > 0)
+    bound = build_bound(design, moments, "aronow_samii", False)
+    y_full = np.random.default_rng(seed).standard_normal(n * k)
+    c = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)), dtype=float)
+
+    arms = table.realizations
+    y_obs = y_full[arms * n + np.arange(n)]
+    chunk = ReplicationChunk(arms, y_obs, np.zeros((n, 0)), moments, range(len(table)))
+    fit = chunk.fit(ESTIMATORS["ht"], c, None)
+    assert not chunk.failed and not fit.errors
+
+    truth = intercept_matrix(n, k).T @ y_full / n
+    np.testing.assert_allclose(table.probabilities @ fit.mu, truth, rtol=0, atol=1e-12)
+
+    raw = plugin_raw((fit.z @ c)[:, None], chunk.cells, bound.Dt_over_p)[:, 0]
+    v = np.repeat(c, n) * y_full
+    scale = 1.0 + table.probabilities @ np.abs(raw)
+    assert abs(table.probabilities @ raw - v @ bound.Dt @ v / n**2) <= 1e-12 * scale
