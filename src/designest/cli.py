@@ -8,6 +8,7 @@ CSV schemas documented in the module they belong to.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -177,6 +178,20 @@ def cmd_estimate(args):
     return 1 if any("error" in report for report in reports) else 0
 
 
+def _optimizer_from_recipe(spec) -> OptimizerConfig:
+    """OptimizerConfig from the recipe's optimizer mapping; a key that names
+    no field is an error."""
+    if not isinstance(spec, dict):
+        raise ValueError("optimizer must be a mapping of OptimizerConfig fields")
+    known = [field.name for field in dataclasses.fields(OptimizerConfig)]
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown optimizer key(s): {', '.join(map(str, unknown))}; known: {', '.join(known)}"
+        )
+    return OptimizerConfig(**spec)
+
+
 def cmd_simulate(args):
     recipe = _load_yaml(args.config)
     design = build_design(recipe["design"])
@@ -216,7 +231,7 @@ def cmd_simulate(args):
         bound_kind=recipe.get("bound", "aronow_samii"),
         apply_psd_clip=bool(recipe.get("psd_clip", False)),
         level=float(recipe.get("level", 0.95)),
-        optimizer=OptimizerConfig(**recipe.get("optimizer", {})),
+        optimizer=_optimizer_from_recipe(recipe.get("optimizer", {})),
         workers=int(args.workers if args.workers is not None else recipe.get("workers", 1)),
     )
     table = run_simulation(cfg)

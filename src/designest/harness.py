@@ -31,11 +31,12 @@ from .model_assisted import (
     ImputationModel,
     OptimizerConfig,
     _check_omega,
+    _only_row,
     contrast_residual,
+    no_harm_imputations,
     opt_i_imputations,
     opt_linear_imputations,
     opt_logit_descent,
-    population_no_harm_alpha,
     population_opt_logit,
     population_qmle,
     sample_qmle,
@@ -160,73 +161,54 @@ def _imputing(sample, imputations):
 
 def _corrected(chunk, f, diagnostics, errors=None) -> SampleFit:
     """Imputation-plus-correction fits of the chunk's rows at imputations
-    f (B, kn), each row's arm estimates added to its diagnostics."""
+    f (B, kn), each row's arm estimates added to its diagnostics; errors
+    maps a row whose second stage is undefined to its exception."""
     mu, z = _gr_fit(f, chunk.y, chunk.ipw, chunk.k)
     diagnostics = [{**d, "mu_hat": m} for d, m in zip(diagnostics, mu.tolist())]
     return SampleFit(mu, z, diagnostics, errors or {})
 
 
-def _row_by_row(chunk, second_stage) -> SampleFit:
-    """_corrected at the imputations and diagnostics of second_stage(b),
-    run for each row b; a row whose second stage raises fails alone."""
-    f = np.full((len(chunk.reps), chunk.n * chunk.k), np.nan)
-    diagnostics, errors = [{}] * len(chunk.reps), {}
-    for b in range(len(chunk.reps)):
-        try:
-            f[b], diagnostics[b] = second_stage(b)
-        except Exception as exc:  # this row's estimator is undefined
-            errors[b] = exc
-    return _corrected(chunk, f, diagnostics, errors)
-
-
 def _two_stage(family, omega, stage=None):
     """Imputations from a pseudo-likelihood fit whose cells weigh omega
     ("ones" or "pi") in the population loss, then the second stage
-    stage(f, y, D, c, n, inspect) for outcome vector y; with no stage, the
-    fit itself."""
+    stage(f, y, D, c, n, inspect) over a batch of outcome vectors y; with no
+    stage, the fit itself."""
 
     def sample(chunk, c, optimizer):
         theta, f = chunk.first_stage(family, omega)
         if stage is None:
             return _corrected(chunk, f, [{"theta": row} for row in theta.tolist()])
-        D, n = chunk.moments.D, chunk.n
-        return _row_by_row(chunk, lambda b: stage(f[b], chunk.y_ipw[b], D, c, n, True))
+        return _corrected(chunk, *stage(f, chunk.y_ipw, chunk.moments.D, c, chunk.n, True))
 
     def imputations(X, y_full, moments, c):
         model = ImputationModel(family, moments.k, X.shape[1])
         weights = moments.pi if omega == "pi" else None
         f = model.predict(population_qmle(model, X, y_full, omega=weights), X)
-        return f if stage is None else stage(f, y_full, moments.D, c, moments.n, False)[0]
+        if stage is None:
+            return f
+        y_full = np.asarray(y_full, dtype=float)[None]
+        return _only_row(*stage(f[None], y_full, moments.D, c, moments.n, False))[0]
 
     return _imputing(sample, imputations)
-
-
-def _no_harm(f, y, D, c, n, inspect):
-    alpha = population_no_harm_alpha(f, y, D, c, n)
-    return alpha * f, {"alpha": alpha}
 
 
 def _opt_linear_sample(chunk, c, optimizer):
     rows = ImputationModel("linear", chunk.k, chunk.X.shape[1]).design_rows(chunk.X)
     D = _check_omega(chunk.moments.D, chunk.n * chunk.k)
-    return _row_by_row(
-        chunk, lambda b: opt_linear_imputations(rows, chunk.y_ipw[b], D, c, chunk.n, True)
-    )
+    return _corrected(chunk, *opt_linear_imputations(rows, chunk.y_ipw, D, c, chunk.n, True))
 
 
 def _opt_linear_imputations(X, y_full, moments, c):
     rows = ImputationModel("linear", moments.k, X.shape[1]).design_rows(X)
-    return opt_linear_imputations(rows, y_full, moments.D, c, moments.n)[0]
+    y_full = np.asarray(y_full, dtype=float)[None]
+    return _only_row(*opt_linear_imputations(rows, y_full, moments.D, c, moments.n))[0]
 
 
 def _opt_logit_sample(chunk, c, optimizer):
     model = ImputationModel("logistic", chunk.k, chunk.X.shape[1])
     rows, D = model.design_rows(chunk.X), _check_omega(chunk.moments.D, chunk.n * chunk.k)
-    return _row_by_row(
-        chunk,
-        lambda b: opt_logit_descent(
-            model, rows, chunk.y_ipw[b], D, c, chunk.n, optimizer, chunk.reps[b]
-        ),
+    return _corrected(
+        chunk, *opt_logit_descent(model, rows, chunk.y_ipw, D, c, chunk.n, optimizer, chunk.reps)
     )
 
 
@@ -237,9 +219,9 @@ def _opt_logit_imputations(X, y_full, moments, c):
 
 ESTIMATORS = {
     **{kind: _linear(kind) for kind in LINEAR_KINDS},
-    "noharm_wls": _two_stage("linear", "ones", _no_harm),
+    "noharm_wls": _two_stage("linear", "ones", no_harm_imputations),
     "qmle_logit": _two_stage("logistic", "pi"),
-    "noharm_logit": _two_stage("logistic", "pi", _no_harm),
+    "noharm_logit": _two_stage("logistic", "pi", no_harm_imputations),
     "opt_linear": _imputing(_opt_linear_sample, _opt_linear_imputations),
     "opt_logit": _imputing(_opt_logit_sample, _opt_logit_imputations),
     "opt_i_ols": _two_stage("linear", "pi", opt_i_imputations),

@@ -7,18 +7,26 @@ Four parameter-selection strategies are provided: pseudo-likelihood
 asymptotically than the unadjusted estimator (no_harm_gr), direct
 minimization of the implied asymptotic variance (opt_gr_linear /
 opt_gr_logit), and a single-imputed-covariate linear layer (opt_i_gr).
-Each second stage (population_no_harm_alpha, opt_linear_imputations,
-opt_i_imputations, opt_logit_descent) is one body that takes the outcome
-vector: a sample fit passes the inverse-probability-weighted observed
-vector where the population version passes the full potential outcomes (the
-pseudo-likelihood fits pass the observed cells, weighted omega / pi); the
-per-replication functions above wrap those bodies.
+
+Each second stage (no_harm_imputations, opt_linear_imputations,
+opt_i_imputations, opt_logit_descent) is one body over a leading batch axis
+of outcome vectors y (B, kn): a sample fit passes the inverse-probability-
+weighted observed vectors of a chunk of replications where the population
+version passes the full potential outcomes as a batch of one (the
+pseudo-likelihood fits pass the observed cells, weighted omega / pi). A
+stage returns the imputations (B, kn), one diagnostics dict per row and the
+exception of each row whose fit is undefined; row b is bitwise what a batch
+of one gives, because every slice takes the same BLAS call as the 2-D form.
+Shared matrices are built once per batch (opt_linear's design form and its
+pseudoinverse), and the logistic descent runs all rows' restarts as one
+array descent. The per-replication functions above wrap these bodies.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.special import expit
@@ -40,6 +48,8 @@ from .linear import (
 EIG_WARN_RATIO = 1e-8
 NOHARM_DENOM_TOL = 1e-6
 OMEGA_NORM_TOL = 1e-12
+# entries of the (slices, kn, s) gradient rows in one stacked criterion evaluation
+MOMENT_BLOCK_ENTRIES = 1 << 20
 
 
 class WeakIdentificationError(ValueError):
@@ -102,19 +112,31 @@ class ImputationModel:
         return expit(eta)
 
     def _grad_rows(self, rows, f):
+        """Gradient rows (..., kn, s) of the predictions f (..., kn)."""
         if self.family == "linear":
-            return rows.copy()
-        return rows * (f * (1.0 - f))[:, None]
+            return np.broadcast_to(rows, f.shape + rows.shape[-1:])
+        return rows * (f * (1.0 - f))[..., None]
 
     def _hess_factor(self, f):
         if self.family == "linear":
-            return np.zeros(len(f))
+            return np.zeros(f.shape)
         return f * (1.0 - f) * (1.0 - 2.0 * f)
 
 
 @dataclass
 class OptimizerConfig:
-    """Gradient-descent recipe for the logit variance-minimizing fit."""
+    """Gradient-descent recipe for the logit variance-minimizing fit.
+
+    Every one of the restarts (an integer >= 1) runs: restart a starts from
+    a normal draw with sd restart_sd (>= 0) and takes at most max_steps
+    (an integer >= 0) steps, each a backtracking line search that accepts
+    the fraction step (> 0) of the predicted decrease and shrinks by
+    backtrack (in (0, 1)). It stops when the moment norm falls to grad_tol
+    (> 0), and fails when theta leaves the box of half-width
+    box_half_width + a * box_expand / 2 (box_half_width > 0,
+    box_expand >= 0). A chunk's replications and restarts descend together
+    as one batch.
+    """
 
     step: float = 0.1  # line-search acceptance fraction
     backtrack: float = 0.5
@@ -126,12 +148,23 @@ class OptimizerConfig:
     max_steps: int = 2000
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtrack must lie in (0, 1)")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        for name, valid, rule in (
+            ("step", lambda v: v > 0, "positive"),
+            ("backtrack", lambda v: 0 < v < 1, "in (0, 1)"),
+            ("grad_tol", lambda v: v > 0, "positive"),
+            ("box_half_width", lambda v: v > 0, "positive"),
+            ("box_expand", lambda v: v >= 0, "non-negative"),
+            ("restarts", lambda v: _is_integer(v) and v >= 1, "an integer >= 1"),
+            ("restart_sd", lambda v: v >= 0, "non-negative"),
+            ("max_steps", lambda v: _is_integer(v) and v >= 0, "an integer >= 0"),
+        ):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and not isinstance(value, bool) and valid(value)):
+                raise ValueError(f"optimizer {name} must be {rule}, got {value!r}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer))
 
 
 def _omega_weights(omega, pi: np.ndarray) -> np.ndarray:
@@ -307,15 +340,53 @@ def population_no_harm_alpha(f: np.ndarray, y: np.ndarray, D: np.ndarray, c, n: 
     the imputation quadratic form; errors out when the denominator is too
     small for the rescaling to be identified.
     """
+    f, y = np.asarray(f, dtype=float)[None], np.asarray(y, dtype=float)[None]
+    alpha, errors = _no_harm_alphas(f, y, D, c, n)
+    if errors:
+        raise errors[0]
+    return float(alpha[0])
+
+
+def _row_forms(a, M, b):
+    """a_b' M b_b for each row of a and b (B, kn), bitwise the 1-D a @ M @ b."""
+    return _rowdot(np.matmul(a[..., None, :], M)[..., 0, :], b)
+
+
+def _no_harm_alphas(f, y, D, c, n: int):
+    """population_no_harm_alpha of each row of f and y (B, kn): the
+    constants (B,), NaN on a weakly identified row, and the
+    WeakIdentificationError of each such row."""
     w = np.repeat(np.asarray(c, dtype=float), n)
     wf = w * f
-    denominator = float(wf @ D @ wf)
-    if abs(denominator) / n < NOHARM_DENOM_TOL:
-        raise WeakIdentificationError(
+    denominator = _row_forms(wf, D, wf)
+    weak = np.abs(denominator) / n < NOHARM_DENOM_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(weak, np.nan, _row_forms(w * y, D, wf) / denominator)
+    errors = {
+        b: WeakIdentificationError(
             "imputation quadratic form is near zero; the rescaled estimator is "
             "weakly identified and not recommended here"
         )
-    return float((w * y) @ D @ wf) / denominator
+        for b in np.flatnonzero(weak).tolist()
+    }
+    return alpha, errors
+
+
+def no_harm_imputations(f, y, D, c, n: int, inspect: bool = False):
+    """Imputations f (B, kn) rescaled by their no-harm constants for the
+    outcome vectors y (B, kn), with alpha as diagnostics, and the error of
+    each weakly identified row (inspect is unused: nothing to warn about)."""
+    alpha, errors = _no_harm_alphas(f, y, D, c, n)
+    diagnostics = [{} if b in errors else {"alpha": a} for b, a in enumerate(alpha.tolist())]
+    return alpha[:, None] * f, diagnostics, errors
+
+
+def _only_row(f, diagnostics, errors):
+    """The imputations and diagnostics of a second stage's batch of one;
+    raises its error, if it has one."""
+    if errors:
+        raise errors[0]
+    return f[0], diagnostics[0]
 
 
 def no_harm_gr(
@@ -326,9 +397,9 @@ def no_harm_gr(
     c,
     bound: VarianceBound | None = None,
 ) -> EstimateReport:
-    alpha = no_harm_alpha(theta_hat, model, data, D, c)
-    f = alpha * model.predict(theta_hat, data.X)
-    return _gr_report("no_harm_" + model.family, f, data, c, bound, {"alpha": alpha})
+    f = model.predict(theta_hat, data.X)[None]
+    f, diagnostics = _only_row(*no_harm_imputations(f, _ipw_observed(data)[None], D, c, data.n))
+    return _gr_report("no_harm_" + model.family, f, data, c, bound, diagnostics)
 
 
 def _check_omega(Omega: np.ndarray, kn: int):
@@ -340,11 +411,13 @@ def _check_omega(Omega: np.ndarray, kn: int):
     return Omega
 
 
-def _inspect_eigenvalues(A: np.ndarray, label: str) -> bool:
+def _inspect_eigenvalues(A: np.ndarray, label: str) -> np.ndarray:
+    """Whether each symmetric matrix of the stack A has near-zero
+    eigenvalues; warns once if any has."""
     eigs = np.linalg.eigvalsh(A)
-    top = max(eigs.max(), 0.0)
-    flagged = bool(top <= 0 or eigs.min() < EIG_WARN_RATIO * top)
-    if flagged:
+    top = np.maximum(eigs.max(axis=-1), 0.0)
+    flagged = (top <= 0) | (eigs.min(axis=-1) < EIG_WARN_RATIO * top)
+    if flagged.any():
         warnings.warn(
             f"{label} has near-zero eigenvalues; coefficients in the flat "
             "directions are not identified (pseudoinverse used)",
@@ -354,17 +427,21 @@ def _inspect_eigenvalues(A: np.ndarray, label: str) -> bool:
 
 
 def _variance_minimizing_beta(rows, y, Omega, c, n: int, label: str | None = None):
-    """Coefficients minimizing the contrast-weighted residual form in Omega
-    of y - rows beta, in closed form, and whether they are weakly
-    identified. With a label, near-zero eigenvalues of the design form are
-    warned about."""
+    """Coefficients (B, s) minimizing the contrast-weighted residual form in
+    Omega of y - rows beta for each outcome vector y (B, kn), in closed
+    form, and whether each is weakly identified (B,). rows is one kn x s
+    matrix, whose design form, eigenvalue check and pseudoinverse are then
+    computed once for every row, or a (B, kn, s) stack. With a label,
+    near-zero eigenvalues of the design form are warned about."""
     w = np.repeat(np.asarray(c, dtype=float), n)
     xt = rows * w[:, None]
-    gram = xt.T @ Omega @ xt
-    flagged = bool(label) and _inspect_eigenvalues(gram / n, label)
-    gram_inv, deficient, _ = _pinv_flagged(gram)
-    beta = gram_inv @ (xt.T @ (Omega @ (w * np.asarray(y, dtype=float))))
-    return beta, flagged or bool(deficient)
+    xt_t = np.swapaxes(xt, -1, -2)
+    gram = xt_t @ Omega @ xt
+    gram_inv, flagged, _ = _pinv_flagged(gram)
+    if label:
+        flagged = flagged | _inspect_eigenvalues(gram / n, label)
+    beta = _matvec(gram_inv, _matvec(xt_t, _matvec(Omega, w * np.asarray(y, dtype=float))))
+    return beta, np.broadcast_to(flagged, beta.shape[:-1])
 
 
 def opt_gr_linear(
@@ -381,27 +458,34 @@ def opt_gr_linear(
         model = ImputationModel("linear", data.k, data.p)
     if model.family != "linear":
         raise ValueError("opt_gr_linear needs a linear imputation model")
-    f, diagnostics = opt_linear_imputations(
-        model.design_rows(data.X), _ipw_observed(data), Omega, c, data.n, inspect=True
-    )
+    f, diagnostics = _only_row(*opt_linear_imputations(
+        model.design_rows(data.X), _ipw_observed(data)[None], Omega, c, data.n, inspect=True
+    ))
     return _gr_report("opt_gr_linear", f, data, c, bound, diagnostics)
 
 
 def _layer_imputations(rows, y, Omega, c, n: int, label: str | None):
     beta, flagged = _variance_minimizing_beta(rows, y, Omega, c, n, label)
-    return rows @ beta, {"beta": beta.tolist(), "identification_flagged": flagged}
+    diagnostics = [
+        {"beta": b, "identification_flagged": flag}
+        for b, flag in zip(beta.tolist(), flagged.tolist())
+    ]
+    return _matvec(rows, beta), diagnostics, {}
 
 
 def opt_linear_imputations(rows, y, Omega, c, n: int, inspect: bool = False):
-    """Imputations rows @ beta with the variance-minimizing coefficients
-    for outcome vector y, and (beta, weak identification) as diagnostics;
-    inspect warns about near-zero eigenvalues of the design form."""
+    """Imputations rows @ beta (B, kn) with the variance-minimizing
+    coefficients for each outcome vector y (B, kn), (beta, weak
+    identification) as diagnostics, and no errors; the design form is
+    built once for every row. inspect warns about its near-zero
+    eigenvalues."""
     return _layer_imputations(rows, y, Omega, c, n, inspect and "contrast-weighted design form")
 
 
 def population_opt_gr_linear(X_rows, y_full, Omega, c, n):
     """Oracle linear coefficients minimizing the population residual form."""
-    return _variance_minimizing_beta(X_rows, y_full, Omega, c, n)[0]
+    y_full = np.asarray(y_full, dtype=float)[None]
+    return _variance_minimizing_beta(X_rows, y_full, Omega, c, n)[0][0]
 
 
 def moment_vector(
@@ -418,39 +502,62 @@ def moment_vector(
 def population_moment_vector(theta, model, X, y, Omega, c, n):
     """First-order-condition vector of the variance criterion for outcome
     vector y (the full potential outcomes, or their IPW observed analog)."""
-    return _moment_vector(theta, *_criterion_args(model, X, y, Omega, c, n))
-
-
-def _criterion_args(model, X, y, Omega, c, n):
-    """The variance criterion's arguments after theta, with the design rows
-    and cell contrast weights built once for every evaluation."""
-    return model, model.design_rows(X), y, Omega, np.repeat(np.asarray(c, dtype=float), n), n
-
-
-def _moment_vector(theta, model, rows, y, Omega, w, n):
-    f = model._predict_rows(theta, rows)
-    grad = model._grad_rows(rows, f)
-    r = w * (y - f)
-    return grad.T @ (w * (Omega @ r)) / n
+    theta, y = np.asarray(theta, dtype=float)[None], np.asarray(y, dtype=float)[None]
+    return _moment_terms(theta, y, *_criterion_args(model, X, Omega, c, n))[0]
 
 
 def moment_jacobian(theta, model, data, Omega, c):
     """Analytic Jacobian of the sample moment vector."""
-    args = _criterion_args(model, data.X, _ipw_observed(data), Omega, c, data.n)
-    return _moment_jacobian(theta, *args)
+    theta, y = np.asarray(theta, dtype=float)[None], _ipw_observed(data)[None]
+    args = _criterion_args(model, data.X, Omega, c, data.n)
+    return _moment_terms(theta, y, *args, jacobian=True)[1][0]
 
 
-def _moment_jacobian(theta, model, rows, y, Omega, w, n):
+def _criterion_args(model, X, Omega, c, n):
+    """The variance criterion's arguments after theta and y, with the design
+    rows and cell contrast weights built once for every evaluation."""
+    return model, model.design_rows(X), Omega, np.repeat(np.asarray(c, dtype=float), n), n
+
+
+def _moment_terms(theta, y, model, rows, Omega, w, n, jacobian: bool = False):
+    """Moment vectors g (B, s) of the variance criterion at each row of
+    theta (B, s) for the outcome vectors y (B, kn), and with jacobian their
+    analytic Jacobians (B, s, s). The predictions, their gradient rows and
+    w * Omega r are built once for both; row b is bitwise the 2-D
+    evaluation at theta[b] and y[b]."""
     f = model._predict_rows(theta, rows)
     grad = model._grad_rows(rows, f)
+    weighted = w * _matvec(Omega, w * (y - f))
+    g = _matvec(np.swapaxes(grad, -1, -2), weighted) / n
+    if not jacobian:
+        return g
     wg = grad * w[:, None]
-    jac = -(wg.T @ Omega @ wg) / n
+    jac = -(np.swapaxes(wg, -1, -2) @ Omega @ wg) / n
     h = model._hess_factor(f)
-    if np.any(h != 0):
-        r = w * (np.asarray(y, dtype=float) - f)
-        scale = (w * (Omega @ r)) * h
-        jac = jac + rows.T @ (rows * scale[:, None]) / n
-    return jac
+    curved = (h != 0).any(axis=-1)
+    if curved.any():
+        scale = weighted[curved] * h[curved]
+        jac[curved] = jac[curved] + rows.T @ (rows * scale[..., None]) / n
+    return g, jac
+
+
+def _criterion_and_grad(theta, y, *args):
+    """Squared moment norms (B,) of the variance criterion at each row of
+    theta (B, s) for the outcome vectors y, their gradients in theta (B, s),
+    and the moment vectors (B, s); args as built by _criterion_args."""
+    g, jac = _moment_terms(theta, y, *args, jacobian=True)
+    return _rowdot(g, g), _matvec(2.0 * np.swapaxes(jac, -1, -2), g), g
+
+
+def _stacked(fun, entries: int, *arrays):
+    """fun over consecutive blocks of the leading axis of arrays, each of at
+    most MOMENT_BLOCK_ENTRIES // entries rows so that fun's (rows, kn, s)
+    temporaries stay bounded; fun returns a tuple of arrays over its block's
+    rows, and the blocks' tuples are concatenated."""
+    step = max(1, MOMENT_BLOCK_ENTRIES // entries)
+    blocks = range(0, max(len(arrays[0]), 1), step)
+    parts = [fun(*(a[lo : lo + step] for a in arrays)) for lo in blocks]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def population_opt_logit(model, X, y_full, Omega, c, n, start=None):
@@ -463,19 +570,15 @@ def population_opt_logit(model, X, y_full, Omega, c, n, start=None):
 
     if start is None:
         start = population_qmle(model, X, y_full)
-    args = _criterion_args(model, X, y_full, Omega, c, n)
-    result = minimize(lambda th: _criterion_and_grad(th, *args)[:2],
-                      np.asarray(start, dtype=float), jac=True, method="BFGS",
-                      options={"gtol": 1e-12, "maxiter": 500})
+    args, y = _criterion_args(model, X, Omega, c, n), np.asarray(y_full, dtype=float)[None]
+
+    def criterion_and_grad(theta):
+        value, grad, _ = _criterion_and_grad(theta[None], y, *args)
+        return float(value[0]), grad[0]
+
+    result = minimize(criterion_and_grad, np.asarray(start, dtype=float), jac=True,
+                      method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
     return result.x
-
-
-def _criterion_and_grad(theta, *args):
-    """Squared moment norm of the variance criterion at theta, its gradient
-    in theta, and the moment vector; args as built by _criterion_args."""
-    g = _moment_vector(theta, *args)
-    jac = _moment_jacobian(theta, *args)
-    return float(g @ g), 2.0 * jac.T @ g, g
 
 
 def opt_gr_logit(
@@ -494,89 +597,113 @@ def opt_gr_logit(
         model = ImputationModel("logistic", data.k, data.p)
     if model.family != "logistic":
         raise ValueError("opt_gr_logit needs a logistic imputation model")
-    f, diagnostics = opt_logit_descent(
-        model, model.design_rows(data.X), _ipw_observed(data), Omega, c, data.n,
-        cfg or OptimizerConfig(), seed,
-    )
+    f, diagnostics = _only_row(*opt_logit_descent(
+        model, model.design_rows(data.X), _ipw_observed(data)[None], Omega, c, data.n,
+        cfg or OptimizerConfig(), [seed],
+    ))
     return _gr_report("opt_gr_logit", f, data, c, bound, diagnostics)
 
 
-def opt_logit_descent(model, rows, y, Omega, c, n: int, cfg: OptimizerConfig, seed: int):
-    """Variance-minimizing logistic imputations for outcome vector y, and
-    diagnostics. Multi-restart descent (restarts from default_rng(seed)) on
-    the squared moment-vector norm: backtracking line search, a parameter
-    box that widens after each failed restart, and the winner chosen by
-    (criterion value, restart index)."""
-    criterion_args = model, rows, y, Omega, np.repeat(np.asarray(c, dtype=float), n), n
-    rng = np.random.default_rng(seed)
-    candidates = []
-    for attempt in range(cfg.restarts):
-        half_width = cfg.box_half_width + attempt * cfg.box_expand / 2.0
-        theta = rng.normal(0.0, cfg.restart_sd, size=model.s)
-        value, grad, g = _criterion_and_grad(theta, *criterion_args)
-        interior = True
-        for _ in range(cfg.max_steps):
-            if np.linalg.norm(g) <= cfg.grad_tol:
-                break
-            grad_norm2 = float(grad @ grad)
-            if grad_norm2 < 1e-24:
-                break  # stationary without solving the moment conditions
-            t = 1.0
-            while True:
-                g_cand = _moment_vector(theta - t * grad, *criterion_args)
-                cand_value = float(g_cand @ g_cand)
-                if cand_value <= value - cfg.step * t * grad_norm2 or t < 1e-14:
-                    break
-                t *= cfg.backtrack
-            theta = theta - t * grad
-            if np.any(np.abs(theta) > half_width):
-                interior = False
-                break
-            value, grad, g = _criterion_and_grad(theta, *criterion_args)
-        if interior and np.linalg.norm(g) <= cfg.grad_tol:
-            candidates.append((value, attempt, theta, g))
-    if not candidates:
-        raise OptimizationError(
-            f"no interior solution with moment norm <= {cfg.grad_tol} in "
-            f"{cfg.restarts} restarts"
-        )
-    value, attempt, theta, g = min(candidates, key=lambda item: (item[0], item[1]))
+def opt_logit_descent(model, rows, y, Omega, c, n: int, cfg: OptimizerConfig, seeds):
+    """Variance-minimizing logistic imputations (B, kn) for the outcome
+    vectors y (B, kn), one diagnostics dict per row, and the
+    OptimizationError of each row with no interior solution.
 
-    def criterion(th):
-        g_th = _moment_vector(th, *criterion_args)
-        return float(g_th @ g_th)
+    Row b runs every one of cfg.restarts descents on the squared
+    moment-vector norm, from starts drawn by default_rng(seeds[b]):
+    backtracking line search, a parameter box that widens with the restart
+    index, and the winner chosen by (criterion value, restart index). The
+    B x restarts descents run as one array descent, a slice leaving the
+    active set when it stops; each is bitwise the descent run alone.
+    """
+    B, R, s = len(y), cfg.restarts, model.s
+    args = model, rows, Omega, np.repeat(np.asarray(c, dtype=float), n), n
 
-    hess_eigs = np.linalg.eigvalsh(_numerical_hessian(criterion, theta))
-    return model._predict_rows(theta, rows), {
-        "theta": theta.tolist(),
-        "moment_norm": float(np.linalg.norm(g)),
-        "criterion": value,
-        "restart": attempt,
-        "hessian_min_eig": float(hess_eigs.min()),
-        "hessian_max_eig": float(hess_eigs.max()),
-    }
+    def terms(theta, owner):
+        return _criterion_and_grad(theta, y[owner], *args)
+
+    def criterion(theta, owner):
+        g = _moment_terms(theta, y[owner], *args)
+        return (_rowdot(g, g),)
+
+    def at(fun, theta, owner):
+        return _stacked(fun, rows.size, theta, owner)
+
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    theta = np.reshape([rng.normal(0.0, cfg.restart_sd, size=(R, s)) for rng in rngs], (B * R, s))
+    owner, attempt = np.divmod(np.arange(B * R), R)
+    half_width = cfg.box_half_width + attempt * cfg.box_expand / 2.0
+    value, grad, g = at(terms, theta, owner)
+    interior = np.ones(B * R, dtype=bool)
+    active = np.arange(B * R)
+    for _ in range(cfg.max_steps):
+        grad_norm2 = _rowdot(grad[active], grad[active])
+        # stop at a solution, or stationary without solving the moment conditions
+        moving = ~(np.sqrt(_rowdot(g[active], g[active])) <= cfg.grad_tol) & ~(grad_norm2 < 1e-24)
+        active, grad_norm2 = active[moving], grad_norm2[moving]
+        if not active.size:
+            break
+        t = np.ones(len(active))
+        searching = np.arange(len(active))
+        while searching.size:
+            q, t_q = active[searching], t[searching]
+            (cand_value,) = at(criterion, theta[q] - t_q[:, None] * grad[q], owner[q])
+            accepted = cand_value <= value[q] - cfg.step * t_q * grad_norm2[searching]
+            searching = searching[~(accepted | (t_q < 1e-14))]
+            t[searching] *= cfg.backtrack
+        theta[active] = theta[active] - t[:, None] * grad[active]
+        outside = (np.abs(theta[active]) > half_width[active, None]).any(axis=-1)
+        interior[active[outside]] = False
+        active = active[~outside]
+        if not active.size:
+            break
+        value[active], grad[active], g[active] = at(terms, theta[active], owner[active])
+    norm = np.sqrt(_rowdot(g, g))
+    solved = (interior & (norm <= cfg.grad_tol)).reshape(B, R)
+    rows_ok = np.flatnonzero(solved.any(axis=1))
+    win = rows_ok * R + np.argmin(np.where(solved, value.reshape(B, R), np.inf), axis=1)[rows_ok]
+    hess = _numerical_hessian(lambda x, of: at(criterion, x, of)[0], theta[win], owner[win])
+    eigs = np.linalg.eigvalsh(hess)
+    f = np.full((B, rows.shape[0]), np.nan)
+    f[rows_ok] = model._predict_rows(theta[win], rows)
+    diagnostics = [{}] * B
+    for b, *entries in zip(
+        rows_ok.tolist(), theta[win].tolist(), norm[win].tolist(), value[win].tolist(),
+        attempt[win].tolist(), eigs.min(axis=-1).tolist(), eigs.max(axis=-1).tolist(),
+    ):
+        diagnostics[b] = dict(zip(
+            ("theta", "moment_norm", "criterion", "restart", "hessian_min_eig", "hessian_max_eig"),
+            entries,
+        ))
+    message = f"no interior solution with moment norm <= {cfg.grad_tol} in {cfg.restarts} restarts"
+    errors = {b: OptimizationError(message) for b in np.flatnonzero(~solved.any(axis=1)).tolist()}
+    return f, diagnostics, errors
 
 
-def _numerical_hessian(fun, theta, h: float = 1e-4):
-    s = len(theta)
-    hess = np.zeros((s, s))
-    for i in range(s):
-        for j in range(i, s):
-            ei = np.zeros(s)
-            ej = np.zeros(s)
-            ei[i] = h
-            ej[j] = h
-            hess[i, j] = (
-                fun(theta + ei + ej) - fun(theta + ei - ej) - fun(theta - ei + ej) + fun(theta - ei - ej)
-            ) / (4 * h * h)
-            hess[j, i] = hess[i, j]
+def _numerical_hessian(fun, theta, owner, h: float = 1e-4):
+    """Central-difference Hessians (W, s, s) of a scalar function at each
+    row of theta (W, s). fun(points (m, s), owner (m,)) evaluates it at
+    every point of every row in one stacked call, point p belonging to row
+    owner[p]."""
+    W, s = theta.shape
+    i, j = np.triu_indices(s)
+    steps = np.eye(s) * h
+    ei, ej, base = steps[i], steps[j], theta[:, None, :]
+    points = np.stack([base + ei + ej, base + ei - ej, base - ei + ej, base - ei - ej], axis=1)
+    values = fun(points.reshape(-1, s), np.repeat(owner, points.shape[1] * len(i)))
+    values = values.reshape(W, 4, len(i))
+    hess = np.zeros((W, s, s))
+    hess[:, i, j] = (values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]) / (4 * h * h)
+    hess[:, j, i] = hess[:, i, j]
     return hess
 
 
 def opt_i_rows(f_model, n: int, k: int) -> np.ndarray:
     """Regressors of the single-imputed-covariate layer: the arm intercepts
-    plus the fitted imputations."""
-    return np.hstack([intercept_matrix(n, k), np.asarray(f_model, dtype=float)[:, None]])
+    plus the fitted imputations, for imputations (kn,) or a stack (B, kn)."""
+    f_model = np.asarray(f_model, dtype=float)
+    intercepts = np.broadcast_to(intercept_matrix(n, k), f_model.shape[:-1] + (n * k, k))
+    return np.concatenate([intercepts, f_model[..., None]], axis=-1)
 
 
 def opt_i_gr(
@@ -590,23 +717,27 @@ def opt_i_gr(
     """Optimal linear layer over one imputed covariate: the k+1 coefficients
     solve the same contrast-weighted normal equations as the linear
     variance-minimizing estimator."""
-    f, diagnostics = opt_i_imputations(
-        model.predict(theta_hat, data.X), _ipw_observed(data), D, c, data.n, inspect=True
+    f = model.predict(theta_hat, data.X)[None]
+    f, diagnostics = _only_row(
+        *opt_i_imputations(f, _ipw_observed(data)[None], D, c, data.n, inspect=True)
     )
     return _gr_report("opt_i_" + model.family, f, data, c, bound, diagnostics)
 
 
 def opt_i_imputations(f_model, y, D, c, n: int, inspect: bool = False):
-    """Imputations of the optimal linear layer over the imputed covariate
-    f_model for outcome vector y, and (beta, weak identification) as
-    diagnostics; inspect warns about near-zero eigenvalues."""
-    xi = opt_i_rows(f_model, n, len(f_model) // n)
+    """Imputations (B, kn) of the optimal linear layer over each row of the
+    imputed covariates f_model (B, kn) for the outcome vectors y (B, kn),
+    (beta, weak identification) as diagnostics, and no errors; the
+    (k+1)-column design forms are stacked. inspect warns about near-zero
+    eigenvalues."""
+    xi = opt_i_rows(f_model, n, f_model.shape[-1] // n)
     return _layer_imputations(xi, y, D, c, n, inspect and "imputed-covariate design form")
 
 
 def population_opt_i_beta(f_model, y_full, D, c, n: int, k: int):
     """Oracle Opt-I coefficients with the true outcome side."""
-    return _variance_minimizing_beta(opt_i_rows(f_model, n, k), y_full, D, c, n)[0]
+    rows = opt_i_rows(f_model, n, k)
+    return _variance_minimizing_beta(rows, np.asarray(y_full, dtype=float)[None], D, c, n)[0][0]
 
 
 def theoretical_asy_variance(f, y_full, M, c, n: int) -> float:

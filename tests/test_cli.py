@@ -154,6 +154,63 @@ def test_simulate_command_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+OPT_LOGIT_RECIPE = (
+    "design:\n"
+    "  kind: completely_randomized\n"
+    "  n: 8\n"
+    "  counts: [4, 4]\n"
+    "covariates:\n"
+    "  generate: {p: 1, seed: 5}\n"
+    "outcome:\n"
+    "  coeffs: [1.0]\n"
+    "  intercepts: [-0.5, 0.5]\n"
+    "  seed: 6\n"
+    "estimators: [opt_logit]\n"
+    "contrast: [-1, 1]\n"
+    "replications: 4\n"
+    "seed: 99\n"
+)
+
+
+@pytest.mark.parametrize(
+    "optimizer, field",
+    [
+        ("{restarts: 0}", "restarts"),
+        ("{restarts: 2.5}", "restarts"),
+        ("{restarts: true}", "restarts"),
+        ("{max_steps: -3}", "max_steps"),
+        ("{max_steps: 10.0}", "max_steps"),
+        ("{restart_sd: -1}", "restart_sd"),
+        ("{box_half_width: 0}", "box_half_width"),
+        ("{box_expand: -0.1}", "box_expand"),
+        ("{step: .nan}", "step"),
+    ],
+)
+def test_simulate_rejects_an_invalid_optimizer_value(tmp_path, capsys, optimizer, field):
+    # these used to run and count every opt_logit replication as failed
+    config = tmp_path / "sim.yaml"
+    config.write_text(OPT_LOGIT_RECIPE + f"optimizer: {optimizer}\n")
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert f"optimizer {field} must be" in capsys.readouterr().err
+
+
+def test_simulate_rejects_unknown_optimizer_keys(tmp_path, capsys):
+    # a misspelled key used to end in a TypeError traceback
+    config = tmp_path / "sim.yaml"
+    config.write_text(OPT_LOGIT_RECIPE + "optimizer: {restart: 3, max_step: 5, grad_tol: 0.1}\n")
+    assert main(["simulate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown optimizer key(s): max_step, restart;" in err
+
+
+def test_simulate_accepts_a_valid_optimizer(tmp_path):
+    config = tmp_path / "sim.yaml"
+    config.write_text(
+        OPT_LOGIT_RECIPE + "optimizer: {restarts: 1, max_steps: 0, restart_sd: 0, box_expand: 0}\n"
+    )
+    assert main(["simulate", "--config", str(config)]) == 0
+
+
 def test_check_command():
     assert main(["check"]) == 0
 

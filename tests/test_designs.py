@@ -131,13 +131,15 @@ def test_empirical_support_frequencies_match_probabilities():
     design = CompletelyRandomizedDesign(5, [2, 3])
     table = enumerate_support(design)
     rng = stream_rng(7)
-    reps = 1_000_000
-    counts = {}
-    for _ in range(reps):
-        key = tuple(design.sample(rng).arm_of)
-        counts[key] = counts.get(key, 0) + 1
+    reps, block = 1_000_000, 100_000
+    # sample_batch blocks give the same rows as reps successive sample calls
+    draws = np.concatenate([design.sample_batch(rng, block) for _ in range(reps // block)])
+    assert np.array_equal(draws[0], design.sample(stream_rng(7)).arm_of)
+    digits = design.k ** np.arange(design.n)  # each row as one integer
+    codes, hits = np.unique(draws @ digits, return_counts=True)
+    counts = dict(zip(codes.tolist(), hits.tolist()))
     for row, prob in zip(table.realizations, table.probabilities):
-        freq = counts.get(tuple(row), 0) / reps
+        freq = counts.get(int(row @ digits), 0) / reps
         se = math.sqrt(prob * (1 - prob) / reps)
         assert abs(freq - prob) < 3 * se + 1e-12
 

@@ -14,6 +14,7 @@ from designest.harness import (
     ESTIMATOR_NAMES,
     ESTIMATORS,
     OptimizerConfig,
+    ReplicationChunk,
     SimConfig,
     _replication_chunk,
     fine_strata,
@@ -22,9 +23,10 @@ from designest.harness import (
     preprocess_covariates,
     run_simulation,
 )
-from designest.linear import LINEAR_KINDS, ExperimentData, estimate_report
+from designest.linear import LINEAR_KINDS, ExperimentData, contrast_report, estimate_report
 from designest.model_assisted import (
     ImputationModel,
+    WeakIdentificationError,
     fit_qmle,
     no_harm_gr,
     opt_gr_linear,
@@ -452,6 +454,52 @@ class TestBatchedChunk:
         failure = ("failed", "FloatingPointError('chunk 7')")
         expected[7] = dict.fromkeys(payload["estimators"], failure)
         assert refit == expected
+
+
+def test_second_stages_keep_a_failing_row_to_itself():
+    # replication 3 observes all-zero outcomes: its imputations are zero, so
+    # no-harm is weakly identified there and opt_i's imputed column vanishes.
+    # The exposure arms sit on a graph of unequal degrees, so inclusion
+    # probabilities vary by unit; with every arm weighted by the contrast, D
+    # annihilates no direction of the arm intercepts and only replication 3
+    # is flagged.
+    n, reps, c = 12, list(range(6)), np.array([1.0, 0.5, -0.5, -1.0])
+    edges = [e for i in range(n) for e in ((i, (i + 1) % n), ((i + 1) % n, i))]  # a ring
+    edges += [e for i, j in ((0, 6), (0, 3), (0, 9), (2, 7)) for e in ((i, j), (j, i))]
+    base = BernoulliDesign(n, [0.5, 0.5])
+    design = derive_exposure_design(base, InterferenceGraph(n, edges), standard_binary_exposure_rules())
+    moments = closed_form_or_exact_moments(design)
+    bound = build_bound(design, moments, "aronow_samii", False)
+    X = centered(stream_rng(31).standard_normal((n, 1)))
+    y_full = impute_potential_outcomes(X, [0.9], [1.0, -1.5, 0.2, -0.5], seed=32)
+    outcomes = np.stack([np.zeros(4 * n) if rep == 3 else y_full for rep in reps])
+    draws = [design.sample(stream_rng(33, rep)) for rep in reps]
+    arms = np.stack([draw.arm_of for draw in draws])
+    y_obs = np.take_along_axis(outcomes, arms * n + np.arange(n), axis=1)
+    chunk = ReplicationChunk(arms, y_obs, X, moments, reps)
+    flags = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in ("noharm_wls", "opt_linear", "opt_i_ols"):
+            fit = ESTIMATORS[name].sample(chunk, c, SHORT_DESCENT)  # one call for all rows
+            for b, rep in enumerate(reps):
+                data = ExperimentData.from_full(outcomes[b], draws[b], X, moments)
+                if name == "noharm_wls" and rep == 3:
+                    assert isinstance(fit.errors[b], WeakIdentificationError)
+                    with pytest.raises(WeakIdentificationError):
+                        REFERENCE[name](data, c, bound, rep)
+                    continue
+                assert b not in fit.errors
+                report = contrast_report(
+                    name, fit.mu[b], fit.z[b], draws[b], moments, bound, c, fit.diagnostics[b]
+                )
+                expected = REFERENCE[name](data, c, bound, rep)
+                assert report.contrast_value == expected.contrast_value
+                assert report.varbound_times_n == expected.varbound_times_n
+                assert report.diagnostics == expected.diagnostics
+            if name != "noharm_wls":
+                flags[name] = [d["identification_flagged"] for d in fit.diagnostics]
+    assert flags == {"opt_linear": [False] * 6, "opt_i_ols": [rep == 3 for rep in reps]}
 
 
 def test_simulate_counts_zero_pi_replications_as_failures():

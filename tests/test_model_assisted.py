@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from designest import model_assisted
 from designest.bounds import aronow_samii_bound
 from designest.designs import BernoulliDesign, CompletelyRandomizedDesign, stream_rng
 from designest.linear import ExperimentData, _pinv_flagged, estimate_linear, intercept_matrix
@@ -12,6 +13,7 @@ from designest.model_assisted import (
     OptimizerConfig,
     OptimizationError,
     WeakIdentificationError,
+    _ipw_observed,
     _weighted_qmle,
     fit_qmle,
     moment_jacobian,
@@ -21,6 +23,7 @@ from designest.model_assisted import (
     opt_gr_linear,
     opt_gr_logit,
     opt_i_gr,
+    opt_logit_descent,
     population_moment_vector,
     population_no_harm_alpha,
     population_opt_gr_linear,
@@ -28,7 +31,8 @@ from designest.model_assisted import (
     qmle_gr,
     theoretical_asy_variance,
 )
-from designest.moments import exact_moments
+from designest.harness import impute_potential_outcomes
+from designest.moments import closed_form_or_exact_moments, exact_moments
 
 
 def centered(X):
@@ -573,3 +577,142 @@ class TestLogisticNewton:
                 reference = reference_logistic_qmle(rows[b], y[b], w[b])[0]
                 assert batch[b].tobytes() == reference.tobytes()
         assert np.abs(batch).max() >= 10.0  # the batch includes a separated fit
+
+
+def _reference_moment_vector(theta, model, rows, y, Omega, w, n):
+    f = expit(rows @ theta)
+    grad = rows * (f * (1.0 - f))[:, None]
+    return grad.T @ (w * (Omega @ (w * (y - f)))) / n
+
+
+def _reference_criterion_and_grad(theta, model, rows, y, Omega, w, n):
+    f = expit(rows @ theta)
+    grad = rows * (f * (1.0 - f))[:, None]
+    g = grad.T @ (w * (Omega @ (w * (y - f)))) / n
+    wg = grad * w[:, None]
+    jac = -(wg.T @ Omega @ wg) / n
+    h = f * (1.0 - f) * (1.0 - 2.0 * f)
+    if np.any(h != 0):
+        scale = (w * (Omega @ (w * (y - f)))) * h
+        jac = jac + rows.T @ (rows * scale[:, None]) / n
+    return float(g @ g), 2.0 * jac.T @ g, g
+
+
+def reference_opt_logit_descent(model, rows, y, Omega, c, n, cfg, seed):
+    """The scalar restart loop of the logistic descent, one replication and
+    one restart at a time: its imputations and diagnostics, and the attempt
+    outcome of every restart ("solved", "box", "stationary" or "cap")."""
+    args = model, rows, y, Omega, np.repeat(np.asarray(c, dtype=float), n), n
+    rng = np.random.default_rng(seed)
+    candidates, outcomes = [], []
+    for attempt in range(cfg.restarts):
+        half_width = cfg.box_half_width + attempt * cfg.box_expand / 2.0
+        theta = rng.normal(0.0, cfg.restart_sd, size=model.s)
+        value, grad, g = _reference_criterion_and_grad(theta, *args)
+        outcome = "cap"
+        for _ in range(cfg.max_steps):
+            if np.linalg.norm(g) <= cfg.grad_tol:
+                break
+            grad_norm2 = float(grad @ grad)
+            if grad_norm2 < 1e-24:
+                outcome = "stationary"
+                break
+            t = 1.0
+            while True:
+                g_cand = _reference_moment_vector(theta - t * grad, *args)
+                cand_value = float(g_cand @ g_cand)
+                if cand_value <= value - cfg.step * t * grad_norm2 or t < 1e-14:
+                    break
+                t *= cfg.backtrack
+            theta = theta - t * grad
+            if np.any(np.abs(theta) > half_width):
+                outcome = "box"
+                break
+            value, grad, g = _reference_criterion_and_grad(theta, *args)
+        if outcome != "box" and np.linalg.norm(g) <= cfg.grad_tol:
+            outcome = "solved"
+            candidates.append((value, attempt, theta, g))
+        outcomes.append(outcome)
+    if not candidates:
+        return None, None, outcomes
+    value, attempt, theta, g = min(candidates, key=lambda item: (item[0], item[1]))
+
+    def criterion(th):
+        g_th = _reference_moment_vector(th, *args)
+        return float(g_th @ g_th)
+
+    h, s = 1e-4, len(theta)
+    hess = np.zeros((s, s))
+    for i in range(s):
+        for j in range(i, s):
+            ei, ej = np.zeros(s), np.zeros(s)
+            ei[i], ej[j] = h, h
+            hess[i, j] = (
+                criterion(theta + ei + ej) - criterion(theta + ei - ej)
+                - criterion(theta - ei + ej) + criterion(theta - ei - ej)
+            ) / (4 * h * h)
+            hess[j, i] = hess[i, j]
+    eigs = np.linalg.eigvalsh(hess)
+    diagnostics = {
+        "theta": theta.tolist(),
+        "moment_norm": float(np.linalg.norm(g)),
+        "criterion": value,
+        "restart": attempt,
+        "hessian_min_eig": float(eigs.min()),
+        "hessian_max_eig": float(eigs.max()),
+    }
+    return expit(rows @ theta), diagnostics, outcomes
+
+
+def descent_instance(replications=20):
+    """IPW observed outcome vectors of a 20-unit two-arm CRD with two
+    covariates, one row per replication."""
+    n = 20
+    design = CompletelyRandomizedDesign(n, [10, 10])
+    moments = closed_form_or_exact_moments(design)
+    X = centered(stream_rng(3).standard_normal((n, 2)))
+    y_full = impute_potential_outcomes(X, [0.8, 0.6], [0.3, -0.2], seed=4)
+    ys = np.stack([
+        _ipw_observed(ExperimentData.from_full(y_full, design.sample(stream_rng(5, rep)), X, moments))
+        for rep in range(replications)
+    ])
+    model = ImputationModel("logistic", k=2, p=2)
+    return model, model.design_rows(X), ys, moments.D, n
+
+
+class TestBatchedDescent:
+    # a tight box and wide start draws: some replications fail every
+    # restart, and some restarts leave the box or run to max_steps
+    cfg = OptimizerConfig(restarts=3, max_steps=300, box_half_width=2.0, restart_sd=1.0)
+    c = np.array([-1.0, 1.0])
+
+    def test_rows_equal_the_scalar_restart_loop(self):
+        model, rows, ys, D, n = descent_instance()
+        f, diagnostics, errors = opt_logit_descent(model, rows, ys, D, self.c, n, self.cfg, range(20))
+        outcomes = set()
+        for b, y in enumerate(ys):
+            ref_f, ref_diagnostics, ref_outcomes = reference_opt_logit_descent(
+                model, rows, y, D, self.c, n, self.cfg, b
+            )
+            outcomes.update(ref_outcomes)
+            if ref_f is None:
+                assert isinstance(errors[b], OptimizationError)
+                assert np.isnan(f[b]).all() and diagnostics[b] == {}
+            else:
+                assert b not in errors
+                assert f[b].tobytes() == ref_f.tobytes()
+                assert diagnostics[b] == ref_diagnostics  # bitwise floats
+        assert 0 < len(errors) < len(ys)
+        assert {"solved", "box", "cap"} <= outcomes
+
+    def test_rows_do_not_depend_on_the_slice_cap(self, monkeypatch):
+        model, rows, ys, D, n = descent_instance(replications=8)
+        expected = opt_logit_descent(model, rows, ys, D, self.c, n, self.cfg, range(8))
+        monkeypatch.setattr(model_assisted, "MOMENT_BLOCK_ENTRIES", 1)  # one slice per block
+        f, diagnostics, errors = opt_logit_descent(model, rows, ys, D, self.c, n, self.cfg, range(8))
+        assert f.tobytes() == expected[0].tobytes()
+        assert diagnostics == expected[1]
+        assert {b: repr(exc) for b, exc in errors.items()} == {
+            b: repr(exc) for b, exc in expected[2].items()
+        }
+        assert errors  # the capped run covers failing rows too
