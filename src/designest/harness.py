@@ -1,6 +1,7 @@
-"""Simulation driver: outcome imputation, covariate preprocessing, repeated
-randomization, and the summary metric table (all x n scaled, matching the
-reporting convention of the estimator-comparison tables)."""
+"""Simulation driver: the estimator table, whose rows fit a
+linear.ReplicationChunk, outcome imputation, covariate preprocessing,
+repeated randomization, and the summary metric table (all x n scaled,
+matching the reporting convention of the estimator-comparison tables)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.stats import norm
@@ -17,21 +18,18 @@ from .bounds import build_bound
 from .designs import Design, stream_rng
 from .linear import (
     LINEAR_KINDS,
-    ZERO_PI_MESSAGE,
-    _gr_fit,
-    _ipw,
-    _linear_fit,
-    check_covariates,
+    ReplicationChunk,
+    SampleFit,
     intercept_matrix,
+    linear_sample,
     plugin_raw,
     population_z,
-    zero_pi_rows,
 )
 from .model_assisted import (
     ImputationModel,
     OptimizerConfig,
     _check_omega,
-    _only_row,
+    _corrected,
     contrast_residual,
     no_harm_imputations,
     opt_i_imputations,
@@ -39,85 +37,8 @@ from .model_assisted import (
     opt_logit_descent,
     population_opt_logit,
     population_qmle,
-    sample_qmle,
 )
 from .moments import DesignMoments, closed_form_or_exact_moments, mc_moments
-
-
-class SampleFit(NamedTuple):
-    """An estimator's fits on the rows of a chunk: arm estimates mu (B, k),
-    linearizations z (B, kn, k), one diagnostics dict per row, and the
-    exception of each row whose estimator is undefined."""
-
-    mu: np.ndarray
-    z: np.ndarray
-    diagnostics: list
-    errors: dict
-
-
-class ReplicationChunk:
-    """The observed experiments of a chunk of replications, stacked.
-
-    Row b belongs to replication reps[b]: its observed cells and outcomes
-    y_obs (B, n) and, over the kn cells, the observed-cell indicator r, its
-    inverse-probability weights ipw, and the observed outcome vector y and
-    its IPW analog y_ipw, zero off the observed cells (B, kn); by default
-    the chunk is one observed experiment, replication 0. A replication with
-    an observed cell of zero inclusion probability, on which no weighted
-    estimator is defined, gets no row: failed maps it to that error.
-    """
-
-    def __init__(self, arms, y_obs, X, moments: DesignMoments, reps=(0,)):
-        n, pi = moments.n, moments.pi
-        self.n, self.k, self.moments = n, moments.k, moments
-        self.X = check_covariates(X, n)
-        cells = arms * n + np.arange(n)
-        zero = zero_pi_rows(pi, cells)
-        self.failed = {rep: ValueError(ZERO_PI_MESSAGE) for rep, z in zip(reps, zero) if z}
-        self.reps = [rep for rep, z in zip(reps, zero) if not z]
-        self.arms, self.cells, self.y_obs = arms[~zero], cells[~zero], y_obs[~zero]
-        self.r = np.zeros((len(self.reps), n * self.k))
-        np.put_along_axis(self.r, self.cells, 1.0, axis=1)
-        self.ipw = _ipw(self.r, pi)
-        self.y = np.zeros_like(self.r)
-        np.put_along_axis(self.y, self.cells, self.y_obs, axis=1)
-        self.y_ipw = np.zeros_like(self.r)
-        np.put_along_axis(self.y_ipw, self.cells, self.y_obs / pi[self.cells], axis=1)
-        self._first_stages = {}
-
-    def first_stage(self, family: str, omega: str):
-        """Pseudo-likelihood theta (B, s) of every row, its cells weighing
-        omega in the population loss, and its imputations f (B, kn); fitted
-        once per chunk and shared by the estimators that start from it."""
-        if (family, omega) not in self._first_stages:
-            model = ImputationModel(family, self.k, self.X.shape[1])
-            rows = model.design_rows(self.X)
-            theta = sample_qmle(model, rows, self.moments.pi, omega, self.cells, self.y_obs)
-            self._first_stages[family, omega] = theta, model._predict_rows(theta, rows)
-        return self._first_stages[family, omega]
-
-    def fit(self, row: "Estimator", c, optimizer) -> SampleFit:
-        """row.sample on the chunk. A sample that raises on several rows is
-        refit one replication at a time, so that the failure stays with its
-        replication."""
-        try:
-            return row.sample(self, c, optimizer)
-        except Exception as exc:  # recorded against the replication
-            B = len(self.reps)
-            if B <= 1:
-                nan = np.full((B, self.n * self.k, self.k), np.nan)
-                return SampleFit(nan[:, 0], nan, [{}] * B, dict.fromkeys(range(B), exc))
-            fits = [
-                ReplicationChunk(self.arms[[b]], self.y_obs[[b]], self.X, self.moments, [rep])
-                .fit(row, c, optimizer)
-                for b, rep in enumerate(self.reps)
-            ]
-            return SampleFit(
-                np.concatenate([fit.mu for fit in fits]),
-                np.concatenate([fit.z for fit in fits]),
-                [fit.diagnostics[0] for fit in fits],
-                {b: fit.errors[0] for b, fit in enumerate(fits) if fit.errors},
-            )
 
 
 @dataclass(frozen=True)
@@ -137,18 +58,10 @@ class Estimator:
 
 
 def _linear(kind):
-    def sample(chunk, c, optimizer):
-        fit = _linear_fit(kind, chunk.X, chunk.k, chunk.moments.pi, chunk.y, chunk.r)
-        if fit.b_hat is None:
-            diagnostics = [{"rank_deficient": False}] * len(chunk.reps)
-        else:
-            diagnostics = [
-                {"rank_deficient": flag, "condition_number": cond}
-                for flag, cond in zip(fit.rank_deficient.tolist(), fit.condition_number.tolist())
-            ]
-        return SampleFit(fit.mu_hat, fit.z_hat, diagnostics, fit.errors)
-
-    return Estimator(sample, lambda X, y, moments, c: population_z(kind, X, y, moments) @ c)
+    return Estimator(
+        lambda chunk, c, optimizer: linear_sample(kind, chunk),
+        lambda X, y, moments, c: population_z(kind, X, y, moments) @ c,
+    )
 
 
 def _imputing(sample, imputations):
@@ -159,13 +72,12 @@ def _imputing(sample, imputations):
     )
 
 
-def _corrected(chunk, f, diagnostics, errors=None) -> SampleFit:
-    """Imputation-plus-correction fits of the chunk's rows at imputations
-    f (B, kn), each row's arm estimates added to its diagnostics; errors
-    maps a row whose second stage is undefined to its exception."""
-    mu, z = _gr_fit(f, chunk.y, chunk.ipw, chunk.k)
-    diagnostics = [{**d, "mu_hat": m} for d, m in zip(diagnostics, mu.tolist())]
-    return SampleFit(mu, z, diagnostics, errors or {})
+def _only_row(f, diagnostics, errors):
+    """The imputations of a second stage's batch of one, a population fit;
+    raises its error, if it has one."""
+    if errors:
+        raise errors[0]
+    return f[0]
 
 
 def _two_stage(family, omega, stage=None):
@@ -187,7 +99,7 @@ def _two_stage(family, omega, stage=None):
         if stage is None:
             return f
         y_full = np.asarray(y_full, dtype=float)[None]
-        return _only_row(*stage(f[None], y_full, moments.D, c, moments.n, False))[0]
+        return _only_row(*stage(f[None], y_full, moments.D, c, moments.n, False))
 
     return _imputing(sample, imputations)
 
@@ -201,7 +113,7 @@ def _opt_linear_sample(chunk, c, optimizer):
 def _opt_linear_imputations(X, y_full, moments, c):
     rows = ImputationModel("linear", moments.k, X.shape[1]).design_rows(X)
     y_full = np.asarray(y_full, dtype=float)[None]
-    return _only_row(*opt_linear_imputations(rows, y_full, moments.D, c, moments.n))[0]
+    return _only_row(*opt_linear_imputations(rows, y_full, moments.D, c, moments.n))
 
 
 def _opt_logit_sample(chunk, c, optimizer):
@@ -259,13 +171,16 @@ def impute_potential_outcomes(covariates, coeffs, intercepts, seed) -> np.ndarra
 
 
 def preprocess_covariates(raw, topcode_columns=(), topcode_value: float = 5.0) -> np.ndarray:
-    """Mean-impute missing values, standardize to unit standard deviation,
-    top-code the configured columns, then re-center."""
+    """Mean-impute missing (NaN) values, standardize to unit standard
+    deviation, top-code the configured columns, then re-center; an infinite
+    value is an error."""
     X = np.array(raw, dtype=float, copy=True)
     if X.ndim != 2:
         raise ValueError("covariates must be a 2-D table")
     for j in range(X.shape[1]):
         col = X[:, j]
+        if np.isinf(col).any():
+            raise ValueError(f"column {j} has an infinite value")
         missing = np.isnan(col)
         if missing.all():
             raise ValueError(f"column {j} is entirely missing")

@@ -1,4 +1,5 @@
-"""Linear and imputed-reweighted estimators with plug-in variance bounds.
+"""Linear and imputed-reweighted estimators with plug-in variance bounds,
+and the observed-experiment type every estimator reads.
 
 All estimators here are weighted combinations of the observed outcomes. The
 family shares one linearization structure: each estimator has a kn x k
@@ -7,6 +8,12 @@ z' D z / n^2, which is what the plug-in bound machinery consumes. One body
 per kind serves both uses: a sample fit passes the observed outcomes (zero
 elsewhere) with cell weights r the observed-cell indicator, and the
 population fit passes the full outcome vector with r = pi.
+
+A ReplicationChunk holds the observed experiments of a chunk of
+replications, stacked: it alone builds the observed vectors (r, ipw, y,
+y_ipw) and applies the zero-pi rule. ExperimentData is one observed
+experiment and carries its chunk of one (data.chunk), so the
+per-replication functions run the same bodies as the estimator table.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .bounds import VarianceBound
-from .designs import AssignmentRealization
+from .designs import AssignmentRealization, check_arms
 from .moments import DesignMoments
 
 PINV_RCOND = 1e-10
@@ -36,22 +43,109 @@ class HajekUndefinedError(ValueError):
 
 
 def check_covariates(X, n: int) -> np.ndarray:
-    """X as a float n x p matrix; raises ValueError unless its columns are
-    centered."""
+    """X as a float n x p matrix; raises ValueError unless its entries are
+    finite and its columns centered."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != n:
         raise ValueError("X must be n x p")
+    if not np.isfinite(X).all():
+        raise ValueError("covariates must be finite")
     if X.size and np.max(np.abs(X.mean(axis=0))) > CENTERING_TOL:
         raise ValueError("covariate columns must be centered")
     return X
 
 
+class SampleFit(NamedTuple):
+    """An estimator's fits on the rows of a chunk: arm estimates mu (B, k),
+    linearizations z (B, kn, k), one diagnostics dict per row, and the
+    exception of each row whose estimator is undefined."""
+
+    mu: np.ndarray
+    z: np.ndarray
+    diagnostics: list
+    errors: dict
+
+
+class ReplicationChunk:
+    """The observed experiments of a chunk of replications, stacked.
+
+    Row b belongs to replication reps[b]: its arms and outcomes y_obs (B, n)
+    and observed cells and, over the kn cells, the observed-cell indicator
+    r, its inverse-probability weights ipw, and the observed outcome vector
+    y and its IPW analog y_ipw, zero off the observed cells (B, kn); by
+    default the chunk is one observed experiment, replication 0. A
+    replication with an observed cell of zero inclusion probability, on
+    which no weighted estimator is defined, gets no row: failed maps it to
+    that error.
+    """
+
+    def __init__(self, arms, y_obs, X, moments: DesignMoments, reps=(0,)):
+        n, pi = moments.n, moments.pi
+        self.n, self.k, self.moments = n, moments.k, moments
+        self.X = check_covariates(X, n)
+        arms = check_arms(arms, (len(reps), n), self.k)
+        y_obs = np.asarray(y_obs, dtype=float)
+        if y_obs.shape != arms.shape:
+            raise ValueError(f"y_obs must have shape {arms.shape}, one outcome per unit")
+        cells = arms * n + np.arange(n)
+        zero = (pi[cells] <= 0).any(axis=-1)
+        message = "observed cell with zero inclusion probability"
+        self.failed = {rep: ValueError(message) for rep, z in zip(reps, zero) if z}
+        self.reps = [rep for rep, z in zip(reps, zero) if not z]
+        self.arms, self.cells, self.y_obs = arms[~zero], cells[~zero], y_obs[~zero]
+        self.r = np.zeros((len(self.reps), n * self.k))
+        np.put_along_axis(self.r, self.cells, 1.0, axis=1)
+        self.ipw = _ipw(self.r, pi)
+        self.y = np.zeros_like(self.r)
+        np.put_along_axis(self.y, self.cells, self.y_obs, axis=1)
+        self.y_ipw = np.zeros_like(self.r)
+        np.put_along_axis(self.y_ipw, self.cells, self.y_obs / pi[self.cells], axis=1)
+        self._first_stages = {}
+
+    def first_stage(self, family: str, omega: str):
+        """Pseudo-likelihood theta (B, s) of every row, its cells weighing
+        omega in the population loss, and its imputations f (B, kn); fitted
+        once per chunk and shared by the estimators that start from it."""
+        if (family, omega) not in self._first_stages:
+            from .model_assisted import ImputationModel, sample_qmle
+
+            model = ImputationModel(family, self.k, self.X.shape[1])
+            rows = model.design_rows(self.X)
+            theta = sample_qmle(model, rows, self.moments.pi, omega, self.cells, self.y_obs)
+            self._first_stages[family, omega] = theta, model._predict_rows(theta, rows)
+        return self._first_stages[family, omega]
+
+    def fit(self, row, c, optimizer) -> SampleFit:
+        """row.sample on the chunk, for a row of the estimator table. A
+        sample that raises on several rows is refit one replication at a
+        time, so that the failure stays with its replication."""
+        try:
+            return row.sample(self, c, optimizer)
+        except Exception as exc:  # recorded against the replication
+            B = len(self.reps)
+            if B <= 1:
+                nan = np.full((B, self.n * self.k, self.k), np.nan)
+                return SampleFit(nan[:, 0], nan, [{}] * B, dict.fromkeys(range(B), exc))
+            fits = [
+                ReplicationChunk(self.arms[[b]], self.y_obs[[b]], self.X, self.moments, [rep])
+                .fit(row, c, optimizer)
+                for b, rep in enumerate(self.reps)
+            ]
+            return SampleFit(
+                np.concatenate([fit.mu for fit in fits]),
+                np.concatenate([fit.z for fit in fits]),
+                [fit.diagnostics[0] for fit in fits],
+                {b: fit.errors[0] for b, fit in enumerate(fits) if fit.errors},
+            )
+
+
 @dataclass
 class ExperimentData:
-    """Observed experiment: outcomes, assignment, centered covariates, and
-    the design moments, with positive inclusion probability at every
-    observed cell. y_full (kn, arm-major) is present in simulation mode only
-    and must agree with y_obs on observed cells."""
+    """One observed experiment: outcomes, assignment, centered covariates,
+    and the design moments, held as its chunk of one (chunk), which every
+    per-replication estimator reads; raises the chunk's error if an observed
+    cell has zero inclusion probability. y_full (kn, arm-major) is present
+    in simulation mode only and must agree with y_obs on observed cells."""
 
     n: int
     k: int
@@ -62,10 +156,11 @@ class ExperimentData:
     y_full: np.ndarray | None = None
 
     def __post_init__(self):
-        self.y_obs = np.asarray(self.y_obs, dtype=float)
-        self.X = check_covariates(self.X, self.n)
-        if zero_pi_rows(self.moments.pi, self.observed_cells[None])[0]:
-            raise ValueError(ZERO_PI_MESSAGE)
+        arms, y_obs = self.assignment.arm_of[None], np.asarray(self.y_obs)[None]
+        self.chunk = ReplicationChunk(arms, y_obs, self.X, self.moments)
+        if self.chunk.failed:
+            raise self.chunk.failed[0]
+        self.y_obs, self.X = self.chunk.y_obs[0], self.chunk.X
         if self.y_full is not None:
             self.y_full = np.asarray(self.y_full, dtype=float)
             if self.y_full.shape != (self.n * self.k,):
@@ -95,12 +190,6 @@ class ExperimentData:
     @property
     def observed_cells(self) -> np.ndarray:
         return self.assignment.observed_cells
-
-    def y_stacked_observed(self) -> np.ndarray:
-        """kn vector with observed outcomes at observed cells, zero elsewhere."""
-        out = np.zeros(self.n * self.k)
-        out[self.observed_cells] = self.y_obs
-        return out
 
 
 def intercept_matrix(n: int, k: int) -> np.ndarray:
@@ -264,15 +353,6 @@ def _linear_fit(kind, X, k, pi, y, r, m_weights=None) -> LinearFit:
     return LinearFit(mu, z, b, deficient, cond)
 
 
-def zero_pi_rows(pi: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Per row of the (B, n) observed cells: whether some observed cell has
-    zero inclusion probability, so that no weighted estimator is defined."""
-    return (pi[cells] <= 0).any(axis=-1)
-
-
-ZERO_PI_MESSAGE = "observed cell with zero inclusion probability"
-
-
 def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFit:
     """Point estimates of the k arm means and the sample linearization for
     one estimator kind.
@@ -281,9 +361,23 @@ def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFi
     family; ols forces identity weights, wls defaults to inverse
     probabilities). Only the rows of z_hat at observed cells are meaningful.
     """
-    pi = data.moments.pi
-    y, r = data.y_stacked_observed(), data.assignment.indicator()
-    return _linear_fit(kind, data.X, data.k, pi, y[None], r[None], m_weights).single()
+    chunk = data.chunk
+    return _linear_fit(kind, data.X, data.k, data.moments.pi, chunk.y, chunk.r, m_weights).single()
+
+
+def linear_sample(kind: str, chunk: ReplicationChunk, m_weights=None) -> SampleFit:
+    """One linear estimator on every row of the chunk, each row's rank flag
+    and, for the regression family, the condition number of its weighted
+    Gram matrix as its diagnostics."""
+    fit = _linear_fit(kind, chunk.X, chunk.k, chunk.moments.pi, chunk.y, chunk.r, m_weights)
+    if fit.b_hat is None:
+        diagnostics = [{"rank_deficient": False}] * len(chunk.reps)
+    else:
+        diagnostics = [
+            {"rank_deficient": flag, "condition_number": cond}
+            for flag, cond in zip(fit.rank_deficient.tolist(), fit.condition_number.tolist())
+        ]
+    return SampleFit(fit.mu_hat, fit.z_hat, diagnostics, fit.errors)
 
 
 def population_z(kind: str, X, y_full, moments: DesignMoments) -> np.ndarray:
@@ -468,12 +562,18 @@ def estimate_report(
     m_weights=None,
 ) -> EstimateReport:
     """Fit one linear estimator and assemble the full report for a contrast."""
-    fit = estimate_linear(kind, data, m_weights=m_weights)
-    diagnostics = {"rank_deficient": fit.rank_deficient}
-    if fit.condition_number is not None:
-        diagnostics["condition_number"] = fit.condition_number
+    return row_report(kind, linear_sample(kind, data.chunk, m_weights), data, bound, c)
+
+
+def row_report(
+    name: str, fit: SampleFit, data: ExperimentData, bound: VarianceBound | None, c
+) -> EstimateReport:
+    """Report for the contrast c of a fit of data.chunk; raises the fit's
+    error, if it has one."""
+    if fit.errors:
+        raise fit.errors[0]
     return contrast_report(
-        kind, fit.mu_hat, fit.z_hat, data.assignment, data.moments, bound, c, diagnostics
+        name, fit.mu[0], fit.z[0], data.assignment, data.moments, bound, c, fit.diagnostics[0]
     )
 
 
@@ -528,8 +628,8 @@ def _sorted_by_unit_id(rows, label):
 
 
 def load_observed_csv(path, return_ids: bool = False):
-    """unit_id,arm,y with 1-based arms; rows sorted by unit_id on load.
-    Returns (arms, y), or (unit_ids, arms, y) with return_ids."""
+    """unit_id,arm,y with 1-based arms and finite y; rows sorted by unit_id
+    on load. Returns (arms, y), or (unit_ids, arms, y) with return_ids."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -540,6 +640,9 @@ def load_observed_csv(path, return_ids: bool = False):
     ids, rows = _sorted_by_unit_id(rows, "observed-data")
     arms = np.array([r[1] - 1 for r in rows], dtype=np.int64)
     y = np.array([r[2] for r in rows])
+    bad = ids[~np.isfinite(y)]
+    if bad.size:
+        raise ValueError(f"non-finite y for unit_id {bad[0]} in the observed-data CSV")
     return (ids, arms, y) if return_ids else (arms, y)
 
 

@@ -19,7 +19,10 @@ exception of each row whose fit is undefined; row b is bitwise what a batch
 of one gives, because every slice takes the same BLAS call as the 2-D form.
 Shared matrices are built once per batch (opt_linear's design form and its
 pseudoinverse), and the logistic descent runs all rows' restarts as one
-array descent. The per-replication functions above wrap these bodies.
+array descent. _corrected turns a stage's imputations into the fits of a
+ReplicationChunk's rows; the per-replication functions (qmle_gr,
+no_harm_gr, opt_gr_linear, opt_gr_logit, opt_i_gr, moment_vector, ...) run
+the same bodies on the chunk of one that ExperimentData carries.
 """
 
 from __future__ import annotations
@@ -35,14 +38,14 @@ from .bounds import VarianceBound
 from .linear import (
     EstimateReport,
     ExperimentData,
+    SampleFit,
     _gr_fit,
-    _ipw,
     _matvec,
     _pinv_flagged,
     _rowdot,
-    contrast_report,
     intercept_matrix,
     model_matrix,
+    row_report,
 )
 
 EIG_WARN_RATIO = 1e-8
@@ -187,8 +190,8 @@ def _omega_weights(omega, pi: np.ndarray) -> np.ndarray:
 def fit_qmle(model: ImputationModel, data: ExperimentData, omega="pi"):
     """Minimize the inverse-probability-weighted sample loss: observed cell
     i enters with weight omega / pi at its realized cell."""
-    rows, cells = model.design_rows(data.X), data.observed_cells[None]
-    return sample_qmle(model, rows, data.moments.pi, omega, cells, data.y_obs[None])[0]
+    rows, chunk = model.design_rows(data.X), data.chunk
+    return sample_qmle(model, rows, data.moments.pi, omega, chunk.cells, chunk.y_obs)[0]
 
 
 def sample_qmle(model, rows, pi, omega, cells, y_obs):
@@ -268,15 +271,6 @@ def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
     return theta
 
 
-def _ipw_observed(data: ExperimentData) -> np.ndarray:
-    """kn vector of y/pi at observed cells, zero elsewhere: the unbiased
-    sample analog of the full outcome vector."""
-    out = np.zeros(data.n * data.k)
-    cells = data.observed_cells
-    out[cells] = data.y_obs / data.moments.pi[cells]
-    return out
-
-
 def contrast_residual(f, y, c, n: int) -> np.ndarray:
     """Contrast-weighted residual w (y - f), the linearization vector of the
     imputation-plus-correction estimator with imputations f."""
@@ -285,20 +279,13 @@ def contrast_residual(f, y, c, n: int) -> np.ndarray:
     )
 
 
-def _gr_report(
-    estimator: str,
-    f: np.ndarray,
-    data: ExperimentData,
-    c: np.ndarray,
-    bound: VarianceBound | None,
-    diagnostics: dict,
-) -> EstimateReport:
-    ipw = _ipw(data.assignment.indicator(), data.moments.pi)
-    mu, z_hat = _gr_fit(f, data.y_stacked_observed(), ipw, data.k)
-    return contrast_report(
-        estimator, mu, z_hat, data.assignment, data.moments, bound, c,
-        {**diagnostics, "mu_hat": mu.tolist()},
-    )
+def _corrected(chunk, f, diagnostics, errors=None) -> SampleFit:
+    """Imputation-plus-correction fits of the chunk's rows at imputations
+    f (B, kn), each row's arm estimates added to its diagnostics; errors
+    maps a row whose second stage is undefined to its exception."""
+    mu, z = _gr_fit(f, chunk.y, chunk.ipw, chunk.k)
+    diagnostics = [{**d, "mu_hat": m} for d, m in zip(diagnostics, mu.tolist())]
+    return SampleFit(mu, z, diagnostics, errors or {})
 
 
 def qmle_gr(
@@ -309,15 +296,9 @@ def qmle_gr(
     bound: VarianceBound | None = None,
 ) -> EstimateReport:
     """Imputation-plus-correction estimate at the pseudo-likelihood fit."""
-    f = model.predict(theta_hat, data.X)
-    return _gr_report(
-        "qmle_gr_" + model.family,
-        f,
-        data,
-        c,
-        bound,
-        {"theta": np.asarray(theta_hat, dtype=float).tolist()},
-    )
+    f = model.predict(theta_hat, data.X)[None]
+    fit = _corrected(data.chunk, f, [{"theta": np.asarray(theta_hat, dtype=float).tolist()}])
+    return row_report("qmle_gr_" + model.family, fit, data, bound, c)
 
 
 def no_harm_alpha(
@@ -330,7 +311,7 @@ def no_harm_alpha(
     """Feasible multiplicative rescaling of the imputations: the population
     constant with the outcome vector replaced by its IPW observed analog."""
     f = model.predict(theta_hat, data.X)
-    return population_no_harm_alpha(f, _ipw_observed(data), D, c, data.n)
+    return population_no_harm_alpha(f, data.chunk.y_ipw[0], D, c, data.n)
 
 
 def population_no_harm_alpha(f: np.ndarray, y: np.ndarray, D: np.ndarray, c, n: int) -> float:
@@ -381,14 +362,6 @@ def no_harm_imputations(f, y, D, c, n: int, inspect: bool = False):
     return alpha[:, None] * f, diagnostics, errors
 
 
-def _only_row(f, diagnostics, errors):
-    """The imputations and diagnostics of a second stage's batch of one;
-    raises its error, if it has one."""
-    if errors:
-        raise errors[0]
-    return f[0], diagnostics[0]
-
-
 def no_harm_gr(
     theta_hat: np.ndarray,
     model: ImputationModel,
@@ -398,8 +371,8 @@ def no_harm_gr(
     bound: VarianceBound | None = None,
 ) -> EstimateReport:
     f = model.predict(theta_hat, data.X)[None]
-    f, diagnostics = _only_row(*no_harm_imputations(f, _ipw_observed(data)[None], D, c, data.n))
-    return _gr_report("no_harm_" + model.family, f, data, c, bound, diagnostics)
+    fit = _corrected(data.chunk, *no_harm_imputations(f, data.chunk.y_ipw, D, c, data.n))
+    return row_report("no_harm_" + model.family, fit, data, bound, c)
 
 
 def _check_omega(Omega: np.ndarray, kn: int):
@@ -458,10 +431,10 @@ def opt_gr_linear(
         model = ImputationModel("linear", data.k, data.p)
     if model.family != "linear":
         raise ValueError("opt_gr_linear needs a linear imputation model")
-    f, diagnostics = _only_row(*opt_linear_imputations(
-        model.design_rows(data.X), _ipw_observed(data)[None], Omega, c, data.n, inspect=True
+    fit = _corrected(data.chunk, *opt_linear_imputations(
+        model.design_rows(data.X), data.chunk.y_ipw, Omega, c, data.n, inspect=True
     ))
-    return _gr_report("opt_gr_linear", f, data, c, bound, diagnostics)
+    return row_report("opt_gr_linear", fit, data, bound, c)
 
 
 def _layer_imputations(rows, y, Omega, c, n: int, label: str | None):
@@ -496,7 +469,7 @@ def moment_vector(
     c: np.ndarray,
 ) -> np.ndarray:
     """Sample first-order-condition vector for the variance criterion."""
-    return population_moment_vector(theta, model, data.X, _ipw_observed(data), Omega, c, data.n)
+    return population_moment_vector(theta, model, data.X, data.chunk.y_ipw[0], Omega, c, data.n)
 
 
 def population_moment_vector(theta, model, X, y, Omega, c, n):
@@ -508,9 +481,9 @@ def population_moment_vector(theta, model, X, y, Omega, c, n):
 
 def moment_jacobian(theta, model, data, Omega, c):
     """Analytic Jacobian of the sample moment vector."""
-    theta, y = np.asarray(theta, dtype=float)[None], _ipw_observed(data)[None]
+    theta = np.asarray(theta, dtype=float)[None]
     args = _criterion_args(model, data.X, Omega, c, data.n)
-    return _moment_terms(theta, y, *args, jacobian=True)[1][0]
+    return _moment_terms(theta, data.chunk.y_ipw, *args, jacobian=True)[1][0]
 
 
 def _criterion_args(model, X, Omega, c, n):
@@ -597,11 +570,11 @@ def opt_gr_logit(
         model = ImputationModel("logistic", data.k, data.p)
     if model.family != "logistic":
         raise ValueError("opt_gr_logit needs a logistic imputation model")
-    f, diagnostics = _only_row(*opt_logit_descent(
-        model, model.design_rows(data.X), _ipw_observed(data)[None], Omega, c, data.n,
+    fit = _corrected(data.chunk, *opt_logit_descent(
+        model, model.design_rows(data.X), data.chunk.y_ipw, Omega, c, data.n,
         cfg or OptimizerConfig(), [seed],
     ))
-    return _gr_report("opt_gr_logit", f, data, c, bound, diagnostics)
+    return row_report("opt_gr_logit", fit, data, bound, c)
 
 
 def opt_logit_descent(model, rows, y, Omega, c, n: int, cfg: OptimizerConfig, seeds):
@@ -718,10 +691,8 @@ def opt_i_gr(
     solve the same contrast-weighted normal equations as the linear
     variance-minimizing estimator."""
     f = model.predict(theta_hat, data.X)[None]
-    f, diagnostics = _only_row(
-        *opt_i_imputations(f, _ipw_observed(data)[None], D, c, data.n, inspect=True)
-    )
-    return _gr_report("opt_i_" + model.family, f, data, c, bound, diagnostics)
+    fit = _corrected(data.chunk, *opt_i_imputations(f, data.chunk.y_ipw, D, c, data.n, True))
+    return row_report("opt_i_" + model.family, fit, data, bound, c)
 
 
 def opt_i_imputations(f_model, y, D, c, n: int, inspect: bool = False):

@@ -322,6 +322,25 @@ def test_estimate_rejects_mismatched_unit_ids(crd_design_yaml, tmp_path, capsys)
     assert "different unit_id sets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_estimate_rejects_a_non_finite_outcome(crd_design_yaml, tmp_path, capsys, bad):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("unit_id,arm,y\n" + "".join(
+        f"{i},{1 + i % 2},{bad if i == 4 else 0.5 * i}\n" for i in range(6)
+    ))
+    argv = ["estimate", "--design", str(crd_design_yaml), "--data", str(obs),
+            "--estimators", "ht", "--contrast=-1,1"]
+    assert main(argv) == 2
+    assert "non-finite y for unit_id 4" in capsys.readouterr().err
+
+
+def test_estimate_rejects_an_infinite_covariate(crd_design_yaml, tmp_path, capsys):
+    obs, cov = _write_estimate_inputs(tmp_path, range(6), range(6))
+    cov.write_text(cov.read_text().replace("\n3,1.0\n", "\n3,inf\n"))
+    assert main(_estimate_argv(crd_design_yaml, obs, cov, "ht,ols")) == 2
+    assert "column 0 has an infinite value" in capsys.readouterr().err
+
+
 def test_estimate_pairs_rows_by_unit_id(crd_design_yaml, tmp_path):
     # the same units listed in another order give the same report
     out = []

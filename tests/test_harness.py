@@ -107,6 +107,13 @@ class TestPreprocess:
         with pytest.raises(ValueError):
             preprocess_covariates(np.ones((5, 1)))
 
+    def test_infinite_value_rejected_naming_its_column(self):
+        for bad in (np.inf, -np.inf):
+            raw = stream_rng(7).standard_normal((6, 2))
+            raw[2, 1] = bad
+            with pytest.raises(ValueError, match="column 1 has an infinite value"):
+                preprocess_covariates(raw)
+
 
 class TestFineStrata:
     def test_merges_small_stratum_to_lowest_indexed_candidate(self):

@@ -12,7 +12,10 @@ from designest.linear import (
     LINEAR_KINDS,
     ExperimentData,
     HajekUndefinedError,
+    ReplicationChunk,
+    check_covariates,
     check_interpretation,
+    contrast_report,
     estimate_linear,
     estimate_report,
     intercept_matrix,
@@ -175,7 +178,7 @@ class TestRegressionFamily:
         r = np.zeros(10)
         r[data.observed_cells] = 1.0
         dense = intercept_matrix(5, 2).T @ (
-            r * data.y_stacked_observed() + (1 - r) * (x @ fit.b_hat)
+            r * data.chunk.y[0] + (1 - r) * (x @ fit.b_hat)
         ) / 5
         assert np.allclose(fit.mu_hat, dense, atol=1e-12)
 
@@ -222,6 +225,46 @@ def test_linear_report_pinned(kind):
     value, bound = PINNED_REPORTS[kind]
     assert report.contrast_value == pytest.approx(value, rel=1e-12)
     assert report.varbound_raw == pytest.approx(bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["wls", "gr"])
+@pytest.mark.parametrize("weights", ["identity", "custom"])
+def test_estimate_report_forwards_m_weights(kind, weights):
+    design = CompletelyRandomizedDesign(8, [3, 5])
+    X = centered(stream_rng(21).standard_normal((8, 2)))
+    data = make_data(design, stream_rng(22).standard_normal(16), X=X, seed=23)
+    bound, c = aronow_samii_bound(data.moments), np.array([-1.0, 1.0])
+    m = "identity" if weights == "identity" else 0.5 + stream_rng(24).random(16)
+    fit = estimate_linear(kind, data, m_weights=m)
+    diagnostics = {"rank_deficient": fit.rank_deficient, "condition_number": fit.condition_number}
+    expected = contrast_report(
+        kind, fit.mu_hat, fit.z_hat, data.assignment, data.moments, bound, c, diagnostics
+    )
+    report = estimate_report(kind, data, bound, c, m_weights=m)
+    assert report.to_dict() == expected.to_dict()
+    # the weights reach the fit: the default inverse-probability weights differ
+    assert report.to_dict() != estimate_report(kind, data, bound, c).to_dict()
+
+
+class TestObservedExperimentShapes:
+    def test_outcomes_must_be_one_per_unit(self):
+        design = CompletelyRandomizedDesign(6, [3, 3])
+        moments, realization = exact_moments(design), design.sample(stream_rng(1))
+        X = np.zeros((6, 0))
+        for y_obs in (np.ones(1), 1.0, np.ones(7)):
+            with pytest.raises(ValueError, match="y_obs"):
+                ExperimentData(6, 2, y_obs, realization, X, moments)
+        with pytest.raises(ValueError, match="y_obs"):
+            ReplicationChunk(realization.arm_of[None], np.ones((1, 1)), X, moments)
+        with pytest.raises(ValueError, match="arm_of"):
+            ReplicationChunk(realization.arm_of, np.ones(6), X, moments)
+        with pytest.raises(ValueError, match="arm indices"):
+            ReplicationChunk(np.full((1, 6), 2), np.ones((1, 6)), X, moments)
+
+    def test_covariates_must_be_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                check_covariates(np.array([[bad], [0.0]]), 2)
 
 
 class TestZVectors:
@@ -408,6 +451,13 @@ class TestReportsAndIO:
         arms, y = load_observed_csv(path)
         assert arms.tolist() == [0, 1]
         assert y.tolist() == [1.0, 3.5]
+
+    def test_observed_csv_rejects_a_non_finite_outcome(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        for bad in ("nan", "inf", "-inf"):
+            path.write_text(f"unit_id,arm,y\n3,2,{bad}\n0,1,1.0\n5,1,nan\n")
+            with pytest.raises(ValueError, match="unit_id 3"):
+                load_observed_csv(path)
 
     def test_covariates_csv(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -13,7 +13,6 @@ from designest.model_assisted import (
     OptimizerConfig,
     OptimizationError,
     WeakIdentificationError,
-    _ipw_observed,
     _weighted_qmle,
     fit_qmle,
     moment_jacobian,
@@ -673,7 +672,7 @@ def descent_instance(replications=20):
     X = centered(stream_rng(3).standard_normal((n, 2)))
     y_full = impute_potential_outcomes(X, [0.8, 0.6], [0.3, -0.2], seed=4)
     ys = np.stack([
-        _ipw_observed(ExperimentData.from_full(y_full, design.sample(stream_rng(5, rep)), X, moments))
+        ExperimentData.from_full(y_full, design.sample(stream_rng(5, rep)), X, moments).chunk.y_ipw[0]
         for rep in range(replications)
     ])
     model = ImputationModel("logistic", k=2, p=2)
