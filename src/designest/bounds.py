@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import CompletelyRandomizedDesign
-from .moments import DesignMoments, analytic_crd_moments, rescaled_demeaning_matrix
+from .moments import DesignMoments, analytic_crd_moments, rescaled_demeaning_matrix, row_bands
 
 PSD_TOL = 1e-8
 MINUS_ONE_TOL = 1e-12
@@ -60,12 +60,16 @@ def minus_one_mask(moments: DesignMoments) -> np.ndarray:
     Exact moments: |d + 1| <= MINUS_ONE_TOL detection. Monte Carlo: zero
     joint hits in p, the primary and less noisy datum.
     """
-    live = ~(moments.zero_mask | moments.maybe_zero_mask)
-    pair_live = np.outer(live, live)
     if moments.method == "exact":
-        mask = (np.abs(moments.D + 1.0) <= MINUS_ONE_TOL) & pair_live
+        D = moments.D
+        mask = np.empty(D.shape, dtype=bool)
+        for rows in row_bands(D.shape):
+            mask[rows] = np.abs(D[rows] + 1.0) <= MINUS_ONE_TOL
     else:
-        mask = (moments.p == 0) & pair_live
+        mask = moments.p == 0
+    dead = np.flatnonzero(moments.zero_mask | moments.maybe_zero_mask)
+    mask[dead, :] = False
+    mask[:, dead] = False
     np.fill_diagonal(mask, False)
     return mask
 
@@ -85,9 +89,12 @@ def aronow_samii_bound(moments: DesignMoments) -> VarianceBound:
             RuntimeWarning,
         )
     mask = minus_one_mask(moments)
-    indicator = mask.astype(float)
-    Dt = moments.D + indicator + np.diag(indicator.sum(axis=1))
-    Dt[mask] = 0.0  # exact zeros at identified -1 entries
+    # D plus the indicator of the -1 entries, zeroed there, plus row counts
+    # on the diagonal (the mask never holds a diagonal entry)
+    Dt = moments.D.copy()
+    np.copyto(Dt, 0.0, where=mask)
+    diagonal = np.arange(len(Dt))
+    Dt[diagonal, diagonal] += mask.sum(axis=1)
     return VarianceBound(
         Dt=Dt,
         mask_minus1=mask,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -37,9 +38,13 @@ from .moments import (
 from .network import positivity_report
 
 
+# libyaml's C parser where it is installed; same safe schema either way
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_yaml(path):
     with open(path) as fh:
-        return yaml.safe_load(fh)
+        return yaml.load(fh, Loader=_YAML_LOADER)
 
 
 def _design_from_args(args):
@@ -60,7 +65,13 @@ def _moments_from_args(args, design):
 def _add_moment_source_args(parser):
     parser.add_argument("--design", required=True, help="design YAML file")
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", help="enumerate the support (default)")
+    group.add_argument(
+        "--exact",
+        action="store_true",
+        help="exact moments (default): closed forms for Bernoulli and completely randomized "
+        "designs, per-stratum closed forms for stratified designs, the cluster-level support "
+        "for clustered designs, and support enumeration otherwise",
+    )
     group.add_argument("--mc", type=int, default=None, metavar="REPS", help="Monte-Carlo draws")
     group.add_argument("--load-moments", default=None, help="previously saved moments .npz")
     parser.add_argument("--seed", type=int, default=0)
@@ -93,6 +104,7 @@ def cmd_complexity(args):
     design = _design_from_args(args)
     moments = _moments_from_args(args, design)
     k = design.k
+    full = design_complexity(moments, zero_diag=args.zero_diag)
     print(("diag-zeroed " if args.zero_diag else "") + "largest-eigenvalue measures by arm pair:")
     print("      " + "".join(f"{'arm' + str(b + 1):>11}" for b in range(k)))
     for a in range(k):
@@ -101,10 +113,10 @@ def cmd_complexity(args):
             if b <= a:
                 cells.append(" " * 11)
                 continue
-            value = design_complexity(moments, arms=[a, b], zero_diag=args.zero_diag)
+            # with two arms the one pair is the whole design
+            value = full if k == 2 else design_complexity(moments, arms=[a, b], zero_diag=args.zero_diag)
             cells.append(f"{value:>11.2f}")
         print(f"arm{a + 1:<3}" + "".join(cells))
-    full = design_complexity(moments, zero_diag=args.zero_diag)
     print(f"all arms: {full:.6g}")
     return 0
 
@@ -139,14 +151,16 @@ def cmd_estimate(args):
             f"(in one only: {only_in_one[:5].tolist()})"
         )
     if args.covariates:
-        covariate_ids, raw = load_covariates_csv(args.covariates, return_ids=True)
+        covariate_ids, raw, names = load_covariates_csv(
+            args.covariates, return_ids=True, return_names=True
+        )
         if not np.array_equal(unit_ids, covariate_ids):
             only_in_one = np.setxor1d(unit_ids, covariate_ids)
             raise ValueError(
                 "observed and covariate CSVs have different unit_id sets "
                 f"(in one only: {only_in_one[:5].tolist()})"
             )
-        X = preprocess_covariates(raw)
+        X = preprocess_covariates(raw, names=names)
     else:
         X = np.zeros((design.n, 0))
     realization = AssignmentRealization(design.n, design.k, arms)
@@ -196,8 +210,9 @@ def cmd_simulate(args):
     recipe = _load_yaml(args.config)
     design = build_design(recipe["design"])
     cov = recipe.get("covariates", {})
+    names = None
     if "csv" in cov:
-        raw = load_covariates_csv(cov["csv"])
+        raw, names = load_covariates_csv(cov["csv"], return_names=True)
     elif "generate" in cov:
         gen = cov["generate"]
         rng = np.random.default_rng(gen.get("seed", 0))
@@ -205,7 +220,9 @@ def cmd_simulate(args):
     else:
         raw = None
     X = (
-        preprocess_covariates(raw, topcode_columns=tuple(cov.get("topcode_columns", ())))
+        preprocess_covariates(
+            raw, topcode_columns=tuple(cov.get("topcode_columns", ())), names=names
+        )
         if raw is not None
         else np.zeros((design.n, 0))
     )
@@ -248,7 +265,7 @@ def cmd_simulate(args):
 
 def cmd_check(args):
     from .moments import crd_first_order_matrix, largest_eigenvalue
-    from .designs import BernoulliDesign, stream_rng
+    from .designs import BernoulliDesign, ClusteredDesign, StratifiedDesign, stream_rng
     from .linear import estimate_linear, intercept_matrix, plugin_varbound
 
     failures = 0
@@ -279,6 +296,25 @@ def cmd_check(args):
         acc += table.probabilities[idx] * estimate_linear("ht", data).mu_hat
     truth = intercept_matrix(5, 2).T @ y_full / 5
     report("exact unbiasedness of the weighted estimator", np.max(np.abs(acc - truth)) < 1e-12)
+
+    composed = [
+        ClusteredDesign(9, [0, 1, 2, 3, 0, 1, 2, 3, 3], CompletelyRandomizedDesign(4, [1, 2, 1])),
+        ClusteredDesign(
+            7, [0, 1, 2, 3, 4, 0, 2], StratifiedDesign(5, [[0, 3], [1, 2, 4]], [[1, 1], [2, 1]])
+        ),
+        ClusteredDesign(5, [0, 1, 2, 0, 1], BernoulliDesign(3, [0.25, 0.75])),
+        StratifiedDesign(7, [[0, 3, 5], [1, 2, 4, 6]], [[1, 2, 0], [2, 1, 1]]),
+    ]
+    agree = True
+    for composed_design in composed:
+        fast, oracle = closed_form_or_exact_moments(composed_design), exact_moments(composed_design)
+        agree &= all(
+            np.max(np.abs(getattr(fast, name) - getattr(oracle, name))) <= 1e-14
+            for name in ("pi", "p", "D")
+        )
+        agree &= np.array_equal(fast.zero_mask, oracle.zero_mask)
+        agree &= np.array_equal(fast.p == 0, oracle.p == 0)
+    report("cluster-space and per-stratum moments vs unit-level enumeration", agree)
 
     bern = BernoulliDesign(3, [0.5, 0.5])
     m = exact_moments(bern)
@@ -356,9 +392,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:

@@ -416,13 +416,13 @@ def enumerate_support(design: Design, cap: int = ENUMERATION_CAP) -> SupportTabl
 def read_group_csv(path) -> tuple[np.ndarray, list[np.ndarray]]:
     """Read a unit_id,group_id CSV; returns (unit ids sorted, groups as
     lists of 0-based unit positions)."""
-    pairs = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"unit_id", "group_id"} - set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or {"unit_id", "group_id"} - set(header):
             raise ValueError("group CSV must have columns unit_id,group_id")
-        for row in reader:
-            pairs.append((int(row["unit_id"]), row["group_id"]))
+        unit_col, group_col = header.index("unit_id"), header.index("group_id")
+        pairs = [(int(row[unit_col]), row[group_col]) for row in reader if row]
     if not pairs:
         raise ValueError("empty group CSV")
     unit_ids = np.array(sorted(p[0] for p in pairs))

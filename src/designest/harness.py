@@ -170,24 +170,28 @@ def impute_potential_outcomes(covariates, coeffs, intercepts, seed) -> np.ndarra
     return np.concatenate([(b + index > shocks).astype(float) for b in intercepts])
 
 
-def preprocess_covariates(raw, topcode_columns=(), topcode_value: float = 5.0) -> np.ndarray:
+def preprocess_covariates(
+    raw, topcode_columns=(), topcode_value: float = 5.0, names=None
+) -> np.ndarray:
     """Mean-impute missing (NaN) values, standardize to unit standard
     deviation, top-code the configured columns, then re-center; an infinite
-    value is an error."""
+    value is an error. Errors name a column by names[j] (the covariate
+    CSV's header) when given, else by its 0-based position."""
     X = np.array(raw, dtype=float, copy=True)
     if X.ndim != 2:
         raise ValueError("covariates must be a 2-D table")
     for j in range(X.shape[1]):
+        label = j if names is None else names[j]
         col = X[:, j]
         if np.isinf(col).any():
-            raise ValueError(f"column {j} has an infinite value")
+            raise ValueError(f"column {label} has an infinite value")
         missing = np.isnan(col)
         if missing.all():
-            raise ValueError(f"column {j} is entirely missing")
+            raise ValueError(f"column {label} is entirely missing")
         col[missing] = np.nanmean(col)
         sd = col.std()
         if sd == 0:
-            raise ValueError(f"column {j} is constant")
+            raise ValueError(f"column {label} is constant")
         col -= col.mean()
         col /= sd
         if j in topcode_columns:

@@ -646,9 +646,11 @@ def load_observed_csv(path, return_ids: bool = False):
     return (ids, arms, y) if return_ids else (arms, y)
 
 
-def load_covariates_csv(path, return_ids: bool = False):
+def load_covariates_csv(path, return_ids: bool = False, return_names: bool = False):
     """unit_id,x1..xp; returns the raw (uncentered) covariate matrix with
-    rows sorted by unit_id, or (unit_ids, matrix) with return_ids."""
+    rows sorted by unit_id, preceded by the unit ids with return_ids and
+    followed by the column names (the header after unit_id) with
+    return_names."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -657,4 +659,5 @@ def load_covariates_csv(path, return_ids: bool = False):
         rows = [(int(r[0]), [float(v) if v != "" else np.nan for v in r[1:]]) for r in reader]
     ids, rows = _sorted_by_unit_id(rows, "covariates")
     X = np.array([r[1] for r in rows])
-    return (ids, X) if return_ids else X
+    out = (ids,) * return_ids + (X,) + (header[1:],) * return_names
+    return out if len(out) > 1 else X

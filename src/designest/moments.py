@@ -20,6 +20,7 @@ MC_BLOCK_SIZE = 4096  # draws per random stream; part of what a seed reproduces
 DENSE_LIMIT = 8192  # largest kn stored dense
 TENSOR_CAP = 64
 PSD_TOL = 1e-8
+BAND_ENTRIES = 1 << 15  # entries per band of a row-banded elementwise pass
 
 
 @dataclass
@@ -121,15 +122,20 @@ class DesignMoments:
 
 
 def _assemble_d(pi, p, zero_mask):
-    kn = len(pi)
-    D = np.zeros((kn, kn))
-    ok = ~zero_mask
-    denom = np.outer(pi[ok], pi[ok])
-    D[np.ix_(ok, ok)] = p[np.ix_(ok, ok)] / denom - 1.0
+    """D from pi and p, filled in place: p / (pi pi') - 1 on live pairs, an
+    exact -1 on live pairs with p == 0, (1 - pi) / pi on the diagonal, and
+    zero rows and columns at flagged cells."""
+    D = np.multiply.outer(pi, pi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # flagged cells, zeroed below
+        np.divide(p, D, out=D)
+    D -= 1.0
     # Exact -1 where joint inclusion is impossible; keeps the identification
     # mask consistent between the p == 0 rule and the D == -1 rule.
-    impossible = (p == 0) & np.outer(ok, ok)
-    D[impossible] = -1.0
+    np.copyto(D, -1.0, where=p == 0)
+    dead = np.flatnonzero(zero_mask)
+    D[dead, :] = 0.0
+    D[:, dead] = 0.0
+    ok = ~zero_mask
     np.fill_diagonal(D, np.where(ok, np.divide(1.0 - pi, pi, out=np.zeros_like(pi), where=ok), 0.0))
     return D
 
@@ -206,15 +212,76 @@ def analytic_crd_moments(design) -> DesignMoments:
     )
 
 
+def stratified_moments(design) -> DesignMoments:
+    """Exact moments of a stratified design from per-stratum closed forms.
+
+    Strata are independent complete randomizations: within a stratum p is
+    the stratum's analytic_crd_moments block, across strata it is the
+    product of the two inclusion probabilities. Needs no enumeration, so a
+    fine stratification with a huge support is covered.
+    """
+    from .designs import CompletelyRandomizedDesign
+
+    n, k = design.n, design.k
+    _warn_dense(n * k)
+    pi = np.empty(n * k)
+    blocks = []
+    for units, counts in zip(design.strata, design.counts_by_stratum):
+        cells = (np.arange(k)[:, None] * n + units).ravel()  # stratum cells, arm-major
+        block = analytic_crd_moments(CompletelyRandomizedDesign(len(units), counts))
+        pi[cells] = block.pi
+        blocks.append((cells, block.p))
+    p = np.multiply.outer(pi, pi)
+    for cells, block_p in blocks:
+        p[np.ix_(cells, cells)] = block_p
+    zero_mask = pi == 0
+    return DesignMoments(
+        n=n, k=k, pi=pi, p=p, D=_assemble_d(pi, p, zero_mask), method="exact", zero_mask=zero_mask
+    )
+
+
+def clustered_moments(design, cap: int | None = None) -> DesignMoments:
+    """Exact moments of a clustered design, enumerated in cluster space.
+
+    The cluster-level design's support (the same points as the unit-level
+    support, under the same cap) gives pi and p over its kC cells; unit i's
+    cell in arm a is cluster cell a*C + cluster_of[i], so both are gathered
+    to units and D is assembled once at unit level.
+    """
+    _warn_dense(design.n * design.k)
+    base = design.cluster_design
+    kwargs = {} if cap is None else {"cap": cap}
+    clusters = moments_from_support(base.enumerate_support(**kwargs))
+    cells = (np.arange(design.k)[:, None] * base.n + design.cluster_of).ravel()
+    pi = clusters.pi[cells]
+    p = clusters.p[np.ix_(cells, cells)]
+    zero_mask = pi == 0
+    return DesignMoments(
+        n=design.n, k=design.k, pi=pi, p=p, D=_assemble_d(pi, p, zero_mask),
+        method="exact", zero_mask=zero_mask,
+    )
+
+
 def closed_form_or_exact_moments(design, cap: int | None = None) -> DesignMoments:
     """Exact moments by the cheapest exact route: closed forms for the
-    independent and completely randomized families, enumeration otherwise."""
-    from .designs import BernoulliDesign, CompletelyRandomizedDesign
+    independent and completely randomized families, per-stratum closed
+    forms for stratified designs, cluster-space enumeration for clustered
+    designs, and unit-level enumeration otherwise."""
+    from .designs import (
+        BernoulliDesign,
+        ClusteredDesign,
+        CompletelyRandomizedDesign,
+        StratifiedDesign,
+    )
 
     if isinstance(design, BernoulliDesign):
         return analytic_bernoulli_moments(design)
     if isinstance(design, CompletelyRandomizedDesign):
         return analytic_crd_moments(design)
+    if isinstance(design, StratifiedDesign):
+        return stratified_moments(design)
+    if isinstance(design, ClusteredDesign):
+        return clustered_moments(design, cap=cap)
     return exact_moments(design, cap=cap)
 
 
@@ -297,6 +364,14 @@ def crd_first_order_matrix(n: int, n_t: int) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
+def row_bands(shape) -> list[slice]:
+    """Slices of consecutive rows of about BAND_ENTRIES entries each; an
+    elementwise pass made one band at a time allocates no temporary of the
+    whole matrix's size."""
+    step = max(1, BAND_ENTRIES // max(1, shape[1]))
+    return [slice(i, i + step) for i in range(0, shape[0], step)]
+
+
 def largest_eigenvalue(
     M: np.ndarray,
     zero_diag: bool = False,
@@ -311,7 +386,7 @@ def largest_eigenvalue(
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.allclose(M, M.T, atol=1e-10):
+    if not all(np.allclose(M[rows], M[:, rows].T, atol=1e-10) for rows in row_bands(M.shape)):
         raise ValueError("matrix must be symmetric")
     if zero_mask is not None and np.any(zero_mask):
         return np.inf
@@ -329,6 +404,8 @@ def design_complexity(moments: DesignMoments, arms=None, zero_diag: bool = False
     Infinite when a participating cell has a proven zero probability; a
     warning (finite value) when cells are merely unhit in Monte Carlo.
     """
+    if arms is not None and list(arms) == list(range(moments.k)):
+        arms = None  # all arms in order: the sub-block is the whole design
     sub = moments if arms is None else moments.submoments(arms)
     if np.any(sub.zero_mask):
         return np.inf

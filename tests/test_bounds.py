@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,17 @@ from designest.bounds import (
 )
 from designest.designs import (
     BernoulliDesign,
+    ClusteredDesign,
     CompletelyRandomizedDesign,
     StratifiedDesign,
     stream_rng,
 )
-from designest.moments import exact_moments, mc_moments
+from designest.moments import _assemble_d, closed_form_or_exact_moments, exact_moments, mc_moments
+from designest.network import (
+    InterferenceGraph,
+    derive_exposure_design,
+    standard_binary_exposure_rules,
+)
 
 # Hand-applied bound formula for the two-point CRD: each row of D has two
 # -1 entries (other unit same arm, same unit other arm); both become zeros
@@ -81,6 +89,72 @@ class TestAronowSamii:
         m = mc_moments(design, reps=20_000, seed=4)
         exact = exact_moments(design)
         assert np.array_equal(minus_one_mask(m), minus_one_mask(exact))
+
+
+def reference_assemble_d(pi, p, zero_mask):
+    """D as first written: the live block divided out of a fresh copy."""
+    D = np.zeros((len(pi), len(pi)))
+    ok = ~zero_mask
+    D[np.ix_(ok, ok)] = p[np.ix_(ok, ok)] / np.outer(pi[ok], pi[ok]) - 1.0
+    D[(p == 0) & np.outer(ok, ok)] = -1.0
+    np.fill_diagonal(D, np.where(ok, np.divide(1.0 - pi, pi, out=np.zeros_like(pi), where=ok), 0.0))
+    return D
+
+
+def reference_aronow_samii(moments):
+    """(Dt, Dt_over_p, mask) as first written: the -1 indicator added to D
+    as a float matrix, its row counts as a diagonal matrix, then the mask
+    entries zeroed."""
+    live = ~(moments.zero_mask | moments.maybe_zero_mask)
+    if moments.method == "exact":
+        mask = (np.abs(moments.D + 1.0) <= 1e-12) & np.outer(live, live)
+    else:
+        mask = (moments.p == 0) & np.outer(live, live)
+    np.fill_diagonal(mask, False)
+    indicator = mask.astype(float)
+    Dt = moments.D + indicator + np.diag(indicator.sum(axis=1))
+    Dt[mask] = 0.0
+    Dt_over_p = np.zeros_like(Dt)
+    np.divide(Dt, moments.p, out=Dt_over_p, where=moments.p != 0)
+    return Dt, Dt_over_p, mask
+
+
+def _exposure_design(n, probs):
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + n // 2) % n) for i in range(n)]
+    return derive_exposure_design(
+        BernoulliDesign(n, probs), InterferenceGraph(n, edges), standard_binary_exposure_rules()
+    )
+
+
+@pytest.mark.parametrize(
+    "make_moments",
+    [
+        lambda: closed_form_or_exact_moments(
+            ClusteredDesign(9, [0, 1, 2, 3, 0, 1, 2, 3, 3], CompletelyRandomizedDesign(4, [2, 2]))
+        ),
+        lambda: closed_form_or_exact_moments(
+            StratifiedDesign(7, [[0, 3, 5], [1, 2, 4, 6]], [[1, 1, 1], [2, 1, 1]])
+        ),
+        lambda: exact_moments(_exposure_design(6, [0.3, 0.7])),
+        lambda: mc_moments(CompletelyRandomizedDesign(5, [2, 3]), reps=3000, seed=2),
+        # some exposure cells are never hit in 40 draws: possibly-zero rows
+        lambda: mc_moments(_exposure_design(10, [0.8, 0.2]), reps=40, seed=3),
+    ],
+    ids=["clustered", "stratified", "exposure_exact", "crd_mc", "exposure_mc_unhit_cells"],
+)
+def test_bound_and_design_matrix_are_bytewise_the_first_written_formulas(make_moments):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # never-hit cells
+        moments = make_moments()
+        bound = aronow_samii_bound(moments)
+    flagged = moments.zero_mask | moments.maybe_zero_mask
+    assert moments.method == "monte_carlo" or not flagged.any()
+    assert moments.D.tobytes() == reference_assemble_d(moments.pi, moments.p, flagged).tobytes()
+    Dt, Dt_over_p, mask = reference_aronow_samii(moments)
+    assert mask.any()
+    assert bound.mask_minus1.tobytes() == mask.tobytes()
+    assert bound.Dt.tobytes() == Dt.tobytes()
+    assert bound.Dt_over_p.tobytes() == Dt_over_p.tobytes()
 
 
 class TestNeyman:

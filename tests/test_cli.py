@@ -335,10 +335,29 @@ def test_estimate_rejects_a_non_finite_outcome(crd_design_yaml, tmp_path, capsys
 
 
 def test_estimate_rejects_an_infinite_covariate(crd_design_yaml, tmp_path, capsys):
+    # bad columns are named by the covariate CSV's header, in estimate and simulate
     obs, cov = _write_estimate_inputs(tmp_path, range(6), range(6))
-    cov.write_text(cov.read_text().replace("\n3,1.0\n", "\n3,inf\n"))
-    assert main(_estimate_argv(crd_design_yaml, obs, cov, "ht,ols")) == 2
-    assert "column 0 has an infinite value" in capsys.readouterr().err
+    good = [(i * 7) % 5 for i in range(6)]
+    bad_columns = {
+        "x2 has an infinite value": ["inf" if i == 3 else "1.0" for i in range(6)],
+        "x2 is entirely missing": [""] * 6,
+        "x2 is constant": ["2.5"] * 6,
+    }
+    recipe = tmp_path / "sim.yaml"
+    for message, column in bad_columns.items():
+        cov.write_text("unit_id,x1,x2\n" + "".join(
+            f"{i},{good[i]}.0,{column[i]}\n" for i in range(6)
+        ))
+        assert main(_estimate_argv(crd_design_yaml, obs, cov, "ht,ols")) == 2
+        assert f"column {message}" in capsys.readouterr().err
+        recipe.write_text(
+            "design: {kind: completely_randomized, n: 6, counts: [3, 3]}\n"
+            f"covariates: {{csv: {cov}}}\n"
+            "outcome: {coeffs: [1.0, 0.5], intercepts: [0.0, 1.0]}\n"
+            "estimators: [ht]\ncontrast: [-1, 1]\nreplications: 2\nseed: 0\n"
+        )
+        assert main(["simulate", "--config", str(recipe)]) == 2
+        assert f"column {message}" in capsys.readouterr().err
 
 
 def test_estimate_pairs_rows_by_unit_id(crd_design_yaml, tmp_path):

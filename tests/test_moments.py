@@ -9,12 +9,15 @@ from designest.designs import (
     CompletelyRandomizedDesign,
     CustomDesign,
     StratifiedDesign,
+    SupportTooLargeError,
     stream_rng,
 )
+from designest.harness import fine_strata
 from designest.moments import (
     MC_BLOCK_SIZE,
     DesignMoments,
     _assemble_d,
+    closed_form_or_exact_moments,
     crd_first_order_matrix,
     design_complexity,
     exact_moments,
@@ -381,3 +384,36 @@ def test_moments_npz_is_uncompressed_and_old_compressed_files_load(tmp_path, mon
     for name in ("pi", "p", "D", "zero_mask", "maybe_zero_mask"):
         assert np.array_equal(getattr(loaded, name), getattr(m, name))
     assert (loaded.n, loaded.k, loaded.method, loaded.reps, loaded.seed) == (5, 2, "monte_carlo", 200, 3)
+
+
+def test_fine_stratification_gets_exact_moments_from_its_strata():
+    # eight villages of 12 in two network components, stratified as in the
+    # insurance application: the joint support is far past the enumeration cap
+    rng = np.random.default_rng(11)
+    village_of = np.repeat(np.arange(8), 12)
+    n = len(village_of)
+    stratum_of = fine_strata(
+        village_of, rng.standard_normal(n), rng.standard_normal(n), village_of // 4, min_size=4
+    )
+    strata = [np.flatnonzero(stratum_of == g) for g in np.unique(stratum_of)]
+    design = StratifiedDesign.from_pattern(n, strata, [2, 1, 3], 3)
+    assert design.support_size() > 10**12
+    with pytest.raises(SupportTooLargeError):
+        exact_moments(design)
+
+    m = closed_form_or_exact_moments(design)
+    for units, counts in zip(design.strata, design.counts_by_stratum):
+        # a stratum's support has up to ~10^4 points, whose summed weights
+        # carry ~1e-13 of rounding into the enumerated D
+        enumerated = exact_moments(CompletelyRandomizedDesign(len(units), counts))
+        cells = np.concatenate([units + a * n for a in range(3)])
+        block = np.ix_(cells, cells)
+        np.testing.assert_allclose(m.pi[cells], enumerated.pi, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(m.p[block], enumerated.p, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(m.D[block], enumerated.D, rtol=0, atol=1e-12)
+        assert np.array_equal(m.p[block] == 0, enumerated.p == 0)
+    # strata are independent: p is the product of the marginals and D is 0
+    across = np.tile(stratum_of[:, None] != stratum_of[None, :], (3, 3))
+    assert np.array_equal(m.p[across], np.outer(m.pi, m.pi)[across])
+    assert np.all(m.D[across] == 0.0)
+    assert not m.zero_mask.any()

@@ -19,7 +19,7 @@ from designest.designs import (
 )
 from designest.harness import ESTIMATORS, ReplicationChunk
 from designest.linear import intercept_matrix, plugin_raw
-from designest.moments import exact_moments
+from designest.moments import closed_form_or_exact_moments, exact_moments
 from designest.network import (
     InterferenceGraph,
     derive_exposure_design,
@@ -98,3 +98,58 @@ def test_ht_and_its_plugin_bound_are_exactly_unbiased_over_the_support(design, s
     v = np.repeat(c, n) * y_full
     scale = 1.0 + table.probabilities @ np.abs(raw)
     assert abs(table.probabilities @ raw - v @ bound.Dt @ v / n**2) <= 1e-12 * scale
+
+
+@st.composite
+def any_counts(draw, m, k):
+    """k nonnegative counts summing to m, positive about half the time that
+    m >= k allows it, otherwise with arms that may have no units."""
+    if m >= k and draw(st.booleans()):
+        return draw(positive_counts(m, k))
+    cuts = sorted(draw(st.lists(st.integers(0, m), min_size=k - 1, max_size=k - 1)))
+    return np.diff([0, *cuts, m])
+
+
+@st.composite
+def enumerable_designs(draw, nested=True):
+    """A small enumerable design of any kind, with arms of zero probability
+    or zero count allowed, and clustered designs over every other base."""
+    kinds = ["bernoulli", "crd", "stratified", "exposure"] + ["clustered"] * (2 * nested)
+    kind = draw(st.sampled_from(kinds))
+    k = draw(st.integers(2, 3))
+    if kind == "bernoulli":
+        weights = np.array(draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)))
+        weights[draw(st.integers(0, k - 1))] += 1
+        return BernoulliDesign(draw(st.integers(1, 4)), weights / weights.sum())
+    if kind == "crd":
+        n = draw(st.integers(1, 6))
+        return CompletelyRandomizedDesign(n, draw(any_counts(n, k)))
+    if kind == "stratified":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        units = draw(st.permutations(range(sum(sizes))))
+        strata = np.split(np.array(units), np.cumsum(sizes)[:-1])
+        counts = [draw(any_counts(len(s), k)) for s in strata]
+        return StratifiedDesign(sum(sizes), strata, counts)
+    if kind == "exposure":
+        n = draw(st.integers(3, 5))
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        base = BernoulliDesign(n, draw(probabilities(2)))
+        return derive_exposure_design(
+            base, InterferenceGraph(n, edges), standard_binary_exposure_rules(),
+            undirected=draw(st.booleans()),
+        )
+    base = draw(enumerable_designs(nested=False))
+    extra = draw(st.lists(st.integers(0, base.n - 1), max_size=4))
+    cluster_of = draw(st.permutations([*range(base.n), *extra]))
+    return ClusteredDesign(len(cluster_of), cluster_of, base)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(design=enumerable_designs())
+def test_closed_form_and_composed_moments_match_unit_level_enumeration(design):
+    fast = closed_form_or_exact_moments(design)
+    oracle = exact_moments(design)
+    for name in ("pi", "p", "D"):
+        np.testing.assert_allclose(getattr(fast, name), getattr(oracle, name), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(fast.zero_mask, oracle.zero_mask)
+    np.testing.assert_array_equal(fast.p == 0, oracle.p == 0)
