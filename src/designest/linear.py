@@ -659,5 +659,9 @@ def load_covariates_csv(path, return_ids: bool = False, return_names: bool = Fal
         rows = [(int(r[0]), [float(v) if v != "" else np.nan for v in r[1:]]) for r in reader]
     ids, rows = _sorted_by_unit_id(rows, "covariates")
     X = np.array([r[1] for r in rows])
-    out = (ids,) * return_ids + (X,) + (header[1:],) * return_names
-    return out if len(out) > 1 else X
+    out = [X]
+    if return_ids:
+        out.insert(0, ids)
+    if return_names:
+        out.append(header[1:])
+    return tuple(out) if len(out) > 1 else X
