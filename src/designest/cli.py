@@ -151,9 +151,7 @@ def cmd_estimate(args):
             f"(in one only: {only_in_one[:5].tolist()})"
         )
     if args.covariates:
-        covariate_ids, raw, names = load_covariates_csv(
-            args.covariates, return_ids=True, return_names=True
-        )
+        covariate_ids, raw, names = load_covariates_csv(args.covariates, return_ids=True)
         if not np.array_equal(unit_ids, covariate_ids):
             only_in_one = np.setxor1d(unit_ids, covariate_ids)
             raise ValueError(
@@ -212,7 +210,7 @@ def cmd_simulate(args):
     cov = recipe.get("covariates", {})
     names = None
     if "csv" in cov:
-        raw, names = load_covariates_csv(cov["csv"], return_names=True)
+        raw, names = load_covariates_csv(cov["csv"])
     elif "generate" in cov:
         gen = cov["generate"]
         rng = np.random.default_rng(gen.get("seed", 0))
@@ -341,7 +339,9 @@ def cmd_check(args):
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="designest",
         description="design-based estimation for randomized experiments",
@@ -392,14 +392,8 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The parser, built once per process: parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:

@@ -180,6 +180,8 @@ def preprocess_covariates(
     X = np.array(raw, dtype=float, copy=True)
     if X.ndim != 2:
         raise ValueError("covariates must be a 2-D table")
+    if names is not None and len(names) != X.shape[1]:
+        raise ValueError(f"{len(names)} covariate names for {X.shape[1]} columns")
     for j in range(X.shape[1]):
         label = j if names is None else names[j]
         col = X[:, j]

@@ -646,22 +646,27 @@ def load_observed_csv(path, return_ids: bool = False):
     return (ids, arms, y) if return_ids else (arms, y)
 
 
-def load_covariates_csv(path, return_ids: bool = False, return_names: bool = False):
-    """unit_id,x1..xp; returns the raw (uncentered) covariate matrix with
-    rows sorted by unit_id, preceded by the unit ids with return_ids and
-    followed by the column names (the header after unit_id) with
-    return_names."""
+def load_covariates_csv(path, return_ids: bool = False):
+    """unit_id,x1..xp; returns (X, names): the raw (uncentered) covariate
+    matrix with rows sorted by unit_id and the column names (the header
+    after unit_id), or (unit_ids, X, names) with return_ids. Blank lines are
+    skipped; a row whose field count differs from the header's is an error."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header[0] != "unit_id":
             raise ValueError("covariates CSV must start with unit_id column")
-        rows = [(int(r[0]), [float(v) if v != "" else np.nan for v in r[1:]]) for r in reader]
+        rows = []
+        for r in reader:
+            if not r:
+                continue  # a blank line, skipped as csv.DictReader does
+            if len(r) != len(header):
+                raise ValueError(
+                    f"covariates CSV row for unit_id {r[0]} has {len(r)} fields; "
+                    f"the header has {len(header)}"
+                )
+            rows.append((int(r[0]), [float(v) if v != "" else np.nan for v in r[1:]]))
     ids, rows = _sorted_by_unit_id(rows, "covariates")
     X = np.array([r[1] for r in rows])
-    out = [X]
-    if return_ids:
-        out.insert(0, ids)
-    if return_names:
-        out.append(header[1:])
-    return tuple(out) if len(out) > 1 else X
+    names = header[1:]
+    return (ids, X, names) if return_ids else (X, names)

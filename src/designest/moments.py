@@ -404,8 +404,6 @@ def design_complexity(moments: DesignMoments, arms=None, zero_diag: bool = False
     Infinite when a participating cell has a proven zero probability; a
     warning (finite value) when cells are merely unhit in Monte Carlo.
     """
-    if arms is not None and list(arms) == list(range(moments.k)):
-        arms = None  # all arms in order: the sub-block is the whole design
     sub = moments if arms is None else moments.submoments(arms)
     if np.any(sub.zero_mask):
         return np.inf

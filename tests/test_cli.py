@@ -358,6 +358,14 @@ def test_estimate_rejects_an_infinite_covariate(crd_design_yaml, tmp_path, capsy
         )
         assert main(["simulate", "--config", str(recipe)]) == 2
         assert f"column {message}" in capsys.readouterr().err
+    # a data row with a trailing comma (one field more than the header) names its unit
+    cov.write_text("unit_id,x1,x2\n" + "".join(
+        f"{i},{good[i]}.0,1.{i}{',' if i == 4 else ''}\n" for i in range(6)
+    ))
+    assert main(_estimate_argv(crd_design_yaml, obs, cov, "ht,ols")) == 2
+    assert "row for unit_id 4 has 4 fields; the header has 3" in capsys.readouterr().err
+    assert main(["simulate", "--config", str(recipe)]) == 2
+    assert "row for unit_id 4 has 4 fields" in capsys.readouterr().err
 
 
 def test_estimate_pairs_rows_by_unit_id(crd_design_yaml, tmp_path):

@@ -462,6 +462,10 @@ class TestReportsAndIO:
     def test_covariates_csv(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("unit_id,x1,x2\n1,2.0,\n0,1.0,3.0\n")
-        X = load_covariates_csv(path)
+        X, names = load_covariates_csv(path)
+        assert names == ["x1", "x2"]
         assert X.shape == (2, 2)
         assert np.isnan(X[1, 1])
+        path.write_text("unit_id,x1\n1,2.0,\n\n0,1.0,3.0\n")  # header shorter than the rows
+        with pytest.raises(ValueError, match="unit_id 1 has 3 fields; the header has 2"):
+            load_covariates_csv(path)
