@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import CompletelyRandomizedDesign
-from .moments import DesignMoments, analytic_crd_moments, rescaled_demeaning_matrix, row_bands
+from .moments import (
+    DesignMoments,
+    analytic_crd_moments,
+    coordinate_csv,
+    rescaled_demeaning_matrix,
+    row_bands,
+)
 
 PSD_TOL = 1e-8
 MINUS_ONE_TOL = 1e-12
@@ -28,24 +34,25 @@ class NotIdentifiedError(ValueError):
 @dataclass
 class VarianceBound:
     """Bound matrix, its -1-entry mask, and the weighted form used by the
-    plug-in estimator (Hadamard division by joint probabilities, 0/0 -> 0)."""
+    plug-in estimator (Hadamard division by joint probabilities, 0/0 -> 0).
+
+    cells, when set, names the stacked cells that the rows and columns of
+    all three matrices stand for (an observed block); None means all kn.
+    """
 
     Dt: np.ndarray
     mask_minus1: np.ndarray
     Dt_over_p: np.ndarray
     psd_clipped: bool = False
     name: str = "custom"
+    cells: np.ndarray | None = None
 
     @property
     def kn(self) -> int:
         return self.Dt.shape[0]
 
     def to_csv(self, path, drop_tol: float = 1e-12):
-        with open(path, "w") as fh:
-            fh.write("i,j,value\n")
-            rows, cols = np.nonzero(np.abs(self.Dt) >= drop_tol)
-            for i, j in zip(rows, cols):
-                fh.write(f"{i},{j},{self.Dt[i, j]:.15g}\n")
+        coordinate_csv(path, self.Dt, drop_tol)
 
 
 def _weighted_form(Dt: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -54,30 +61,41 @@ def _weighted_form(Dt: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def minus_one_mask(moments: DesignMoments) -> np.ndarray:
-    """Entries of D with value -1 (never jointly observed pairs).
+def minus_one_mask(moments: DesignMoments, cells: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the -1 entries of D (never jointly observed pairs): rows
+    `cells` (default: every cell) over all kn columns.
 
     Exact moments: |d + 1| <= MINUS_ONE_TOL detection. Monte Carlo: zero
-    joint hits in p, the primary and less noisy datum.
+    joint hits in p, the primary and less noisy datum. Flagged cells and
+    the diagonal are never in the mask.
     """
-    if moments.method == "exact":
-        D = moments.D
-        mask = np.empty(D.shape, dtype=bool)
-        for rows in row_bands(D.shape):
-            mask[rows] = np.abs(D[rows] + 1.0) <= MINUS_ONE_TOL
-    else:
-        mask = moments.p == 0
-    dead = np.flatnonzero(moments.zero_mask | moments.maybe_zero_mask)
-    mask[dead, :] = False
+    kn = moments.kn
+    source = moments.D if moments.method == "exact" else moments.p
+    mask = np.empty((kn if cells is None else len(cells), kn), dtype=bool)
+    for rows in row_bands(mask.shape):
+        band = source[rows] if cells is None else source[cells[rows]]
+        if moments.method == "exact":
+            mask[rows] = np.abs(band + 1.0) <= MINUS_ONE_TOL
+        else:
+            mask[rows] = band == 0
+    cells = np.arange(kn) if cells is None else cells
+    dead = moments.zero_mask | moments.maybe_zero_mask
     mask[:, dead] = False
-    np.fill_diagonal(mask, False)
+    mask[dead[cells], :] = False
+    mask[np.arange(len(cells)), cells] = False
     return mask
 
 
-def aronow_samii_bound(moments: DesignMoments) -> VarianceBound:
+def aronow_samii_bound(moments: DesignMoments, cells=None) -> VarianceBound:
     """General-purpose bound: add back the -1 entries and put their row
     counts on the diagonal (diagonally dominant increment, so validity is
-    immediate from Gershgorin)."""
+    immediate from Gershgorin).
+
+    With cells (for example a realization's observed cells) only that
+    block of the bound is built; each entry is bitwise the full bound's,
+    because the row counts still run over all kn columns. The plug-in
+    bound of that realization needs nothing else.
+    """
     if np.any(moments.zero_mask):
         raise NotIdentifiedError(
             "moments contain structurally zero inclusion probabilities; "
@@ -88,18 +106,26 @@ def aronow_samii_bound(moments: DesignMoments) -> VarianceBound:
             "possibly-zero cells present; bound built on the remaining cells",
             RuntimeWarning,
         )
-    mask = minus_one_mask(moments)
+    if cells is not None:
+        cells = np.asarray(cells, dtype=np.int64)
+    rows = minus_one_mask(moments, cells)
+    counts = rows.sum(axis=1)
+    if cells is None:
+        mask, Dt, p = rows, moments.D.copy(), moments.p
+    else:
+        # rows, then columns: two plain gathers, several times faster than np.ix_
+        mask, Dt, p = rows[:, cells], moments.D[cells][:, cells], moments.p[cells][:, cells]
     # D plus the indicator of the -1 entries, zeroed there, plus row counts
     # on the diagonal (the mask never holds a diagonal entry)
-    Dt = moments.D.copy()
     np.copyto(Dt, 0.0, where=mask)
     diagonal = np.arange(len(Dt))
-    Dt[diagonal, diagonal] += mask.sum(axis=1)
+    Dt[diagonal, diagonal] += counts
     return VarianceBound(
         Dt=Dt,
         mask_minus1=mask,
-        Dt_over_p=_weighted_form(Dt, moments.p),
+        Dt_over_p=_weighted_form(Dt, p),
         name="aronow_samii",
+        cells=cells,
     )
 
 
@@ -189,16 +215,6 @@ class BoundCertificate:
         return text
 
 
-def intercept_projector(n: int, k: int) -> np.ndarray:
-    """Projection onto the column space of the stacked arm intercepts."""
-    kn = n * k
-    p = np.zeros((kn, kn))
-    for a in range(k):
-        block = slice(a * n, (a + 1) * n)
-        p[block, block] = 1.0 / n
-    return p
-
-
 def certify_bound(
     moments: DesignMoments,
     bound: VarianceBound,
@@ -225,14 +241,23 @@ def certify_bound(
     if compare is not None:
         delta = bound.Dt - compare.Dt
         cert.comparison_spectrum = np.sort(np.linalg.eigvalsh(delta))
-        proj = np.eye(delta.shape[0]) - intercept_projector(moments.n, moments.k)
-        cert.comparison_spectrum_projected = np.sort(np.linalg.eigvalsh(proj @ delta @ proj))
+        # projected off the arm intercepts: each n x n arm block demeaned
+        # along both axes
+        blocks = delta.reshape(moments.k, moments.n, moments.k, moments.n)
+        blocks = blocks - blocks.mean(axis=1, keepdims=True)
+        blocks -= blocks.mean(axis=3, keepdims=True)
+        projected = blocks.reshape(delta.shape)
+        cert.comparison_spectrum_projected = np.sort(np.linalg.eigvalsh(projected))
     return cert
 
 
 def psd_clip(bound: VarianceBound) -> VarianceBound:
     """Zero the negative spectrum of the weighted form; the resulting
-    plug-in estimates are upward biased and never negative."""
+    plug-in estimates are upward biased and never negative. Needs the
+    full bound: the spectrum of an observed block is not the block of the
+    full spectrum."""
+    if bound.cells is not None:
+        raise ValueError("psd_clip needs the full bound, not an observed block")
     eigvals, eigvecs = np.linalg.eigh(bound.Dt_over_p)
     clipped = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
     return VarianceBound(

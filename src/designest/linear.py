@@ -416,8 +416,8 @@ def plugin_varbound(
 ) -> PluginVariance:
     """Plug-in estimate of the contrast's variance bound z'Dt z / n^2,
     using only the observed rows of z and the inverse-joint-probability
-    weighted bound matrix. A 1-D z is taken as already contracted with the
-    contrast."""
+    weighted bound matrix, full or the block of the observed cells. A 1-D z
+    is taken as already contracted with the contrast."""
     z_hat = np.asarray(z_hat, dtype=float)
     if z_hat.ndim == 2:
         c = np.asarray(c, dtype=float)
@@ -426,7 +426,12 @@ def plugin_varbound(
         v = z_hat @ c
     else:
         v = z_hat
-    raw = float(plugin_raw(v[None, None], assignment.observed_cells[None], bound.Dt_over_p)[0, 0])
+    cells = assignment.observed_cells
+    if bound.cells is not None:  # an observed block: its rows are the observed cells
+        if not np.array_equal(bound.cells, cells):
+            raise ValueError("the bound's block is not the observed cells' block")
+        v, cells = v[cells], np.arange(assignment.n)
+    raw = float(plugin_raw(v[None, None], cells[None], bound.Dt_over_p)[0, 0])
     negative = raw < 0
     if negative:
         warnings.warn(

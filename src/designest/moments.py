@@ -9,10 +9,20 @@ positive. Cells with pi = 0 are flagged and their rows left unusable.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import math
+import mmap
+import os
+import secrets
+import struct
 import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .designs import Design, SupportTable, check_arms, stream_rng
 
@@ -21,6 +31,9 @@ DENSE_LIMIT = 8192  # largest kn stored dense
 TENSOR_CAP = 64
 PSD_TOL = 1e-8
 BAND_ENTRIES = 1 << 15  # entries per band of a row-banded elementwise pass
+NPZ_ALIGN = 64  # byte boundary of each saved member's data, as npy aligns arrays
+ALIGN_EXTRA_ID = 0xD935  # zip extra-field id of zipalign's padding record
+NPY_HEADER_PEEK = 4096  # bytes read to parse a member's .npy header
 
 
 @dataclass
@@ -71,39 +84,64 @@ class DesignMoments:
         )
 
     def save_npz(self, path):
-        """Uncompressed: the floats barely compress and zlib dominates the
-        write. load_npz also reads files written compressed."""
-        np.savez(
-            path,
-            n=self.n,
-            k=self.k,
-            pi=self.pi,
-            p=self.p,
-            D=self.D,
-            method=self.method,
-            zero_mask=self.zero_mask,
-            maybe_zero_mask=self.maybe_zero_mask,
-            reps=-1 if self.reps is None else self.reps,
-            seed=-1 if self.seed is None else self.seed,
-        )
+        """Stored (uncompressed) zip of .npy members, as np.savez writes,
+        but with each member's data on an NPZ_ALIGN-byte boundary so that
+        load_npz can map the arrays in place. The zip goes to a temporary
+        file beside path and is renamed over it, so arrays that a reader
+        has already mapped from path keep their values."""
+        path = os.fspath(path)
+        if not path.endswith(".npz"):  # as np.savez names it
+            path += ".npz"
+        members = {
+            "n": self.n,
+            "k": self.k,
+            "pi": self.pi,
+            "p": self.p,
+            "D": self.D,
+            "method": self.method,
+            "zero_mask": self.zero_mask,
+            "maybe_zero_mask": self.maybe_zero_mask,
+            "reps": -1 if self.reps is None else self.reps,
+            "seed": -1 if self.seed is None else self.seed,
+        }
+        tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+        try:
+            with open(tmp, "xb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as zf:
+                for name, value in members.items():
+                    info = zipfile.ZipInfo(name + ".npy")
+                    _align_member(info, fh.tell())
+                    with zf.open(info, "w", force_zip64=True) as out:
+                        npy_format.write_array(out, np.asanyarray(value), allow_pickle=False)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load_npz(cls, path) -> "DesignMoments":
-        data = np.load(path, allow_pickle=False)
-        reps = int(data["reps"])
-        seed = int(data["seed"])
-        return cls(
-            n=int(data["n"]),
-            k=int(data["k"]),
-            pi=data["pi"],
-            p=data["p"],
-            D=data["D"],
-            method=str(data["method"]),
-            zero_mask=data["zero_mask"],
-            maybe_zero_mask=data["maybe_zero_mask"],
-            reps=None if reps < 0 else reps,
-            seed=None if seed < 0 else seed,
-        )
+        """Moments saved by save_npz. The arrays of a stored zip are mapped
+        from the file (copy-on-write) after each member's CRC-32 and size
+        are checked; compressed files go through np.load. A file that is
+        not a sound moments zip is a ValueError naming path."""
+        try:
+            data = _read_npz(path)
+            reps = int(data["reps"])
+            seed = int(data["seed"])
+            return cls(
+                n=int(data["n"]),
+                k=int(data["k"]),
+                pi=data["pi"],
+                p=data["p"],
+                D=data["D"],
+                method=str(data["method"]),
+                zero_mask=data["zero_mask"],
+                maybe_zero_mask=data["maybe_zero_mask"],
+                reps=None if reps < 0 else reps,
+                seed=None if seed < 0 else seed,
+            )
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError, struct.error) as exc:
+            raise ValueError(f"{path}: not a readable moments file ({exc})") from exc
 
     def pi_to_csv(self, path):
         with open(path, "w") as fh:
@@ -114,11 +152,76 @@ class DesignMoments:
 
     def d_to_csv(self, path, drop_tol: float = 1e-12):
         """Coordinate export of D as i,j,value triplets (tiny entries dropped)."""
-        with open(path, "w") as fh:
-            fh.write("i,j,value\n")
-            rows, cols = np.nonzero(np.abs(self.D) >= drop_tol)
-            for i, j in zip(rows, cols):
-                fh.write(f"{i},{j},{self.D[i, j]:.15g}\n")
+        coordinate_csv(path, self.D, drop_tol)
+
+
+def coordinate_csv(path, M: np.ndarray, drop_tol: float = 1e-12):
+    """Write the entries of M with |value| >= drop_tol as i,j,value rows."""
+    with open(path, "w") as fh:
+        fh.write("i,j,value\n")
+        rows, cols = np.nonzero(np.abs(M) >= drop_tol)
+        for i, j in zip(rows, cols):
+            fh.write(f"{i},{j},{M[i, j]:.15g}\n")
+
+
+def _align_member(info: zipfile.ZipInfo, offset: int):
+    """Pad info's local-header extra field, as zipalign does, so that the
+    member written at file offset `offset` starts its data on an NPZ_ALIGN
+    boundary; the .npy header then keeps the array data on one too."""
+    # fixed 30-byte local header, the name, and force_zip64's 20-byte record
+    pad = -(offset + 30 + len(info.filename.encode()) + 20) % NPZ_ALIGN
+    if 0 < pad < 4:  # an extra record is at least its 4-byte id and size
+        pad += NPZ_ALIGN
+    if pad:
+        info.extra = struct.pack("<HH", ALIGN_EXTRA_ID, pad - 4) + bytes(pad - 4)
+
+
+def _read_npz(path) -> dict:
+    """Arrays by member name (without .npy): viewed in the mapped file when
+    every member is stored, else read by np.load (compressed files)."""
+    with open(path, "rb") as fh:
+        with zipfile.ZipFile(fh) as zf:
+            infos = zf.infolist()
+        stored = all(info.compress_type == zipfile.ZIP_STORED for info in infos)
+        buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY) if stored else None
+    if buffer is None:
+        with np.load(path, allow_pickle=False) as data:
+            return {name: data[name] for name in data.files}
+    return {info.filename.removesuffix(".npy"): _mapped_member(buffer, info) for info in infos}
+
+
+def _mapped_member(buffer: mmap.mmap, info: zipfile.ZipInfo) -> np.ndarray:
+    """The array of one stored .npy member, after checking its CRC-32 and
+    its size against its header: a view of the mapped file when its data
+    are NPZ_ALIGN-aligned, else a copy (numpy would skip BLAS on an
+    unaligned view)."""
+    signature, name_len, extra_len = struct.unpack_from("<4s22xHH", buffer, info.header_offset)
+    if signature != b"PK\x03\x04":
+        raise zipfile.BadZipFile(f"member {info.filename} has no local header")
+    start = info.header_offset + 30 + name_len + extra_len
+    end = start + info.file_size
+    if end > len(buffer) or info.compress_size != info.file_size:
+        raise zipfile.BadZipFile(f"member {info.filename} is truncated")
+    with memoryview(buffer)[start:end] as member:
+        if zlib.crc32(member) != info.CRC:
+            raise zipfile.BadZipFile(f"bad CRC-32 for member {info.filename}")
+        header = io.BytesIO(member[:NPY_HEADER_PEEK])
+    version = npy_format.read_magic(header)
+    if version != (1, 0):  # what numpy writes for plain arrays
+        raise ValueError(f"member {info.filename} has .npy version {version}")
+    shape, fortran_order, dtype = npy_format.read_array_header_1_0(header)
+    count = math.prod(shape)
+    if dtype.hasobject:
+        raise ValueError(f"member {info.filename} holds Python objects")
+    if header.tell() + count * dtype.itemsize != info.file_size:
+        raise ValueError(
+            f"member {info.filename} has {info.file_size} bytes, which its header "
+            f"({shape}, {dtype}) does not describe"
+        )
+    offset = start + header.tell()
+    array = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
+    array = array.reshape(shape, order="F" if fortran_order else "C")
+    return array if offset % NPZ_ALIGN == 0 else array.copy()
 
 
 def _assemble_d(pi, p, zero_mask):

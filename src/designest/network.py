@@ -27,15 +27,16 @@ class InterferenceGraph:
 
     def __init__(self, n: int, edges):
         self.n = int(n)
-        cleaned = set()
-        for src, dst in edges:
-            src, dst = int(src), int(dst)
-            if src == dst:
-                continue
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"edge ({src},{dst}) outside unit range")
-            cleaned.add((src, dst))
-        self.edges = np.array(sorted(cleaned), dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        outside = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
+        if len(outside):
+            src, dst = edges[outside[0]]
+            raise ValueError(f"edge ({src},{dst}) outside unit range")
+        # one sort of src*n + dst keys: the rows in order, duplicates dropped
+        # (np.unique(axis=0) sorts rows as byte strings, several times slower)
+        keys = np.unique(edges[:, 0] * n + edges[:, 1])
+        self.edges = np.stack(np.divmod(keys, max(n, 1)), axis=1)
         data = np.ones(len(self.edges))
         self.adjacency = sparse.csr_matrix(
             (data, (self.edges[:, 0], self.edges[:, 1])), shape=(n, n)
@@ -50,22 +51,26 @@ class InterferenceGraph:
         and an unknown id is an error; without them ids are 0-based unit
         positions.
         """
-        edges = []
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or {"src_id", "dst_id"} - set(reader.fieldnames):
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or {"src_id", "dst_id"} - set(header):
                 raise ValueError("edge CSV must have columns src_id,dst_id")
-            for row in reader:
-                edges.append((int(row["src_id"]), int(row["dst_id"])))
+            src, dst = header.index("src_id"), header.index("dst_id")
+            try:
+                edges = [(int(row[src]), int(row[dst])) for row in reader if row]
+            except IndexError:
+                raise ValueError(f"edge CSV line {reader.line_num} has too few fields") from None
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
         if unit_ids is not None:
-            position = {int(u): i for i, u in enumerate(unit_ids)}
-            unknown = sorted({u for edge in edges for u in edge} - position.keys())
-            if unknown:
+            unit_ids = np.asarray(unit_ids, dtype=np.int64)
+            unknown = np.setdiff1d(edges, unit_ids)
+            if len(unknown):
                 raise ValueError(f"edge CSV names unknown unit_id {', '.join(map(str, unknown))}")
-            edges = [(position[a], position[b]) for a, b in edges]
-            n = len(position) if n is None else n
+            edges = np.searchsorted(unit_ids, edges)
+            n = len(unit_ids) if n is None else n
         if n is None:
-            n = 1 + max(max(e) for e in edges) if edges else 0
+            n = 1 + int(edges.max()) if len(edges) else 0
         return cls(n, edges)
 
     def neighbor_matrix(self, undirected: bool = False) -> sparse.csr_matrix:

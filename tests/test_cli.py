@@ -494,3 +494,45 @@ def test_every_table_estimator_runs_in_simulate_and_estimate(table_instance, nam
     (report,) = json.loads(out.read_text())
     assert report["estimator"] == name
     assert np.isfinite(report["contrast_value"])
+
+
+def _truncated(raw):
+    return raw[: len(raw) // 2]
+
+
+def _one_byte_flipped(raw):
+    flipped = bytearray(raw)
+    at = raw.index(b"D.npy") + 300  # inside D's array data
+    flipped[at] ^= 0x01
+    return bytes(flipped)
+
+
+def _not_a_zip(raw):
+    return b"unit_id,arm,y\n0,1,0.5\n"
+
+
+def _member_shorter_than_its_header(raw):
+    import io
+    import zipfile
+
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(raw)) as src, zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            dst.writestr(info.filename, data[:-8] if info.filename == "D.npy" else data)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "spoil", [_truncated, _one_byte_flipped, _not_a_zip, _member_shorter_than_its_header]
+)
+def test_estimate_with_a_bad_moments_file_exits_2(crd_design_yaml, tmp_path, capsys, spoil):
+    good = tmp_path / "good.npz"
+    assert main(["moments", "--design", str(crd_design_yaml), "--out", str(good)]) == 0
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(spoil(good.read_bytes()))
+    obs, cov = _write_estimate_inputs(tmp_path, range(6), range(6))
+    capsys.readouterr()
+    assert main(_estimate_argv(crd_design_yaml, obs, cov) + ["--load-moments", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not a readable moments file")

@@ -369,21 +369,72 @@ def test_mc_moments_rejects_invalid_custom_draws(design, message):
         mc_moments(design, 50, seed=0)
 
 
-def test_moments_npz_is_uncompressed_and_old_compressed_files_load(tmp_path, monkeypatch):
+def _members(path):
+    with np.load(path, allow_pickle=False) as data:
+        return {name: data[name] for name in data.files}
+
+
+def _same_moments(a, b):
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("pi", "p", "D", "zero_mask", "maybe_zero_mask")
+    ) and (a.n, a.k, a.method, a.reps, a.seed) == (b.n, b.k, b.method, b.reps, b.seed)
+
+
+def test_moments_npz_is_uncompressed_and_old_compressed_files_load(tmp_path):
     m = mc_moments(CompletelyRandomizedDesign(5, [2, 3]), 200, seed=3)
     new = tmp_path / "new.npz"
     m.save_npz(new)
     with zipfile.ZipFile(new) as zf:
         assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
     old = tmp_path / "old.npz"
-    monkeypatch.setattr(np, "savez", np.savez_compressed)
-    m.save_npz(old)
+    np.savez_compressed(old, **_members(new))  # as files were once written
     with zipfile.ZipFile(old) as zf:
         assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
     loaded = DesignMoments.load_npz(old)
-    for name in ("pi", "p", "D", "zero_mask", "maybe_zero_mask"):
-        assert np.array_equal(getattr(loaded, name), getattr(m, name))
+    assert _same_moments(loaded, m)
     assert (loaded.n, loaded.k, loaded.method, loaded.reps, loaded.seed) == (5, 2, "monte_carlo", 200, 3)
+
+
+def test_saved_members_are_aligned_mapped_and_read_by_np_load(tmp_path):
+    m = closed_form_or_exact_moments(
+        ClusteredDesign(9, [0, 1, 2, 3, 0, 1, 2, 3, 3], CompletelyRandomizedDesign(4, [1, 3]))
+    )
+    path = tmp_path / "m.npz"
+    m.save_npz(path)
+    raw = path.read_bytes()
+    with zipfile.ZipFile(path) as zf:
+        for info in zf.infolist():
+            name_len, extra_len = np.frombuffer(raw, "<u2", 2, info.header_offset + 26)
+            start = info.header_offset + 30 + int(name_len) + int(extra_len)
+            assert start % 64 == 0, info.filename
+            assert raw[start:start + 6] == b"\x93NUMPY"
+    loaded = DesignMoments.load_npz(path)
+    assert _same_moments(loaded, m)
+    for name in ("pi", "p", "D", "zero_mask"):
+        array = getattr(loaded, name)
+        assert array.flags.aligned and array.ctypes.data % 64 == 0
+        assert not array.flags.owndata  # a view of the mapped file
+    members = _members(path)
+    assert np.array_equal(members["D"], m.D) and str(members["method"]) == "exact"
+    # a file np.savez wrote (members at arbitrary offsets) loads the same
+    unaligned = tmp_path / "unaligned.npz"
+    np.savez(unaligned, **members)
+    copied = DesignMoments.load_npz(unaligned)
+    assert _same_moments(copied, m)
+    assert all(getattr(copied, name).flags.aligned for name in ("pi", "p", "D"))
+
+
+def test_loaded_moments_survive_a_save_over_the_same_path(tmp_path):
+    design = CompletelyRandomizedDesign(6, [2, 4])
+    first, second = mc_moments(design, 300, seed=1), mc_moments(design, 300, seed=2)
+    path = tmp_path / "m.npz"
+    first.save_npz(path)
+    loaded = DesignMoments.load_npz(path)
+    second.save_npz(path)
+    assert _same_moments(loaded, first)
+    assert _same_moments(DesignMoments.load_npz(path), second)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz"]  # no temporary left
 
 
 def test_fine_stratification_gets_exact_moments_from_its_strata():

@@ -36,6 +36,29 @@ class TestGraph:
         assert g.n == 4
         assert g.degrees().tolist() == [1, 1, 0, 0]
 
+    def test_csv_drops_self_loops_and_duplicates_in_sorted_order(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("dst_id,src_id,weight\n0,2,1\n1,0,1\n\n1,0,2\n3,3,1\n1,2,1\n")
+        g = InterferenceGraph.from_csv(path)
+        assert g.n == 4
+        assert g.edges.tolist() == [[0, 1], [2, 0], [2, 1]]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("src,dst_id\n0,1\n", "must have columns src_id,dst_id"),
+            ("", "must have columns src_id,dst_id"),
+            ("src_id,dst_id\n0,1\n2,9\n5,1\n", r"edge \(2,9\) outside unit range"),
+            ("src_id,dst_id\n0,1\n2\n", "line 3 has too few fields"),
+        ],
+        ids=["missing_column", "empty", "outside_range", "short_row"],
+    )
+    def test_csv_errors(self, tmp_path, text, message):
+        path = tmp_path / "edges.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            InterferenceGraph.from_csv(path, n=4)
+
     def test_weak_components(self):
         g = InterferenceGraph(4, [(0, 1), (2, 3)])
         labels = g.weak_components()

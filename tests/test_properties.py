@@ -6,11 +6,13 @@ design expectation: HT must hit the arm means and its plug-in bound must
 hit v'D~v/n^2, each to rounding.
 """
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designest.bounds import build_bound
+from designest.bounds import NotIdentifiedError, aronow_samii_bound, build_bound
 from designest.designs import (
     BernoulliDesign,
     ClusteredDesign,
@@ -18,8 +20,8 @@ from designest.designs import (
     StratifiedDesign,
 )
 from designest.harness import ESTIMATORS, ReplicationChunk
-from designest.linear import intercept_matrix, plugin_raw
-from designest.moments import closed_form_or_exact_moments, exact_moments
+from designest.linear import intercept_matrix, plugin_raw, plugin_varbound
+from designest.moments import closed_form_or_exact_moments, exact_moments, mc_moments
 from designest.network import (
     InterferenceGraph,
     derive_exposure_design,
@@ -153,3 +155,47 @@ def test_closed_form_and_composed_moments_match_unit_level_enumeration(design):
         np.testing.assert_allclose(getattr(fast, name), getattr(oracle, name), rtol=0, atol=1e-14)
     np.testing.assert_array_equal(fast.zero_mask, oracle.zero_mask)
     np.testing.assert_array_equal(fast.p == 0, oracle.p == 0)
+
+
+def _bound_or_error(moments, cells=None):
+    """The bound (or its NotIdentifiedError) and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = aronow_samii_bound(moments, cells)
+        except NotIdentifiedError as exc:
+            result = exc
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(design=enumerable_designs(), mc_reps=st.none() | st.integers(2, 40), seed=st.integers(0, 99))
+def test_observed_block_plugin_is_bitwise_the_full_bounds(design, mc_reps, seed):
+    n, k = design.n, design.k
+    if mc_reps is None:
+        moments = exact_moments(design)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # never-hit cells
+            moments = mc_moments(design, mc_reps, seed)
+    realization = design.sample(np.random.default_rng(seed))
+    cells = realization.observed_cells
+    full, full_warnings = _bound_or_error(moments)
+    block, block_warnings = _bound_or_error(moments, cells)
+    assert block_warnings == full_warnings
+    if isinstance(full, NotIdentifiedError):
+        assert isinstance(block, NotIdentifiedError) and str(block) == str(full)
+        return
+    square = np.ix_(cells, cells)
+    assert block.Dt.tobytes() == full.Dt[square].tobytes()
+    assert block.mask_minus1.tobytes() == full.mask_minus1[square].tobytes()
+    assert block.Dt_over_p.tobytes() == full.Dt_over_p[square].tobytes()
+    v = np.random.default_rng(seed + 1).standard_normal(n * k)
+    with warnings.catch_warnings(record=True) as full_caught:
+        warnings.simplefilter("always")
+        expected = plugin_varbound(v, realization, full)
+    with warnings.catch_warnings(record=True) as block_caught:
+        warnings.simplefilter("always")
+        got = plugin_varbound(v, realization, block)
+    assert np.float64(got.raw).tobytes() == np.float64(expected.raw).tobytes()
+    assert got.negative == expected.negative and len(block_caught) == len(full_caught)
