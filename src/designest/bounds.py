@@ -230,6 +230,9 @@ def certify_bound(
     live = ~(moments.zero_mask | moments.maybe_zero_mask)
     diff = diff[np.ix_(live, live)]
     min_eig = float(np.linalg.eigvalsh(diff).min()) if diff.size else 0.0
+    # The moments' own -1 pattern, not bound.mask_minus1: a bound may carry
+    # another mask (neyman's is the analytic p == 0), and a check against the
+    # bound's own mask would pass it wherever the moments disagree.
     d_minus1 = minus_one_mask(moments)
     violations = int(np.sum(d_minus1 & (bound.Dt != 0.0)))
     cert = BoundCertificate(

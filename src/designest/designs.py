@@ -422,7 +422,10 @@ def read_group_csv(path) -> tuple[np.ndarray, list[np.ndarray]]:
         if header is None or {"unit_id", "group_id"} - set(header):
             raise ValueError("group CSV must have columns unit_id,group_id")
         unit_col, group_col = header.index("unit_id"), header.index("group_id")
-        pairs = [(int(row[unit_col]), row[group_col]) for row in reader if row]
+        try:
+            pairs = [(int(row[unit_col]), row[group_col]) for row in reader if row]
+        except IndexError:
+            raise ValueError(f"group CSV line {reader.line_num} has too few fields") from None
     if not pairs:
         raise ValueError("empty group CSV")
     unit_ids = np.array(sorted(p[0] for p in pairs))

@@ -1,7 +1,12 @@
-"""Simulation driver: the estimator table, whose rows fit a
-linear.ReplicationChunk, outcome imputation, covariate preprocessing,
-repeated randomization, and the summary metric table (all x n scaled,
-matching the reporting convention of the estimator-comparison tables)."""
+"""Simulation driver: the estimator table, outcome imputation, covariate
+preprocessing, repeated randomization, and the summary metric table (all
+x n scaled, matching the reporting convention of the estimator-comparison
+tables).
+
+Each table row is one body, its sample fit of a linear.ReplicationChunk.
+The theoretical columns run that same body on the population chunk
+(ReplicationChunk.population), whose linearization z at the full potential
+outcomes gives the asymptotic variance."""
 
 from __future__ import annotations
 
@@ -23,20 +28,17 @@ from .linear import (
     intercept_matrix,
     linear_sample,
     plugin_raw,
-    population_z,
 )
 from .model_assisted import (
     ImputationModel,
     OptimizerConfig,
     _check_omega,
     _corrected,
-    contrast_residual,
     no_harm_imputations,
     opt_i_imputations,
     opt_linear_imputations,
     opt_logit_descent,
     population_opt_logit,
-    population_qmle,
 )
 from .moments import DesignMoments, closed_form_or_exact_moments, mc_moments
 
@@ -47,37 +49,16 @@ class Estimator:
 
     sample(chunk, c, optimizer) fits the estimator on every row of a
     ReplicationChunk (replication reps[b] seeds row b's randomness) and
-    returns a SampleFit. residual(X, y_full, moments, c) is the population
-    linearization vector v, with n x asymptotic variance v'Dv/n; for the
-    model-assisted estimators v = w (y - f), with the second stage of a
-    sample row run on the full outcome vector.
+    returns a SampleFit. On ReplicationChunk.population the same body gives
+    the population linearization z, with n x asymptotic variance
+    (z c)' D (z c) / n.
     """
 
     sample: Callable[..., SampleFit]
-    residual: Callable[..., np.ndarray]
 
 
 def _linear(kind):
-    return Estimator(
-        lambda chunk, c, optimizer: linear_sample(kind, chunk),
-        lambda X, y, moments, c: population_z(kind, X, y, moments) @ c,
-    )
-
-
-def _imputing(sample, imputations):
-    """Model-assisted table row from its sample fit and its population
-    imputations(X, y_full, moments, c)."""
-    return Estimator(
-        sample, lambda X, y, m, c: contrast_residual(imputations(X, y, m, c), y, c, m.n)
-    )
-
-
-def _only_row(f, diagnostics, errors):
-    """The imputations of a second stage's batch of one, a population fit;
-    raises its error, if it has one."""
-    if errors:
-        raise errors[0]
-    return f[0]
+    return Estimator(lambda chunk, c, optimizer: linear_sample(kind, chunk))
 
 
 def _two_stage(family, omega, stage=None):
@@ -90,43 +71,27 @@ def _two_stage(family, omega, stage=None):
         theta, f = chunk.first_stage(family, omega)
         if stage is None:
             return _corrected(chunk, f, [{"theta": row} for row in theta.tolist()])
-        return _corrected(chunk, *stage(f, chunk.y_ipw, chunk.moments.D, c, chunk.n, True))
+        inspect = not chunk.is_population
+        return _corrected(chunk, *stage(f, chunk.y_ipw, chunk.moments.D, c, chunk.n, inspect))
 
-    def imputations(X, y_full, moments, c):
-        model = ImputationModel(family, moments.k, X.shape[1])
-        weights = moments.pi if omega == "pi" else None
-        f = model.predict(population_qmle(model, X, y_full, omega=weights), X)
-        if stage is None:
-            return f
-        y_full = np.asarray(y_full, dtype=float)[None]
-        return _only_row(*stage(f[None], y_full, moments.D, c, moments.n, False))
-
-    return _imputing(sample, imputations)
+    return Estimator(sample)
 
 
 def _opt_linear_sample(chunk, c, optimizer):
     rows = ImputationModel("linear", chunk.k, chunk.X.shape[1]).design_rows(chunk.X)
-    D = _check_omega(chunk.moments.D, chunk.n * chunk.k)
-    return _corrected(chunk, *opt_linear_imputations(rows, chunk.y_ipw, D, c, chunk.n, True))
-
-
-def _opt_linear_imputations(X, y_full, moments, c):
-    rows = ImputationModel("linear", moments.k, X.shape[1]).design_rows(X)
-    y_full = np.asarray(y_full, dtype=float)[None]
-    return _only_row(*opt_linear_imputations(rows, y_full, moments.D, c, moments.n))
+    D, inspect = _check_omega(chunk.moments.D, chunk.n * chunk.k), not chunk.is_population
+    return _corrected(chunk, *opt_linear_imputations(rows, chunk.y_ipw, D, c, chunk.n, inspect))
 
 
 def _opt_logit_sample(chunk, c, optimizer):
     model = ImputationModel("logistic", chunk.k, chunk.X.shape[1])
     rows, D = model.design_rows(chunk.X), _check_omega(chunk.moments.D, chunk.n * chunk.k)
+    if chunk.is_population:  # the theory columns' solve: BFGS from the pseudo-likelihood fit
+        theta = population_opt_logit(model, chunk.X, chunk.y[0], D, c, chunk.n)[None]
+        return _corrected(chunk, model._predict_rows(theta, rows), [{}])
     return _corrected(
         chunk, *opt_logit_descent(model, rows, chunk.y_ipw, D, c, chunk.n, optimizer, chunk.reps)
     )
-
-
-def _opt_logit_imputations(X, y_full, moments, c):
-    model = ImputationModel("logistic", moments.k, X.shape[1])
-    return model.predict(population_opt_logit(model, X, y_full, moments.D, c, moments.n), X)
 
 
 ESTIMATORS = {
@@ -134,8 +99,8 @@ ESTIMATORS = {
     "noharm_wls": _two_stage("linear", "ones", no_harm_imputations),
     "qmle_logit": _two_stage("logistic", "pi"),
     "noharm_logit": _two_stage("logistic", "pi", no_harm_imputations),
-    "opt_linear": _imputing(_opt_linear_sample, _opt_linear_imputations),
-    "opt_logit": _imputing(_opt_logit_sample, _opt_logit_imputations),
+    "opt_linear": Estimator(_opt_linear_sample),
+    "opt_logit": Estimator(_opt_logit_sample),
     "opt_i_ols": _two_stage("linear", "pi", opt_i_imputations),
     "opt_i_logit": _two_stage("logistic", "pi", opt_i_imputations),
 }
@@ -405,8 +370,13 @@ def population_contrast_residual(
     contrast: np.ndarray,
 ) -> np.ndarray:
     """Contrast-weighted population linearization vector v of a table
-    estimator, with n x asymptotic variance = v' M v / n."""
-    return estimator(name).residual(X, y_full, moments, np.asarray(contrast, dtype=float))
+    estimator, with n x asymptotic variance = v' M v / n: the row's sample
+    body on the population chunk."""
+    c = np.asarray(contrast, dtype=float)
+    fit = estimator(name).sample(ReplicationChunk.population(X, y_full, moments), c, None)
+    if fit.errors:
+        raise fit.errors[0]
+    return fit.z[0] @ c
 
 
 def run_simulation(cfg: SimConfig) -> MetricsTable:

@@ -11,9 +11,12 @@ population fit passes the full outcome vector with r = pi.
 
 A ReplicationChunk holds the observed experiments of a chunk of
 replications, stacked: it alone builds the observed vectors (r, ipw, y,
-y_ipw) and applies the zero-pi rule. ExperimentData is one observed
-experiment and carries its chunk of one (data.chunk), so the
-per-replication functions run the same bodies as the estimator table.
+y_ipw) and applies the zero-pi rule. ReplicationChunk.population is the
+population as a chunk of one (r = pi, y = y_ipw = the full outcome vector),
+so every estimator's population fit is its sample body on that chunk.
+ExperimentData is one observed experiment and carries its chunk of one
+(data.chunk), so the per-replication functions run the same bodies as the
+estimator table.
 """
 
 from __future__ import annotations
@@ -76,8 +79,11 @@ class ReplicationChunk:
     default the chunk is one observed experiment, replication 0. A
     replication with an observed cell of zero inclusion probability, on
     which no weighted estimator is defined, gets no row: failed maps it to
-    that error.
+    that error. ReplicationChunk.population(X, y_full, moments) is the
+    population as a chunk of one.
     """
+
+    is_population = False
 
     def __init__(self, arms, y_obs, X, moments: DesignMoments, reps=(0,)):
         n, pi = moments.n, moments.pi
@@ -102,16 +108,41 @@ class ReplicationChunk:
         np.put_along_axis(self.y_ipw, self.cells, self.y_obs / pi[self.cells], axis=1)
         self._first_stages = {}
 
+    @classmethod
+    def population(cls, X, y_full, moments: DesignMoments) -> "ReplicationChunk":
+        """The population as a chunk of one, on which an estimator's sample
+        fit is its population fit: every cell is observed with weight
+        r = pi (so it has no arms, cells or y_obs), y and y_ipw are the full
+        outcome vector, and no zero-pi rule applies. Its first stage
+        minimises the population loss, each cell weighing omega, and its
+        second stages do not warn."""
+        chunk = cls.__new__(cls)
+        n, kn, pi = moments.n, moments.kn, moments.pi
+        chunk.n, chunk.k, chunk.moments = n, moments.k, moments
+        chunk.X = check_covariates(X, n)
+        y = np.asarray(y_full, dtype=float)[None]
+        if y.shape != (1, kn):
+            raise ValueError("y_full must be a stacked kn vector")
+        chunk.is_population, chunk.failed, chunk.reps = True, {}, [0]
+        chunk.r, chunk.ipw = pi[None], _ipw(pi[None], pi)
+        chunk.y = chunk.y_ipw = y
+        chunk._first_stages = {}
+        return chunk
+
     def first_stage(self, family: str, omega: str):
         """Pseudo-likelihood theta (B, s) of every row, its cells weighing
         omega in the population loss, and its imputations f (B, kn); fitted
         once per chunk and shared by the estimators that start from it."""
         if (family, omega) not in self._first_stages:
-            from .model_assisted import ImputationModel, sample_qmle
+            from .model_assisted import ImputationModel, population_qmle, sample_qmle
 
             model = ImputationModel(family, self.k, self.X.shape[1])
             rows = model.design_rows(self.X)
-            theta = sample_qmle(model, rows, self.moments.pi, omega, self.cells, self.y_obs)
+            if self.is_population:
+                weights = self.moments.pi if omega == "pi" else None
+                theta = population_qmle(model, self.X, self.y[0], omega=weights)[None]
+            else:
+                theta = sample_qmle(model, rows, self.moments.pi, omega, self.cells, self.y_obs)
             self._first_stages[family, omega] = theta, model._predict_rows(theta, rows)
         return self._first_stages[family, omega]
 
@@ -380,26 +411,22 @@ def linear_sample(kind: str, chunk: ReplicationChunk, m_weights=None) -> SampleF
     return SampleFit(fit.mu_hat, fit.z_hat, diagnostics, fit.errors)
 
 
-def population_z(kind: str, X, y_full, moments: DesignMoments) -> np.ndarray:
-    """kn x k population linearization matrix of the estimator: the same
-    functional at the full potential outcomes, every cell weighted by pi."""
-    X, y_full = np.asarray(X, dtype=float), np.asarray(y_full, dtype=float)
-    fit = _linear_fit(kind, X, moments.k, moments.pi, y_full[None], moments.pi[None])
-    return fit.single().z_hat
-
-
 def z_vector(kind: str, data: ExperimentData, population: bool = False) -> np.ndarray:
     """kn x k linearization matrix for the estimator.
 
-    population=True uses the full potential-outcome vector and the fixed
-    design matrix (simulation mode); otherwise unknowns are replaced by
-    their sample plug-ins and only rows at observed cells are meaningful.
+    population=True is the same body on the population chunk (the full
+    potential-outcome vector, every cell weighted by pi; simulation mode);
+    otherwise unknowns are replaced by their sample plug-ins and only rows
+    at observed cells are meaningful.
     """
     if not population:
         return estimate_linear(kind, data).z_hat
     if data.y_full is None:
         raise ValueError("population z needs the full potential-outcome vector")
-    return population_z(kind, data.X, data.y_full, data.moments)
+    fit = linear_sample(kind, ReplicationChunk.population(data.X, data.y_full, data.moments))
+    if fit.errors:
+        raise fit.errors[0]
+    return fit.z[0]
 
 
 class PluginVariance(NamedTuple):
@@ -641,6 +668,8 @@ def load_observed_csv(path, return_ids: bool = False):
         if reader.fieldnames is None or {"unit_id", "arm", "y"} - set(reader.fieldnames):
             raise ValueError("observed-data CSV must have columns unit_id,arm,y")
         for row in reader:
+            if None in row.values():  # DictReader's filler for missing fields
+                raise ValueError(f"observed-data CSV line {reader.line_num} has too few fields")
             rows.append((int(row["unit_id"]), int(row["arm"]), float(row["y"])))
     ids, rows = _sorted_by_unit_id(rows, "observed-data")
     arms = np.array([r[1] - 1 for r in rows], dtype=np.int64)
@@ -658,9 +687,9 @@ def load_covariates_csv(path, return_ids: bool = False):
     skipped; a row whose field count differs from the header's is an error."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "unit_id":
-            raise ValueError("covariates CSV must start with unit_id column")
+        header = next(reader, None)
+        if not header or header[0] != "unit_id":
+            raise ValueError("covariates CSV line 1 must be a header starting with unit_id")
         rows = []
         for r in reader:
             if not r:

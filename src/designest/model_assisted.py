@@ -11,12 +11,13 @@ opt_gr_logit), and a single-imputed-covariate linear layer (opt_i_gr).
 Each second stage (no_harm_imputations, opt_linear_imputations,
 opt_i_imputations, opt_logit_descent) is one body over a leading batch axis
 of outcome vectors y (B, kn): a sample fit passes the inverse-probability-
-weighted observed vectors of a chunk of replications where the population
-version passes the full potential outcomes as a batch of one (the
-pseudo-likelihood fits pass the observed cells, weighted omega / pi). A
-stage returns the imputations (B, kn), one diagnostics dict per row and the
-exception of each row whose fit is undefined; row b is bitwise what a batch
-of one gives, because every slice takes the same BLAS call as the 2-D form.
+weighted observed vectors of a chunk of replications, and the population
+chunk (linear.ReplicationChunk.population) passes the full potential
+outcomes as a batch of one (the pseudo-likelihood fits weigh an observed
+cell omega / pi, a population cell omega). A stage returns the imputations
+(B, kn), one diagnostics dict per row and the exception of each row whose
+fit is undefined; row b is bitwise what a batch of one gives, because every
+slice takes the same BLAS call as the 2-D form.
 Shared matrices are built once per batch (opt_linear's design form and its
 pseudoinverse), and the logistic descent runs all rows' restarts as one
 array descent. _corrected turns a stage's imputations into the fits of a

@@ -29,7 +29,6 @@ from .designs import Design, SupportTable, check_arms, stream_rng
 MC_BLOCK_SIZE = 4096  # draws per random stream; part of what a seed reproduces
 DENSE_LIMIT = 8192  # largest kn stored dense
 TENSOR_CAP = 64
-PSD_TOL = 1e-8
 BAND_ENTRIES = 1 << 15  # entries per band of a row-banded elementwise pass
 NPZ_ALIGN = 64  # byte boundary of each saved member's data, as npy aligns arrays
 ALIGN_EXTRA_ID = 0xD935  # zip extra-field id of zipalign's padding record
@@ -252,12 +251,19 @@ def _warn_dense(kn: int):
         )
 
 
+def _exact(n: int, k: int, pi: np.ndarray, p: np.ndarray) -> DesignMoments:
+    """Exact moments from pi and p, which sum positive probabilities: a
+    cell or pair never realized has an exact 0, so pi == 0 proves a cell
+    impossible."""
+    zero_mask = pi == 0
+    D = _assemble_d(pi, p, zero_mask)
+    return DesignMoments(n=n, k=k, pi=pi, p=p, D=D, method="exact", zero_mask=zero_mask)
+
+
 def exact_moments(design: Design, cap: int | None = None) -> DesignMoments:
     """pi, p, D computed from the full support with no sampling error."""
-    _warn_dense(design.n * design.k)
     kwargs = {} if cap is None else {"cap": cap}
-    table = design.enumerate_support(**kwargs)
-    return moments_from_support(table)
+    return moments_from_support(design.enumerate_support(**kwargs))
 
 
 def analytic_bernoulli_moments(design) -> DesignMoments:
@@ -272,17 +278,14 @@ def analytic_bernoulli_moments(design) -> DesignMoments:
     if not isinstance(design, BernoulliDesign):
         raise TypeError("analytic moments available for Bernoulli designs only")
     n, k = design.n, design.k
+    _warn_dense(n * k)
     pi = np.repeat(design.probs, n)
     p = np.outer(pi, pi)
     for a in range(k):
         for b in range(k):
             idx = np.arange(n)
             p[a * n + idx, b * n + idx] = design.probs[a] if a == b else 0.0
-    zero_mask = pi == 0
-    D = _assemble_d(pi, p, zero_mask)
-    return DesignMoments(
-        n=n, k=k, pi=pi, p=p, D=D, method="exact", zero_mask=zero_mask
-    )
+    return _exact(n, k, pi, p)
 
 
 def analytic_crd_moments(design) -> DesignMoments:
@@ -293,8 +296,14 @@ def analytic_crd_moments(design) -> DesignMoments:
 
     if not isinstance(design, CompletelyRandomizedDesign):
         raise TypeError("analytic moments available for completely randomized designs only")
-    n, k = design.n, design.k
-    counts = design.counts
+    _warn_dense(design.n * design.k)
+    return _exact(design.n, design.k, *_crd_joint(design.n, design.counts))
+
+
+def _crd_joint(n: int, counts: np.ndarray):
+    """pi and p of a completely randomized design of n units with the given
+    arm counts."""
+    k = len(counts)
     pi = np.repeat(counts / n, n)
     p = np.empty((n * k, n * k))
     for a in range(k):
@@ -308,39 +317,29 @@ def analytic_crd_moments(design) -> DesignMoments:
                 off = (counts[a] / n) * (counts[b] / (n - 1)) if n > 1 else 0.0
                 p[block] = off
                 np.fill_diagonal(p[block], 0.0)
-    zero_mask = pi == 0
-    return DesignMoments(
-        n=n, k=k, pi=pi, p=p, D=_assemble_d(pi, p, zero_mask),
-        method="exact", zero_mask=zero_mask,
-    )
+    return pi, p
 
 
 def stratified_moments(design) -> DesignMoments:
     """Exact moments of a stratified design from per-stratum closed forms.
 
     Strata are independent complete randomizations: within a stratum p is
-    the stratum's analytic_crd_moments block, across strata it is the
+    the stratum's completely randomized block, across strata it is the
     product of the two inclusion probabilities. Needs no enumeration, so a
     fine stratification with a huge support is covered.
     """
-    from .designs import CompletelyRandomizedDesign
-
     n, k = design.n, design.k
     _warn_dense(n * k)
     pi = np.empty(n * k)
     blocks = []
     for units, counts in zip(design.strata, design.counts_by_stratum):
         cells = (np.arange(k)[:, None] * n + units).ravel()  # stratum cells, arm-major
-        block = analytic_crd_moments(CompletelyRandomizedDesign(len(units), counts))
-        pi[cells] = block.pi
-        blocks.append((cells, block.p))
+        pi[cells], block_p = _crd_joint(len(units), counts)
+        blocks.append((cells, block_p))
     p = np.multiply.outer(pi, pi)
     for cells, block_p in blocks:
         p[np.ix_(cells, cells)] = block_p
-    zero_mask = pi == 0
-    return DesignMoments(
-        n=n, k=k, pi=pi, p=p, D=_assemble_d(pi, p, zero_mask), method="exact", zero_mask=zero_mask
-    )
+    return _exact(n, k, pi, p)
 
 
 def clustered_moments(design, cap: int | None = None) -> DesignMoments:
@@ -354,15 +353,9 @@ def clustered_moments(design, cap: int | None = None) -> DesignMoments:
     _warn_dense(design.n * design.k)
     base = design.cluster_design
     kwargs = {} if cap is None else {"cap": cap}
-    clusters = moments_from_support(base.enumerate_support(**kwargs))
+    pi, p = _support_joint(base.enumerate_support(**kwargs))
     cells = (np.arange(design.k)[:, None] * base.n + design.cluster_of).ravel()
-    pi = clusters.pi[cells]
-    p = clusters.p[np.ix_(cells, cells)]
-    zero_mask = pi == 0
-    return DesignMoments(
-        n=design.n, k=design.k, pi=pi, p=p, D=_assemble_d(pi, p, zero_mask),
-        method="exact", zero_mask=zero_mask,
-    )
+    return _exact(design.n, design.k, pi[cells], p[np.ix_(cells, cells)])
 
 
 def closed_form_or_exact_moments(design, cap: int | None = None) -> DesignMoments:
@@ -389,17 +382,16 @@ def closed_form_or_exact_moments(design, cap: int | None = None) -> DesignMoment
 
 
 def moments_from_support(table: SupportTable) -> DesignMoments:
+    """Exact moments of an enumerated support."""
+    _warn_dense(table.n * table.k)
+    return _exact(table.n, table.k, *_support_joint(table))
+
+
+def _support_joint(table: SupportTable):
+    """pi and p of an enumerated support."""
     indicators = table.indicator_matrix()
     w = table.probabilities
-    pi = w @ indicators
-    p = indicators.T @ (indicators * w[:, None])
-    # Probabilities assembled from sums of positive terms: a cell/pair never
-    # realized yields an exact 0.
-    zero_mask = pi == 0
-    D = _assemble_d(pi, p, zero_mask)
-    return DesignMoments(
-        n=table.n, k=table.k, pi=pi, p=p, D=D, method="exact", zero_mask=zero_mask
-    )
+    return w @ indicators, indicators.T @ (indicators * w[:, None])
 
 
 def mc_moments(design: Design, reps: int, seed: int) -> DesignMoments:

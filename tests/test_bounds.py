@@ -250,6 +250,20 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify_bound(m, bad)
 
+    def test_identification_uses_the_moments_mask_not_the_bounds(self):
+        # 12 draws leave within-arm pairs never jointly hit: the MC moments'
+        # -1 mask holds them, the neyman bound's analytic mask does not, and
+        # its within-arm blocks are nonzero there
+        design = CompletelyRandomizedDesign(8, [3, 5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            m = mc_moments(design, reps=12, seed=2)
+        bound = neyman_bound_crd(8, 3)
+        assert minus_one_mask(m).sum() == 38 and bound.mask_minus1.sum() == 16
+        assert not np.any(bound.mask_minus1 & (bound.Dt != 0.0))
+        cert = certify_bound(m, bound)
+        assert cert.mask_violations == 18 and not cert.identified_ok
+
     def test_custom_bound_validates(self):
         m = exact_moments(CompletelyRandomizedDesign(4, [2, 2]))
         as_matrix = aronow_samii_bound(m).Dt

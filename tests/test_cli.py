@@ -316,6 +316,39 @@ def test_estimate_rejects_duplicate_unit_ids(crd_design_yaml, tmp_path, capsys):
     assert "duplicate unit_id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spoil, text, message",
+    [
+        ("observed", "unit_id,arm,y\n0,1,0.5\n1,2\n", "line 3 has too few fields"),
+        ("strata", "unit_id,group_id\n10,a\n20\n", "line 3 has too few fields"),
+        ("cluster", "unit_id,group_id\n10,a\n20,a\n30\n", "line 4 has too few fields"),
+        ("covariates", "", "line 1"),
+        ("covariates", "\nunit_id,x1\n0,1.0\n", "line 1"),
+    ],
+    ids=["observed_short_row", "strata_short_row", "cluster_short_row", "covariates_empty",
+         "covariates_blank_first_line"],
+)
+def test_malformed_csv_exits_2_naming_its_line(
+    crd_design_yaml, tmp_path, capsys, spoil, text, message
+):
+    obs, cov = _write_estimate_inputs(tmp_path, range(6), range(6))
+    groups = {
+        "strata": "kind: stratified\n  strata_csv: {csv}\n  counts: [[1, 1], [1, 1]]\n",
+        "cluster": "kind: clustered\n  cluster_csv: {csv}\n"
+        "  cluster_design: {{kind: completely_randomized, n: 2, counts: [1, 1]}}\n",
+    }
+    if spoil in groups:
+        (tmp_path / "groups.csv").write_text(text)
+        design_yaml = tmp_path / "design.yaml"
+        design_yaml.write_text("design:\n  " + groups[spoil].format(csv=tmp_path / "groups.csv"))
+        argv = ["moments", "--design", str(design_yaml), "--exact"]
+    else:
+        (obs if spoil == "observed" else cov).write_text(text)
+        argv = _estimate_argv(crd_design_yaml, obs, cov)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_estimate_rejects_mismatched_unit_ids(crd_design_yaml, tmp_path, capsys):
     obs, cov = _write_estimate_inputs(tmp_path, range(6), [0, 1, 2, 3, 4, 9])
     assert main(_estimate_argv(crd_design_yaml, obs, cov)) == 2

@@ -27,11 +27,18 @@ from designest.linear import LINEAR_KINDS, ExperimentData, contrast_report, esti
 from designest.model_assisted import (
     ImputationModel,
     WeakIdentificationError,
+    contrast_residual,
     fit_qmle,
     no_harm_gr,
     opt_gr_linear,
     opt_gr_logit,
     opt_i_gr,
+    opt_i_rows,
+    population_no_harm_alpha,
+    population_opt_gr_linear,
+    population_opt_i_beta,
+    population_opt_logit,
+    population_qmle,
     qmle_gr,
 )
 from designest.moments import closed_form_or_exact_moments, exact_moments, mc_moments
@@ -607,3 +614,42 @@ class TestTheoreticalRows:
         var_ht = float(v_ht @ moments.D @ v_ht)
         var_opt = float(v_opt @ moments.D @ v_opt)
         assert var_opt <= var_ht + 1e-10
+
+
+def _population_imputations(name, X, y, moments, c):
+    """Imputations of a model-assisted table row at the population, from the
+    public population functions alone."""
+    n, k, D = moments.n, moments.k, moments.D
+    model = ImputationModel("logistic" if name.endswith("logit") else "linear", k, X.shape[1])
+    if name == "opt_linear":
+        rows = model.design_rows(X)
+        return rows @ population_opt_gr_linear(rows, y, D, c, n)
+    if name == "opt_logit":
+        return model.predict(population_opt_logit(model, X, y, D, c, n), X)
+    omega = None if name == "noharm_wls" else moments.pi
+    f = model.predict(population_qmle(model, X, y, omega=omega), X)
+    if name.startswith("noharm"):
+        return population_no_harm_alpha(f, y, D, c, n) * f
+    if name.startswith("opt_i"):
+        return opt_i_rows(f, n, k) @ population_opt_i_beta(f, y, D, c, n, k)
+    return f
+
+
+@pytest.mark.parametrize("name", [name for name in ESTIMATOR_NAMES if name not in LINEAR_KINDS])
+@pytest.mark.parametrize(
+    "design, contrast",
+    [
+        (CompletelyRandomizedDesign(30, [12, 18]), [-1.0, 1.0]),
+        (BernoulliDesign(30, [0.3, 0.3, 0.4]), [1.0, -2.0, 1.0]),
+    ],
+    ids=["crd2", "bernoulli3"],
+)
+def test_population_residual_is_the_public_population_fit(name, design, contrast):
+    rng = stream_rng(21)
+    X = centered(rng.standard_normal((design.n, 2)))
+    y = impute_potential_outcomes(X, [0.9, -0.6], np.linspace(-0.4, 0.5, design.k), seed=4)
+    moments = closed_form_or_exact_moments(design)
+    c = np.array(contrast)
+    expected = contrast_residual(_population_imputations(name, X, y, moments, c), y, c, design.n)
+    got = population_contrast_residual(name, X, y, moments, c)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)

@@ -1,3 +1,4 @@
+import warnings
 import zipfile
 
 import numpy as np
@@ -13,17 +14,23 @@ from designest.designs import (
     stream_rng,
 )
 from designest.harness import fine_strata
+from designest import moments as moments_module
 from designest.moments import (
     MC_BLOCK_SIZE,
     DesignMoments,
     _assemble_d,
+    analytic_bernoulli_moments,
+    analytic_crd_moments,
     closed_form_or_exact_moments,
+    clustered_moments,
     crd_first_order_matrix,
     design_complexity,
     exact_moments,
     largest_eigenvalue,
     mc_moments,
+    moments_from_support,
     second_order_tensor,
+    stratified_moments,
     tensor_sigma_max_oracle,
     tensor_slice_norm_bound,
 )
@@ -468,3 +475,24 @@ def test_fine_stratification_gets_exact_moments_from_its_strata():
     assert np.array_equal(m.p[across], np.outer(m.pi, m.pi)[across])
     assert np.all(m.D[across] == 0.0)
     assert not m.zero_mask.any()
+
+
+@pytest.mark.parametrize(
+    "route, design",
+    [
+        (analytic_bernoulli_moments, BernoulliDesign(4, [0.3, 0.7])),
+        (analytic_crd_moments, CompletelyRandomizedDesign(4, [1, 3])),
+        (stratified_moments, StratifiedDesign(6, [[0, 1, 2], [3, 4, 5]], [[1, 2], [2, 1]])),
+        (clustered_moments, ClusteredDesign(4, [0, 0, 1, 1], CompletelyRandomizedDesign(2, [1, 1]))),
+        (lambda design: moments_from_support(design.enumerate_support()),
+         CompletelyRandomizedDesign(4, [2, 2])),
+    ],
+    ids=["bernoulli", "crd", "stratified", "clustered", "support"],
+)
+def test_every_exact_route_warns_once_past_the_dense_limit(monkeypatch, route, design):
+    # a limit below every kn, strata and cluster-level designs included
+    monkeypatch.setattr(moments_module, "DENSE_LIMIT", 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        route(design)
+    assert ["dense-storage" in str(w.message) for w in caught] == [True]

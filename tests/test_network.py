@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from designest.designs import BernoulliDesign, CompletelyRandomizedDesign
-from designest.linear import population_z
+from designest.linear import ReplicationChunk, linear_sample
 from designest.moments import exact_moments, mc_moments
 from designest.network import (
     ExposureRules,
@@ -280,8 +280,11 @@ class TestDerivedDesign:
         y = np.linspace(-1.0, 2.0, 16)
         shifted = np.where(dead, y + 5.0, y)
         X = np.zeros((4, 0))
-        z = population_z("hajek", X, y, moments)
-        assert np.allclose(population_z("hajek", X, shifted, moments)[~dead], z[~dead])
+        def population_z(y_full):
+            return linear_sample("hajek", ReplicationChunk.population(X, y_full, moments)).z[0]
+
+        z = population_z(y)
+        assert np.allclose(population_z(shifted)[~dead], z[~dead])
 
     def test_crd_base_not_provable(self):
         g = InterferenceGraph(3, [(0, 1)])
