@@ -413,19 +413,32 @@ def enumerate_support(design: Design, cap: int = ENUMERATION_CAP) -> SupportTabl
     return design.enumerate_support(cap=cap)
 
 
-def read_group_csv(path) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Read a unit_id,group_id CSV; returns (unit ids sorted, groups as
-    lists of 0-based unit positions)."""
+def read_csv_columns(path, columns: tuple, what: str) -> list[list[str]]:
+    """The named columns of each nonblank row of a CSV file with a header,
+    as strings. A header without them, or a row whose field count differs
+    from the header's, is a ValueError naming the file kind (`what`) and,
+    for a row, its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or {"unit_id", "group_id"} - set(header):
-            raise ValueError("group CSV must have columns unit_id,group_id")
-        unit_col, group_col = header.index("unit_id"), header.index("group_id")
-        try:
-            pairs = [(int(row[unit_col]), row[group_col]) for row in reader if row]
-        except IndexError:
-            raise ValueError(f"group CSV line {reader.line_num} has too few fields") from None
+        if header is None or set(columns) - set(header):
+            raise ValueError(f"{what} CSV must have columns {','.join(columns)}")
+        index = [header.index(column) for column in columns]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                many = "many" if len(row) > len(header) else "few"
+                raise ValueError(f"{what} CSV line {reader.line_num} has too {many} fields")
+            rows.append([row[i] for i in index])
+    return rows
+
+
+def read_group_csv(path) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Read a unit_id,group_id CSV; returns (unit ids sorted, groups as
+    lists of 0-based unit positions)."""
+    pairs = [(int(unit), group) for unit, group in read_csv_columns(path, ("unit_id", "group_id"), "group")]
     if not pairs:
         raise ValueError("empty group CSV")
     unit_ids = np.array(sorted(p[0] for p in pairs))

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
 
 from .bounds import build_bound
 from .designs import Design, stream_rng
@@ -27,6 +26,7 @@ from .linear import (
     SampleFit,
     intercept_matrix,
     linear_sample,
+    normal_critical_value,
     plugin_raw,
 )
 from .model_assisted import (
@@ -261,6 +261,8 @@ class SimConfig:
         self.contrast = np.asarray(self.contrast, dtype=float)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if not 0 < self.level < 1:
+            raise ValueError(f"level must lie strictly between 0 and 1, not {self.level}")
         if self.contrast.shape != (self.design.k,):
             raise ValueError("contrast length must match the number of arms")
         for name in self.estimators:
@@ -419,7 +421,7 @@ def run_simulation(cfg: SimConfig) -> MetricsTable:
         for chunk in chunks:
             results.update(_replication_chunk(payload, chunk))
 
-    z_crit = norm.ppf(0.5 + cfg.level / 2)
+    z_crit = normal_critical_value(cfg.level)
     metrics = {}
     failures = {}
     for name in cfg.estimators:

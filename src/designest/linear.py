@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .bounds import VarianceBound
-from .designs import AssignmentRealization, check_arms
+from .designs import AssignmentRealization, check_arms, read_csv_columns
 from .moments import DesignMoments
 
 PINV_RCOND = 1e-10
@@ -496,11 +496,17 @@ def plugin_raw(v: np.ndarray, cells: np.ndarray, Dt_over_p: np.ndarray) -> np.nd
     return quad / n**2
 
 
+def normal_critical_value(level: float) -> float:
+    """The (1 + level)/2 standard normal quantile, bitwise what
+    scipy.stats.norm.ppf gives (ndtri spares importing scipy.stats)."""
+    return ndtri(0.5 + level / 2)
+
+
 def normal_ci(contrast_value: float, varbound_times_n: float, n: int, level: float = 0.95):
     """Normal-approximation interval from the x n scaled bound estimate."""
     if varbound_times_n < 0:
         raise ValueError("variance bound estimate must be nonnegative")
-    half = norm.ppf(0.5 + level / 2) * np.sqrt(varbound_times_n / n)
+    half = normal_critical_value(level) * np.sqrt(varbound_times_n / n)
     return contrast_value - half, contrast_value + half
 
 
@@ -662,15 +668,10 @@ def _sorted_by_unit_id(rows, label):
 def load_observed_csv(path, return_ids: bool = False):
     """unit_id,arm,y with 1-based arms and finite y; rows sorted by unit_id
     on load. Returns (arms, y), or (unit_ids, arms, y) with return_ids."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"unit_id", "arm", "y"} - set(reader.fieldnames):
-            raise ValueError("observed-data CSV must have columns unit_id,arm,y")
-        for row in reader:
-            if None in row.values():  # DictReader's filler for missing fields
-                raise ValueError(f"observed-data CSV line {reader.line_num} has too few fields")
-            rows.append((int(row["unit_id"]), int(row["arm"]), float(row["y"])))
+    rows = [
+        (int(unit), int(arm), float(y))
+        for unit, arm, y in read_csv_columns(path, ("unit_id", "arm", "y"), "observed-data")
+    ]
     ids, rows = _sorted_by_unit_id(rows, "observed-data")
     arms = np.array([r[1] - 1 for r in rows], dtype=np.int64)
     y = np.array([r[2] for r in rows])

@@ -399,24 +399,32 @@ def mc_moments(design: Design, reps: int, seed: int) -> DesignMoments:
 
     Block b of MC_BLOCK_SIZE draws is one ``sample_batch`` call on an
     independent stream keyed by (seed, b), checked for shape and arm range.
-    pi and p are hit frequencies, and D is assembled from them as for exact
-    moments, with the never-hit cells left unusable.
+    Only the cells of arms 0..k-2 enter the per-block gram; the joint hits
+    of each unit's last arm follow from those by inclusion-exclusion, since
+    every unit sits in exactly one arm per draw (``_complete_last_arm``).
+    All counts are exact integers, so they equal the full gram's. pi and p
+    are hit frequencies, and D is assembled from them as for exact moments,
+    with the never-hit cells left unusable.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
     n = design.n
     kn = n * design.k
     _warn_dense(kn)
+    trimmed = kn - n  # cells of arms 0..k-2
     joint_counts = np.zeros((kn, kn))
     for index, start in enumerate(range(0, reps, MC_BLOCK_SIZE)):
         size = min(MC_BLOCK_SIZE, reps - start)
         arms = check_arms(design.sample_batch(stream_rng(seed, index), size), (size, n), design.k)
         # float32 is exact here: 0/1 products summed over at most 4096 rows.
-        h = np.zeros((size, kn), dtype=np.float32)
-        h[np.arange(size)[:, None], arms * n + np.arange(n)] = 1.0
-        joint_counts += h.T @ h
+        h = np.empty((trimmed, size), dtype=np.float32)
+        for a in range(design.k - 1):
+            np.equal(arms.T, a, out=h[a * n : (a + 1) * n])
+        joint_counts[:trimmed, :trimmed] += h @ h.T
+    _complete_last_arm(joint_counts, n, reps)
 
-    p = joint_counts / reps
+    p = joint_counts
+    p /= reps
     pi = np.diag(p).copy()
     never_hit = pi == 0
     proven = design.structural_zero_cells()
@@ -439,6 +447,28 @@ def mc_moments(design: Design, reps: int, seed: int) -> DesignMoments:
         reps=reps,
         seed=seed,
     )
+
+
+def _complete_last_arm(counts: np.ndarray, n: int, reps: int):
+    """Fill the rows and columns of the last arm's cells of a (kn, kn)
+    joint hit count matrix, in place, from its leading block over the other
+    arms. Unit j sits in exactly one arm per draw, so cell s and unit j's
+    last arm are hit together count(s) - (draws with s hit and j in another
+    arm) times, and two last-arm cells i, j together reps - m_i - m_j + (draws
+    with both i and j in other arms), m_i being the draws with i in another
+    arm. Exact integers below 2**53 keep every entry exact."""
+    trimmed = len(counts) - n
+    others = trimmed // n
+    lead = counts[:trimmed, :trimmed]
+    hits = np.diagonal(lead)
+    # with_other[s, j]: draws with cell s hit and unit j not in the last arm
+    with_other = lead.reshape(trimmed, others, n).sum(axis=1)
+    cross = hits[:, None] - with_other
+    counts[:trimmed, trimmed:] = cross
+    counts[trimmed:, :trimmed] = cross.T
+    other = hits.reshape(others, n).sum(axis=0)
+    both_other = with_other.reshape(others, n, n).sum(axis=0)
+    counts[trimmed:, trimmed:] = reps - other[:, None] - other[None, :] + both_other
 
 
 def rescaled_demeaning_matrix(n: int) -> np.ndarray:

@@ -9,13 +9,12 @@ evaluator serves mapping, table validation and structural zeros.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .designs import BernoulliDesign, Design, check_arms
+from .designs import BernoulliDesign, Design, check_arms, read_csv_columns
 from .moments import MC_BLOCK_SIZE, DesignMoments
 
 POSITIVITY_THRESHOLD = 0.01
@@ -51,16 +50,7 @@ class InterferenceGraph:
         and an unknown id is an error; without them ids are 0-based unit
         positions.
         """
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or {"src_id", "dst_id"} - set(header):
-                raise ValueError("edge CSV must have columns src_id,dst_id")
-            src, dst = header.index("src_id"), header.index("dst_id")
-            try:
-                edges = [(int(row[src]), int(row[dst])) for row in reader if row]
-            except IndexError:
-                raise ValueError(f"edge CSV line {reader.line_num} has too few fields") from None
+        edges = read_csv_columns(path, ("src_id", "dst_id"), "edge")
         edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
         if unit_ids is not None:
             unit_ids = np.asarray(unit_ids, dtype=np.int64)
@@ -189,13 +179,22 @@ class ExposureRules:
             raise ValueError(f"rules {matched} overlap on {where}")
         return hits.argmax(axis=0)
 
+    def label_grids(self, degrees) -> dict:
+        """Labels of every (own arm, count composition) realizable at the
+        given degrees, {degree: (own arms, counts, labels)} in degree order;
+        the first entry matched by no rule or by several, in (degree,
+        composition, own arm) order, raises."""
+        arms = np.arange(self.base_k)
+        grids = {}
+        for d in sorted(set(int(d) for d in degrees)):
+            own, counts = _degree_grid(d, arms, self.base_k)
+            grids[d] = own, counts, self.match_all(own, counts)
+        return grids
+
     def validate_on_degrees(self, degrees):
         """Check exhaustiveness and exclusivity over all count compositions
-        realizable at the given degrees; the first failure in (degree,
-        composition, own arm) order raises."""
-        arms = np.arange(self.base_k)
-        for d in sorted(set(int(d) for d in degrees)):
-            self.match_all(*_degree_grid(d, arms, self.base_k))
+        realizable at the given degrees (see label_grids)."""
+        self.label_grids(degrees)
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -237,15 +236,11 @@ def exposure_map(
     rules: ExposureRules,
     undirected: bool = False,
 ) -> np.ndarray:
-    """Per-unit exposure labels (0-based indices into the rule list) for a
-    base assignment vector."""
-    return _exposure_labels(Z, graph.neighbor_matrix(undirected), rules)
-
-
-def _exposure_labels(Z, neighbors, rules):
-    """Exposure labels of (..., n) base arms."""
+    """Per-unit exposure labels (0-based indices into the rule list) for
+    (..., n) base arms, evaluated rule by rule: the reference that an
+    exposure design's label table reproduces."""
     Z = np.asarray(Z, dtype=np.int64)
-    return rules.match_all(Z, _neighbor_counts(Z, neighbors, rules.base_k))
+    return rules.match_all(Z, _neighbor_counts(Z, graph.neighbor_matrix(undirected), rules.base_k))
 
 
 def _neighbor_counts(Z, neighbors, base_k):
@@ -260,7 +255,15 @@ def _neighbor_counts(Z, neighbors, base_k):
 
 
 class ExposureDerivedDesign(Design):
-    """Design over exposure labels induced by a base design and a graph."""
+    """Design over exposure labels induced by a base design and a graph.
+
+    Construction evaluates every (degree, composition, own arm) that the
+    graph's degrees allow once with ``ExposureRules.match_all``
+    (``label_grids``); that one pass checks the rules and fills a label
+    table (see ``_label_table``). Sampling and enumeration then map a block
+    of base draws with one sparse product, which gives every unit's key
+    into the table, and one gather: no rule is evaluated per draw.
+    """
 
     kind = "exposure_derived"
 
@@ -275,7 +278,8 @@ class ExposureDerivedDesign(Design):
             raise ValueError("graph and base design must cover the same units")
         if rules.base_k != base.k:
             raise ValueError("rules are defined over a different number of base arms")
-        rules.validate_on_degrees(graph.degrees(undirected))
+        degrees = graph.degrees(undirected)
+        grids = rules.label_grids(degrees)
         self.base = base
         self.graph = graph
         self.rules = rules
@@ -283,10 +287,20 @@ class ExposureDerivedDesign(Design):
         self.n = base.n
         self.k = len(rules)
         self._neighbors = graph.neighbor_matrix(undirected)
+        self._table, self._key_matrix, self._key_offset = _label_table(
+            grids, degrees, self._neighbors, base.k
+        )
+
+    def _labels(self, Z: np.ndarray) -> np.ndarray:
+        """Exposure labels of (draws, n) base arms, read from the table."""
+        onehot = Z.T == np.arange(self.base.k - 1)[:, None, None]
+        onehot = np.ascontiguousarray(onehot).view(np.int8).reshape(-1, len(Z))
+        keys = self._key_matrix @ onehot  # (n, draws)
+        keys += self._key_offset
+        return self._table[keys.T]
 
     def sample_batch(self, rng, size):
-        base_arms = check_arms(self.base.sample_batch(rng, size), (size, self.n), self.base.k)
-        return _exposure_labels(base_arms, self._neighbors, self.rules)
+        return self._labels(check_arms(self.base.sample_batch(rng, size), (size, self.n), self.base.k))
 
     def support_size(self):
         return self.base.support_size()
@@ -299,8 +313,7 @@ class ExposureDerivedDesign(Design):
         base = self.base.enumerate_support()
         Z = base.realizations
         labels = np.concatenate([
-            _exposure_labels(Z[start:start + MC_BLOCK_SIZE], self._neighbors, self.rules)
-            for start in range(0, len(Z), MC_BLOCK_SIZE)
+            self._labels(Z[start:start + MC_BLOCK_SIZE]) for start in range(0, len(Z), MC_BLOCK_SIZE)
         ])
         rows, inverse = np.unique(labels, axis=0, return_inverse=True)
         probs = np.bincount(inverse.ravel(), weights=base.probabilities, minlength=len(rows))
@@ -321,6 +334,41 @@ class ExposureDerivedDesign(Design):
             feasible = self.rules._hits(*_degree_grid(int(d), possible, self.base.k)).any(axis=1)
             mask[np.ix_(~feasible, degrees == d)] = True
         return mask.ravel()
+
+
+def _label_table(grids: dict, degrees: np.ndarray, neighbors, base_k: int):
+    """The label table of an exposure design and the two parts of its keys.
+
+    Degree d owns a block of base_k (d+1)^(base_k-1) entries. A unit of
+    degree d with own base arm o and c_a neighbors in base arm a has key
+    start_d + o (d+1)^(base_k-1) + sum_{a < base_k-1} c_a (d+1)^a: a
+    mixed-radix code, the last arm's count being d minus the others.
+    Entries that no composition reaches stay 0 and are never read. Returns
+    the table (filled from label_grids' grids), the sparse (n, (base_k-1) n)
+    key matrix K and the (n, 1) key offsets c: for (n, draws) indicators X
+    of base arms 0..base_k-2, stacked arm-major, the keys are K X + c.
+    """
+    last = base_k - 1
+    sizes = [base_k * (d + 1) ** last for d in grids]
+    starts = dict(zip(grids, np.cumsum([0, *sizes[:-1]])))
+    table = np.zeros(sum(sizes), dtype=np.int64)
+    for d, (own, counts, labels) in grids.items():
+        place = (d + 1) ** np.arange(base_k)
+        table[starts[d] + own * place[last] + counts[:, :last] @ place[:last]] = labels
+    # keys lie in [0, len(table)) and every partial sum in (-len(table), len(table))
+    dtype = np.int32 if len(table) <= np.iinfo(np.int32).max else np.int64
+    radix = degrees + 1
+    stride = radix**last
+    # own arm a < last subtracts (last - a) * stride through its indicator, so
+    # with the offset's last * stride every own arm o adds o * stride
+    blocks = [
+        sparse.diags(radix**a, dtype=dtype) @ neighbors - sparse.diags((last - a) * stride, dtype=dtype)
+        for a in range(last)
+    ]
+    n = len(degrees)
+    key_matrix = sparse.hstack([sparse.csr_matrix((n, 0)), *blocks], format="csr", dtype=dtype)
+    key_offset = np.array([starts[d] for d in degrees]) + last * stride
+    return table, key_matrix, key_offset[:, None].astype(dtype)
 
 
 def derive_exposure_design(

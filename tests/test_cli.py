@@ -203,6 +203,15 @@ def test_simulate_rejects_unknown_optimizer_keys(tmp_path, capsys):
     assert "unknown optimizer key(s): max_step, restart;" in err
 
 
+@pytest.mark.parametrize("level", ["1.5", "-0.2", "0", "1", ".nan"])
+def test_simulate_rejects_a_level_outside_the_unit_interval(tmp_path, capsys, level):
+    # these used to run and report coverage 0.0 for every estimator
+    config = tmp_path / "sim.yaml"
+    config.write_text(OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht]") + f"level: {level}\n")
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "level must lie strictly between 0 and 1" in capsys.readouterr().err
+
+
 def test_simulate_accepts_a_valid_optimizer(tmp_path):
     config = tmp_path / "sim.yaml"
     config.write_text(
@@ -324,9 +333,14 @@ def test_estimate_rejects_duplicate_unit_ids(crd_design_yaml, tmp_path, capsys):
         ("cluster", "unit_id,group_id\n10,a\n20,a\n30\n", "line 4 has too few fields"),
         ("covariates", "", "line 1"),
         ("covariates", "\nunit_id,x1\n0,1.0\n", "line 1"),
+        ("observed", "unit_id,arm,y\n0,1,0.5,7\n1,2,1.0\n", "line 2 has too many fields"),
+        ("strata", "unit_id,group_id\n10,a\n20,a,zz\n", "line 3 has too many fields"),
+        ("cluster", "unit_id,group_id\n10,a,\n20,a\n30,b\n", "line 2 has too many fields"),
+        ("edges", "src_id,dst_id\n0,1\n1,2,3\n", "line 3 has too many fields"),
     ],
     ids=["observed_short_row", "strata_short_row", "cluster_short_row", "covariates_empty",
-         "covariates_blank_first_line"],
+         "covariates_blank_first_line", "observed_long_row", "strata_long_row",
+         "cluster_trailing_comma", "edges_long_row"],
 )
 def test_malformed_csv_exits_2_naming_its_line(
     crd_design_yaml, tmp_path, capsys, spoil, text, message
@@ -336,6 +350,8 @@ def test_malformed_csv_exits_2_naming_its_line(
         "strata": "kind: stratified\n  strata_csv: {csv}\n  counts: [[1, 1], [1, 1]]\n",
         "cluster": "kind: clustered\n  cluster_csv: {csv}\n"
         "  cluster_design: {{kind: completely_randomized, n: 2, counts: [1, 1]}}\n",
+        "edges": "kind: exposure_derived\n  base: {{kind: bernoulli, n: 3, probs: [0.5, 0.5]}}\n"
+        "  edges_csv: {csv}\n  rules: [{{label: c, own_arms: [1]}}, {{label: t, own_arms: [2]}}]\n",
     }
     if spoil in groups:
         (tmp_path / "groups.csv").write_text(text)

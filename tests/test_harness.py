@@ -1,8 +1,12 @@
 import dataclasses
 import functools
 import multiprocessing
+import os
+import subprocess
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from designest.harness import (
     preprocess_covariates,
     run_simulation,
 )
+from designest import harness, linear
 from designest.linear import LINEAR_KINDS, ExperimentData, contrast_report, estimate_report
 from designest.model_assisted import (
     ImputationModel,
@@ -164,6 +169,52 @@ def small_sim_config(**overrides):
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+def test_importing_the_cli_loads_neither_scipy_stats_nor_optimize():
+    code = (
+        "import sys, designest.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    )
+    src = str(Path(harness.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_normal_critical_values_equal_scipy_stats_bytewise(monkeypatch):
+    from scipy.stats import norm
+
+    levels = np.linspace(0.0, 1.0, 2001)[1:-1]
+    expected = np.array([norm.ppf(0.5 + level / 2) for level in levels])
+    got = np.array([linear.normal_critical_value(level) for level in levels])
+    assert got.tobytes() == expected.tobytes()
+    for level, z in zip(levels[::40], expected[::40]):
+        half = z * np.sqrt(3.5 / 7)
+        assert np.array(linear.normal_ci(0.25, 3.5, 7, level)).tobytes() == np.array(
+            [0.25 - half, 0.25 + half]
+        ).tobytes()
+    seen = []
+
+    def spy(level):
+        seen.append((level, linear.normal_critical_value(level)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(harness, "normal_critical_value", spy)
+    for level in (0.5, 0.9, 0.95, 0.999):
+        run_simulation(small_sim_config(replications=2, estimators=["ht"], level=level))
+    assert [level for level, _ in seen] == [0.5, 0.9, 0.95, 0.999]
+    assert np.array([z for _, z in seen]).tobytes() == np.array(
+        [norm.ppf(0.5 + level / 2) for level, _ in seen]
+    ).tobytes()
+
+
+@pytest.mark.parametrize("level", [1.5, -0.2, 0.0, 1.0, np.nan])
+def test_sim_config_rejects_a_level_outside_the_unit_interval(level):
+    with pytest.raises(ValueError, match="level must lie strictly between 0 and 1"):
+        small_sim_config(level=level)
 
 
 class TestRunSimulation:

@@ -356,6 +356,54 @@ def test_mc_moments_equal_per_draw_reference(design_of_each_kind):
     assert m.maybe_zero_mask.tolist() == (never_hit & ~proven).tolist()
 
 
+def _full_gram_mc(design, reps, seed):
+    """Reference accumulator: every cell, the last arm's too, enters each
+    block's float32 gram, block b of MC_BLOCK_SIZE draws on stream
+    (seed, b)."""
+    n, kn = design.n, design.n * design.k
+    counts = np.zeros((kn, kn))
+    for index, start in enumerate(range(0, reps, MC_BLOCK_SIZE)):
+        size = min(MC_BLOCK_SIZE, reps - start)
+        arms = design.sample_batch(stream_rng(seed, index), size)
+        h = np.zeros((size, kn), dtype=np.float32)
+        h[np.arange(size)[:, None], arms * n + np.arange(n)] = 1.0
+        counts += h.T @ h
+    p = counts / reps
+    return np.diag(p).copy(), p
+
+
+def _isolated_unit_graph():
+    return InterferenceGraph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1)])  # unit 4 isolated
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "design, reps",
+    [
+        (BernoulliDesign(6, [0.3, 0.7]), 2 * MC_BLOCK_SIZE + 77),
+        (CompletelyRandomizedDesign(7, [2, 2, 3]), MC_BLOCK_SIZE + 1),
+        (derive_exposure_design(BernoulliDesign(5, [0.4, 0.6]), _isolated_unit_graph(),
+                                standard_binary_exposure_rules()), MC_BLOCK_SIZE + 300),
+        (derive_exposure_design(CompletelyRandomizedDesign(5, [2, 3]), _isolated_unit_graph(),
+                                standard_binary_exposure_rules(), undirected=True), 999),
+        (BernoulliDesign(4, [0.5, 0.5, 0.0]), 2 * MC_BLOCK_SIZE - 5),
+        (BernoulliDesign(3, [1.0]), 10),
+    ],
+    ids=["k2", "k3", "k4_proven_zeros", "k4_unproven_never_hit", "last_arm_never_hit", "k1"],
+)
+def test_mc_moments_equal_the_full_gram_bytewise(design, reps):
+    m = mc_moments(design, reps, seed=5)
+    pi, p = _full_gram_mc(design, reps, seed=5)
+    never_hit = pi == 0
+    proven = design.structural_zero_cells()
+    assert m.pi.tobytes() == pi.tobytes()
+    assert m.p.tobytes() == p.tobytes()
+    assert m.D.tobytes() == _assemble_d(pi, p, never_hit).tobytes()
+    assert m.zero_mask.tolist() == (never_hit & proven).tolist()
+    assert m.maybe_zero_mask.tolist() == (never_hit & ~proven).tolist()
+    assert never_hit.any() == (design.k == 4 or design.k == 3 and design.kind == "bernoulli")
+
+
 @pytest.mark.parametrize(
     "design, message",
     [

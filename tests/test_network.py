@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designest.designs import BernoulliDesign, CompletelyRandomizedDesign
 from designest.linear import ReplicationChunk, linear_sample
@@ -520,3 +522,35 @@ class TestEvaluatorAgainstScalarReference:
         rows = np.array(sorted(merged), dtype=np.int64)
         assert table.realizations.tobytes() == rows.tobytes()
         assert table.probabilities.tobytes() == np.array([merged[tuple(r)] for r in rows]).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    base_k=st.sampled_from([2, 3, 4]),
+    n=st.integers(1, 9),
+    undirected=st.booleans(),
+    zero_arm=st.booleans(),
+    breakage=st.sampled_from([(), (), ("gap",), ("overlap",)]),
+)
+def test_label_table_equals_exposure_map(seed, base_k, n, undirected, zero_arm, breakage):
+    """An exposure design's table labels are exposure_map's on the same base
+    draws, and a broken rule table fails construction with
+    validate_on_degrees' message."""
+    rng = np.random.default_rng(seed)
+    rules = ExposureRules.from_config(random_rule_config(rng, base_k, breakage), base_k)
+    graph = random_graph(rng, n)
+    probs = rng.integers(1, 5, size=base_k).astype(float)
+    if zero_arm:
+        probs[rng.integers(base_k)] = 0.0
+    base = BernoulliDesign(n, probs / probs.sum())
+    expected = outcome(rules.validate_on_degrees, graph.degrees(undirected))
+    design = outcome(derive_exposure_design, base, graph, rules, undirected)
+    if expected is not None:
+        assert design == expected
+        return
+    size = int(rng.integers(1, 50))
+    labels = design.sample_batch(np.random.default_rng(seed), size)
+    base_arms = base.sample_batch(np.random.default_rng(seed), size)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, exposure_map(base_arms, graph, rules, undirected))
