@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
@@ -413,25 +414,25 @@ def enumerate_support(design: Design, cap: int = ENUMERATION_CAP) -> SupportTabl
     return design.enumerate_support(cap=cap)
 
 
-def read_csv_columns(path, columns: tuple, what: str) -> list[list[str]]:
-    """The named columns of each nonblank row of a CSV file with a header,
-    as strings. A header without them, or a row whose field count differs
-    from the header's, is a ValueError naming the file kind (`what`) and,
-    for a row, its line."""
+def read_csv_columns(path, columns: tuple, what: str) -> list[tuple]:
+    """The named columns (two or more) of each nonblank row of a CSV file
+    with a header, as tuples of strings. A header without them, or a row
+    whose field count differs from the header's, is a ValueError naming the
+    file kind (`what`) and, for a row, its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or set(columns) - set(header):
             raise ValueError(f"{what} CSV must have columns {','.join(columns)}")
-        index = [header.index(column) for column in columns]
+        pick = operator.itemgetter(*(header.index(column) for column in columns))
         rows = []
         for row in reader:
-            if not row:
-                continue
             if len(row) != len(header):
+                if not row:
+                    continue
                 many = "many" if len(row) > len(header) else "few"
                 raise ValueError(f"{what} CSV line {reader.line_num} has too {many} fields")
-            rows.append([row[i] for i in index])
+            rows.append(pick(row))
     return rows
 
 

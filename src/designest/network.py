@@ -9,6 +9,7 @@ evaluator serves mapping, table validation and structural zeros.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ class InterferenceGraph:
         and an unknown id is an error; without them ids are 0-based unit
         positions.
         """
-        edges = read_csv_columns(path, ("src_id", "dst_id"), "edge")
+        edges = [(int(src), int(dst)) for src, dst in read_csv_columns(path, ("src_id", "dst_id"), "edge")]
         edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
         if unit_ids is not None:
             unit_ids = np.asarray(unit_ids, dtype=np.int64)
@@ -74,9 +75,9 @@ class InterferenceGraph:
         return sym.tocsr()
 
     def degrees(self, undirected: bool = False) -> np.ndarray:
-        return np.asarray(
-            self.neighbor_matrix(undirected).sum(axis=1), dtype=np.int64
-        ).ravel()
+        """Neighbor count per unit: the stored entries of each row of the
+        neighbor matrix, which holds no duplicates."""
+        return np.diff(self.neighbor_matrix(undirected).indptr).astype(np.int64)
 
     def weak_components(self) -> np.ndarray:
         """Component label per unit, ignoring edge direction."""
@@ -199,13 +200,16 @@ class ExposureRules:
 
 def _compositions(total: int, parts: int) -> np.ndarray:
     """(C, parts) int64 array of all nonnegative integer vectors of the
-    given length summing to total, in lexicographic order."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    return np.concatenate([
-        np.insert(_compositions(total - head, parts - 1), 0, head, axis=1)
-        for head in range(total + 1)
-    ])
+    given length summing to total, in lexicographic order: the gaps between
+    parts - 1 bars among total + parts - 1 slots, whose positions
+    itertools.combinations yields in the same order."""
+    slots = total + parts - 1
+    bars = np.array(list(itertools.combinations(range(slots), parts - 1)), dtype=np.int64)
+    fence = np.empty((len(bars), parts + 1), dtype=np.int64)
+    fence[:, 0] = -1
+    fence[:, 1:-1] = bars.reshape(len(bars), parts - 1)
+    fence[:, -1] = slots
+    return np.diff(fence, axis=1) - 1
 
 
 def _degree_grid(degree: int, arms: np.ndarray, base_k: int):
@@ -350,24 +354,33 @@ def _label_table(grids: dict, degrees: np.ndarray, neighbors, base_k: int):
     """
     last = base_k - 1
     sizes = [base_k * (d + 1) ** last for d in grids]
-    starts = dict(zip(grids, np.cumsum([0, *sizes[:-1]])))
+    starts = np.cumsum([0, *sizes[:-1]])
     table = np.zeros(sum(sizes), dtype=np.int64)
-    for d, (own, counts, labels) in grids.items():
+    for start, (d, (own, counts, labels)) in zip(starts, grids.items()):
         place = (d + 1) ** np.arange(base_k)
-        table[starts[d] + own * place[last] + counts[:, :last] @ place[:last]] = labels
+        table[start + own * place[last] + counts[:, :last] @ place[:last]] = labels
     # keys lie in [0, len(table)) and every partial sum in (-len(table), len(table))
     dtype = np.int32 if len(table) <= np.iinfo(np.int32).max else np.int64
+    n = len(degrees)
     radix = degrees + 1
     stride = radix**last
-    # own arm a < last subtracts (last - a) * stride through its indicator, so
-    # with the offset's last * stride every own arm o adds o * stride
-    blocks = [
-        sparse.diags(radix**a, dtype=dtype) @ neighbors - sparse.diags((last - a) * stride, dtype=dtype)
-        for a in range(last)
-    ]
-    n = len(degrees)
-    key_matrix = sparse.hstack([sparse.csr_matrix((n, 0)), *blocks], format="csr", dtype=dtype)
-    key_offset = np.array([starts[d] for d in degrees]) + last * stride
+    # Row i of K's block a holds unit i's neighbors, valued radix_i^a, then
+    # unit i, valued -(last - a) stride_i: with the offset's last * stride,
+    # own arm o adds o * stride, the last arm included. Built as CSR arrays;
+    # scipy's sparse arithmetic costs more than the rest of construction.
+    units = np.arange(n)
+    row = np.concatenate([np.repeat(units, degrees), units])
+    col = np.concatenate([neighbors.indices, units])
+    own = np.arange(len(row)) >= neighbors.nnz
+    arm = np.arange(last)[:, None]
+    values = np.where(own, -(last - arm) * stride[row], radix[row] ** arm).astype(dtype)
+    order = np.argsort(np.tile(row, last), kind="stable")  # by row, then by block
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(last * radix, out=indptr[1:])
+    key_matrix = sparse.csr_matrix(
+        (values.ravel()[order], (arm * n + col).ravel()[order], indptr), shape=(n, last * n)
+    )
+    key_offset = starts[np.searchsorted(list(grids), degrees)] + last * stride
     return table, key_matrix, key_offset[:, None].astype(dtype)
 
 
