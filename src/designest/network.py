@@ -4,7 +4,8 @@ An exposure mapping turns a base assignment vector plus a unit's network
 neighborhood into an effective treatment label; the derived design over
 those labels plugs straight back into the moments/estimation machinery.
 Exposure rules are checked against the base design's arms, and one rule
-evaluator serves mapping, table validation and structural zeros.
+evaluator serves validation, the label table that exposure designs map
+draws through, the reference mapping and structural zeros.
 """
 
 from __future__ import annotations

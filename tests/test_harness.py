@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from designest import harness, linear
 from designest.bounds import build_bound
 from designest.designs import BernoulliDesign, CompletelyRandomizedDesign, stream_rng
 from designest.harness import (
@@ -27,7 +28,6 @@ from designest.harness import (
     preprocess_covariates,
     run_simulation,
 )
-from designest import harness, linear
 from designest.linear import LINEAR_KINDS, ExperimentData, contrast_report, estimate_report
 from designest.model_assisted import (
     ImputationModel,
