@@ -139,26 +139,30 @@ def cmd_bound(args):
     return 0 if status == "ok" else 1
 
 
+def _check_same_units(ids, what, other_ids, other, n):
+    """Raise unless the sorted unit ids read from the `what` CSV are
+    other_ids, the sorted ids of the input they pair with (`other`); when
+    that is a design built without an id file (other_ids None), only their
+    count is checked against its n units."""
+    if other_ids is None:
+        if len(ids) != n:
+            raise ValueError(f"the {what} CSV has {len(ids)} rows but the design has {n} units")
+    elif not np.array_equal(ids, other_ids):
+        only_in_one = np.setxor1d(ids, other_ids)
+        raise ValueError(
+            f"{what} and {other} CSVs have different unit_id sets "
+            f"(in one only: {only_in_one[:5].tolist()})"
+        )
+
+
 def cmd_estimate(args):
     design = _design_from_args(args)
     moments = _moments_from_args(args, design)
-    unit_ids, arms, y = load_observed_csv(args.data, return_ids=True)
-    if len(arms) != design.n:
-        raise ValueError("observed rows do not match the design size")
-    if design.unit_ids is not None and not np.array_equal(unit_ids, design.unit_ids):
-        only_in_one = np.setxor1d(unit_ids, design.unit_ids)
-        raise ValueError(
-            "observed and design group CSVs have different unit_id sets "
-            f"(in one only: {only_in_one[:5].tolist()})"
-        )
+    unit_ids, arms, y = load_observed_csv(args.data)
+    _check_same_units(unit_ids, "observed-data", design.unit_ids, "design group", design.n)
     if args.covariates:
-        covariate_ids, raw, names = load_covariates_csv(args.covariates, return_ids=True)
-        if not np.array_equal(unit_ids, covariate_ids):
-            only_in_one = np.setxor1d(unit_ids, covariate_ids)
-            raise ValueError(
-                "observed and covariate CSVs have different unit_id sets "
-                f"(in one only: {only_in_one[:5].tolist()})"
-            )
+        covariate_ids, raw, names = load_covariates_csv(args.covariates)
+        _check_same_units(covariate_ids, "covariates", unit_ids, "observed-data", design.n)
         X = preprocess_covariates(raw, names=names)
     else:
         X = np.zeros((design.n, 0))
@@ -216,7 +220,8 @@ def cmd_simulate(args):
     cov = recipe.get("covariates", {})
     names = None
     if "csv" in cov:
-        raw, names = load_covariates_csv(cov["csv"])
+        unit_ids, raw, names = load_covariates_csv(cov["csv"])
+        _check_same_units(unit_ids, "covariates", design.unit_ids, "design group", design.n)
     elif "generate" in cov:
         gen = cov["generate"]
         rng = np.random.default_rng(gen.get("seed", 0))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
@@ -414,43 +413,58 @@ def enumerate_support(design: Design, cap: int = ENUMERATION_CAP) -> SupportTabl
     return design.enumerate_support(cap=cap)
 
 
-def read_csv_columns(path, columns: tuple, what: str) -> list[tuple]:
-    """The named columns (two or more) of each nonblank row of a CSV file
-    with a header, as tuples of strings. A header without them, or a row
-    whose field count differs from the header's, is a ValueError naming the
-    file kind (`what`) and, for a row, its line."""
+def read_csv_columns(path, columns: tuple, what: str) -> dict[str, tuple]:
+    """Every column of a CSV file with a header, by header name, as tuples
+    of strings over its nonblank rows. A header without the named columns or
+    that repeats a name, or a row whose field count differs from the
+    header's, is a ValueError naming the file kind (`what`) and the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or set(columns) - set(header):
-            raise ValueError(f"{what} CSV must have columns {','.join(columns)}")
-        pick = operator.itemgetter(*(header.index(column) for column in columns))
+        header = next(reader, None) or []
+        if set(columns) - set(header):
+            raise ValueError(
+                f"{what} CSV must have columns {','.join(columns)} in its header (line 1)"
+            )
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise ValueError(f"{what} CSV header (line 1) repeats column {','.join(repeated)}")
         rows = []
         for row in reader:
             if len(row) != len(header):
                 if not row:
                     continue
                 many = "many" if len(row) > len(header) else "few"
-                raise ValueError(f"{what} CSV line {reader.line_num} has too {many} fields")
-            rows.append(pick(row))
-    return rows
+                raise ValueError(
+                    f"{what} CSV line {reader.line_num} has too {many} fields "
+                    f"({len(row)}; the header has {len(header)})"
+                )
+            rows.append(row)
+    return dict(zip(header, zip(*rows) if rows else [()] * len(header)))
+
+
+def order_by_unit_id(unit_ids, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The unit ids of a CSV's rows (strings or integers), parsed and
+    sorted, and the row order that sorts them; a repeated id is a ValueError
+    naming the file kind (`what`)."""
+    ids = np.array(unit_ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    repeated = np.unique(ids[1:][ids[1:] == ids[:-1]])
+    if repeated.size:
+        raise ValueError(f"duplicate unit_id in the {what} CSV: {repeated[:5].tolist()}")
+    return ids, order
 
 
 def read_group_csv(path) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Read a unit_id,group_id CSV; returns (unit ids sorted, groups as
-    lists of 0-based unit positions)."""
-    pairs = [(int(unit), group) for unit, group in read_csv_columns(path, ("unit_id", "group_id"), "group")]
-    if not pairs:
+    """Read a unit_id,group_id CSV; returns (unit ids sorted, groups in
+    group_id order as arrays of 0-based unit positions)."""
+    columns = read_csv_columns(path, ("unit_id", "group_id"), "group")
+    unit_ids, order = order_by_unit_id(columns["unit_id"], "group")
+    if not len(unit_ids):
         raise ValueError("empty group CSV")
-    unit_ids = np.array(sorted(p[0] for p in pairs))
-    if len(np.unique(unit_ids)) != len(unit_ids):
-        raise ValueError("duplicate unit_id in group CSV")
-    position = {u: i for i, u in enumerate(unit_ids)}
-    groups: dict[str, list[int]] = {}
-    for unit, group in pairs:
-        groups.setdefault(group, []).append(position[unit])
-    ordered = [np.array(sorted(groups[g]), dtype=np.int64) for g in sorted(groups)]
-    return unit_ids, ordered
+    _, group = np.unique(np.array(columns["group_id"])[order], return_inverse=True)
+    positions = np.argsort(group, kind="stable")
+    return unit_ids, np.split(positions, np.cumsum(np.bincount(group))[:-1])
 
 
 def build_design(spec: dict) -> Design:

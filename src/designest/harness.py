@@ -249,7 +249,7 @@ class SimConfig:
     replications: int
     seed: int
     moments: DesignMoments | None = None
-    moments_method: str = "exact"  # used when moments is None
+    moments_method: str = "exact"  # or "mc"; used when moments is None
     moments_reps: int = 100_000
     bound_kind: str = "aronow_samii"  # or "neyman" (two-arm CRD only)
     apply_psd_clip: bool = False
@@ -261,6 +261,8 @@ class SimConfig:
         self.contrast = np.asarray(self.contrast, dtype=float)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.moments_method not in ("exact", "mc"):
+            raise ValueError(f"unknown moments method {self.moments_method!r}; known: exact, mc")
         if not 0 < self.level < 1:
             raise ValueError(f"level must lie strictly between 0 and 1, not {self.level}")
         if self.contrast.shape != (self.design.k,):

@@ -21,7 +21,6 @@ estimator table.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .bounds import VarianceBound
-from .designs import AssignmentRealization, check_arms, read_csv_columns
+from .designs import AssignmentRealization, check_arms, order_by_unit_id, read_csv_columns
 from .moments import DesignMoments
 
 PINV_RCOND = 1e-10
@@ -284,30 +283,13 @@ def _pinv_flagged(A: np.ndarray):
 class LinearFit:
     """Arm estimates mu_hat and kn x k linearization z_hat of one fit; the
     regression family adds its coefficients, rank flag and the condition
-    number of its weighted Gram matrix. A batched fit carries a leading
-    batch axis on every array and, in errors, the exception of each batch
-    row whose estimator is undefined."""
+    number of its weighted Gram matrix."""
 
     mu_hat: np.ndarray
     z_hat: np.ndarray
     b_hat: np.ndarray | None = None
     rank_deficient: bool = False
     condition_number: float | None = None
-    errors: dict = field(default_factory=dict)
-
-    def single(self) -> "LinearFit":
-        """The fit of a batch of one; raises its error, if it has one."""
-        if self.errors:
-            raise self.errors[0]
-        if self.b_hat is None:
-            return LinearFit(self.mu_hat[0], self.z_hat[0])
-        return LinearFit(
-            self.mu_hat[0],
-            self.z_hat[0],
-            self.b_hat[0],
-            bool(self.rank_deficient[0]),
-            float(self.condition_number[0]),
-        )
 
 
 def _arm_sums(v: np.ndarray, k: int) -> np.ndarray:
@@ -329,16 +311,19 @@ def _gr_fit(f: np.ndarray, y: np.ndarray, ipw: np.ndarray, k: int):
     return _arm_sums(f + ipw * e, k) / n, intercept_matrix(n, k) * e[..., None]
 
 
-def _linear_fit(kind, X, k, pi, y, r, m_weights=None) -> LinearFit:
+def _linear_fit(kind, X, k, pi, y, r, m_weights=None) -> tuple[SampleFit, np.ndarray | None]:
     """One linear estimator for each row of the (B, kn) outcome matrix y
-    and cell-weight matrix r; row b of the fit depends on row b of y and r
-    only, and equals bitwise the fit of a batch of one.
+    and cell-weight matrix r, and, for the regression family, its (B, k+p)
+    coefficients (None otherwise); row b of the fit depends on row b of y
+    and r only, and equals bitwise the fit of a batch of one.
 
     The inverse-probability weights are r / pi (zero where r is zero, since
     pi may be zero there) and cell c enters the regression fit with weight
     m[c] r[c]; ols forces identity m weights, the rest of the regression
-    family defaults to inverse probabilities. A hajek row with an empty arm
-    gets NaN estimates and its HajekUndefinedError in errors.
+    family defaults to inverse probabilities. Each row's diagnostics are
+    its rank flag and, for the regression family, the condition number of
+    its weighted Gram matrix. A hajek row with an empty arm gets NaN
+    estimates and its HajekUndefinedError in errors.
     """
     kind = kind.lower()
     if kind not in LINEAR_KINDS:
@@ -346,8 +331,9 @@ def _linear_fit(kind, X, k, pi, y, r, m_weights=None) -> LinearFit:
     n = X.shape[0]
     ones = intercept_matrix(n, k)
     ipw = _ipw(r, pi)
+    plain = [{"rank_deficient": False}] * len(y)
     if kind == "ht":
-        return LinearFit(_arm_sums(ipw * y, k) / n, ones * y[..., None])
+        return SampleFit(_arm_sums(ipw * y, k) / n, ones * y[..., None], plain, {}), None
     if kind == "hajek":
         den = _arm_sums(ipw, k)
         errors = {
@@ -358,7 +344,7 @@ def _linear_fit(kind, X, k, pi, y, r, m_weights=None) -> LinearFit:
         }
         with np.errstate(divide="ignore", invalid="ignore"):
             mu = _arm_sums(ipw * y, k) / den
-        return LinearFit(mu, ones * (y - np.repeat(mu, n, axis=-1))[..., None], errors=errors)
+        return SampleFit(mu, ones * (y - np.repeat(mu, n, axis=-1))[..., None], plain, errors), None
 
     if kind == "ols":
         m_weights = "identity"
@@ -381,7 +367,11 @@ def _linear_fit(kind, X, k, pi, y, r, m_weights=None) -> LinearFit:
         z = (e * pi)[..., None] * ones + gain @ (x.T @ ((1.0 - pi)[:, None] * ones))
     else:  # gr
         mu, z = _gr_fit(fitted, y, ipw, k)
-    return LinearFit(mu, z, b, deficient, cond)
+    diagnostics = [
+        {"rank_deficient": flag, "condition_number": c}
+        for flag, c in zip(deficient.tolist(), cond.tolist())
+    ]
+    return SampleFit(mu, z, diagnostics, {}), b
 
 
 def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFit:
@@ -391,24 +381,23 @@ def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFi
     kinds: ht, hajek (no adjustment); ols, wls, ci, mi, gr (regression
     family; ols forces identity weights, wls defaults to inverse
     probabilities). Only the rows of z_hat at observed cells are meaningful.
+    Raises the estimator's error where it is undefined.
     """
     chunk = data.chunk
-    return _linear_fit(kind, data.X, data.k, data.moments.pi, chunk.y, chunk.r, m_weights).single()
+    fit, b = _linear_fit(kind, data.X, data.k, data.moments.pi, chunk.y, chunk.r, m_weights)
+    if fit.errors:
+        raise fit.errors[0]
+    if b is None:
+        return LinearFit(fit.mu[0], fit.z[0])
+    diagnostics = fit.diagnostics[0]
+    return LinearFit(
+        fit.mu[0], fit.z[0], b[0], diagnostics["rank_deficient"], diagnostics["condition_number"]
+    )
 
 
 def linear_sample(kind: str, chunk: ReplicationChunk, m_weights=None) -> SampleFit:
-    """One linear estimator on every row of the chunk, each row's rank flag
-    and, for the regression family, the condition number of its weighted
-    Gram matrix as its diagnostics."""
-    fit = _linear_fit(kind, chunk.X, chunk.k, chunk.moments.pi, chunk.y, chunk.r, m_weights)
-    if fit.b_hat is None:
-        diagnostics = [{"rank_deficient": False}] * len(chunk.reps)
-    else:
-        diagnostics = [
-            {"rank_deficient": flag, "condition_number": cond}
-            for flag, cond in zip(fit.rank_deficient.tolist(), fit.condition_number.tolist())
-        ]
-    return SampleFit(fit.mu_hat, fit.z_hat, diagnostics, fit.errors)
+    """One linear estimator on every row of the chunk (see _linear_fit)."""
+    return _linear_fit(kind, chunk.X, chunk.k, chunk.moments.pi, chunk.y, chunk.r, m_weights)[0]
 
 
 def z_vector(kind: str, data: ExperimentData, population: bool = False) -> np.ndarray:
@@ -655,53 +644,28 @@ def check_interpretation(data: ExperimentData, m_weights=None) -> Interpretation
     )
 
 
-def _sorted_by_unit_id(rows, label):
-    """Rows sorted by their leading unit id; duplicate ids are an error."""
-    rows.sort(key=lambda row: row[0])
-    ids = np.array([row[0] for row in rows], dtype=np.int64)
-    repeated = np.unique(ids[1:][ids[1:] == ids[:-1]])
-    if repeated.size:
-        raise ValueError(f"duplicate unit_id in the {label} CSV: {repeated[:5].tolist()}")
-    return ids, rows
-
-
-def load_observed_csv(path, return_ids: bool = False):
-    """unit_id,arm,y with 1-based arms and finite y; rows sorted by unit_id
-    on load. Returns (arms, y), or (unit_ids, arms, y) with return_ids."""
-    rows = [
-        (int(unit), int(arm), float(y))
-        for unit, arm, y in read_csv_columns(path, ("unit_id", "arm", "y"), "observed-data")
-    ]
-    ids, rows = _sorted_by_unit_id(rows, "observed-data")
-    arms = np.array([r[1] - 1 for r in rows], dtype=np.int64)
-    y = np.array([r[2] for r in rows])
+def load_observed_csv(path):
+    """unit_id,arm,y with 1-based arms and finite y; returns (unit_ids, arms,
+    y) with rows sorted by unit_id and arms 0-based."""
+    columns = read_csv_columns(path, ("unit_id", "arm", "y"), "observed-data")
+    ids, order = order_by_unit_id(columns["unit_id"], "observed-data")
+    arms = np.array(columns["arm"], dtype=np.int64)[order] - 1
+    y = np.array(columns["y"], dtype=float)[order]
     bad = ids[~np.isfinite(y)]
     if bad.size:
         raise ValueError(f"non-finite y for unit_id {bad[0]} in the observed-data CSV")
-    return (ids, arms, y) if return_ids else (arms, y)
+    return ids, arms, y
 
 
-def load_covariates_csv(path, return_ids: bool = False):
-    """unit_id,x1..xp; returns (X, names): the raw (uncentered) covariate
-    matrix with rows sorted by unit_id and the column names (the header
-    after unit_id), or (unit_ids, X, names) with return_ids. Blank lines are
-    skipped; a row whose field count differs from the header's is an error."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "unit_id":
-            raise ValueError("covariates CSV line 1 must be a header starting with unit_id")
-        rows = []
-        for r in reader:
-            if not r:
-                continue  # a blank line, skipped as csv.DictReader does
-            if len(r) != len(header):
-                raise ValueError(
-                    f"covariates CSV row for unit_id {r[0]} has {len(r)} fields; "
-                    f"the header has {len(header)}"
-                )
-            rows.append((int(r[0]), [float(v) if v != "" else np.nan for v in r[1:]]))
-    ids, rows = _sorted_by_unit_id(rows, "covariates")
-    X = np.array([r[1] for r in rows])
-    names = header[1:]
-    return (ids, X, names) if return_ids else (X, names)
+def load_covariates_csv(path):
+    """unit_id,x1..xp; returns (unit_ids, X, names): the ids sorted, the raw
+    (uncentered) covariate matrix with rows in that order, blank cells NaN,
+    and the column names (the header after unit_id)."""
+    columns = read_csv_columns(path, ("unit_id",), "covariates")
+    if next(iter(columns)) != "unit_id":
+        raise ValueError("covariates CSV header (line 1) must start with unit_id")
+    ids, order = order_by_unit_id(columns.pop("unit_id"), "covariates")
+    X = np.empty((len(ids), len(columns)))
+    for j, cells in enumerate(columns.values()):
+        X[:, j] = np.array([cell or "nan" for cell in cells], dtype=float)[order]
+    return ids, X, list(columns)

@@ -24,7 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .designs import Design, SupportTable, check_arms, stream_rng
+from .designs import (
+    BernoulliDesign,
+    ClusteredDesign,
+    CompletelyRandomizedDesign,
+    Design,
+    StratifiedDesign,
+    SupportTable,
+    check_arms,
+    stream_rng,
+)
 
 MC_BLOCK_SIZE = 4096  # draws per random stream; part of what a seed reproduces
 DENSE_LIMIT = 8192  # largest kn stored dense
@@ -260,10 +269,9 @@ def _exact(n: int, k: int, pi: np.ndarray, p: np.ndarray) -> DesignMoments:
     return DesignMoments(n=n, k=k, pi=pi, p=p, D=D, method="exact", zero_mask=zero_mask)
 
 
-def exact_moments(design: Design, cap: int | None = None) -> DesignMoments:
+def exact_moments(design: Design) -> DesignMoments:
     """pi, p, D computed from the full support with no sampling error."""
-    kwargs = {} if cap is None else {"cap": cap}
-    return moments_from_support(design.enumerate_support(**kwargs))
+    return moments_from_support(design.enumerate_support())
 
 
 def analytic_bernoulli_moments(design) -> DesignMoments:
@@ -273,8 +281,6 @@ def analytic_bernoulli_moments(design) -> DesignMoments:
     across units, zero for two arms of the same unit, and prob_a on the
     diagonal. Avoids enumerating the k^n support.
     """
-    from .designs import BernoulliDesign
-
     if not isinstance(design, BernoulliDesign):
         raise TypeError("analytic moments available for Bernoulli designs only")
     n, k = design.n, design.k
@@ -292,8 +298,6 @@ def analytic_crd_moments(design) -> DesignMoments:
     """Closed-form moments for a completely randomized design with any
     number of arms: joint inclusion is hypergeometric across units and zero
     across arms of the same unit."""
-    from .designs import CompletelyRandomizedDesign
-
     if not isinstance(design, CompletelyRandomizedDesign):
         raise TypeError("analytic moments available for completely randomized designs only")
     _warn_dense(design.n * design.k)
@@ -342,34 +346,26 @@ def stratified_moments(design) -> DesignMoments:
     return _exact(n, k, pi, p)
 
 
-def clustered_moments(design, cap: int | None = None) -> DesignMoments:
+def clustered_moments(design) -> DesignMoments:
     """Exact moments of a clustered design, enumerated in cluster space.
 
     The cluster-level design's support (the same points as the unit-level
-    support, under the same cap) gives pi and p over its kC cells; unit i's
-    cell in arm a is cluster cell a*C + cluster_of[i], so both are gathered
-    to units and D is assembled once at unit level.
+    support, under the same enumeration cap) gives pi and p over its kC
+    cells; unit i's cell in arm a is cluster cell a*C + cluster_of[i], so
+    both are gathered to units and D is assembled once at unit level.
     """
     _warn_dense(design.n * design.k)
     base = design.cluster_design
-    kwargs = {} if cap is None else {"cap": cap}
-    pi, p = _support_joint(base.enumerate_support(**kwargs))
+    pi, p = _support_joint(base.enumerate_support())
     cells = (np.arange(design.k)[:, None] * base.n + design.cluster_of).ravel()
     return _exact(design.n, design.k, pi[cells], p[np.ix_(cells, cells)])
 
 
-def closed_form_or_exact_moments(design, cap: int | None = None) -> DesignMoments:
+def closed_form_or_exact_moments(design) -> DesignMoments:
     """Exact moments by the cheapest exact route: closed forms for the
     independent and completely randomized families, per-stratum closed
     forms for stratified designs, cluster-space enumeration for clustered
     designs, and unit-level enumeration otherwise."""
-    from .designs import (
-        BernoulliDesign,
-        ClusteredDesign,
-        CompletelyRandomizedDesign,
-        StratifiedDesign,
-    )
-
     if isinstance(design, BernoulliDesign):
         return analytic_bernoulli_moments(design)
     if isinstance(design, CompletelyRandomizedDesign):
@@ -377,8 +373,8 @@ def closed_form_or_exact_moments(design, cap: int | None = None) -> DesignMoment
     if isinstance(design, StratifiedDesign):
         return stratified_moments(design)
     if isinstance(design, ClusteredDesign):
-        return clustered_moments(design, cap=cap)
-    return exact_moments(design, cap=cap)
+        return clustered_moments(design)
+    return exact_moments(design)
 
 
 def moments_from_support(table: SupportTable) -> DesignMoments:

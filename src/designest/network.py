@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .designs import BernoulliDesign, Design, check_arms, read_csv_columns
+from .designs import BernoulliDesign, Design, SupportTable, check_arms, read_csv_columns
 from .moments import MC_BLOCK_SIZE, DesignMoments
 
 POSITIVITY_THRESHOLD = 0.01
@@ -52,8 +52,8 @@ class InterferenceGraph:
         and an unknown id is an error; without them ids are 0-based unit
         positions.
         """
-        edges = [(int(src), int(dst)) for src, dst in read_csv_columns(path, ("src_id", "dst_id"), "edge")]
-        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        columns = read_csv_columns(path, ("src_id", "dst_id"), "edge")
+        edges = np.array([columns["src_id"], columns["dst_id"]], dtype=np.int64).T
         if unit_ids is not None:
             unit_ids = np.asarray(unit_ids, dtype=np.int64)
             unknown = np.setdiff1d(edges, unit_ids)
@@ -313,8 +313,6 @@ class ExposureDerivedDesign(Design):
     def _enumerate(self):
         """Map the base support in blocks of MC_BLOCK_SIZE rows, then merge
         equal label rows, summing their probabilities in support order."""
-        from .designs import SupportTable
-
         base = self.base.enumerate_support()
         Z = base.realizations
         labels = np.concatenate([

@@ -220,6 +220,50 @@ def test_simulate_accepts_a_valid_optimizer(tmp_path):
     assert main(["simulate", "--config", str(config)]) == 0
 
 
+def test_simulate_rejects_an_unknown_moments_method(tmp_path, capsys):
+    # a misspelled method used to run Monte-Carlo moments and exit 0
+    config = tmp_path / "sim.yaml"
+    recipe = OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht]")
+    config.write_text(recipe + "moments: {method: exakt}\n")
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "unknown moments method 'exakt'; known: exact, mc" in capsys.readouterr().err
+
+
+def test_simulate_mc_recipe_runs_on_its_monte_carlo_moments(tmp_path):
+    from designest.designs import CompletelyRandomizedDesign
+    from designest.harness import (
+        SimConfig, impute_potential_outcomes, preprocess_covariates, run_simulation,
+    )
+    from designest.moments import mc_moments
+
+    config = tmp_path / "sim.yaml"
+    recipe = OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht, hajek, wls]")
+    recipe = recipe.replace("replications: 4", "replications: 30")
+    config.write_text(recipe + "moments: {method: mc, reps: 3000}\n")
+    out, report = tmp_path / "cli.csv", tmp_path / "cli.json"
+    argv = ["simulate", "--config", str(config), "--out", str(out), "--json", str(report)]
+    assert main(argv) == 0
+    provenance = json.loads(report.read_text())["provenance"]
+    assert provenance["moments_method"] == "monte_carlo"
+    assert provenance["moments_reps"] == 3000
+
+    design = CompletelyRandomizedDesign(8, [4, 4])
+    X = preprocess_covariates(np.random.default_rng(5).standard_normal((8, 1)))
+    table = run_simulation(SimConfig(
+        design=design,
+        y_full=impute_potential_outcomes(X, [1.0], [-0.5, 0.5], 6),
+        X=X,
+        estimators=["ht", "hajek", "wls"],
+        contrast=np.array([-1.0, 1.0]),
+        replications=30,
+        seed=99,
+        moments=mc_moments(design, 3000, 99 + 1),
+    ))
+    table.to_csv(tmp_path / "direct.csv")
+    assert out.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+    assert report.read_text() == table.to_json()
+
+
 def test_check_command():
     assert main(["check"]) == 0
 
@@ -333,14 +377,23 @@ def test_estimate_rejects_duplicate_unit_ids(crd_design_yaml, tmp_path, capsys):
         ("cluster", "unit_id,group_id\n10,a\n20,a\n30\n", "line 4 has too few fields"),
         ("covariates", "", "line 1"),
         ("covariates", "\nunit_id,x1\n0,1.0\n", "line 1"),
+        ("covariates", "x1,unit_id\n1.0,0\n", "header (line 1) must start with unit_id"),
         ("observed", "unit_id,arm,y\n0,1,0.5,7\n1,2,1.0\n", "line 2 has too many fields"),
         ("strata", "unit_id,group_id\n10,a\n20,a,zz\n", "line 3 has too many fields"),
         ("cluster", "unit_id,group_id\n10,a,\n20,a\n30,b\n", "line 2 has too many fields"),
         ("edges", "src_id,dst_id\n0,1\n1,2,3\n", "line 3 has too many fields"),
+        ("observed", "unit_id,arm,y,arm\n0,1,0.5,2\n", "header (line 1) repeats column arm"),
+        ("strata", "unit_id,group_id\n10,a\n20,a\n20,b\n",
+         "duplicate unit_id in the group CSV: [20]"),
+        ("cluster", "unit_id,group_id\n10,a\n30,b\n10,b\n",
+         "duplicate unit_id in the group CSV: [10]"),
+        ("covariates", "unit_id,x1\n0,1.0\n1,2.0\n2,3.0\n1,2.5\n3,4.0\n4,5.0\n5,6.0\n",
+         "duplicate unit_id in the covariates CSV: [1]"),
     ],
     ids=["observed_short_row", "strata_short_row", "cluster_short_row", "covariates_empty",
-         "covariates_blank_first_line", "observed_long_row", "strata_long_row",
-         "cluster_trailing_comma", "edges_long_row"],
+         "covariates_blank_first_line", "covariates_unit_id_not_first", "observed_long_row",
+         "strata_long_row", "cluster_trailing_comma", "edges_long_row", "observed_repeated_column",
+         "strata_repeated_unit_id", "cluster_repeated_unit_id", "covariates_repeated_unit_id"],
 )
 def test_malformed_csv_exits_2_naming_its_line(
     crd_design_yaml, tmp_path, capsys, spoil, text, message
@@ -411,10 +464,11 @@ def test_estimate_rejects_an_infinite_covariate(crd_design_yaml, tmp_path, capsy
     cov.write_text("unit_id,x1,x2\n" + "".join(
         f"{i},{good[i]}.0,1.{i}{',' if i == 4 else ''}\n" for i in range(6)
     ))
+    message = "covariates CSV line 6 has too many fields (4; the header has 3)"
     assert main(_estimate_argv(crd_design_yaml, obs, cov, "ht,ols")) == 2
-    assert "row for unit_id 4 has 4 fields; the header has 3" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert main(["simulate", "--config", str(recipe)]) == 2
-    assert "row for unit_id 4 has 4 fields" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_estimate_pairs_rows_by_unit_id(crd_design_yaml, tmp_path):
@@ -471,18 +525,18 @@ def test_estimate_fails_on_an_observed_never_hit_cell(tmp_path, name):
     }
 
 
-@pytest.mark.parametrize(
-    "design",
-    [
-        "kind: stratified\n  strata_csv: {groups}\n  counts: [[1, 1], [1, 1]]\n",
-        "kind: clustered\n  cluster_csv: {groups}\n"
-        "  cluster_design: {{kind: completely_randomized, n: 2, counts: [1, 1]}}\n",
-        "kind: exposure_derived\n  edges: [[0, 1]]\n"
-        "  base: {{kind: stratified, strata_csv: {groups}, counts: [[1, 1], [1, 1]]}}\n"
-        "  rules: [{{label: c, own_arms: [1]}}, {{label: t, own_arms: [2]}}]\n",
-    ],
-    ids=["stratified", "clustered", "exposure_derived"],
-)
+GROUP_DESIGN_IDS = ["stratified", "clustered", "exposure_derived"]
+GROUP_DESIGNS = [
+    "kind: stratified\n  strata_csv: {groups}\n  counts: [[1, 1], [1, 1]]\n",
+    "kind: clustered\n  cluster_csv: {groups}\n"
+    "  cluster_design: {{kind: completely_randomized, n: 2, counts: [1, 1]}}\n",
+    "kind: exposure_derived\n  edges: [[0, 1]]\n"
+    "  base: {{kind: stratified, strata_csv: {groups}, counts: [[1, 1], [1, 1]]}}\n"
+    "  rules: [{{label: c, own_arms: [1]}}, {{label: t, own_arms: [2]}}]\n",
+]
+
+
+@pytest.mark.parametrize("design", GROUP_DESIGNS, ids=GROUP_DESIGN_IDS)
 def test_estimate_checks_unit_ids_against_group_csv(design, tmp_path, capsys):
     groups = tmp_path / "groups.csv"
     groups.write_text("unit_id,group_id\n10,a\n20,a\n30,b\n40,b\n")
@@ -497,6 +551,37 @@ def test_estimate_checks_unit_ids_against_group_csv(design, tmp_path, capsys):
         ))
         assert main(argv) == code
     assert "different unit_id sets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("design", GROUP_DESIGNS, ids=GROUP_DESIGN_IDS)
+def test_simulate_checks_covariate_ids_against_group_csv(design, tmp_path, capsys):
+    # covariates used to be paired with units by sort order alone
+    groups = tmp_path / "groups.csv"
+    groups.write_text("unit_id,group_id\n10,a\n20,a\n30,b\n40,b\n")
+    cov = tmp_path / "x.csv"
+    config = tmp_path / "sim.yaml"
+    config.write_text(
+        "design:\n  " + design.format(groups=groups)
+        + f"covariates: {{csv: {cov}}}\n"
+        "outcome: {coeffs: [1.0], intercepts: [0.0, 1.0]}\n"
+        "estimators: [ht]\ncontrast: [-1, 1]\nreplications: 2\nseed: 0\n"
+    )
+    for ids, code in (([40, 10, 30, 20], 0), ([10, 20, 30, 50], 2)):
+        cov.write_text("unit_id,x1\n" + "".join(f"{u},{x}\n" for u, x in zip(ids, [0.5, 1, 2, 0])))
+        assert main(["simulate", "--config", str(config)]) == code
+    assert "different unit_id sets (in one only: [40, 50])" in capsys.readouterr().err
+
+
+def test_simulate_rejects_covariates_of_another_size(tmp_path, capsys):
+    # without an id file the count is checked; this used to fail with
+    # "y_full must be a stacked kn vector"
+    cov = tmp_path / "x.csv"
+    cov.write_text("unit_id,x1\n" + "".join(f"{i},{i * 0.5}\n" for i in range(7)))
+    config = tmp_path / "sim.yaml"
+    recipe = OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht]")
+    config.write_text(recipe.replace("generate: {p: 1, seed: 5}", f"csv: {cov}"))
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "the covariates CSV has 7 rows but the design has 8 units" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -448,7 +448,8 @@ class TestReportsAndIO:
     def test_observed_csv(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("unit_id,arm,y\n1,2,3.5\n0,1,1.0\n")
-        arms, y = load_observed_csv(path)
+        ids, arms, y = load_observed_csv(path)
+        assert ids.tolist() == [0, 1]
         assert arms.tolist() == [0, 1]
         assert y.tolist() == [1.0, 3.5]
 
@@ -462,10 +463,11 @@ class TestReportsAndIO:
     def test_covariates_csv(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("unit_id,x1,x2\n1,2.0,\n0,1.0,3.0\n")
-        X, names = load_covariates_csv(path)
+        ids, X, names = load_covariates_csv(path)
+        assert ids.tolist() == [0, 1]
         assert names == ["x1", "x2"]
         assert X.shape == (2, 2)
         assert np.isnan(X[1, 1])
         path.write_text("unit_id,x1\n1,2.0,\n\n0,1.0,3.0\n")  # header shorter than the rows
-        with pytest.raises(ValueError, match="unit_id 1 has 3 fields; the header has 2"):
+        with pytest.raises(ValueError, match=r"line 2 has too many fields \(3; the header has 2\)"):
             load_covariates_csv(path)
