@@ -305,6 +305,12 @@ class StratifiedDesign(Design):
         if len(ks) != 1:
             raise ValueError("all strata must use the same number of arms")
         self.k = ks.pop()
+        for position, (units, counts) in enumerate(zip(self.strata, self.counts_by_stratum)):
+            if counts.sum() != len(units):
+                raise ValueError(
+                    f"counts of stratum {position} (0-based) sum to {counts.sum()}, "
+                    f"but the stratum has {len(units)} units"
+                )
         self._subdesigns = [
             CompletelyRandomizedDesign(len(s), c)
             for s, c in zip(self.strata, self.counts_by_stratum)
@@ -457,7 +463,8 @@ def order_by_unit_id(unit_ids, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 def read_group_csv(path) -> tuple[np.ndarray, list[np.ndarray]]:
     """Read a unit_id,group_id CSV; returns (unit ids sorted, groups in
-    group_id order as arrays of 0-based unit positions)."""
+    group_id order as arrays of 0-based unit positions). group_id order is
+    the order of the ids as strings: 1, 10, 2, ... for ids 1..10."""
     columns = read_csv_columns(path, ("unit_id", "group_id"), "group")
     unit_ids, order = order_by_unit_id(columns["unit_id"], "group")
     if not len(unit_ids):
@@ -473,7 +480,11 @@ def build_design(spec: dict) -> Design:
     Recognized kinds: bernoulli, completely_randomized, stratified,
     clustered, exposure_derived. Stratified specs accept per-stratum
     ``counts``, shared ``proportions`` (remainders to descending arms), or a
-    repeated arm-label ``pattern``. A design read from a strata or cluster
+    repeated arm-label ``pattern``. Entry j of ``counts`` belongs to stratum
+    j: the j-th of ``strata``, or of a ``strata_csv``'s groups sorted by
+    their group_id strings (ids 1..10 sort as 1, 10, 2, ..., 9), and a
+    stratum whose counts do not sum to its size is an error naming its
+    0-based position in that order. A design read from a strata or cluster
     CSV, or derived from such a design, keeps that file's sorted unit ids as
     ``unit_ids``; an exposure design over such a base reads its
     ``edges_csv`` in those ids, otherwise as 0-based unit positions.

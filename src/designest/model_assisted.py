@@ -20,8 +20,9 @@ fit is undefined; row b is bitwise what a batch of one gives, because every
 slice takes the same BLAS call as the 2-D form.
 Shared matrices are built once per batch (opt_linear's design form and its
 pseudoinverse), and the logistic descent runs all rows' restarts as one
-array descent. _corrected turns a stage's imputations into the fits of a
-ReplicationChunk's rows; the per-replication functions (qmle_gr,
+array descent whose gradients are vector-Jacobian products (the moment
+Jacobian is never formed). _corrected turns a stage's imputations into the
+fits of a ReplicationChunk's rows; the per-replication functions (qmle_gr,
 no_harm_gr, opt_gr_linear, opt_gr_logit, opt_i_gr, moment_vector, ...) run
 the same bodies on the chunk of one that ExperimentData carries.
 """
@@ -52,7 +53,7 @@ from .linear import (
 EIG_WARN_RATIO = 1e-8
 NOHARM_DENOM_TOL = 1e-6
 OMEGA_NORM_TOL = 1e-12
-# entries of the (slices, kn, s) gradient rows in one stacked criterion evaluation
+# entries of each (slices, kn) temporary in one stacked criterion evaluation
 MOMENT_BLOCK_ENTRIES = 1 << 20
 
 
@@ -115,16 +116,14 @@ class ImputationModel:
             return eta
         return expit(eta)
 
-    def _grad_rows(self, rows, f):
-        """Gradient rows (..., kn, s) of the predictions f (..., kn)."""
+    def _slopes(self, f):
+        """First and second derivatives (d, h) of the inverse link at the
+        linear predictors of the predictions f: one and zero for the linear
+        family, f(1-f) and f(1-f)(1-2f) for the logistic."""
         if self.family == "linear":
-            return np.broadcast_to(rows, f.shape + rows.shape[-1:])
-        return rows * (f * (1.0 - f))[..., None]
-
-    def _hess_factor(self, f):
-        if self.family == "linear":
-            return np.zeros(f.shape)
-        return f * (1.0 - f) * (1.0 - 2.0 * f)
+            return np.ones(f.shape), np.zeros(f.shape)
+        d = f * (1.0 - f)
+        return d, d * (1.0 - 2.0 * f)
 
 
 @dataclass
@@ -477,14 +476,21 @@ def population_moment_vector(theta, model, X, y, Omega, c, n):
     """First-order-condition vector of the variance criterion for outcome
     vector y (the full potential outcomes, or their IPW observed analog)."""
     theta, y = np.asarray(theta, dtype=float)[None], np.asarray(y, dtype=float)[None]
-    return _moment_terms(theta, y, *_criterion_args(model, X, Omega, c, n))[0]
+    return _moment_terms(theta, y, *_criterion_args(model, X, Omega, c, n))[0][0]
 
 
 def moment_jacobian(theta, model, data, Omega, c):
-    """Analytic Jacobian of the sample moment vector."""
+    """Analytic Jacobian of the sample moment vector,
+    (rows' diag(weighted h) rows - G' Omega G) / n with gradient rows
+    G = w d rows (_moment_terms names the factors)."""
+    model, rows, Omega, w, n = _criterion_args(model, data.X, Omega, c, data.n)
     theta = np.asarray(theta, dtype=float)[None]
-    args = _criterion_args(model, data.X, Omega, c, data.n)
-    return _moment_terms(theta, data.chunk.y_ipw, *args, jacobian=True)[1][0]
+    _, d, h, weighted = _moment_terms(theta, data.chunk.y_ipw, model, rows, Omega, w, n)
+    wg = rows * d[0][:, None] * w[:, None]
+    jac = -(wg.T @ Omega @ wg) / n
+    if h.any():
+        jac = jac + rows.T @ (rows * (weighted[0] * h[0])[:, None]) / n
+    return jac
 
 
 def _criterion_args(model, X, Omega, c, n):
@@ -493,41 +499,44 @@ def _criterion_args(model, X, Omega, c, n):
     return model, model.design_rows(X), Omega, np.repeat(np.asarray(c, dtype=float), n), n
 
 
-def _moment_terms(theta, y, model, rows, Omega, w, n, jacobian: bool = False):
-    """Moment vectors g (B, s) of the variance criterion at each row of
-    theta (B, s) for the outcome vectors y (B, kn), and with jacobian their
-    analytic Jacobians (B, s, s). The predictions, their gradient rows and
-    w * Omega r are built once for both; row b is bitwise the 2-D
-    evaluation at theta[b] and y[b]."""
+def _moment_terms(theta, y, model, rows, Omega, w, n):
+    """Moment vectors g = rows' (d weighted) / n (B, s) of the variance
+    criterion at each row of theta (B, s) for the outcome vectors y
+    (B, kn), with the factors their derivatives reuse (each (B, kn)): the
+    inverse link's slopes d and curvature factors h at the predictions f,
+    and the weighted residuals w Omega (w (y - f)). Row b is bitwise the
+    2-D evaluation at theta[b] and y[b]."""
     f = model._predict_rows(theta, rows)
-    grad = model._grad_rows(rows, f)
+    d, h = model._slopes(f)
     weighted = w * _matvec(Omega, w * (y - f))
-    g = _matvec(np.swapaxes(grad, -1, -2), weighted) / n
-    if not jacobian:
-        return g
-    wg = grad * w[:, None]
-    jac = -(np.swapaxes(wg, -1, -2) @ Omega @ wg) / n
-    h = model._hess_factor(f)
-    curved = (h != 0).any(axis=-1)
-    if curved.any():
-        scale = weighted[curved] * h[curved]
-        jac[curved] = jac[curved] + rows.T @ (rows * scale[..., None]) / n
-    return g, jac
+    return _matvec(rows.T, d * weighted) / n, d, h, weighted
 
 
-def _criterion_and_grad(theta, y, *args):
+def _criterion_and_grad(theta, y, model, rows, Omega, w, n):
     """Squared moment norms (B,) of the variance criterion at each row of
     theta (B, s) for the outcome vectors y, their gradients in theta (B, s),
     and the moment vectors (B, s); args as built by _criterion_args."""
-    g, jac = _moment_terms(theta, y, *args, jacobian=True)
-    return _rowdot(g, g), _matvec(2.0 * np.swapaxes(jac, -1, -2), g), g
+    terms = _moment_terms(theta, y, model, rows, Omega, w, n)
+    g = terms[0]
+    return _rowdot(g, g), _criterion_grad(*terms, rows, Omega, w, n), g
+
+
+def _criterion_grad(g, d, h, weighted, rows, Omega, w, n):
+    """Gradients 2 J'g (B, s) of the squared moment norms from the moment
+    terms of _moment_terms. J'g is a vector-Jacobian product: with u =
+    rows g it is rows' (weighted h u - w d Omega' (w d u)) / n, one product
+    with Omega' beyond g's, so the Jacobian (moment_jacobian) is never
+    formed."""
+    u = _matvec(rows, g)
+    back = weighted * h * u - w * d * _matvec(Omega.T, w * d * u)
+    return 2.0 * _matvec(rows.T, back) / n
 
 
 def _stacked(fun, entries: int, *arrays):
     """fun over consecutive blocks of the leading axis of arrays, each of at
-    most MOMENT_BLOCK_ENTRIES // entries rows so that fun's (rows, kn, s)
-    temporaries stay bounded; fun returns a tuple of arrays over its block's
-    rows, and the blocks' tuples are concatenated."""
+    most MOMENT_BLOCK_ENTRIES // entries rows so that fun's temporaries of
+    entries per row stay bounded; fun returns a tuple of arrays over its
+    block's rows, and the blocks' tuples are concatenated."""
     step = max(1, MOMENT_BLOCK_ENTRIES // entries)
     blocks = range(0, max(len(arrays[0]), 1), step)
     parts = [fun(*(a[lo : lo + step] for a in arrays)) for lo in blocks]
@@ -594,20 +603,32 @@ def opt_logit_descent(model, rows, y, Omega, c, n: int, cfg: OptimizerConfig, se
     args = model, rows, Omega, np.repeat(np.asarray(c, dtype=float), n), n
 
     def terms(theta, owner):
-        return _criterion_and_grad(theta, y[owner], *args)
+        return _moment_terms(theta, y[owner], *args)
+
+    def at(fun, *arrays):  # temporaries are (slices, kn)
+        return _stacked(fun, rows.shape[0], *arrays)
 
     def criterion(theta, owner):
-        g = _moment_terms(theta, y[owner], *args)
-        return (_rowdot(g, g),)
+        g = at(terms, theta, owner)[0]
+        return _rowdot(g, g)
 
-    def at(fun, theta, owner):
-        return _stacked(fun, rows.size, theta, owner)
+    def trial(theta, owner, bar, last):
+        """Criterion values and moment vectors at the candidates theta, which
+        of them end the line search (value at most bar, or the last try),
+        and the gradients of those."""
+        g, d, h, weighted = terms(theta, owner)
+        value = _rowdot(g, g)
+        done = (value <= bar) | last
+        grad = np.zeros(theta.shape)
+        grad[done] = _criterion_grad(g[done], d[done], h[done], weighted[done], *args[1:])
+        return value, done, grad, g
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     theta = np.reshape([rng.normal(0.0, cfg.restart_sd, size=(R, s)) for rng in rngs], (B * R, s))
     owner, attempt = np.divmod(np.arange(B * R), R)
     half_width = cfg.box_half_width + attempt * cfg.box_expand / 2.0
-    value, grad, g = at(terms, theta, owner)
+    starts = np.ones(B * R, dtype=bool)  # every start is differentiated
+    value, _, grad, g = at(trial, theta, owner, np.zeros(B * R), starts)
     interior = np.ones(B * R, dtype=bool)
     active = np.arange(B * R)
     for _ in range(cfg.max_steps):
@@ -617,26 +638,33 @@ def opt_logit_descent(model, rows, y, Omega, c, n: int, cfg: OptimizerConfig, se
         active, grad_norm2 = active[moving], grad_norm2[moving]
         if not active.size:
             break
+        # the candidate that ends a slice's line search is its next theta, so
+        # its criterion, gradient and moment vector are kept from the trial
         t = np.ones(len(active))
+        found = [np.empty((len(active),) + part.shape[1:]) for part in (value, grad, g)]
         searching = np.arange(len(active))
         while searching.size:
             q, t_q = active[searching], t[searching]
-            (cand_value,) = at(criterion, theta[q] - t_q[:, None] * grad[q], owner[q])
-            accepted = cand_value <= value[q] - cfg.step * t_q * grad_norm2[searching]
-            searching = searching[~(accepted | (t_q < 1e-14))]
+            bar = value[q] - cfg.step * t_q * grad_norm2[searching]
+            cand_value, done, *parts = at(
+                trial, theta[q] - t_q[:, None] * grad[q], owner[q], bar, t_q < 1e-14
+            )
+            for kept, part in zip(found, (cand_value, *parts)):
+                kept[searching[done]] = part[done]
+            searching = searching[~done]
             t[searching] *= cfg.backtrack
         theta[active] = theta[active] - t[:, None] * grad[active]
-        outside = (np.abs(theta[active]) > half_width[active, None]).any(axis=-1)
-        interior[active[outside]] = False
-        active = active[~outside]
+        inside = ~(np.abs(theta[active]) > half_width[active, None]).any(axis=-1)
+        interior[active[~inside]] = False
+        active = active[inside]
         if not active.size:
             break
-        value[active], grad[active], g[active] = at(terms, theta[active], owner[active])
+        value[active], grad[active], g[active] = (part[inside] for part in found)
     norm = np.sqrt(_rowdot(g, g))
     solved = (interior & (norm <= cfg.grad_tol)).reshape(B, R)
     rows_ok = np.flatnonzero(solved.any(axis=1))
     win = rows_ok * R + np.argmin(np.where(solved, value.reshape(B, R), np.inf), axis=1)[rows_ok]
-    hess = _numerical_hessian(lambda x, of: at(criterion, x, of)[0], theta[win], owner[win])
+    hess = _numerical_hessian(criterion, theta[win], owner[win])
     eigs = np.linalg.eigvalsh(hess)
     f = np.full((B, rows.shape[0]), np.nan)
     f[rows_ok] = model._predict_rows(theta[win], rows)

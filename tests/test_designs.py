@@ -230,6 +230,21 @@ def test_build_stratified_design_from_csv(tmp_path):
     assert np.bincount(r.arm_of[:3], minlength=2).tolist() == [1, 2]
 
 
+def test_stratum_counts_follow_group_id_string_order(tmp_path):
+    # ids 1..10 sort as strings: 1, 10, 2, ..., 9; stratum "10" has 6 units
+    path = tmp_path / "strata.csv"
+    rows = [(unit, 10 if unit < 6 else (unit - 6) // 2 + 1) for unit in range(24)]
+    path.write_text("unit_id,group_id\n" + "".join(f"{u},{g}\n" for u, g in rows))
+    order = sorted(range(1, 11), key=str)
+    counts = [[3, 3] if group == 10 else [1, 1] for group in order]
+    design = build_design({"kind": "stratified", "strata_csv": str(path), "counts": counts})
+    assert design.strata[1].tolist() == list(range(6))  # stratum "10"
+    assert [c.tolist() for c in design.counts_by_stratum] == counts
+    numeric = [[3, 3] if group == 10 else [1, 1] for group in range(1, 11)]
+    with pytest.raises(ValueError, match=r"counts of stratum 1 \(0-based\) sum to 2, but the stratum has 6"):
+        build_design({"kind": "stratified", "strata_csv": str(path), "counts": numeric})
+
+
 def test_build_clustered_design_from_csv(tmp_path):
     path = tmp_path / "clusters.csv"
     path.write_text("unit_id,group_id\n0,x\n1,x\n2,y\n3,y\n")

@@ -578,13 +578,35 @@ class TestLogisticNewton:
         assert np.abs(batch).max() >= 10.0  # the batch includes a separated fit
 
 
+def _reference_moment_terms(theta, rows, y, Omega, w, n):
+    f = expit(rows @ theta)
+    d = f * (1.0 - f)
+    weighted = w * (Omega @ (w * (y - f)))
+    return rows.T @ (d * weighted) / n, d, weighted
+
+
 def _reference_moment_vector(theta, model, rows, y, Omega, w, n):
+    return _reference_moment_terms(theta, rows, y, Omega, w, n)[0]
+
+
+def _reference_criterion_and_grad(theta, model, rows, y, Omega, w, n):
+    # gradient 2 J'g as a vector-Jacobian product, J never formed
+    g, d, weighted = _reference_moment_terms(theta, rows, y, Omega, w, n)
+    h = d * (1.0 - 2.0 * expit(rows @ theta))
+    u = rows @ g
+    back = weighted * h * u - w * d * (Omega.T @ (w * d * u))
+    return float(g @ g), 2.0 * (rows.T @ back) / n, g
+
+
+def _explicit_moment_vector(theta, model, rows, y, Omega, w, n):
     f = expit(rows @ theta)
     grad = rows * (f * (1.0 - f))[:, None]
     return grad.T @ (w * (Omega @ (w * (y - f)))) / n
 
 
-def _reference_criterion_and_grad(theta, model, rows, y, Omega, w, n):
+def _explicit_criterion_and_grad(theta, model, rows, y, Omega, w, n):
+    """The criterion's gradient 2 J'g with the s x s Jacobian J formed from
+    the (kn, s) gradient rows, and g from those rows."""
     f = expit(rows @ theta)
     grad = rows * (f * (1.0 - f))[:, None]
     g = grad.T @ (w * (Omega @ (w * (y - f)))) / n
@@ -597,17 +619,22 @@ def _reference_criterion_and_grad(theta, model, rows, y, Omega, w, n):
     return float(g @ g), 2.0 * jac.T @ g, g
 
 
-def reference_opt_logit_descent(model, rows, y, Omega, c, n, cfg, seed):
+def reference_opt_logit_descent(
+    model, rows, y, Omega, c, n, cfg, seed,
+    terms=_reference_criterion_and_grad, vector=_reference_moment_vector,
+):
     """The scalar restart loop of the logistic descent, one replication and
     one restart at a time: its imputations and diagnostics, and the attempt
-    outcome of every restart ("solved", "box", "stationary" or "cap")."""
+    outcome of every restart ("solved", "box", "stationary" or "cap").
+    terms(theta, ...) gives the criterion, its gradient and the moment
+    vector, vector(theta, ...) the moment vector alone."""
     args = model, rows, y, Omega, np.repeat(np.asarray(c, dtype=float), n), n
     rng = np.random.default_rng(seed)
     candidates, outcomes = [], []
     for attempt in range(cfg.restarts):
         half_width = cfg.box_half_width + attempt * cfg.box_expand / 2.0
         theta = rng.normal(0.0, cfg.restart_sd, size=model.s)
-        value, grad, g = _reference_criterion_and_grad(theta, *args)
+        value, grad, g = terms(theta, *args)
         outcome = "cap"
         for _ in range(cfg.max_steps):
             if np.linalg.norm(g) <= cfg.grad_tol:
@@ -618,7 +645,7 @@ def reference_opt_logit_descent(model, rows, y, Omega, c, n, cfg, seed):
                 break
             t = 1.0
             while True:
-                g_cand = _reference_moment_vector(theta - t * grad, *args)
+                g_cand = vector(theta - t * grad, *args)
                 cand_value = float(g_cand @ g_cand)
                 if cand_value <= value - cfg.step * t * grad_norm2 or t < 1e-14:
                     break
@@ -627,7 +654,7 @@ def reference_opt_logit_descent(model, rows, y, Omega, c, n, cfg, seed):
             if np.any(np.abs(theta) > half_width):
                 outcome = "box"
                 break
-            value, grad, g = _reference_criterion_and_grad(theta, *args)
+            value, grad, g = terms(theta, *args)
         if outcome != "box" and np.linalg.norm(g) <= cfg.grad_tol:
             outcome = "solved"
             candidates.append((value, attempt, theta, g))
@@ -637,7 +664,7 @@ def reference_opt_logit_descent(model, rows, y, Omega, c, n, cfg, seed):
     value, attempt, theta, g = min(candidates, key=lambda item: (item[0], item[1]))
 
     def criterion(th):
-        g_th = _reference_moment_vector(th, *args)
+        g_th = vector(th, *args)
         return float(g_th @ g_th)
 
     h, s = 1e-4, len(theta)
@@ -663,20 +690,26 @@ def reference_opt_logit_descent(model, rows, y, Omega, c, n, cfg, seed):
     return expit(rows @ theta), diagnostics, outcomes
 
 
-def descent_instance(replications=20):
-    """IPW observed outcome vectors of a 20-unit two-arm CRD with two
-    covariates, one row per replication."""
-    n = 20
-    design = CompletelyRandomizedDesign(n, [10, 10])
+def descent_population(n=20):
+    """A two-arm CRD of n units with n / 2 treated, its exact moments, two
+    centered covariates and binary potential outcomes."""
+    design = CompletelyRandomizedDesign(n, [n // 2, n // 2])
     moments = closed_form_or_exact_moments(design)
     X = centered(stream_rng(3).standard_normal((n, 2)))
     y_full = impute_potential_outcomes(X, [0.8, 0.6], [0.3, -0.2], seed=4)
+    return design, moments, X, y_full
+
+
+def descent_instance(replications=20):
+    """IPW observed outcome vectors of a 20-unit two-arm CRD with two
+    covariates, one row per replication."""
+    design, moments, X, y_full = descent_population()
     ys = np.stack([
         ExperimentData.from_full(y_full, design.sample(stream_rng(5, rep)), X, moments).chunk.y_ipw[0]
         for rep in range(replications)
     ])
     model = ImputationModel("logistic", k=2, p=2)
-    return model, model.design_rows(X), ys, moments.D, n
+    return model, model.design_rows(X), ys, moments.D, 20
 
 
 class TestBatchedDescent:
@@ -715,3 +748,52 @@ class TestBatchedDescent:
             b: repr(exc) for b, exc in expected[2].items()
         }
         assert errors  # the capped run covers failing rows too
+
+
+class TestJacobianFreeGradient:
+    c = np.array([-1.0, 1.0])
+
+    @pytest.mark.parametrize("family", ["logistic", "linear"])
+    @pytest.mark.parametrize("n", [20, 200])
+    def test_gradient_is_twice_the_jacobian_transpose_times_g(self, family, n):
+        design, moments, X, y_full = descent_population(n)
+        data = ExperimentData.from_full(y_full, design.sample(stream_rng(5, 0)), X, moments)
+        model = ImputationModel(family, k=2, p=2)
+        Omega, y = moments.D, data.chunk.y_ipw
+        args = model, model.design_rows(X), Omega, np.repeat(self.c, n), n
+        rng, step = stream_rng(6), 1e-5
+        for theta in rng.normal(0.0, 0.5, size=(5, model.s)):
+            value, grad, g = model_assisted._criterion_and_grad(theta[None], y, *args)
+            assert g[0].tobytes() == moment_vector(theta, model, data, Omega, self.c).tobytes()
+            jac = moment_jacobian(theta, model, data, Omega, self.c)
+            expected = 2.0 * jac.T @ g[0]
+            assert np.abs(grad[0] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+            def criterion(th):
+                g_th = moment_vector(th, model, data, Omega, self.c)
+                return g_th @ g_th
+
+            fd = np.array([
+                (criterion(theta + step * e) - criterion(theta - step * e)) / (2 * step)
+                for e in np.eye(model.s)
+            ])
+            assert value[0] == criterion(theta)
+            assert np.abs(grad[0] - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    def test_descent_matches_the_explicit_jacobian_descent(self):
+        # same failing rows and winning restarts as the descent that forms J
+        cfg = TestBatchedDescent.cfg
+        model, rows, ys, D, n = descent_instance()
+        f, diagnostics, errors = opt_logit_descent(model, rows, ys, D, self.c, n, cfg, range(20))
+        for b, y in enumerate(ys):
+            old_f, old_diagnostics, _ = reference_opt_logit_descent(
+                model, rows, y, D, self.c, n, cfg, b,
+                terms=_explicit_criterion_and_grad, vector=_explicit_moment_vector,
+            )
+            if old_f is None:
+                assert isinstance(errors[b], OptimizationError)
+            else:
+                assert b not in errors
+                assert diagnostics[b]["restart"] == old_diagnostics["restart"]
+                np.testing.assert_allclose(f[b], old_f, rtol=1e-12, atol=0)
+        assert 0 < len(errors) < len(ys)

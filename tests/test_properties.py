@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designest.bounds import NotIdentifiedError, aronow_samii_bound, build_bound
+from designest.bounds import NotIdentifiedError, aronow_samii_bound, build_bound, certify_bound
 from designest.designs import (
     BernoulliDesign,
     ClusteredDesign,
@@ -166,6 +166,18 @@ def _bound_or_error(moments, cells=None):
         except NotIdentifiedError as exc:
             result = exc
     return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(design=enumerable_designs())
+def test_aronow_samii_bound_certifies_valid_and_identified(design):
+    moments = exact_moments(design)
+    bound, _ = _bound_or_error(moments)
+    if isinstance(bound, NotIdentifiedError):  # it builds unless a cell is never observed
+        assert moments.zero_mask.any()
+        return
+    cert = certify_bound(moments, bound)
+    assert cert.psd_ok and cert.identified_ok
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
