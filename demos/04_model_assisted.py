@@ -79,9 +79,9 @@ beta_pop = population_opt_gr_linear(rows, y_full, moments.D, c, n)
 var_opt = theoretical_asy_variance(rows @ beta_pop, y_full, moments.D, c, n)
 print(f"its population asymptotic variance x n: {var_opt:.4f} (the smallest in the model class)")
 
-# the logistic variant solves the first-order conditions by damped descent
-# (shown on a larger independent-assignment design where the moment surface
-# is well conditioned)
+# the logistic variant minimizes the same variance criterion by damped
+# descent (shown on a larger independent-assignment design where the
+# criterion is well conditioned)
 from designest import BernoulliDesign
 from designest.moments import analytic_bernoulli_moments
 

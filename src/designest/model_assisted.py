@@ -8,6 +8,14 @@ asymptotically than the unadjusted estimator (no_harm_gr), direct
 minimization of the implied asymptotic variance (opt_gr_linear /
 opt_gr_logit), and a single-imputed-covariate linear layer (opt_i_gr).
 
+The variance criterion of imputations f_theta is Q(theta) = r' Omega r / 2n
+with r = w (y - f_theta); its gradient is minus the moment vector g. The
+linear fit minimizes Q in closed form. The logistic fit (opt_logit_descent)
+is the solved restart with the lowest Q among cfg.restarts descents on Q, a
+restart counting as solved when it stays in its box and reaches
+|g| <= grad_tol; the population solve (population_opt_logit) minimizes the
+same Q by BFGS from the population pseudo-likelihood fit.
+
 Each second stage (no_harm_imputations, opt_linear_imputations,
 opt_i_imputations, opt_logit_descent) is one body over a leading batch axis
 of outcome vectors y (B, kn): a sample fit passes the inverse-probability-
@@ -20,11 +28,11 @@ fit is undefined; row b is bitwise what a batch of one gives, because every
 slice takes the same BLAS call as the 2-D form.
 Shared matrices are built once per batch (opt_linear's design form and its
 pseudoinverse), and the logistic descent runs all rows' restarts as one
-array descent whose gradients are vector-Jacobian products (the moment
-Jacobian is never formed). _corrected turns a stage's imputations into the
-fits of a ReplicationChunk's rows; the per-replication functions (qmle_gr,
-no_harm_gr, opt_gr_linear, opt_gr_logit, opt_i_gr, moment_vector, ...) run
-the same bodies on the chunk of one that ExperimentData carries.
+array descent, one product with Omega giving both Q and g. _corrected
+turns a stage's imputations into the fits of a ReplicationChunk's rows;
+the per-replication functions (qmle_gr, no_harm_gr, opt_gr_linear,
+opt_gr_logit, opt_i_gr, moment_vector, ...) run the same bodies on the
+chunk of one that ExperimentData carries.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from .linear import (
     model_matrix,
     row_report,
 )
+from .moments import check_symmetric
 
 EIG_WARN_RATIO = 1e-8
 NOHARM_DENOM_TOL = 1e-6
@@ -130,15 +139,17 @@ class ImputationModel:
 class OptimizerConfig:
     """Gradient-descent recipe for the logit variance-minimizing fit.
 
-    Every one of the restarts (an integer >= 1) runs: restart a starts from
-    a normal draw with sd restart_sd (>= 0) and takes at most max_steps
-    (an integer >= 0) steps, each a backtracking line search that accepts
-    the fraction step (> 0) of the predicted decrease and shrinks by
-    backtrack (in (0, 1)). It stops when the moment norm falls to grad_tol
-    (> 0), and fails when theta leaves the box of half-width
+    Every one of the restarts (an integer >= 1) descends on the variance
+    criterion Q along its negative gradient, the moment vector g: restart a
+    starts from a normal draw with sd restart_sd (>= 0) and takes at most
+    max_steps (an integer >= 0) steps, each a backtracking line search that
+    accepts the fraction step (> 0) of the predicted decrease and shrinks
+    by backtrack (in (0, 1)). It is solved when the moment norm |g| falls
+    to grad_tol (> 0), and fails when theta leaves the box of half-width
     box_half_width + a * box_expand / 2 (box_half_width > 0,
-    box_expand >= 0). A chunk's replications and restarts descend together
-    as one batch.
+    box_expand >= 0). The fit is the solved restart with the lowest Q, the
+    lower restart index on a tie. A chunk's replications and restarts
+    descend together as one batch.
     """
 
     step: float = 0.1  # line-search acceptance fraction
@@ -384,13 +395,24 @@ def _check_omega(Omega: np.ndarray, kn: int):
     return Omega
 
 
-def _inspect_eigenvalues(A: np.ndarray, label: str) -> np.ndarray:
-    """Whether each symmetric matrix of the stack A has near-zero
-    eigenvalues; warns once if any has."""
+def _inspect_eigenvalues(A: np.ndarray, k: int, label: str | None) -> np.ndarray:
+    """Whether each symmetric matrix of the stack A (..., s, s), a design
+    form whose first k coordinates are the arm intercepts, has near-zero
+    eigenvalues once the null directions of its leading k x k block are
+    projected out; with a label, warns once if any has.
+
+    Those directions are known whatever the data: D annihilates
+    arm-constant columns whenever pi is constant within arms, and a zero
+    contrast weight annihilates its arm's intercept. For a positive
+    semidefinite A they are null directions of A itself, so the projected
+    form has a near-zero eigenvalue exactly when A has more of them than
+    its intercept block.
+    """
     eigs = np.linalg.eigvalsh(A)
-    top = np.maximum(eigs.max(axis=-1), 0.0)
-    flagged = (top <= 0) | (eigs.min(axis=-1) < EIG_WARN_RATIO * top)
-    if flagged.any():
+    small = EIG_WARN_RATIO * np.maximum(eigs[..., -1:], 0.0)
+    known = (np.linalg.eigvalsh(A[..., :k, :k]) <= small).sum(axis=-1)
+    flagged = (eigs <= small).sum(axis=-1) > known
+    if label and flagged.any():
         warnings.warn(
             f"{label} has near-zero eigenvalues; coefficients in the flat "
             "directions are not identified (pseudoinverse used)",
@@ -403,16 +425,16 @@ def _variance_minimizing_beta(rows, y, Omega, c, n: int, label: str | None = Non
     """Coefficients (B, s) minimizing the contrast-weighted residual form in
     Omega of y - rows beta for each outcome vector y (B, kn), in closed
     form, and whether each is weakly identified (B,). rows is one kn x s
-    matrix, whose design form, eigenvalue check and pseudoinverse are then
-    computed once for every row, or a (B, kn, s) stack. With a label,
-    near-zero eigenvalues of the design form are warned about."""
+    matrix whose first k columns are the arm intercepts, and whose design
+    form, eigenvalue check and pseudoinverse are then computed once for
+    every row, or a (B, kn, s) stack. With a label, near-zero eigenvalues
+    of the design form are warned about."""
     w = np.repeat(np.asarray(c, dtype=float), n)
     xt = rows * w[:, None]
     xt_t = np.swapaxes(xt, -1, -2)
     gram = xt_t @ Omega @ xt
-    gram_inv, flagged, _ = _pinv_flagged(gram)
-    if label:
-        flagged = flagged | _inspect_eigenvalues(gram / n, label)
+    flagged = _inspect_eigenvalues(gram / n, len(w) // n, label)
+    gram_inv = _pinv_flagged(gram)[0]
     beta = _matvec(gram_inv, _matvec(xt_t, _matvec(Omega, w * np.asarray(y, dtype=float))))
     return beta, np.broadcast_to(flagged, beta.shape[:-1])
 
@@ -425,8 +447,9 @@ def opt_gr_linear(
     bound: VarianceBound | None = None,
 ) -> EstimateReport:
     """Variance-minimizing linear imputations, closed form, with the outcome
-    vector replaced by its IPW observed analog."""
+    vector replaced by its IPW observed analog. Omega must be symmetric."""
     Omega = _check_omega(Omega, data.n * data.k)
+    check_symmetric(Omega, "Omega")
     if model is None:
         model = ImputationModel("linear", data.k, data.p)
     if model.family != "linear":
@@ -476,21 +499,14 @@ def population_moment_vector(theta, model, X, y, Omega, c, n):
     """First-order-condition vector of the variance criterion for outcome
     vector y (the full potential outcomes, or their IPW observed analog)."""
     theta, y = np.asarray(theta, dtype=float)[None], np.asarray(y, dtype=float)[None]
-    return _moment_terms(theta, y, *_criterion_args(model, X, Omega, c, n))[0][0]
+    return _moment_terms(theta, y, *_criterion_args(model, X, Omega, c, n))[1][0]
 
 
 def moment_jacobian(theta, model, data, Omega, c):
-    """Analytic Jacobian of the sample moment vector,
-    (rows' diag(weighted h) rows - G' Omega G) / n with gradient rows
-    G = w d rows (_moment_terms names the factors)."""
-    model, rows, Omega, w, n = _criterion_args(model, data.X, Omega, c, data.n)
-    theta = np.asarray(theta, dtype=float)[None]
-    _, d, h, weighted = _moment_terms(theta, data.chunk.y_ipw, model, rows, Omega, w, n)
-    wg = rows * d[0][:, None] * w[:, None]
-    jac = -(wg.T @ Omega @ wg) / n
-    if h.any():
-        jac = jac + rows.T @ (rows * (weighted[0] * h[0])[:, None]) / n
-    return jac
+    """Analytic Jacobian of the sample moment vector: minus the Hessian of
+    the variance criterion (_criterion_hessian)."""
+    args = _criterion_args(model, data.X, Omega, c, data.n)
+    return -_criterion_hessian(np.asarray(theta, dtype=float)[None], data.chunk.y_ipw, *args)[0]
 
 
 def _criterion_args(model, X, Omega, c, n):
@@ -500,36 +516,30 @@ def _criterion_args(model, X, Omega, c, n):
 
 
 def _moment_terms(theta, y, model, rows, Omega, w, n):
-    """Moment vectors g = rows' (d weighted) / n (B, s) of the variance
-    criterion at each row of theta (B, s) for the outcome vectors y
-    (B, kn), with the factors their derivatives reuse (each (B, kn)): the
-    inverse link's slopes d and curvature factors h at the predictions f,
-    and the weighted residuals w Omega (w (y - f)). Row b is bitwise the
-    2-D evaluation at theta[b] and y[b]."""
+    """The variance criterion Q = r' Omega r / 2n of the contrast-weighted
+    residuals r = w (y - f) at each row of theta (B, s) for the outcome
+    vectors y (B, kn), its moment vectors g = rows' (d weighted) / n (B, s),
+    which are minus its gradients for a symmetric Omega, and the factors of
+    its Hessian (each (B, kn)): the inverse link's slopes d and curvature
+    factors h at the predictions f, and the weighted residuals
+    w Omega (w (y - f)). Row b is bitwise the 2-D evaluation at theta[b] and
+    y[b]."""
     f = model._predict_rows(theta, rows)
     d, h = model._slopes(f)
-    weighted = w * _matvec(Omega, w * (y - f))
-    return _matvec(rows.T, d * weighted) / n, d, h, weighted
+    residual = y - f
+    weighted = w * _matvec(Omega, w * residual)
+    return _rowdot(residual, weighted) / (2 * n), _matvec(rows.T, d * weighted) / n, d, h, weighted
 
 
-def _criterion_and_grad(theta, y, model, rows, Omega, w, n):
-    """Squared moment norms (B,) of the variance criterion at each row of
-    theta (B, s) for the outcome vectors y, their gradients in theta (B, s),
-    and the moment vectors (B, s); args as built by _criterion_args."""
-    terms = _moment_terms(theta, y, model, rows, Omega, w, n)
-    g = terms[0]
-    return _rowdot(g, g), _criterion_grad(*terms, rows, Omega, w, n), g
-
-
-def _criterion_grad(g, d, h, weighted, rows, Omega, w, n):
-    """Gradients 2 J'g (B, s) of the squared moment norms from the moment
-    terms of _moment_terms. J'g is a vector-Jacobian product: with u =
-    rows g it is rows' (weighted h u - w d Omega' (w d u)) / n, one product
-    with Omega' beyond g's, so the Jacobian (moment_jacobian) is never
-    formed."""
-    u = _matvec(rows, g)
-    back = weighted * h * u - w * d * _matvec(Omega.T, w * d * u)
-    return 2.0 * _matvec(rows.T, back) / n
+def _criterion_hessian(theta, y, model, rows, Omega, w, n):
+    """Hessians (B, s, s) of the variance criterion at each row of theta
+    (B, s) for the outcome vectors y (B, kn), from the factors of
+    _moment_terms: (G' Omega G - rows' diag(weighted h) rows) / n with
+    gradient rows G = rows (w d)."""
+    _, _, d, h, weighted = _moment_terms(theta, y, model, rows, Omega, w, n)
+    grad_rows = rows * (w * d)[..., None]
+    curvature = rows.T @ (rows * (weighted * h)[..., None])
+    return (np.swapaxes(grad_rows, -1, -2) @ Omega @ grad_rows) / n - curvature / n
 
 
 def _stacked(fun, entries: int, *arrays):
@@ -546,8 +556,9 @@ def _stacked(fun, entries: int, *arrays):
 def population_opt_logit(model, X, y_full, Omega, c, n, start=None):
     """Population variance-minimizing logistic fit for simulation reporting.
 
-    Quasi-Newton descent on the squared population moment norm, started at
-    the population pseudo-likelihood fit unless told otherwise.
+    Quasi-Newton descent on the population variance criterion Q (gradient
+    -g), started at the population pseudo-likelihood fit unless told
+    otherwise.
     """
     from scipy.optimize import minimize
 
@@ -556,8 +567,8 @@ def population_opt_logit(model, X, y_full, Omega, c, n, start=None):
     args, y = _criterion_args(model, X, Omega, c, n), np.asarray(y_full, dtype=float)[None]
 
     def criterion_and_grad(theta):
-        value, grad, _ = _criterion_and_grad(theta[None], y, *args)
-        return float(value[0]), grad[0]
+        value, g = _moment_terms(theta[None], y, *args)[:2]
+        return float(value[0]), -g[0]
 
     result = minimize(criterion_and_grad, np.asarray(start, dtype=float), jac=True,
                       method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
@@ -574,8 +585,10 @@ def opt_gr_logit(
     seed: int = 0,
 ) -> EstimateReport:
     """Variance-minimizing logistic imputations via damped gradient descent
-    (opt_logit_descent) on the IPW observed outcome vector."""
+    (opt_logit_descent) on the IPW observed outcome vector. Omega must be
+    symmetric: -g is the criterion's gradient only then."""
     Omega = _check_omega(Omega, data.n * data.k)
+    check_symmetric(Omega, "Omega")
     if model is None:
         model = ImputationModel("logistic", data.k, data.p)
     if model.family != "logistic":
@@ -592,79 +605,63 @@ def opt_logit_descent(model, rows, y, Omega, c, n: int, cfg: OptimizerConfig, se
     vectors y (B, kn), one diagnostics dict per row, and the
     OptimizationError of each row with no interior solution.
 
-    Row b runs every one of cfg.restarts descents on the squared
-    moment-vector norm, from starts drawn by default_rng(seeds[b]):
-    backtracking line search, a parameter box that widens with the restart
-    index, and the winner chosen by (criterion value, restart index). The
-    B x restarts descents run as one array descent, a slice leaving the
-    active set when it stops; each is bitwise the descent run alone.
+    Row b runs every one of cfg.restarts descents on the variance criterion
+    Q (_moment_terms), from starts drawn by default_rng(seeds[b]): steps
+    along its negative gradient, the moment vector g, with a backtracking
+    line search, until the moment norm falls to cfg.grad_tol (solved) or
+    theta leaves a box that widens with the restart index. The estimate is
+    the solved restart with the lowest (Q, restart index); its diagnostics
+    include the extreme eigenvalues of the analytic Hessian of Q there
+    (positive at a local minimum). The B x restarts descents run as one
+    array descent, a slice leaving the active set when it stops; each is
+    bitwise the descent run alone.
     """
     B, R, s = len(y), cfg.restarts, model.s
     args = model, rows, Omega, np.repeat(np.asarray(c, dtype=float), n), n
 
-    def terms(theta, owner):
-        return _moment_terms(theta, y[owner], *args)
-
-    def at(fun, *arrays):  # temporaries are (slices, kn)
-        return _stacked(fun, rows.shape[0], *arrays)
-
-    def criterion(theta, owner):
-        g = at(terms, theta, owner)[0]
-        return _rowdot(g, g)
-
-    def trial(theta, owner, bar, last):
-        """Criterion values and moment vectors at the candidates theta, which
-        of them end the line search (value at most bar, or the last try),
-        and the gradients of those."""
-        g, d, h, weighted = terms(theta, owner)
-        value = _rowdot(g, g)
-        done = (value <= bar) | last
-        grad = np.zeros(theta.shape)
-        grad[done] = _criterion_grad(g[done], d[done], h[done], weighted[done], *args[1:])
-        return value, done, grad, g
+    def terms(theta, owner):  # Q and g; temporaries are (slices, kn)
+        return _stacked(lambda th, o: _moment_terms(th, y[o], *args)[:2], len(rows), theta, owner)
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     theta = np.reshape([rng.normal(0.0, cfg.restart_sd, size=(R, s)) for rng in rngs], (B * R, s))
     owner, attempt = np.divmod(np.arange(B * R), R)
     half_width = cfg.box_half_width + attempt * cfg.box_expand / 2.0
-    starts = np.ones(B * R, dtype=bool)  # every start is differentiated
-    value, _, grad, g = at(trial, theta, owner, np.zeros(B * R), starts)
+    value, g = terms(theta, owner)
     interior = np.ones(B * R, dtype=bool)
     active = np.arange(B * R)
     for _ in range(cfg.max_steps):
-        grad_norm2 = _rowdot(grad[active], grad[active])
-        # stop at a solution, or stationary without solving the moment conditions
-        moving = ~(np.sqrt(_rowdot(g[active], g[active])) <= cfg.grad_tol) & ~(grad_norm2 < 1e-24)
-        active, grad_norm2 = active[moving], grad_norm2[moving]
+        norm2 = _rowdot(g[active], g[active])
+        moving = ~(np.sqrt(norm2) <= cfg.grad_tol)
+        active, norm2 = active[moving], norm2[moving]
         if not active.size:
             break
         # the candidate that ends a slice's line search is its next theta, so
-        # its criterion, gradient and moment vector are kept from the trial
+        # its criterion and moment vector are kept from the trial
         t = np.ones(len(active))
-        found = [np.empty((len(active),) + part.shape[1:]) for part in (value, grad, g)]
+        found = [np.empty((len(active),) + part.shape[1:]) for part in (value, g)]
         searching = np.arange(len(active))
         while searching.size:
             q, t_q = active[searching], t[searching]
-            bar = value[q] - cfg.step * t_q * grad_norm2[searching]
-            cand_value, done, *parts = at(
-                trial, theta[q] - t_q[:, None] * grad[q], owner[q], bar, t_q < 1e-14
-            )
-            for kept, part in zip(found, (cand_value, *parts)):
+            parts = terms(theta[q] + t_q[:, None] * g[q], owner[q])
+            done = (parts[0] <= value[q] - cfg.step * t_q * norm2[searching]) | (t_q < 1e-14)
+            for kept, part in zip(found, parts):
                 kept[searching[done]] = part[done]
             searching = searching[~done]
             t[searching] *= cfg.backtrack
-        theta[active] = theta[active] - t[:, None] * grad[active]
+        theta[active] = theta[active] + t[:, None] * g[active]
         inside = ~(np.abs(theta[active]) > half_width[active, None]).any(axis=-1)
         interior[active[~inside]] = False
         active = active[inside]
         if not active.size:
             break
-        value[active], grad[active], g[active] = (part[inside] for part in found)
+        value[active], g[active] = (part[inside] for part in found)
     norm = np.sqrt(_rowdot(g, g))
     solved = (interior & (norm <= cfg.grad_tol)).reshape(B, R)
     rows_ok = np.flatnonzero(solved.any(axis=1))
     win = rows_ok * R + np.argmin(np.where(solved, value.reshape(B, R), np.inf), axis=1)[rows_ok]
-    hess = _numerical_hessian(criterion, theta[win], owner[win])
+    (hess,) = _stacked(  # temporaries are (slices, kn, s)
+        lambda th, o: (_criterion_hessian(th, y[o], *args),), rows.size, theta[win], owner[win]
+    )
     eigs = np.linalg.eigvalsh(hess)
     f = np.full((B, rows.shape[0]), np.nan)
     f[rows_ok] = model._predict_rows(theta[win], rows)
@@ -680,24 +677,6 @@ def opt_logit_descent(model, rows, y, Omega, c, n: int, cfg: OptimizerConfig, se
     message = f"no interior solution with moment norm <= {cfg.grad_tol} in {cfg.restarts} restarts"
     errors = {b: OptimizationError(message) for b in np.flatnonzero(~solved.any(axis=1)).tolist()}
     return f, diagnostics, errors
-
-
-def _numerical_hessian(fun, theta, owner, h: float = 1e-4):
-    """Central-difference Hessians (W, s, s) of a scalar function at each
-    row of theta (W, s). fun(points (m, s), owner (m,)) evaluates it at
-    every point of every row in one stacked call, point p belonging to row
-    owner[p]."""
-    W, s = theta.shape
-    i, j = np.triu_indices(s)
-    steps = np.eye(s) * h
-    ei, ej, base = steps[i], steps[j], theta[:, None, :]
-    points = np.stack([base + ei + ej, base + ei - ej, base - ei + ej, base - ei - ej], axis=1)
-    values = fun(points.reshape(-1, s), np.repeat(owner, points.shape[1] * len(i)))
-    values = values.reshape(W, 4, len(i))
-    hess = np.zeros((W, s, s))
-    hess[:, i, j] = (values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]) / (4 * h * h)
-    hess[:, j, i] = hess[:, i, j]
-    return hess
 
 
 def opt_i_rows(f_model, n: int, k: int) -> np.ndarray:

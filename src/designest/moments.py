@@ -493,6 +493,13 @@ def row_bands(shape) -> list[slice]:
     return [slice(i, i + step) for i in range(0, shape[0], step)]
 
 
+def check_symmetric(M: np.ndarray, name: str = "matrix") -> None:
+    """Raise ValueError unless the square matrix M equals its transpose to
+    within atol 1e-10, compared one row band at a time."""
+    if not all(np.allclose(M[rows], M[:, rows].T, atol=1e-10) for rows in row_bands(M.shape)):
+        raise ValueError(f"{name} must be symmetric")
+
+
 def largest_eigenvalue(
     M: np.ndarray,
     zero_diag: bool = False,
@@ -507,8 +514,7 @@ def largest_eigenvalue(
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
-    if not all(np.allclose(M[rows], M[:, rows].T, atol=1e-10) for rows in row_bands(M.shape)):
-        raise ValueError("matrix must be symmetric")
+    check_symmetric(M)
     if zero_mask is not None and np.any(zero_mask):
         return np.inf
     if zero_diag:

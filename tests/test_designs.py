@@ -3,6 +3,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from designest.designs import (
     AssignmentRealization,
@@ -21,6 +24,7 @@ from designest.designs import (
     sample_assignment,
     stream_rng,
 )
+from test_properties import enumerable_designs
 
 
 def test_realization_indicator_is_arm_major():
@@ -125,23 +129,30 @@ def test_enumeration_cap_raises():
         enumerate_support(BernoulliDesign(30, [0.5, 0.5]), cap=1000)
 
 
-def test_empirical_support_frequencies_match_probabilities():
-    # invariant: a large sample hits every support point at its exact
-    # probability within Monte-Carlo error
-    design = CompletelyRandomizedDesign(5, [2, 3])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(design=enumerable_designs(), seed=st.integers(0, 99))
+def test_empirical_support_frequencies_match_probabilities(design, seed):
+    # invariant: sample_batch draws only support points, each at its exact
+    # probability within Monte-Carlo error: a chi-square test of the draws'
+    # counts over the support at p-value 1e-6, the points expected fewer
+    # than 5 times pooled into one bin
     table = enumerate_support(design)
-    rng = stream_rng(7)
-    reps, block = 1_000_000, 100_000
-    # sample_batch blocks give the same rows as reps successive sample calls
-    draws = np.concatenate([design.sample_batch(rng, block) for _ in range(reps // block)])
-    assert np.array_equal(draws[0], design.sample(stream_rng(7)).arm_of)
+    reps = 20_000
+    draws = design.sample_batch(stream_rng(seed), reps)
+    # a block's first row is the draw of one sample call on the same stream
+    assert np.array_equal(draws[0], design.sample(stream_rng(seed)).arm_of)
     digits = design.k ** np.arange(design.n)  # each row as one integer
     codes, hits = np.unique(draws @ digits, return_counts=True)
     counts = dict(zip(codes.tolist(), hits.tolist()))
-    for row, prob in zip(table.realizations, table.probabilities):
-        freq = counts.get(int(row @ digits), 0) / reps
-        se = math.sqrt(prob * (1 - prob) / reps)
-        assert abs(freq - prob) < 3 * se + 1e-12
+    observed = np.array([counts.pop(code, 0) for code in (table.realizations @ digits).tolist()])
+    assert not counts  # no draw outside the support
+    expected = reps * table.probabilities
+    rare = expected < 5
+    observed = np.append(observed[~rare], observed[rare].sum())
+    expected = np.append(expected[~rare], expected[rare].sum())
+    observed, expected = observed[expected > 0], expected[expected > 0]
+    statistic = np.sum((observed - expected) ** 2 / expected)
+    assert chi2.sf(statistic, max(len(expected) - 1, 1)) > 1e-6  # one bin: nothing to test
 
 
 def test_enumeration_exchange_symmetric_under_relabeling():

@@ -6,7 +6,12 @@ from scipy.special import expit
 
 from designest import model_assisted
 from designest.bounds import aronow_samii_bound
-from designest.designs import BernoulliDesign, CompletelyRandomizedDesign, stream_rng
+from designest.designs import (
+    BernoulliDesign,
+    CompletelyRandomizedDesign,
+    StratifiedDesign,
+    stream_rng,
+)
 from designest.linear import ExperimentData, _pinv_flagged, estimate_linear, intercept_matrix
 from designest.model_assisted import (
     ImputationModel,
@@ -244,16 +249,33 @@ class TestOptGrLinear:
             0.0, abs=1e-10
         )
 
-    def test_crd_intercept_directions_singular(self):
-        # the design matrix annihilates arm-constant columns, so the
-        # contrast-weighted gram has zero eigenvalues in those directions
-        design = CompletelyRandomizedDesign(6, [3, 3])
+    @pytest.mark.parametrize("kind", ["crd", "bernoulli", "stratified"])
+    def test_identification_flag_ignores_the_intercept_null_directions(self, kind):
+        # pi is constant within arms, so D annihilates arm-constant columns
+        # and the contrast-weighted design form is singular along them; those
+        # directions are known, so only a duplicated covariate is flagged
+        n, c = 8, [-1.0, 1.0]
+        design = {
+            "crd": CompletelyRandomizedDesign(n, [4, 4]),
+            "bernoulli": BernoulliDesign(n, [0.5, 0.5]),
+            "stratified": StratifiedDesign(n, [[0, 1, 2, 3], [4, 5, 6, 7]], [[2, 2], [2, 2]]),
+        }[kind]
         rng = stream_rng(15)
-        X = centered(rng.standard_normal((6, 1)))
-        y_full = rng.standard_normal(12)
+        X = centered(rng.standard_normal((n, 2)))
+        y_full = rng.standard_normal(2 * n)
         data = make_data(design, y_full, X, seed=8)
-        with pytest.warns(RuntimeWarning):
-            report = opt_gr_linear(data, data.moments.D, [-1.0, 1.0])
+        model = ImputationModel("linear", k=2, p=2)
+        xt = model.design_rows(X) * np.repeat(c, n)[:, None]
+        assert _pinv_flagged(xt.T @ data.moments.D @ xt)[1]  # the form is singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = opt_gr_linear(data, data.moments.D, c)
+            opt_i = opt_i_gr(fit_qmle(model, data), model, data, data.moments.D, c)
+        assert not report.diagnostics["identification_flagged"]
+        assert not opt_i.diagnostics["identification_flagged"]
+        duplicated = make_data(design, y_full, np.hstack([X, X[:, :1]]), seed=8)
+        with pytest.warns(RuntimeWarning, match="near-zero eigenvalues"):
+            report = opt_gr_linear(duplicated, duplicated.moments.D, c)
         assert report.diagnostics["identification_flagged"]
 
     def test_population_optimality_beats_random_and_wls(self):
@@ -285,6 +307,15 @@ class TestOptGrLinear:
         data = make_data(design, rng.standard_normal(8), centered(rng.standard_normal((4, 1))))
         with pytest.raises(ValueError):
             opt_gr_linear(data, np.zeros((8, 8)), [-1.0, 1.0])
+
+    def test_rejects_non_symmetric_omega(self):
+        design = CompletelyRandomizedDesign(4, [2, 2])
+        rng = stream_rng(17)
+        data = make_data(design, rng.standard_normal(8), centered(rng.standard_normal((4, 1))))
+        Omega = data.moments.D.copy()
+        Omega[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="Omega must be symmetric"):
+            opt_gr_linear(data, Omega, [-1.0, 1.0])
 
 
 class TestGradients:
@@ -369,6 +400,13 @@ class TestOptGrLogit:
         with pytest.raises(ValueError):
             opt_gr_logit(data, np.zeros((60, 60)), [-1.0, 1.0], model=model)
 
+    def test_non_symmetric_omega_rejected(self):
+        model, data = self._solvable_instance(21)
+        Omega = data.moments.D.copy()
+        Omega[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="Omega must be symmetric"):
+            opt_gr_logit(data, Omega, [-1.0, 1.0], model=model)
+
     def test_restart_budget_error(self):
         model, data = self._solvable_instance(22)
         cfg = OptimizerConfig(restarts=1, grad_tol=1e-12, max_steps=3)
@@ -436,11 +474,13 @@ class TestOptI:
         theta = np.array([0.4, -0.2, 1.3])
         y_full = model.predict(theta, X) + 0.05 * rng.standard_normal(12)
         data = make_data(design, y_full, X, seed=9)
-        with pytest.warns(RuntimeWarning):
-            # intercept directions are annihilated by the CRD design matrix
+        with warnings.catch_warnings():
+            # the CRD design matrix annihilates only the intercept directions
+            warnings.simplefilter("error")
             report = opt_i_gr(theta, model, data, data.moments.D, [-1.0, 1.0])
         assert np.isfinite(report.contrast_value)
         assert len(report.diagnostics["beta"]) == 3
+        assert not report.diagnostics["identification_flagged"]
 
     def test_arm_constant_imputations_flagged(self):
         design = CompletelyRandomizedDesign(6, [3, 3])
@@ -579,82 +619,52 @@ class TestLogisticNewton:
 
 
 def _reference_moment_terms(theta, rows, y, Omega, w, n):
+    """The variance criterion Q = r' Omega r / 2n, r = w (y - f), its
+    moment vector g (minus its gradient), and the predictions, slopes and
+    weighted residuals, for one theta."""
     f = expit(rows @ theta)
     d = f * (1.0 - f)
-    weighted = w * (Omega @ (w * (y - f)))
-    return rows.T @ (d * weighted) / n, d, weighted
+    residual = y - f
+    weighted = w * (Omega @ (w * residual))
+    return float(residual @ weighted) / (2 * n), rows.T @ (d * weighted) / n, f, d, weighted
 
 
-def _reference_moment_vector(theta, model, rows, y, Omega, w, n):
-    return _reference_moment_terms(theta, rows, y, Omega, w, n)[0]
+def _reference_criterion_hessian(theta, rows, y, Omega, w, n):
+    _, _, f, d, weighted = _reference_moment_terms(theta, rows, y, Omega, w, n)
+    grad_rows = rows * (w * d)[:, None]
+    h = d * (1.0 - 2.0 * f)
+    curvature = rows.T @ (rows * (weighted * h)[:, None])
+    return (grad_rows.T @ Omega @ grad_rows) / n - curvature / n
 
 
-def _reference_criterion_and_grad(theta, model, rows, y, Omega, w, n):
-    # gradient 2 J'g as a vector-Jacobian product, J never formed
-    g, d, weighted = _reference_moment_terms(theta, rows, y, Omega, w, n)
-    h = d * (1.0 - 2.0 * expit(rows @ theta))
-    u = rows @ g
-    back = weighted * h * u - w * d * (Omega.T @ (w * d * u))
-    return float(g @ g), 2.0 * (rows.T @ back) / n, g
-
-
-def _explicit_moment_vector(theta, model, rows, y, Omega, w, n):
-    f = expit(rows @ theta)
-    grad = rows * (f * (1.0 - f))[:, None]
-    return grad.T @ (w * (Omega @ (w * (y - f)))) / n
-
-
-def _explicit_criterion_and_grad(theta, model, rows, y, Omega, w, n):
-    """The criterion's gradient 2 J'g with the s x s Jacobian J formed from
-    the (kn, s) gradient rows, and g from those rows."""
-    f = expit(rows @ theta)
-    grad = rows * (f * (1.0 - f))[:, None]
-    g = grad.T @ (w * (Omega @ (w * (y - f)))) / n
-    wg = grad * w[:, None]
-    jac = -(wg.T @ Omega @ wg) / n
-    h = f * (1.0 - f) * (1.0 - 2.0 * f)
-    if np.any(h != 0):
-        scale = (w * (Omega @ (w * (y - f)))) * h
-        jac = jac + rows.T @ (rows * scale[:, None]) / n
-    return float(g @ g), 2.0 * jac.T @ g, g
-
-
-def reference_opt_logit_descent(
-    model, rows, y, Omega, c, n, cfg, seed,
-    terms=_reference_criterion_and_grad, vector=_reference_moment_vector,
-):
-    """The scalar restart loop of the logistic descent, one replication and
-    one restart at a time: its imputations and diagnostics, and the attempt
-    outcome of every restart ("solved", "box", "stationary" or "cap").
-    terms(theta, ...) gives the criterion, its gradient and the moment
-    vector, vector(theta, ...) the moment vector alone."""
-    args = model, rows, y, Omega, np.repeat(np.asarray(c, dtype=float), n), n
+def reference_opt_logit_descent(model, rows, y, Omega, c, n, cfg, seed):
+    """The scalar restart loop of the logistic descent on the variance
+    criterion, one replication and one restart at a time: its imputations
+    and diagnostics, and the attempt outcome of every restart ("solved",
+    "box" or "cap")."""
+    args = rows, y, Omega, np.repeat(np.asarray(c, dtype=float), n), n
     rng = np.random.default_rng(seed)
     candidates, outcomes = [], []
     for attempt in range(cfg.restarts):
         half_width = cfg.box_half_width + attempt * cfg.box_expand / 2.0
         theta = rng.normal(0.0, cfg.restart_sd, size=model.s)
-        value, grad, g = terms(theta, *args)
+        value, g = _reference_moment_terms(theta, *args)[:2]
         outcome = "cap"
         for _ in range(cfg.max_steps):
             if np.linalg.norm(g) <= cfg.grad_tol:
                 break
-            grad_norm2 = float(grad @ grad)
-            if grad_norm2 < 1e-24:
-                outcome = "stationary"
-                break
+            norm2 = float(g @ g)
             t = 1.0
-            while True:
-                g_cand = vector(theta - t * grad, *args)
-                cand_value = float(g_cand @ g_cand)
-                if cand_value <= value - cfg.step * t * grad_norm2 or t < 1e-14:
+            while True:  # backtracking line search along -grad Q = g
+                cand_value, cand_g = _reference_moment_terms(theta + t * g, *args)[:2]
+                if cand_value <= value - cfg.step * t * norm2 or t < 1e-14:
                     break
                 t *= cfg.backtrack
-            theta = theta - t * grad
+            theta = theta + t * g
             if np.any(np.abs(theta) > half_width):
                 outcome = "box"
                 break
-            value, grad, g = terms(theta, *args)
+            value, g = cand_value, cand_g
         if outcome != "box" and np.linalg.norm(g) <= cfg.grad_tol:
             outcome = "solved"
             candidates.append((value, attempt, theta, g))
@@ -662,23 +672,7 @@ def reference_opt_logit_descent(
     if not candidates:
         return None, None, outcomes
     value, attempt, theta, g = min(candidates, key=lambda item: (item[0], item[1]))
-
-    def criterion(th):
-        g_th = vector(th, *args)
-        return float(g_th @ g_th)
-
-    h, s = 1e-4, len(theta)
-    hess = np.zeros((s, s))
-    for i in range(s):
-        for j in range(i, s):
-            ei, ej = np.zeros(s), np.zeros(s)
-            ei[i], ej[j] = h, h
-            hess[i, j] = (
-                criterion(theta + ei + ej) - criterion(theta + ei - ej)
-                - criterion(theta - ei + ej) + criterion(theta - ei - ej)
-            ) / (4 * h * h)
-            hess[j, i] = hess[i, j]
-    eigs = np.linalg.eigvalsh(hess)
+    eigs = np.linalg.eigvalsh(_reference_criterion_hessian(theta, *args))
     diagnostics = {
         "theta": theta.tolist(),
         "moment_norm": float(np.linalg.norm(g)),
@@ -713,9 +707,9 @@ def descent_instance(replications=20):
 
 
 class TestBatchedDescent:
-    # a tight box and wide start draws: some replications fail every
-    # restart, and some restarts leave the box or run to max_steps
-    cfg = OptimizerConfig(restarts=3, max_steps=300, box_half_width=2.0, restart_sd=1.0)
+    # a tight box, wide start draws and a short step cap: some replications
+    # fail every restart, and some restarts leave the box or run to max_steps
+    cfg = OptimizerConfig(restarts=3, max_steps=100, box_half_width=2.0, restart_sd=1.0)
     c = np.array([-1.0, 1.0])
 
     def test_rows_equal_the_scalar_restart_loop(self):
@@ -755,45 +749,38 @@ class TestJacobianFreeGradient:
 
     @pytest.mark.parametrize("family", ["logistic", "linear"])
     @pytest.mark.parametrize("n", [20, 200])
-    def test_gradient_is_twice_the_jacobian_transpose_times_g(self, family, n):
+    def test_moment_vector_is_minus_the_criterion_gradient(self, family, n):
         design, moments, X, y_full = descent_population(n)
         data = ExperimentData.from_full(y_full, design.sample(stream_rng(5, 0)), X, moments)
         model = ImputationModel(family, k=2, p=2)
         Omega, y = moments.D, data.chunk.y_ipw
         args = model, model.design_rows(X), Omega, np.repeat(self.c, n), n
         rng, step = stream_rng(6), 1e-5
+
+        def criterion(th):  # r' Omega r / 2n with r = w (y - f)
+            r = np.repeat(self.c, n) * (y[0] - model.predict(th, X))
+            return r @ Omega @ r / (2 * n)
+
         for theta in rng.normal(0.0, 0.5, size=(5, model.s)):
-            value, grad, g = model_assisted._criterion_and_grad(theta[None], y, *args)
+            value, g = model_assisted._moment_terms(theta[None], y, *args)[:2]
             assert g[0].tobytes() == moment_vector(theta, model, data, Omega, self.c).tobytes()
-            jac = moment_jacobian(theta, model, data, Omega, self.c)
-            expected = 2.0 * jac.T @ g[0]
-            assert np.abs(grad[0] - expected).max() <= 1e-12 * np.abs(expected).max()
-
-            def criterion(th):
-                g_th = moment_vector(th, model, data, Omega, self.c)
-                return g_th @ g_th
-
+            assert value[0] == pytest.approx(criterion(theta), rel=1e-12)
             fd = np.array([
                 (criterion(theta + step * e) - criterion(theta - step * e)) / (2 * step)
                 for e in np.eye(model.s)
             ])
-            assert value[0] == criterion(theta)
-            assert np.abs(grad[0] - fd).max() <= 1e-6 * np.abs(fd).max()
+            assert np.abs(-g[0] - fd).max() <= 1e-6 * np.abs(fd).max()
 
-    def test_descent_matches_the_explicit_jacobian_descent(self):
-        # same failing rows and winning restarts as the descent that forms J
+    def test_hessian_diagnostic_is_minus_the_moment_jacobian(self):
         cfg = TestBatchedDescent.cfg
+        design, moments, X, y_full = descent_population()
         model, rows, ys, D, n = descent_instance()
         f, diagnostics, errors = opt_logit_descent(model, rows, ys, D, self.c, n, cfg, range(20))
-        for b, y in enumerate(ys):
-            old_f, old_diagnostics, _ = reference_opt_logit_descent(
-                model, rows, y, D, self.c, n, cfg, b,
-                terms=_explicit_criterion_and_grad, vector=_explicit_moment_vector,
-            )
-            if old_f is None:
-                assert isinstance(errors[b], OptimizationError)
-            else:
-                assert b not in errors
-                assert diagnostics[b]["restart"] == old_diagnostics["restart"]
-                np.testing.assert_allclose(f[b], old_f, rtol=1e-12, atol=0)
-        assert 0 < len(errors) < len(ys)
+        for b, diagnostic in enumerate(diagnostics):
+            if b in errors:
+                continue
+            data = ExperimentData.from_full(y_full, design.sample(stream_rng(5, b)), X, moments)
+            theta = np.array(diagnostic["theta"])
+            eigs = np.linalg.eigvalsh(-moment_jacobian(theta, model, data, D, self.c))
+            assert diagnostic["hessian_min_eig"] == eigs[0]
+            assert diagnostic["hessian_max_eig"] == eigs[-1]
