@@ -258,7 +258,7 @@ def cmd_simulate(args):
         apply_psd_clip=bool(recipe.get("psd_clip", False)),
         level=float(recipe.get("level", 0.95)),
         optimizer=_optimizer_from_recipe(recipe.get("optimizer", {})),
-        workers=int(args.workers if args.workers is not None else recipe.get("workers", 1)),
+        workers=args.workers if args.workers is not None else recipe.get("workers", 1),
     )
     table = run_simulation(cfg)
     if args.out:

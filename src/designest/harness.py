@@ -34,6 +34,7 @@ from .model_assisted import (
     OptimizerConfig,
     _check_omega,
     _corrected,
+    _is_integer,
     no_harm_imputations,
     opt_i_imputations,
     opt_linear_imputations,
@@ -261,6 +262,8 @@ class SimConfig:
         self.contrast = np.asarray(self.contrast, dtype=float)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if isinstance(self.workers, bool) or not _is_integer(self.workers) or self.workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
         if self.moments_method not in ("exact", "mc"):
             raise ValueError(f"unknown moments method {self.moments_method!r}; known: exact, mc")
         if not 0 < self.level < 1:
@@ -414,8 +417,9 @@ def run_simulation(cfg: SimConfig) -> MetricsTable:
     ]
     results = {}
     if cfg.workers > 1:
+        # a pool may start all its workers at once: start no more than there are chunks
         with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_init_worker, initargs=(payload,)
+            max_workers=min(cfg.workers, len(chunks)), initializer=_init_worker, initargs=(payload,)
         ) as pool:
             for chunk_result in pool.map(_chunk_via_global, chunks):
                 results.update(chunk_result)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bounds import VarianceBound
 from .designs import AssignmentRealization, check_arms, order_by_unit_id, read_csv_columns
@@ -488,6 +487,8 @@ def plugin_raw(v: np.ndarray, cells: np.ndarray, Dt_over_p: np.ndarray) -> np.nd
 def normal_critical_value(level: float) -> float:
     """The (1 + level)/2 standard normal quantile, bitwise what
     scipy.stats.norm.ppf gives (ndtri spares importing scipy.stats)."""
+    from scipy.special import ndtri
+
     return ndtri(0.5 + level / 2)
 
 

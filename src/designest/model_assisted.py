@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-from scipy.special import expit
 
 from .bounds import VarianceBound
 from .linear import (
@@ -123,6 +122,8 @@ class ImputationModel:
         eta = _matvec(rows, np.asarray(theta, dtype=float))
         if self.family == "linear":
             return eta
+        from scipy.special import expit
+
         return expit(eta)
 
     def _slopes(self, f):
@@ -239,6 +240,8 @@ def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
         if deficient.any():
             warnings.warn("rank-deficient QMLE design matrix; pseudoinverse used", RuntimeWarning)
         return _matvec(a_inv, _matvec(rows_t, w * y))
+
+    from scipy.special import expit
 
     def negloglik(theta, idx):
         eta = _matvec(rows[idx], theta)
@@ -612,12 +615,15 @@ def opt_logit_descent(model, rows, y, Omega, c, n: int, cfg: OptimizerConfig, se
     theta leaves a box that widens with the restart index. The estimate is
     the solved restart with the lowest (Q, restart index); its diagnostics
     include the extreme eigenvalues of the analytic Hessian of Q there
-    (positive at a local minimum). The B x restarts descents run as one
-    array descent, a slice leaving the active set when it stops; each is
-    bitwise the descent run alone.
+    (positive at a local minimum), taken over the parameters that enter Q:
+    the columns of rows that are nonzero on a cell of nonzero contrast
+    weight (all of them when no weight is nonzero, Q being then zero). The
+    B x restarts descents run as one array descent, a slice leaving the
+    active set when it stops; each is bitwise the descent run alone.
     """
     B, R, s = len(y), cfg.restarts, model.s
-    args = model, rows, Omega, np.repeat(np.asarray(c, dtype=float), n), n
+    w = np.repeat(np.asarray(c, dtype=float), n)
+    args = model, rows, Omega, w, n
 
     def terms(theta, owner):  # Q and g; temporaries are (slices, kn)
         return _stacked(lambda th, o: _moment_terms(th, y[o], *args)[:2], len(rows), theta, owner)
@@ -662,7 +668,8 @@ def opt_logit_descent(model, rows, y, Omega, c, n: int, cfg: OptimizerConfig, se
     (hess,) = _stacked(  # temporaries are (slices, kn, s)
         lambda th, o: (_criterion_hessian(th, y[o], *args),), rows.size, theta[win], owner[win]
     )
-    eigs = np.linalg.eigvalsh(hess)
+    enters = (rows[w != 0] != 0).any(axis=0)
+    eigs = np.linalg.eigvalsh(hess[:, enters][:, :, enters] if enters.any() else hess)
     f = np.full((B, rows.shape[0]), np.nan)
     f[rows_ok] = model._predict_rows(theta[win], rows)
     diagnostics = [{}] * B

@@ -14,7 +14,6 @@ import io
 import math
 import mmap
 import os
-import secrets
 import struct
 import warnings
 import zipfile
@@ -112,7 +111,7 @@ class DesignMoments:
             "reps": -1 if self.reps is None else self.reps,
             "seed": -1 if self.seed is None else self.seed,
         }
-        tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+        tmp = f"{path}.{os.urandom(4).hex()}.tmp"
         try:
             with open(tmp, "xb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as zf:
                 for name, value in members.items():

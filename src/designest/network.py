@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .designs import BernoulliDesign, Design, SupportTable, check_arms, read_csv_columns
 from .moments import MC_BLOCK_SIZE, DesignMoments
@@ -27,6 +26,8 @@ class InterferenceGraph:
     dropped on construction."""
 
     def __init__(self, n: int, edges):
+        from scipy import sparse
+
         self.n = int(n)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         edges = edges[edges[:, 0] != edges[:, 1]]
@@ -65,7 +66,7 @@ class InterferenceGraph:
             n = 1 + int(edges.max()) if len(edges) else 0
         return cls(n, edges)
 
-    def neighbor_matrix(self, undirected: bool = False) -> sparse.csr_matrix:
+    def neighbor_matrix(self, undirected: bool = False) -> scipy.sparse.csr_matrix:
         """Row i selects the units whose assignments unit i is exposed to:
         out-neighbors by default (the units i nominated), optionally the
         union of both directions."""
@@ -82,7 +83,9 @@ class InterferenceGraph:
 
     def weak_components(self) -> np.ndarray:
         """Component label per unit, ignoring edge direction."""
-        n_comp, labels = sparse.csgraph.connected_components(
+        from scipy.sparse.csgraph import connected_components
+
+        n_comp, labels = connected_components(
             self.adjacency, directed=True, connection="weak"
         )
         return labels
@@ -351,6 +354,8 @@ def _label_table(grids: dict, degrees: np.ndarray, neighbors, base_k: int):
     key matrix K and the (n, 1) key offsets c: for (n, draws) indicators X
     of base arms 0..base_k-2, stacked arm-major, the keys are K X + c.
     """
+    from scipy import sparse
+
     last = base_k - 1
     sizes = [base_k * (d + 1) ** last for d in grids]
     starts = np.cumsum([0, *sizes[:-1]])

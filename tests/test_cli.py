@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import designest
 from designest.cli import main
 from designest.harness import ESTIMATOR_NAMES
 
@@ -101,6 +106,28 @@ def test_bound_command(crd_design_yaml, tmp_path):
     assert cert["psd_ok"] and cert["identified_ok"]
 
 
+def test_commands_on_a_crd_load_no_scipy(crd_design_yaml, tmp_path):
+    # moments, bound and complexity on a design without exposure rules call
+    # no scipy function, so a fresh interpreter running them never imports it
+    code = (
+        "import sys\n"
+        "from designest.cli import main\n"
+        f"design = {str(crd_design_yaml)!r}\n"
+        "for argv in (['moments', '--design', design, '--exact', '--out', 'm.npz'],\n"
+        "             ['bound', '--design', design, '--load-moments', 'm.npz', '--out', 'b.csv'],\n"
+        "             ['complexity', '--design', design, '--load-moments', 'm.npz']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+    src = str(Path(designest.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stderr.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "b.csv").exists()
+
+
 def test_estimate_command(crd_design_yaml, tmp_path):
     obs = tmp_path / "obs.csv"
     rows = ["unit_id,arm,y"]
@@ -192,6 +219,16 @@ def test_simulate_rejects_an_invalid_optimizer_value(tmp_path, capsys, optimizer
     config.write_text(OPT_LOGIT_RECIPE + f"optimizer: {optimizer}\n")
     assert main(["simulate", "--config", str(config)]) == 2
     assert f"optimizer {field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "1.5"])
+def test_simulate_rejects_a_worker_count_that_is_not_a_positive_integer(tmp_path, capsys, workers):
+    # counts below 2 used to run serially without a word, and 1.5 ran as 1
+    config = tmp_path / "sim.yaml"
+    config.write_text(OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht]") + f"workers: {workers}\n")
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "workers must be an integer >= 1" in capsys.readouterr().err
+    assert main(["simulate", "--config", str(config), "--workers", "1"]) == 0
 
 
 def test_simulate_rejects_unknown_optimizer_keys(tmp_path, capsys):

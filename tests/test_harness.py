@@ -172,9 +172,10 @@ def small_sim_config(**overrides):
 
 
 def test_importing_the_cli_loads_neither_scipy_stats_nor_optimize():
+    # nor any other scipy module: each function that calls scipy imports it
     code = (
         "import sys, designest.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
     src = str(Path(harness.__file__).parents[1])
     out = subprocess.run(
@@ -289,6 +290,39 @@ class TestRunSimulation:
         run_simulation(small_sim_config(replications=60, workers=1)).to_csv(p1)
         run_simulation(small_sim_config(replications=60, workers=2)).to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_pool_starts_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
+        # a pool may start every worker at its first submit; the run's
+        # chunks run in-process here, so no worker is started
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "_WORKER_PAYLOAD", None)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        paths = []
+        for workers in (1, 2, 64):  # 130 replications make 3 chunks
+            paths.append(tmp_path / f"w{workers}.csv")
+            run_simulation(small_sim_config(replications=130, workers=workers)).to_csv(paths[-1])
+        assert started == [2, 3]
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True, "2"])
+    def test_worker_count_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            small_sim_config(workers=workers)
 
     def test_failures_are_counted_and_excluded(self):
         # the rescaled estimator on a covariate-free CRD has a zero

@@ -784,3 +784,32 @@ class TestJacobianFreeGradient:
             eigs = np.linalg.eigvalsh(-moment_jacobian(theta, model, data, D, self.c))
             assert diagnostic["hessian_min_eig"] == eigs[0]
             assert diagnostic["hessian_max_eig"] == eigs[-1]
+
+    @pytest.mark.parametrize(
+        "slope_sharing, entering",
+        # theta is (intercepts 0..2, slopes): arm 1 has contrast weight 0, so
+        # its intercept, and under separate slopes its slopes 5 and 6, do not
+        # enter Q
+        [("same_slope", [0, 2, 3, 4]), ("separate_slope", [0, 2, 3, 4, 7, 8])],
+    )
+    def test_hessian_diagnostic_skips_parameters_of_a_zero_weight_arm(self, slope_sharing, entering):
+        n, c = 15, np.array([1.0, 0.0, -1.0])
+        design = CompletelyRandomizedDesign(n, [5, 5, 5])
+        moments = closed_form_or_exact_moments(design)
+        X = centered(stream_rng(3).standard_normal((n, 2)))
+        y_full = impute_potential_outcomes(X, [0.8, 0.6], [0.3, -0.2, 0.1], seed=4)
+        data = [ExperimentData.from_full(y_full, design.sample(stream_rng(5, r)), X, moments)
+                for r in range(6)]
+        model = ImputationModel("logistic", k=3, p=2, slope_sharing=slope_sharing)
+        ys = np.stack([d.chunk.y_ipw[0] for d in data])
+        _, diagnostics, errors = opt_logit_descent(
+            model, model.design_rows(X), ys, moments.D, c, n, OptimizerConfig(), range(6)
+        )
+        assert not errors
+        for diagnostic, d in zip(diagnostics, data):
+            hess = -moment_jacobian(np.array(diagnostic["theta"]), model, d, moments.D, c)
+            assert abs(np.linalg.eigvalsh(hess)).min() < 1e-15  # the zero-weight arm's directions
+            eigs = np.linalg.eigvalsh(hess[np.ix_(entering, entering)])
+            assert diagnostic["hessian_min_eig"] == eigs[0]
+            assert diagnostic["hessian_max_eig"] == eigs[-1]
+            assert abs(eigs[0]) > 1e-5
