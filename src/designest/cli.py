@@ -27,7 +27,15 @@ from .harness import (
     preprocess_covariates,
     run_simulation,
 )
-from .linear import ExperimentData, contrast_report, load_covariates_csv, load_observed_csv
+from .linear import (
+    ExperimentData,
+    PluginVariance,
+    check_contrast,
+    load_covariates_csv,
+    load_observed_csv,
+    plugin_bounds,
+    plugin_report,
+)
 from .model_assisted import OptimizerConfig
 from .moments import (
     DesignMoments,
@@ -174,21 +182,26 @@ def cmd_estimate(args):
         if args.psd_clip
         else aronow_samii_bound(moments, cells=realization.observed_cells)
     )
-    contrast = np.array([float(v) for v in args.contrast.split(",")])
-    if contrast.shape != (design.k,):
-        raise ValueError("contrast length must match the number of arms")
+    contrast = check_contrast([float(v) for v in args.contrast.split(",")], design.k)
     optimizer = OptimizerConfig()
     names = [name.strip() for name in args.estimators.split(",")]
     rows = [estimator(name) for name in names]  # an unknown name fails before any fit
+    fits = [chunk.fit(row, contrast, optimizer) for row in rows]
+    # the chunk has no rows if a zero-pi cell is observed
+    errors = [chunk.failed.get(0) or fit.errors.get(0) for fit in fits]
+    fitted = [e for e, error in enumerate(errors) if error is None]
+    raws = {}
+    if fitted:  # the plug-in bounds of every fitted row in one pass
+        v = np.stack([fits[e].z @ contrast for e in fitted], axis=1)
+        raws = dict(zip(fitted, plugin_bounds(v, chunk.cells, bound)[0].tolist()))
     reports = []
-    for name, row in zip(names, rows):
-        fit = chunk.fit(row, contrast, optimizer)  # no rows if a zero-pi cell is observed
-        error = chunk.failed.get(0) or fit.errors.get(0)
+    for e, (name, fit, error) in enumerate(zip(names, fits, errors)):
         if error is not None:
             reports.append({"estimator": name, "error": f"{type(error).__name__}: {error}"})
             continue
-        report = contrast_report(
-            name, fit.mu[0], fit.z[0], realization, moments, bound, contrast, fit.diagnostics[0]
+        plugin = PluginVariance.of(raws[e], design.n)
+        report = plugin_report(
+            name, fit.mu[0], plugin, design.n, moments, contrast, fit.diagnostics[0]
         )
         reports.append(report.to_dict())
     text = json.dumps(reports, indent=2)
@@ -248,12 +261,12 @@ def cmd_simulate(args):
         y_full=y_full,
         X=X,
         estimators=recipe["estimators"],
-        contrast=np.asarray(recipe["contrast"], dtype=float),
-        replications=int(recipe["replications"]),
-        seed=int(recipe["seed"]),
+        contrast=recipe["contrast"],
+        replications=recipe["replications"],
+        seed=recipe["seed"],
         moments=preloaded,
         moments_method=moments_spec.get("method", "exact"),
-        moments_reps=int(moments_spec.get("reps", 100_000)),
+        moments_reps=moments_spec.get("reps", 100_000),
         bound_kind=recipe.get("bound", "aronow_samii"),
         apply_psd_clip=bool(recipe.get("psd_clip", False)),
         level=float(recipe.get("level", 0.95)),

@@ -24,10 +24,11 @@ from .linear import (
     LINEAR_KINDS,
     ReplicationChunk,
     SampleFit,
+    check_contrast,
     intercept_matrix,
     linear_sample,
     normal_critical_value,
-    plugin_raw,
+    plugin_bounds,
 )
 from .model_assisted import (
     ImputationModel,
@@ -259,17 +260,15 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        self.contrast = np.asarray(self.contrast, dtype=float)
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if isinstance(self.workers, bool) or not _is_integer(self.workers) or self.workers < 1:
-            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        for name, least in (("replications", 1), ("seed", 0), ("moments_reps", 1), ("workers", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not _is_integer(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.moments_method not in ("exact", "mc"):
             raise ValueError(f"unknown moments method {self.moments_method!r}; known: exact, mc")
         if not 0 < self.level < 1:
             raise ValueError(f"level must lie strictly between 0 and 1, not {self.level}")
-        if self.contrast.shape != (self.design.k,):
-            raise ValueError("contrast length must match the number of arms")
+        self.contrast = check_contrast(self.contrast, self.design.k)
         for name in self.estimators:
             estimator(name)  # raises on a name outside the table
         self.y_full = np.asarray(self.y_full, dtype=float)
@@ -357,7 +356,7 @@ def _replication_chunk(payload, rep_indices):
         fits = [chunk.fit(ESTIMATORS[name], c, payload["optimizer"]) for name in names]
     values = [np.matmul(c, fit.mu[..., None])[..., 0] for fit in fits]
     v = np.stack([fit.z @ c for fit in fits], axis=1)
-    times_n = plugin_raw(v, chunk.cells, payload["bound"].Dt_over_p) * chunk.n
+    times_n = plugin_bounds(v, chunk.cells, payload["bound"]) * chunk.n
     out = {rep: dict.fromkeys(names, ("failed", repr(exc))) for rep, exc in chunk.failed.items()}
     for b, rep in enumerate(chunk.reps):
         out[rep] = {
@@ -375,12 +374,17 @@ def population_contrast_residual(
     y_full: np.ndarray,
     moments: DesignMoments,
     contrast: np.ndarray,
+    population: ReplicationChunk | None = None,
 ) -> np.ndarray:
     """Contrast-weighted population linearization vector v of a table
     estimator, with n x asymptotic variance = v' M v / n: the row's sample
-    body on the population chunk."""
+    body on the population chunk of (X, y_full, moments). A run passes its
+    one population chunk to every row, so that rows sharing a stage fit it
+    once; by default the chunk is built afresh."""
     c = np.asarray(contrast, dtype=float)
-    fit = estimator(name).sample(ReplicationChunk.population(X, y_full, moments), c, None)
+    if population is None:
+        population = ReplicationChunk.population(X, y_full, moments)
+    fit = estimator(name).sample(population, c, None)
     if fit.errors:
         raise fit.errors[0]
     return fit.z[0] @ c
@@ -428,6 +432,7 @@ def run_simulation(cfg: SimConfig) -> MetricsTable:
             results.update(_replication_chunk(payload, chunk))
 
     z_crit = normal_critical_value(cfg.level)
+    population = ReplicationChunk.population(cfg.X, cfg.y_full, moments)
     metrics = {}
     failures = {}
     for name in cfg.estimators:
@@ -453,7 +458,9 @@ def run_simulation(cfg: SimConfig) -> MetricsTable:
         half = z_crit * np.sqrt(np.maximum(bounds_tn, 0.0) / n)
         covered = (np.abs(values - truth) <= half) & (bounds_tn >= 0)
         try:
-            theo = population_contrast_residual(name, cfg.X, cfg.y_full, moments, cfg.contrast)
+            theo = population_contrast_residual(
+                name, cfg.X, cfg.y_full, moments, cfg.contrast, population
+            )
             theo_var = float(theo @ moments.D @ theo) / n
             theo_bound = float(theo @ bound.Dt @ theo) / n
         except Exception:

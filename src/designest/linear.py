@@ -13,7 +13,9 @@ A ReplicationChunk holds the observed experiments of a chunk of
 replications, stacked: it alone builds the observed vectors (r, ipw, y,
 y_ipw) and applies the zero-pi rule. ReplicationChunk.population is the
 population as a chunk of one (r = pi, y = y_ipw = the full outcome vector),
-so every estimator's population fit is its sample body on that chunk.
+so every estimator's population fit is its sample body on that chunk. A
+chunk fits each stage that several estimators share once: the
+pseudo-likelihood first stages, and the regression family's weighted fit.
 ExperimentData is one observed experiment and carries its chunk of one
 (data.chunk), so the per-replication functions run the same bodies as the
 estimator table.
@@ -104,7 +106,7 @@ class ReplicationChunk:
         np.put_along_axis(self.y, self.cells, self.y_obs, axis=1)
         self.y_ipw = np.zeros_like(self.r)
         np.put_along_axis(self.y_ipw, self.cells, self.y_obs / pi[self.cells], axis=1)
-        self._first_stages = {}
+        self._first_stages, self._regressions = {}, {}
 
     @classmethod
     def population(cls, X, y_full, moments: DesignMoments) -> "ReplicationChunk":
@@ -124,7 +126,7 @@ class ReplicationChunk:
         chunk.is_population, chunk.failed, chunk.reps = True, {}, [0]
         chunk.r, chunk.ipw = pi[None], _ipw(pi[None], pi)
         chunk.y = chunk.y_ipw = y
-        chunk._first_stages = {}
+        chunk._first_stages, chunk._regressions = {}, {}
         return chunk
 
     def first_stage(self, family: str, omega: str):
@@ -143,6 +145,31 @@ class ReplicationChunk:
                 theta = sample_qmle(model, rows, self.moments.pi, omega, self.cells, self.y_obs)
             self._first_stages[family, omega] = theta, model._predict_rows(theta, rows)
         return self._first_stages[family, omega]
+
+    def regression(self, m_weights) -> "Regression":
+        """Every row's regression on the same-slope model matrix, cell c
+        weighing m[c] r[c]. m_weights names the identity ("identity") or
+        inverse-probability ("invpi" or "inverse_probability") weights,
+        whose fit is made once per chunk and shared by the regression
+        family's estimators, or is a custom kn vector, fitted afresh."""
+        if isinstance(m_weights, str) and m_weights == "inverse_probability":
+            m_weights = "invpi"
+        named = isinstance(m_weights, str)
+        if named and m_weights in self._regressions:
+            return self._regressions[m_weights]
+        pi = self.moments.pi
+        m = m_weight_vector(pi, m_weights)
+        x = model_matrix(self.X, self.k)
+        w = m * self.r
+        a_inv, deficient, cond = _pinv_flagged(x.T @ (x * w[..., None]))
+        b = _matvec(a_inv, _matvec(x.T, w * self.y))
+        fitted = _matvec(x, b)
+        e = self.y - fitted
+        gain = ((e * pi * m)[..., None] * x) @ a_inv
+        fit = Regression(x, deficient, cond, b, fitted, e, gain)
+        if named:
+            self._regressions[m_weights] = fit
+        return fit
 
     def fit(self, row, c, optimizer) -> SampleFit:
         """row.sample on the chunk, for a row of the estimator table. A
@@ -265,6 +292,21 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+class Regression(NamedTuple):
+    """A weighted regression of a chunk's B rows: the model matrix x
+    (kn, s), each row's rank flag and the condition number of its weighted
+    Gram matrix (B,), its coefficients b (B, s), fitted values and
+    residuals e (B, kn), and the gain (B, kn, s) of its linearization."""
+
+    x: np.ndarray
+    deficient: np.ndarray
+    cond: np.ndarray
+    b: np.ndarray
+    fitted: np.ndarray
+    e: np.ndarray
+    gain: np.ndarray
+
+
 def _pinv_flagged(A: np.ndarray):
     """Pseudoinverse of each symmetric matrix in the stack A (..., s, s),
     whether it is rank deficient, and its condition number, all from one
@@ -310,31 +352,30 @@ def _gr_fit(f: np.ndarray, y: np.ndarray, ipw: np.ndarray, k: int):
     return _arm_sums(f + ipw * e, k) / n, intercept_matrix(n, k) * e[..., None]
 
 
-def _linear_fit(kind, X, k, pi, y, r, m_weights=None) -> tuple[SampleFit, np.ndarray | None]:
-    """One linear estimator for each row of the (B, kn) outcome matrix y
-    and cell-weight matrix r, and, for the regression family, its (B, k+p)
-    coefficients (None otherwise); row b of the fit depends on row b of y
-    and r only, and equals bitwise the fit of a batch of one.
+def _linear_fit(kind, chunk, m_weights=None) -> tuple[SampleFit, np.ndarray | None]:
+    """One linear estimator on every row of the chunk, and, for the
+    regression family, its (B, k+p) coefficients (None otherwise); row b of
+    the fit depends on row b of the chunk only, and equals bitwise the fit
+    of a chunk of one.
 
-    The inverse-probability weights are r / pi (zero where r is zero, since
-    pi may be zero there) and cell c enters the regression fit with weight
-    m[c] r[c]; ols forces identity m weights, the rest of the regression
-    family defaults to inverse probabilities. Each row's diagnostics are
-    its rank flag and, for the regression family, the condition number of
-    its weighted Gram matrix. A hajek row with an empty arm gets NaN
-    estimates and its HajekUndefinedError in errors.
+    Cell c enters the regression fit with weight m[c] r[c]; ols forces
+    identity m weights, the rest of the regression family defaults to
+    inverse probabilities, and all of them read the chunk's shared fit
+    (ReplicationChunk.regression). Each row's diagnostics are its rank flag
+    and, for the regression family, the condition number of its weighted
+    Gram matrix. A hajek row with an empty arm gets NaN estimates and its
+    HajekUndefinedError in errors.
     """
     kind = kind.lower()
     if kind not in LINEAR_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
-    n = X.shape[0]
+    n, k, pi, y, r = chunk.n, chunk.k, chunk.moments.pi, chunk.y, chunk.r
     ones = intercept_matrix(n, k)
-    ipw = _ipw(r, pi)
     plain = [{"rank_deficient": False}] * len(y)
     if kind == "ht":
-        return SampleFit(_arm_sums(ipw * y, k) / n, ones * y[..., None], plain, {}), None
+        return SampleFit(_arm_sums(chunk.ipw * y, k) / n, ones * y[..., None], plain, {}), None
     if kind == "hajek":
-        den = _arm_sums(ipw, k)
+        den = _arm_sums(chunk.ipw, k)
         errors = {
             b: HajekUndefinedError(
                 f"no observed units in arm(s) {(np.flatnonzero(den[b] == 0) + 1).tolist()}"
@@ -342,35 +383,29 @@ def _linear_fit(kind, X, k, pi, y, r, m_weights=None) -> tuple[SampleFit, np.nda
             for b in np.flatnonzero((den == 0).any(axis=-1))
         }
         with np.errstate(divide="ignore", invalid="ignore"):
-            mu = _arm_sums(ipw * y, k) / den
+            mu = _arm_sums(chunk.ipw * y, k) / den
         return SampleFit(mu, ones * (y - np.repeat(mu, n, axis=-1))[..., None], plain, errors), None
 
     if kind == "ols":
         m_weights = "identity"
-    m = m_weight_vector(pi, "invpi" if m_weights is None else m_weights)
-    x = model_matrix(X, k)
-    w = m * r
-    a_inv, deficient, cond = _pinv_flagged(x.T @ (x * w[..., None]))
-    if deficient.any():
+    fit = chunk.regression("invpi" if m_weights is None else m_weights)
+    if fit.deficient.any():
         warnings.warn("rank-deficient WLS design matrix; pseudoinverse used", RuntimeWarning)
-    b = _matvec(a_inv, _matvec(x.T, w * y))
-    fitted = _matvec(x, b)
-    e = y - fitted
-    gain = ((e * pi * m)[..., None] * x) @ a_inv
+    x, fitted, e, gain = fit.x, fit.fitted, fit.e, fit.gain
     if kind in ("ols", "wls"):
-        mu, z = b[..., :k], n * gain[..., :k]
+        mu, z = fit.b[..., :k].copy(), n * gain[..., :k]
     elif kind == "ci":
         mu, z = _arm_sums(fitted, k) / n, gain @ (x.T @ ones)
     elif kind == "mi":
         mu = _arm_sums(r * y + (1.0 - r) * fitted, k) / n
         z = (e * pi)[..., None] * ones + gain @ (x.T @ ((1.0 - pi)[:, None] * ones))
     else:  # gr
-        mu, z = _gr_fit(fitted, y, ipw, k)
+        mu, z = _gr_fit(fitted, y, chunk.ipw, k)
     diagnostics = [
         {"rank_deficient": flag, "condition_number": c}
-        for flag, c in zip(deficient.tolist(), cond.tolist())
+        for flag, c in zip(fit.deficient.tolist(), fit.cond.tolist())
     ]
-    return SampleFit(mu, z, diagnostics, {}), b
+    return SampleFit(mu, z, diagnostics, {}), fit.b.copy()
 
 
 def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFit:
@@ -382,8 +417,7 @@ def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFi
     probabilities). Only the rows of z_hat at observed cells are meaningful.
     Raises the estimator's error where it is undefined.
     """
-    chunk = data.chunk
-    fit, b = _linear_fit(kind, data.X, data.k, data.moments.pi, chunk.y, chunk.r, m_weights)
+    fit, b = _linear_fit(kind, data.chunk, m_weights)
     if fit.errors:
         raise fit.errors[0]
     if b is None:
@@ -396,7 +430,7 @@ def estimate_linear(kind: str, data: ExperimentData, m_weights=None) -> LinearFi
 
 def linear_sample(kind: str, chunk: ReplicationChunk, m_weights=None) -> SampleFit:
     """One linear estimator on every row of the chunk (see _linear_fit)."""
-    return _linear_fit(kind, chunk.X, chunk.k, chunk.moments.pi, chunk.y, chunk.r, m_weights)[0]
+    return _linear_fit(kind, chunk, m_weights)[0]
 
 
 def z_vector(kind: str, data: ExperimentData, population: bool = False) -> np.ndarray:
@@ -417,10 +451,33 @@ def z_vector(kind: str, data: ExperimentData, population: bool = False) -> np.nd
     return fit.z[0]
 
 
+def check_contrast(contrast, k: int) -> np.ndarray:
+    """The contrast as a float k vector; raises ValueError unless it has one
+    finite weight per arm."""
+    c = np.asarray(contrast, dtype=float)
+    if c.shape != (k,):
+        raise ValueError("contrast length must match the number of arms")
+    if not np.isfinite(c).all():
+        raise ValueError(f"contrast weights must be finite, got {c.tolist()}")
+    return c
+
+
 class PluginVariance(NamedTuple):
     raw: float
     times_n: float
     negative: bool
+
+    @classmethod
+    def of(cls, raw: float, n: int) -> "PluginVariance":
+        """The plug-in bound raw of an n-unit experiment; warns when it is
+        negative."""
+        negative = raw < 0
+        if negative:
+            warnings.warn(
+                "negative variance-bound estimate; consider psd_clip on the bound",
+                RuntimeWarning,
+            )
+        return cls(raw=raw, times_n=raw * n, negative=negative)
 
 
 def plugin_varbound(
@@ -434,26 +491,21 @@ def plugin_varbound(
     weighted bound matrix, full or the block of the observed cells. A 1-D z
     is taken as already contracted with the contrast."""
     z_hat = np.asarray(z_hat, dtype=float)
-    if z_hat.ndim == 2:
-        c = np.asarray(c, dtype=float)
-        if c.shape != (assignment.k,):
-            raise ValueError("contrast length must equal the number of arms")
-        v = z_hat @ c
-    else:
-        v = z_hat
-    cells = assignment.observed_cells
-    if bound.cells is not None:  # an observed block: its rows are the observed cells
-        if not np.array_equal(bound.cells, cells):
+    v = z_hat @ check_contrast(c, assignment.k) if z_hat.ndim == 2 else z_hat
+    raw = plugin_bounds(v[None, None], assignment.observed_cells[None], bound)[0, 0]
+    return PluginVariance.of(float(raw), assignment.n)
+
+
+def plugin_bounds(v: np.ndarray, cells: np.ndarray, bound: VarianceBound) -> np.ndarray:
+    """plugin_raw of the contrast-contracted linearizations v (B, E, kn) of
+    E estimators on B rows with observed cells (B, n), from the full bound
+    or, for one row, the block of its observed cells (the block's rows are
+    those cells). Returns (B, E)."""
+    if bound.cells is not None:
+        if len(cells) != 1 or not np.array_equal(bound.cells, cells[0]):
             raise ValueError("the bound's block is not the observed cells' block")
-        v, cells = v[cells], np.arange(assignment.n)
-    raw = float(plugin_raw(v[None, None], cells[None], bound.Dt_over_p)[0, 0])
-    negative = raw < 0
-    if negative:
-        warnings.warn(
-            "negative variance-bound estimate; consider psd_clip on the bound",
-            RuntimeWarning,
-        )
-    return PluginVariance(raw=raw, times_n=raw * assignment.n, negative=negative)
+        v, cells = np.take_along_axis(v, cells[:, None], axis=-1), np.arange(cells.shape[-1])[None]
+    return plugin_raw(v, cells, bound.Dt_over_p)
 
 
 # Bound entries gathered per block: 0.5 MB, and as much again in indices, so
@@ -564,11 +616,26 @@ def contrast_report(
     """Report for the contrast c of the arm estimates mu_hat, with the
     plug-in bound of the linearization z_hat at the observed assignment
     (NaN without a bound)."""
+    plugin = None if bound is None else plugin_varbound(z_hat, assignment, bound, c)
+    return plugin_report(estimator, mu_hat, plugin, assignment.n, moments, c, diagnostics)
+
+
+def plugin_report(
+    estimator: str,
+    mu_hat: np.ndarray,
+    plugin: PluginVariance | None,
+    n: int,
+    moments: DesignMoments,
+    c,
+    diagnostics: dict | None = None,
+) -> EstimateReport:
+    """Report for the contrast c of the arm estimates mu_hat of an n-unit
+    experiment, with its plug-in bound (NaN when plugin is None)."""
     c = np.asarray(c, dtype=float)
     diagnostics = dict(diagnostics or {})
     raw = times_n = np.nan
-    if bound is not None:
-        raw, times_n, diagnostics["negative_bound"] = plugin_varbound(z_hat, assignment, bound, c)
+    if plugin is not None:
+        raw, times_n, diagnostics["negative_bound"] = plugin
     if np.any(moments.maybe_zero_mask):
         diagnostics["possibly_zero_cells"] = int(moments.maybe_zero_mask.sum())
     return EstimateReport(
@@ -577,7 +644,7 @@ def contrast_report(
         contrast_value=float(c @ mu_hat),
         varbound_times_n=times_n,
         varbound_raw=raw,
-        n=assignment.n,
+        n=n,
         diagnostics=diagnostics,
     )
 

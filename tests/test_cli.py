@@ -707,3 +707,159 @@ def test_estimate_with_a_bad_moments_file_exits_2(crd_design_yaml, tmp_path, cap
     assert main(_estimate_argv(crd_design_yaml, obs, cov) + ["--load-moments", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not a readable moments file")
+
+
+@pytest.fixture(scope="module")
+def unequal_crd(tmp_path_factory):
+    """A 15/25 CRD with two covariates (so the identity and
+    inverse-probability weightings differ) and one observed dataset."""
+    tmp = tmp_path_factory.mktemp("unequal")
+    n = 40
+    rng = np.random.default_rng(77)
+    X = rng.standard_normal((n, 2))
+    (tmp / "x.csv").write_text(
+        "unit_id,x1,x2\n" + "".join(f"{i},{X[i, 0]:.17g},{X[i, 1]:.17g}\n" for i in range(n))
+    )
+    arms = rng.permutation(np.repeat([1, 2], [15, 25]))
+    y = (rng.uniform(size=n) < 1 / (1 + np.exp(-X[:, 0]))).astype(float) + 0.1 * X[:, 1]
+    (tmp / "obs.csv").write_text(
+        "unit_id,arm,y\n" + "".join(f"{i},{arms[i]},{y[i]:.17g}\n" for i in range(n))
+    )
+    (tmp / "design.yaml").write_text(
+        f"design:\n  kind: completely_randomized\n  n: {n}\n  counts: [15, 25]\n"
+    )
+    return tmp
+
+
+def _per_row_reports(tmp, names, covariates, psd_clip, bound_of):
+    """The estimate report built one row at a time, each row on a fresh
+    chunk and with contrast_report's own plug-in bound."""
+    from designest.bounds import build_bound
+    from designest.designs import AssignmentRealization, CompletelyRandomizedDesign
+    from designest.harness import ReplicationChunk, estimator, preprocess_covariates
+    from designest.linear import contrast_report, load_covariates_csv, load_observed_csv
+    from designest.model_assisted import OptimizerConfig
+    from designest.moments import closed_form_or_exact_moments
+
+    design = CompletelyRandomizedDesign(40, [15, 25])
+    moments = closed_form_or_exact_moments(design)
+    _, arms, y = load_observed_csv(tmp / "obs.csv")
+    if covariates:
+        _, raw, columns = load_covariates_csv(tmp / "x.csv")
+        X = preprocess_covariates(raw, names=columns)
+    else:
+        X = np.zeros((40, 0))
+    realization = AssignmentRealization(40, 2, arms)
+    bound = (
+        build_bound(design, moments, "aronow_samii", clip=True)
+        if psd_clip
+        else bound_of(moments, cells=realization.observed_cells)
+    )
+    c, reports = np.array([-1.0, 1.0]), []
+    for name in names:
+        chunk = ReplicationChunk(arms[None], y[None], X, moments)
+        fit = chunk.fit(estimator(name), c, OptimizerConfig())
+        if fit.errors:
+            error = fit.errors[0]
+            reports.append({"estimator": name, "error": f"{type(error).__name__}: {error}"})
+            continue
+        report = contrast_report(
+            name, fit.mu[0], fit.z[0], realization, moments, bound, c, fit.diagnostics[0]
+        )
+        reports.append(report.to_dict())
+    return json.dumps(reports, indent=2)
+
+
+@pytest.mark.parametrize("covariates", [True, False], ids=["covariates", "no_covariates"])
+@pytest.mark.parametrize("psd_clip", [False, True], ids=["observed_block", "psd_clip"])
+def test_estimate_report_equals_its_rows_reported_one_at_a_time(
+    unequal_crd, monkeypatch, covariates, psd_clip
+):
+    # without covariates noharm_wls fails, amid rows that share one weighted fit
+    from designest import cli
+
+    names = list(ESTIMATOR_NAMES) if covariates else ["ht", "noharm_wls", "wls", "ols", "ci", "gr"]
+    out = unequal_crd / "report.json"
+    argv = ["estimate", "--design", str(unequal_crd / "design.yaml"),
+            "--data", str(unequal_crd / "obs.csv"), "--estimators", ",".join(names),
+            "--contrast=-1,1", "--out", str(out)]
+    if covariates:
+        argv += ["--covariates", str(unequal_crd / "x.csv")]
+    if psd_clip:
+        argv += ["--psd-clip"]
+    assert main(argv) == (0 if covariates else 1)
+    expected = _per_row_reports(unequal_crd, names, covariates, psd_clip, cli.aronow_samii_bound)
+    assert out.read_text() == expected
+    assert ("error" in expected) != covariates
+
+
+def test_estimate_warns_once_per_negative_row(unequal_crd, monkeypatch):
+    # a negated observed block makes every finite row's plug-in bound negative
+    import dataclasses
+    import warnings
+
+    from designest import cli
+
+    observed_block = cli.aronow_samii_bound
+
+    def negated(moments, cells):
+        bound = observed_block(moments, cells=cells)
+        return dataclasses.replace(bound, Dt_over_p=-bound.Dt_over_p)
+
+    monkeypatch.setattr(cli, "aronow_samii_bound", negated)
+    names = ["ht", "noharm_wls", "wls", "mi"]
+    out = unequal_crd / "negative.json"
+    argv = ["estimate", "--design", str(unequal_crd / "design.yaml"),
+            "--data", str(unequal_crd / "obs.csv"), "--estimators", ",".join(names),
+            "--contrast=-1,1", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+        expected = _per_row_reports(unequal_crd, names, False, False, negated)
+    reports = json.loads(out.read_text())
+    assert out.read_text() == expected
+    assert [r.get("diagnostics", {}).get("negative_bound") for r in reports] == [
+        True, None, True, True
+    ]
+    negative = [w for w in caught if "negative variance-bound" in str(w.message)]
+    assert len(negative) == 2 * 3  # the estimate command's rows, then the reference's
+
+
+@pytest.mark.parametrize("bad, yaml_bad", [("nan", ".nan"), ("inf", ".inf"), ("-inf", "-.inf")])
+def test_a_non_finite_contrast_is_rejected(crd_design_yaml, tmp_path, capsys, bad, yaml_bad):
+    # it used to run and write NaN or Infinity, which is not JSON, into the report
+    obs = tmp_path / "obs.csv"
+    obs.write_text("unit_id,arm,y\n" + "".join(f"{i},{1 + i % 2},{0.5 * i}\n" for i in range(6)))
+    argv = ["estimate", "--design", str(crd_design_yaml), "--data", str(obs),
+            "--estimators", "ht", f"--contrast={bad},1", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert "contrast weights must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+    config = tmp_path / "sim.yaml"
+    config.write_text(
+        OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht]").replace("[-1, 1]", f"[{yaml_bad}, 1]")
+    )
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "contrast weights must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("replications: 2.9", "replications"),
+        ("replications: true", "replications"),
+        ("seed: 99.7", "seed"),
+        ("seed: true", "seed"),
+        ("moments: {method: mc, reps: 1000.5}", "moments_reps"),
+        ("moments: {method: mc, reps: true}", "moments_reps"),
+    ],
+)
+def test_simulate_rejects_a_count_or_seed_that_is_not_an_integer(tmp_path, capsys, line, field):
+    # 2.9 replications at seed 99.7 used to run as 2 replications at seed 99
+    recipe = OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht]")
+    key = line.partition(":")[0]
+    lines = [row for row in recipe.splitlines() if not row.startswith(key + ":")]
+    config = tmp_path / "sim.yaml"
+    config.write_text("\n".join(lines + [line]) + "\n")
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err

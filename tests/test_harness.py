@@ -324,6 +324,20 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             small_sim_config(workers=workers)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("replications", 2.9), ("replications", True), ("replications", 0), ("seed", 99.7),
+         ("seed", False), ("seed", -1), ("moments_reps", 1000.5), ("moments_reps", "1000")],
+    )
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
+            small_sim_config(**{field: value})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_contrast_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=r"contrast weights must be finite, got \[-1.0, "):
+            small_sim_config(contrast=[-1.0, bad])
+
     def test_failures_are_counted_and_excluded(self):
         # the rescaled estimator on a covariate-free CRD has a zero
         # denominator (arm-constant imputations are annihilated), so every
@@ -699,6 +713,37 @@ class TestTheoreticalRows:
         var_ht = float(v_ht @ moments.D @ v_ht)
         var_opt = float(v_opt @ moments.D @ v_opt)
         assert var_opt <= var_ht + 1e-10
+
+    def test_a_run_fits_each_population_first_stage_once(self, monkeypatch):
+        import designest.model_assisted as model_assisted
+
+        names = ["qmle_logit", "noharm_logit", "opt_i_logit", "wls", "ci", "mi", "gr", "ht"]
+        design = CompletelyRandomizedDesign(30, [12, 18])
+        X = centered(stream_rng(41).standard_normal((30, 2)))
+        y_full = impute_potential_outcomes(X, [0.9, -0.6], [-0.4, 0.5], seed=42)
+        moments = closed_form_or_exact_moments(design)
+        bound = build_bound(design, moments, "aronow_samii", False)
+        c = np.array([-1.0, 1.0])
+        theory = {}
+        for name in names:  # each row on its own population chunk
+            v = population_contrast_residual(name, X, y_full, moments, c)
+            theory[name] = (float(v @ moments.D @ v) / 30, float(v @ bound.Dt @ v) / 30)
+        fits = []
+        qmle = model_assisted.population_qmle
+
+        def spy(model, X, y_full, omega=None):
+            fits.append((model.family, omega is not None))
+            return qmle(model, X, y_full, omega=omega)
+
+        monkeypatch.setattr(model_assisted, "population_qmle", spy)
+        table = run_simulation(SimConfig(
+            design=design, y_full=y_full, X=X, estimators=names, contrast=c,
+            replications=3, seed=43, moments=moments,
+        ))
+        assert fits == [("logistic", True)]
+        for name in names:
+            row = table.metrics[name]
+            assert (row["theo_var_times_n"], row["theo_bound_times_n"]) == theory[name]
 
 
 def _population_imputations(name, X, y, moments, c):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from designest import linear
 from designest.bounds import aronow_samii_bound, neyman_bound_crd
 from designest.designs import (
     AssignmentRealization,
@@ -19,6 +20,7 @@ from designest.linear import (
     estimate_linear,
     estimate_report,
     intercept_matrix,
+    linear_sample,
     load_covariates_csv,
     load_observed_csv,
     model_matrix,
@@ -191,6 +193,52 @@ class TestRegressionFamily:
         with pytest.warns(RuntimeWarning):
             fit = estimate_linear("wls", data)
         assert fit.rank_deficient
+
+    @staticmethod
+    def _chunk(X, seed=14):
+        design = CompletelyRandomizedDesign(7, [3, 4])  # unequal pi: the weightings differ
+        rng = stream_rng(seed)
+        moments = exact_moments(design)
+        arms = design.sample_batch(rng, 5)
+        y_obs = rng.standard_normal((5, 7))
+        return lambda: ReplicationChunk(arms, y_obs, X, moments, range(5))
+
+    def test_regression_rows_share_one_fit_per_weighting(self, monkeypatch):
+        chunk_of = self._chunk(centered(stream_rng(15).standard_normal((7, 2))))
+        fresh = {
+            (kind, w): linear_sample(kind, chunk_of(), w)
+            for kind, w in [(kind, None) for kind in ("wls", "ci", "mi", "gr", "ols")]
+            + [("wls", "identity"), ("gr", "inverse_probability")]
+        }
+        calls = []
+        pinv = linear._pinv_flagged
+        monkeypatch.setattr(linear, "_pinv_flagged", lambda A: calls.append(A) or pinv(A))
+        chunk = chunk_of()
+        for kind in ("wls", "ci", "mi", "gr"):
+            fit = linear_sample(kind, chunk)
+            assert fit.mu.tobytes() == fresh[kind, None].mu.tobytes()
+            assert fit.z.tobytes() == fresh[kind, None].z.tobytes()
+            fit.mu[:], fit.z[:] = np.nan, np.nan  # the caller's arrays, not the chunk's
+        assert len(calls) == 1
+        for (kind, w), expected in fresh.items():  # ols and named weights reuse their own fit
+            fit = linear_sample(kind, chunk, w)
+            assert fit.mu.tobytes() == expected.mu.tobytes()
+            assert fit.z.tobytes() == expected.z.tobytes()
+        assert len(calls) == 2
+        custom = 0.5 + stream_rng(16).random(14)
+        for _ in range(2):  # a custom weight vector is fitted afresh
+            assert linear_sample("wls", chunk, custom).mu.tobytes() == (
+                linear_sample("wls", chunk_of(), custom).mu.tobytes()
+            )
+        assert len(calls) == 6
+
+    def test_every_row_on_a_shared_rank_deficient_fit_warns(self):
+        base = centered(stream_rng(17).standard_normal((7, 1)))
+        chunk = self._chunk(np.hstack([base, base]))()
+        for kind in ("wls", "ci", "mi", "gr"):
+            with pytest.warns(RuntimeWarning, match="rank-deficient"):
+                fit = linear_sample(kind, chunk)
+            assert all(d["rank_deficient"] for d in fit.diagnostics)
 
     def test_rejects_uncentered_covariates(self):
         design = CompletelyRandomizedDesign(4, [2, 2])
