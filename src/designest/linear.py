@@ -157,16 +157,12 @@ class ReplicationChunk:
         named = isinstance(m_weights, str)
         if named and m_weights in self._regressions:
             return self._regressions[m_weights]
-        pi = self.moments.pi
-        m = m_weight_vector(pi, m_weights)
+        m = m_weight_vector(self.moments.pi, m_weights)
         x = model_matrix(self.X, self.k)
         w = m * self.r
         a_inv, deficient, cond = _pinv_flagged(x.T @ (x * w[..., None]))
         b = _matvec(a_inv, _matvec(x.T, w * self.y))
-        fitted = _matvec(x, b)
-        e = self.y - fitted
-        gain = ((e * pi * m)[..., None] * x) @ a_inv
-        fit = Regression(x, deficient, cond, b, fitted, e, gain)
+        fit = Regression(m, x, a_inv, deficient, cond, b)
         if named:
             self._regressions[m_weights] = fit
         return fit
@@ -293,18 +289,19 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Regression(NamedTuple):
-    """A weighted regression of a chunk's B rows: the model matrix x
-    (kn, s), each row's rank flag and the condition number of its weighted
-    Gram matrix (B,), its coefficients b (B, s), fitted values and
-    residuals e (B, kn), and the gain (B, kn, s) of its linearization."""
+    """A weighted regression of a chunk's B rows: the cell weights m (kn,),
+    the model matrix x (kn, s), the pseudoinverse a_inv (B, s, s) of each
+    row's weighted Gram matrix with its rank flag and condition number
+    (B,), and the coefficients b (B, s). The (B, kn) and (B, kn, s) arrays
+    derived from them are left to each estimator, so that a chunk keeps no
+    arrays of its size alive while its other rows fit."""
 
+    m: np.ndarray
     x: np.ndarray
+    a_inv: np.ndarray
     deficient: np.ndarray
     cond: np.ndarray
     b: np.ndarray
-    fitted: np.ndarray
-    e: np.ndarray
-    gain: np.ndarray
 
 
 def _pinv_flagged(A: np.ndarray):
@@ -391,7 +388,11 @@ def _linear_fit(kind, chunk, m_weights=None) -> tuple[SampleFit, np.ndarray | No
     fit = chunk.regression("invpi" if m_weights is None else m_weights)
     if fit.deficient.any():
         warnings.warn("rank-deficient WLS design matrix; pseudoinverse used", RuntimeWarning)
-    x, fitted, e, gain = fit.x, fit.fitted, fit.e, fit.gain
+    x = fit.x
+    fitted = _matvec(x, fit.b)
+    e = y - fitted
+    if kind != "gr":
+        gain = ((e * pi * fit.m)[..., None] * x) @ fit.a_inv
     if kind in ("ols", "wls"):
         mu, z = fit.b[..., :k].copy(), n * gain[..., :k]
     elif kind == "ci":
