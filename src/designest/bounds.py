@@ -156,20 +156,16 @@ def neyman_bound_crd(n: int, n_t: int) -> VarianceBound:
     )
 
 
-def build_bound(
-    design, moments: DesignMoments, kind: str = "aronow_samii", clip: bool = False
-) -> VarianceBound:
-    """The named bound for a design, optionally with its weighted form
-    psd-clipped. "neyman" needs a two-arm completely randomized design."""
+def build_bound(design, moments: DesignMoments, kind: str = "aronow_samii") -> VarianceBound:
+    """The named bound for a design. "neyman" needs a two-arm completely
+    randomized design."""
     if kind == "aronow_samii":
-        bound = aronow_samii_bound(moments)
-    elif kind == "neyman":
+        return aronow_samii_bound(moments)
+    if kind == "neyman":
         if not (isinstance(design, CompletelyRandomizedDesign) and design.k == 2):
             raise ValueError("the neyman bound needs a two-arm completely randomized design")
-        bound = neyman_bound_crd(design.n, int(design.counts[0]))
-    else:
-        raise ValueError(f"unknown bound kind {kind!r}")
-    return psd_clip(bound) if clip else bound
+        return neyman_bound_crd(design.n, int(design.counts[0]))
+    raise ValueError(f"unknown bound kind {kind!r}")
 
 
 def custom_bound(Dt: np.ndarray, moments: DesignMoments, tol: float = PSD_TOL) -> VarianceBound:

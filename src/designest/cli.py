@@ -17,11 +17,12 @@ import warnings
 import numpy as np
 import yaml
 
-from .bounds import aronow_samii_bound, build_bound, certify_bound
+from .bounds import aronow_samii_bound, build_bound, certify_bound, psd_clip
 from .designs import AssignmentRealization, CompletelyRandomizedDesign, build_design
 from .harness import (
     ReplicationChunk,
     SimConfig,
+    check_integer,
     estimator,
     impute_potential_outcomes,
     preprocess_covariates,
@@ -133,7 +134,7 @@ def cmd_complexity(args):
 def cmd_bound(args):
     design = _design_from_args(args)
     moments = _moments_from_args(args, design)
-    bound = build_bound(design, moments, args.kind, args.psd_clip)
+    bound = build_bound(design, moments, args.kind)
     cert = certify_bound(moments, bound)
     if args.out:
         bound.to_csv(args.out)
@@ -178,7 +179,7 @@ def cmd_estimate(args):
     chunk = ReplicationChunk(realization.arm_of[None], y[None], X, moments)
     # the plug-in reads only the observed block; clipping needs the full bound
     bound = (
-        build_bound(design, moments, "aronow_samii", clip=True)
+        psd_clip(aronow_samii_bound(moments))
         if args.psd_clip
         else aronow_samii_bound(moments, cells=realization.observed_cells)
     )
@@ -237,8 +238,9 @@ def cmd_simulate(args):
         _check_same_units(unit_ids, "covariates", design.unit_ids, "design group", design.n)
     elif "generate" in cov:
         gen = cov["generate"]
-        rng = np.random.default_rng(gen.get("seed", 0))
-        raw = rng.standard_normal((design.n, gen["p"]))
+        seed = check_integer("covariates.generate.seed", gen.get("seed", 0), 0)
+        p = check_integer("covariates.generate.p", gen["p"], 0)
+        raw = np.random.default_rng(seed).standard_normal((design.n, p))
     else:
         raw = None
     X = (
@@ -249,9 +251,13 @@ def cmd_simulate(args):
         else np.zeros((design.n, 0))
     )
     outcome = recipe["outcome"]
+    outcome_seed = check_integer("outcome.seed", outcome.get("seed", 0), 0)
     y_full = impute_potential_outcomes(
-        X, outcome.get("coeffs", [0.0] * X.shape[1]), outcome["intercepts"], outcome.get("seed", 0)
+        X, outcome.get("coeffs", [0.0] * X.shape[1]), outcome["intercepts"], outcome_seed
     )
+    apply_psd_clip = recipe.get("psd_clip", False)
+    if not isinstance(apply_psd_clip, bool):
+        raise ValueError(f"psd_clip must be true or false, got {apply_psd_clip!r}")
     moments_spec = recipe.get("moments", {"method": "exact"})
     preloaded = (
         DesignMoments.load_npz(moments_spec["npz"]) if "npz" in moments_spec else None
@@ -268,7 +274,7 @@ def cmd_simulate(args):
         moments_method=moments_spec.get("method", "exact"),
         moments_reps=moments_spec.get("reps", 100_000),
         bound_kind=recipe.get("bound", "aronow_samii"),
-        apply_psd_clip=bool(recipe.get("psd_clip", False)),
+        apply_psd_clip=apply_psd_clip,
         level=float(recipe.get("level", 0.95)),
         optimizer=_optimizer_from_recipe(recipe.get("optimizer", {})),
         workers=args.workers if args.workers is not None else recipe.get("workers", 1),
@@ -403,7 +409,12 @@ def build_parser():
     p = sub.add_parser("bound", help="build and certify a variance bound")
     _add_moment_source_args(p)
     p.add_argument("--kind", choices=["aronow_samii", "neyman"], default="aronow_samii")
-    p.add_argument("--psd-clip", action="store_true")
+    p.add_argument(
+        "--psd-clip",
+        action="store_true",
+        help="no effect here: the clip changes only the weighted form that estimate's "
+        "plug-in reads, so the written and certified matrix is the same with or without it",
+    )
     p.add_argument("--out", help="bound matrix CSV")
     p.add_argument("--report", help="certification report JSON")
     p.set_defaults(func=cmd_bound)
@@ -416,7 +427,12 @@ def build_parser():
         "--estimators", default="ht,hajek", help="comma-separated names from the estimator table"
     )
     p.add_argument("--contrast", required=True, help="comma-separated contrast vector")
-    p.add_argument("--psd-clip", action="store_true")
+    p.add_argument(
+        "--psd-clip",
+        action="store_true",
+        help="zero the negative spectrum of the bound's weighted form before the plug-in "
+        "reads it: never negative, biased upward",
+    )
     p.add_argument("--out", help="report JSON path")
     p.set_defaults(func=cmd_estimate)
 

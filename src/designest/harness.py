@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import build_bound
+from .bounds import build_bound, psd_clip
 from .designs import Design, stream_rng
 from .linear import (
     LINEAR_KINDS,
@@ -238,6 +238,14 @@ def fine_strata(
     return group_of
 
 
+def check_integer(name: str, value, least: int):
+    """value, if it is an integer (not a bool) >= least; otherwise a
+    ValueError naming it. Keeps a recipe's 6.7 from running as 6."""
+    if isinstance(value, bool) or not _is_integer(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 @dataclass
 class SimConfig:
     """Everything one simulation run needs; replications are seeded
@@ -261,9 +269,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name, least in (("replications", 1), ("seed", 0), ("moments_reps", 1), ("workers", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not _is_integer(value) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_integer(name, getattr(self, name), least)
         if self.moments_method not in ("exact", "mc"):
             raise ValueError(f"unknown moments method {self.moments_method!r}; known: exact, mc")
         if not 0 < self.level < 1:
@@ -399,7 +405,9 @@ def run_simulation(cfg: SimConfig) -> MetricsTable:
             moments = closed_form_or_exact_moments(cfg.design)
         else:
             moments = mc_moments(cfg.design, reps=cfg.moments_reps, seed=cfg.seed + 1)
-    bound = build_bound(cfg.design, moments, cfg.bound_kind, cfg.apply_psd_clip)
+    bound = build_bound(cfg.design, moments, cfg.bound_kind)
+    if cfg.apply_psd_clip:
+        bound = psd_clip(bound)
     n = cfg.design.n
     truth = float(
         cfg.contrast @ (intercept_matrix(n, cfg.design.k).T @ cfg.y_full) / n

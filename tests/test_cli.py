@@ -734,7 +734,7 @@ def unequal_crd(tmp_path_factory):
 def _per_row_reports(tmp, names, covariates, psd_clip, bound_of):
     """The estimate report built one row at a time, each row on a fresh
     chunk and with contrast_report's own plug-in bound."""
-    from designest.bounds import build_bound
+    from designest import bounds
     from designest.designs import AssignmentRealization, CompletelyRandomizedDesign
     from designest.harness import ReplicationChunk, estimator, preprocess_covariates
     from designest.linear import contrast_report, load_covariates_csv, load_observed_csv
@@ -751,7 +751,7 @@ def _per_row_reports(tmp, names, covariates, psd_clip, bound_of):
         X = np.zeros((40, 0))
     realization = AssignmentRealization(40, 2, arms)
     bound = (
-        build_bound(design, moments, "aronow_samii", clip=True)
+        bounds.psd_clip(bounds.build_bound(design, moments, "aronow_samii"))
         if psd_clip
         else bound_of(moments, cells=realization.observed_cells)
     )
@@ -863,3 +863,152 @@ def test_simulate_rejects_a_count_or_seed_that_is_not_an_integer(tmp_path, capsy
     config.write_text("\n".join(lines + [line]) + "\n")
     assert main(["simulate", "--config", str(config)]) == 2
     assert f"{field} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("  seed: 6.7", "outcome.seed"),
+        ("  seed: true", "outcome.seed"),
+        ("  generate: {p: 1, seed: 5.5}", "covariates.generate.seed"),
+        ("  generate: {p: 1, seed: -5}", "covariates.generate.seed"),
+        ("  generate: {p: 1.0, seed: 5}", "covariates.generate.p"),
+        ("  generate: {p: true, seed: 5}", "covariates.generate.p"),
+    ],
+)
+def test_simulate_rejects_a_nested_seed_or_count_that_is_not_an_integer(
+    tmp_path, capsys, line, key
+):
+    # outcome seed 6.7 used to run as seed 6; generate seed 5.5 ended in a TypeError traceback
+    recipe = OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht]")
+    old = "  seed: 6\n" if key == "outcome.seed" else "  generate: {p: 1, seed: 5}\n"
+    config = tmp_path / "sim.yaml"
+    config.write_text(recipe.replace(old, line + "\n"))
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert f"{key} must be an integer >= 0, got" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ['"false"', "1", "null"])
+def test_simulate_rejects_a_psd_clip_that_is_not_a_boolean(tmp_path, capsys, value):
+    # the string "false" used to turn the clip on
+    config = tmp_path / "sim.yaml"
+    config.write_text(OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht]") + f"psd_clip: {value}\n")
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "psd_clip must be true or false" in capsys.readouterr().err
+
+
+def _replace_psd_clip(monkeypatch, replacement):
+    """Put replacement wherever a designest module binds psd_clip."""
+    from designest import bounds
+
+    original = bounds.psd_clip
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "designest" or name.startswith("designest.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+    return original
+
+
+def _count_psd_clip(monkeypatch):
+    """The list of bound names psd_clip is called on from here on."""
+    calls = []
+
+    def counted(bound):
+        calls.append(bound.name)
+        return original(bound)
+
+    original = _replace_psd_clip(monkeypatch, counted)
+    return calls
+
+
+@pytest.fixture
+def clustered_design_yaml(tmp_path):
+    # clusters of 1-3 units: the pairs across arms within a cluster are never joint
+    groups = tmp_path / "clusters.csv"
+    groups.write_text(
+        "unit_id,group_id\n" + "".join(f"{u},{g}\n" for u, g in enumerate("aabcccdd"))
+    )
+    path = tmp_path / "design.yaml"
+    path.write_text(
+        f"design:\n  kind: clustered\n  cluster_csv: {groups}\n"
+        "  cluster_design: {kind: completely_randomized, n: 4, counts: [2, 2]}\n"
+    )
+    return path
+
+
+def _bound_outputs(design_yaml, kind, tmp_path, capsys, flags):
+    out, report = tmp_path / "bound.csv", tmp_path / "cert.json"
+    argv = ["bound", "--design", str(design_yaml), "--kind", kind,
+            "--out", str(out), "--report", str(report)]
+    assert main(argv + flags) == 0
+    stdout = capsys.readouterr().out
+    return stdout, out.read_bytes(), report.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["aronow_samii", "neyman"])
+def test_bound_psd_clip_flag_changes_no_output(
+    kind, clustered_design_yaml, crd_design_yaml, tmp_path, capsys, monkeypatch
+):
+    # the clip reshapes only the weighted form, which bound neither writes nor certifies
+    design_yaml = clustered_design_yaml if kind == "aronow_samii" else crd_design_yaml
+    plain = _bound_outputs(design_yaml, kind, tmp_path, capsys, [])
+    calls = _count_psd_clip(monkeypatch)
+    assert _bound_outputs(design_yaml, kind, tmp_path, capsys, ["--psd-clip"]) == plain
+    assert calls == []
+    assert plain[0].startswith(f"{kind} bound ok:")
+
+
+def test_bound_psd_clip_never_computes_the_clip(
+    clustered_design_yaml, tmp_path, capsys, monkeypatch
+):
+    def refuse(bound):
+        raise AssertionError("bound computed the psd clip")
+
+    _replace_psd_clip(monkeypatch, refuse)
+    stdout, _, _ = _bound_outputs(
+        clustered_design_yaml, "aronow_samii", tmp_path, capsys, ["--psd-clip"]
+    )
+    assert stdout.startswith("aronow_samii bound ok:")
+
+
+def test_estimate_psd_clip_clips_once(unequal_crd, monkeypatch):
+    from designest import cli
+
+    names = ["ht", "hajek", "wls"]
+    out = unequal_crd / "clipped.json"
+    calls = _count_psd_clip(monkeypatch)
+    argv = ["estimate", "--design", str(unequal_crd / "design.yaml"),
+            "--data", str(unequal_crd / "obs.csv"), "--covariates", str(unequal_crd / "x.csv"),
+            "--estimators", ",".join(names), "--contrast=-1,1", "--psd-clip", "--out", str(out)]
+    assert main(argv) == 0
+    assert calls == ["aronow_samii"]
+    expected = _per_row_reports(unequal_crd, names, True, True, cli.aronow_samii_bound)
+    assert out.read_text() == expected
+
+
+def test_simulate_psd_clip_clips_once_and_plugs_in_the_clipped_form(tmp_path, monkeypatch):
+    # the reference run clips the bound as it is built, with the recipe's psd_clip off
+    from designest import bounds, harness
+
+    recipe = OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht, hajek, wls]")
+    outputs = {}
+    for label, clip in (("plain", "false"), ("clipped", "true")):
+        config = tmp_path / f"{label}.yaml"
+        config.write_text(recipe + f"psd_clip: {clip}\n")
+        calls = _count_psd_clip(monkeypatch)
+        csv, js = tmp_path / f"{label}.csv", tmp_path / f"{label}.json"
+        assert main(["simulate", "--config", str(config), "--out", str(csv), "--json", str(js)]) == 0
+        assert calls == ([] if clip == "false" else ["aronow_samii"])
+        outputs[label] = (csv.read_bytes(), js.read_bytes())
+        monkeypatch.undo()
+    build_bound = harness.build_bound
+    monkeypatch.setattr(
+        harness, "build_bound", lambda *args: bounds.psd_clip(build_bound(*args))
+    )
+    config = tmp_path / "plain.yaml"
+    csv, js = tmp_path / "reference.csv", tmp_path / "reference.json"
+    assert main(["simulate", "--config", str(config), "--out", str(csv), "--json", str(js)]) == 0
+    assert outputs["clipped"] == (csv.read_bytes(), js.read_bytes())
+    assert outputs["clipped"][0] != outputs["plain"][0]
+    assert json.loads(outputs["clipped"][1])["provenance"]["psd_clipped"] is True

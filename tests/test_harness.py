@@ -441,7 +441,7 @@ def chunk_payload(design, moments, X, y_full, contrast, seed):
     return {
         "design": design,
         "moments": moments,
-        "bound": build_bound(design, moments, "aronow_samii", False),
+        "bound": build_bound(design, moments, "aronow_samii"),
         "estimators": list(ESTIMATOR_NAMES),
         "contrast": np.asarray(contrast, dtype=float),
         "y_full": y_full,
@@ -582,7 +582,7 @@ def test_second_stages_keep_a_failing_row_to_itself():
     base = BernoulliDesign(n, [0.5, 0.5])
     design = derive_exposure_design(base, InterferenceGraph(n, edges), standard_binary_exposure_rules())
     moments = closed_form_or_exact_moments(design)
-    bound = build_bound(design, moments, "aronow_samii", False)
+    bound = build_bound(design, moments, "aronow_samii")
     X = centered(stream_rng(31).standard_normal((n, 1)))
     y_full = impute_potential_outcomes(X, [0.9], [1.0, -1.5, 0.2, -0.5], seed=32)
     outcomes = np.stack([np.zeros(4 * n) if rep == 3 else y_full for rep in reps])
@@ -722,7 +722,7 @@ class TestTheoreticalRows:
         X = centered(stream_rng(41).standard_normal((30, 2)))
         y_full = impute_potential_outcomes(X, [0.9, -0.6], [-0.4, 0.5], seed=42)
         moments = closed_form_or_exact_moments(design)
-        bound = build_bound(design, moments, "aronow_samii", False)
+        bound = build_bound(design, moments, "aronow_samii")
         c = np.array([-1.0, 1.0])
         theory = {}
         for name in names:  # each row on its own population chunk

@@ -83,7 +83,7 @@ def test_ht_and_its_plugin_bound_are_exactly_unbiased_over_the_support(design, s
     table = design.enumerate_support()
     moments = exact_moments(design)
     assert np.all(moments.pi > 0)
-    bound = build_bound(design, moments, "aronow_samii", False)
+    bound = build_bound(design, moments, "aronow_samii")
     y_full = np.random.default_rng(seed).standard_normal(n * k)
     c = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)), dtype=float)
 
