@@ -13,7 +13,6 @@ from designest import (
     CompletelyRandomizedDesign,
     StratifiedDesign,
     design_complexity,
-    enumerate_support,
     exact_moments,
     largest_eigenvalue,
     mc_moments,
@@ -42,7 +41,7 @@ print("(remainder units go to the highest-numbered arms first)")
 # ---------------------------------------------------------------------------
 # 2. Small designs can be enumerated exactly
 # ---------------------------------------------------------------------------
-table = enumerate_support(crd)
+table = crd.enumerate_support()
 print(f"\nCRD(10,[4,6]) support size: {len(table)} (C(10,4) = 210)")
 print("every point has probability 1/210:", np.allclose(table.probabilities, 1 / 210))
 

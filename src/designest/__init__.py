@@ -20,8 +20,6 @@ from .designs import (
     StratifiedDesign,
     SupportTable,
     build_design,
-    enumerate_support,
-    sample_assignment,
     stream_rng,
 )
 from .harness import (

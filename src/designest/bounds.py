@@ -51,8 +51,8 @@ class VarianceBound:
     def kn(self) -> int:
         return self.Dt.shape[0]
 
-    def to_csv(self, path, drop_tol: float = 1e-12):
-        coordinate_csv(path, self.Dt, drop_tol)
+    def to_csv(self, path):
+        coordinate_csv(path, self.Dt)
 
 
 def _weighted_form(Dt: np.ndarray, p: np.ndarray) -> np.ndarray:

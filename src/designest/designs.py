@@ -409,16 +409,6 @@ class CustomDesign(Design):
         return np.stack([np.asarray(self.sampler(rng)) for _ in range(size)])
 
 
-def sample_assignment(design: Design, rng: np.random.Generator) -> AssignmentRealization:
-    """Draw one assignment from the design using the supplied stream."""
-    return design.sample(rng)
-
-
-def enumerate_support(design: Design, cap: int = ENUMERATION_CAP) -> SupportTable:
-    """Exhaustive support with exact probabilities (small designs only)."""
-    return design.enumerate_support(cap=cap)
-
-
 def read_csv_columns(path, columns: tuple, what: str) -> dict[str, tuple]:
     """Every column of a CSV file with a header, by header name, as tuples
     of strings over its nonblank rows. A header without the named columns or

@@ -45,22 +45,8 @@ from .model_assisted import (
 from .moments import DesignMoments, closed_form_or_exact_moments, mc_moments
 
 
-@dataclass(frozen=True)
-class Estimator:
-    """One row of the estimator table.
-
-    sample(chunk, c, optimizer) fits the estimator on every row of a
-    ReplicationChunk (replication reps[b] seeds row b's randomness) and
-    returns a SampleFit. On ReplicationChunk.population the same body gives
-    the population linearization z, with n x asymptotic variance
-    (z c)' D (z c) / n.
-    """
-
-    sample: Callable[..., SampleFit]
-
-
 def _linear(kind):
-    return Estimator(lambda chunk, c, optimizer: linear_sample(kind, chunk))
+    return lambda chunk, c, optimizer: linear_sample(kind, chunk)
 
 
 def _two_stage(family, omega, stage=None):
@@ -76,7 +62,7 @@ def _two_stage(family, omega, stage=None):
         inspect = not chunk.is_population
         return _corrected(chunk, *stage(f, chunk.y_ipw, chunk.moments.D, c, chunk.n, inspect))
 
-    return Estimator(sample)
+    return sample
 
 
 def _opt_linear_sample(chunk, c, optimizer):
@@ -96,27 +82,33 @@ def _opt_logit_sample(chunk, c, optimizer):
     )
 
 
+# The estimator table: each row is its sample function sample(chunk, c,
+# optimizer), which fits the estimator on every row of a ReplicationChunk
+# (replication reps[b] seeds row b's randomness) and returns a SampleFit. On
+# ReplicationChunk.population the same function gives the population
+# linearization z, with n x asymptotic variance (z c)' D (z c) / n.
 ESTIMATORS = {
     **{kind: _linear(kind) for kind in LINEAR_KINDS},
     "noharm_wls": _two_stage("linear", "ones", no_harm_imputations),
     "qmle_logit": _two_stage("logistic", "pi"),
     "noharm_logit": _two_stage("logistic", "pi", no_harm_imputations),
-    "opt_linear": Estimator(_opt_linear_sample),
-    "opt_logit": Estimator(_opt_logit_sample),
+    "opt_linear": _opt_linear_sample,
+    "opt_logit": _opt_logit_sample,
     "opt_i_ols": _two_stage("linear", "pi", opt_i_imputations),
     "opt_i_logit": _two_stage("logistic", "pi", opt_i_imputations),
 }
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
 
 
-def estimator(name: str) -> Estimator:
-    """The table row of an estimator name."""
+def estimator(name: str) -> Callable[..., SampleFit]:
+    """The table row (sample function) of an estimator name."""
     if name not in ESTIMATORS:
         raise ValueError(f"unknown estimator {name!r}; known: {', '.join(ESTIMATOR_NAMES)}")
     return ESTIMATORS[name]
 
 
 REPLICATION_CHUNK = 64  # fixed chunking keeps results worker-count invariant
+TOPCODE_SD = 5.0  # top-coded columns are capped at this many standard deviations
 
 
 def impute_potential_outcomes(covariates, coeffs, intercepts, seed) -> np.ndarray:
@@ -137,11 +129,10 @@ def impute_potential_outcomes(covariates, coeffs, intercepts, seed) -> np.ndarra
     return np.concatenate([(b + index > shocks).astype(float) for b in intercepts])
 
 
-def preprocess_covariates(
-    raw, topcode_columns=(), topcode_value: float = 5.0, names=None
-) -> np.ndarray:
+def preprocess_covariates(raw, topcode_columns=(), names=None) -> np.ndarray:
     """Mean-impute missing (NaN) values, standardize to unit standard
-    deviation, top-code the configured columns, then re-center; an infinite
+    deviation, top-code the configured columns at TOPCODE_SD, then
+    re-center; an infinite
     value is an error. Errors name a column by names[j] (the covariate
     CSV's header) when given, else by its 0-based position."""
     X = np.array(raw, dtype=float, copy=True)
@@ -164,7 +155,7 @@ def preprocess_covariates(
         col -= col.mean()
         col /= sd
         if j in topcode_columns:
-            np.clip(col, None, topcode_value, out=col)
+            np.clip(col, None, TOPCODE_SD, out=col)
         X[:, j] = col
     return X - X.mean(axis=0)
 
@@ -390,7 +381,7 @@ def population_contrast_residual(
     c = np.asarray(contrast, dtype=float)
     if population is None:
         population = ReplicationChunk.population(X, y_full, moments)
-    fit = estimator(name).sample(population, c, None)
+    fit = estimator(name)(population, c, None)
     if fit.errors:
         raise fit.errors[0]
     return fit.z[0] @ c

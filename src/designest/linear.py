@@ -149,11 +149,9 @@ class ReplicationChunk:
     def regression(self, m_weights) -> "Regression":
         """Every row's regression on the same-slope model matrix, cell c
         weighing m[c] r[c]. m_weights names the identity ("identity") or
-        inverse-probability ("invpi" or "inverse_probability") weights,
-        whose fit is made once per chunk and shared by the regression
-        family's estimators, or is a custom kn vector, fitted afresh."""
-        if isinstance(m_weights, str) and m_weights == "inverse_probability":
-            m_weights = "invpi"
+        inverse-probability ("invpi") weights, whose fit is made once per
+        chunk and shared by the regression family's estimators, or is a
+        custom kn vector, fitted afresh."""
         named = isinstance(m_weights, str)
         if named and m_weights in self._regressions:
             return self._regressions[m_weights]
@@ -168,11 +166,11 @@ class ReplicationChunk:
         return fit
 
     def fit(self, row, c, optimizer) -> SampleFit:
-        """row.sample on the chunk, for a row of the estimator table. A
-        sample that raises on several rows is refit one replication at a
-        time, so that the failure stays with its replication."""
+        """row(self, c, optimizer), for a row of the estimator table. A
+        row that raises on several replications is refit one replication at
+        a time, so that the failure stays with its replication."""
         try:
-            return row.sample(self, c, optimizer)
+            return row(self, c, optimizer)
         except Exception as exc:  # recorded against the replication
             B = len(self.reps)
             if B <= 1:
@@ -260,12 +258,13 @@ def model_matrix(X: np.ndarray, k: int) -> np.ndarray:
 
 def m_weight_vector(pi: np.ndarray, m_weights) -> np.ndarray:
     """Diagonal of the WLS weight matrix on the stacked cells with inclusion
-    probabilities pi."""
+    probabilities pi: m_weights is "identity", "invpi" or a custom kn
+    vector."""
     kn = len(pi)
-    if m_weights is None or (isinstance(m_weights, str) and m_weights == "identity"):
+    if isinstance(m_weights, str) and m_weights == "identity":
         return np.ones(kn)
     if isinstance(m_weights, str):
-        if m_weights not in ("invpi", "inverse_probability"):
+        if m_weights != "invpi":
             raise ValueError(f"unknown m weights {m_weights!r}")
         return np.divide(1.0, pi, out=np.zeros(kn), where=pi > 0)
     m = np.asarray(m_weights, dtype=float)
@@ -363,7 +362,6 @@ def _linear_fit(kind, chunk, m_weights=None) -> tuple[SampleFit, np.ndarray | No
     Gram matrix. A hajek row with an empty arm gets NaN estimates and its
     HajekUndefinedError in errors.
     """
-    kind = kind.lower()
     if kind not in LINEAR_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
     n, k, pi, y, r = chunk.n, chunk.k, chunk.moments.pi, chunk.y, chunk.r
@@ -681,12 +679,13 @@ class InterpretationReport:
     mi_residual: float
 
 
-def check_interpretation(data: ExperimentData, m_weights=None) -> InterpretationReport:
+def check_interpretation(data: ExperimentData, m_weights="invpi") -> InterpretationReport:
     """Column-space checks telling whether the regression-family estimators
     target the average potential outcomes.
 
     The completely-imputed family needs every column of m^-1 pi^-1 1 in
-    col(x); the missing-imputed family needs m^-1 (i - pi^-1) 1 there.
+    col(x); the missing-imputed family needs m^-1 (i - pi^-1) 1 there. The
+    m weights default to the regression estimators' inverse probabilities.
     """
     pi = data.moments.pi
     m = m_weight_vector(pi, m_weights)

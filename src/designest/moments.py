@@ -41,6 +41,7 @@ BAND_ENTRIES = 1 << 15  # entries per band of a row-banded elementwise pass
 NPZ_ALIGN = 64  # byte boundary of each saved member's data, as npy aligns arrays
 ALIGN_EXTRA_ID = 0xD935  # zip extra-field id of zipalign's padding record
 NPY_HEADER_PEEK = 4096  # bytes read to parse a member's .npy header
+CSV_DROP_TOL = 1e-12  # coordinate CSVs leave out entries smaller in magnitude
 
 
 @dataclass
@@ -157,16 +158,16 @@ class DesignMoments:
                 for i in range(self.n):
                     fh.write(f"{a + 1},{i},{self.pi[a * self.n + i]:.15g}\n")
 
-    def d_to_csv(self, path, drop_tol: float = 1e-12):
+    def d_to_csv(self, path):
         """Coordinate export of D as i,j,value triplets (tiny entries dropped)."""
-        coordinate_csv(path, self.D, drop_tol)
+        coordinate_csv(path, self.D)
 
 
-def coordinate_csv(path, M: np.ndarray, drop_tol: float = 1e-12):
-    """Write the entries of M with |value| >= drop_tol as i,j,value rows."""
+def coordinate_csv(path, M: np.ndarray):
+    """Write the entries of M with |value| >= CSV_DROP_TOL as i,j,value rows."""
     with open(path, "w") as fh:
         fh.write("i,j,value\n")
-        rows, cols = np.nonzero(np.abs(M) >= drop_tol)
+        rows, cols = np.nonzero(np.abs(M) >= CSV_DROP_TOL)
         for i, j in zip(rows, cols):
             fh.write(f"{i},{j},{M[i, j]:.15g}\n")
 
@@ -499,23 +500,13 @@ def check_symmetric(M: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} must be symmetric")
 
 
-def largest_eigenvalue(
-    M: np.ndarray,
-    zero_diag: bool = False,
-    zero_mask: np.ndarray | None = None,
-) -> float:
+def largest_eigenvalue(M: np.ndarray, zero_diag: bool = False) -> float:
     """Largest eigenvalue of a symmetric matrix (dense symmetric solver).
-
-    Cells flagged as zero-probability make the measure infinite (the
-    worst-case variance is unbounded). zero_diag computes the variant with
-    the diagonal zeroed first.
-    """
+    zero_diag computes the variant with the diagonal zeroed first."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     check_symmetric(M)
-    if zero_mask is not None and np.any(zero_mask):
-        return np.inf
     if zero_diag:
         M = M.copy()
         np.fill_diagonal(M, 0.0)
@@ -553,9 +544,6 @@ class SecondOrderTensor:
         """(Dt x Dt) o S, the object whose spectral size controls variance
         bound estimation error."""
         return np.einsum("ij,kl->ijkl", Dt, Dt) * self.entries
-
-    def save_npz(self, path):
-        np.savez(path, kn=self.kn, entries=self.entries)
 
 
 def second_order_tensor(design: Design, cap: int = TENSOR_CAP) -> SecondOrderTensor:

@@ -19,9 +19,7 @@ from designest.designs import (
     build_design,
     counts_from_pattern,
     counts_from_proportions,
-    enumerate_support,
     read_group_csv,
-    sample_assignment,
     stream_rng,
 )
 from test_properties import enumerable_designs
@@ -47,14 +45,14 @@ def test_crd_counts_must_sum():
 def test_crd_every_draw_respects_counts():
     design = CompletelyRandomizedDesign(4, [2, 2])
     for seed in range(5):
-        r = sample_assignment(design, stream_rng(seed))
+        r = design.sample(stream_rng(seed))
         assert np.bincount(r.arm_of, minlength=2).tolist() == [2, 2]
 
 
 def test_bernoulli_degenerate_prob():
     design = BernoulliDesign(1, [1.0, 0.0])
     for seed in range(3):
-        assert sample_assignment(design, stream_rng(seed)).arm_of[0] == 0
+        assert design.sample(stream_rng(seed)).arm_of[0] == 0
 
 
 def test_bernoulli_four_arms_quarter_probs():
@@ -72,13 +70,13 @@ def test_crd_marginal_probability_monte_carlo():
 
 
 def test_enumerate_crd_n2():
-    table = enumerate_support(CompletelyRandomizedDesign(2, [1, 1]))
+    table = CompletelyRandomizedDesign(2, [1, 1]).enumerate_support()
     assert len(table) == 2
     assert np.allclose(table.probabilities, 0.5)
 
 
 def test_enumerate_bernoulli_half():
-    table = enumerate_support(BernoulliDesign(2, [0.5, 0.5]))
+    table = BernoulliDesign(2, [0.5, 0.5]).enumerate_support()
     assert len(table) == 4
     assert np.allclose(table.probabilities, 0.25)
 
@@ -86,7 +84,7 @@ def test_enumerate_bernoulli_half():
 def test_enumerate_crd_10_4_matches_combination_oracle():
     # independent oracle: choose the treated set directly
     design = CompletelyRandomizedDesign(10, [4, 6])
-    table = enumerate_support(design)
+    table = design.enumerate_support()
     assert len(table) == math.comb(10, 4)
     assert np.allclose(table.probabilities, 1.0 / math.comb(10, 4))
     expected = set()
@@ -111,7 +109,7 @@ def test_multiset_permutations_match_sorted_unique_permutations(counts):
 
 
 def test_crd_enumeration_rows_are_lexicographic_label_arrangements():
-    table = enumerate_support(CompletelyRandomizedDesign(5, [2, 1, 2]))
+    table = CompletelyRandomizedDesign(5, [2, 1, 2]).enumerate_support()
     reference = sorted(set(permutations([0, 0, 1, 2, 2])))
     assert table.realizations.tolist() == [list(row) for row in reference]
     assert np.allclose(table.probabilities, 1.0 / len(reference))
@@ -126,7 +124,7 @@ def test_support_table_rejects_duplicate_rows():
 
 def test_enumeration_cap_raises():
     with pytest.raises(SupportTooLargeError):
-        enumerate_support(BernoulliDesign(30, [0.5, 0.5]), cap=1000)
+        BernoulliDesign(30, [0.5, 0.5]).enumerate_support(cap=1000)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -136,7 +134,7 @@ def test_empirical_support_frequencies_match_probabilities(design, seed):
     # probability within Monte-Carlo error: a chi-square test of the draws'
     # counts over the support at p-value 1e-6, the points expected fewer
     # than 5 times pooled into one bin
-    table = enumerate_support(design)
+    table = design.enumerate_support()
     reps = 20_000
     draws = design.sample_batch(stream_rng(seed), reps)
     # a block's first row is the draw of one sample call on the same stream
@@ -158,7 +156,7 @@ def test_empirical_support_frequencies_match_probabilities(design, seed):
 def test_enumeration_exchange_symmetric_under_relabeling():
     # relabeling units permutes support rows but not the probability values
     design = CompletelyRandomizedDesign(4, [1, 3])
-    table = enumerate_support(design)
+    table = design.enumerate_support()
     perm = [2, 0, 3, 1]
     permuted = {tuple(row[perm]) for row in table.realizations}
     assert permuted == {tuple(row) for row in table.realizations}
@@ -197,7 +195,7 @@ def test_stratified_sampling_respects_strata():
 
 def test_stratified_enumeration_is_product_of_strata():
     design = StratifiedDesign(4, [[0, 1], [2, 3]], [[1, 1], [1, 1]])
-    table = enumerate_support(design)
+    table = design.enumerate_support()
     assert len(table) == 4
     assert np.allclose(table.probabilities, 0.25)
 
@@ -207,7 +205,7 @@ def test_clustered_broadcasts_cluster_assignment():
     r = design.sample(stream_rng(3))
     assert r.arm_of[0] == r.arm_of[1]
     assert r.arm_of[2] == r.arm_of[3]
-    table = enumerate_support(design)
+    table = design.enumerate_support()
     assert len(table) == 3
 
 

@@ -208,7 +208,7 @@ class TestRegressionFamily:
         fresh = {
             (kind, w): linear_sample(kind, chunk_of(), w)
             for kind, w in [(kind, None) for kind in ("wls", "ci", "mi", "gr", "ols")]
-            + [("wls", "identity"), ("gr", "inverse_probability")]
+            + [("wls", "identity"), ("gr", "invpi")]
         }
         calls = []
         pinv = linear._pinv_flagged

@@ -227,9 +227,6 @@ class TestLargestEigenvalue:
         m = np.array([[5.0, 1.0], [1.0, 5.0]])
         assert largest_eigenvalue(m, zero_diag=True) == pytest.approx(1.0)
 
-    def test_zero_mask_gives_infinity(self):
-        assert largest_eigenvalue(np.eye(2), zero_mask=np.array([True, False])) == np.inf
-
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             largest_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
