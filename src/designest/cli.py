@@ -18,7 +18,13 @@ import numpy as np
 import yaml
 
 from .bounds import aronow_samii_bound, build_bound, certify_bound, psd_clip
-from .designs import AssignmentRealization, CompletelyRandomizedDesign, build_design
+from .designs import (
+    AssignmentRealization,
+    CompletelyRandomizedDesign,
+    build_design,
+    check_bool,
+    check_keys,
+)
 from .harness import (
     ReplicationChunk,
     SimConfig,
@@ -59,7 +65,7 @@ def _load_yaml(path):
 
 def _design_from_args(args):
     spec = _load_yaml(args.design)
-    if "design" in spec:
+    if isinstance(spec, dict) and "design" in spec:
         spec = spec["design"]
     return build_design(spec)
 
@@ -214,51 +220,57 @@ def cmd_estimate(args):
     return 1 if any("error" in report for report in reports) else 0
 
 
+# (required keys, optional keys) of a simulation recipe
+RECIPE_KEYS = (
+    ("design", "outcome", "estimators", "contrast", "replications", "seed"),
+    ("covariates", "moments", "bound", "psd_clip", "level", "optimizer", "workers"),
+)
+
+
 def _optimizer_from_recipe(spec) -> OptimizerConfig:
     """OptimizerConfig from the recipe's optimizer mapping; a key that names
     no field is an error."""
-    if not isinstance(spec, dict):
-        raise ValueError("optimizer must be a mapping of OptimizerConfig fields")
     known = [field.name for field in dataclasses.fields(OptimizerConfig)]
-    unknown = sorted(set(spec) - set(known))
-    if unknown:
-        raise ValueError(
-            f"unknown optimizer key(s): {', '.join(map(str, unknown))}; known: {', '.join(known)}"
-        )
-    return OptimizerConfig(**spec)
+    return OptimizerConfig(**check_keys(spec, "optimizer", optional=known))
 
 
 def cmd_simulate(args):
-    recipe = _load_yaml(args.config)
+    recipe = check_keys(_load_yaml(args.config), "recipe", *RECIPE_KEYS)
     design = build_design(recipe["design"])
-    cov = recipe.get("covariates", {})
+    cov = check_keys(
+        recipe.get("covariates", {}), "covariates", optional=("csv", "generate", "topcode_columns")
+    )
     names = None
     if "csv" in cov:
         unit_ids, raw, names = load_covariates_csv(cov["csv"])
         _check_same_units(unit_ids, "covariates", design.unit_ids, "design group", design.n)
     elif "generate" in cov:
-        gen = cov["generate"]
+        gen = check_keys(cov["generate"], "covariates.generate", ("p",), ("seed",))
         seed = check_integer("covariates.generate.seed", gen.get("seed", 0), 0)
         p = check_integer("covariates.generate.p", gen["p"], 0)
         raw = np.random.default_rng(seed).standard_normal((design.n, p))
     else:
         raw = None
     X = (
-        preprocess_covariates(
-            raw, topcode_columns=tuple(cov.get("topcode_columns", ())), names=names
-        )
+        preprocess_covariates(raw, topcode_columns=cov.get("topcode_columns", []), names=names)
         if raw is not None
         else np.zeros((design.n, 0))
     )
-    outcome = recipe["outcome"]
+    outcome = check_keys(recipe["outcome"], "outcome", ("intercepts",), ("coeffs", "seed"))
     outcome_seed = check_integer("outcome.seed", outcome.get("seed", 0), 0)
+    intercepts = outcome["intercepts"]
+    if not isinstance(intercepts, list) or len(intercepts) != design.k:
+        raise ValueError(
+            f"outcome.intercepts must be a list of one value per arm ({design.k}), "
+            f"got {intercepts!r}"
+        )
     y_full = impute_potential_outcomes(
-        X, outcome.get("coeffs", [0.0] * X.shape[1]), outcome["intercepts"], outcome_seed
+        X, outcome.get("coeffs", [0.0] * X.shape[1]), intercepts, outcome_seed
     )
-    apply_psd_clip = recipe.get("psd_clip", False)
-    if not isinstance(apply_psd_clip, bool):
-        raise ValueError(f"psd_clip must be true or false, got {apply_psd_clip!r}")
-    moments_spec = recipe.get("moments", {"method": "exact"})
+    apply_psd_clip = check_bool("psd_clip", recipe.get("psd_clip", False))
+    moments_spec = check_keys(
+        recipe.get("moments", {"method": "exact"}), "moments", optional=("method", "reps", "npz")
+    )
     preloaded = (
         DesignMoments.load_npz(moments_spec["npz"]) if "npz" in moments_spec else None
     )

@@ -464,6 +464,42 @@ def read_group_csv(path) -> tuple[np.ndarray, list[np.ndarray]]:
     return unit_ids, np.split(positions, np.cumsum(np.bincount(group))[:-1])
 
 
+def check_keys(spec, where: str, required=(), optional=()) -> dict:
+    """spec, if it is a mapping that has every required key and no key
+    outside required and optional; otherwise a ValueError naming `where`
+    and the offending keys."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be a mapping, got {spec!r}")
+    known = [*required, *optional]
+    unknown = sorted(set(spec) - set(known), key=str)
+    if unknown:
+        raise ValueError(
+            f"unknown {where} key(s): {', '.join(map(str, unknown))}; known: {', '.join(known)}"
+        )
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ValueError(f"{where} is missing required key(s): {', '.join(missing)}")
+    return spec
+
+
+def check_bool(name: str, value) -> bool:
+    """value, if it is a bool; otherwise a ValueError naming it. Keeps a
+    YAML string "false" from running as a true value."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+# kind: (required keys, optional keys) of a design spec, besides kind
+DESIGN_KEYS = {
+    "bernoulli": (("n", "probs"), ()),
+    "completely_randomized": (("n", "counts"), ()),
+    "stratified": ((), ("strata", "strata_csv", "n", "counts", "proportions", "pattern", "k")),
+    "clustered": (("cluster_design",), ("cluster_of", "cluster_csv")),
+    "exposure_derived": (("base", "rules"), ("edges", "edges_csv", "undirected")),
+}
+
+
 def build_design(spec: dict) -> Design:
     """Construct a validated design from a config mapping.
 
@@ -477,9 +513,16 @@ def build_design(spec: dict) -> Design:
     0-based position in that order. A design read from a strata or cluster
     CSV, or derived from such a design, keeps that file's sorted unit ids as
     ``unit_ids``; an exposure design over such a base reads its
-    ``edges_csv`` in those ids, otherwise as 0-based unit positions.
+    ``edges_csv`` in those ids, otherwise as 0-based unit positions. A key
+    that the kind does not read is an error, and so is an ``undirected``
+    that is not a boolean.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"a design must be a mapping, got {spec!r}")
     kind = spec.get("kind")
+    if kind not in DESIGN_KEYS:
+        raise ValueError(f"unknown design kind: {kind!r}")
+    check_keys(spec, f"{kind} design", ("kind", *DESIGN_KEYS[kind][0]), DESIGN_KEYS[kind][1])
     if kind == "bernoulli":
         return BernoulliDesign(spec["n"], spec["probs"])
     if kind == "completely_randomized":
@@ -515,17 +558,17 @@ def build_design(spec: dict) -> Design:
         design = ClusteredDesign(n, cluster_of, build_design(spec["cluster_design"]))
         design.unit_ids = unit_ids
         return design
-    if kind == "exposure_derived":
-        from .network import ExposureRules, InterferenceGraph, derive_exposure_design
+    # the one kind left, exposure_derived
+    from .network import ExposureRules, InterferenceGraph, derive_exposure_design
 
-        base = build_design(spec["base"])
-        graph = (
-            InterferenceGraph.from_csv(spec["edges_csv"], base.n, base.unit_ids)
-            if "edges_csv" in spec
-            else InterferenceGraph(base.n, spec["edges"])
-        )
-        rules = ExposureRules.from_config(spec["rules"], base.k)
-        design = derive_exposure_design(base, graph, rules, spec.get("undirected", False))
-        design.unit_ids = base.unit_ids
-        return design
-    raise ValueError(f"unknown design kind: {kind!r}")
+    undirected = check_bool("undirected", spec.get("undirected", False))
+    base = build_design(spec["base"])
+    graph = (
+        InterferenceGraph.from_csv(spec["edges_csv"], base.n, base.unit_ids)
+        if "edges_csv" in spec
+        else InterferenceGraph(base.n, spec["edges"])
+    )
+    rules = ExposureRules.from_config(spec["rules"], base.k)
+    design = derive_exposure_design(base, graph, rules, undirected)
+    design.unit_ids = base.unit_ids
+    return design

@@ -102,7 +102,7 @@ ESTIMATOR_NAMES = tuple(ESTIMATORS)
 
 def estimator(name: str) -> Callable[..., SampleFit]:
     """The table row (sample function) of an estimator name."""
-    if name not in ESTIMATORS:
+    if not isinstance(name, str) or name not in ESTIMATORS:
         raise ValueError(f"unknown estimator {name!r}; known: {', '.join(ESTIMATOR_NAMES)}")
     return ESTIMATORS[name]
 
@@ -132,15 +132,24 @@ def impute_potential_outcomes(covariates, coeffs, intercepts, seed) -> np.ndarra
 def preprocess_covariates(raw, topcode_columns=(), names=None) -> np.ndarray:
     """Mean-impute missing (NaN) values, standardize to unit standard
     deviation, top-code the configured columns at TOPCODE_SD, then
-    re-center; an infinite
-    value is an error. Errors name a column by names[j] (the covariate
-    CSV's header) when given, else by its 0-based position."""
+    re-center; an infinite value is an error, and so is a top-coded column
+    that is not a 0-based position in [0, p). Errors name a column by
+    names[j] (the covariate CSV's header) when given, else by its 0-based
+    position."""
     X = np.array(raw, dtype=float, copy=True)
     if X.ndim != 2:
         raise ValueError("covariates must be a 2-D table")
-    if names is not None and len(names) != X.shape[1]:
-        raise ValueError(f"{len(names)} covariate names for {X.shape[1]} columns")
-    for j in range(X.shape[1]):
+    p = X.shape[1]
+    if not isinstance(topcode_columns, (list, tuple)) or not all(
+        _is_integer(j) and not isinstance(j, bool) and 0 <= j < p for j in topcode_columns
+    ):
+        raise ValueError(
+            f"topcode_columns must be a list of column positions in [0, {p}), "
+            f"got {topcode_columns!r}"
+        )
+    if names is not None and len(names) != p:
+        raise ValueError(f"{len(names)} covariate names for {p} columns")
+    for j in range(p):
         label = j if names is None else names[j]
         col = X[:, j]
         if np.isinf(col).any():
@@ -266,6 +275,10 @@ class SimConfig:
         if not 0 < self.level < 1:
             raise ValueError(f"level must lie strictly between 0 and 1, not {self.level}")
         self.contrast = check_contrast(self.contrast, self.design.k)
+        if not isinstance(self.estimators, (list, tuple)) or not self.estimators:
+            raise ValueError(
+                f"estimators must be a nonempty list of estimator names, got {self.estimators!r}"
+            )
         for name in self.estimators:
             estimator(name)  # raises on a name outside the table
         self.y_full = np.asarray(self.y_full, dtype=float)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import BernoulliDesign, Design, SupportTable, check_arms, read_csv_columns
+from .designs import BernoulliDesign, Design, SupportTable, check_arms, check_keys, read_csv_columns
 from .moments import MC_BLOCK_SIZE, DesignMoments
 
 POSITIVITY_THRESHOLD = 0.01
@@ -139,9 +139,10 @@ class ExposureRules:
     def from_config(cls, config, base_k: int) -> "ExposureRules":
         """Rules as data: a list of mappings with keys label, own_arms
         (1-based base arms), counts ({arm: [lo, hi]} with hi null for
-        unbounded)."""
+        unbounded); without counts a rule puts no condition on neighbors."""
         rules = []
         for item in config:
+            check_keys(item, "exposure rule", ("label", "own_arms"), ("counts",))
             intervals = []
             for arm, interval in sorted(item.get("counts", {}).items()):
                 lo, hi = interval

@@ -897,6 +897,102 @@ def test_simulate_rejects_a_psd_clip_that_is_not_a_boolean(tmp_path, capsys, val
     assert "psd_clip must be true or false" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("seed: 99\n", "seed: 99\npsd_clp: true\n", "unknown recipe key(s): psd_clp;"),
+        ("seed: 99\n", "seed: 99\nmoments: {methd: mc}\n", "unknown moments key(s): methd;"),
+        ("  generate: {p: 1, seed: 5}\n", "  generate: {p: 1, seed: 5}\n  topcode: [0]\n",
+         "unknown covariates key(s): topcode;"),
+        ("{p: 1, seed: 5}", "{p: 1, sed: 5}", "unknown covariates.generate key(s): sed;"),
+        ("  seed: 6\n", "  sed: 3\n", "unknown outcome key(s): sed;"),
+        ("replications: 4\n", "", "recipe is missing required key(s): replications"),
+        ("  intercepts: [-0.5, 0.5]\n", "", "outcome is missing required key(s): intercepts"),
+        ("{p: 1, seed: 5}", "{seed: 5}", "covariates.generate is missing required key(s): p"),
+    ],
+)
+def test_simulate_rejects_unknown_and_missing_recipe_keys(tmp_path, capsys, old, new, message):
+    # an unknown key used to be ignored (psd_clp ran unclipped, methd ran exact
+    # moments, topcode top-coded nothing, sed ran seed 0); a missing one printed
+    # only its name, as in "error: 'replications'"
+    recipe = OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht]")
+    assert recipe.count(old) == 1
+    config = tmp_path / "sim.yaml"
+    config.write_text(recipe.replace(old, new))
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[opt_logit]", "ht", "estimators must be a nonempty list of estimator names, got 'ht'"),
+        ("[opt_logit]", "[]", "estimators must be a nonempty list of estimator names, got []"),
+        ("{p: 1, seed: 5}", "{p: 1, seed: 5}\n  topcode_columns: [7]",
+         "topcode_columns must be a list of column positions in [0, 1), got [7]"),
+        ("{p: 1, seed: 5}", "{p: 1, seed: 5}\n  topcode_columns: [x1]",
+         "topcode_columns must be a list of column positions in [0, 1), got ['x1']"),
+        ("[-0.5, 0.5]", "[-0.5, 0.5, 1.0]",
+         "outcome.intercepts must be a list of one value per arm (2), got [-0.5, 0.5, 1.0]"),
+    ],
+)
+def test_simulate_rejects_an_invalid_recipe_value(tmp_path, capsys, old, new, message):
+    # "ht" used to fail as "unknown estimator 'h'" and [] in numpy's stack;
+    # out-of-range or named top-code columns were ignored; a third intercept
+    # failed as "y_full must be a stacked kn vector"
+    config = tmp_path / "sim.yaml"
+    config.write_text(OPT_LOGIT_RECIPE.replace(old, new))
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+
+
+EXPOSURE_RING = (
+    "design:\n"
+    "  kind: exposure_derived\n"
+    "  base: {kind: bernoulli, n: 4, probs: [0.5, 0.5]}\n"
+    "  edges: [[0, 1], [1, 2], [2, 3], [3, 0]]\n"
+    "  rules:\n"
+    "    - {label: d11, own_arms: [2], counts: {2: [1, null]}}\n"
+    "    - {label: d10, own_arms: [2], counts: {2: [0, 0]}}\n"
+    "    - {label: d01, own_arms: [1], counts: {2: [1, null]}}\n"
+    "    - {label: d00, own_arms: [1], counts: {2: [0, 0]}}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("  rules:", '  undirected: "false"\n  rules:', "undirected must be true or false, got 'false'"),
+        ("  rules:", "  undirectd: true\n  rules:", "unknown exposure_derived design key(s): undirectd;"),
+        ("n: 4, probs", "n: 4, prob", "unknown bernoulli design key(s): prob;"),
+        ("[1], counts: {2: [0, 0]}", "[1], count: {2: [0, 0]}",
+         "unknown exposure rule key(s): count;"),
+    ],
+)
+def test_design_rejects_a_non_boolean_undirected_and_keys_its_kind_does_not_read(
+    tmp_path, capsys, old, new, message
+):
+    # undirected: "false" used to run as true, and a misspelled key was ignored
+    design_yaml = tmp_path / "design.yaml"
+    design_yaml.write_text(EXPOSURE_RING.replace("  rules:", "  undirected: false\n  rules:"))
+    assert main(["moments", "--design", str(design_yaml)]) == 0
+    assert EXPOSURE_RING.count(old) == 1
+    design_yaml.write_text(EXPOSURE_RING.replace(old, new))
+    assert main(["moments", "--design", str(design_yaml)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_readme_recipe_runs(tmp_path):
+    # keeps every key of the documented recipe inside the unknown-key check
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    intro = "A simulation recipe adds outcomes, estimators, and budgets:\n\n```yaml\n"
+    recipe = readme.split(intro)[1].split("```")[0]
+    assert recipe.count("replications: 2000\n") == 1
+    config = tmp_path / "sim.yaml"
+    config.write_text(recipe.replace("replications: 2000\n", "replications: 3\n"))
+    assert main(["simulate", "--config", str(config)]) == 0
+
+
 def _replace_psd_clip(monkeypatch, replacement):
     """Put replacement wherever a designest module binds psd_clip."""
     from designest import bounds

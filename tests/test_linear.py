@@ -22,6 +22,7 @@ from designest.linear import (
     intercept_matrix,
     linear_sample,
     load_covariates_csv,
+    m_weight_vector,
     load_observed_csv,
     model_matrix,
     normal_ci,
@@ -440,6 +441,14 @@ class TestNormalCI:
             normal_ci(0.0, -1.0, 10)
 
 
+@pytest.mark.parametrize("weights", [None, "inverse_probability"])
+def test_m_weight_vector_takes_one_name_per_weighting(weights):
+    # None used to mean identity weights here and inverse probabilities in the
+    # estimators, and "inverse_probability" was a second name for "invpi"
+    with pytest.raises(ValueError):
+        m_weight_vector(np.array([0.5, 0.5, 0.5, 0.5]), weights)
+
+
 class TestInterpretation:
     def test_inverse_probability_weights_pass(self):
         design = BernoulliDesign(4, [0.3, 0.7])
@@ -464,6 +473,17 @@ class TestInterpretation:
         data = make_data(design, rng.standard_normal(10), X=centered(rng.standard_normal((5, 1))))
         report = check_interpretation(data, m_weights="identity")
         assert not report.ci_condition_ok
+
+    def test_default_weights_are_the_estimators_inverse_probabilities(self):
+        # the default used to be identity weights, unlike every regression estimator's
+        from designest.designs import StratifiedDesign
+
+        design = StratifiedDesign(5, [[0, 1], [2, 3, 4]], [[1, 1], [1, 2]])  # unequal pi
+        rng = stream_rng(19)
+        data = make_data(design, rng.standard_normal(10), X=centered(rng.standard_normal((5, 1))))
+        report = check_interpretation(data)
+        assert report == check_interpretation(data, m_weights="invpi")
+        assert report != check_interpretation(data, m_weights="identity")
 
     def test_mi_condition_with_tailored_weights(self):
         # m = (i - pi^-1) makes the missing-imputed target the plain
