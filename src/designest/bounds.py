@@ -17,7 +17,7 @@ import numpy as np
 from .designs import CompletelyRandomizedDesign
 from .moments import (
     DesignMoments,
-    analytic_crd_moments,
+    _crd_joint,
     coordinate_csv,
     rescaled_demeaning_matrix,
     row_bands,
@@ -147,7 +147,7 @@ def neyman_bound_crd(n: int, n_t: int) -> VarianceBound:
     Dt = np.zeros((2 * n, 2 * n))
     Dt[:n, :n] = (n / n_t) * a
     Dt[n:, n:] = (n / n_c) * a
-    p = analytic_crd_moments(CompletelyRandomizedDesign(n, [n_t, n_c])).p
+    _, p = _crd_joint(n, np.array([n_t, n_c]))
     return VarianceBound(
         Dt=Dt,
         mask_minus1=p == 0,  # the two arms of one unit

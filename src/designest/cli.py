@@ -84,9 +84,9 @@ def _add_moment_source_args(parser):
     group.add_argument(
         "--exact",
         action="store_true",
-        help="exact moments (default): closed forms for Bernoulli and completely randomized "
-        "designs, per-stratum closed forms for stratified designs, the cluster-level support "
-        "for clustered designs, and support enumeration otherwise",
+        help="exact moments (default): pi and p by the design kind's exact law (closed forms "
+        "for Bernoulli, completely randomized and stratified designs, the cluster-level support "
+        "for clustered designs, support enumeration otherwise), and D assembled from them once",
     )
     group.add_argument("--mc", type=int, default=None, metavar="REPS", help="Monte-Carlo draws")
     group.add_argument("--load-moments", default=None, help="previously saved moments .npz")
@@ -237,8 +237,10 @@ def _optimizer_from_recipe(spec) -> OptimizerConfig:
 def cmd_simulate(args):
     recipe = check_keys(_load_yaml(args.config), "recipe", *RECIPE_KEYS)
     design = build_design(recipe["design"])
-    cov = check_keys(
-        recipe.get("covariates", {}), "covariates", optional=("csv", "generate", "topcode_columns")
+    cov = (
+        check_keys(recipe["covariates"], "covariates", (("csv", "generate"),), ("topcode_columns",))
+        if "covariates" in recipe
+        else {}
     )
     names = None
     if "csv" in cov:
@@ -264,12 +266,18 @@ def cmd_simulate(args):
             f"outcome.intercepts must be a list of one value per arm ({design.k}), "
             f"got {intercepts!r}"
         )
-    y_full = impute_potential_outcomes(
-        X, outcome.get("coeffs", [0.0] * X.shape[1]), intercepts, outcome_seed
-    )
+    coeffs = outcome.get("coeffs", [0.0] * X.shape[1])
+    if not isinstance(coeffs, list) or len(coeffs) != X.shape[1]:
+        raise ValueError(
+            f"outcome.coeffs must be a list of one value per covariate column ({X.shape[1]}), "
+            f"got {coeffs!r}"
+        )
+    y_full = impute_potential_outcomes(X, coeffs, intercepts, outcome_seed)
     apply_psd_clip = check_bool("psd_clip", recipe.get("psd_clip", False))
     moments_spec = check_keys(
-        recipe.get("moments", {"method": "exact"}), "moments", optional=("method", "reps", "npz")
+        recipe.get("moments", {"method": "exact"}),
+        "moments",
+        optional=(("npz", "method"), ("npz", "reps")),
     )
     preloaded = (
         DesignMoments.load_npz(moments_spec["npz"]) if "npz" in moments_spec else None
@@ -287,7 +295,7 @@ def cmd_simulate(args):
         moments_reps=moments_spec.get("reps", 100_000),
         bound_kind=recipe.get("bound", "aronow_samii"),
         apply_psd_clip=apply_psd_clip,
-        level=float(recipe.get("level", 0.95)),
+        level=recipe.get("level", 0.95),
         optimizer=_optimizer_from_recipe(recipe.get("optimizer", {})),
         workers=args.workers if args.workers is not None else recipe.get("workers", 1),
     )
@@ -354,7 +362,7 @@ def cmd_check(args):
         )
         agree &= np.array_equal(fast.zero_mask, oracle.zero_mask)
         agree &= np.array_equal(fast.p == 0, oracle.p == 0)
-    report("cluster-space and per-stratum moments vs unit-level enumeration", agree)
+    report("one-route exact moments (closed forms, cluster space) vs unit-level enumeration", agree)
 
     block_agrees = True
     crd = CompletelyRandomizedDesign(6, [2, 4])

@@ -467,19 +467,39 @@ def read_group_csv(path) -> tuple[np.ndarray, list[np.ndarray]]:
 def check_keys(spec, where: str, required=(), optional=()) -> dict:
     """spec, if it is a mapping that has every required key and no key
     outside required and optional; otherwise a ValueError naming `where`
-    and the offending keys."""
+    and the offending keys. A tuple of keys is a group of alternatives: in
+    required, spec must hold exactly one of them; in optional, at most one."""
     if not isinstance(spec, dict):
         raise ValueError(f"{where} must be a mapping, got {spec!r}")
-    known = [*required, *optional]
+    groups = [(1, e) for e in required if isinstance(e, tuple)]
+    groups += [(0, e) for e in optional if isinstance(e, tuple)]
+    entries = (*required, *optional)
+    known = list(dict.fromkeys(key for e in entries for key in (e if isinstance(e, tuple) else (e,))))
     unknown = sorted(set(spec) - set(known), key=str)
     if unknown:
         raise ValueError(
             f"unknown {where} key(s): {', '.join(map(str, unknown))}; known: {', '.join(known)}"
         )
-    missing = [key for key in required if key not in spec]
+    missing = [key for key in required if not isinstance(key, tuple) and key not in spec]
     if missing:
         raise ValueError(f"{where} is missing required key(s): {', '.join(missing)}")
+    for least, group in groups:
+        present = [key for key in group if key in spec]
+        if not least <= len(present) <= 1:
+            raise ValueError(
+                f"{where} needs {'exactly' if least else 'at most'} one of "
+                f"{', '.join(group)}; got {', '.join(present) or 'none'}"
+            )
     return spec
+
+
+def _check_list(name: str, value, nested: bool = False) -> list:
+    """value, if it is a list (of lists, when nested); otherwise a
+    ValueError naming it. Keeps a YAML scalar from failing as a TypeError
+    deep inside numpy."""
+    if not isinstance(value, list) or nested and not all(isinstance(v, list) for v in value):
+        raise ValueError(f"{name} must be a list{' of lists' * nested}, got {value!r}")
+    return value
 
 
 def check_bool(name: str, value) -> bool:
@@ -490,13 +510,14 @@ def check_bool(name: str, value) -> bool:
     return value
 
 
-# kind: (required keys, optional keys) of a design spec, besides kind
+# kind: (required keys, optional keys) of a design spec, besides kind; a
+# tuple is a group of alternatives (see check_keys)
 DESIGN_KEYS = {
     "bernoulli": (("n", "probs"), ()),
     "completely_randomized": (("n", "counts"), ()),
-    "stratified": ((), ("strata", "strata_csv", "n", "counts", "proportions", "pattern", "k")),
-    "clustered": (("cluster_design",), ("cluster_of", "cluster_csv")),
-    "exposure_derived": (("base", "rules"), ("edges", "edges_csv", "undirected")),
+    "stratified": ((("strata", "strata_csv"), ("counts", "proportions", "pattern")), ("n", "k")),
+    "clustered": (("cluster_design", ("cluster_of", "cluster_csv")), ()),
+    "exposure_derived": (("base", "rules", ("edges", "edges_csv")), ("undirected",)),
 }
 
 
@@ -514,8 +535,11 @@ def build_design(spec: dict) -> Design:
     CSV, or derived from such a design, keeps that file's sorted unit ids as
     ``unit_ids``; an exposure design over such a base reads its
     ``edges_csv`` in those ids, otherwise as 0-based unit positions. A key
-    that the kind does not read is an error, and so is an ``undirected``
-    that is not a boolean.
+    that the kind does not read is an error, and so are a missing or second
+    alternative of a group (``strata`` or ``strata_csv``; ``counts``,
+    ``proportions`` or ``pattern``, which needs ``k``; ``cluster_of`` or
+    ``cluster_csv``; ``edges`` or ``edges_csv``), a list-valued key that
+    holds no list, and an ``undirected`` that is not a boolean.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"a design must be a mapping, got {spec!r}")
@@ -524,25 +548,27 @@ def build_design(spec: dict) -> Design:
         raise ValueError(f"unknown design kind: {kind!r}")
     check_keys(spec, f"{kind} design", ("kind", *DESIGN_KEYS[kind][0]), DESIGN_KEYS[kind][1])
     if kind == "bernoulli":
-        return BernoulliDesign(spec["n"], spec["probs"])
+        return BernoulliDesign(spec["n"], _check_list("probs", spec["probs"]))
     if kind == "completely_randomized":
-        return CompletelyRandomizedDesign(spec["n"], spec["counts"])
+        return CompletelyRandomizedDesign(spec["n"], _check_list("counts", spec["counts"]))
     unit_ids = None
     if kind == "stratified":
+        if ("k" in spec) != ("pattern" in spec):
+            raise ValueError("stratified design key k is required with pattern and read only with it")
         if "strata_csv" in spec:
             unit_ids, strata = read_group_csv(spec["strata_csv"])
             n = sum(len(s) for s in strata)
         else:
-            strata = spec["strata"]
+            strata = _check_list("strata", spec["strata"], nested=True)
             n = spec.get("n", sum(len(s) for s in strata))
         if "counts" in spec:
-            design = StratifiedDesign(n, strata, spec["counts"])
+            design = StratifiedDesign(n, strata, _check_list("counts", spec["counts"], nested=True))
         elif "proportions" in spec:
-            design = StratifiedDesign.from_proportions(n, strata, spec["proportions"])
-        elif "pattern" in spec:
-            design = StratifiedDesign.from_pattern(n, strata, spec["pattern"], spec["k"])
+            proportions = _check_list("proportions", spec["proportions"])
+            design = StratifiedDesign.from_proportions(n, strata, proportions)
         else:
-            raise ValueError("stratified spec needs counts, proportions, or pattern")
+            pattern = _check_list("pattern", spec["pattern"])
+            design = StratifiedDesign.from_pattern(n, strata, pattern, spec["k"])
         design.unit_ids = unit_ids
         return design
     if kind == "clustered":
@@ -553,7 +579,7 @@ def build_design(spec: dict) -> Design:
             for cid, members in enumerate(groups):
                 cluster_of[members] = cid
         else:
-            cluster_of = np.asarray(spec["cluster_of"], dtype=np.int64)
+            cluster_of = np.asarray(_check_list("cluster_of", spec["cluster_of"]), dtype=np.int64)
             n = len(cluster_of)
         design = ClusteredDesign(n, cluster_of, build_design(spec["cluster_design"]))
         design.unit_ids = unit_ids

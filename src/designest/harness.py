@@ -272,6 +272,8 @@ class SimConfig:
             check_integer(name, getattr(self, name), least)
         if self.moments_method not in ("exact", "mc"):
             raise ValueError(f"unknown moments method {self.moments_method!r}; known: exact, mc")
+        if isinstance(self.level, bool) or not isinstance(self.level, (int, float)):
+            raise ValueError(f"level must be a number, got {self.level!r}")
         if not 0 < self.level < 1:
             raise ValueError(f"level must lie strictly between 0 and 1, not {self.level}")
         self.contrast = check_contrast(self.contrast, self.design.k)

@@ -451,9 +451,15 @@ def z_vector(kind: str, data: ExperimentData, population: bool = False) -> np.nd
 
 
 def check_contrast(contrast, k: int) -> np.ndarray:
-    """The contrast as a float k vector; raises ValueError unless it has one
-    finite weight per arm."""
-    c = np.asarray(contrast, dtype=float)
+    """The contrast as a float k vector; raises ValueError unless it is a
+    list (or array) of one finite number per arm."""
+    weights = contrast.tolist() if isinstance(contrast, np.ndarray) else contrast
+    if not isinstance(weights, (list, tuple)) or not all(
+        isinstance(w, (int, float, np.integer, np.floating)) and not isinstance(w, bool)
+        for w in weights
+    ):
+        raise ValueError(f"contrast must be a list of numbers, one per arm, got {contrast!r}")
+    c = np.asarray(weights, dtype=float)
     if c.shape != (k,):
         raise ValueError("contrast length must match the number of arms")
     if not np.isfinite(c).all():

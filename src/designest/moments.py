@@ -5,6 +5,9 @@ The first-order design matrix D is the covariance matrix of the
 inverse-probability-weighted stacked assignment indicators; entrywise,
 D[s, t] = p[s, t] / (pi[s] * pi[t]) - 1 wherever both probabilities are
 positive. Cells with pi = 0 are flagged and their rows left unusable.
+
+All exact routes share one path: ``_joint`` gives pi and p by the design
+kind's exact law, and ``_exact`` assembles D from them.
 """
 
 from __future__ import annotations
@@ -260,10 +263,12 @@ def _warn_dense(kn: int):
         )
 
 
-def _exact(n: int, k: int, pi: np.ndarray, p: np.ndarray) -> DesignMoments:
-    """Exact moments from pi and p, which sum positive probabilities: a
-    cell or pair never realized has an exact 0, so pi == 0 proves a cell
-    impossible."""
+def _exact(design, pi: np.ndarray, p: np.ndarray) -> DesignMoments:
+    """Exact moments from pi and p of a design or a support table, which
+    sum positive probabilities: a cell or pair never realized has an exact
+    0, so pi == 0 proves a cell impossible."""
+    n, k = design.n, design.k
+    _warn_dense(n * k)
     zero_mask = pi == 0
     D = _assemble_d(pi, p, zero_mask)
     return DesignMoments(n=n, k=k, pi=pi, p=p, D=D, method="exact", zero_mask=zero_mask)
@@ -275,112 +280,84 @@ def exact_moments(design: Design) -> DesignMoments:
 
 
 def analytic_bernoulli_moments(design) -> DesignMoments:
-    """Closed-form moments for an independent per-unit design.
-
-    Only within-unit cells are dependent: joint inclusion is prob_a * prob_b
-    across units, zero for two arms of the same unit, and prob_a on the
-    diagonal. Avoids enumerating the k^n support.
-    """
+    """Closed-form moments of an independent per-unit design, without
+    enumerating its k^n support."""
     if not isinstance(design, BernoulliDesign):
         raise TypeError("analytic moments available for Bernoulli designs only")
-    n, k = design.n, design.k
-    _warn_dense(n * k)
-    pi = np.repeat(design.probs, n)
-    p = np.outer(pi, pi)
-    for a in range(k):
-        for b in range(k):
-            idx = np.arange(n)
-            p[a * n + idx, b * n + idx] = design.probs[a] if a == b else 0.0
-    return _exact(n, k, pi, p)
+    return _exact(design, *_joint(design))
 
 
 def analytic_crd_moments(design) -> DesignMoments:
-    """Closed-form moments for a completely randomized design with any
-    number of arms: joint inclusion is hypergeometric across units and zero
-    across arms of the same unit."""
+    """Closed-form moments of a completely randomized design with any
+    number of arms."""
     if not isinstance(design, CompletelyRandomizedDesign):
         raise TypeError("analytic moments available for completely randomized designs only")
-    _warn_dense(design.n * design.k)
-    return _exact(design.n, design.k, *_crd_joint(design.n, design.counts))
+    return _exact(design, *_joint(design))
+
+
+def _exchangeable_joint(n: int, marginal: np.ndarray, pair: np.ndarray):
+    """pi and p of n exchangeable units: every unit is in arm a with
+    probability marginal[a], two distinct units are in arms a and b with
+    probability pair[a, b], and a unit is never in two arms."""
+    k = len(marginal)
+    p = np.empty((k, n, k, n))
+    p[...] = pair[:, None, :, None]
+    units = np.arange(n)
+    p[:, units, :, units] = np.diag(marginal)  # one unit's k x k block
+    return np.repeat(marginal, n), p.reshape(n * k, n * k)
 
 
 def _crd_joint(n: int, counts: np.ndarray):
     """pi and p of a completely randomized design of n units with the given
     arm counts."""
-    k = len(counts)
-    pi = np.repeat(counts / n, n)
-    p = np.empty((n * k, n * k))
-    for a in range(k):
-        for b in range(k):
-            block = np.s_[a * n : (a + 1) * n, b * n : (b + 1) * n]
-            if a == b:
-                off = (counts[a] / n) * ((counts[a] - 1) / (n - 1)) if n > 1 else 0.0
-                p[block] = off
-                np.fill_diagonal(p[block], counts[a] / n)
-            else:
-                off = (counts[a] / n) * (counts[b] / (n - 1)) if n > 1 else 0.0
-                p[block] = off
-                np.fill_diagonal(p[block], 0.0)
-    return pi, p
+    share = counts / n
+    # max: a single unit has no pair of distinct units, so pair goes unread
+    pair = share[:, None] * ((counts - np.eye(len(counts))) / max(n - 1, 1))
+    return _exchangeable_joint(n, share, pair)
 
 
-def stratified_moments(design) -> DesignMoments:
-    """Exact moments of a stratified design from per-stratum closed forms.
-
-    Strata are independent complete randomizations: within a stratum p is
-    the stratum's completely randomized block, across strata it is the
-    product of the two inclusion probabilities. Needs no enumeration, so a
-    fine stratification with a huge support is covered.
-    """
-    n, k = design.n, design.k
-    _warn_dense(n * k)
-    pi = np.empty(n * k)
-    blocks = []
-    for units, counts in zip(design.strata, design.counts_by_stratum):
-        cells = (np.arange(k)[:, None] * n + units).ravel()  # stratum cells, arm-major
-        pi[cells], block_p = _crd_joint(len(units), counts)
-        blocks.append((cells, block_p))
-    p = np.multiply.outer(pi, pi)
-    for cells, block_p in blocks:
-        p[np.ix_(cells, cells)] = block_p
-    return _exact(n, k, pi, p)
-
-
-def clustered_moments(design) -> DesignMoments:
-    """Exact moments of a clustered design, enumerated in cluster space.
-
-    The cluster-level design's support (the same points as the unit-level
-    support, under the same enumeration cap) gives pi and p over its kC
-    cells; unit i's cell in arm a is cluster cell a*C + cluster_of[i], so
-    both are gathered to units and D is assembled once at unit level.
-    """
-    _warn_dense(design.n * design.k)
-    base = design.cluster_design
-    pi, p = _support_joint(base.enumerate_support())
-    cells = (np.arange(design.k)[:, None] * base.n + design.cluster_of).ravel()
-    return _exact(design.n, design.k, pi[cells], p[np.ix_(cells, cells)])
+def _joint(design):
+    """pi and p of a design, by its kind's exact law: Bernoulli units are
+    exchangeable with independent pairs; a completely randomized design has
+    the hypergeometric closed form; strata are independent, each with that
+    form; a clustered design's cluster-level support is gathered to units;
+    any other design's unit-level support is enumerated."""
+    if isinstance(design, BernoulliDesign):
+        return _exchangeable_joint(design.n, design.probs, np.outer(design.probs, design.probs))
+    if isinstance(design, CompletelyRandomizedDesign):
+        return _crd_joint(design.n, design.counts)
+    if isinstance(design, StratifiedDesign):
+        n, k = design.n, design.k
+        pi = np.empty(n * k)
+        blocks = []
+        for units, counts in zip(design.strata, design.counts_by_stratum):
+            cells = (np.arange(k)[:, None] * n + units).ravel()  # stratum cells, arm-major
+            pi[cells], block_p = _crd_joint(len(units), counts)
+            blocks.append((cells, block_p))
+        p = np.multiply.outer(pi, pi)
+        for cells, block_p in blocks:
+            p[np.ix_(cells, cells)] = block_p
+        return pi, p
+    if isinstance(design, ClusteredDesign):
+        pi, p = _support_joint(design.cluster_design.enumerate_support())
+        cells = (np.arange(design.k)[:, None] * design.cluster_design.n + design.cluster_of).ravel()
+        return pi[cells], p[np.ix_(cells, cells)]
+    return _support_joint(design.enumerate_support())
 
 
 def closed_form_or_exact_moments(design) -> DesignMoments:
-    """Exact moments by the cheapest exact route: closed forms for the
-    independent and completely randomized families, per-stratum closed
-    forms for stratified designs, cluster-space enumeration for clustered
-    designs, and unit-level enumeration otherwise."""
-    if isinstance(design, BernoulliDesign):
-        return analytic_bernoulli_moments(design)
+    """Exact moments by the cheapest exact route that `_joint` knows for the
+    design's kind. A completely randomized design goes through
+    analytic_crd_moments, the name under which profiles record the closed
+    form."""
     if isinstance(design, CompletelyRandomizedDesign):
         return analytic_crd_moments(design)
-    if isinstance(design, StratifiedDesign):
-        return stratified_moments(design)
-    if isinstance(design, ClusteredDesign):
-        return clustered_moments(design)
-    return exact_moments(design)
+    return _exact(design, *_joint(design))
 
 
 def moments_from_support(table: SupportTable) -> DesignMoments:
     """Exact moments of an enumerated support."""
-    _warn_dense(table.n * table.k)
-    return _exact(table.n, table.k, *_support_joint(table))
+    return _exact(table, *_support_joint(table))
 
 
 def _support_joint(table: SupportTable):
@@ -552,9 +529,9 @@ def second_order_tensor(design: Design, cap: int = TENSOR_CAP) -> SecondOrderTen
     if kn > cap:
         raise ValueError(f"kn={kn} exceeds tensor materialization cap {cap}")
     table = design.enumerate_support()
+    _, p = _support_joint(table)
     indicators = table.indicator_matrix()
     w = table.probabilities
-    p = indicators.T @ (indicators * w[:, None])
     fourth = np.einsum("si,sj,sk,sl,s->ijkl", indicators, indicators, indicators, indicators, w, optimize=True)
     pp = np.einsum("ij,kl->ijkl", p, p)
     entries = np.zeros_like(fourth)

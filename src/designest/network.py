@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import BernoulliDesign, Design, SupportTable, check_arms, check_keys, read_csv_columns
+from .designs import (
+    BernoulliDesign,
+    Design,
+    SupportTable,
+    _check_list,
+    check_arms,
+    check_keys,
+    read_csv_columns,
+)
 from .moments import MC_BLOCK_SIZE, DesignMoments
 
 POSITIVITY_THRESHOLD = 0.01
@@ -141,16 +149,26 @@ class ExposureRules:
         (1-based base arms), counts ({arm: [lo, hi]} with hi null for
         unbounded); without counts a rule puts no condition on neighbors."""
         rules = []
-        for item in config:
+        for item in _check_list("rules", config):
             check_keys(item, "exposure rule", ("label", "own_arms"), ("counts",))
+            label = str(item["label"])
+            counts = item.get("counts", {})
+            if not isinstance(counts, dict):
+                raise ValueError(f"exposure {label!r}: counts must be a mapping, got {counts!r}")
             intervals = []
-            for arm, interval in sorted(item.get("counts", {}).items()):
+            for arm, interval in sorted(counts.items()):
+                if not (isinstance(interval, list) and len(interval) == 2):
+                    raise ValueError(
+                        f"exposure {label!r}: count interval of arm {arm} must be [lo, hi], "
+                        f"got {interval!r}"
+                    )
                 lo, hi = interval
                 intervals.append((int(arm) - 1, int(lo), None if hi is None else int(hi)))
+            own_arms = _check_list(f"exposure {label!r}: own_arms", item["own_arms"])
             rules.append(
                 ExposureRule(
-                    label=str(item["label"]),
-                    own_arms=frozenset(int(a) - 1 for a in item["own_arms"]),
+                    label=label,
+                    own_arms=frozenset(int(a) - 1 for a in own_arms),
                     count_intervals=tuple(intervals),
                 )
             )

@@ -982,6 +982,96 @@ def test_design_rejects_a_non_boolean_undirected_and_keys_its_kind_does_not_read
     assert message in capsys.readouterr().err
 
 
+SIMPLE_RECIPE = OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht]")
+RING_RULES = EXPOSURE_RING[EXPOSURE_RING.index("  rules:"):]
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("simulate", SIMPLE_RECIPE + "level: [0.9]\n", "level must be a number, got [0.9]"),
+        ("simulate", SIMPLE_RECIPE + "level: '0.9'\n", "level must be a number, got '0.9'"),
+        ("simulate", SIMPLE_RECIPE.replace("coeffs: [1.0]", "coeffs: 3"),
+         "outcome.coeffs must be a list of one value per covariate column (1), got 3"),
+        ("simulate", SIMPLE_RECIPE.replace("contrast: [-1, 1]", "contrast: {a: 1}"),
+         "contrast must be a list of numbers, one per arm, got {'a': 1}"),
+        ("moments", EXPOSURE_RING.replace(RING_RULES, "  rules: 5\n"), "rules must be a list, got 5"),
+        ("moments", EXPOSURE_RING.replace("d01, own_arms: [1]", "d01, own_arms: 1"),
+         "exposure 'd01': own_arms must be a list, got 1"),
+        ("moments", EXPOSURE_RING.replace("d10, own_arms: [2], counts: {2: [0, 0]}",
+                                          "d10, own_arms: [2], counts: {2: 3}"),
+         "exposure 'd10': count interval of arm 2 must be [lo, hi], got 3"),
+        ("moments", "design: {kind: completely_randomized, n: 3, counts: 3}\n",
+         "counts must be a list, got 3"),
+        ("moments", "design: {kind: clustered, cluster_of: 3, cluster_design: "
+                    "{kind: completely_randomized, n: 2, counts: [1, 1]}}\n",
+         "cluster_of must be a list, got 3"),
+        ("moments", "design: {kind: stratified, strata: 3, counts: [[1, 1]]}\n",
+         "strata must be a list of lists, got 3"),
+    ],
+    ids=["level_list", "level_string", "coeffs", "contrast", "rules", "own_arms",
+         "count_interval", "crd_counts", "cluster_of", "strata"],
+)
+def test_a_mistyped_spec_value_exits_2_and_names_its_key(tmp_path, capsys, command, text, message):
+    # each used to end in a TypeError traceback with exit code 1, and the
+    # string '0.9' ran as the level 0.9
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(text)
+    flag = "--config" if command == "simulate" else "--design"
+    assert main([command, flag, str(spec)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("moments", "design: {kind: stratified, counts: [[1, 1]]}\n",
+         "stratified design needs exactly one of strata, strata_csv; got none"),
+        ("moments", "design: {kind: stratified, strata: [[0, 1]], strata_csv: s.csv, "
+                    "counts: [[1, 1]]}\n",
+         "stratified design needs exactly one of strata, strata_csv; got strata, strata_csv"),
+        ("moments", "design: {kind: stratified, strata: [[0, 1]]}\n",
+         "stratified design needs exactly one of counts, proportions, pattern; got none"),
+        ("moments", "design: {kind: stratified, strata: [[0, 1]], counts: [[1, 1]], "
+                    "proportions: [0.5, 0.5]}\n",
+         "stratified design needs exactly one of counts, proportions, pattern; "
+         "got counts, proportions"),
+        ("moments", "design: {kind: stratified, strata: [[0, 1]], pattern: [1, 2]}\n",
+         "stratified design key k is required with pattern and read only with it"),
+        ("moments", "design: {kind: stratified, strata: [[0, 1]], counts: [[1, 1]], k: 2}\n",
+         "stratified design key k is required with pattern and read only with it"),
+        ("moments", "design: {kind: clustered, cluster_design: "
+                    "{kind: completely_randomized, n: 2, counts: [1, 1]}}\n",
+         "clustered design needs exactly one of cluster_of, cluster_csv; got none"),
+        ("moments", EXPOSURE_RING.replace("  edges: [[0, 1], [1, 2], [2, 3], [3, 0]]\n", ""),
+         "exposure_derived design needs exactly one of edges, edges_csv; got none"),
+        ("moments", EXPOSURE_RING.replace("  rules:", "  edges_csv: e.csv\n  rules:"),
+         "exposure_derived design needs exactly one of edges, edges_csv; got edges, edges_csv"),
+        ("simulate", SIMPLE_RECIPE.replace("  generate:", "  csv: x.csv\n  generate:"),
+         "covariates needs exactly one of csv, generate; got csv, generate"),
+        ("simulate", SIMPLE_RECIPE.replace("  generate: {p: 1, seed: 5}", "  topcode_columns: []"),
+         "covariates needs exactly one of csv, generate; got none"),
+        ("simulate", SIMPLE_RECIPE + "moments: {npz: m.npz, method: mc}\n",
+         "moments needs at most one of npz, method; got npz, method"),
+        ("simulate", SIMPLE_RECIPE + "moments: {npz: m.npz, reps: 10}\n",
+         "moments needs at most one of npz, reps; got npz, reps"),
+    ],
+    ids=["no_strata", "two_strata", "no_counts", "counts_and_proportions", "pattern_without_k",
+         "k_without_pattern", "no_cluster_of", "no_edges", "two_edges", "csv_and_generate",
+         "no_covariate_source", "npz_and_method", "npz_and_reps"],
+)
+def test_a_missing_or_second_alternative_exits_2_and_names_its_group(
+    tmp_path, capsys, command, text, message
+):
+    # a missing alternative used to print a bare KeyError such as "error: 'k'",
+    # and a second one ran, silently dropping one of the two
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(text)
+    flag = "--config" if command == "simulate" else "--design"
+    assert main([command, flag, str(spec)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_readme_recipe_runs(tmp_path):
     # keeps every key of the documented recipe inside the unknown-key check
     readme = (Path(__file__).parents[1] / "README.md").read_text()

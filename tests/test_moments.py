@@ -22,7 +22,6 @@ from designest.moments import (
     analytic_bernoulli_moments,
     analytic_crd_moments,
     closed_form_or_exact_moments,
-    clustered_moments,
     crd_first_order_matrix,
     design_complexity,
     exact_moments,
@@ -30,7 +29,6 @@ from designest.moments import (
     mc_moments,
     moments_from_support,
     second_order_tensor,
-    stratified_moments,
     tensor_sigma_max_oracle,
     tensor_slice_norm_bound,
 )
@@ -489,6 +487,41 @@ def test_loaded_moments_survive_a_save_over_the_same_path(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz"]  # no temporary left
 
 
+def _blockwise_p(n, marginal, off_diagonal):
+    """p of n exchangeable units written one k x k arm block at a time:
+    off_diagonal(a, b) between distinct units, marginal[a] or 0 within one."""
+    k = len(marginal)
+    p = np.empty((n * k, n * k))
+    for a in range(k):
+        for b in range(k):
+            block = p[a * n : (a + 1) * n, b * n : (b + 1) * n]
+            block[:] = off_diagonal(a, b)
+            np.fill_diagonal(block, marginal[a] if a == b else 0.0)
+    return p
+
+
+@pytest.mark.parametrize(
+    "design",
+    [BernoulliDesign(5, [0.2, 0.3, 0.5]), BernoulliDesign(1, [0.4, 0.6]),
+     CompletelyRandomizedDesign(9, [2, 3, 4]), CompletelyRandomizedDesign(6, [0, 6]),
+     CompletelyRandomizedDesign(1, [1, 0])],
+    ids=["bernoulli", "bernoulli_one_unit", "crd", "crd_empty_arm", "crd_one_unit"],
+)
+def test_exchangeable_closed_forms_equal_the_blockwise_reference_bitwise(design):
+    n = design.n
+    if isinstance(design, BernoulliDesign):
+        probs = design.probs
+        p = _blockwise_p(n, probs, lambda a, b: probs[a] * probs[b])
+    else:
+        c = design.counts
+        p = _blockwise_p(
+            n, c / n, lambda a, b: (c[a] / n) * ((c[b] - (a == b)) / (n - 1)) if n > 1 else 0.0
+        )
+    m = closed_form_or_exact_moments(design)
+    assert m.p.tobytes() == p.tobytes()
+    assert m.pi.tobytes() == np.diag(p).tobytes()
+
+
 def test_fine_stratification_gets_exact_moments_from_its_strata():
     # eight villages of 12 in two network components, stratified as in the
     # insurance application: the joint support is far past the enumeration cap
@@ -527,8 +560,8 @@ def test_fine_stratification_gets_exact_moments_from_its_strata():
     [
         (analytic_bernoulli_moments, BernoulliDesign(4, [0.3, 0.7])),
         (analytic_crd_moments, CompletelyRandomizedDesign(4, [1, 3])),
-        (stratified_moments, StratifiedDesign(6, [[0, 1, 2], [3, 4, 5]], [[1, 2], [2, 1]])),
-        (clustered_moments, ClusteredDesign(4, [0, 0, 1, 1], CompletelyRandomizedDesign(2, [1, 1]))),
+        (closed_form_or_exact_moments, StratifiedDesign(6, [[0, 1, 2], [3, 4, 5]], [[1, 2], [2, 1]])),
+        (closed_form_or_exact_moments, ClusteredDesign(4, [0, 0, 1, 1], CompletelyRandomizedDesign(2, [1, 1]))),
         (lambda design: moments_from_support(design.enumerate_support()),
          CompletelyRandomizedDesign(4, [2, 2])),
     ],

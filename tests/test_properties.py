@@ -211,3 +211,40 @@ def test_observed_block_plugin_is_bitwise_the_full_bounds(design, mc_reps, seed)
         got = plugin_varbound(v, realization, block)
     assert np.float64(got.raw).tobytes() == np.float64(expected.raw).tobytes()
     assert got.negative == expected.negative and len(block_caught) == len(full_caught)
+
+
+def _relabel(design, new_of):
+    """The design with unit i renamed new_of[i]: strata, clusters and edges
+    follow their units, and exchangeable designs are their own relabelling."""
+    if isinstance(design, (BernoulliDesign, CompletelyRandomizedDesign)):
+        return design
+    if isinstance(design, StratifiedDesign):
+        return StratifiedDesign(design.n, [new_of[s] for s in design.strata], design.counts_by_stratum)
+    if isinstance(design, ClusteredDesign):
+        return ClusteredDesign(design.n, design.cluster_of[np.argsort(new_of)], design.cluster_design)
+    graph = InterferenceGraph(design.n, new_of[design.graph.edges])
+    return derive_exposure_design(_relabel(design.base, new_of), graph, design.rules, design.undirected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(design=enumerable_designs(), data=st.data())
+def test_relabelling_units_permutes_the_moments_and_the_bound(design, data):
+    new_of = np.array(data.draw(st.permutations(range(design.n))))
+    # old cell a*n + i is new cell a*n + new_of[i]
+    cells = (np.arange(design.k)[:, None] * design.n + new_of).ravel()
+    old = closed_form_or_exact_moments(design)
+    new = closed_form_or_exact_moments(_relabel(design, new_of))
+    square = np.ix_(cells, cells)
+    np.testing.assert_array_equal(new.zero_mask[cells], old.zero_mask)
+    pairs = [(new.pi[cells], old.pi), (new.p[square], old.p), (new.D[square], old.D)]
+    old_bound, _ = _bound_or_error(old)
+    new_bound, _ = _bound_or_error(new)
+    assert isinstance(new_bound, NotIdentifiedError) == isinstance(old_bound, NotIdentifiedError)
+    if not isinstance(old_bound, NotIdentifiedError):
+        pairs.append((new_bound.Dt[square], old_bound.Dt))
+    if isinstance(design, (BernoulliDesign, CompletelyRandomizedDesign, StratifiedDesign)):
+        for got, expected in pairs:  # closed forms: the same arithmetic on each entry
+            assert got.tobytes() == expected.tobytes()
+    else:  # enumeration sums the support in another order
+        for got, expected in pairs:
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
