@@ -31,7 +31,10 @@ print("number of -1 entries per row of D:", int(as_bound.mask_minus1[0].sum()))
 print("bound entries are exact zeros there:", np.all(as_bound.Dt[as_bound.mask_minus1] == 0))
 
 cert = certify_bound(moments, as_bound)
-print(f"validity: min eigenvalue of (bound - D) = {cert.min_eigenvalue:.2e} (>= 0 up to tol)")
+print(
+    f"validity: min eigenvalue of (bound - D) >= {cert.min_eigenvalue_bound:.2e} "
+    f"(>= 0 up to tol, proven by {cert.psd_proof})"
+)
 print("identification violations:", cert.mask_violations)
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,12 @@ from .designs import (
     CompletelyRandomizedDesign,
     build_design,
     check_bool,
+    check_integer,
     check_keys,
 )
 from .harness import (
     ReplicationChunk,
     SimConfig,
-    check_integer,
     estimator,
     impute_potential_outcomes,
     preprocess_covariates,
@@ -148,8 +148,8 @@ def cmd_bound(args):
         cert.to_json(args.report)
     status = "ok" if (cert.psd_ok and cert.identified_ok) else "FAILED"
     print(
-        f"{bound.name} bound {status}: min_eig={cert.min_eigenvalue:.3g}, "
-        f"mask_violations={cert.mask_violations}"
+        f"{bound.name} bound {status}: min_eig>={cert.min_eigenvalue_bound:.3g} "
+        f"({cert.psd_proof}), mask_violations={cert.mask_violations}"
     )
     return 0 if status == "ok" else 1
 
@@ -279,6 +279,8 @@ def cmd_simulate(args):
         "moments",
         optional=(("npz", "method"), ("npz", "reps")),
     )
+    if "reps" in moments_spec and moments_spec.get("method") != "mc":
+        raise ValueError("moments.reps is read only with method: mc")
     preloaded = (
         DesignMoments.load_npz(moments_spec["npz"]) if "npz" in moments_spec else None
     )

@@ -510,6 +510,18 @@ def check_bool(name: str, value) -> bool:
     return value
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer))
+
+
+def check_integer(name: str, value, least: int):
+    """value, if it is an integer (not a bool) >= least; otherwise a
+    ValueError naming it. Keeps a recipe's 6.7 from running as 6."""
+    if isinstance(value, bool) or not _is_integer(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 # kind: (required keys, optional keys) of a design spec, besides kind; a
 # tuple is a group of alternatives (see check_keys)
 DESIGN_KEYS = {
@@ -539,7 +551,8 @@ def build_design(spec: dict) -> Design:
     alternative of a group (``strata`` or ``strata_csv``; ``counts``,
     ``proportions`` or ``pattern``, which needs ``k``; ``cluster_of`` or
     ``cluster_csv``; ``edges`` or ``edges_csv``), a list-valued key that
-    holds no list, and an ``undirected`` that is not a boolean.
+    holds no list, an ``n`` that is no integer >= 1, and an ``undirected``
+    that is not a boolean.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"a design must be a mapping, got {spec!r}")
@@ -548,19 +561,19 @@ def build_design(spec: dict) -> Design:
         raise ValueError(f"unknown design kind: {kind!r}")
     check_keys(spec, f"{kind} design", ("kind", *DESIGN_KEYS[kind][0]), DESIGN_KEYS[kind][1])
     if kind == "bernoulli":
-        return BernoulliDesign(spec["n"], _check_list("probs", spec["probs"]))
+        return BernoulliDesign(check_integer("n", spec["n"], 1), _check_list("probs", spec["probs"]))
     if kind == "completely_randomized":
-        return CompletelyRandomizedDesign(spec["n"], _check_list("counts", spec["counts"]))
+        n = check_integer("n", spec["n"], 1)
+        return CompletelyRandomizedDesign(n, _check_list("counts", spec["counts"]))
     unit_ids = None
     if kind == "stratified":
         if ("k" in spec) != ("pattern" in spec):
             raise ValueError("stratified design key k is required with pattern and read only with it")
         if "strata_csv" in spec:
             unit_ids, strata = read_group_csv(spec["strata_csv"])
-            n = sum(len(s) for s in strata)
         else:
             strata = _check_list("strata", spec["strata"], nested=True)
-            n = spec.get("n", sum(len(s) for s in strata))
+        n = check_integer("n", spec["n"], 1) if "n" in spec else sum(len(s) for s in strata)
         if "counts" in spec:
             design = StratifiedDesign(n, strata, _check_list("counts", spec["counts"], nested=True))
         elif "proportions" in spec:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import build_bound, psd_clip
-from .designs import Design, stream_rng
+from .designs import Design, _is_integer, check_integer, stream_rng
 from .linear import (
     LINEAR_KINDS,
     ReplicationChunk,
@@ -35,7 +35,6 @@ from .model_assisted import (
     OptimizerConfig,
     _check_omega,
     _corrected,
-    _is_integer,
     no_harm_imputations,
     opt_i_imputations,
     opt_linear_imputations,
@@ -236,14 +235,6 @@ def fine_strata(
         labels.setdefault(root, len(labels))
         group_of[members] = labels[root]
     return group_of
-
-
-def check_integer(name: str, value, least: int):
-    """value, if it is an integer (not a bool) >= least; otherwise a
-    ValueError naming it. Keeps a recipe's 6.7 from running as 6."""
-    if isinstance(value, bool) or not _is_integer(value) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return value
 
 
 @dataclass

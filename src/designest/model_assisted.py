@@ -44,6 +44,7 @@ from numbers import Real
 import numpy as np
 
 from .bounds import VarianceBound
+from .designs import _is_integer
 from .linear import (
     EstimateReport,
     ExperimentData,
@@ -176,10 +177,6 @@ class OptimizerConfig:
             value = getattr(self, name)
             if not (isinstance(value, Real) and not isinstance(value, bool) and valid(value)):
                 raise ValueError(f"optimizer {name} must be {rule}, got {value!r}")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer))
 
 
 def _omega_weights(omega, pi: np.ndarray) -> np.ndarray:

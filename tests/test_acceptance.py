@@ -194,7 +194,7 @@ def test_criterion_05_bound_certification():
         moments = exact_moments(design)
         assert moments.kn <= 16
         cert = certify_bound(moments, aronow_samii_bound(moments))
-        assert cert.min_eigenvalue >= -1e-8, design.kind
+        assert cert.min_eigenvalue_bound >= -1e-8, design.kind
         assert cert.identified_ok, design.kind
 
     for n in (6, 8):

@@ -273,6 +273,47 @@ class TestCertify:
             custom_bound(m.D / 2.0, m)
 
 
+def _old_min_eigenvalue(moments, Dt):
+    """The dense check that certify_bound always ran before it tried
+    Gershgorin's theorem: the live block's smallest eigenvalue."""
+    live = ~(moments.zero_mask | moments.maybe_zero_mask)
+    return float(np.linalg.eigvalsh((Dt - moments.D)[np.ix_(live, live)]).min())
+
+
+class TestCertificateProof:
+    def _moments(self, method):
+        design = CompletelyRandomizedDesign(6, [3, 3])
+        if method == "exact":
+            return exact_moments(design)
+        return mc_moments(design, reps=4000, seed=5)
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_neyman_bound_takes_the_spectrum(self, method):
+        m = self._moments(method)
+        bound = neyman_bound_crd(6, 3)
+        cert = certify_bound(m, bound)
+        assert cert.psd_proof == "spectrum"
+        assert cert.min_eigenvalue_bound == _old_min_eigenvalue(m, bound.Dt)
+
+    def test_a_psd_custom_matrix_that_is_not_diagonally_dominant_takes_the_spectrum(self):
+        # a rank-one all-ones block on arm 1 keeps Dt - D PSD and Dt zero on
+        # the -1 mask (no cross-arm entry), but its rows' margins are 1 - 5
+        m = self._moments("exact")
+        u = np.concatenate([np.ones(6), np.zeros(6)])
+        Dt = aronow_samii_bound(m).Dt + np.outer(u, u)
+        cert = certify_bound(m, custom_bound(Dt, m))
+        assert cert.psd_proof == "spectrum" and cert.psd_ok and cert.identified_ok
+        assert cert.min_eigenvalue_bound == _old_min_eigenvalue(m, Dt)
+
+    def test_custom_bound_rejects_a_non_psd_identified_matrix(self):
+        m = self._moments("exact")
+        Dt = aronow_samii_bound(m).Dt - 10.0 * np.eye(12)
+        assert not np.any(minus_one_mask(m) & (Dt != 0.0))  # identified: the diagonal is never masked
+        assert _old_min_eigenvalue(m, Dt) < -1.0
+        with pytest.raises(NotIdentifiedError, match=r"min_eig>=-\S+ \(spectrum\), mask violations=0"):
+            custom_bound(Dt, m)
+
+
 class TestPsdClip:
     def test_hand_example(self):
         bound = _bound_with_weighted(np.array([[1.0, -2.0], [-2.0, 1.0]]))

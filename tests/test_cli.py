@@ -1072,6 +1072,57 @@ def test_a_missing_or_second_alternative_exits_2_and_names_its_group(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "moments", ["{reps: 1000}", "{method: exact, reps: 1000}"], ids=["default", "exact"]
+)
+def test_moments_reps_without_the_mc_method_exits_2_and_names_it(tmp_path, capsys, moments):
+    # reps used to be ignored: the exact moments ran and the exit code was 0
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(SIMPLE_RECIPE + "moments: {method: mc, reps: 1000}\n")
+    assert main(["simulate", "--config", str(spec), "--out", str(tmp_path / "m.csv")]) == 0
+    spec.write_text(SIMPLE_RECIPE + f"moments: {moments}\n")
+    assert main(["simulate", "--config", str(spec)]) == 2
+    assert "moments.reps is read only with method: mc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        "{kind: bernoulli, n: 4.7, probs: [0.5, 0.5]}",
+        "{kind: bernoulli, n: [4], probs: [0.5, 0.5]}",
+        "{kind: completely_randomized, n: 4.0, counts: [2, 2]}",
+        "{kind: completely_randomized, n: [4], counts: [2, 2]}",
+        "{kind: stratified, n: 4.5, strata: [[0, 1], [2, 3]], counts: [[1, 1], [1, 1]]}",
+        "{kind: stratified, n: [4], strata: [[0, 1], [2, 3]], counts: [[1, 1], [1, 1]]}",
+    ],
+    ids=["bernoulli_float", "bernoulli_list", "crd_float", "crd_list", "stratified_float",
+         "stratified_list"],
+)
+def test_a_design_n_that_is_no_integer_exits_2_and_names_it(tmp_path, capsys, design):
+    # n: 4.7 used to run as n = 4, and n: [4] ended in a TypeError with exit 1
+    spec = tmp_path / "design.yaml"
+    spec.write_text(f"design: {design}\n")
+    assert main(["moments", "--design", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "n must be an integer >= 1, got " in err, err
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [("4.5", "n must be an integer >= 1, got 4.5"), ("99", "strata must partition units 0..n-1")],
+)
+def test_a_strata_csv_design_checks_its_n(tmp_path, capsys, n, message):
+    # with strata_csv the n key used to be ignored, whatever it held
+    (tmp_path / "s.csv").write_text("unit_id,group_id\n1,a\n2,a\n3,b\n4,b\n")
+    spec = tmp_path / "design.yaml"
+    text = "design: {kind: stratified, strata_csv: %s, n: %s, counts: [[1, 1], [1, 1]]}\n"
+    spec.write_text(text % (tmp_path / "s.csv", 4))
+    assert main(["moments", "--design", str(spec)]) == 0
+    spec.write_text(text % (tmp_path / "s.csv", n))
+    assert main(["moments", "--design", str(spec)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_readme_recipe_runs(tmp_path):
     # keeps every key of the documented recipe inside the unknown-key check
     readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -12,7 +12,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designest.bounds import NotIdentifiedError, aronow_samii_bound, build_bound, certify_bound
+from designest.bounds import (
+    PSD_TOL,
+    NotIdentifiedError,
+    aronow_samii_bound,
+    build_bound,
+    certify_bound,
+)
 from designest.designs import (
     BernoulliDesign,
     ClusteredDesign,
@@ -168,28 +174,41 @@ def _bound_or_error(moments, cells=None):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+def _exact_or_mc_moments(design, mc_reps, seed):
+    """Exact moments when mc_reps is None, else that many Monte-Carlo draws."""
+    if mc_reps is None:
+        return exact_moments(design)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # never-hit cells
+        return mc_moments(design, mc_reps, seed)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(design=enumerable_designs())
-def test_aronow_samii_bound_certifies_valid_and_identified(design):
-    moments = exact_moments(design)
+@given(design=enumerable_designs(), mc_reps=st.none() | st.integers(2, 40), seed=st.integers(0, 99))
+def test_aronow_samii_bound_certifies_valid_and_identified(design, mc_reps, seed):
+    moments = _exact_or_mc_moments(design, mc_reps, seed)
     bound, _ = _bound_or_error(moments)
     if isinstance(bound, NotIdentifiedError):  # it builds unless a cell is never observed
         assert moments.zero_mask.any()
         return
     cert = certify_bound(moments, bound)
     assert cert.psd_ok and cert.identified_ok
+    # the proof is Gershgorin's, and the dense spectrum of the live block
+    # agrees with its verdict; a margin never exceeds the smallest
+    # eigenvalue, up to rounding
+    live = ~(moments.zero_mask | moments.maybe_zero_mask)
+    block = (bound.Dt - moments.D)[np.ix_(live, live)]
+    smallest = np.linalg.eigvalsh(block).min() if block.size else 0.0
+    assert cert.psd_proof == "gershgorin"
+    assert smallest >= -PSD_TOL
+    assert cert.min_eigenvalue_bound <= smallest + 1e-9
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(design=enumerable_designs(), mc_reps=st.none() | st.integers(2, 40), seed=st.integers(0, 99))
 def test_observed_block_plugin_is_bitwise_the_full_bounds(design, mc_reps, seed):
     n, k = design.n, design.k
-    if mc_reps is None:
-        moments = exact_moments(design)
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # never-hit cells
-            moments = mc_moments(design, mc_reps, seed)
+    moments = _exact_or_mc_moments(design, mc_reps, seed)
     realization = design.sample(np.random.default_rng(seed))
     cells = realization.observed_cells
     full, full_warnings = _bound_or_error(moments)
