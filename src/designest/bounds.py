@@ -256,9 +256,12 @@ def certify_bound(
         min_eig, proof = float(np.linalg.eigvalsh(diff).min()), "spectrum"
     # The moments' own -1 pattern, not bound.mask_minus1: a bound may carry
     # another mask (neyman's is the analytic p == 0), and a check against the
-    # bound's own mask would pass it wherever the moments disagree.
-    d_minus1 = minus_one_mask(moments)
-    violations = int(np.sum(d_minus1 & (bound.Dt != 0.0)))
+    # bound's own mask would pass it wherever the moments disagree. Counted
+    # one row band at a time, so no kn x kn mask is formed.
+    cells, violations = np.arange(moments.kn), 0
+    for rows in row_bands(bound.Dt.shape):
+        band = minus_one_mask(moments, cells[rows]) & (bound.Dt[rows] != 0.0)
+        violations += int(np.count_nonzero(band))
     cert = BoundCertificate(
         min_eigenvalue_bound=min_eig,
         psd_proof=proof,

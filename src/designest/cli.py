@@ -12,7 +12,6 @@ import dataclasses
 import functools
 import json
 import sys
-import warnings
 
 import numpy as np
 import yaml
@@ -35,7 +34,6 @@ from .harness import (
     run_simulation,
 )
 from .linear import (
-    ExperimentData,
     PluginVariance,
     check_contrast,
     load_covariates_csv,
@@ -316,7 +314,7 @@ def cmd_simulate(args):
 def cmd_check(args):
     from .moments import crd_first_order_matrix, largest_eigenvalue
     from .designs import BernoulliDesign, ClusteredDesign, StratifiedDesign, stream_rng
-    from .linear import estimate_linear, intercept_matrix, plugin_varbound
+    from .linear import intercept_matrix
 
     failures = 0
 
@@ -336,14 +334,12 @@ def cmd_check(args):
     design = CompletelyRandomizedDesign(5, [2, 3])
     table = design.enumerate_support()
     moments = exact_moments(design)
-    rng = stream_rng(123)
-    y_full = rng.standard_normal(10)
-    acc = np.zeros(2)
-    for idx in range(len(table)):
-        data = ExperimentData.from_full(
-            y_full, table.realization(idx), np.zeros((5, 0)), moments
-        )
-        acc += table.probabilities[idx] * estimate_linear("ht", data).mu_hat
+    y_full = stream_rng(123).standard_normal(10)
+    # the whole support as one chunk, one row per support point
+    arms, support = table.realizations, range(len(table))
+    y_obs = y_full[arms * 5 + np.arange(5)]
+    chunk = ReplicationChunk(arms, y_obs, np.zeros((5, 0)), moments, support)
+    acc = table.probabilities @ estimator("ht")(chunk, None, None).mu
     truth = intercept_matrix(5, 2).T @ y_full / 5
     report("exact unbiasedness of the weighted estimator", np.max(np.abs(acc - truth)) < 1e-12)
 
@@ -372,13 +368,11 @@ def cmd_check(args):
         (composed[0], closed_form_or_exact_moments(composed[0])),
         (crd, mc_moments(crd, reps=2000, seed=1)),
     ):
-        realization = oracle_design.sample(stream_rng(7))
-        z = stream_rng(8).standard_normal(oracle_moments.kn)
+        cells = oracle_design.sample(stream_rng(7)).observed_cells
+        v = stream_rng(8).standard_normal(oracle_moments.kn)[None, None]
         full = aronow_samii_bound(oracle_moments)
-        block = aronow_samii_bound(oracle_moments, cells=realization.observed_cells)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # a negative estimate is fine here
-            raw = [plugin_varbound(z, realization, b).raw for b in (block, full)]
+        block = aronow_samii_bound(oracle_moments, cells=cells)
+        raw = [plugin_bounds(v, cells[None], b)[0, 0] for b in (block, full)]
         block_agrees &= raw[0] == raw[1]
     report("observed-block plug-in bound equals the full bound's (exact and MC)", block_agrees)
 
@@ -396,11 +390,9 @@ def cmd_check(args):
     bound2 = aronow_samii_bound(m2)
     zc = np.array([0.0, -2.0, 2.0, 4.0])
     support = bern2.enumerate_support()
-    mean_raw = sum(
-        support.probabilities[i]
-        * plugin_varbound(zc, support.realization(i), bound2).raw
-        for i in range(len(support))
-    )
+    cells = support.realizations * 2 + np.arange(2)
+    v = np.broadcast_to(zc, (len(support), 1, 4))
+    mean_raw = support.probabilities @ plugin_bounds(v, cells, bound2)[:, 0]
     report("plug-in bound worked example (mean 12)", abs(mean_raw - 12.0) < 1e-10)
 
     print(f"{failures} failure(s)")

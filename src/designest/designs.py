@@ -493,12 +493,16 @@ def check_keys(spec, where: str, required=(), optional=()) -> dict:
     return spec
 
 
-def _check_list(name: str, value, nested: bool = False) -> list:
-    """value, if it is a list (of lists, when nested); otherwise a
-    ValueError naming it. Keeps a YAML scalar from failing as a TypeError
-    deep inside numpy."""
+def _check_list(name: str, value, nested: bool = False, integers: bool = False) -> list:
+    """value, if it is a list (of lists, when nested), whose entries are
+    integers (not bools) when integers is set; otherwise a ValueError naming
+    it. Keeps a YAML scalar from failing as a TypeError deep inside numpy,
+    and a 3.5 from running as 3 once numpy casts the list to integers."""
     if not isinstance(value, list) or nested and not all(isinstance(v, list) for v in value):
         raise ValueError(f"{name} must be a list{' of lists' * nested}, got {value!r}")
+    entries = [v for row in value for v in row] if nested else value
+    if integers and not all(_is_integer(v) for v in entries):
+        raise ValueError(f"{name} must hold integers only, got {value!r}")
     return value
 
 
@@ -511,13 +515,14 @@ def check_bool(name: str, value) -> bool:
 
 
 def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer))
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_integer(name: str, value, least: int):
     """value, if it is an integer (not a bool) >= least; otherwise a
     ValueError naming it. Keeps a recipe's 6.7 from running as 6."""
-    if isinstance(value, bool) or not _is_integer(value) or value < least:
+    if not _is_integer(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return value
 
@@ -564,7 +569,7 @@ def build_design(spec: dict) -> Design:
         return BernoulliDesign(check_integer("n", spec["n"], 1), _check_list("probs", spec["probs"]))
     if kind == "completely_randomized":
         n = check_integer("n", spec["n"], 1)
-        return CompletelyRandomizedDesign(n, _check_list("counts", spec["counts"]))
+        return CompletelyRandomizedDesign(n, _check_list("counts", spec["counts"], integers=True))
     unit_ids = None
     if kind == "stratified":
         if ("k" in spec) != ("pattern" in spec):
@@ -572,16 +577,18 @@ def build_design(spec: dict) -> Design:
         if "strata_csv" in spec:
             unit_ids, strata = read_group_csv(spec["strata_csv"])
         else:
-            strata = _check_list("strata", spec["strata"], nested=True)
+            strata = _check_list("strata", spec["strata"], nested=True, integers=True)
         n = check_integer("n", spec["n"], 1) if "n" in spec else sum(len(s) for s in strata)
         if "counts" in spec:
-            design = StratifiedDesign(n, strata, _check_list("counts", spec["counts"], nested=True))
+            counts = _check_list("counts", spec["counts"], nested=True, integers=True)
+            design = StratifiedDesign(n, strata, counts)
         elif "proportions" in spec:
             proportions = _check_list("proportions", spec["proportions"])
             design = StratifiedDesign.from_proportions(n, strata, proportions)
         else:
-            pattern = _check_list("pattern", spec["pattern"])
-            design = StratifiedDesign.from_pattern(n, strata, pattern, spec["k"])
+            pattern = _check_list("pattern", spec["pattern"], integers=True)
+            k = check_integer("k", spec["k"], 1)
+            design = StratifiedDesign.from_pattern(n, strata, pattern, k)
         design.unit_ids = unit_ids
         return design
     if kind == "clustered":
@@ -592,7 +599,8 @@ def build_design(spec: dict) -> Design:
             for cid, members in enumerate(groups):
                 cluster_of[members] = cid
         else:
-            cluster_of = np.asarray(_check_list("cluster_of", spec["cluster_of"]), dtype=np.int64)
+            cluster_of = _check_list("cluster_of", spec["cluster_of"], integers=True)
+            cluster_of = np.asarray(cluster_of, dtype=np.int64)
             n = len(cluster_of)
         design = ClusteredDesign(n, cluster_of, build_design(spec["cluster_design"]))
         design.unit_ids = unit_ids
@@ -605,7 +613,9 @@ def build_design(spec: dict) -> Design:
     graph = (
         InterferenceGraph.from_csv(spec["edges_csv"], base.n, base.unit_ids)
         if "edges_csv" in spec
-        else InterferenceGraph(base.n, spec["edges"])
+        else InterferenceGraph(
+            base.n, _check_list("edges", spec["edges"], nested=True, integers=True)
+        )
     )
     rules = ExposureRules.from_config(spec["rules"], base.k)
     design = derive_exposure_design(base, graph, rules, undirected)

@@ -140,7 +140,7 @@ def preprocess_covariates(raw, topcode_columns=(), names=None) -> np.ndarray:
         raise ValueError("covariates must be a 2-D table")
     p = X.shape[1]
     if not isinstance(topcode_columns, (list, tuple)) or not all(
-        _is_integer(j) and not isinstance(j, bool) and 0 <= j < p for j in topcode_columns
+        _is_integer(j) and 0 <= j < p for j in topcode_columns
     ):
         raise ValueError(
             f"topcode_columns must be a list of column positions in [0, {p}), "

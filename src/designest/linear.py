@@ -194,8 +194,7 @@ class ExperimentData:
     """One observed experiment: outcomes, assignment, centered covariates,
     and the design moments, held as its chunk of one (chunk), which every
     per-replication estimator reads; raises the chunk's error if an observed
-    cell has zero inclusion probability. y_full (kn, arm-major) is present
-    in simulation mode only and must agree with y_obs on observed cells."""
+    cell has zero inclusion probability."""
 
     n: int
     k: int
@@ -203,7 +202,6 @@ class ExperimentData:
     assignment: AssignmentRealization
     X: np.ndarray
     moments: DesignMoments
-    y_full: np.ndarray | None = None
 
     def __post_init__(self):
         arms, y_obs = self.assignment.arm_of[None], np.asarray(self.y_obs)[None]
@@ -211,27 +209,16 @@ class ExperimentData:
         if self.chunk.failed:
             raise self.chunk.failed[0]
         self.y_obs, self.X = self.chunk.y_obs[0], self.chunk.X
-        if self.y_full is not None:
-            self.y_full = np.asarray(self.y_full, dtype=float)
-            if self.y_full.shape != (self.n * self.k,):
-                raise ValueError("y_full must be a stacked kn vector")
-            if not np.allclose(
-                self.y_full[self.assignment.observed_cells], self.y_obs, atol=1e-12
-            ):
-                raise ValueError("y_obs disagrees with y_full on observed cells")
 
     @classmethod
     def from_full(cls, y_full, assignment, X, moments):
+        """The experiment that observes the stacked kn vector y_full
+        (arm-major) at the assignment's cells."""
         y_full = np.asarray(y_full, dtype=float)
-        return cls(
-            n=assignment.n,
-            k=assignment.k,
-            y_obs=y_full[assignment.observed_cells],
-            assignment=assignment,
-            X=np.asarray(X, dtype=float),
-            moments=moments,
-            y_full=y_full,
-        )
+        if y_full.shape != (assignment.n * assignment.k,):
+            raise ValueError("y_full must be a stacked kn vector")
+        y_obs = y_full[assignment.observed_cells]
+        return cls(assignment.n, assignment.k, y_obs, assignment, X, moments)
 
     @property
     def p(self) -> int:
@@ -432,22 +419,12 @@ def linear_sample(kind: str, chunk: ReplicationChunk, m_weights=None) -> SampleF
     return _linear_fit(kind, chunk, m_weights)[0]
 
 
-def z_vector(kind: str, data: ExperimentData, population: bool = False) -> np.ndarray:
-    """kn x k linearization matrix for the estimator.
-
-    population=True is the same body on the population chunk (the full
-    potential-outcome vector, every cell weighted by pi; simulation mode);
-    otherwise unknowns are replaced by their sample plug-ins and only rows
-    at observed cells are meaningful.
-    """
-    if not population:
-        return estimate_linear(kind, data).z_hat
-    if data.y_full is None:
-        raise ValueError("population z needs the full potential-outcome vector")
-    fit = linear_sample(kind, ReplicationChunk.population(data.X, data.y_full, data.moments))
-    if fit.errors:
-        raise fit.errors[0]
-    return fit.z[0]
+def z_vector(kind: str, data: ExperimentData) -> np.ndarray:
+    """kn x k sample linearization matrix for the estimator: unknowns are
+    replaced by their sample plug-ins, and only rows at observed cells are
+    meaningful. The population linearization is the same body on
+    ReplicationChunk.population."""
+    return estimate_linear(kind, data).z_hat
 
 
 def check_contrast(contrast, k: int) -> np.ndarray:
@@ -559,46 +536,25 @@ def normal_ci(contrast_value: float, varbound_times_n: float, n: int, level: flo
 
 @dataclass
 class EstimateReport:
-    """Contrast estimate and plug-in bound of one fit. The normal interval
-    is derived on access, so callers that need only the value and the bound
-    (simulation replications) never compute it."""
+    """Contrast estimate, plug-in bound and normal interval at level 0.95 of
+    one fit; NaN bounds and interval when there is no bound, and a NaN
+    interval when the bound is negative."""
 
     estimator: str
     contrast: list
     contrast_value: float
     varbound_times_n: float
     varbound_raw: float
-    n: int
+    ci_low: float
+    ci_high: float
     level: float = 0.95
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        if not self.varbound_raw >= 0:  # negative or missing bound
-            return np.nan, np.nan
-        return normal_ci(self.contrast_value, self.varbound_times_n, self.n, self.level)
-
-    @property
-    def ci_low(self) -> float:
-        return self.interval[0]
-
-    @property
-    def ci_high(self) -> float:
-        return self.interval[1]
-
     def to_dict(self) -> dict:
-        lo, hi = self.interval
-        return {
-            "estimator": self.estimator,
-            "contrast": list(self.contrast),
-            "contrast_value": self.contrast_value,
-            "varbound_times_n": self.varbound_times_n,
-            "varbound_raw": self.varbound_raw,
-            "ci_low": lo,
-            "ci_high": hi,
-            "level": self.level,
-            "diagnostics": self.diagnostics,
-        }
+        """The fields in their order: what dataclasses.asdict gives, without
+        its deep copy of every value, which costs several times as much as
+        building the report."""
+        return dict(vars(self))
 
     def to_json(self, path=None):
         text = json.dumps(self.to_dict(), indent=2)
@@ -606,23 +562,6 @@ class EstimateReport:
             with open(path, "w") as fh:
                 fh.write(text)
         return text
-
-
-def contrast_report(
-    estimator: str,
-    mu_hat: np.ndarray,
-    z_hat: np.ndarray,
-    assignment: AssignmentRealization,
-    moments: DesignMoments,
-    bound: VarianceBound | None,
-    c,
-    diagnostics: dict | None = None,
-) -> EstimateReport:
-    """Report for the contrast c of the arm estimates mu_hat, with the
-    plug-in bound of the linearization z_hat at the observed assignment
-    (NaN without a bound)."""
-    plugin = None if bound is None else plugin_varbound(z_hat, assignment, bound, c)
-    return plugin_report(estimator, mu_hat, plugin, assignment.n, moments, c, diagnostics)
 
 
 def plugin_report(
@@ -635,7 +574,8 @@ def plugin_report(
     diagnostics: dict | None = None,
 ) -> EstimateReport:
     """Report for the contrast c of the arm estimates mu_hat of an n-unit
-    experiment, with its plug-in bound (NaN when plugin is None)."""
+    experiment, with its plug-in bound (NaN when plugin is None) and the
+    normal interval that bound gives. The one builder of EstimateReport."""
     c = np.asarray(c, dtype=float)
     diagnostics = dict(diagnostics or {})
     raw = times_n = np.nan
@@ -643,14 +583,11 @@ def plugin_report(
         raw, times_n, diagnostics["negative_bound"] = plugin
     if np.any(moments.maybe_zero_mask):
         diagnostics["possibly_zero_cells"] = int(moments.maybe_zero_mask.sum())
+    value = float(c @ mu_hat)
+    lo, hi = normal_ci(value, times_n, n) if raw >= 0 else (np.nan, np.nan)
     return EstimateReport(
-        estimator=estimator,
-        contrast=c.tolist(),
-        contrast_value=float(c @ mu_hat),
-        varbound_times_n=times_n,
-        varbound_raw=raw,
-        n=n,
-        diagnostics=diagnostics,
+        estimator=estimator, contrast=c.tolist(), contrast_value=value, varbound_times_n=times_n,
+        varbound_raw=raw, ci_low=lo, ci_high=hi, diagnostics=diagnostics,
     )
 
 
@@ -668,13 +605,13 @@ def estimate_report(
 def row_report(
     name: str, fit: SampleFit, data: ExperimentData, bound: VarianceBound | None, c
 ) -> EstimateReport:
-    """Report for the contrast c of a fit of data.chunk; raises the fit's
-    error, if it has one."""
+    """Report for the contrast c of a fit of data.chunk, with the plug-in
+    bound of its linearization at the observed assignment (NaN without a
+    bound); raises the fit's error, if it has one."""
     if fit.errors:
         raise fit.errors[0]
-    return contrast_report(
-        name, fit.mu[0], fit.z[0], data.assignment, data.moments, bound, c, fit.diagnostics[0]
-    )
+    plugin = None if bound is None else plugin_varbound(fit.z[0], data.assignment, bound, c)
+    return plugin_report(name, fit.mu[0], plugin, data.n, data.moments, c, fit.diagnostics[0])
 
 
 @dataclass

@@ -20,6 +20,7 @@ from .designs import (
     Design,
     SupportTable,
     _check_list,
+    _is_integer,
     check_arms,
     check_keys,
     read_csv_columns,
@@ -156,20 +157,25 @@ class ExposureRules:
             if not isinstance(counts, dict):
                 raise ValueError(f"exposure {label!r}: counts must be a mapping, got {counts!r}")
             intervals = []
-            for arm, interval in sorted(counts.items()):
+            for arm, interval in counts.items():
                 if not (isinstance(interval, list) and len(interval) == 2):
                     raise ValueError(
                         f"exposure {label!r}: count interval of arm {arm} must be [lo, hi], "
                         f"got {interval!r}"
                     )
                 lo, hi = interval
+                if not (_is_integer(arm) and _is_integer(lo) and (hi is None or _is_integer(hi))):
+                    raise ValueError(
+                        f"exposure {label!r}: counts must map an integer arm to integer bounds "
+                        f"[lo, hi] (hi may be null), got {arm!r}: {interval!r}"
+                    )
                 intervals.append((int(arm) - 1, int(lo), None if hi is None else int(hi)))
-            own_arms = _check_list(f"exposure {label!r}: own_arms", item["own_arms"])
+            own_arms = _check_list(f"exposure {label!r}: own_arms", item["own_arms"], integers=True)
             rules.append(
                 ExposureRule(
                     label=label,
                     own_arms=frozenset(int(a) - 1 for a in own_arms),
-                    count_intervals=tuple(intervals),
+                    count_intervals=tuple(sorted(intervals)),
                 )
             )
         return cls(rules, base_k)
@@ -441,15 +447,11 @@ class PositivityReport:
 def positivity_report(
     moments: DesignMoments, threshold: float = POSITIVITY_THRESHOLD
 ) -> PositivityReport:
-    """List cells with pi = 0 (proven or unhit) or pi below the threshold."""
+    """List cells with pi = 0 (proven or unhit) or pi below the threshold,
+    each as (arm, unit) or (arm, unit, pi) in stacked cell order."""
     zero = moments.zero_mask | moments.maybe_zero_mask
-    zeros = []
-    smalls = []
-    for a in range(moments.k):
-        for i in range(moments.n):
-            cell = a * moments.n + i
-            if zero[cell]:
-                zeros.append((a, i))
-            elif moments.pi[cell] < threshold:
-                smalls.append((a, i, float(moments.pi[cell])))
+    small = ~zero & (moments.pi < threshold)
+    arm, unit = np.divmod(np.arange(moments.kn), moments.n)
+    zeros = list(zip(arm[zero].tolist(), unit[zero].tolist()))
+    smalls = list(zip(arm[small].tolist(), unit[small].tolist(), moments.pi[small].tolist()))
     return PositivityReport(zero_cells=zeros, small_cells=smalls, threshold=threshold)

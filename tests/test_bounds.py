@@ -5,6 +5,7 @@ import pytest
 
 from designest.bounds import (
     NotIdentifiedError,
+    VarianceBound,
     aronow_samii_bound,
     certify_bound,
     custom_bound,
@@ -263,6 +264,33 @@ class TestCertify:
         assert not np.any(bound.mask_minus1 & (bound.Dt != 0.0))
         cert = certify_bound(m, bound)
         assert cert.mask_violations == 18 and not cert.identified_ok
+
+    @pytest.mark.parametrize("band_entries", [None, 1, 40], ids=["default", "one_row", "few_rows"])
+    def test_banded_violation_count_equals_the_dense_count(self, monkeypatch, band_entries):
+        from designest import moments as moments_module
+
+        if band_entries is not None:  # bands of one or a few rows
+            monkeypatch.setattr(moments_module, "BAND_ENTRIES", band_entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            crd_mc = mc_moments(CompletelyRandomizedDesign(8, [3, 5]), reps=12, seed=2)
+            exposure_mc = mc_moments(_exposure_design(8, [0.5, 0.5]), reps=30, seed=4)
+        exposure_exact = closed_form_or_exact_moments(_exposure_design(6, [0.5, 0.5]))
+        dense = stream_rng(6).standard_normal((32, 32))
+        dense[stream_rng(7).random((32, 32)) < 0.3] = 0.0  # some entries zero, masked or not
+        fixtures = [
+            (crd_mc, neyman_bound_crd(8, 3).Dt, 18),
+            (exposure_mc, dense, None),
+            (exposure_exact, dense[:24, :24], None),
+            (exposure_exact, aronow_samii_bound(exposure_exact).Dt, 0),
+        ]
+        assert np.any(exposure_mc.maybe_zero_mask)  # flagged cells are left out of the mask
+        for m, Dt, expected in fixtures:
+            bound = VarianceBound(Dt, np.zeros(Dt.shape, dtype=bool), Dt)
+            violations = int(np.sum(minus_one_mask(m) & (Dt != 0.0)))
+            assert violations > 0 or expected == 0
+            assert expected is None or violations == expected
+            assert certify_bound(m, bound).mask_violations == violations
 
     def test_custom_bound_validates(self):
         m = exact_moments(CompletelyRandomizedDesign(4, [2, 2]))

@@ -733,11 +733,13 @@ def unequal_crd(tmp_path_factory):
 
 def _per_row_reports(tmp, names, covariates, psd_clip, bound_of):
     """The estimate report built one row at a time, each row on a fresh
-    chunk and with contrast_report's own plug-in bound."""
+    chunk and with plugin_varbound's own plug-in bound."""
     from designest import bounds
     from designest.designs import AssignmentRealization, CompletelyRandomizedDesign
     from designest.harness import ReplicationChunk, estimator, preprocess_covariates
-    from designest.linear import contrast_report, load_covariates_csv, load_observed_csv
+    from designest.linear import (
+        load_covariates_csv, load_observed_csv, plugin_report, plugin_varbound
+    )
     from designest.model_assisted import OptimizerConfig
     from designest.moments import closed_form_or_exact_moments
 
@@ -763,9 +765,8 @@ def _per_row_reports(tmp, names, covariates, psd_clip, bound_of):
             error = fit.errors[0]
             reports.append({"estimator": name, "error": f"{type(error).__name__}: {error}"})
             continue
-        report = contrast_report(
-            name, fit.mu[0], fit.z[0], realization, moments, bound, c, fit.diagnostics[0]
-        )
+        plugin = plugin_varbound(fit.z[0], realization, bound, c)
+        report = plugin_report(name, fit.mu[0], plugin, 40, moments, c, fit.diagnostics[0])
         reports.append(report.to_dict())
     return json.dumps(reports, indent=2)
 
@@ -1105,6 +1106,56 @@ def test_a_design_n_that_is_no_integer_exits_2_and_names_it(tmp_path, capsys, de
     assert main(["moments", "--design", str(spec)]) == 2
     err = capsys.readouterr().err
     assert "n must be an integer >= 1, got " in err, err
+
+
+CLUSTER_PAIRS = "cluster_design: {kind: completely_randomized, n: 2, counts: [1, 1]}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("design: {kind: completely_randomized, n: 6, counts: [3.5, 2.5]}\n",
+         "counts must hold integers only, got [3.5, 2.5]"),
+        ("design: {kind: stratified, strata: [[0, 1.4], [2, 3]], counts: [[1, 1], [1, 1]]}\n",
+         "strata must hold integers only, got [[0, 1.4], [2, 3]]"),
+        ("design: {kind: stratified, strata: [[0, 1], [2, 3]], counts: [[1.6, 1.4], [1, 1]]}\n",
+         "counts must hold integers only, got [[1.6, 1.4], [1, 1]]"),
+        ("design: {kind: stratified, strata: [[0, 1], [2, 3]], pattern: [1, 2.5], k: 2}\n",
+         "pattern must hold integers only, got [1, 2.5]"),
+        ("design: {kind: stratified, strata: [[0, 1], [2, 3]], pattern: [1, 2], k: 2.5}\n",
+         "k must be an integer >= 1, got 2.5"),
+        (f"design: {{kind: clustered, cluster_of: [0, 0.5, 1, 1.7], {CLUSTER_PAIRS}}}\n",
+         "cluster_of must hold integers only, got [0, 0.5, 1, 1.7]"),
+        (EXPOSURE_RING.replace("[[0, 1], [1, 2]", "[[0, 1.6], [1, 2]"),
+         "edges must hold integers only, got [[0, 1.6], [1, 2], [2, 3], [3, 0]]"),
+        (EXPOSURE_RING.replace("d11, own_arms: [2]", "d11, own_arms: [2.6]"),
+         "exposure 'd11': own_arms must hold integers only, got [2.6]"),
+        (EXPOSURE_RING.replace("d01, own_arms: [1]", "d01, own_arms: [true]"),
+         "exposure 'd01': own_arms must hold integers only, got [True]"),
+        (EXPOSURE_RING.replace("d11, own_arms: [2], counts: {2: [1, null]}",
+                               "d11, own_arms: [2], counts: {2: [1.9, null]}"),
+         "exposure 'd11': counts must map an integer arm to integer bounds [lo, hi] "
+         "(hi may be null), got 2: [1.9, None]"),
+        (EXPOSURE_RING.replace("d10, own_arms: [2], counts: {2: [0, 0]}",
+                               "d10, own_arms: [2], counts: {2: [0, 0.5]}"),
+         "exposure 'd10': counts must map an integer arm to integer bounds [lo, hi] "
+         "(hi may be null), got 2: [0, 0.5]"),
+        (EXPOSURE_RING.replace("d10, own_arms: [2], counts: {2: [0, 0]}",
+                               "d10, own_arms: [2], counts: {2.0: [0, 0]}"),
+         "exposure 'd10': counts must map an integer arm to integer bounds [lo, hi] "
+         "(hi may be null), got 2.0: [0, 0]"),
+    ],
+    ids=["crd_counts", "strata_member", "stratified_counts", "pattern", "k", "cluster_of",
+         "edges", "own_arms_float", "own_arms_bool", "count_lo", "count_hi", "count_arm"],
+)
+def test_a_design_key_that_holds_no_integer_exits_2_and_names_it(tmp_path, capsys, text, message):
+    # each but k used to run, the entry cast to an integer (3.5 as 3, true as
+    # 1); k: 2.5 ended in a TypeError with exit 1
+    spec = tmp_path / "design.yaml"
+    spec.write_text(text)
+    assert main(["moments", "--design", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert message in err, err
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,13 @@ from designest.harness import (
     preprocess_covariates,
     run_simulation,
 )
-from designest.linear import LINEAR_KINDS, ExperimentData, contrast_report, estimate_report
+from designest.linear import (
+    LINEAR_KINDS,
+    ExperimentData,
+    estimate_report,
+    plugin_report,
+    plugin_varbound,
+)
 from designest.model_assisted import (
     ImputationModel,
     WeakIdentificationError,
@@ -601,8 +607,9 @@ def test_second_stages_keep_a_failing_row_to_itself():
                         REFERENCE[name](data, c, bound, rep)
                     continue
                 assert b not in fit.errors
-                report = contrast_report(
-                    name, fit.mu[b], fit.z[b], draws[b], moments, bound, c, fit.diagnostics[b]
+                plugin = plugin_varbound(fit.z[b], draws[b], bound, c)
+                report = plugin_report(
+                    name, fit.mu[b], plugin, n, moments, c, fit.diagnostics[b]
                 )
                 expected = REFERENCE[name](data, c, bound, rep)
                 assert report.contrast_value == expected.contrast_value

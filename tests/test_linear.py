@@ -16,7 +16,6 @@ from designest.linear import (
     ReplicationChunk,
     check_covariates,
     check_interpretation,
-    contrast_report,
     estimate_linear,
     estimate_report,
     intercept_matrix,
@@ -27,6 +26,7 @@ from designest.linear import (
     model_matrix,
     normal_ci,
     plugin_raw,
+    plugin_report,
     plugin_varbound,
     z_vector,
 )
@@ -40,6 +40,15 @@ def make_data(design, y_full, X=None, realization=None, seed=0):
     if X is None:
         X = np.zeros((design.n, 0))
     return ExperimentData.from_full(np.asarray(y_full, float), realization, X, moments)
+
+
+def population_z(kind, data, y_full):
+    """The population linearization: the estimator's body on the population
+    chunk of data's covariates and moments and the full outcomes y_full."""
+    fit = linear_sample(kind, ReplicationChunk.population(data.X, y_full, data.moments))
+    if fit.errors:
+        raise fit.errors[0]
+    return fit.z[0]
 
 
 def centered(X):
@@ -286,9 +295,8 @@ def test_estimate_report_forwards_m_weights(kind, weights):
     m = "identity" if weights == "identity" else 0.5 + stream_rng(24).random(16)
     fit = estimate_linear(kind, data, m_weights=m)
     diagnostics = {"rank_deficient": fit.rank_deficient, "condition_number": fit.condition_number}
-    expected = contrast_report(
-        kind, fit.mu_hat, fit.z_hat, data.assignment, data.moments, bound, c, diagnostics
-    )
+    plugin = plugin_varbound(fit.z_hat, data.assignment, bound, c)
+    expected = plugin_report(kind, fit.mu_hat, plugin, data.n, data.moments, c, diagnostics)
     report = estimate_report(kind, data, bound, c, m_weights=m)
     assert report.to_dict() == expected.to_dict()
     # the weights reach the fit: the default inverse-probability weights differ
@@ -310,6 +318,14 @@ class TestObservedExperimentShapes:
         with pytest.raises(ValueError, match="arm indices"):
             ReplicationChunk(np.full((1, 6), 2), np.ones((1, 6)), X, moments)
 
+    def test_full_outcomes_must_be_one_per_cell(self):
+        # a short vector used to fail as an IndexError while indexing it
+        design = CompletelyRandomizedDesign(6, [3, 3])
+        moments, realization = exact_moments(design), design.sample(stream_rng(1))
+        for y_full in (np.ones(11), np.ones(13), np.ones((2, 6)), 1.0):
+            with pytest.raises(ValueError, match="stacked kn vector"):
+                ExperimentData.from_full(y_full, realization, np.zeros((6, 0)), moments)
+
     def test_covariates_must_be_finite(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
@@ -320,13 +336,13 @@ class TestZVectors:
     def test_ht_zero_outcomes(self):
         design = CompletelyRandomizedDesign(4, [2, 2])
         data = make_data(design, np.zeros(8))
-        assert np.allclose(z_vector("ht", data, population=True), 0.0)
+        assert np.allclose(population_z("ht", data, np.zeros(8)), 0.0)
 
     def test_hajek_constant_outcomes_per_arm(self):
         design = CompletelyRandomizedDesign(4, [2, 2])
         y_full = np.concatenate([np.full(4, 3.0), np.full(4, -1.0)])
         data = make_data(design, y_full)
-        assert np.allclose(z_vector("hajek", data, population=True), 0.0, atol=1e-12)
+        assert np.allclose(population_z("hajek", data, y_full), 0.0, atol=1e-12)
 
     def test_gr_perfectly_linear_outcomes(self):
         design = CompletelyRandomizedDesign(6, [3, 3])
@@ -336,7 +352,7 @@ class TestZVectors:
         b = rng.standard_normal(4)
         y_full = x @ b
         data = make_data(design, y_full, X=X)
-        assert np.allclose(z_vector("gr", data, population=True), 0.0, atol=1e-10)
+        assert np.allclose(population_z("gr", data, y_full), 0.0, atol=1e-10)
 
     def test_variance_identity_ht(self):
         # empirical variance over the support equals the quadratic form in D
@@ -353,8 +369,23 @@ class TestZVectors:
         values = np.array(values)
         empirical = float(np.sum(table.probabilities * values**2) - np.sum(table.probabilities * values) ** 2)
         data = make_data(design, y_full)
-        zc = z_vector("ht", data, population=True) @ c
+        zc = population_z("ht", data, y_full) @ c
         assert empirical == pytest.approx(zc @ moments.D @ zc / design.n**2, abs=1e-10)
+
+
+class TestSampleZ:
+    @pytest.mark.parametrize("kind", LINEAR_KINDS)
+    def test_z_vector_is_the_sample_fits_linearization(self, kind):
+        design = CompletelyRandomizedDesign(8, [3, 5])
+        X = centered(stream_rng(17).standard_normal((8, 2)))
+        data = make_data(design, stream_rng(18).standard_normal(16), X=X, seed=19)
+        z = z_vector(kind, data)
+        assert z.shape == (16, 2)
+        assert np.array_equal(z, linear_sample(kind, data.chunk).z[0])
+        if kind == "ht":  # the observed outcomes at the observed cells, zero elsewhere
+            expected = np.zeros(16)
+            expected[data.observed_cells] = data.y_obs
+            assert np.array_equal(z.sum(axis=1), expected)
 
 
 class TestPluginVariance:
@@ -390,7 +421,7 @@ class TestPluginVariance:
         y_full = rng.standard_normal(8)
         c = np.array([-1.0, 1.0])
         data = make_data(design, y_full)
-        z = z_vector("ht", data, population=True)
+        z = population_z("ht", data, y_full)
         table = design.enumerate_support()
         acc = 0.0
         for idx in range(len(table)):
@@ -512,6 +543,29 @@ class TestReportsAndIO:
         text = report.to_json(tmp_path / "report.json")
         assert "varbound_times_n" in text
         assert report.varbound_times_n == pytest.approx(report.varbound_raw * 6)
+
+    def test_report_fields_and_interval_are_set_when_it_is_built(self):
+        design = CompletelyRandomizedDesign(6, [3, 3])
+        data = make_data(design, stream_rng(25).standard_normal(12), seed=8)
+        c, mu = np.array([-1.0, 1.0]), estimate_linear("ht", data).mu_hat
+        report = estimate_report("ht", data, aronow_samii_bound(data.moments), c)
+        assert list(report.to_dict()) == [
+            "estimator", "contrast", "contrast_value", "varbound_times_n", "varbound_raw",
+            "ci_low", "ci_high", "level", "diagnostics",
+        ]
+        half = 1.959963984540054 * np.sqrt(report.varbound_times_n / 6)  # the 0.975 quantile
+        assert report.level == 0.95 and report.varbound_raw > 0
+        assert report.ci_low == pytest.approx(report.contrast_value - half, rel=1e-14)
+        assert report.ci_high == pytest.approx(report.contrast_value + half, rel=1e-14)
+        with pytest.warns(RuntimeWarning, match="negative variance-bound"):
+            plugin = linear.PluginVariance.of(-0.5, 6)
+        negative = plugin_report("ht", mu, plugin, 6, data.moments, c)
+        missing = plugin_report("ht", mu, None, 6, data.moments, c)
+        assert negative.varbound_raw == -0.5 and negative.diagnostics["negative_bound"]
+        for r in (negative, missing):  # no interval without a nonnegative bound
+            assert r.contrast_value == report.contrast_value
+            assert np.isnan(r.ci_low) and np.isnan(r.ci_high)
+        assert np.isnan(missing.varbound_raw) and np.isnan(missing.varbound_times_n)
 
     def test_observed_csv(self, tmp_path):
         path = tmp_path / "obs.csv"

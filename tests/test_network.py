@@ -326,6 +326,25 @@ class TestPositivityReport:
             assert (d10, i) in flagged
         assert report.zero_count == 0
 
+    def test_lists_are_python_tuples_in_stacked_cell_order(self):
+        # the reference is the cell-by-cell loop that built the lists before
+        with pytest.warns(RuntimeWarning, match="never hit"):  # zero cells, flagged
+            moments = mc_moments(BernoulliDesign(7, [0.75, 0.05, 0.2]), reps=12, seed=3)
+        report = positivity_report(moments, threshold=0.2)
+        zero = moments.zero_mask | moments.maybe_zero_mask
+        zeros, smalls = [], []
+        for a in range(moments.k):
+            for i in range(moments.n):
+                cell = a * moments.n + i
+                if zero[cell]:
+                    zeros.append((a, i))
+                elif moments.pi[cell] < 0.2:
+                    smalls.append((a, i, float(moments.pi[cell])))
+        assert zeros and smalls
+        assert report.zero_cells == zeros and report.small_cells == smalls
+        assert all(type(v) is int for cell in report.zero_cells for v in cell)
+        assert all(list(map(type, cell)) == [int, int, float] for cell in report.small_cells)
+
 
 @pytest.mark.parametrize(
     "rule",
