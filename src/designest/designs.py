@@ -493,13 +493,19 @@ def check_keys(spec, where: str, required=(), optional=()) -> dict:
     return spec
 
 
-def _check_list(name: str, value, nested: bool = False, integers: bool = False) -> list:
-    """value, if it is a list (of lists, when nested), whose entries are
-    integers (not bools) when integers is set; otherwise a ValueError naming
-    it. Keeps a YAML scalar from failing as a TypeError deep inside numpy,
-    and a 3.5 from running as 3 once numpy casts the list to integers."""
+def _check_list(
+    name: str, value, nested: bool = False, integers: bool = False, width: int | None = None
+) -> list:
+    """value, if it is a list (of lists, when nested, each of `width` entries
+    when width is set), whose entries are integers (not bools) when integers
+    is set; otherwise a ValueError naming it. Keeps a YAML scalar from
+    failing as a TypeError deep inside numpy, a 3.5 from running as 3 once
+    numpy casts the list to integers, and rows of the wrong length from
+    being re-cut into rows of the right one."""
     if not isinstance(value, list) or nested and not all(isinstance(v, list) for v in value):
         raise ValueError(f"{name} must be a list{' of lists' * nested}, got {value!r}")
+    if width is not None and not all(len(v) == width for v in value):
+        raise ValueError(f"{name} must be a list of lists of {width} entries each, got {value!r}")
     entries = [v for row in value for v in row] if nested else value
     if integers and not all(_is_integer(v) for v in entries):
         raise ValueError(f"{name} must hold integers only, got {value!r}")
@@ -614,7 +620,7 @@ def build_design(spec: dict) -> Design:
         InterferenceGraph.from_csv(spec["edges_csv"], base.n, base.unit_ids)
         if "edges_csv" in spec
         else InterferenceGraph(
-            base.n, _check_list("edges", spec["edges"], nested=True, integers=True)
+            base.n, _check_list("edges", spec["edges"], nested=True, integers=True, width=2)
         )
     )
     rules = ExposureRules.from_config(spec["rules"], base.k)

@@ -24,6 +24,7 @@ estimator table.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -520,10 +521,68 @@ def plugin_raw(v: np.ndarray, cells: np.ndarray, Dt_over_p: np.ndarray) -> np.nd
 
 def normal_critical_value(level: float) -> float:
     """The (1 + level)/2 standard normal quantile, bitwise what
-    scipy.stats.norm.ppf gives (ndtri spares importing scipy.stats)."""
-    from scipy.special import ndtri
+    scipy.stats.norm.ppf gives."""
+    return _ndtri(0.5 + level / 2)
 
-    return ndtri(0.5 + level / 2)
+
+# Cephes ndtri's rational approximations (highest power first; each Q has
+# an implicit leading 1): P0/Q0 for |y - 1/2| <= 1/2 - exp(-2), and in
+# z = 1/sqrt(-2 log y), P1/Q1 for exp(-32) < y and P2/Q2 below.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_MINUS_2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242e0
+
+
+def _polevl(x: float, coefs, leading: float) -> float:
+    """Horner's rule from the leading coefficient, as cephes polevl (leading
+    coefs[0]) and p1evl (leading 1) evaluate."""
+    value = leading
+    for c in coefs:
+        value = value * x + c
+    return value
+
+
+def _ndtri(y: float) -> np.float64:
+    """Standard normal quantile: a port of cephes ndtri with its
+    coefficients and operation order, so it equals scipy.special.ndtri
+    bitwise without importing scipy."""
+    y = float(y)
+    if y == 0.0:
+        return np.float64(-np.inf)
+    if y == 1.0:
+        return np.float64(np.inf)
+    if y < 0.0 or y > 1.0:
+        return np.float64(np.nan)
+    upper = y > 1.0 - _EXP_MINUS_2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_MINUS_2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0[1:], _NDTRI_P0[0]) / _polevl(y2, _NDTRI_Q0, 1.0))
+        return np.float64(x * _SQRT_2PI)
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x0 - z * _polevl(z, p[1:], p[0]) / _polevl(z, q, 1.0)
+    return np.float64(x if upper else -x)
 
 
 def normal_ci(contrast_value: float, varbound_times_n: float, n: int, level: float = 0.95):

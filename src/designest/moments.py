@@ -45,6 +45,10 @@ NPZ_ALIGN = 64  # byte boundary of each saved member's data, as npy aligns array
 ALIGN_EXTRA_ID = 0xD935  # zip extra-field id of zipalign's padding record
 NPY_HEADER_PEEK = 4096  # bytes read to parse a member's .npy header
 CSV_DROP_TOL = 1e-12  # coordinate CSVs leave out entries smaller in magnitude
+EIG_PROOF_RTOL = 1e-10  # relative margin within which a Lanczos top eigenvalue is proven
+# Smaller matrices take the dense solver, which is about as fast there (1.5 ms
+# against 2.0 ms at kn = 192, 2.8 ms against 2.2 ms at kn = 256, one thread).
+LANCZOS_MIN_KN = 256
 
 
 @dataclass
@@ -478,8 +482,13 @@ def check_symmetric(M: np.ndarray, name: str = "matrix") -> None:
 
 
 def largest_eigenvalue(M: np.ndarray, zero_diag: bool = False) -> float:
-    """Largest eigenvalue of a symmetric matrix (dense symmetric solver).
-    zero_diag computes the variant with the diagonal zeroed first."""
+    """Largest eigenvalue of a symmetric matrix. zero_diag computes the
+    variant with the diagonal zeroed first.
+
+    From kn = LANCZOS_MIN_KN on, the value is the top Ritz value of a
+    Lanczos run when ``_proven_top_eigenvalue`` proves it within
+    EIG_PROOF_RTOL relative; otherwise it is the dense symmetric solver's
+    largest eigenvalue."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
@@ -489,7 +498,43 @@ def largest_eigenvalue(M: np.ndarray, zero_diag: bool = False) -> float:
         np.fill_diagonal(M, 0.0)
     if M.shape[0] == 0:
         return 0.0
-    return float(np.linalg.eigvalsh(M)[-1])
+    lam = _proven_top_eigenvalue(M) if len(M) >= LANCZOS_MIN_KN else None
+    return float(np.linalg.eigvalsh(M)[-1]) if lam is None else lam
+
+
+def _proven_top_eigenvalue(M: np.ndarray) -> float | None:
+    """ARPACK's top Ritz value lam of the symmetric matrix M, or None when
+    it is not proven. With delta = EIG_PROOF_RTOL * max(1, |lam|), the
+    Ritz vector's Rayleigh quotient, a lower bound on the largest
+    eigenvalue, must be at least lam - delta, and (lam + delta) I - M must
+    have a Cholesky factor, which proves every eigenvalue below lam + delta.
+    None also when ARPACK fails or does not converge, when an entry is not
+    finite, and for kn < 3 (eigsh has no Lanczos run for one eigenpair
+    there)."""
+    kn = len(M)
+    # a sum is finite only when every entry is (an overflow just skips the proof)
+    if kn < 3 or not math.isfinite(M.sum()):
+        return None
+    from scipy.linalg.lapack import dpotrf
+    from scipy.sparse.linalg import ArpackError, eigsh
+
+    # Fixed and seeded; not the ones vector, which a completely randomized
+    # design's D maps to 0.
+    v0 = np.random.default_rng(0).standard_normal(kn)
+    try:
+        values, vectors = eigsh(M, k=1, which="LA", tol=0, v0=v0)
+    except ArpackError:  # no convergence, or an invariant subspace (M v0 = 0)
+        return None
+    lam = float(values[0])
+    v = vectors[:, 0]
+    delta = EIG_PROOF_RTOL * max(1.0, abs(lam))
+    if not (v @ (M @ v)) / (v @ v) >= lam - delta:
+        return None
+    shifted = np.negative(M)
+    shifted.flat[:: kn + 1] += lam + delta
+    # in place: the transpose view is the Fortran-ordered array LAPACK takes
+    _, info = dpotrf(shifted.T, overwrite_a=1, clean=0)
+    return lam if info == 0 else None
 
 
 def design_complexity(moments: DesignMoments, arms=None, zero_diag: bool = False) -> float:

@@ -38,7 +38,10 @@ class InterferenceGraph:
         from scipy import sparse
 
         self.n = int(n)
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(edges, dtype=np.int64)
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise ValueError(f"edges must be (src, dst) pairs, got an array of shape {edges.shape}")
+        edges = edges.reshape(-1, 2)
         edges = edges[edges[:, 0] != edges[:, 1]]
         outside = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
         if len(outside):

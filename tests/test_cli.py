@@ -128,6 +128,29 @@ def test_commands_on_a_crd_load_no_scipy(crd_design_yaml, tmp_path):
     assert (tmp_path / "b.csv").exists()
 
 
+def test_linear_estimate_on_a_crd_loads_no_scipy(crd_design_yaml, tmp_path):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("unit_id,arm,y\n" + "".join(f"{i},{1 + i % 2},{0.5 * i}\n" for i in range(6)))
+    cov = tmp_path / "x.csv"
+    cov.write_text("unit_id,x1\n" + "".join(f"{i},{(i * 7) % 5}.0\n" for i in range(6)))
+    code = (
+        "import sys\n"
+        "from designest.cli import main\n"
+        f"argv = ['estimate', '--design', {str(crd_design_yaml)!r}, '--data', {str(obs)!r},\n"
+        f"        '--covariates', {str(cov)!r}, '--estimators', 'ht,hajek,ols,wls',\n"
+        "        '--contrast=-1,1', '--out', 'r.json']\n"
+        "assert main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+    src = str(Path(designest.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stderr.strip().splitlines()[-1] == "[]"
+    assert len(json.loads((tmp_path / "r.json").read_text())) == 4
+
+
 def test_estimate_command(crd_design_yaml, tmp_path):
     obs = tmp_path / "obs.csv"
     rows = ["unit_id,arm,y"]
@@ -368,6 +391,20 @@ def test_edge_csv_with_unknown_unit_id_exits_2(tmp_path, capsys):
     design_yaml = _exposure_over_strata_csv(tmp_path, f"edges_csv: {edges}")
     assert main(["moments", "--design", str(design_yaml), "--exact"]) == 2
     assert "unknown unit_id 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edges", ["[[0, 1, 2], [3, 4, 5]]", "[[0, 1], [2]]"])
+def test_edges_that_are_not_pairs_exit_2(tmp_path, capsys, edges):
+    design_yaml = tmp_path / "exposure.yaml"
+    design_yaml.write_text(
+        "design:\n"
+        "  kind: exposure_derived\n"
+        "  base: {kind: bernoulli, n: 6, probs: [0.5, 0.5]}\n"
+        f"  edges: {edges}\n"
+        "  rules: [{label: c, own_arms: [1]}, {label: t, own_arms: [2]}]\n"
+    )
+    assert main(["moments", "--design", str(design_yaml), "--exact"]) == 2
+    assert "edges must be a list of lists of 2 entries each" in capsys.readouterr().err
 
 
 def test_exposure_rule_count_arm_outside_base_exits_2(tmp_path, capsys):

@@ -19,6 +19,7 @@ from designest.moments import (
     MC_BLOCK_SIZE,
     DesignMoments,
     _assemble_d,
+    _proven_top_eigenvalue,
     analytic_bernoulli_moments,
     analytic_crd_moments,
     closed_form_or_exact_moments,
@@ -228,6 +229,85 @@ class TestLargestEigenvalue:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             largest_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_crd_top_eigenvalue_of_multiplicity_n_minus_1_is_proven(self):
+        # D = B (x) a with B = [[1, -1], [-1, 1]] and a's n - 1 eigenvalues
+        # n/(n-1): the top eigenvalue 2n/(n-1) has multiplicity n - 1, and
+        # D maps the ones vector to 0
+        n = 300
+        D = crd_first_order_matrix(n, n // 2)
+        assert np.linalg.eigvalsh(D)[-(n - 1) :] == pytest.approx(2 * n / (n - 1), rel=1e-12)
+        lam = _proven_top_eigenvalue(D)
+        assert lam == pytest.approx(2 * n / (n - 1), rel=1e-12)
+        assert largest_eigenvalue(D) == lam
+        assert largest_eigenvalue(D, zero_diag=True) == pytest.approx(
+            np.linalg.eigvalsh(D - np.diag(np.diag(D)))[-1], rel=1e-12
+        )
+
+    def test_mc_moments_value_is_proven_and_equals_the_dense_one(self):
+        m = mc_moments(BernoulliDesign(150, [0.3, 0.7]), reps=400, seed=3)
+        assert m.kn >= moments_module.LANCZOS_MIN_KN
+        for zero_diag in (False, True):
+            M = m.D.copy()
+            if zero_diag:
+                np.fill_diagonal(M, 0.0)
+            dense = np.linalg.eigvalsh(M)[-1]
+            assert _proven_top_eigenvalue(M) == pytest.approx(dense, rel=1e-12)
+            assert largest_eigenvalue(m.D, zero_diag=zero_diag) == pytest.approx(dense, rel=1e-12)
+
+    @staticmethod
+    def _gapped_matrix(kn=300):
+        rng = stream_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((kn, kn)))
+        values = np.linspace(0.0, 1.0, kn)
+        values[-1] = 2.0  # the second-largest is 1, far below lam + delta
+        M = (q * values) @ q.T
+        return (M + M.T) / 2
+
+    def test_second_eigenpair_fails_the_cholesky_bound_and_falls_back(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        M = self._gapped_matrix()
+        values, vectors = np.linalg.eigh(M)
+        calls = []
+
+        def second_pair(A, **kwargs):
+            calls.append(kwargs)
+            return values[-2:-1], vectors[:, -2:-1]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", second_pair)
+        assert _proven_top_eigenvalue(M) is None  # its Rayleigh quotient holds; Cholesky fails
+        assert largest_eigenvalue(M) == float(np.linalg.eigvalsh(M)[-1])
+        assert len(calls) == 2 and calls[0]["which"] == "LA" and calls[0]["k"] == 1
+
+    def test_ritz_vector_below_the_ritz_value_falls_back(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        M = self._gapped_matrix()
+        values, vectors = np.linalg.eigh(M)
+        # the top value with the second vector: the lower bound fails
+        monkeypatch.setattr(
+            scipy.sparse.linalg, "eigsh", lambda A, **kwargs: (values[-1:], vectors[:, -2:-1])
+        )
+        assert _proven_top_eigenvalue(M) is None
+        assert largest_eigenvalue(M) == float(np.linalg.eigvalsh(M)[-1])
+
+    @pytest.mark.parametrize("kn", [1, 2])
+    def test_one_and_two_cells_take_the_dense_solver_without_warning(self, kn, monkeypatch):
+        monkeypatch.setattr(moments_module, "LANCZOS_MIN_KN", 0)
+        M = np.array([[2.0, 0.5], [0.5, 1.0]])[:kn, :kn]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _proven_top_eigenvalue(M) is None
+            for zero_diag in (False, True):
+                expected = np.linalg.eigvalsh(M - zero_diag * np.diag(np.diag(M)))[-1]
+                assert largest_eigenvalue(M, zero_diag=zero_diag) == expected
+
+    def test_non_finite_entries_skip_the_proof(self):
+        M = np.eye(4)
+        M[0, 0] = np.inf
+        assert _proven_top_eigenvalue(M) is None
+        assert _proven_top_eigenvalue(np.zeros((4, 4))) is None  # Lanczos has no start there
 
 
 class TestComplexityMeasure:

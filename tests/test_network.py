@@ -26,6 +26,11 @@ class TestGraph:
         g = InterferenceGraph(3, [(0, 1), (0, 1), (1, 1), (2, 0)])
         assert len(g.edges) == 2
 
+    def test_entries_that_are_not_pairs_are_rejected(self):
+        with pytest.raises(ValueError, match=r"edges must be \(src, dst\) pairs"):
+            InterferenceGraph(6, [[0, 1, 2], [3, 4, 5]])
+        assert InterferenceGraph(2, []).edges.shape == (0, 2)
+
     def test_out_neighbor_default_vs_undirected(self):
         g = InterferenceGraph(3, [(0, 1)])
         assert g.degrees().tolist() == [1, 0, 0]

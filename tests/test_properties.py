@@ -7,6 +7,7 @@ hit v'D~v/n^2, each to rounding.
 """
 
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,7 +28,14 @@ from designest.designs import (
 )
 from designest.harness import ESTIMATORS, ReplicationChunk
 from designest.linear import intercept_matrix, plugin_raw, plugin_varbound
-from designest.moments import closed_form_or_exact_moments, exact_moments, mc_moments
+from designest import moments as moments_module
+from designest.moments import (
+    _proven_top_eigenvalue,
+    closed_form_or_exact_moments,
+    exact_moments,
+    largest_eigenvalue,
+    mc_moments,
+)
 from designest.network import (
     InterferenceGraph,
     derive_exposure_design,
@@ -267,3 +275,27 @@ def test_relabelling_units_permutes_the_moments_and_the_bound(design, data):
     else:  # enumeration sums the support in another order
         for got, expected in pairs:
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    design=enumerable_designs(),
+    mc_reps=st.none() | st.integers(2, 40),
+    seed=st.integers(0, 99),
+    zero_diag=st.booleans(),
+)
+def test_lanczos_top_eigenvalue_is_proven_and_equals_the_dense_one(design, mc_reps, seed, zero_diag):
+    D = _exact_or_mc_moments(design, mc_reps, seed).D
+    M = D.copy()
+    if zero_diag:
+        np.fill_diagonal(M, 0.0)
+    dense = np.linalg.eigvalsh(M)[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with patch.object(moments_module, "LANCZOS_MIN_KN", 0):  # every size takes Lanczos
+            got = largest_eigenvalue(D, zero_diag=zero_diag)
+        proven = _proven_top_eigenvalue(M)
+    assert abs(got - dense) <= 1e-12 * max(1.0, abs(dense))
+    # the proof holds unless eigsh has no Lanczos run (kn < 3) or no start (M = 0)
+    assert (proven is None) == (len(M) < 3 or not M.any())
+    assert proven is None or abs(proven - dense) <= 1e-12 * max(1.0, abs(dense))
