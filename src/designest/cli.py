@@ -29,6 +29,8 @@ from .harness import (
     ReplicationChunk,
     SimConfig,
     estimator,
+    failure_text,
+    fit_rows,
     impute_potential_outcomes,
     preprocess_covariates,
     run_simulation,
@@ -188,23 +190,14 @@ def cmd_estimate(args):
         else aronow_samii_bound(moments, cells=realization.observed_cells)
     )
     contrast = check_contrast([float(v) for v in args.contrast.split(",")], design.k)
-    optimizer = OptimizerConfig()
     names = [name.strip() for name in args.estimators.split(",")]
-    rows = [estimator(name) for name in names]  # an unknown name fails before any fit
-    fits = [chunk.fit(row, contrast, optimizer) for row in rows]
-    # the chunk has no rows if a zero-pi cell is observed
-    errors = [chunk.failed.get(0) or fit.errors.get(0) for fit in fits]
-    fitted = [e for e, error in enumerate(errors) if error is None]
-    raws = {}
-    if fitted:  # the plug-in bounds of every fitted row in one pass
-        v = np.stack([fits[e].z @ contrast for e in fitted], axis=1)
-        raws = dict(zip(fitted, plugin_bounds(v, chunk.cells, bound)[0].tolist()))
+    fits, _, raw, errors = fit_rows(chunk, names, contrast, OptimizerConfig(), bound)
     reports = []
-    for e, (name, fit, error) in enumerate(zip(names, fits, errors)):
-        if error is not None:
-            reports.append({"estimator": name, "error": f"{type(error).__name__}: {error}"})
+    for e, (name, fit) in enumerate(zip(names, fits)):
+        if (0, e) in errors:
+            reports.append({"estimator": name, "error": failure_text(errors[0, e])})
             continue
-        plugin = PluginVariance.of(raws[e], design.n)
+        plugin = PluginVariance.of(float(raw[0, e]), design.n)
         report = plugin_report(
             name, fit.mu[0], plugin, design.n, moments, contrast, fit.diagnostics[0]
         )
@@ -271,17 +264,22 @@ def cmd_simulate(args):
             f"got {coeffs!r}"
         )
     y_full = impute_potential_outcomes(X, coeffs, intercepts, outcome_seed)
-    apply_psd_clip = check_bool("psd_clip", recipe.get("psd_clip", False))
+    if "psd_clip" in recipe:
+        check_bool("psd_clip", recipe["psd_clip"])
     moments_spec = check_keys(
-        recipe.get("moments", {"method": "exact"}),
-        "moments",
-        optional=(("npz", "method"), ("npz", "reps")),
+        recipe.get("moments", {}), "moments", optional=(("npz", "method"), ("npz", "reps"))
     )
     if "reps" in moments_spec and moments_spec.get("method") != "mc":
         raise ValueError("moments.reps is read only with method: mc")
     preloaded = (
         DesignMoments.load_npz(moments_spec["npz"]) if "npz" in moments_spec else None
     )
+    # SimConfig owns the defaults: pass only the optional settings the recipe sets
+    fields = dict(bound="bound_kind", psd_clip="apply_psd_clip", level="level", workers="workers")
+    options = {field: recipe[key] for key, field in fields.items() if key in recipe}
+    options |= {f"moments_{key}": value for key, value in moments_spec.items() if key != "npz"}
+    if args.workers is not None:
+        options["workers"] = args.workers
     cfg = SimConfig(
         design=design,
         y_full=y_full,
@@ -291,13 +289,8 @@ def cmd_simulate(args):
         replications=recipe["replications"],
         seed=recipe["seed"],
         moments=preloaded,
-        moments_method=moments_spec.get("method", "exact"),
-        moments_reps=moments_spec.get("reps", 100_000),
-        bound_kind=recipe.get("bound", "aronow_samii"),
-        apply_psd_clip=apply_psd_clip,
-        level=recipe.get("level", 0.95),
         optimizer=_optimizer_from_recipe(recipe.get("optimizer", {})),
-        workers=args.workers if args.workers is not None else recipe.get("workers", 1),
+        **options,
     )
     table = run_simulation(cfg)
     if args.out:

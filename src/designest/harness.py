@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -299,6 +300,10 @@ class MetricsTable:
     n: int
     replications: int
     provenance: dict = field(default_factory=dict)  # moments method / reps
+    # written to JSON only: name -> {"Type: message": count} of the failed
+    # replications, and name -> "Type: message" of a theory column left NaN
+    failure_reasons: dict = field(default_factory=dict)
+    theory_errors: dict = field(default_factory=dict)
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -315,6 +320,8 @@ class MetricsTable:
             "replications": self.replications,
             "metrics": self.metrics,
             "failures": self.failures,
+            "failure_reasons": self.failure_reasons,
+            "theory_errors": self.theory_errors,
             "provenance": self.provenance,
         }
         text = json.dumps(payload, indent=2)
@@ -346,9 +353,30 @@ def _chunk_via_global(rep_indices):
     return _replication_chunk(_WORKER_PAYLOAD, rep_indices)
 
 
+def failure_text(exc: BaseException) -> str:
+    """The one spelling of a failed fit: "Type: message"."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def fit_rows(chunk: ReplicationChunk, names, c, optimizer, bound):
+    """The one table pass: each name resolved before any fit, each row fitted once, and all
+    plug-in bounds in one plugin_bounds pass (none if the chunk has no rows). Returns (fits,
+    values, raw, errors): each row's SampleFit, contrast values and raw plug-in bounds (B, E)
+    over the chunk's B rows, and the exception of each failed (replication, estimator index)
+    pair; a replication without a row fails every estimator."""
+    rows = [estimator(name) for name in names]
+    fits = [chunk.fit(row, c, optimizer) for row in rows]
+    values = np.stack([np.matmul(c, fit.mu[..., None])[..., 0] for fit in fits], axis=1)
+    v = np.stack([fit.z @ c for fit in fits], axis=1)
+    raw = plugin_bounds(v, chunk.cells, bound) if chunk.reps else np.empty(values.shape)
+    errors = {(rep, e): exc for rep, exc in chunk.failed.items() for e in range(len(rows))}
+    errors |= {(chunk.reps[b], e): x for e, fit in enumerate(fits) for b, x in fit.errors.items()}
+    return fits, values, raw, errors
+
+
 def _replication_chunk(payload, rep_indices):
-    """Per replication and estimator: (contrast value, plug-in bound x n),
-    or ("failed", repr(exception))."""
+    """Contrast values and plug-in bounds x n (R, E) of replications rep_indices, NaN where a
+    fit failed, and the failure record {(rep, e): "Type: message"}."""
     design = payload["design"]  # replication rep draws from stream_rng(seed, rep) in any chunking
     arms = np.stack([design.sample(stream_rng(payload["seed"], rep)).arm_of for rep in rep_indices])
     y_obs = payload["y_full"][arms * design.n + np.arange(design.n)]
@@ -356,19 +384,12 @@ def _replication_chunk(payload, rep_indices):
     names, c = payload["estimators"], payload["contrast"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fits = [chunk.fit(ESTIMATORS[name], c, payload["optimizer"]) for name in names]
-    values = [np.matmul(c, fit.mu[..., None])[..., 0] for fit in fits]
-    v = np.stack([fit.z @ c for fit in fits], axis=1)
-    times_n = plugin_bounds(v, chunk.cells, payload["bound"]) * chunk.n
-    out = {rep: dict.fromkeys(names, ("failed", repr(exc))) for rep, exc in chunk.failed.items()}
-    for b, rep in enumerate(chunk.reps):
-        out[rep] = {
-            name: ("failed", repr(fit.errors[b]))
-            if b in fit.errors
-            else (float(values[e][b]), float(times_n[b, e]))
-            for e, (name, fit) in enumerate(zip(names, fits))
-        }
-    return {rep: out[rep] for rep in rep_indices}
+        _, values, raw, errors = fit_rows(chunk, names, c, payload["optimizer"], payload["bound"])
+    out = np.full((2, len(rep_indices), len(names)), np.nan)
+    out[:, np.isin(rep_indices, chunk.reps)] = values, raw * chunk.n
+    for rep, e in errors:
+        out[:, rep_indices.index(rep), e] = np.nan
+    return out[0], out[1], {key: failure_text(exc) for key, exc in sorted(errors.items())}
 
 
 def population_contrast_residual(
@@ -395,7 +416,7 @@ def population_contrast_residual(
 
 def run_simulation(cfg: SimConfig) -> MetricsTable:
     """Draw assignments, run every configured estimator, and aggregate the
-    seven metric rows; failed replications are excluded and counted."""
+    seven metric rows; failed replications are excluded and counted by reason."""
     moments = cfg.moments
     if moments is None:
         if cfg.moments_method == "exact":
@@ -424,35 +445,27 @@ def run_simulation(cfg: SimConfig) -> MetricsTable:
         range(start, min(start + REPLICATION_CHUNK, cfg.replications))
         for start in range(0, cfg.replications, REPLICATION_CHUNK)
     ]
-    results = {}
     if cfg.workers > 1:
         # a pool may start all its workers at once: start no more than there are chunks
         with ProcessPoolExecutor(
             max_workers=min(cfg.workers, len(chunks)), initializer=_init_worker, initargs=(payload,)
         ) as pool:
-            for chunk_result in pool.map(_chunk_via_global, chunks):
-                results.update(chunk_result)
+            parts = list(pool.map(_chunk_via_global, chunks))
     else:
-        for chunk in chunks:
-            results.update(_replication_chunk(payload, chunk))
+        parts = [_replication_chunk(payload, chunk) for chunk in chunks]
+    table, bounds_table = (np.concatenate([part[i] for part in parts]) for i in (0, 1))
+    record = {key: text for part in parts for key, text in part[2].items()}
+    failed = np.zeros(table.shape, dtype=bool)
+    for rep, e in record:
+        failed[rep, e] = True
 
     z_crit = normal_critical_value(cfg.level)
     population = ReplicationChunk.population(cfg.X, cfg.y_full, moments)
-    metrics = {}
-    failures = {}
-    for name in cfg.estimators:
-        values, bounds_tn = [], []
-        failed = 0
-        for rep in range(cfg.replications):
-            entry = results[rep][name]
-            if entry[0] == "failed":
-                failed += 1
-                continue
-            values.append(entry[0])
-            bounds_tn.append(entry[1])
-        failures[name] = failed
-        values = np.array(values)
-        bounds_tn = np.array(bounds_tn)
+    metrics, failures, failure_reasons, theory_errors = {}, {}, {}, {}
+    for e, name in enumerate(cfg.estimators):
+        values, bounds_tn = table[~failed[:, e], e], bounds_table[~failed[:, e], e]
+        failures[name] = int(failed[:, e].sum())
+        failure_reasons[name] = dict(Counter(text for (_, j), text in record.items() if j == e))
         if len(values) == 0:
             metrics[name] = {c: np.nan for c in METRIC_COLUMNS}
             continue
@@ -468,8 +481,9 @@ def run_simulation(cfg: SimConfig) -> MetricsTable:
             )
             theo_var = float(theo @ moments.D @ theo) / n
             theo_bound = float(theo @ bound.Dt @ theo) / n
-        except Exception:
+        except Exception as exc:
             theo_var = theo_bound = np.nan
+            theory_errors[name] = failure_text(exc)
         metrics[name] = {
             "bias2_times_n": float(n * bias2),
             "variance_times_n": float(n * variance),
@@ -483,6 +497,8 @@ def run_simulation(cfg: SimConfig) -> MetricsTable:
         estimators=list(cfg.estimators),
         metrics=metrics,
         failures=failures,
+        failure_reasons=failure_reasons,
+        theory_errors=theory_errors,
         truth=truth,
         n=n,
         replications=cfg.replications,

@@ -572,11 +572,15 @@ def test_estimate_reports_a_failing_estimator_and_keeps_the_rest(crd_design_yaml
     assert main(argv[:5] + ["--estimators", "ht", "--contrast=-1,1,0"]) == 2  # one too many
 
 
-@pytest.mark.parametrize("name", ["ht", "opt_linear", "opt_logit"])
-def test_estimate_fails_on_an_observed_never_hit_cell(tmp_path, name):
+@pytest.mark.parametrize(
+    "names",
+    ["ht", "opt_linear", "opt_logit", pytest.param(",".join(ESTIMATOR_NAMES), id="every_row")],
+)
+def test_estimate_fails_on_an_observed_never_hit_cell(tmp_path, names):
     # five Monte-Carlo draws of a 10% arm leave some units' arm-2 cells at
     # pi = 0; observing one must fail every estimator (opt_linear used to
-    # report NaN and exit 0, opt_logit an OptimizationError)
+    # report NaN and exit 0, opt_logit an OptimizationError), and the chunk
+    # then has no row for the plug-in pass
     from designest.moments import DesignMoments
 
     design = tmp_path / "design.yaml"
@@ -591,12 +595,11 @@ def test_estimate_fails_on_an_observed_never_hit_cell(tmp_path, name):
     obs.write_text("unit_id,arm,y\n" + "".join(f"{i},{a},{0.3 * i}\n" for i, a in enumerate(arms)))
     out = tmp_path / "report.json"
     argv = ["estimate", "--design", str(design), "--data", str(obs), "--load-moments", str(npz),
-            "--estimators", name, "--contrast=-1,1", "--out", str(out)]
+            "--estimators", names, "--contrast=-1,1", "--out", str(out)]
     assert main(argv) == 1
-    (report,) = json.loads(out.read_text())
-    assert report == {
-        "estimator": name, "error": "ValueError: observed cell with zero inclusion probability"
-    }
+    error = "ValueError: observed cell with zero inclusion probability"
+    reports = json.loads(out.read_text())
+    assert reports == [{"estimator": name, "error": error} for name in names.split(",")]
 
 
 GROUP_DESIGN_IDS = ["stratified", "clustered", "exposure_derived"]
@@ -1337,3 +1340,110 @@ def test_simulate_psd_clip_clips_once_and_plugs_in_the_clipped_form(tmp_path, mo
     assert outputs["clipped"] == (csv.read_bytes(), js.read_bytes())
     assert outputs["clipped"][0] != outputs["plain"][0]
     assert json.loads(outputs["clipped"][1])["provenance"]["psd_clipped"] is True
+
+
+def _write_every_row_recipe(tmp_path, seed, extra=""):
+    """A 12-unit completely randomized design with two covariates read from
+    a CSV, and every table row: the recipe of CI's parity step, on which
+    some rows fail in some replications. Returns (recipe, design, x.csv)."""
+    rng = np.random.default_rng(11)
+    rng.permutation(12)  # CI draws its observed arms first
+    x = rng.standard_normal((12, 2))
+    covariates = tmp_path / "x.csv"
+    covariates.write_text(
+        "unit_id,x1,x2\n" + "".join(f"{i},{a:.17g},{b:.17g}\n" for i, (a, b) in enumerate(x))
+    )
+    design = tmp_path / "design.yaml"
+    design.write_text("design: {kind: completely_randomized, n: 12, counts: [5, 7]}\n")
+    recipe = tmp_path / "recipe.yaml"
+    recipe.write_text(
+        "design: {kind: completely_randomized, n: 12, counts: [5, 7]}\n"
+        f"covariates: {{csv: {covariates}}}\n"
+        "outcome: {coeffs: [0.8, -0.4], intercepts: [-0.3, 0.5], seed: 6}\n"
+        f"estimators: [{', '.join(ESTIMATOR_NAMES)}]\n"
+        "contrast: [-1, 1]\n"
+        f"seed: {seed}\n" + extra
+    )
+    return recipe, design, covariates
+
+
+def test_simulate_json_names_every_failure_the_same_for_any_worker_count(tmp_path):
+    recipe, _, _ = _write_every_row_recipe(
+        tmp_path, 3, "replications: 150\noptimizer: {restarts: 2, max_steps: 200}\n"
+    )
+    outputs = []
+    for workers in (1, 2, 3):  # 150 replications make 3 chunks
+        csv, js = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.json"
+        argv = ["simulate", "--config", str(recipe), "--out", str(csv), "--json", str(js),
+                "--workers", str(workers)]
+        assert main(argv) == 0
+        outputs.append((csv.read_bytes(), js.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    table = json.loads(outputs[0][1])
+    assert list(table["failure_reasons"]) == list(ESTIMATOR_NAMES)
+    for name, reasons in table["failure_reasons"].items():
+        assert sum(reasons.values()) == table["failures"][name]
+    assert table["failures"]["opt_logit"] > 0
+    (reason,) = table["failure_reasons"]["opt_logit"]
+    assert reason.startswith("OptimizationError: ")
+    assert table["theory_errors"] == {}  # every theory column has a value
+    assert not any(np.isnan(row["theo_var_times_n"]) for row in table["metrics"].values())
+
+
+def test_simulate_json_says_why_a_theory_column_is_nan(tmp_path, monkeypatch):
+    from designest import harness
+
+    def no_theory(name, *args):
+        raise FloatingPointError(f"no population fit for {name}")
+
+    monkeypatch.setattr(harness, "population_contrast_residual", no_theory)
+    config, js = tmp_path / "sim.yaml", tmp_path / "sim.json"
+    config.write_text(SIMPLE_RECIPE)
+    assert main(["simulate", "--config", str(config), "--json", str(js)]) == 0
+    table = json.loads(js.read_text())
+    assert table["theory_errors"] == {"ht": "FloatingPointError: no population fit for ht"}
+    assert table["failure_reasons"] == {"ht": {}}
+    assert np.isnan(table["metrics"]["ht"]["theo_var_times_n"])
+
+
+@pytest.mark.parametrize("psd_clip", [False, True])
+@pytest.mark.parametrize("seed", [3, 102])  # at seed 102 two rows fail at replication 0
+def test_estimate_is_replication_zero_of_simulate(tmp_path, monkeypatch, seed, psd_clip):
+    from designest import harness
+    from designest.designs import stream_rng
+
+    npz = tmp_path / "moments.npz"
+    extra = f"replications: 4\nmoments: {{npz: {npz}}}\npsd_clip: {str(psd_clip).lower()}\n"
+    recipe, design, covariates = _write_every_row_recipe(tmp_path, seed, extra)
+    assert main(["moments", "--design", str(design), "--out", str(npz)]) == 0
+    chunks = []
+    replication_chunk = harness._replication_chunk
+
+    def recorded(payload, reps):
+        chunks.append((payload, replication_chunk(payload, reps)))
+        return chunks[-1][1]
+
+    monkeypatch.setattr(harness, "_replication_chunk", recorded)
+    assert main(["simulate", "--config", str(recipe)]) == 0
+    ((payload, (values, bounds, failures)),) = chunks  # one chunk of 4 replications
+    draw = payload["design"].sample(stream_rng(payload["seed"], 0)).arm_of
+    y = payload["y_full"][draw * 12 + np.arange(12)]
+    observed = tmp_path / "observed.csv"
+    rows = "".join(f"{i},{a + 1},{v:.17g}\n" for i, (a, v) in enumerate(zip(draw, y)))
+    observed.write_text("unit_id,arm,y\n" + rows)
+    out = tmp_path / "estimate.json"
+    argv = ["estimate", "--design", str(design), "--load-moments", str(npz),
+            "--data", str(observed), "--covariates", str(covariates),
+            "--estimators", ",".join(ESTIMATOR_NAMES), "--contrast=-1,1", "--out", str(out)]
+    argv += ["--psd-clip"] * psd_clip
+    assert main(argv) == (1 if any(rep == 0 for rep, _ in failures) else 0)
+    reports = json.loads(out.read_text())
+    assert [report["estimator"] for report in reports] == list(ESTIMATOR_NAMES)
+    for e, report in enumerate(reports):
+        if (0, e) in failures:
+            assert report["error"] == failures[0, e]
+            continue
+        assert "error" not in report
+        assert np.float64(report["contrast_value"]).tobytes() == values[0, e].tobytes()
+        assert np.float64(report["varbound_times_n"]).tobytes() == bounds[0, e].tobytes()
+    assert (seed == 102) == any(rep == 0 for rep, _ in failures)

@@ -492,31 +492,41 @@ def empty_arm_payload():
 
 def reference_chunk(payload, reps):
     """The per-replication loop: one draw, one ExperimentData and one call
-    of each estimator's public function per replication."""
-    out = {}
-    for rep in reps:
+    of each estimator's public function per replication, gathered as
+    _replication_chunk gathers them: (values, bounds x n) arrays, NaN where
+    a fit failed, and the failure record {(rep, e): "Type: message"}."""
+    names = payload["estimators"]
+    values, bounds = np.full((2, len(reps), len(names)), np.nan)
+    failures = {}
+    for i, rep in enumerate(reps):
         realization = payload["design"].sample(stream_rng(payload["seed"], rep))
         try:
             data = ExperimentData.from_full(
                 payload["y_full"], realization, payload["X"], payload["moments"]
             )
         except ValueError as exc:  # an observed cell of zero inclusion probability
-            out[rep] = dict.fromkeys(payload["estimators"], ("failed", repr(exc)))
+            failures.update({(rep, e): f"ValueError: {exc}" for e in range(len(names))})
             continue
-        row = {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for name in payload["estimators"]:
+            for e, name in enumerate(names):
                 try:
                     report = REFERENCE[name](data, payload["contrast"], payload["bound"], rep)
-                    row[name] = (report.contrast_value, report.varbound_times_n)
+                    values[i, e], bounds[i, e] = report.contrast_value, report.varbound_times_n
                 except Exception as exc:
-                    row[name] = ("failed", repr(exc))
-        out[rep] = row
-    return out
+                    failures[rep, e] = f"{type(exc).__name__}: {exc}"
+    return values, bounds, failures
 
 
-ZERO_PI_FAILURE = ("failed", "ValueError('observed cell with zero inclusion probability')")
+def assert_same_chunk(got, expected):
+    """Bitwise equal arrays (NaN included) and equal failure records."""
+    for got_array, expected_array in zip(got[:2], expected[:2]):
+        assert got_array.shape == expected_array.shape
+        assert got_array.tobytes() == expected_array.tobytes()
+    assert got[2] == expected[2]
+
+
+ZERO_PI_FAILURE = "ValueError: observed cell with zero inclusion probability"
 
 
 class TestBatchedChunk:
@@ -524,42 +534,46 @@ class TestBatchedChunk:
     def test_chunk_matches_the_per_replication_loop(self, make):
         payload = make()
         chunk = _replication_chunk(payload, range(64))
-        assert chunk == reference_chunk(payload, range(64))  # bitwise, failures included
-        assert list(chunk) == list(range(64))
-        for row in chunk.values():
-            assert list(row) == payload["estimators"]
+        assert_same_chunk(chunk, reference_chunk(payload, range(64)))  # failures included
+        assert chunk[0].shape == (64, len(payload["estimators"]))
+        assert list(chunk[2]) == sorted(chunk[2])  # in (replication, estimator) order
 
     @pytest.mark.parametrize("make", [network_payload, rare_cell_payload, empty_arm_payload])
     def test_chunk_of_64_equals_64_chunks_of_one(self, make):
         payload = make()
-        chunk = _replication_chunk(payload, range(64))
+        values, bounds, failures = _replication_chunk(payload, range(64))
         for rep in range(64):
-            assert _replication_chunk(payload, [rep])[rep] == chunk[rep]
+            one = _replication_chunk(payload, [rep])
+            expected = {key: text for key, text in failures.items() if key[0] == rep}
+            assert_same_chunk(one, (values[[rep]], bounds[[rep]], expected))
 
     def test_scenarios_cover_both_per_replication_failures(self):
         messages = set()
         for payload in (rare_cell_payload(), empty_arm_payload()):
-            for row in _replication_chunk(payload, range(64)).values():
-                messages |= {entry[1] for entry in row.values() if entry[0] == "failed"}
-        assert ZERO_PI_FAILURE[1] in messages
-        hajek = "HajekUndefinedError('no observed units in arm(s)"
+            messages |= set(_replication_chunk(payload, range(64))[2].values())
+        assert ZERO_PI_FAILURE in messages
+        hajek = "HajekUndefinedError: no observed units in arm(s)"
         assert any(message.startswith(hajek) for message in messages)
 
     def test_a_zero_pi_replication_fails_every_estimator(self):
         # opt_linear used to return NaN there and opt_logit to run every
         # restart on infinite data and report an OptimizationError
-        chunk = _replication_chunk(rare_cell_payload(), range(64))
-        failed = [rep for rep, row in chunk.items() if row["ht"] == ZERO_PI_FAILURE]
+        payload = rare_cell_payload()
+        values, bounds, failures = _replication_chunk(payload, range(64))
+        E = len(payload["estimators"])
+        failed = [rep for rep in range(64) if failures.get((rep, 0)) == ZERO_PI_FAILURE]
         assert len(failed) == 9
         for rep in failed:
-            assert set(chunk[rep].values()) == {ZERO_PI_FAILURE}
-        assert not any(np.isnan(entry[0]) for row in chunk.values() for entry in row.values()
-                       if entry[0] != "failed")
+            assert [failures.get((rep, e)) for e in range(E)] == [ZERO_PI_FAILURE] * E
+        fitted = np.ones(values.shape, dtype=bool)
+        fitted[tuple(np.array(list(failures)).T)] = False
+        assert not np.isnan(values[fitted]).any()
+        assert np.isnan(values[~fitted]).all() and np.isnan(bounds[~fitted]).all()
 
     def test_a_batch_that_raises_is_refit_per_replication(self, monkeypatch):
         payload = empty_arm_payload()
         payload["estimators"] = ["hajek", "qmle_logit", "opt_i_ols"]
-        expected = _replication_chunk(payload, range(64))
+        values, bounds, failures = _replication_chunk(payload, range(64))
         for name in payload["estimators"]:
             def sample(chunk, c, optimizer, original=ESTIMATORS[name]):
                 if len(chunk.reps) > 1 or chunk.reps == [7]:
@@ -568,9 +582,10 @@ class TestBatchedChunk:
 
             monkeypatch.setitem(ESTIMATORS, name, sample)
         refit = _replication_chunk(payload, range(64))
-        failure = ("failed", "FloatingPointError('chunk 7')")
-        expected[7] = dict.fromkeys(payload["estimators"], failure)
-        assert refit == expected
+        values[7] = bounds[7] = np.nan
+        failures = {key: text for key, text in failures.items() if key[0] != 7}
+        failures.update({(7, e): "FloatingPointError: chunk 7" for e in range(3)})
+        assert_same_chunk(refit, (values, bounds, dict(sorted(failures.items()))))
 
 
 def test_second_stages_keep_a_failing_row_to_itself():
