@@ -24,7 +24,6 @@ from .moments import (
 )
 
 PSD_TOL = 1e-8
-MINUS_ONE_TOL = 1e-12
 
 
 class NotIdentifiedError(ValueError):
@@ -62,22 +61,15 @@ def _weighted_form(Dt: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def minus_one_mask(moments: DesignMoments, cells: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the -1 entries of D (never jointly observed pairs): rows
-    `cells` (default: every cell) over all kn columns.
-
-    Exact moments: |d + 1| <= MINUS_ONE_TOL detection. Monte Carlo: zero
-    joint hits in p, the primary and less noisy datum. Flagged cells and
-    the diagonal are never in the mask.
+    """Mask of the -1 entries of D (never jointly observed pairs, p == 0,
+    where D is an exact -1 for exact and Monte-Carlo moments alike): rows
+    `cells` (default: every cell) over all kn columns. Flagged cells and the
+    diagonal are never in the mask.
     """
     kn = moments.kn
-    source = moments.D if moments.method == "exact" else moments.p
     mask = np.empty((kn if cells is None else len(cells), kn), dtype=bool)
     for rows in row_bands(mask.shape):
-        band = source[rows] if cells is None else source[cells[rows]]
-        if moments.method == "exact":
-            mask[rows] = np.abs(band + 1.0) <= MINUS_ONE_TOL
-        else:
-            mask[rows] = band == 0
+        mask[rows] = (moments.p[rows] if cells is None else moments.p[cells[rows]]) == 0
     cells = np.arange(kn) if cells is None else cells
     dead = moments.zero_mask | moments.maybe_zero_mask
     mask[:, dead] = False
@@ -156,16 +148,21 @@ def neyman_bound_crd(n: int, n_t: int) -> VarianceBound:
     )
 
 
+def check_bound_kind(design, kind: str) -> str:
+    """kind, if build_bound builds it for the design; otherwise a ValueError.
+    "neyman" needs a two-arm completely randomized design."""
+    if kind not in ("aronow_samii", "neyman"):
+        raise ValueError(f"unknown bound kind {kind!r}; known: aronow_samii, neyman")
+    if kind == "neyman" and not (isinstance(design, CompletelyRandomizedDesign) and design.k == 2):
+        raise ValueError("the neyman bound needs a two-arm completely randomized design")
+    return kind
+
+
 def build_bound(design, moments: DesignMoments, kind: str = "aronow_samii") -> VarianceBound:
-    """The named bound for a design. "neyman" needs a two-arm completely
-    randomized design."""
-    if kind == "aronow_samii":
-        return aronow_samii_bound(moments)
-    if kind == "neyman":
-        if not (isinstance(design, CompletelyRandomizedDesign) and design.k == 2):
-            raise ValueError("the neyman bound needs a two-arm completely randomized design")
+    """The named bound (see check_bound_kind) for a design and its moments."""
+    if check_bound_kind(design, kind) == "neyman":
         return neyman_bound_crd(design.n, int(design.counts[0]))
-    raise ValueError(f"unknown bound kind {kind!r}")
+    return aronow_samii_bound(moments)
 
 
 def custom_bound(Dt: np.ndarray, moments: DesignMoments, tol: float = PSD_TOL) -> VarianceBound:

@@ -16,12 +16,13 @@ import sys
 import numpy as np
 import yaml
 
-from .bounds import aronow_samii_bound, build_bound, certify_bound, psd_clip
+from .bounds import aronow_samii_bound, build_bound, certify_bound, check_bound_kind, psd_clip
 from .designs import (
     AssignmentRealization,
     CompletelyRandomizedDesign,
     build_design,
     check_bool,
+    check_finite,
     check_integer,
     check_keys,
 )
@@ -70,11 +71,14 @@ def _design_from_args(args):
     return build_design(spec)
 
 
-def _moments_from_args(args, design):
-    if getattr(args, "load_moments", None):
-        return DesignMoments.load_npz(args.load_moments)
-    if args.mc is not None:
-        return mc_moments(design, reps=args.mc, seed=args.seed)
+def _moments(design, npz, mc, seed):
+    """The design's moments: read from the .npz file npz when it is set, else
+    from mc Monte-Carlo draws seeded by seed when mc is set, else exact. The
+    one place a command reads a moments file or picks a route."""
+    if npz:
+        return DesignMoments.load_npz(npz)
+    if mc is not None:
+        return mc_moments(design, reps=mc, seed=seed)
     return closed_form_or_exact_moments(design)
 
 
@@ -95,7 +99,7 @@ def _add_moment_source_args(parser):
 
 def cmd_moments(args):
     design = _design_from_args(args)
-    moments = _moments_from_args(args, design)
+    moments = _moments(design, args.load_moments, args.mc, args.seed)
     if args.out:
         moments.save_npz(args.out)
     if args.pi_csv:
@@ -118,7 +122,7 @@ def cmd_moments(args):
 
 def cmd_complexity(args):
     design = _design_from_args(args)
-    moments = _moments_from_args(args, design)
+    moments = _moments(design, args.load_moments, args.mc, args.seed)
     k = design.k
     full = design_complexity(moments, zero_diag=args.zero_diag)
     print(("diag-zeroed " if args.zero_diag else "") + "largest-eigenvalue measures by arm pair:")
@@ -139,7 +143,7 @@ def cmd_complexity(args):
 
 def cmd_bound(args):
     design = _design_from_args(args)
-    moments = _moments_from_args(args, design)
+    moments = _moments(design, args.load_moments, args.mc, args.seed)
     bound = build_bound(design, moments, args.kind)
     cert = certify_bound(moments, bound)
     if args.out:
@@ -172,7 +176,7 @@ def _check_same_units(ids, what, other_ids, other, n):
 
 def cmd_estimate(args):
     design = _design_from_args(args)
-    moments = _moments_from_args(args, design)
+    moments = _moments(design, args.load_moments, args.mc, args.seed)
     unit_ids, arms, y = load_observed_csv(args.data)
     _check_same_units(unit_ids, "observed-data", design.unit_ids, "design group", design.n)
     if args.covariates:
@@ -263,21 +267,14 @@ def cmd_simulate(args):
             f"outcome.coeffs must be a list of one value per covariate column ({X.shape[1]}), "
             f"got {coeffs!r}"
         )
-    y_full = impute_potential_outcomes(X, coeffs, intercepts, outcome_seed)
-    if "psd_clip" in recipe:
-        check_bool("psd_clip", recipe["psd_clip"])
-    moments_spec = check_keys(
-        recipe.get("moments", {}), "moments", optional=(("npz", "method"), ("npz", "reps"))
-    )
-    if "reps" in moments_spec and moments_spec.get("method") != "mc":
-        raise ValueError("moments.reps is read only with method: mc")
-    preloaded = (
-        DesignMoments.load_npz(moments_spec["npz"]) if "npz" in moments_spec else None
+    y_full = impute_potential_outcomes(
+        X,
+        check_finite("outcome.coeffs", coeffs),
+        check_finite("outcome.intercepts", intercepts),
+        outcome_seed,
     )
     # SimConfig owns the defaults: pass only the optional settings the recipe sets
-    fields = dict(bound="bound_kind", psd_clip="apply_psd_clip", level="level", workers="workers")
-    options = {field: recipe[key] for key, field in fields.items() if key in recipe}
-    options |= {f"moments_{key}": value for key, value in moments_spec.items() if key != "npz"}
+    options = {key: recipe[key] for key in ("level", "workers") if key in recipe}
     if args.workers is not None:
         options["workers"] = args.workers
     cfg = SimConfig(
@@ -288,11 +285,25 @@ def cmd_simulate(args):
         contrast=recipe["contrast"],
         replications=recipe["replications"],
         seed=recipe["seed"],
-        moments=preloaded,
         optimizer=_optimizer_from_recipe(recipe.get("optimizer", {})),
         **options,
     )
-    table = run_simulation(cfg)
+    # the rest of the recipe is valid: check the moments and bound keys, then compute them
+    clip = check_bool("psd_clip", recipe.get("psd_clip", False))
+    kind = check_bound_kind(design, recipe.get("bound", "aronow_samii"))
+    spec = check_keys(
+        recipe.get("moments", {}), "moments", optional=(("npz", "method"), ("npz", "reps"))
+    )
+    method = spec.get("method", "exact")
+    if method not in ("exact", "mc"):
+        raise ValueError(f"unknown moments method {method!r}; known: exact, mc")
+    if "reps" in spec and method != "mc":
+        raise ValueError("moments.reps is read only with method: mc")
+    reps = check_integer("moments.reps", spec.get("reps", 100_000), 1) if method == "mc" else None
+    moments = _moments(design, spec.get("npz"), reps, cfg.seed + 1)
+    bound = build_bound(design, moments, kind)
+    bound = psd_clip(bound) if clip else bound
+    table = run_simulation(dataclasses.replace(cfg, moments=moments, bound=bound))
     if args.out:
         table.to_csv(args.out)
     if args.json:

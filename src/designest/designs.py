@@ -196,7 +196,7 @@ class BernoulliDesign(Design):
         probs = np.asarray(probs, dtype=float)
         if n < 1:
             raise ValueError("n must be positive")
-        if np.any(probs < 0) or np.any(probs > 1):
+        if not (np.all(probs >= 0) and np.all(probs <= 1)):  # NaN lies in no interval
             raise ValueError("arm probabilities must lie in [0, 1]")
         if abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError("arm probabilities must sum to 1")
@@ -262,7 +262,7 @@ def counts_from_proportions(m: int, proportions: Sequence[float]) -> np.ndarray:
     k, k-1, ..., in descending arm order.
     """
     proportions = np.asarray(proportions, dtype=float)
-    if abs(proportions.sum() - 1.0) > 1e-9:
+    if not abs(proportions.sum() - 1.0) <= 1e-9:  # also when a proportion is NaN
         raise ValueError("proportions must sum to 1")
     counts = np.floor(proportions * m).astype(np.int64)
     remainder = m - counts.sum()
@@ -512,6 +512,16 @@ def _check_list(
     return value
 
 
+def check_finite(name: str, values: list) -> list:
+    """values, if each entry is a finite number (not a bool); otherwise a
+    ValueError naming them. Keeps a YAML null or .nan from running as NaN."""
+    if not all(
+        _is_integer(v) or isinstance(v, (float, np.floating)) and math.isfinite(v) for v in values
+    ):
+        raise ValueError(f"{name} must hold finite numbers only, got {values!r}")
+    return values
+
+
 def check_bool(name: str, value) -> bool:
     """value, if it is a bool; otherwise a ValueError naming it. Keeps a
     YAML string "false" from running as a true value."""
@@ -572,7 +582,8 @@ def build_design(spec: dict) -> Design:
         raise ValueError(f"unknown design kind: {kind!r}")
     check_keys(spec, f"{kind} design", ("kind", *DESIGN_KEYS[kind][0]), DESIGN_KEYS[kind][1])
     if kind == "bernoulli":
-        return BernoulliDesign(check_integer("n", spec["n"], 1), _check_list("probs", spec["probs"]))
+        probs = check_finite("probs", _check_list("probs", spec["probs"]))
+        return BernoulliDesign(check_integer("n", spec["n"], 1), probs)
     if kind == "completely_randomized":
         n = check_integer("n", spec["n"], 1)
         return CompletelyRandomizedDesign(n, _check_list("counts", spec["counts"], integers=True))
@@ -590,7 +601,9 @@ def build_design(spec: dict) -> Design:
             design = StratifiedDesign(n, strata, counts)
         elif "proportions" in spec:
             proportions = _check_list("proportions", spec["proportions"])
-            design = StratifiedDesign.from_proportions(n, strata, proportions)
+            design = StratifiedDesign.from_proportions(
+                n, strata, check_finite("proportions", proportions)
+            )
         else:
             pattern = _check_list("pattern", spec["pattern"], integers=True)
             k = check_integer("k", spec["k"], 1)

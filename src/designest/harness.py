@@ -14,12 +14,12 @@ import json
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .bounds import build_bound, psd_clip
+from .bounds import VarianceBound, aronow_samii_bound
 from .designs import Design, _is_integer, check_integer, stream_rng
 from .linear import (
     LINEAR_KINDS,
@@ -42,7 +42,7 @@ from .model_assisted import (
     opt_logit_descent,
     population_opt_logit,
 )
-from .moments import DesignMoments, closed_form_or_exact_moments, mc_moments
+from .moments import DesignMoments, closed_form_or_exact_moments
 
 
 def _linear(kind):
@@ -116,13 +116,16 @@ def impute_potential_outcomes(covariates, coeffs, intercepts, seed) -> np.ndarra
 
     One logistic shock per unit, shared across arms (and held fixed across
     simulation replications): y_ai = 1{intercept_a + x_i' coeffs > eps_i}.
-    Returns the stacked kn vector.
+    Returns the stacked kn vector; a non-finite input is an error.
     """
     X = np.atleast_2d(np.asarray(covariates, dtype=float))
     coeffs = np.asarray(coeffs, dtype=float)
     intercepts = np.asarray(intercepts, dtype=float)
     if X.shape[1] != len(coeffs):
         raise ValueError("coefficient length must match covariate columns")
+    for name, values in (("covariates", X), ("coeffs", coeffs), ("intercepts", intercepts)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
     n = X.shape[0]
     shocks = stream_rng(seed).logistic(size=n)
     index = X @ coeffs
@@ -241,7 +244,9 @@ def fine_strata(
 @dataclass
 class SimConfig:
     """Everything one simulation run needs; replications are seeded
-    independently from (seed, replication index)."""
+    independently from (seed, replication index). The run reads the moments
+    and the full (kn x kn) bound given here; left None, they are the
+    design's exact moments and their Aronow-Samii bound."""
 
     design: Design
     y_full: np.ndarray
@@ -251,19 +256,14 @@ class SimConfig:
     replications: int
     seed: int
     moments: DesignMoments | None = None
-    moments_method: str = "exact"  # or "mc"; used when moments is None
-    moments_reps: int = 100_000
-    bound_kind: str = "aronow_samii"  # or "neyman" (two-arm CRD only)
-    apply_psd_clip: bool = False
+    bound: VarianceBound | None = None
     level: float = 0.95
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     workers: int = 1
 
     def __post_init__(self):
-        for name, least in (("replications", 1), ("seed", 0), ("moments_reps", 1), ("workers", 1)):
+        for name, least in (("replications", 1), ("seed", 0), ("workers", 1)):
             check_integer(name, getattr(self, name), least)
-        if self.moments_method not in ("exact", "mc"):
-            raise ValueError(f"unknown moments method {self.moments_method!r}; known: exact, mc")
         if isinstance(self.level, bool) or not isinstance(self.level, (int, float)):
             raise ValueError(f"level must be a number, got {self.level!r}")
         if not 0 < self.level < 1:
@@ -275,9 +275,14 @@ class SimConfig:
             )
         for name in self.estimators:
             estimator(name)  # raises on a name outside the table
+        kn = self.design.n * self.design.k
         self.y_full = np.asarray(self.y_full, dtype=float)
-        if self.y_full.shape != (self.design.n * self.design.k,):
+        if self.y_full.shape != (kn,):
             raise ValueError("y_full must be a stacked kn vector")
+        if self.moments is not None and self.moments.kn != kn:
+            raise ValueError(f"moments describe {self.moments.kn} cells, the design {kn}")
+        if self.bound is not None and (self.bound.cells is not None or self.bound.kn != kn):
+            raise ValueError(f"bound must be the full {kn} x {kn} bound of the design")
 
 
 METRIC_COLUMNS = (
@@ -341,16 +346,16 @@ class MetricsTable:
         return "\n".join(lines)
 
 
-_WORKER_PAYLOAD = None  # set once per worker process by _init_worker
+_WORKER_CONFIG = None  # set once per worker process by _init_worker
 
 
-def _init_worker(payload):
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
+def _init_worker(cfg):
+    global _WORKER_CONFIG
+    _WORKER_CONFIG = cfg
 
 
 def _chunk_via_global(rep_indices):
-    return _replication_chunk(_WORKER_PAYLOAD, rep_indices)
+    return _replication_chunk(_WORKER_CONFIG, rep_indices)
 
 
 def failure_text(exc: BaseException) -> str:
@@ -374,18 +379,20 @@ def fit_rows(chunk: ReplicationChunk, names, c, optimizer, bound):
     return fits, values, raw, errors
 
 
-def _replication_chunk(payload, rep_indices):
+def _replication_chunk(cfg: SimConfig, rep_indices):
     """Contrast values and plug-in bounds x n (R, E) of replications rep_indices, NaN where a
-    fit failed, and the failure record {(rep, e): "Type: message"}."""
-    design = payload["design"]  # replication rep draws from stream_rng(seed, rep) in any chunking
-    arms = np.stack([design.sample(stream_rng(payload["seed"], rep)).arm_of for rep in rep_indices])
-    y_obs = payload["y_full"][arms * design.n + np.arange(design.n)]
-    chunk = ReplicationChunk(arms, y_obs, payload["X"], payload["moments"], list(rep_indices))
-    names, c = payload["estimators"], payload["contrast"]
+    fit failed, and the failure record {(rep, e): "Type: message"}. cfg carries its moments
+    and bound (run_simulation fills them in)."""
+    design = cfg.design  # replication rep draws from stream_rng(seed, rep) in any chunking
+    arms = np.stack([design.sample(stream_rng(cfg.seed, rep)).arm_of for rep in rep_indices])
+    y_obs = cfg.y_full[arms * design.n + np.arange(design.n)]
+    chunk = ReplicationChunk(arms, y_obs, cfg.X, cfg.moments, list(rep_indices))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, values, raw, errors = fit_rows(chunk, names, c, payload["optimizer"], payload["bound"])
-    out = np.full((2, len(rep_indices), len(names)), np.nan)
+        _, values, raw, errors = fit_rows(
+            chunk, cfg.estimators, cfg.contrast, cfg.optimizer, cfg.bound
+        )
+    out = np.full((2, len(rep_indices), len(cfg.estimators)), np.nan)
     out[:, np.isin(rep_indices, chunk.reps)] = values, raw * chunk.n
     for rep, e in errors:
         out[:, rep_indices.index(rep), e] = np.nan
@@ -417,30 +424,10 @@ def population_contrast_residual(
 def run_simulation(cfg: SimConfig) -> MetricsTable:
     """Draw assignments, run every configured estimator, and aggregate the
     seven metric rows; failed replications are excluded and counted by reason."""
-    moments = cfg.moments
-    if moments is None:
-        if cfg.moments_method == "exact":
-            moments = closed_form_or_exact_moments(cfg.design)
-        else:
-            moments = mc_moments(cfg.design, reps=cfg.moments_reps, seed=cfg.seed + 1)
-    bound = build_bound(cfg.design, moments, cfg.bound_kind)
-    if cfg.apply_psd_clip:
-        bound = psd_clip(bound)
-    n = cfg.design.n
-    truth = float(
-        cfg.contrast @ (intercept_matrix(n, cfg.design.k).T @ cfg.y_full) / n
-    )
-    payload = {
-        "design": cfg.design,
-        "moments": moments,
-        "bound": bound,
-        "estimators": list(cfg.estimators),
-        "contrast": cfg.contrast,
-        "y_full": cfg.y_full,
-        "X": cfg.X,
-        "seed": cfg.seed,
-        "optimizer": cfg.optimizer,
-    }
+    moments = closed_form_or_exact_moments(cfg.design) if cfg.moments is None else cfg.moments
+    bound = aronow_samii_bound(moments) if cfg.bound is None else cfg.bound
+    cfg, n = replace(cfg, moments=moments, bound=bound), cfg.design.n  # what every chunk reads
+    truth = float(cfg.contrast @ (intercept_matrix(n, cfg.design.k).T @ cfg.y_full) / n)
     chunks = [
         range(start, min(start + REPLICATION_CHUNK, cfg.replications))
         for start in range(0, cfg.replications, REPLICATION_CHUNK)
@@ -448,11 +435,11 @@ def run_simulation(cfg: SimConfig) -> MetricsTable:
     if cfg.workers > 1:
         # a pool may start all its workers at once: start no more than there are chunks
         with ProcessPoolExecutor(
-            max_workers=min(cfg.workers, len(chunks)), initializer=_init_worker, initargs=(payload,)
+            max_workers=min(cfg.workers, len(chunks)), initializer=_init_worker, initargs=(cfg,)
         ) as pool:
             parts = list(pool.map(_chunk_via_global, chunks))
     else:
-        parts = [_replication_chunk(payload, chunk) for chunk in chunks]
+        parts = [_replication_chunk(cfg, chunk) for chunk in chunks]
     table, bounds_table = (np.concatenate([part[i] for part in parts]) for i in (0, 1))
     record = {key: text for part in parts for key, text in part[2].items()}
     failed = np.zeros(table.shape, dtype=bool)

@@ -891,8 +891,9 @@ def test_a_non_finite_contrast_is_rejected(crd_design_yaml, tmp_path, capsys, ba
         ("replications: true", "replications"),
         ("seed: 99.7", "seed"),
         ("seed: true", "seed"),
-        ("moments: {method: mc, reps: 1000.5}", "moments_reps"),
-        ("moments: {method: mc, reps: true}", "moments_reps"),
+        ("moments: {method: mc, reps: 1000.5}", "moments.reps"),
+        ("moments: {method: mc, reps: true}", "moments.reps"),
+        ("moments: {method: mc, reps: '1000'}", "moments.reps"),
     ],
 )
 def test_simulate_rejects_a_count_or_seed_that_is_not_an_integer(tmp_path, capsys, line, field):
@@ -1127,6 +1128,74 @@ def test_moments_reps_without_the_mc_method_exits_2_and_names_it(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "recipe, message",
+    [
+        (SIMPLE_RECIPE.replace("[ht]", "[ht, nope]"), "unknown estimator 'nope'"),
+        (SIMPLE_RECIPE + "psd_clip: 'yes'\n", "psd_clip must be true or false"),
+        (SIMPLE_RECIPE + "bound: neyman_crd\n", "unknown bound kind 'neyman_crd'"),
+        (SIMPLE_RECIPE.replace("counts: [4, 4]", "counts: [3, 3, 2]").replace(
+            "[-0.5, 0.5]", "[-0.5, 0.5, 0]").replace("[-1, 1]", "[-1, 1, 0]") + "bound: neyman\n",
+         "the neyman bound needs a two-arm completely randomized design"),
+    ],
+    ids=["estimator", "psd_clip", "bound", "neyman_on_three_arms"],
+)
+def test_a_rejected_recipe_computes_no_moments(tmp_path, capsys, monkeypatch, recipe, message):
+    # every other key is checked before a Monte-Carlo run or an enumeration starts
+    from designest import cli
+
+    def no_moments(*args, **kwargs):
+        raise AssertionError("moments computed for a rejected recipe")
+
+    monkeypatch.setattr(cli, "mc_moments", no_moments)
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(recipe + f"moments: {{method: mc, reps: {10**9}}}\n")
+    assert main(["simulate", "--config", str(spec)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "design, key",
+    [
+        ("{kind: bernoulli, n: 4, probs: [1.0, null]}", "probs"),
+        ("{kind: bernoulli, n: 4, probs: [1.0, .nan]}", "probs"),
+        ("{kind: bernoulli, n: 4, probs: [.inf, -.inf]}", "probs"),
+        ("{kind: bernoulli, n: 4, probs: [true, false]}", "probs"),
+        ("{kind: stratified, strata: [[0, 1], [2, 3]], proportions: [0.5, null]}", "proportions"),
+        ("{kind: stratified, strata: [[0, 1], [2, 3]], proportions: [0.5, .nan]}", "proportions"),
+        ("{kind: clustered, cluster_of: [0, 0, 1], "
+         "cluster_design: {kind: bernoulli, n: 2, probs: [.nan, 1.0]}}", "probs"),
+    ],
+)
+def test_a_non_finite_design_probability_exits_2_and_names_its_key(tmp_path, capsys, design, key):
+    # probs [1.0, null] used to exit 0 with arm 2's pi NaN; proportions [0.5, null]
+    # exited 2 naming "counts of stratum 0 sum to -9223372036854775807"
+    spec = tmp_path / "design.yaml"
+    spec.write_text(f"design: {design}\n")
+    assert main(["moments", "--design", str(spec), "--exact"]) == 2
+    assert f"{key} must hold finite numbers only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("coeffs: [1.0]", "coeffs: [null]", "outcome.coeffs"),
+        ("coeffs: [1.0]", "coeffs: [.nan]", "outcome.coeffs"),
+        ("coeffs: [1.0]", "coeffs: [true]", "outcome.coeffs"),
+        ("intercepts: [-0.5, 0.5]", "intercepts: [null, 0.5]", "outcome.intercepts"),
+        ("intercepts: [-0.5, 0.5]", "intercepts: [.inf, 0.5]", "outcome.intercepts"),
+        ("intercepts: [-0.5, 0.5]", "intercepts: [-.inf, 0.5]", "outcome.intercepts"),
+        ("intercepts: [-0.5, 0.5]", "intercepts: ['-0.5', 0.5]", "outcome.intercepts"),
+    ],
+)
+def test_a_non_finite_outcome_parameter_exits_2_and_names_its_key(tmp_path, capsys, old, new, key):
+    # coeffs [0.8, null] used to exit 0 with every potential outcome 0
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(SIMPLE_RECIPE.replace(old, new))
+    assert main(["simulate", "--config", str(spec)]) == 2
+    assert f"{key} must hold finite numbers only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "design",
     [
         "{kind: bernoulli, n: 4.7, probs: [0.5, 0.5]}",
@@ -1317,7 +1386,7 @@ def test_estimate_psd_clip_clips_once(unequal_crd, monkeypatch):
 
 def test_simulate_psd_clip_clips_once_and_plugs_in_the_clipped_form(tmp_path, monkeypatch):
     # the reference run clips the bound as it is built, with the recipe's psd_clip off
-    from designest import bounds, harness
+    from designest import bounds, cli
 
     recipe = OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht, hajek, wls]")
     outputs = {}
@@ -1330,10 +1399,8 @@ def test_simulate_psd_clip_clips_once_and_plugs_in_the_clipped_form(tmp_path, mo
         assert calls == ([] if clip == "false" else ["aronow_samii"])
         outputs[label] = (csv.read_bytes(), js.read_bytes())
         monkeypatch.undo()
-    build_bound = harness.build_bound
-    monkeypatch.setattr(
-        harness, "build_bound", lambda *args: bounds.psd_clip(build_bound(*args))
-    )
+    build_bound = cli.build_bound
+    monkeypatch.setattr(cli, "build_bound", lambda *args: bounds.psd_clip(build_bound(*args)))
     config = tmp_path / "plain.yaml"
     csv, js = tmp_path / "reference.csv", tmp_path / "reference.json"
     assert main(["simulate", "--config", str(config), "--out", str(csv), "--json", str(js)]) == 0
@@ -1419,15 +1486,15 @@ def test_estimate_is_replication_zero_of_simulate(tmp_path, monkeypatch, seed, p
     chunks = []
     replication_chunk = harness._replication_chunk
 
-    def recorded(payload, reps):
-        chunks.append((payload, replication_chunk(payload, reps)))
+    def recorded(cfg, reps):
+        chunks.append((cfg, replication_chunk(cfg, reps)))
         return chunks[-1][1]
 
     monkeypatch.setattr(harness, "_replication_chunk", recorded)
     assert main(["simulate", "--config", str(recipe)]) == 0
-    ((payload, (values, bounds, failures)),) = chunks  # one chunk of 4 replications
-    draw = payload["design"].sample(stream_rng(payload["seed"], 0)).arm_of
-    y = payload["y_full"][draw * 12 + np.arange(12)]
+    ((cfg, (values, bounds, failures)),) = chunks  # one chunk of 4 replications
+    draw = cfg.design.sample(stream_rng(cfg.seed, 0)).arm_of
+    y = cfg.y_full[draw * 12 + np.arange(12)]
     observed = tmp_path / "observed.csv"
     rows = "".join(f"{i},{a + 1},{v:.17g}\n" for i, (a, v) in enumerate(zip(draw, y)))
     observed.write_text("unit_id,arm,y\n" + rows)

@@ -178,6 +178,15 @@ def test_stratified_remainder_rule_descending_arms():
     assert counts_from_proportions(7, [0.25] * 4).tolist() == [1, 2, 2, 2]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_probabilities_and_proportions_are_rejected(bad):
+    # a NaN used to pass both sum-to-one checks
+    with pytest.raises(ValueError, match=r"arm probabilities must lie in \[0, 1\]"):
+        BernoulliDesign(4, [1.0, bad])
+    with pytest.raises(ValueError, match="proportions must sum to 1"):
+        counts_from_proportions(4, [0.5, bad])
+
+
 def test_pattern_counts_follow_repeated_prefix():
     pattern = [4, 3, 2, 1, 4, 3, 4, 3, 4, 3]
     assert counts_from_pattern(10, pattern, 4).tolist() == [1, 1, 4, 4]

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import expit
 
 from designest import harness, linear
-from designest.bounds import build_bound
+from designest.bounds import aronow_samii_bound, build_bound
 from designest.designs import BernoulliDesign, CompletelyRandomizedDesign, stream_rng
 from designest.harness import (
     ESTIMATOR_NAMES,
@@ -90,6 +90,16 @@ class TestImputeOutcomes:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             impute_potential_outcomes(np.zeros((5, 2)), [1.0], [0.0], seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["covariates", "coeffs", "intercepts"])
+    def test_non_finite_inputs_are_rejected(self, name, bad):
+        # a NaN coefficient used to make every potential outcome 0
+        args = {"covariates": np.zeros((5, 2)), "coeffs": [1.0, 0.5], "intercepts": [0.0, 0.5]}
+        args[name] = np.array(args[name], dtype=float)
+        args[name].flat[1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            impute_potential_outcomes(**args, seed=0)
 
 
 class TestPreprocess:
@@ -170,7 +180,6 @@ def small_sim_config(**overrides):
         contrast=np.array([-1.0, 1.0]),
         replications=200,
         seed=42,
-        moments_method="exact",
     )
     base.update(overrides)
     return SimConfig(**base)
@@ -265,7 +274,6 @@ class TestRunSimulation:
             contrast=np.array([-1.0, 1.0]),
             replications=50,
             seed=9,
-            moments_method="exact",
         )
         table = run_simulation(cfg)
         row = table.metrics["wls"]
@@ -284,7 +292,7 @@ class TestRunSimulation:
 
     def test_workers_under_spawn_match_one_worker(self, tmp_path, monkeypatch):
         # spawned workers inherit no module state from the parent, so the
-        # replication payload must reach them through the pool itself
+        # run's config must reach them through the pool itself
         from designest import harness
 
         spawn_pool = functools.partial(
@@ -315,7 +323,7 @@ class TestRunSimulation:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "_WORKER_PAYLOAD", None)
+        monkeypatch.setattr(harness, "_WORKER_CONFIG", None)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
         paths = []
         for workers in (1, 2, 64):  # 130 replications make 3 chunks
@@ -332,7 +340,7 @@ class TestRunSimulation:
     @pytest.mark.parametrize(
         "field, value",
         [("replications", 2.9), ("replications", True), ("replications", 0), ("seed", 99.7),
-         ("seed", False), ("seed", -1), ("moments_reps", 1000.5), ("moments_reps", "1000")],
+         ("seed", False), ("seed", -1)],
     )
     def test_counts_and_seed_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
@@ -357,7 +365,6 @@ class TestRunSimulation:
             contrast=np.array([-1.0, 1.0]),
             replications=20,
             seed=13,
-            moments_method="exact",
         )
         table = run_simulation(cfg)
         assert table.failures["ht"] == 0
@@ -382,6 +389,31 @@ class TestRunSimulation:
             small_sim_config(contrast=np.array([1.0, -1.0, 0.0]))
         with pytest.raises(ValueError):
             small_sim_config(estimators=["nope"])
+
+    def test_moments_and_bound_default_to_the_exact_ones(self, tmp_path):
+        design = small_sim_config().design
+        moments = closed_form_or_exact_moments(design)
+        paths = [tmp_path / "default.csv", tmp_path / "given.csv"]
+        run_simulation(small_sim_config(replications=70)).to_csv(paths[0])
+        given = small_sim_config(
+            replications=70, moments=moments, bound=aronow_samii_bound(moments)
+        )
+        run_simulation(given).to_csv(paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # moments given alone bring their own Aronow-Samii bound
+        run_simulation(small_sim_config(replications=70, moments=moments)).to_csv(paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_moments_and_bound_must_describe_the_design(self):
+        moments = closed_form_or_exact_moments(small_sim_config().design)
+        other = closed_form_or_exact_moments(CompletelyRandomizedDesign(6, [3, 3]))
+        with pytest.raises(ValueError, match="moments describe 12 cells, the design 16"):
+            small_sim_config(moments=other)
+        with pytest.raises(ValueError, match=r"bound must be the full 16 x 16 bound"):
+            small_sim_config(bound=aronow_samii_bound(other))
+        block = aronow_samii_bound(moments, cells=np.arange(8))  # an observed block
+        with pytest.raises(ValueError, match=r"bound must be the full 16 x 16 bound"):
+            small_sim_config(bound=block)
 
 
 # A short descent budget keeps opt_logit cheap; most of its fits succeed and
@@ -441,22 +473,24 @@ def ring_with_chords(n):
     return edges
 
 
-def chunk_payload(design, moments, X, y_full, contrast, seed):
-    """What run_simulation hands each chunk, with every table estimator."""
-    return {
-        "design": design,
-        "moments": moments,
-        "bound": build_bound(design, moments, "aronow_samii"),
-        "estimators": list(ESTIMATOR_NAMES),
-        "contrast": np.asarray(contrast, dtype=float),
-        "y_full": y_full,
-        "X": X,
-        "seed": seed,
-        "optimizer": SHORT_DESCENT,
-    }
+def chunk_config(design, moments, X, y_full, contrast, seed):
+    """What run_simulation hands each chunk, with every table estimator:
+    a SimConfig carrying its moments and their Aronow-Samii bound."""
+    return SimConfig(
+        design=design,
+        y_full=y_full,
+        X=X,
+        estimators=list(ESTIMATOR_NAMES),
+        contrast=contrast,
+        replications=64,
+        seed=seed,
+        moments=moments,
+        bound=build_bound(design, moments, "aronow_samii"),
+        optimizer=SHORT_DESCENT,
+    )
 
 
-def network_payload():
+def network_config():
     n = 40
     base = BernoulliDesign(n, [0.5, 0.5])
     graph = InterferenceGraph(n, ring_with_chords(n))
@@ -464,10 +498,10 @@ def network_payload():
     moments = mc_moments(design, reps=1500, seed=3)
     X = centered(stream_rng(4).standard_normal((n, 3)))
     y_full = impute_potential_outcomes(X, [0.8, 0.6, -0.5], [1.0, -1.5, 0.2, -0.5], seed=5)
-    return chunk_payload(design, moments, X, y_full, [0, 1, 0, -1], 6)
+    return chunk_config(design, moments, X, y_full, [0, 1, 0, -1], 6)
 
 
-def rare_cell_payload():
+def rare_cell_config():
     # 40 draws miss some possible cells, whose pi then reads zero: a draw
     # that observes one fails every weighted estimator
     n = 20
@@ -479,31 +513,29 @@ def rare_cell_payload():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         moments = mc_moments(design, reps=40, seed=4)
-        return chunk_payload(design, moments, X, y_full, [1, 0, 0, -1], 5)
+        return chunk_config(design, moments, X, y_full, [1, 0, 0, -1], 5)
 
 
-def empty_arm_payload():
+def empty_arm_config():
     # five units over three arms: some draws leave an arm empty
     design = BernoulliDesign(5, [0.2, 0.5, 0.3])
     X = centered(stream_rng(21).standard_normal((5, 1)))
     y_full = impute_potential_outcomes(X, [0.5], [0.3, -0.2, 0.1], seed=22)
-    return chunk_payload(design, closed_form_or_exact_moments(design), X, y_full, [1, 0, -1], 9)
+    return chunk_config(design, closed_form_or_exact_moments(design), X, y_full, [1, 0, -1], 9)
 
 
-def reference_chunk(payload, reps):
+def reference_chunk(cfg, reps):
     """The per-replication loop: one draw, one ExperimentData and one call
     of each estimator's public function per replication, gathered as
     _replication_chunk gathers them: (values, bounds x n) arrays, NaN where
     a fit failed, and the failure record {(rep, e): "Type: message"}."""
-    names = payload["estimators"]
+    names = cfg.estimators
     values, bounds = np.full((2, len(reps), len(names)), np.nan)
     failures = {}
     for i, rep in enumerate(reps):
-        realization = payload["design"].sample(stream_rng(payload["seed"], rep))
+        realization = cfg.design.sample(stream_rng(cfg.seed, rep))
         try:
-            data = ExperimentData.from_full(
-                payload["y_full"], realization, payload["X"], payload["moments"]
-            )
+            data = ExperimentData.from_full(cfg.y_full, realization, cfg.X, cfg.moments)
         except ValueError as exc:  # an observed cell of zero inclusion probability
             failures.update({(rep, e): f"ValueError: {exc}" for e in range(len(names))})
             continue
@@ -511,7 +543,7 @@ def reference_chunk(payload, reps):
             warnings.simplefilter("ignore")
             for e, name in enumerate(names):
                 try:
-                    report = REFERENCE[name](data, payload["contrast"], payload["bound"], rep)
+                    report = REFERENCE[name](data, cfg.contrast, cfg.bound, rep)
                     values[i, e], bounds[i, e] = report.contrast_value, report.varbound_times_n
                 except Exception as exc:
                     failures[rep, e] = f"{type(exc).__name__}: {exc}"
@@ -530,27 +562,27 @@ ZERO_PI_FAILURE = "ValueError: observed cell with zero inclusion probability"
 
 
 class TestBatchedChunk:
-    @pytest.mark.parametrize("make", [network_payload, rare_cell_payload, empty_arm_payload])
+    @pytest.mark.parametrize("make", [network_config, rare_cell_config, empty_arm_config])
     def test_chunk_matches_the_per_replication_loop(self, make):
-        payload = make()
-        chunk = _replication_chunk(payload, range(64))
-        assert_same_chunk(chunk, reference_chunk(payload, range(64)))  # failures included
-        assert chunk[0].shape == (64, len(payload["estimators"]))
+        cfg = make()
+        chunk = _replication_chunk(cfg, range(64))
+        assert_same_chunk(chunk, reference_chunk(cfg, range(64)))  # failures included
+        assert chunk[0].shape == (64, len(cfg.estimators))
         assert list(chunk[2]) == sorted(chunk[2])  # in (replication, estimator) order
 
-    @pytest.mark.parametrize("make", [network_payload, rare_cell_payload, empty_arm_payload])
+    @pytest.mark.parametrize("make", [network_config, rare_cell_config, empty_arm_config])
     def test_chunk_of_64_equals_64_chunks_of_one(self, make):
-        payload = make()
-        values, bounds, failures = _replication_chunk(payload, range(64))
+        cfg = make()
+        values, bounds, failures = _replication_chunk(cfg, range(64))
         for rep in range(64):
-            one = _replication_chunk(payload, [rep])
+            one = _replication_chunk(cfg, [rep])
             expected = {key: text for key, text in failures.items() if key[0] == rep}
             assert_same_chunk(one, (values[[rep]], bounds[[rep]], expected))
 
     def test_scenarios_cover_both_per_replication_failures(self):
         messages = set()
-        for payload in (rare_cell_payload(), empty_arm_payload()):
-            messages |= set(_replication_chunk(payload, range(64))[2].values())
+        for cfg in (rare_cell_config(), empty_arm_config()):
+            messages |= set(_replication_chunk(cfg, range(64))[2].values())
         assert ZERO_PI_FAILURE in messages
         hajek = "HajekUndefinedError: no observed units in arm(s)"
         assert any(message.startswith(hajek) for message in messages)
@@ -558,9 +590,9 @@ class TestBatchedChunk:
     def test_a_zero_pi_replication_fails_every_estimator(self):
         # opt_linear used to return NaN there and opt_logit to run every
         # restart on infinite data and report an OptimizationError
-        payload = rare_cell_payload()
-        values, bounds, failures = _replication_chunk(payload, range(64))
-        E = len(payload["estimators"])
+        cfg = rare_cell_config()
+        values, bounds, failures = _replication_chunk(cfg, range(64))
+        E = len(cfg.estimators)
         failed = [rep for rep in range(64) if failures.get((rep, 0)) == ZERO_PI_FAILURE]
         assert len(failed) == 9
         for rep in failed:
@@ -571,17 +603,17 @@ class TestBatchedChunk:
         assert np.isnan(values[~fitted]).all() and np.isnan(bounds[~fitted]).all()
 
     def test_a_batch_that_raises_is_refit_per_replication(self, monkeypatch):
-        payload = empty_arm_payload()
-        payload["estimators"] = ["hajek", "qmle_logit", "opt_i_ols"]
-        values, bounds, failures = _replication_chunk(payload, range(64))
-        for name in payload["estimators"]:
+        cfg = empty_arm_config()
+        cfg.estimators = ["hajek", "qmle_logit", "opt_i_ols"]
+        values, bounds, failures = _replication_chunk(cfg, range(64))
+        for name in cfg.estimators:
             def sample(chunk, c, optimizer, original=ESTIMATORS[name]):
                 if len(chunk.reps) > 1 or chunk.reps == [7]:
                     raise FloatingPointError(f"chunk {chunk.reps[0]}")
                 return original(chunk, c, optimizer)
 
             monkeypatch.setitem(ESTIMATORS, name, sample)
-        refit = _replication_chunk(payload, range(64))
+        refit = _replication_chunk(cfg, range(64))
         values[7] = bounds[7] = np.nan
         failures = {key: text for key, text in failures.items() if key[0] != 7}
         failures.update({(7, e): "FloatingPointError: chunk 7" for e in range(3)})
@@ -636,16 +668,16 @@ def test_second_stages_keep_a_failing_row_to_itself():
 
 
 def test_simulate_counts_zero_pi_replications_as_failures():
-    payload = rare_cell_payload()
+    cfg = rare_cell_config()
     cfg = SimConfig(
-        design=payload["design"],
-        y_full=payload["y_full"],
-        X=payload["X"],
+        design=cfg.design,
+        y_full=cfg.y_full,
+        X=cfg.X,
         estimators=["ht", "opt_linear"],
-        contrast=payload["contrast"],
+        contrast=cfg.contrast,
         replications=64,
-        seed=payload["seed"],
-        moments=payload["moments"],
+        seed=cfg.seed,
+        moments=cfg.moments,
     )
     table = run_simulation(cfg)
     assert table.failures == {"ht": 9, "opt_linear": 9}

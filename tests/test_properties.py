@@ -19,6 +19,7 @@ from designest.bounds import (
     aronow_samii_bound,
     build_bound,
     certify_bound,
+    minus_one_mask,
 )
 from designest.designs import (
     BernoulliDesign,
@@ -196,6 +197,21 @@ def _exact_or_mc_moments(design, mc_reps, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # never-hit cells
         return mc_moments(design, mc_reps, seed)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(design=designs(), data=st.data())
+def test_minus_one_mask_of_exact_moments_is_the_d_equals_minus_one_rule(design, data):
+    # the mask reads p == 0 for every moments route; on exact moments that is
+    # where D is -1, the rule exact moments were once masked by
+    moments = closed_form_or_exact_moments(design)
+    expected = np.abs(moments.D + 1.0) <= 1e-12
+    dead = moments.zero_mask | moments.maybe_zero_mask
+    expected[:, dead] = expected[dead, :] = False
+    np.fill_diagonal(expected, False)
+    assert np.array_equal(minus_one_mask(moments), expected)
+    cells = np.array(data.draw(st.lists(st.integers(0, moments.kn - 1), max_size=6)), dtype=int)
+    assert np.array_equal(minus_one_mask(moments, cells), expected[cells])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
