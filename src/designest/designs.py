@@ -24,6 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 ENUMERATION_CAP = 1_000_000
+INT64 = np.iinfo(np.int64)
+FLOAT64_MAX = float(np.finfo(np.float64).max)
 
 
 def stream_rng(seed, *index):
@@ -497,11 +499,12 @@ def _check_list(
     name: str, value, nested: bool = False, integers: bool = False, width: int | None = None
 ) -> list:
     """value, if it is a list (of lists, when nested, each of `width` entries
-    when width is set), whose entries are integers (not bools) when integers
-    is set; otherwise a ValueError naming it. Keeps a YAML scalar from
-    failing as a TypeError deep inside numpy, a 3.5 from running as 3 once
-    numpy casts the list to integers, and rows of the wrong length from
-    being re-cut into rows of the right one."""
+    when width is set), whose entries are integers (not bools) within int64's
+    range when integers is set; otherwise a ValueError naming it. Keeps a
+    YAML scalar from failing as a TypeError deep inside numpy, a 3.5 from
+    running as 3 once numpy casts the list to integers, a 401-digit integer
+    from overflowing, and rows of the wrong length from being re-cut into
+    rows of the right one."""
     if not isinstance(value, list) or nested and not all(isinstance(v, list) for v in value):
         raise ValueError(f"{name} must be a list{' of lists' * nested}, got {value!r}")
     if width is not None and not all(len(v) == width for v in value):
@@ -509,16 +512,22 @@ def _check_list(
     entries = [v for row in value for v in row] if nested else value
     if integers and not all(_is_integer(v) for v in entries):
         raise ValueError(f"{name} must hold integers only, got {value!r}")
+    if integers and not all(INT64.min <= v <= INT64.max for v in entries):
+        raise ValueError(f"{name} must hold integers within int64's range, got {value!r}")
     return value
 
 
 def check_finite(name: str, values: list) -> list:
-    """values, if each entry is a finite number (not a bool); otherwise a
-    ValueError naming them. Keeps a YAML null or .nan from running as NaN."""
+    """values, if each entry is a finite number (not a bool) within float64's
+    range; otherwise a ValueError naming them. Keeps a YAML null or .nan from
+    running as NaN, and an integer too large for a float64 from overflowing."""
     if not all(
-        _is_integer(v) or isinstance(v, (float, np.floating)) and math.isfinite(v) for v in values
+        (_is_integer(v) or isinstance(v, (float, np.floating))) and abs(v) <= FLOAT64_MAX
+        for v in values
     ):
-        raise ValueError(f"{name} must hold finite numbers only, got {values!r}")
+        raise ValueError(
+            f"{name} must hold finite numbers only, within float64's range, got {values!r}"
+        )
     return values
 
 

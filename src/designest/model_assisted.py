@@ -180,20 +180,10 @@ class OptimizerConfig:
 
 
 def _omega_weights(omega, pi: np.ndarray) -> np.ndarray:
-    """kn vector of population cell weights: pi, ones, or a positive vector."""
-    kn = len(pi)
-    if omega is None or (isinstance(omega, str) and omega == "pi"):
-        return pi.copy()
-    if isinstance(omega, str):
-        if omega != "ones":
-            raise ValueError(f"unknown omega spec {omega!r}")
-        return np.ones(kn)
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (kn,):
-        raise ValueError("omega must be a kn vector")
-    if np.any(omega <= 0):
-        raise ValueError("omega weights must be positive")
-    return omega
+    """kn vector of population cell weights: pi for "pi", ones for "ones"."""
+    if not isinstance(omega, str) or omega not in ("pi", "ones"):
+        raise ValueError(f"unknown omega spec {omega!r}")
+    return pi if omega == "pi" else np.ones(len(pi))
 
 
 def fit_qmle(model: ImputationModel, data: ExperimentData, omega="pi"):

@@ -562,11 +562,6 @@ class SecondOrderTensor:
     kn: int
     entries: np.ndarray
 
-    def weighted(self, Dt: np.ndarray) -> np.ndarray:
-        """(Dt x Dt) o S, the object whose spectral size controls variance
-        bound estimation error."""
-        return np.einsum("ij,kl->ijkl", Dt, Dt) * self.entries
-
 
 def second_order_tensor(design: Design, cap: int = TENSOR_CAP) -> SecondOrderTensor:
     """Exact second-order tensor for an enumerable design with kn <= cap."""

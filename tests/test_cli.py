@@ -1050,13 +1050,26 @@ RING_RULES = EXPOSURE_RING[EXPOSURE_RING.index("  rules:"):]
          "cluster_of must be a list, got 3"),
         ("moments", "design: {kind: stratified, strata: 3, counts: [[1, 1]]}\n",
          "strata must be a list of lists, got 3"),
+        ("moments", "design: {kind: stratified, strata: [[0, 1], [2, 3]], counts: [[1, 1]]}\n",
+         "one count vector per stratum required"),
+        ("moments", "design: {kind: stratified, strata: [[0, 1], [2, 3]], "
+                    "counts: [[1, 1], [1, 1, 0]]}\n",
+         "all strata must use the same number of arms"),
+        ("moments", "design: {kind: clustered, cluster_of: [0, 0, 2, 2], cluster_design: "
+                    "{kind: completely_randomized, n: 3, counts: [1, 2]}}\n",
+         "cluster ids must cover 0..C-1"),
+        ("moments", "design: {kind: clustered, cluster_of: [0, 0, 1, 1], cluster_design: "
+                    "{kind: completely_randomized, n: 3, counts: [1, 2]}}\n",
+         "cluster design size must equal number of clusters"),
     ],
     ids=["level_list", "level_string", "coeffs", "contrast", "rules", "own_arms",
-         "count_interval", "crd_counts", "cluster_of", "strata"],
+         "count_interval", "crd_counts", "cluster_of", "strata", "count_vectors",
+         "count_lengths", "cluster_gap", "cluster_design_n"],
 )
 def test_a_mistyped_spec_value_exits_2_and_names_its_key(tmp_path, capsys, command, text, message):
-    # each used to end in a TypeError traceback with exit code 1, and the
-    # string '0.9' ran as the level 0.9
+    # each up to strata used to end in a TypeError traceback with exit code 1,
+    # and the string '0.9' ran as the level 0.9; the design constructors'
+    # own checks follow
     spec = tmp_path / "spec.yaml"
     spec.write_text(text)
     flag = "--config" if command == "simulate" else "--design"
@@ -1217,6 +1230,7 @@ def test_a_design_n_that_is_no_integer_exits_2_and_names_it(tmp_path, capsys, de
     assert "n must be an integer >= 1, got " in err, err
 
 
+BEYOND_FLOAT64 = 10**400
 CLUSTER_PAIRS = "cluster_design: {kind: completely_randomized, n: 2, counts: [1, 1]}"
 
 
@@ -1253,13 +1267,19 @@ CLUSTER_PAIRS = "cluster_design: {kind: completely_randomized, n: 2, counts: [1,
                                "d10, own_arms: [2], counts: {2.0: [0, 0]}"),
          "exposure 'd10': counts must map an integer arm to integer bounds [lo, hi] "
          "(hi may be null), got 2.0: [0, 0]"),
+        (f"design: {{kind: bernoulli, n: 3, probs: [{BEYOND_FLOAT64}, 0]}}\n",
+         f"probs must hold finite numbers only, within float64's range, got [{BEYOND_FLOAT64}, 0]"),
+        (f"design: {{kind: completely_randomized, n: 3, counts: [{BEYOND_FLOAT64}, 0]}}\n",
+         f"counts must hold integers within int64's range, got [{BEYOND_FLOAT64}, 0]"),
     ],
     ids=["crd_counts", "strata_member", "stratified_counts", "pattern", "k", "cluster_of",
-         "edges", "own_arms_float", "own_arms_bool", "count_lo", "count_hi", "count_arm"],
+         "edges", "own_arms_float", "own_arms_bool", "count_lo", "count_hi", "count_arm",
+         "probs_beyond_float64", "counts_beyond_int64"],
 )
 def test_a_design_key_that_holds_no_integer_exits_2_and_names_it(tmp_path, capsys, text, message):
-    # each but k used to run, the entry cast to an integer (3.5 as 3, true as
-    # 1); k: 2.5 ended in a TypeError with exit 1
+    # each but k and the last two used to run, the entry cast to an integer
+    # (3.5 as 3, true as 1); k: 2.5 ended in a TypeError with exit 1, and the
+    # 401-digit integer in an OverflowError traceback with exit 1
     spec = tmp_path / "design.yaml"
     spec.write_text(text)
     assert main(["moments", "--design", str(spec)]) == 2

@@ -195,6 +195,16 @@ def test_pattern_counts_follow_repeated_prefix():
     assert counts_from_pattern(3, pattern, 4).tolist() == [0, 1, 1, 1]
 
 
+def test_a_pattern_spec_gives_each_stratum_its_pattern_counts():
+    strata = [[0, 3, 5], [1, 2, 4, 6, 7, 8, 9], [10]]
+    pattern = [3, 1, 3, 2]
+    design = build_design({"kind": "stratified", "strata": strata, "pattern": pattern, "k": 3})
+    assert design.k == 3
+    for units, counts in zip(strata, design.counts_by_stratum):
+        assert counts.tolist() == counts_from_pattern(len(units), pattern, 3).tolist()
+    assert [c.tolist() for c in design.counts_by_stratum] == [[1, 0, 2], [2, 1, 4], [0, 0, 1]]
+
+
 def test_stratified_sampling_respects_strata():
     design = StratifiedDesign(5, [[0, 1, 2], [3, 4]], [[1, 2], [1, 1]])
     r = design.sample(stream_rng(1))

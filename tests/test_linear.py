@@ -25,6 +25,7 @@ from designest.linear import (
     load_observed_csv,
     model_matrix,
     normal_ci,
+    plugin_bounds,
     plugin_raw,
     plugin_report,
     plugin_varbound,
@@ -449,6 +450,19 @@ class TestPluginVariance:
         # gathering the bound in blocks of a few rows changes nothing
         monkeypatch.setattr("designest.linear.PLUGIN_BLOCK_ENTRIES", 3 * 81)
         assert plugin_raw(v, cells, bound.Dt_over_p).tobytes() == batch.tobytes()
+
+    def test_a_block_bound_of_other_cells_is_refused(self):
+        design = BernoulliDesign(3, [0.5, 0.5])
+        moments = exact_moments(design)
+        v = stream_rng(18).standard_normal((2, 1, 6))
+        cells = np.array([[0, 1, 2], [3, 4, 2]])
+        block = aronow_samii_bound(moments, cells=cells[0])
+        full = plugin_bounds(v[:1], cells[:1], aronow_samii_bound(moments))
+        assert plugin_bounds(v[:1], cells[:1], block).tobytes() == full.tobytes()
+        with pytest.raises(ValueError, match="the bound's block is not the observed cells' block"):
+            plugin_bounds(v[1:], cells[1:], block)
+        with pytest.raises(ValueError, match="the bound's block is not the observed cells' block"):
+            plugin_bounds(v, cells, block)  # a block serves one row only
 
     def test_contrast_length_checked(self):
         design = BernoulliDesign(2, [0.5, 0.5])

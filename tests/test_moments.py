@@ -346,7 +346,8 @@ class TestSecondOrderTensor:
         design = CompletelyRandomizedDesign(n, [n_t, n - n_t])
         tensor = second_order_tensor(design)
         bound = neyman_bound_crd(n, n_t)
-        weighted = tensor.weighted(bound.Dt)
+        # (Dt x Dt) o S, whose spectral size controls the bound's estimation error
+        weighted = np.einsum("ij,kl->ijkl", bound.Dt, bound.Dt) * tensor.entries
         assert weighted[0, 0, 0, 0] == pytest.approx(n**2 * (n - n_t) / n_t**3)
 
     def test_cap_enforced(self):
