@@ -17,7 +17,7 @@ import numpy as np
 from .designs import CompletelyRandomizedDesign
 from .moments import (
     DesignMoments,
-    _crd_joint,
+    _joint,
     coordinate_csv,
     rescaled_demeaning_matrix,
     row_bands,
@@ -66,7 +66,7 @@ def minus_one_mask(moments: DesignMoments, cells: np.ndarray | None = None) -> n
     `cells` (default: every cell) over all kn columns. Flagged cells and the
     diagonal are never in the mask.
     """
-    kn = moments.kn
+    kn = moments.require_full("minus_one_mask").kn
     mask = np.empty((kn if cells is None else len(cells), kn), dtype=bool)
     for rows in row_bands(mask.shape):
         mask[rows] = (moments.p[rows] if cells is None else moments.p[cells[rows]]) == 0
@@ -84,9 +84,11 @@ def aronow_samii_bound(moments: DesignMoments, cells=None) -> VarianceBound:
     immediate from Gershgorin).
 
     With cells (for example a realization's observed cells) only that
-    block of the bound is built; each entry is bitwise the full bound's,
-    because the row counts still run over all kn columns. The plug-in
-    bound of that realization needs nothing else.
+    block of the bound is built, from the block of p, the block of D and
+    each block row's count of -1 entries over all kn columns
+    (_observed_block). Each entry is bitwise the full bound's. The plug-in
+    bound of that realization needs nothing else. Moments of an observed
+    block (DesignMoments.cells) give only the bound of their own cells.
     """
     if np.any(moments.zero_mask):
         raise NotIdentifiedError(
@@ -98,15 +100,16 @@ def aronow_samii_bound(moments: DesignMoments, cells=None) -> VarianceBound:
             "possibly-zero cells present; bound built on the remaining cells",
             RuntimeWarning,
         )
-    if cells is not None:
-        cells = np.asarray(cells, dtype=np.int64)
-    rows = minus_one_mask(moments, cells)
-    counts = rows.sum(axis=1)
     if cells is None:
-        mask, Dt, p = rows, moments.D.copy(), moments.p
+        mask = minus_one_mask(moments)
+        p, Dt, counts = moments.p, moments.D.copy(), mask.sum(axis=1)
     else:
-        # rows, then columns: two plain gathers, several times faster than np.ix_
-        mask, Dt, p = rows[:, cells], moments.D[cells][:, cells], moments.p[cells][:, cells]
+        cells = np.asarray(cells, dtype=np.int64)
+        p, Dt, counts = _observed_block(moments, cells)
+        # the block of minus_one_mask: p == 0 between live cells, off the diagonal
+        live = ~(moments.zero_mask | moments.maybe_zero_mask)[cells]
+        mask = (p == 0) & live[:, None] & live
+        np.fill_diagonal(mask, False)
     # D plus the indicator of the -1 entries, zeroed there, plus row counts
     # on the diagonal (the mask never holds a diagonal entry)
     np.copyto(Dt, 0.0, where=mask)
@@ -119,6 +122,20 @@ def aronow_samii_bound(moments: DesignMoments, cells=None) -> VarianceBound:
         name="aronow_samii",
         cells=cells,
     )
+
+
+def _observed_block(moments: DesignMoments, cells: np.ndarray):
+    """(p block, a copy of the D block, each block row's count of -1
+    entries over all kn columns) of the cells: carried by moments of that
+    block, gathered from full moments (loaded, Monte-Carlo or any exact
+    route)."""
+    if moments.cells is not None:
+        if not np.array_equal(moments.cells, cells):
+            raise ValueError("the moments' block is not the requested cells' block")
+        return moments.p, moments.D.copy(), moments.never_joint
+    counts = minus_one_mask(moments, cells).sum(axis=1)
+    # rows, then columns: two plain gathers, several times faster than np.ix_
+    return moments.p[cells][:, cells], moments.D[cells][:, cells], counts
 
 
 def neyman_bound_crd(n: int, n_t: int) -> VarianceBound:
@@ -139,7 +156,7 @@ def neyman_bound_crd(n: int, n_t: int) -> VarianceBound:
     Dt = np.zeros((2 * n, 2 * n))
     Dt[:n, :n] = (n / n_t) * a
     Dt[n:, n:] = (n / n_c) * a
-    _, p = _crd_joint(n, np.array([n_t, n_c]))
+    _, p = _joint(CompletelyRandomizedDesign(n, [n_t, n_c]))
     return VarianceBound(
         Dt=Dt,
         mask_minus1=p == 0,  # the two arms of one unit
@@ -244,6 +261,7 @@ def certify_bound(
     Gershgorin's theorem when every live row's margin is >= -tol, as it is
     for the diagonally dominant Aronow-Samii increment; otherwise the dense
     spectrum of the live block decides."""
+    moments.require_full("certify_bound")
     if bound.Dt.shape != moments.D.shape:
         raise ValueError("bound and moments dimensions differ")
     live = ~(moments.zero_mask | moments.maybe_zero_mask)

@@ -27,6 +27,7 @@ from .designs import (
     check_keys,
 )
 from .harness import (
+    READS_D,
     ReplicationChunk,
     SimConfig,
     estimator,
@@ -50,6 +51,7 @@ from .moments import (
     closed_form_or_exact_moments,
     design_complexity,
     exact_moments,
+    has_closed_form,
     mc_moments,
 )
 from .network import positivity_report
@@ -71,15 +73,17 @@ def _design_from_args(args):
     return build_design(spec)
 
 
-def _moments(design, npz, mc, seed):
+def _moments(design, npz, mc, seed, cells=None):
     """The design's moments: read from the .npz file npz when it is set, else
     from mc Monte-Carlo draws seeded by seed when mc is set, else exact. The
-    one place a command reads a moments file or picks a route."""
+    one place a command reads a moments file or picks a route. cells, from a
+    caller that reads only one realization's observed block, selects the
+    exact moments of that block alone when the design has_closed_form."""
     if npz:
         return DesignMoments.load_npz(npz)
     if mc is not None:
         return mc_moments(design, reps=mc, seed=seed)
-    return closed_form_or_exact_moments(design)
+    return closed_form_or_exact_moments(design, cells if has_closed_form(design) else None)
 
 
 def _add_moment_source_args(parser):
@@ -176,7 +180,6 @@ def _check_same_units(ids, what, other_ids, other, n):
 
 def cmd_estimate(args):
     design = _design_from_args(args)
-    moments = _moments(design, args.load_moments, args.mc, args.seed)
     unit_ids, arms, y = load_observed_csv(args.data)
     _check_same_units(unit_ids, "observed-data", design.unit_ids, "design group", design.n)
     if args.covariates:
@@ -186,15 +189,19 @@ def cmd_estimate(args):
     else:
         X = np.zeros((design.n, 0))
     realization = AssignmentRealization(design.n, design.k, arms)
+    cells = realization.observed_cells
+    names = [name.strip() for name in args.estimators.split(",")]
+    # the plug-in reads only the observed block; clipping needs the full bound,
+    # and the rows of READS_D the full D
+    block = not args.psd_clip and READS_D.isdisjoint(names)
+    moments = _moments(design, args.load_moments, args.mc, args.seed, cells if block else None)
     chunk = ReplicationChunk(realization.arm_of[None], y[None], X, moments)
-    # the plug-in reads only the observed block; clipping needs the full bound
     bound = (
         psd_clip(aronow_samii_bound(moments))
         if args.psd_clip
-        else aronow_samii_bound(moments, cells=realization.observed_cells)
+        else aronow_samii_bound(moments, cells=cells)
     )
     contrast = check_contrast([float(v) for v in args.contrast.split(",")], design.k)
-    names = [name.strip() for name in args.estimators.split(",")]
     fits, _, raw, errors = fit_rows(chunk, names, contrast, OptimizerConfig(), bound)
     reports = []
     for e, (name, fit) in enumerate(zip(names, fits)):

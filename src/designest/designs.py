@@ -544,11 +544,14 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_integer(name: str, value, least: int):
-    """value, if it is an integer (not a bool) >= least; otherwise a
-    ValueError naming it. Keeps a recipe's 6.7 from running as 6."""
+def check_integer(name: str, value, least: int, most: int | None = None):
+    """value, if it is an integer (not a bool) >= least and, when most is
+    set, <= most; otherwise a ValueError naming it. Keeps a recipe's 6.7
+    from running as 6, and a design's 401-digit n or k from overflowing."""
     if not _is_integer(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be an integer <= {most}, got {value!r}")
     return value
 
 
@@ -581,8 +584,8 @@ def build_design(spec: dict) -> Design:
     alternative of a group (``strata`` or ``strata_csv``; ``counts``,
     ``proportions`` or ``pattern``, which needs ``k``; ``cluster_of`` or
     ``cluster_csv``; ``edges`` or ``edges_csv``), a list-valued key that
-    holds no list, an ``n`` that is no integer >= 1, and an ``undirected``
-    that is not a boolean.
+    holds no list, an ``n`` or ``k`` that is no integer in [1, int64's
+    largest], and an ``undirected`` that is not a boolean.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"a design must be a mapping, got {spec!r}")
@@ -592,9 +595,9 @@ def build_design(spec: dict) -> Design:
     check_keys(spec, f"{kind} design", ("kind", *DESIGN_KEYS[kind][0]), DESIGN_KEYS[kind][1])
     if kind == "bernoulli":
         probs = check_finite("probs", _check_list("probs", spec["probs"]))
-        return BernoulliDesign(check_integer("n", spec["n"], 1), probs)
+        return BernoulliDesign(check_integer("n", spec["n"], 1, INT64.max), probs)
     if kind == "completely_randomized":
-        n = check_integer("n", spec["n"], 1)
+        n = check_integer("n", spec["n"], 1, INT64.max)
         return CompletelyRandomizedDesign(n, _check_list("counts", spec["counts"], integers=True))
     unit_ids = None
     if kind == "stratified":
@@ -604,7 +607,10 @@ def build_design(spec: dict) -> Design:
             unit_ids, strata = read_group_csv(spec["strata_csv"])
         else:
             strata = _check_list("strata", spec["strata"], nested=True, integers=True)
-        n = check_integer("n", spec["n"], 1) if "n" in spec else sum(len(s) for s in strata)
+        if "n" in spec:
+            n = check_integer("n", spec["n"], 1, INT64.max)
+        else:
+            n = sum(len(s) for s in strata)
         if "counts" in spec:
             counts = _check_list("counts", spec["counts"], nested=True, integers=True)
             design = StratifiedDesign(n, strata, counts)
@@ -615,7 +621,7 @@ def build_design(spec: dict) -> Design:
             )
         else:
             pattern = _check_list("pattern", spec["pattern"], integers=True)
-            k = check_integer("k", spec["k"], 1)
+            k = check_integer("k", spec["k"], 1, INT64.max)
             design = StratifiedDesign.from_pattern(n, strata, pattern, k)
         design.unit_ids = unit_ids
         return design

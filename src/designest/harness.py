@@ -98,6 +98,9 @@ ESTIMATORS = {
     "opt_i_logit": _two_stage("logistic", "pi", opt_i_imputations),
 }
 ESTIMATOR_NAMES = tuple(ESTIMATORS)
+# The rows that read the full design matrix chunk.moments.D (as Omega); every
+# other row reads pi at the observed cells and the bound's observed block.
+READS_D = frozenset(name for name in ESTIMATORS if name.startswith(("noharm_", "opt_")))
 
 
 def estimator(name: str) -> Callable[..., SampleFit]:
@@ -279,7 +282,7 @@ class SimConfig:
         self.y_full = np.asarray(self.y_full, dtype=float)
         if self.y_full.shape != (kn,):
             raise ValueError("y_full must be a stacked kn vector")
-        if self.moments is not None and self.moments.kn != kn:
+        if self.moments is not None and self.moments.require_full("a simulation").kn != kn:
             raise ValueError(f"moments describe {self.moments.kn} cells, the design {kn}")
         if self.bound is not None and (self.bound.cells is not None or self.bound.kn != kn):
             raise ValueError(f"bound must be the full {kn} x {kn} bound of the design")

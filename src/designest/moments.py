@@ -7,7 +7,8 @@ D[s, t] = p[s, t] / (pi[s] * pi[t]) - 1 wherever both probabilities are
 positive. Cells with pi = 0 are flagged and their rows left unusable.
 
 All exact routes share one path: ``_joint`` gives pi and p by the design
-kind's exact law, and ``_exact`` assembles D from them.
+kind's exact law, and ``_exact`` assembles D from them. For the kinds with a
+closed form, ``_joint`` also gives one realization's observed block alone.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ class DesignMoments:
     additionally flags Monte-Carlo cells that were never hit but whose
     impossibility is unproven. Rows/columns of D at flagged cells are zeroed
     placeholders, not estimates.
+
+    cells, when set, makes these the moments of an observed block (see
+    ``_joint``): p and D are the cells x cells blocks of the full matrices,
+    each entry bitwise the full one's, and never_joint holds each block
+    row's count of never-joint cells (p == 0, both cells live, off the
+    diagonal) over all kn columns; pi and the masks still cover all kn
+    cells. A consumer of the full matrices refuses such moments
+    (require_full).
     """
 
     n: int
@@ -72,6 +81,8 @@ class DesignMoments:
     maybe_zero_mask: np.ndarray = field(default=None)
     reps: int | None = None
     seed: int | None = None
+    cells: np.ndarray | None = None
+    never_joint: np.ndarray | None = None
 
     def __post_init__(self):
         if self.maybe_zero_mask is None:
@@ -81,8 +92,16 @@ class DesignMoments:
     def kn(self) -> int:
         return self.n * self.k
 
+    def require_full(self, what: str) -> "DesignMoments":
+        """self, unless it holds an observed block only; then a ValueError
+        saying that `what` needs the full moments."""
+        if self.cells is not None:
+            raise ValueError(f"{what} needs the full moments, not an observed block")
+        return self
+
     def submoments(self, arms) -> "DesignMoments":
         """Principal sub-block for a subset of arms (for arm-pair measures)."""
+        self.require_full("submoments")
         arms = list(arms)
         cells = np.concatenate([np.arange(self.n) + a * self.n for a in arms])
         return DesignMoments(
@@ -104,6 +123,7 @@ class DesignMoments:
         load_npz can map the arrays in place. The zip goes to a temporary
         file beside path and is renamed over it, so arrays that a reader
         has already mapped from path keep their values."""
+        self.require_full("save_npz")
         path = os.fspath(path)
         if not path.endswith(".npz"):  # as np.savez names it
             path += ".npz"
@@ -167,7 +187,7 @@ class DesignMoments:
 
     def d_to_csv(self, path):
         """Coordinate export of D as i,j,value triplets (tiny entries dropped)."""
-        coordinate_csv(path, self.D)
+        coordinate_csv(path, self.require_full("d_to_csv").D)
 
 
 def coordinate_csv(path, M: np.ndarray):
@@ -267,15 +287,24 @@ def _warn_dense(kn: int):
         )
 
 
-def _exact(design, pi: np.ndarray, p: np.ndarray) -> DesignMoments:
+def _exact(design, pi: np.ndarray, p: np.ndarray, never_joint=None, cells=None) -> DesignMoments:
     """Exact moments from pi and p of a design or a support table, which
     sum positive probabilities: a cell or pair never realized has an exact
-    0, so pi == 0 proves a cell impossible."""
+    0, so pi == 0 proves a cell impossible. With cells, p and never_joint
+    are their observed block's (see DesignMoments), and D is assembled for
+    that block alone; _assemble_d works entry by entry, so each entry is
+    bitwise the full D's."""
     n, k = design.n, design.k
-    _warn_dense(n * k)
     zero_mask = pi == 0
-    D = _assemble_d(pi, p, zero_mask)
-    return DesignMoments(n=n, k=k, pi=pi, p=p, D=D, method="exact", zero_mask=zero_mask)
+    if cells is None:
+        _warn_dense(n * k)
+        D = _assemble_d(pi, p, zero_mask)
+    else:
+        D = _assemble_d(pi[cells], p, zero_mask[cells])
+    return DesignMoments(
+        n=n, k=k, pi=pi, p=p, D=D, method="exact", zero_mask=zero_mask,
+        cells=cells, never_joint=never_joint,
+    )
 
 
 def exact_moments(design: Design) -> DesignMoments:
@@ -311,32 +340,66 @@ def _exchangeable_joint(n: int, marginal: np.ndarray, pair: np.ndarray):
     return np.repeat(marginal, n), p.reshape(n * k, n * k)
 
 
-def _crd_joint(n: int, counts: np.ndarray):
-    """pi and p of a completely randomized design of n units with the given
-    arm counts."""
+def _crd_tables(n: int, counts: np.ndarray):
+    """marginal and pair tables (see _exchangeable_joint) of a completely
+    randomized design of n units with the given arm counts."""
     share = counts / n
     # max: a single unit has no pair of distinct units, so pair goes unread
-    pair = share[:, None] * ((counts - np.eye(len(counts))) / max(n - 1, 1))
-    return _exchangeable_joint(n, share, pair)
+    return share, share[:, None] * ((counts - np.eye(len(counts))) / max(n - 1, 1))
 
 
-def _joint(design):
-    """pi and p of a design, by its kind's exact law: Bernoulli units are
-    exchangeable with independent pairs; a completely randomized design has
-    the hypergeometric closed form; strata are independent, each with that
-    form; a clustered design's cluster-level support is gathered to units;
-    any other design's unit-level support is enumerated."""
+def has_closed_form(design) -> bool:
+    """Whether `_joint` has a closed form for the design's kind, and with
+    it the observed-block form."""
+    return isinstance(design, (BernoulliDesign, CompletelyRandomizedDesign, StratifiedDesign))
+
+
+def _exchangeable_groups(design):
+    """(units, marginal, pair) of each group of exchangeable units (see
+    _exchangeable_joint) of a design that has_closed_form, the groups
+    independent of one another: Bernoulli units are one group with
+    independent pairs, a completely randomized design one group with the
+    hypergeometric tables, and each stratum a group with those tables."""
     if isinstance(design, BernoulliDesign):
-        return _exchangeable_joint(design.n, design.probs, np.outer(design.probs, design.probs))
+        return [(np.arange(design.n), design.probs, np.outer(design.probs, design.probs))]
     if isinstance(design, CompletelyRandomizedDesign):
-        return _crd_joint(design.n, design.counts)
-    if isinstance(design, StratifiedDesign):
+        return [(np.arange(design.n), *_crd_tables(design.n, design.counts))]
+    return [
+        (units, *_crd_tables(len(units), counts))
+        for units, counts in zip(design.strata, design.counts_by_stratum)
+    ]
+
+
+def _joint(design, cells=None):
+    """pi and p of a design, by its kind's exact law: the closed forms of
+    `_exchangeable_groups` (strata independent of one another); a clustered
+    design's cluster-level support gathered to units; any other design's
+    unit-level support enumerated.
+
+    With cells, one observed cell of each unit in unit order, a kind that
+    has_closed_form gives its observed block instead: pi over all kn cells,
+    the cells x cells block of p gathered from the same tables (entries of
+    two strata are pi_s pi_t, as in the full route's outer product), and
+    each block row's never-joint count over all kn columns. A dead row
+    (pi == 0) counts 0. A live row of arm a in a group of m units counts
+    (live arms - 1), its own unit's other live cells, plus
+    (m - 1) #{live b : pair[a, b] == 0}, the group's other units in an arm
+    that never joins a; live cells of other groups always join it. Every
+    entry and count is bitwise the full route's and minus_one_mask's."""
+    if cells is not None:
+        if not has_closed_form(design):
+            raise TypeError(f"no observed-block moments for a {type(design).__name__}")
+        return _observed_joint(design, cells)
+    if has_closed_form(design):
         n, k = design.n, design.k
+        groups = _exchangeable_groups(design)
+        if len(groups) == 1:  # all n units, in any order: they are exchangeable
+            return _exchangeable_joint(n, *groups[0][1:])
         pi = np.empty(n * k)
         blocks = []
-        for units, counts in zip(design.strata, design.counts_by_stratum):
+        for units, marginal, pair in groups:
             cells = (np.arange(k)[:, None] * n + units).ravel()  # stratum cells, arm-major
-            pi[cells], block_p = _crd_joint(len(units), counts)
+            pi[cells], block_p = _exchangeable_joint(len(units), marginal, pair)
             blocks.append((cells, block_p))
         p = np.multiply.outer(pi, pi)
         for cells, block_p in blocks:
@@ -349,11 +412,42 @@ def _joint(design):
     return _support_joint(design.enumerate_support())
 
 
-def closed_form_or_exact_moments(design) -> DesignMoments:
+def _observed_joint(design, cells: np.ndarray):
+    """`_joint`'s observed-block form: (pi, p block, never-joint counts)."""
+    n, k = design.n, design.k
+    arm, unit = np.divmod(cells, n)
+    in_order = cells.shape == (n,) and np.array_equal(unit, np.arange(n))
+    if not in_order or not np.all((0 <= arm) & (arm < k)):
+        raise ValueError("cells must hold one cell of each unit, in unit order")
+    groups = _exchangeable_groups(design)
+    pi = np.empty(n * k)
+    never_joint = np.empty(n, dtype=np.int64)
+    for units, marginal, pair in groups:
+        pi[(np.arange(k)[:, None] * n + units).ravel()] = np.repeat(marginal, len(units))
+        live = marginal > 0
+        per_arm = live.sum() - 1 + (len(units) - 1) * (pair[:, live] == 0).sum(axis=1)
+        never_joint[units] = np.where(live[arm[units]], per_arm[arm[units]], 0)
+    observed = pi[cells]
+    if len(groups) == 1:  # all n units; a unit's row in the block is the unit
+        p = groups[0][2][arm][:, arm]
+    else:
+        p = np.multiply.outer(observed, observed)
+        for units, _, pair in groups:
+            p[np.ix_(units, units)] = pair[arm[units]][:, arm[units]]
+    np.fill_diagonal(p, observed)  # a unit's own cell
+    return pi, p, never_joint
+
+
+def closed_form_or_exact_moments(design, cells=None) -> DesignMoments:
     """Exact moments by the cheapest exact route that `_joint` knows for the
     design's kind. A completely randomized design goes through
     analytic_crd_moments, the name under which profiles record the closed
-    form."""
+    form. With cells, one observed cell of each unit, a design that
+    has_closed_form gets the moments of their block only (see
+    DesignMoments)."""
+    if cells is not None:
+        cells = np.asarray(cells, dtype=np.int64)
+        return _exact(design, *_joint(design, cells), cells)
     if isinstance(design, CompletelyRandomizedDesign):
         return analytic_crd_moments(design)
     return _exact(design, *_joint(design))
@@ -543,6 +637,7 @@ def design_complexity(moments: DesignMoments, arms=None, zero_diag: bool = False
     Infinite when a participating cell has a proven zero probability; a
     warning (finite value) when cells are merely unhit in Monte Carlo.
     """
+    moments.require_full("design_complexity")
     sub = moments if arms is None else moments.submoments(arms)
     if np.any(sub.zero_mask):
         return np.inf

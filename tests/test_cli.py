@@ -866,6 +866,86 @@ def test_estimate_warns_once_per_negative_row(unequal_crd, monkeypatch):
     assert len(negative) == 2 * 3  # the estimate command's rows, then the reference's
 
 
+BLOCK_ROUTE_DESIGNS = {
+    "crd": "{kind: completely_randomized, n: 24, counts: [6, 8, 10]}",
+    "bernoulli": "{kind: bernoulli, n: 24, probs: [0.25, 0.35, 0.4]}",
+    "stratified": "{kind: stratified, strata: [[0, 3, 6, 9, 12, 15, 18, 21, 22, 23],"
+    " [1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 19, 20]], counts: [[3, 3, 4], [4, 5, 5]]}",
+}
+FIRST_STAGE_ROWS = "ht,hajek,ols,wls,ci,mi,gr,qmle_logit"
+
+
+def _block_route_argv(tmp_path, kind):
+    """estimate's argv for the first-stage rows on one draw of a design of
+    BLOCK_ROUTE_DESIGNS, with two covariates."""
+    import yaml
+
+    from designest.designs import build_design, stream_rng
+
+    design = tmp_path / "design.yaml"
+    design.write_text(f"design: {BLOCK_ROUTE_DESIGNS[kind]}\n")
+    arms = build_design(yaml.safe_load(BLOCK_ROUTE_DESIGNS[kind])).sample(stream_rng(4)).arm_of
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((24, 2))
+    y = (X[:, 0] + 0.5 * arms > rng.logistic(size=24)).astype(float)
+    (tmp_path / "obs.csv").write_text(
+        "unit_id,arm,y\n" + "".join(f"{i},{a + 1},{v}\n" for i, (a, v) in enumerate(zip(arms, y)))
+    )
+    (tmp_path / "x.csv").write_text(
+        "unit_id,x1,x2\n" + "".join(f"{i},{a:.17g},{b:.17g}\n" for i, (a, b) in enumerate(X))
+    )
+    return ["estimate", "--design", str(design), "--data", str(tmp_path / "obs.csv"),
+            "--covariates", str(tmp_path / "x.csv"), "--estimators", FIRST_STAGE_ROWS,
+            "--contrast=-1,0.5,0.5"]
+
+
+def _record_routes(monkeypatch):
+    """The list to which each aronow_samii_bound call of the CLI appends
+    whether its moments were an observed block."""
+    from designest import cli
+
+    routes, bound = [], cli.aronow_samii_bound
+
+    def recorded(moments, cells=None):
+        routes.append(moments.cells is not None)
+        return bound(moments, cells=cells)
+
+    monkeypatch.setattr(cli, "aronow_samii_bound", recorded)
+    return routes
+
+
+@pytest.mark.parametrize("kind", BLOCK_ROUTE_DESIGNS)
+def test_first_stage_estimate_writes_the_full_routes_bytes(tmp_path, monkeypatch, kind):
+    from designest import cli
+
+    argv = _block_route_argv(tmp_path, kind)
+    routes = _record_routes(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "block.json")]) == 0
+    closed_form = cli.closed_form_or_exact_moments
+    monkeypatch.setattr(cli, "closed_form_or_exact_moments", lambda design, cells: closed_form(design))
+    assert main(argv + ["--out", str(tmp_path / "full.json")]) == 0
+    assert routes == [True, False]
+    block = (tmp_path / "block.json").read_bytes()
+    assert block == (tmp_path / "full.json").read_bytes()
+    assert b"error" not in block
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--estimators", "ht,opt_linear"], ["--psd-clip"], ["--load-moments", "m.npz"],
+     ["--mc", "500"]],
+    ids=["opt_linear", "psd_clip", "load_moments", "mc"],
+)
+def test_estimate_builds_the_full_moments_when_it_needs_them(tmp_path, monkeypatch, extra):
+    argv = _block_route_argv(tmp_path, "crd")
+    npz = tmp_path / "m.npz"
+    assert main(["moments", "--design", argv[2], "--out", str(npz)]) == 0
+    extra = [str(npz) if arg == "m.npz" else arg for arg in extra]
+    routes = _record_routes(monkeypatch)
+    main(argv + extra + ["--out", str(tmp_path / "report.json")])
+    assert routes == [False]
+
+
 @pytest.mark.parametrize("bad, yaml_bad", [("nan", ".nan"), ("inf", ".inf"), ("-inf", "-.inf")])
 def test_a_non_finite_contrast_is_rejected(crd_design_yaml, tmp_path, capsys, bad, yaml_bad):
     # it used to run and write NaN or Infinity, which is not JSON, into the report
@@ -1271,15 +1351,21 @@ CLUSTER_PAIRS = "cluster_design: {kind: completely_randomized, n: 2, counts: [1,
          f"probs must hold finite numbers only, within float64's range, got [{BEYOND_FLOAT64}, 0]"),
         (f"design: {{kind: completely_randomized, n: 3, counts: [{BEYOND_FLOAT64}, 0]}}\n",
          f"counts must hold integers within int64's range, got [{BEYOND_FLOAT64}, 0]"),
+        ("design: {kind: stratified, strata: [[0, 1], [2, 3]], pattern: [1, 2], "
+         f"k: {BEYOND_FLOAT64}}}\n",
+         f"k must be an integer <= {2**63 - 1}, got {BEYOND_FLOAT64}"),
+        (f"design: {{kind: bernoulli, n: {2**63}, probs: [0.5, 0.5]}}\n",
+         f"n must be an integer <= {2**63 - 1}, got {2**63}"),
     ],
     ids=["crd_counts", "strata_member", "stratified_counts", "pattern", "k", "cluster_of",
          "edges", "own_arms_float", "own_arms_bool", "count_lo", "count_hi", "count_arm",
-         "probs_beyond_float64", "counts_beyond_int64"],
+         "probs_beyond_float64", "counts_beyond_int64", "k_beyond_int64", "n_beyond_int64"],
 )
 def test_a_design_key_that_holds_no_integer_exits_2_and_names_it(tmp_path, capsys, text, message):
-    # each but k and the last two used to run, the entry cast to an integer
-    # (3.5 as 3, true as 1); k: 2.5 ended in a TypeError with exit 1, and the
-    # 401-digit integer in an OverflowError traceback with exit 1
+    # each but k and the last four used to run, the entry cast to an integer
+    # (3.5 as 3, true as 1); k: 2.5 ended in a TypeError with exit 1, a
+    # 401-digit integer in an OverflowError traceback with exit 1, and n: 2**63
+    # in numpy's "Maximum allowed dimension exceeded"
     spec = tmp_path / "design.yaml"
     spec.write_text(text)
     assert main(["moments", "--design", str(spec)]) == 2

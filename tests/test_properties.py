@@ -41,6 +41,7 @@ from designest.moments import (
     _proven_top_eigenvalue,
     closed_form_or_exact_moments,
     exact_moments,
+    has_closed_form,
     largest_eigenvalue,
     mc_moments,
 )
@@ -261,6 +262,32 @@ def test_observed_block_plugin_is_bitwise_the_full_bounds(design, mc_reps, seed)
         got = plugin_varbound(v, realization, block)
     assert np.float64(got.raw).tobytes() == np.float64(expected.raw).tobytes()
     assert got.negative == expected.negative and len(block_caught) == len(full_caught)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(design=enumerable_designs(nested=False).filter(has_closed_form), data=st.data())
+def test_observed_block_moments_are_bitwise_the_full_moments_block(design, data):
+    # zero-probability arms, arms of count 0 or 1 and strata with empty arms
+    # included; the observed arms are any, possible or not
+    n, k = design.n, design.k
+    arms = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    cells = arms * n + np.arange(n)
+    full = closed_form_or_exact_moments(design)
+    block = closed_form_or_exact_moments(design, cells)
+    square = np.ix_(cells, cells)
+    assert block.pi.tobytes() == full.pi.tobytes()
+    assert block.p.tobytes() == full.p[square].tobytes()
+    assert block.D.tobytes() == full.D[square].tobytes()
+    assert np.array_equal(block.zero_mask, full.zero_mask)
+    assert np.array_equal(block.never_joint, minus_one_mask(full, cells).sum(axis=1))
+    expected, expected_warnings = _bound_or_error(full, cells)
+    got, got_warnings = _bound_or_error(block, cells)
+    assert got_warnings == expected_warnings
+    if isinstance(expected, NotIdentifiedError):
+        assert isinstance(got, NotIdentifiedError) and str(got) == str(expected)
+        return
+    for name in ("Dt", "mask_minus1", "Dt_over_p"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
 
 
 def _relabel(design, new_of):

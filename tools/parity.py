@@ -6,12 +6,13 @@ BASE and HEAD are checkout roots, for instance a `git worktree` of the parent
 commit and the working tree. Every input is written once into a temporary
 directory; each case then runs `python -m designest.cli` under BASE/src and
 under HEAD/src. The cases are small designs of every kind (moments, bound
-verdicts, complexity), every estimator table row (estimate, simulate) and
-every stage of the benchmark's three workloads at benchmark sizes (inputs from
-HEAD's bench/workloads.py). One line per case: the digest of its exit code,
-stdout, error message and output files, MISMATCH with both digests, or which
-run failed (a traceback, or an output file missing after exit 0). Exits 1 on
-any mismatch or failed run.
+verdicts, complexity), every estimator table row (estimate, simulate), the
+first-stage rows on one draw of each closed-form design (estimate's
+observed-block route) and every stage of the benchmark's three workloads at
+benchmark sizes (inputs from HEAD's bench/workloads.py). One line per case:
+the digest of its exit code, stdout, error message and output files,
+MISMATCH with both digests, or which run failed (a traceback, or an output
+file missing after exit 0). Exits 1 on any mismatch or failed run.
 """
 
 import hashlib
@@ -47,6 +48,18 @@ contrast: [-1, 1]
 seed: 3
 optimizer: {{restarts: 2, max_steps: 200}}
 """
+# One draw of each closed-form design, for the first-stage rows: estimate fits
+# them on the observed block of the moments. The hand stratified design has
+# empty arms, so its bound is refused; stratified_live has none.
+FIRST_STAGE = "ht,hajek,ols,wls,ci,mi,gr,qmle_logit"
+DRAWS = {
+    "bernoulli": [0, 2, 1, 2, 1, 2],
+    "crd": [2, 0, 1, 2, 1, 2, 0, 2, 1],
+    "stratified": [1, 2, 0, 0, 0, 1, 0, 2, 1],
+    "stratified_live": [2, 0, 1, 2, 0, 1, 1, 2, 0, 0, 1, 2],
+}
+STRATIFIED_LIVE = ("{kind: stratified, strata: [[0, 4, 8], [1, 2, 3, 5, 6, 7, 9, 10, 11]],"
+                   " counts: [[1, 1, 1], [3, 3, 3]]}")
 SIMULATE = {"simulate": "", "simulate_psd_clip": "psd_clip: true\n",
             "simulate_mc": "moments: {method: mc, reps: 3000}\n", "simulate_neyman": "bound: neyman\n"}
 SIM_OUT = ["--out", "sim.csv", "--json", "sim.json"]
@@ -82,6 +95,17 @@ def hand_cases(d):
                 "--estimators", ESTIMATORS, "--contrast=-1,1", "--out", "estimate.json"]
     cases += [(f"estimate{flag}", estimate + flag.split(), ["estimate.json"], None)
               for flag in ("", " --psd-clip")]
+    (d / "stratified_live.yaml").write_text(f"design: {STRATIFIED_LIVE}\n")
+    for name, draw in DRAWS.items():
+        x = rng.standard_normal(len(draw))
+        y = (x + 0.5 * np.array(draw) > rng.logistic(size=len(draw))).astype(int)
+        (d / f"y_{name}.csv").write_text("unit_id,arm,y\n" + "".join(
+            f"{i},{a + 1},{v}\n" for i, (a, v) in enumerate(zip(draw, y))))
+        (d / f"x_{name}.csv").write_text("unit_id,x1\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(x)))
+        cases.append((f"estimate first-stage {name}",
+                      ["estimate", "--design", f"{name}.yaml", "--data", f"y_{name}.csv", "--covariates",
+                       f"x_{name}.csv", "--estimators", FIRST_STAGE, "--contrast=-1,0.5,0.5",
+                       "--out", "estimate.json"], ["estimate.json"], None))
     for name, extra in SIMULATE.items():
         (d / f"{name}.yaml").write_text(RECIPE + "replications: 20\n" + extra)
         cases.append((name, ["simulate", "--config", f"{name}.yaml", *SIM_OUT], SIM_OUT[1::2], None))
