@@ -195,12 +195,14 @@ def cmd_estimate(args):
     # and the rows of READS_D the full D
     block = not args.psd_clip and READS_D.isdisjoint(names)
     moments = _moments(design, args.load_moments, args.mc, args.seed, cells if block else None)
-    chunk = ReplicationChunk(realization.arm_of[None], y[None], X, moments)
     bound = (
         psd_clip(aronow_samii_bound(moments))
         if args.psd_clip
         else aronow_samii_bound(moments, cells=cells)
     )
+    if block:  # no row reads p or D once the observed block's bound is built
+        moments = dataclasses.replace(moments, p=None, D=None)
+    chunk = ReplicationChunk(realization.arm_of[None], y[None], X, moments)
     contrast = check_contrast([float(v) for v in args.contrast.split(",")], design.k)
     fits, _, raw, errors = fit_rows(chunk, names, contrast, OptimizerConfig(), bound)
     reports = []

@@ -483,11 +483,11 @@ def plugin_bounds(v: np.ndarray, cells: np.ndarray, bound: VarianceBound) -> np.
     """plugin_raw of the contrast-contracted linearizations v (B, E, kn) of
     E estimators on B rows with observed cells (B, n), from the full bound
     or, for one row, the block of its observed cells (the block's rows are
-    those cells). Returns (B, E)."""
+    those cells, so plugin_raw reads it in place). Returns (B, E)."""
     if bound.cells is not None:
         if len(cells) != 1 or not np.array_equal(bound.cells, cells[0]):
             raise ValueError("the bound's block is not the observed cells' block")
-        v, cells = np.take_along_axis(v, cells[:, None], axis=-1), np.arange(cells.shape[-1])[None]
+        return plugin_raw(np.take_along_axis(v, cells[:, None], axis=-1), None, bound.Dt_over_p)
     return plugin_raw(v, cells, bound.Dt_over_p)
 
 
@@ -496,15 +496,19 @@ def plugin_bounds(v: np.ndarray, cells: np.ndarray, bound: VarianceBound) -> np.
 PLUGIN_BLOCK_ENTRIES = 1 << 16
 
 
-def plugin_raw(v: np.ndarray, cells: np.ndarray, Dt_over_p: np.ndarray) -> np.ndarray:
+def plugin_raw(v: np.ndarray, cells: np.ndarray | None, Dt_over_p: np.ndarray) -> np.ndarray:
     """Plug-in bounds z'Dt z / n^2 of E estimators on B rows: the
     contrast-contracted linearizations v (B, E, kn), each read at its row's
     observed cells (B, n). Returns (B, E).
 
     Entry (b, e) is bitwise the 2-D vs @ Dt_over_p[cells_b, cells_b] @ vs.
     Each row's bound block is gathered once for all E estimators, in
-    (b, n, n) blocks capped at PLUGIN_BLOCK_ENTRIES entries.
+    (b, n, n) blocks capped at PLUGIN_BLOCK_ENTRIES entries. With cells
+    None, Dt_over_p is already the one row's observed block (v (1, E, n)
+    is read at its cells) and is read in place, with no gather or copy.
     """
+    if cells is None:
+        return _quad_forms(v, np.ascontiguousarray(Dt_over_p)[None]) / len(Dt_over_p) ** 2
     n, kn = cells.shape[-1], len(Dt_over_p)
     flat = np.ascontiguousarray(Dt_over_p).ravel()
     vs = np.take_along_axis(v, cells[:, None, :], axis=-1)
@@ -513,10 +517,17 @@ def plugin_raw(v: np.ndarray, cells: np.ndarray, Dt_over_p: np.ndarray) -> np.nd
     for lo in range(0, len(vs), step):
         block = cells[lo : lo + step]
         gathered = flat[block[:, :, None] * kn + block[:, None, :]]
-        for e in range(vs.shape[1]):
-            vb = np.ascontiguousarray(vs[lo : lo + step, e])
-            quad[lo : lo + step, e] = _rowdot(np.matmul(vb[:, None, :], gathered)[:, 0], vb)
+        quad[lo : lo + step] = _quad_forms(vs[lo : lo + step], gathered)
     return quad / n**2
+
+
+def _quad_forms(vs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """vs_be' blocks_b vs_be for the (b, E, n) forms and (b, n, n) blocks."""
+    quad = np.empty(vs.shape[:2])
+    for e in range(vs.shape[1]):
+        vb = np.ascontiguousarray(vs[:, e])
+        quad[:, e] = _rowdot(np.matmul(vb[:, None, :], blocks)[:, 0], vb)
+    return quad
 
 
 def normal_critical_value(level: float) -> float:

@@ -209,6 +209,53 @@ def population_qmle(model: ImputationModel, X, y_full, omega=None):
     return _weighted_qmle(model, rows[None], y_full[None], w[None])[0]
 
 
+def _negloglik(eta, y, w):
+    """Weighted logistic negative log-likelihood of each row of the linear
+    predictor eta (..., m): one sum over the last axis."""
+    return -np.sum(w * (y * eta - np.logaddexp(0.0, eta)), axis=-1)
+
+
+# Step-halving levels j (t = 2^-j) tried together, block by block: the full
+# step, then the next 7 levels, then the other 42. Most rows accept the full
+# step; near a stall, rows take levels in the twenties.
+_HALVING_BLOCKS = ((0, 1), (1, 8), (8, 50))
+# Largest (rows, levels, m) trial block evaluated at once: 2 MB per array.
+_TRIAL_ENTRIES = 1 << 18
+
+
+def _halve(R, y, w, start, step, old):
+    """Step halving of Newton steps step (A, s) from start (A, s), each row
+    with design rows R (A, m), outcomes y and weights w (A, m) and objective
+    old (A,) at start: each row's first level t = 2^-j whose objective is
+    at most old, tried in _HALVING_BLOCKS, or t = 2^-50 if none is. Returns
+    the accepted (theta, eta, objective) of every row."""
+    theta, eta, value = np.empty_like(start), np.empty(y.shape), np.empty(len(start))
+    pending = np.arange(len(start))
+    for lo, hi in _HALVING_BLOCKS:
+        t = np.ldexp(1.0, -np.arange(lo, hi))[:, None]
+        per = max(1, _TRIAL_ENTRIES // ((hi - lo) * y.shape[-1]))
+        rejected = []
+        for group in np.split(pending, range(per, len(pending), per)):
+            trial = start[group, None] + t * step[group, None]  # (g, levels, s)
+            trial_eta = np.matmul(R[group, None], trial[..., None])[..., 0]
+            trial_value = _negloglik(trial_eta, y[group, None], w[group, None])
+            accepted = trial_value <= old[group, None]
+            level = accepted.argmax(axis=1)
+            done = accepted[np.arange(len(group)), level]
+            keep, level = group[done], level[done]
+            theta[keep] = trial[done, level]
+            eta[keep] = trial_eta[done, level]
+            value[keep] = trial_value[done, level]
+            rejected.append(group[~done])
+        pending = np.concatenate(rejected)
+        if not pending.size:
+            return theta, eta, value
+    theta[pending] = start[pending] + np.ldexp(1.0, -50) * step[pending]
+    eta[pending] = _matvec(R[pending], theta[pending])
+    value[pending] = _negloglik(eta[pending], y[pending], w[pending])
+    return theta, eta, value
+
+
 def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
     """Minimize sum_i w_i loss(y_i, rows_i theta) for each batch row: rows
     is (B, m, s), y and w are (B, m), and the (B, s) result's row b depends
@@ -220,6 +267,16 @@ def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
     leaves theta bitwise unchanged (a stall: every further iteration would
     repeat that same step, so running on to the cap would return the same
     theta); or at max_iter, which warns.
+
+    Step halving tries the levels t = 2^-j, j < 50, in the blocks of
+    _HALVING_BLOCKS (see _halve): every row tries the full step, and a row
+    that rejects it tries the next block of levels in one evaluation and
+    takes its first accepted level, or t = 2^-50 when it rejects all 50.
+    The accepted trial's theta, linear predictor and objective are the
+    next iterate's. Each trial is bitwise the one-at-a-time halving loop's:
+    t is an exact power of two, so start + t * step is that loop's theta;
+    each (row, level) slice of the linear predictor takes _matvec's BLAS
+    call; and each objective is the same last-axis sum.
     """
     if model.family == "linear":
         rows_t = np.swapaxes(rows, -1, -2)
@@ -230,16 +287,13 @@ def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
 
     from scipy.special import expit
 
-    def negloglik(theta, idx):
-        eta = _matvec(rows[idx], theta)
-        return -np.sum(w[idx] * (y[idx] * eta - np.logaddexp(0.0, eta)), axis=-1)
-
     theta = np.zeros((len(rows), model.s))
-    value = negloglik(theta, slice(None))
+    eta = _matvec(rows, theta)
+    value = _negloglik(eta, y, w)
     active = np.arange(len(rows))  # rows still iterating
     for _ in range(max_iter):
         R = rows[active]
-        f = expit(_matvec(R, theta[active]))
+        f = expit(eta[active])
         grad = _matvec(np.swapaxes(R, -1, -2), w[active] * (y[active] - f))  # maximize
         moving = ~(np.sqrt(_rowdot(grad, grad)) < tol * np.fmax(1.0, np.abs(value[active])))
         active, R, f, grad = active[moving], R[moving], f[moving], grad[moving]
@@ -247,18 +301,10 @@ def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
             break
         hess = np.swapaxes(R, -1, -2) @ (R * (w[active] * f * (1.0 - f))[..., None])
         step = _matvec(_pinv_flagged(hess)[0], grad)
-        start, old = theta[active], value[active]
-        t = np.ones(len(active))
-        halving = np.arange(len(active))
-        for _ in range(50):  # step halving
-            candidate = start[halving] + t[halving, None] * step[halving]
-            rejected = ~(negloglik(candidate, active[halving]) <= old[halving])
-            halving = halving[rejected]
-            if not halving.size:
-                break
-            t[halving] *= 0.5
-        theta[active] = start + t[:, None] * step
-        value[active] = negloglik(theta[active], active)
+        start = theta[active]
+        theta[active], eta[active], value[active] = _halve(
+            R, y[active], w[active], start, step, value[active]
+        )
         active = active[~(theta[active] == start).all(axis=-1)]
         if not active.size:
             break

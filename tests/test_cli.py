@@ -930,6 +930,22 @@ def test_first_stage_estimate_writes_the_full_routes_bytes(tmp_path, monkeypatch
     assert b"error" not in block
 
 
+def test_first_stage_estimate_fits_without_p_and_d(tmp_path, monkeypatch):
+    # no first-stage row reads them, and at n = 5,000 they weigh 0.4 GB
+    from designest import cli
+
+    chunks, fit_rows = [], cli.fit_rows
+
+    def recorded(chunk, *args):
+        chunks.append(chunk)
+        return fit_rows(chunk, *args)
+
+    monkeypatch.setattr(cli, "fit_rows", recorded)
+    assert main(_block_route_argv(tmp_path, "crd") + ["--out", str(tmp_path / "r.json")]) == 0
+    moments = chunks[0].moments
+    assert moments.p is None and moments.D is None and moments.cells is not None
+
+
 @pytest.mark.parametrize(
     "extra",
     [["--estimators", "ht,opt_linear"], ["--psd-clip"], ["--load-moments", "m.npz"],

@@ -451,6 +451,18 @@ class TestPluginVariance:
         monkeypatch.setattr("designest.linear.PLUGIN_BLOCK_ENTRIES", 3 * 81)
         assert plugin_raw(v, cells, bound.Dt_over_p).tobytes() == batch.tobytes()
 
+    def test_a_block_bound_is_read_in_place_bitwise_as_gathered(self):
+        design = BernoulliDesign(9, [0.3, 0.5, 0.2])
+        moments = exact_moments(design)
+        rng = stream_rng(19)
+        v = rng.standard_normal((1, 3, 27))  # three estimators on one row
+        cells = design.sample_batch(rng, 1) * 9 + np.arange(9)
+        block = aronow_samii_bound(moments, cells=cells[0])
+        gathered = plugin_raw(v, cells, aronow_samii_bound(moments).Dt_over_p)
+        assert plugin_bounds(v, cells, block).tobytes() == gathered.tobytes()
+        at_cells = np.take_along_axis(v, cells[:, None], axis=-1)
+        assert plugin_raw(at_cells, None, block.Dt_over_p).tobytes() == gathered.tobytes()
+
     def test_a_block_bound_of_other_cells_is_refused(self):
         design = BernoulliDesign(3, [0.5, 0.5])
         moments = exact_moments(design)

@@ -543,9 +543,11 @@ def test_population_qmle_linear_matches_lstsq():
     assert np.allclose(theta, expected, atol=1e-10)
 
 
-def reference_logistic_qmle(rows, y, w, max_iter=500, tol=1e-10):
+def reference_logistic_qmle(rows, y, w, max_iter=500, tol=1e-10, trace=None):
     """The scalar Newton loop of the logistic pseudo-likelihood without the
-    stall rule: theta, and whether it ran to the iteration cap."""
+    stall rule: theta, and whether it ran to the iteration cap. trace, a
+    list, gets each iteration's (halving level j of the taken t = 2^-j, 50
+    when every level is rejected; whether theta moved)."""
     theta = np.zeros(rows.shape[1])
 
     def negloglik(th):
@@ -560,12 +562,15 @@ def reference_logistic_qmle(rows, y, w, max_iter=500, tol=1e-10):
             return theta, False
         hess = rows.T @ (rows * (w * f * (1.0 - f))[:, None])
         step = _pinv_flagged(hess)[0] @ grad
-        t = 1.0
+        t, level = 1.0, 0
         for _ in range(50):
             if negloglik(theta + t * step) <= value:
                 break
-            t *= 0.5
-        theta = theta + t * step
+            t, level = t * 0.5, level + 1
+        moved = theta + t * step
+        if trace is not None:
+            trace.append((level, bool((moved != theta).any())))
+        theta = moved
         value = negloglik(theta)
     return theta, True
 
@@ -579,6 +584,20 @@ def logistic_instance(seed):
     rows = np.hstack([np.ones((m, 1)), X])
     y = (X[:, 0] + 0.3 * rng.standard_normal(m) > 0).astype(float)
     return rows, y, np.ones(m)
+
+
+def logistic_batch(seeds, m, signed=False):
+    """The instances of seeds with m cells, stacked, and each one's
+    reference trace. Signed weights (-1 to 2 over the cells) make the loss
+    non-convex, so that a Newton step can point uphill."""
+    instances = [inst for inst in map(logistic_instance, seeds) if len(inst[0]) == m]
+    rows, y, w = (np.stack(parts) for parts in zip(*instances))
+    if signed:
+        w = w * np.linspace(-1.0, 2.0, m)
+    traces = [[] for _ in rows]
+    for b, trace in enumerate(traces):
+        reference_logistic_qmle(rows[b], y[b], w[b], trace=trace)
+    return rows, y, w, traces
 
 
 class TestLogisticNewton:
@@ -616,6 +635,44 @@ class TestLogisticNewton:
                 reference = reference_logistic_qmle(rows[b], y[b], w[b])[0]
                 assert batch[b].tobytes() == reference.tobytes()
         assert np.abs(batch).max() >= 10.0  # the batch includes a separated fit
+
+    def assert_rows_equal_the_reference(self, rows, y, w):
+        """Each row of the batch fit is bitwise its batch of one and the
+        reference, and a batch of one warns exactly when the reference
+        says it must: at the cap unless theta stalls, and at the box."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batch = _weighted_qmle(self.model, rows, y, w)
+        for b in range(len(rows)):
+            trace = []
+            reference, capped = reference_logistic_qmle(rows[b], y[b], w[b], trace=trace)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                single = _weighted_qmle(self.model, rows[b : b + 1], y[b : b + 1], w[b : b + 1])
+            assert batch[b].tobytes() == single[0].tobytes() == reference.tobytes()
+            stalled = not all(moved for _, moved in trace)
+            expected = {"iteration cap"} if capped and not stalled else set()
+            if np.abs(reference).max() >= 10.0:
+                expected.add("box boundary")
+            messages = [str(x.message) for x in caught]
+            assert {key for key in ("iteration cap", "box boundary")
+                    if any(key in text for text in messages)} == expected
+
+    def test_rows_that_reject_the_first_blocks_of_levels_equal_the_reference(self):
+        # seeds 146, 179, 260 and 371 halve into the twenties near a stall
+        rows, y, w, traces = logistic_batch(range(400), 13)
+        levels = [level for trace in traces for level, _ in trace]
+        _, middle, last = model_assisted._HALVING_BLOCKS
+        assert any(middle[0] <= level < middle[1] for level in levels)
+        assert any(last[0] <= level < last[1] for level in levels)  # a third evaluation
+        self.assert_rows_equal_the_reference(rows, y, w)
+
+    def test_a_row_that_rejects_every_level_takes_the_smallest_step(self):
+        # under the signed weights, seed 0 (12 cells) rejects all 50 levels
+        # of one uphill step and then converges (found by search)
+        rows, y, w, traces = logistic_batch(range(60), 12, signed=True)
+        assert 50 in [level for level, _ in traces[0]]
+        self.assert_rows_equal_the_reference(rows, y, w)
 
 
 def _reference_moment_terms(theta, rows, y, Omega, w, n):

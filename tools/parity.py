@@ -8,8 +8,9 @@ directory; each case then runs `python -m designest.cli` under BASE/src and
 under HEAD/src. The cases are small designs of every kind (moments, bound
 verdicts, complexity), every estimator table row (estimate, simulate), the
 first-stage rows on one draw of each closed-form design (estimate's
-observed-block route) and every stage of the benchmark's three workloads at
-benchmark sizes (inputs from HEAD's bench/workloads.py). One line per case:
+observed-block route), a simulate whose logistic fits mostly separate, and
+every stage of the benchmark's three workloads at benchmark sizes (inputs
+from HEAD's bench/workloads.py). One line per case:
 the digest of its exit code, stdout, error message and output files,
 MISMATCH with both digests, or which run failed (a traceback, or an output
 file missing after exit 0). Exits 1 on any mismatch or failed run.
@@ -60,6 +61,16 @@ DRAWS = {
 }
 STRATIFIED_LIVE = ("{kind: stratified, strata: [[0, 4, 8], [1, 2, 3, 5, 6, 7, 9, 10, 11]],"
                    " counts: [[1, 1, 1], [3, 3, 3]]}")
+# Most draws separate in the two-unit arm, so the logistic fits halve their
+# Newton steps past the first block of levels (model_assisted._HALVING_BLOCKS).
+SEPARATING = """design: {kind: completely_randomized, n: 12, counts: [2, 5, 5]}
+covariates: {csv: x.csv}
+outcome: {coeffs: [0.8, -0.4], intercepts: [-0.3, 0.5, 0.1], seed: 6}
+estimators: [qmle_logit, noharm_logit, opt_i_logit]
+contrast: [-1, 1, 0]
+seed: 3
+replications: 20
+"""
 SIMULATE = {"simulate": "", "simulate_psd_clip": "psd_clip: true\n",
             "simulate_mc": "moments: {method: mc, reps: 3000}\n", "simulate_neyman": "bound: neyman\n"}
 SIM_OUT = ["--out", "sim.csv", "--json", "sim.json"]
@@ -109,6 +120,9 @@ def hand_cases(d):
     for name, extra in SIMULATE.items():
         (d / f"{name}.yaml").write_text(RECIPE + "replications: 20\n" + extra)
         cases.append((name, ["simulate", "--config", f"{name}.yaml", *SIM_OUT], SIM_OUT[1::2], None))
+    (d / "simulate_separating.yaml").write_text(SEPARATING)
+    cases.append(("simulate_separating", ["simulate", "--config", "simulate_separating.yaml", *SIM_OUT],
+                  SIM_OUT[1::2], None))
     (d / "simulate150.yaml").write_text(RECIPE + "replications: 150\n")
     return cases
 
