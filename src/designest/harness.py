@@ -74,7 +74,9 @@ def _opt_linear_sample(chunk, c, optimizer):
 def _opt_logit_sample(chunk, c, optimizer):
     model = ImputationModel("logistic", chunk.k, chunk.X.shape[1])
     rows, D = model.design_rows(chunk.X), _check_omega(chunk.moments.D, chunk.n * chunk.k)
-    if chunk.is_population:  # the theory columns' solve: BFGS from the pseudo-likelihood fit
+    # the theory columns' solve: certified Newton from the pseudo-likelihood
+    # fit, or BFGS where no minimum is certified (population_opt_logit)
+    if chunk.is_population:
         theta = population_opt_logit(model, chunk.X, chunk.y[0], D, c, chunk.n)[None]
         return _corrected(chunk, model._predict_rows(theta, rows), [{}])
     return _corrected(
@@ -339,12 +341,14 @@ class MetricsTable:
         return text
 
     def display(self) -> str:
-        """Two-decimal table, estimators as columns."""
+        """Two-decimal table, estimators as columns, each column at least 12
+        characters and one wider than its name."""
         width = max(len(c) for c in METRIC_COLUMNS) + 2
-        header = " " * width + "".join(f"{name:>12}" for name in self.estimators)
+        columns = [(name, max(12, len(name) + 1)) for name in self.estimators]
+        header = " " * width + "".join(f"{name:>{w}}" for name, w in columns)
         lines = [header]
         for col in METRIC_COLUMNS:
-            cells = "".join(f"{self.metrics[name][col]:>12.2f}" for name in self.estimators)
+            cells = "".join(f"{self.metrics[name][col]:>{w}.2f}" for name, w in columns)
             lines.append(f"{col:<{width}}" + cells)
         return "\n".join(lines)
 

@@ -13,8 +13,11 @@ with r = w (y - f_theta); its gradient is minus the moment vector g. The
 linear fit minimizes Q in closed form. The logistic fit (opt_logit_descent)
 is the solved restart with the lowest Q among cfg.restarts descents on Q, a
 restart counting as solved when it stays in its box and reaches
-|g| <= grad_tol; the population solve (population_opt_logit) minimizes the
-same Q by BFGS from the population pseudo-likelihood fit.
+|g| <= grad_tol. The population solve (population_opt_logit) minimizes the
+same Q from the population pseudo-likelihood fit by damped Newton on Q's
+analytic Hessian, keeping its point when certified (|g|_inf <= 1e-12 and a
+Cholesky factor of the Hessian less a margin relative to its largest
+eigenvalue), and otherwise by scipy's BFGS from the same start.
 
 Each second stage (no_harm_imputations, opt_linear_imputations,
 opt_i_imputations, opt_logit_descent) is one body over a leading batch axis
@@ -64,6 +67,11 @@ NOHARM_DENOM_TOL = 1e-6
 OMEGA_NORM_TOL = 1e-12
 # entries of each (slices, kn) temporary in one stacked criterion evaluation
 MOMENT_BLOCK_ENTRIES = 1 << 20
+# the population solve's Newton iteration (_certified_newton)
+NEWTON_MAX_ITER = 50
+NEWTON_GTOL = 1e-12  # also the BFGS fallback's gtol
+NEWTON_SHIFT = 1e-3
+NEWTON_ARMIJO = 1e-4
 
 
 class WeakIdentificationError(ValueError):
@@ -570,9 +578,14 @@ def _moment_terms(theta, y, model, rows, Omega, w, n):
 def _criterion_hessian(theta, y, model, rows, Omega, w, n):
     """Hessians (B, s, s) of the variance criterion at each row of theta
     (B, s) for the outcome vectors y (B, kn), from the factors of
-    _moment_terms: (G' Omega G - rows' diag(weighted h) rows) / n with
-    gradient rows G = rows (w d)."""
-    _, _, d, h, weighted = _moment_terms(theta, y, model, rows, Omega, w, n)
+    _moment_terms."""
+    return _terms_hessian(rows, Omega, w, n, *_moment_terms(theta, y, model, rows, Omega, w, n)[2:])
+
+
+def _terms_hessian(rows, Omega, w, n, d, h, weighted):
+    """The variance criterion's Hessians (B, s, s) from the factors d, h and
+    weighted (each (B, kn)) of _moment_terms: (G' Omega G - rows'
+    diag(weighted h) rows) / n with gradient rows G = rows (w d)."""
     grad_rows = rows * (w * d)[..., None]
     curvature = rows.T @ (rows * (weighted * h)[..., None])
     return (np.swapaxes(grad_rows, -1, -2) @ Omega @ grad_rows) / n - curvature / n
@@ -592,23 +605,85 @@ def _stacked(fun, entries: int, *arrays):
 def population_opt_logit(model, X, y_full, Omega, c, n, start=None):
     """Population variance-minimizing logistic fit for simulation reporting.
 
-    Quasi-Newton descent on the population variance criterion Q (gradient
-    -g), started at the population pseudo-likelihood fit unless told
-    otherwise.
+    Minimizes the population variance criterion Q (gradient -g) from the
+    population pseudo-likelihood fit, unless told another start: the
+    certified minimum of a damped Newton iteration on Q's analytic Hessian
+    (_certified_newton) where it finds one, and otherwise scipy's BFGS with
+    gtol 1e-12 from the same start (a population whose Q has no interior
+    minimum keeps falling towards infinity along some direction, and BFGS
+    stops where its own rule says).
     """
-    from scipy.optimize import minimize
-
     if start is None:
         start = population_qmle(model, X, y_full)
+    start = np.asarray(start, dtype=float)
     args, y = _criterion_args(model, X, Omega, c, n), np.asarray(y_full, dtype=float)[None]
+    theta = _certified_newton(start, y, args)
+    if theta is not None:
+        return theta
+    from scipy.optimize import minimize
 
     def criterion_and_grad(theta):
         value, g = _moment_terms(theta[None], y, *args)[:2]
         return float(value[0]), -g[0]
 
-    result = minimize(criterion_and_grad, np.asarray(start, dtype=float), jac=True,
-                      method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
+    result = minimize(criterion_and_grad, start, jac=True,
+                      method="BFGS", options={"gtol": NEWTON_GTOL, "maxiter": 500})
     return result.x
+
+
+def _certified_newton(theta, y, args):
+    """A certified interior minimum of the variance criterion Q for the
+    outcome vector y (1, kn) by damped Newton from theta (s,), or None.
+
+    An iterate is certified when its moment vector has |g|_inf <=
+    NEWTON_GTOL and its Hessian H less EIG_WARN_RATIO times H's largest
+    eigenvalue has a Cholesky factor: a strict local minimum with no
+    direction nearly flat next to the steepest one (Q may keep falling along
+    such a direction far beyond the point). Otherwise the step p solves
+    (H + tau I) p = g, with tau = 0 when H's smallest eigenvalue clears that
+    margin and else the shift that moves it to NEWTON_SHIFT times H's
+    largest eigenvalue magnitude. The step length halves from one until
+    Q(theta + t p) <= Q - NEWTON_ARMIJO t g'p, or, where the predicted
+    decrease t g'p is below Q's rounding (taken as 1e-12 |Q|), until
+    |g|_inf falls. None when NEWTON_MAX_ITER iterates pass uncertified, when
+    the halving passes 2^-30 and when H is zero."""
+    _, rows, Omega, w, n = args
+    terms = _moment_terms(theta[None], y, *args)
+    for _ in range(NEWTON_MAX_ITER):
+        value, g = terms[0][0], terms[1][0]
+        hess = _terms_hessian(rows, Omega, w, n, *terms[2:])[0]
+        eigs, eye = np.linalg.eigvalsh(hess), np.eye(len(hess))
+        margin = EIG_WARN_RATIO * eigs[-1]
+        if np.abs(g).max() <= NEWTON_GTOL and _has_cholesky(hess - margin * eye):
+            return theta
+        scale = np.abs(eigs).max()
+        if not scale > 0:
+            return None
+        shift = 0.0 if eigs[0] > margin else NEWTON_SHIFT * scale - eigs[0]
+        step = np.linalg.solve(hess + shift * eye, g)
+        slope, t = g @ step, 1.0
+        while True:
+            terms = _moment_terms((theta + t * step)[None], y, *args)
+            if t * slope > 1e-12 * abs(value):
+                if terms[0][0] <= value - NEWTON_ARMIJO * t * slope:
+                    break
+            elif np.abs(terms[1][0]).max() < np.abs(g).max():
+                break
+            t /= 2
+            if t < 2.0**-30:
+                return None
+        theta = theta + t * step
+    return None
+
+
+def _has_cholesky(A) -> bool:
+    """Whether the symmetric matrix A has a Cholesky factor (is positive
+    definite in floating point)."""
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def opt_gr_logit(

@@ -151,6 +151,32 @@ def test_linear_estimate_on_a_crd_loads_no_scipy(crd_design_yaml, tmp_path):
     assert len(json.loads((tmp_path / "r.json").read_text())) == 4
 
 
+def test_opt_logit_simulate_with_a_certified_population_minimum_loads_no_scipy_optimize(tmp_path):
+    # the theory columns' Newton solve certifies this population's minimum,
+    # so the BFGS fallback, and with it scipy.optimize, is never imported
+    (tmp_path / "sim.yaml").write_text(
+        "design: {kind: completely_randomized, n: 30, counts: [12, 18]}\n"
+        "covariates: {generate: {p: 2, seed: 21}}\n"
+        "outcome: {coeffs: [0.9, -0.6], intercepts: [-0.4, 0.5], seed: 4}\n"
+        "estimators: [opt_logit]\ncontrast: [-1, 1]\nseed: 3\nreplications: 2\n"
+        "optimizer: {restarts: 2, max_steps: 200}\n"
+    )
+    code = (
+        "import sys\n"
+        "from designest.cli import main\n"
+        "assert main(['simulate', '--config', 'sim.yaml', '--json', 'sim.json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')), file=sys.stderr)\n"
+    )
+    src = str(Path(designest.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stderr.strip().splitlines()[-1] == "[]"
+    theory = json.loads((tmp_path / "sim.json").read_text())["metrics"]["opt_logit"]
+    assert np.isfinite(theory["theo_var_times_n"]) and np.isfinite(theory["theo_bound_times_n"])
+
+
 def test_estimate_command(crd_design_yaml, tmp_path):
     obs = tmp_path / "obs.csv"
     rows = ["unit_id,arm,y"]

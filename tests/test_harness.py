@@ -17,6 +17,8 @@ from designest.designs import BernoulliDesign, CompletelyRandomizedDesign, strea
 from designest.harness import (
     ESTIMATOR_NAMES,
     ESTIMATORS,
+    METRIC_COLUMNS,
+    MetricsTable,
     OptimizerConfig,
     ReplicationChunk,
     SimConfig,
@@ -381,6 +383,22 @@ class TestRunSimulation:
         assert len(lines) == 3
         display = table.display()
         assert "ht" in display and "coverage" in display
+
+    def test_display_separates_a_twelve_character_name_from_its_neighbours(self):
+        names = ["qmle_logit", "noharm_logit", "opt_i_logit"]  # 10, 12 and 11 characters
+        metrics = {name: {col: 1e6 * (j + 1) for col in METRIC_COLUMNS} for j, name in enumerate(names)}
+        table = MetricsTable(names, metrics, dict.fromkeys(names, 0), 0.0, 8, 1)
+        header, *rows = table.display().splitlines()
+        assert header.split() == names
+        assert len(rows) == len(METRIC_COLUMNS)
+        # each column is right-aligned and one character wider than its name,
+        # in the header and in every cell
+        ends = [header.index(name) + len(name) for name in names]
+        for row in rows:
+            assert len(row) == len(header) == ends[-1]
+            for end, cell in zip(ends, row.split()[1:]):
+                assert row[end - len(cell) - 1 : end] == " " + cell
+        assert [end - start for start, end in zip([0] + ends, ends)][1:] == [13, 12]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -31,11 +31,12 @@ from designest.model_assisted import (
     population_moment_vector,
     population_no_harm_alpha,
     population_opt_gr_linear,
+    population_opt_logit,
     population_qmle,
     qmle_gr,
     theoretical_asy_variance,
 )
-from designest.harness import impute_potential_outcomes
+from designest.harness import impute_potential_outcomes, preprocess_covariates
 from designest.moments import closed_form_or_exact_moments, exact_moments
 
 
@@ -870,3 +871,87 @@ class TestJacobianFreeGradient:
             assert diagnostic["hessian_min_eig"] == eigs[0]
             assert diagnostic["hessian_max_eig"] == eigs[-1]
             assert abs(eigs[0]) > 1e-5
+
+
+def solve_population(name):
+    """(model, X, y_full, D, c, n) of a named population: crd2 and
+    bernoulli3 are test_harness's two theory-column populations, crd200 a
+    two-arm CRD of 200 units with 3 covariates. The criteria of the others
+    have no strict interior minimum: descent is descent_population and
+    recipe the population of tools/parity.py's RECIPE, on both of which Q
+    falls towards infinity, and on bernoulli3_flat the zero contrast weight
+    of arm 1 leaves its intercept out of Q."""
+    c = np.array([-1.0, 1.0])
+    if name == "descent":
+        design, moments, X, y_full = descent_population()
+    elif name == "recipe":
+        rng = np.random.default_rng(11)
+        rng.permutation([1] * 5 + [2] * 7)  # parity.py draws the observed arms first
+        design, X = CompletelyRandomizedDesign(12, [5, 7]), preprocess_covariates(rng.standard_normal((12, 2)))
+        y_full = impute_potential_outcomes(X, [0.8, -0.4], [-0.3, 0.5], seed=6)
+    else:
+        design, X = {
+            "crd2": (CompletelyRandomizedDesign(30, [12, 18]), stream_rng(21).standard_normal((30, 2))),
+            "bernoulli3": (BernoulliDesign(30, [0.3, 0.3, 0.4]), stream_rng(21).standard_normal((30, 2))),
+            "bernoulli3_flat": (BernoulliDesign(30, [0.3, 0.3, 0.4]), stream_rng(21).standard_normal((30, 2))),
+            "crd200": (CompletelyRandomizedDesign(200, [100, 100]), stream_rng(7).standard_normal((200, 3))),
+        }[name]
+        X = centered(X)
+        coeffs = [0.9, -0.6, 0.4][: X.shape[1]]
+        y_full = impute_potential_outcomes(X, coeffs, np.linspace(-0.4, 0.5, design.k), seed=4)
+        if design.k == 3:
+            c = np.array([1.0, 0.0, -1.0] if name.endswith("flat") else [1.0, -2.0, 1.0])
+    model = ImputationModel("logistic", design.k, X.shape[1])
+    return model, X, y_full, closed_form_or_exact_moments(design).D, c, design.n
+
+
+def bfgs_oracle(model, X, y_full, D, c, n):
+    """scipy's BFGS on Q from the population pseudo-likelihood fit, with
+    the options population_opt_logit falls back to."""
+    from scipy.optimize import minimize
+
+    args, y = model_assisted._criterion_args(model, X, D, c, n), y_full[None]
+
+    def criterion_and_grad(theta):
+        value, g = model_assisted._moment_terms(theta[None], y, *args)[:2]
+        return float(value[0]), -g[0]
+
+    start = population_qmle(model, X, y_full)
+    return minimize(criterion_and_grad, start, jac=True, method="BFGS",
+                    options={"gtol": 1e-12, "maxiter": 500}).x
+
+
+class TestPopulationSolve:
+    @pytest.mark.parametrize("name", ["crd2", "bernoulli3", "crd200"])
+    def test_newton_certifies_a_minimum_no_higher_than_bfgs(self, name):
+        model, X, y_full, D, c, n = solve_population(name)
+        theta = population_opt_logit(model, X, y_full, D, c, n)
+        args = model_assisted._criterion_args(model, X, D, c, n)
+        start = population_qmle(model, X, y_full)
+        assert model_assisted._certified_newton(start, y_full[None], args).tobytes() == theta.tobytes()
+        value, g = model_assisted._moment_terms(theta[None], y_full[None], *args)[:2]
+        assert np.abs(g).max() <= 1e-12
+        hess = model_assisted._criterion_hessian(theta[None], y_full[None], *args)[0]
+        top = np.linalg.eigvalsh(hess)[-1]
+        np.linalg.cholesky(hess - model_assisted.EIG_WARN_RATIO * top * np.eye(model.s))
+
+        def rounding(th):
+            # a bound on the rounding error of Q's evaluation: the kn-term
+            # sums of r' D r in absolute values, times (kn + 2) eps
+            r = np.repeat(c, n) * (y_full - model.predict(th, X))
+            return (len(r) + 2) * np.finfo(float).eps * (abs(r) @ abs(D) @ abs(r)) / (2 * n)
+
+        # the two points lie within 1e-7 of each other, where Q's computed
+        # values differ by its rounding alone
+        oracle = bfgs_oracle(model, X, y_full, D, c, n)
+        oracle_value = model_assisted._moment_terms(oracle[None], y_full[None], *args)[0]
+        assert value[0] <= oracle_value[0] + rounding(theta) + rounding(oracle)
+
+    @pytest.mark.parametrize("name", ["descent", "recipe", "bernoulli3_flat"])
+    def test_without_a_certified_minimum_the_solve_is_bfgs_bitwise(self, name):
+        model, X, y_full, D, c, n = solve_population(name)
+        args = model_assisted._criterion_args(model, X, D, c, n)
+        start = population_qmle(model, X, y_full)
+        assert model_assisted._certified_newton(start, y_full[None], args) is None
+        theta = population_opt_logit(model, X, y_full, D, c, n)
+        assert theta.tobytes() == bfgs_oracle(model, X, y_full, D, c, n).tobytes()

@@ -8,7 +8,8 @@ directory; each case then runs `python -m designest.cli` under BASE/src and
 under HEAD/src. The cases are small designs of every kind (moments, bound
 verdicts, complexity), every estimator table row (estimate, simulate), the
 first-stage rows on one draw of each closed-form design (estimate's
-observed-block route), a simulate whose logistic fits mostly separate, and
+observed-block route), a simulate whose logistic fits mostly separate, one
+whose opt_logit theory columns take the certified Newton solve, and
 every stage of the benchmark's three workloads at benchmark sizes (inputs
 from HEAD's bench/workloads.py). One line per case:
 the digest of its exit code, stdout, error message and output files,
@@ -71,6 +72,18 @@ contrast: [-1, 1, 0]
 seed: 3
 replications: 20
 """
+# The theory columns' opt_logit solve certifies this population's interior
+# minimum by Newton (model_assisted._certified_newton); RECIPE's population
+# has none, and its solve falls back to BFGS.
+NEWTON = """design: {kind: completely_randomized, n: 30, counts: [12, 18]}
+covariates: {generate: {p: 2, seed: 21}}
+outcome: {coeffs: [0.9, -0.6], intercepts: [-0.4, 0.5], seed: 4}
+estimators: [qmle_logit, opt_logit]
+contrast: [-1, 1]
+seed: 3
+replications: 20
+optimizer: {restarts: 2, max_steps: 200}
+"""
 SIMULATE = {"simulate": "", "simulate_psd_clip": "psd_clip: true\n",
             "simulate_mc": "moments: {method: mc, reps: 3000}\n", "simulate_neyman": "bound: neyman\n"}
 SIM_OUT = ["--out", "sim.csv", "--json", "sim.json"]
@@ -120,9 +133,9 @@ def hand_cases(d):
     for name, extra in SIMULATE.items():
         (d / f"{name}.yaml").write_text(RECIPE + "replications: 20\n" + extra)
         cases.append((name, ["simulate", "--config", f"{name}.yaml", *SIM_OUT], SIM_OUT[1::2], None))
-    (d / "simulate_separating.yaml").write_text(SEPARATING)
-    cases.append(("simulate_separating", ["simulate", "--config", "simulate_separating.yaml", *SIM_OUT],
-                  SIM_OUT[1::2], None))
+    for name, recipe in (("simulate_separating", SEPARATING), ("simulate_newton", NEWTON)):
+        (d / f"{name}.yaml").write_text(recipe)
+        cases.append((name, ["simulate", "--config", f"{name}.yaml", *SIM_OUT], SIM_OUT[1::2], None))
     (d / "simulate150.yaml").write_text(RECIPE + "replications: 150\n")
     return cases
 
