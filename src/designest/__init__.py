@@ -43,7 +43,6 @@ from .linear import (
 )
 from .model_assisted import (
     ImputationModel,
-    OptimizerConfig,
     fit_qmle,
     no_harm_alpha,
     no_harm_gr,

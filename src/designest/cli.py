@@ -45,7 +45,6 @@ from .linear import (
     plugin_bounds,
     plugin_report,
 )
-from .model_assisted import OptimizerConfig
 from .moments import (
     DesignMoments,
     closed_form_or_exact_moments,
@@ -204,7 +203,7 @@ def cmd_estimate(args):
         moments = dataclasses.replace(moments, p=None, D=None)
     chunk = ReplicationChunk(realization.arm_of[None], y[None], X, moments)
     contrast = check_contrast([float(v) for v in args.contrast.split(",")], design.k)
-    fits, _, raw, errors = fit_rows(chunk, names, contrast, OptimizerConfig(), bound)
+    fits, _, raw, errors = fit_rows(chunk, names, contrast, bound)
     reports = []
     for e, (name, fit) in enumerate(zip(names, fits)):
         if (0, e) in errors:
@@ -227,15 +226,8 @@ def cmd_estimate(args):
 # (required keys, optional keys) of a simulation recipe
 RECIPE_KEYS = (
     ("design", "outcome", "estimators", "contrast", "replications", "seed"),
-    ("covariates", "moments", "bound", "psd_clip", "level", "optimizer", "workers"),
+    ("covariates", "moments", "bound", "psd_clip", "level", "workers"),
 )
-
-
-def _optimizer_from_recipe(spec) -> OptimizerConfig:
-    """OptimizerConfig from the recipe's optimizer mapping; a key that names
-    no field is an error."""
-    known = [field.name for field in dataclasses.fields(OptimizerConfig)]
-    return OptimizerConfig(**check_keys(spec, "optimizer", optional=known))
 
 
 def cmd_simulate(args):
@@ -294,7 +286,6 @@ def cmd_simulate(args):
         contrast=recipe["contrast"],
         replications=recipe["replications"],
         seed=recipe["seed"],
-        optimizer=_optimizer_from_recipe(recipe.get("optimizer", {})),
         **options,
     )
     # the rest of the recipe is valid: check the moments and bound keys, then compute them
@@ -352,7 +343,7 @@ def cmd_check(args):
     arms, support = table.realizations, range(len(table))
     y_obs = y_full[arms * 5 + np.arange(5)]
     chunk = ReplicationChunk(arms, y_obs, np.zeros((5, 0)), moments, support)
-    acc = table.probabilities @ estimator("ht")(chunk, None, None).mu
+    acc = table.probabilities @ estimator("ht")(chunk, None).mu
     truth = intercept_matrix(5, 2).T @ y_full / 5
     report("exact unbiasedness of the weighted estimator", np.max(np.abs(acc - truth)) < 1e-12)
 

@@ -33,20 +33,18 @@ from .linear import (
 )
 from .model_assisted import (
     ImputationModel,
-    OptimizerConfig,
     _check_omega,
     _corrected,
     no_harm_imputations,
     opt_i_imputations,
     opt_linear_imputations,
-    opt_logit_descent,
-    population_opt_logit,
+    opt_logit_imputations,
 )
 from .moments import DesignMoments, closed_form_or_exact_moments
 
 
 def _linear(kind):
-    return lambda chunk, c, optimizer: linear_sample(kind, chunk)
+    return lambda chunk, c: linear_sample(kind, chunk)
 
 
 def _two_stage(family, omega, stage=None):
@@ -55,7 +53,7 @@ def _two_stage(family, omega, stage=None):
     stage(f, y, D, c, n, inspect) over a batch of outcome vectors y; with no
     stage, the fit itself."""
 
-    def sample(chunk, c, optimizer):
+    def sample(chunk, c):
         theta, f = chunk.first_stage(family, omega)
         if stage is None:
             return _corrected(chunk, f, [{"theta": row} for row in theta.tolist()])
@@ -65,30 +63,23 @@ def _two_stage(family, omega, stage=None):
     return sample
 
 
-def _opt_linear_sample(chunk, c, optimizer):
+def _opt_linear_sample(chunk, c):
     rows = ImputationModel("linear", chunk.k, chunk.X.shape[1]).design_rows(chunk.X)
     D, inspect = _check_omega(chunk.moments.D, chunk.n * chunk.k), not chunk.is_population
     return _corrected(chunk, *opt_linear_imputations(rows, chunk.y_ipw, D, c, chunk.n, inspect))
 
 
-def _opt_logit_sample(chunk, c, optimizer):
+def _opt_logit_sample(chunk, c):
     model = ImputationModel("logistic", chunk.k, chunk.X.shape[1])
     rows, D = model.design_rows(chunk.X), _check_omega(chunk.moments.D, chunk.n * chunk.k)
-    # the theory columns' solve: certified Newton from the pseudo-likelihood
-    # fit, or BFGS where no minimum is certified (population_opt_logit)
-    if chunk.is_population:
-        theta = population_opt_logit(model, chunk.X, chunk.y[0], D, c, chunk.n)[None]
-        return _corrected(chunk, model._predict_rows(theta, rows), [{}])
-    return _corrected(
-        chunk, *opt_logit_descent(model, rows, chunk.y_ipw, D, c, chunk.n, optimizer, chunk.reps)
-    )
+    start = chunk.first_stage("logistic", "pi")[0]
+    return _corrected(chunk, *opt_logit_imputations(model, rows, chunk.y_ipw, D, c, chunk.n, start))
 
 
-# The estimator table: each row is its sample function sample(chunk, c,
-# optimizer), which fits the estimator on every row of a ReplicationChunk
-# (replication reps[b] seeds row b's randomness) and returns a SampleFit. On
-# ReplicationChunk.population the same function gives the population
-# linearization z, with n x asymptotic variance (z c)' D (z c) / n.
+# The estimator table: each row is its sample function sample(chunk, c),
+# which fits the estimator on every row of a ReplicationChunk and returns a
+# SampleFit. On ReplicationChunk.population the same function gives the
+# population linearization z, with n x asymptotic variance (z c)' D (z c) / n.
 ESTIMATORS = {
     **{kind: _linear(kind) for kind in LINEAR_KINDS},
     "noharm_wls": _two_stage("linear", "ones", no_harm_imputations),
@@ -263,7 +254,6 @@ class SimConfig:
     moments: DesignMoments | None = None
     bound: VarianceBound | None = None
     level: float = 0.95
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     workers: int = 1
 
     def __post_init__(self):
@@ -370,14 +360,14 @@ def failure_text(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def fit_rows(chunk: ReplicationChunk, names, c, optimizer, bound):
+def fit_rows(chunk: ReplicationChunk, names, c, bound):
     """The one table pass: each name resolved before any fit, each row fitted once, and all
     plug-in bounds in one plugin_bounds pass (none if the chunk has no rows). Returns (fits,
     values, raw, errors): each row's SampleFit, contrast values and raw plug-in bounds (B, E)
     over the chunk's B rows, and the exception of each failed (replication, estimator index)
     pair; a replication without a row fails every estimator."""
     rows = [estimator(name) for name in names]
-    fits = [chunk.fit(row, c, optimizer) for row in rows]
+    fits = [chunk.fit(row, c) for row in rows]
     values = np.stack([np.matmul(c, fit.mu[..., None])[..., 0] for fit in fits], axis=1)
     v = np.stack([fit.z @ c for fit in fits], axis=1)
     raw = plugin_bounds(v, chunk.cells, bound) if chunk.reps else np.empty(values.shape)
@@ -396,9 +386,7 @@ def _replication_chunk(cfg: SimConfig, rep_indices):
     chunk = ReplicationChunk(arms, y_obs, cfg.X, cfg.moments, list(rep_indices))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, values, raw, errors = fit_rows(
-            chunk, cfg.estimators, cfg.contrast, cfg.optimizer, cfg.bound
-        )
+        _, values, raw, errors = fit_rows(chunk, cfg.estimators, cfg.contrast, cfg.bound)
     out = np.full((2, len(rep_indices), len(cfg.estimators)), np.nan)
     out[:, np.isin(rep_indices, chunk.reps)] = values, raw * chunk.n
     for rep, e in errors:
@@ -422,7 +410,7 @@ def population_contrast_residual(
     c = np.asarray(contrast, dtype=float)
     if population is None:
         population = ReplicationChunk.population(X, y_full, moments)
-    fit = estimator(name)(population, c, None)
+    fit = estimator(name)(population, c)
     if fit.errors:
         raise fit.errors[0]
     return fit.z[0] @ c

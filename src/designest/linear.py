@@ -166,12 +166,12 @@ class ReplicationChunk:
             self._regressions[m_weights] = fit
         return fit
 
-    def fit(self, row, c, optimizer) -> SampleFit:
-        """row(self, c, optimizer), for a row of the estimator table. A
+    def fit(self, row, c) -> SampleFit:
+        """row(self, c), for a row of the estimator table. A
         row that raises on several replications is refit one replication at
         a time, so that the failure stays with its replication."""
         try:
-            return row(self, c, optimizer)
+            return row(self, c)
         except Exception as exc:  # recorded against the replication
             B = len(self.reps)
             if B <= 1:
@@ -179,7 +179,7 @@ class ReplicationChunk:
                 return SampleFit(nan[:, 0], nan, [{}] * B, dict.fromkeys(range(B), exc))
             fits = [
                 ReplicationChunk(self.arms[[b]], self.y_obs[[b]], self.X, self.moments, [rep])
-                .fit(row, c, optimizer)
+                .fit(row, c)
                 for b, rep in enumerate(self.reps)
             ]
             return SampleFit(

@@ -10,44 +10,37 @@ opt_gr_logit), and a single-imputed-covariate linear layer (opt_i_gr).
 
 The variance criterion of imputations f_theta is Q(theta) = r' Omega r / 2n
 with r = w (y - f_theta); its gradient is minus the moment vector g. The
-linear fit minimizes Q in closed form. The logistic fit (opt_logit_descent)
-is the solved restart with the lowest Q among cfg.restarts descents on Q, a
-restart counting as solved when it stays in its box and reaches
-|g| <= grad_tol. The population solve (population_opt_logit) minimizes the
-same Q from the population pseudo-likelihood fit by damped Newton on Q's
-analytic Hessian, keeping its point when certified (|g|_inf <= 1e-12 and a
-Cholesky factor of the Hessian less a margin relative to its largest
-eigenvalue), and otherwise by scipy's BFGS from the same start.
+linear fit minimizes Q in closed form. The logistic fit (opt_logit_imputations)
+minimizes the ridge-penalized criterion Q + OPT_LOGIT_RIDGE |theta|^2 / 2 by
+damped Newton on its analytic Hessian (_certified_newton) from the
+pseudo-likelihood fit, and keeps only a certified point; the sample and the
+population run that same solve.
 
 Each second stage (no_harm_imputations, opt_linear_imputations,
-opt_i_imputations, opt_logit_descent) is one body over a leading batch axis
-of outcome vectors y (B, kn): a sample fit passes the inverse-probability-
+opt_i_imputations, opt_logit_imputations) is one body over a leading batch
+axis of outcome vectors y (B, kn): a sample fit passes the inverse-probability-
 weighted observed vectors of a chunk of replications, and the population
 chunk (linear.ReplicationChunk.population) passes the full potential
 outcomes as a batch of one (the pseudo-likelihood fits weigh an observed
 cell omega / pi, a population cell omega). A stage returns the imputations
 (B, kn), one diagnostics dict per row and the exception of each row whose
 fit is undefined; row b is bitwise what a batch of one gives, because every
-slice takes the same BLAS call as the 2-D form.
-Shared matrices are built once per batch (opt_linear's design form and its
-pseudoinverse), and the logistic descent runs all rows' restarts as one
-array descent, one product with Omega giving both Q and g. _corrected
-turns a stage's imputations into the fits of a ReplicationChunk's rows;
-the per-replication functions (qmle_gr, no_harm_gr, opt_gr_linear,
-opt_gr_logit, opt_i_gr, moment_vector, ...) run the same bodies on the
-chunk of one that ExperimentData carries.
+slice takes the same BLAS call as the 2-D form (the logistic solve runs row
+by row). Shared matrices are built once per batch (opt_linear's design form
+and its pseudoinverse). _corrected turns a stage's imputations into the fits
+of a ReplicationChunk's rows; the per-replication functions (qmle_gr,
+no_harm_gr, opt_gr_linear, opt_gr_logit, opt_i_gr, moment_vector, ...) run
+the same bodies on the chunk of one that ExperimentData carries.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .bounds import VarianceBound
-from .designs import _is_integer
 from .linear import (
     EstimateReport,
     ExperimentData,
@@ -65,11 +58,11 @@ from .moments import check_symmetric
 EIG_WARN_RATIO = 1e-8
 NOHARM_DENOM_TOL = 1e-6
 OMEGA_NORM_TOL = 1e-12
-# entries of each (slices, kn) temporary in one stacked criterion evaluation
-MOMENT_BLOCK_ENTRIES = 1 << 20
-# the population solve's Newton iteration (_certified_newton)
+# the logistic variance-minimizing fit: its ridge penalty and its Newton
+# iteration (_certified_newton)
+OPT_LOGIT_RIDGE = 1e-4
 NEWTON_MAX_ITER = 50
-NEWTON_GTOL = 1e-12  # also the BFGS fallback's gtol
+NEWTON_GTOL = 1e-12
 NEWTON_SHIFT = 1e-3
 NEWTON_ARMIJO = 1e-4
 
@@ -79,7 +72,7 @@ class WeakIdentificationError(ValueError):
 
 
 class OptimizationError(RuntimeError):
-    """No interior solution found within the restart budget."""
+    """No certified minimum found within the Newton iteration's budget."""
 
 
 @dataclass(frozen=True)
@@ -143,48 +136,6 @@ class ImputationModel:
             return np.ones(f.shape), np.zeros(f.shape)
         d = f * (1.0 - f)
         return d, d * (1.0 - 2.0 * f)
-
-
-@dataclass
-class OptimizerConfig:
-    """Gradient-descent recipe for the logit variance-minimizing fit.
-
-    Every one of the restarts (an integer >= 1) descends on the variance
-    criterion Q along its negative gradient, the moment vector g: restart a
-    starts from a normal draw with sd restart_sd (>= 0) and takes at most
-    max_steps (an integer >= 0) steps, each a backtracking line search that
-    accepts the fraction step (> 0) of the predicted decrease and shrinks
-    by backtrack (in (0, 1)). It is solved when the moment norm |g| falls
-    to grad_tol (> 0), and fails when theta leaves the box of half-width
-    box_half_width + a * box_expand / 2 (box_half_width > 0,
-    box_expand >= 0). The fit is the solved restart with the lowest Q, the
-    lower restart index on a tie. A chunk's replications and restarts
-    descend together as one batch.
-    """
-
-    step: float = 0.1  # line-search acceptance fraction
-    backtrack: float = 0.5
-    grad_tol: float = 0.01
-    box_half_width: float = 10.0
-    box_expand: float = 0.2  # total widening per failed restart
-    restarts: int = 10
-    restart_sd: float = 0.1
-    max_steps: int = 2000
-
-    def __post_init__(self):
-        for name, valid, rule in (
-            ("step", lambda v: v > 0, "positive"),
-            ("backtrack", lambda v: 0 < v < 1, "in (0, 1)"),
-            ("grad_tol", lambda v: v > 0, "positive"),
-            ("box_half_width", lambda v: v > 0, "positive"),
-            ("box_expand", lambda v: v >= 0, "non-negative"),
-            ("restarts", lambda v: _is_integer(v) and v >= 1, "an integer >= 1"),
-            ("restart_sd", lambda v: v >= 0, "non-negative"),
-            ("max_steps", lambda v: _is_integer(v) and v >= 0, "an integer >= 0"),
-        ):
-            value = getattr(self, name)
-            if not (isinstance(value, Real) and not isinstance(value, bool) and valid(value)):
-                raise ValueError(f"optimizer {name} must be {rule}, got {value!r}")
 
 
 def _omega_weights(omega, pi: np.ndarray) -> np.ndarray:
@@ -591,89 +542,80 @@ def _terms_hessian(rows, Omega, w, n, d, h, weighted):
     return (np.swapaxes(grad_rows, -1, -2) @ Omega @ grad_rows) / n - curvature / n
 
 
-def _stacked(fun, entries: int, *arrays):
-    """fun over consecutive blocks of the leading axis of arrays, each of at
-    most MOMENT_BLOCK_ENTRIES // entries rows so that fun's temporaries of
-    entries per row stay bounded; fun returns a tuple of arrays over its
-    block's rows, and the blocks' tuples are concatenated."""
-    step = max(1, MOMENT_BLOCK_ENTRIES // entries)
-    blocks = range(0, max(len(arrays[0]), 1), step)
-    parts = [fun(*(a[lo : lo + step] for a in arrays)) for lo in blocks]
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
-def population_opt_logit(model, X, y_full, Omega, c, n, start=None):
-    """Population variance-minimizing logistic fit for simulation reporting.
-
-    Minimizes the population variance criterion Q (gradient -g) from the
-    population pseudo-likelihood fit, unless told another start: the
-    certified minimum of a damped Newton iteration on Q's analytic Hessian
-    (_certified_newton) where it finds one, and otherwise scipy's BFGS with
-    gtol 1e-12 from the same start (a population whose Q has no interior
-    minimum keeps falling towards infinity along some direction, and BFGS
-    stops where its own rule says).
-    """
-    if start is None:
-        start = population_qmle(model, X, y_full)
-    start = np.asarray(start, dtype=float)
-    args, y = _criterion_args(model, X, Omega, c, n), np.asarray(y_full, dtype=float)[None]
-    theta = _certified_newton(start, y, args)
-    if theta is not None:
-        return theta
-    from scipy.optimize import minimize
-
-    def criterion_and_grad(theta):
-        value, g = _moment_terms(theta[None], y, *args)[:2]
-        return float(value[0]), -g[0]
-
-    result = minimize(criterion_and_grad, start, jac=True,
-                      method="BFGS", options={"gtol": NEWTON_GTOL, "maxiter": 500})
-    return result.x
+def population_opt_logit(model, X, y_full, Omega, c, n, omega=None):
+    """Population variance-minimizing logistic fit: the certified minimum of
+    the ridge-penalized population criterion (_certified_newton) from the
+    population pseudo-likelihood fit whose cells weigh omega (default one;
+    the theory columns weigh pi). Raises OptimizationError where no minimum
+    is certified."""
+    start = population_qmle(model, X, y_full, omega=omega)
+    y = np.asarray(y_full, dtype=float)[None]
+    return _certified_newton(start, y, _criterion_args(model, X, Omega, c, n))[0]
 
 
 def _certified_newton(theta, y, args):
-    """A certified interior minimum of the variance criterion Q for the
-    outcome vector y (1, kn) by damped Newton from theta (s,), or None.
+    """A certified minimum of the ridge-penalized variance criterion Q_ridge
+    = Q + OPT_LOGIT_RIDGE |theta|^2 / 2 for the outcome vector y (1, kn) by
+    damped Newton from theta (s,): the point and its diagnostics.
 
-    An iterate is certified when its moment vector has |g|_inf <=
-    NEWTON_GTOL and its Hessian H less EIG_WARN_RATIO times H's largest
-    eigenvalue has a Cholesky factor: a strict local minimum with no
-    direction nearly flat next to the steepest one (Q may keep falling along
-    such a direction far beyond the point). Otherwise the step p solves
-    (H + tau I) p = g, with tau = 0 when H's smallest eigenvalue clears that
-    margin and else the shift that moves it to NEWTON_SHIFT times H's
-    largest eigenvalue magnitude. The step length halves from one until
-    Q(theta + t p) <= Q - NEWTON_ARMIJO t g'p, or, where the predicted
-    decrease t g'p is below Q's rounding (taken as 1e-12 |Q|), until
-    |g|_inf falls. None when NEWTON_MAX_ITER iterates pass uncertified, when
-    the halving passes 2^-30 and when H is zero."""
+    Q_ridge has gradient G = OPT_LOGIT_RIDGE theta - g and Hessian H = Q's
+    Hessian + OPT_LOGIT_RIDGE I. An iterate is certified when |G|_inf <=
+    NEWTON_GTOL and H less EIG_WARN_RATIO times H's largest eigenvalue has a
+    Cholesky factor: a strict local minimum with no direction nearly flat
+    next to the steepest one. Otherwise the step p solves (H + tau I) p =
+    -G, with tau = 0 when H's smallest eigenvalue clears that margin and
+    else the shift that moves it to NEWTON_SHIFT times H's largest
+    eigenvalue magnitude. The step length halves from one until
+    Q_ridge(theta + t p) <= Q_ridge + NEWTON_ARMIJO t G'p, or, where the
+    predicted decrease -t G'p is below Q_ridge's rounding (taken as 1e-12
+    |Q_ridge|), until |G|_inf falls. Raises OptimizationError when
+    NEWTON_MAX_ITER iterates pass uncertified, when the halving passes
+    2^-30 and when H is zero."""
     _, rows, Omega, w, n = args
+    eye = np.eye(len(theta))
+
+    def penalized(theta, terms):  # Q_ridge and G from Q and g
+        return (terms[0][0] + OPT_LOGIT_RIDGE / 2 * (theta @ theta),
+                OPT_LOGIT_RIDGE * theta - terms[1][0])
+
     terms = _moment_terms(theta[None], y, *args)
-    for _ in range(NEWTON_MAX_ITER):
-        value, g = terms[0][0], terms[1][0]
-        hess = _terms_hessian(rows, Omega, w, n, *terms[2:])[0]
-        eigs, eye = np.linalg.eigvalsh(hess), np.eye(len(hess))
+    for steps in range(NEWTON_MAX_ITER):
+        value, grad = penalized(theta, terms)
+        hess = _terms_hessian(rows, Omega, w, n, *terms[2:])[0] + OPT_LOGIT_RIDGE * eye
+        eigs = np.linalg.eigvalsh(hess)
         margin = EIG_WARN_RATIO * eigs[-1]
-        if np.abs(g).max() <= NEWTON_GTOL and _has_cholesky(hess - margin * eye):
-            return theta
+        if np.abs(grad).max() <= NEWTON_GTOL and _has_cholesky(hess - margin * eye):
+            return theta, {
+                "theta": theta.tolist(),
+                "moment_norm": float(np.sqrt(terms[1][0] @ terms[1][0])),
+                "criterion": float(terms[0][0]),
+                "newton_steps": steps,
+                "hessian_min_eig": float(eigs[0]),
+                "hessian_max_eig": float(eigs[-1]),
+            }
         scale = np.abs(eigs).max()
         if not scale > 0:
-            return None
+            break
         shift = 0.0 if eigs[0] > margin else NEWTON_SHIFT * scale - eigs[0]
-        step = np.linalg.solve(hess + shift * eye, g)
-        slope, t = g @ step, 1.0
-        while True:
-            terms = _moment_terms((theta + t * step)[None], y, *args)
-            if t * slope > 1e-12 * abs(value):
-                if terms[0][0] <= value - NEWTON_ARMIJO * t * slope:
+        step = np.linalg.solve(hess + shift * eye, -grad)
+        decrease, t = -(grad @ step), 1.0
+        while t >= 2.0**-30:
+            trial = theta + t * step
+            terms = _moment_terms(trial[None], y, *args)
+            trial_value, trial_grad = penalized(trial, terms)
+            if t * decrease > 1e-12 * abs(value):
+                if trial_value <= value - NEWTON_ARMIJO * t * decrease:
                     break
-            elif np.abs(terms[1][0]).max() < np.abs(g).max():
+            elif np.abs(trial_grad).max() < np.abs(grad).max():
                 break
             t /= 2
-            if t < 2.0**-30:
-                return None
-        theta = theta + t * step
-    return None
+        else:
+            break
+        theta = trial
+    raise OptimizationError(
+        f"no certified minimum of the ridge-penalized variance criterion in "
+        f"{NEWTON_MAX_ITER} Newton steps"
+    )
 
 
 def _has_cholesky(A) -> bool:
@@ -690,107 +632,43 @@ def opt_gr_logit(
     data: ExperimentData,
     Omega: np.ndarray,
     c,
-    cfg: OptimizerConfig | None = None,
     model: ImputationModel | None = None,
     bound: VarianceBound | None = None,
-    seed: int = 0,
 ) -> EstimateReport:
-    """Variance-minimizing logistic imputations via damped gradient descent
-    (opt_logit_descent) on the IPW observed outcome vector. Omega must be
-    symmetric: -g is the criterion's gradient only then."""
+    """Variance-minimizing logistic imputations (opt_logit_imputations) for
+    the IPW observed outcome vector, from the pseudo-likelihood fit whose
+    observed cells weigh pi / pi. Omega must be symmetric: -g is the
+    criterion's gradient only then."""
     Omega = _check_omega(Omega, data.n * data.k)
     check_symmetric(Omega, "Omega")
     if model is None:
         model = ImputationModel("logistic", data.k, data.p)
     if model.family != "logistic":
         raise ValueError("opt_gr_logit needs a logistic imputation model")
-    fit = _corrected(data.chunk, *opt_logit_descent(
-        model, model.design_rows(data.X), data.chunk.y_ipw, Omega, c, data.n,
-        cfg or OptimizerConfig(), [seed],
-    ))
+    rows, chunk = model.design_rows(data.X), data.chunk
+    start = sample_qmle(model, rows, data.moments.pi, "pi", chunk.cells, chunk.y_obs)
+    fit = _corrected(chunk, *opt_logit_imputations(model, rows, chunk.y_ipw, Omega, c, data.n, start))
     return row_report("opt_gr_logit", fit, data, bound, c)
 
 
-def opt_logit_descent(model, rows, y, Omega, c, n: int, cfg: OptimizerConfig, seeds):
+def opt_logit_imputations(model, rows, y, Omega, c, n: int, start):
     """Variance-minimizing logistic imputations (B, kn) for the outcome
     vectors y (B, kn), one diagnostics dict per row, and the
-    OptimizationError of each row with no interior solution.
+    OptimizationError of each row with no certified minimum.
 
-    Row b runs every one of cfg.restarts descents on the variance criterion
-    Q (_moment_terms), from starts drawn by default_rng(seeds[b]): steps
-    along its negative gradient, the moment vector g, with a backtracking
-    line search, until the moment norm falls to cfg.grad_tol (solved) or
-    theta leaves a box that widens with the restart index. The estimate is
-    the solved restart with the lowest (Q, restart index); its diagnostics
-    include the extreme eigenvalues of the analytic Hessian of Q there
-    (positive at a local minimum), taken over the parameters that enter Q:
-    the columns of rows that are nonzero on a cell of nonzero contrast
-    weight (all of them when no weight is nonzero, Q being then zero). The
-    B x restarts descents run as one array descent, a slice leaving the
-    active set when it stops; each is bitwise the descent run alone.
-    """
-    B, R, s = len(y), cfg.restarts, model.s
-    w = np.repeat(np.asarray(c, dtype=float), n)
-    args = model, rows, Omega, w, n
-
-    def terms(theta, owner):  # Q and g; temporaries are (slices, kn)
-        return _stacked(lambda th, o: _moment_terms(th, y[o], *args)[:2], len(rows), theta, owner)
-
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    theta = np.reshape([rng.normal(0.0, cfg.restart_sd, size=(R, s)) for rng in rngs], (B * R, s))
-    owner, attempt = np.divmod(np.arange(B * R), R)
-    half_width = cfg.box_half_width + attempt * cfg.box_expand / 2.0
-    value, g = terms(theta, owner)
-    interior = np.ones(B * R, dtype=bool)
-    active = np.arange(B * R)
-    for _ in range(cfg.max_steps):
-        norm2 = _rowdot(g[active], g[active])
-        moving = ~(np.sqrt(norm2) <= cfg.grad_tol)
-        active, norm2 = active[moving], norm2[moving]
-        if not active.size:
-            break
-        # the candidate that ends a slice's line search is its next theta, so
-        # its criterion and moment vector are kept from the trial
-        t = np.ones(len(active))
-        found = [np.empty((len(active),) + part.shape[1:]) for part in (value, g)]
-        searching = np.arange(len(active))
-        while searching.size:
-            q, t_q = active[searching], t[searching]
-            parts = terms(theta[q] + t_q[:, None] * g[q], owner[q])
-            done = (parts[0] <= value[q] - cfg.step * t_q * norm2[searching]) | (t_q < 1e-14)
-            for kept, part in zip(found, parts):
-                kept[searching[done]] = part[done]
-            searching = searching[~done]
-            t[searching] *= cfg.backtrack
-        theta[active] = theta[active] + t[:, None] * g[active]
-        inside = ~(np.abs(theta[active]) > half_width[active, None]).any(axis=-1)
-        interior[active[~inside]] = False
-        active = active[inside]
-        if not active.size:
-            break
-        value[active], g[active] = (part[inside] for part in found)
-    norm = np.sqrt(_rowdot(g, g))
-    solved = (interior & (norm <= cfg.grad_tol)).reshape(B, R)
-    rows_ok = np.flatnonzero(solved.any(axis=1))
-    win = rows_ok * R + np.argmin(np.where(solved, value.reshape(B, R), np.inf), axis=1)[rows_ok]
-    (hess,) = _stacked(  # temporaries are (slices, kn, s)
-        lambda th, o: (_criterion_hessian(th, y[o], *args),), rows.size, theta[win], owner[win]
-    )
-    enters = (rows[w != 0] != 0).any(axis=0)
-    eigs = np.linalg.eigvalsh(hess[:, enters][:, :, enters] if enters.any() else hess)
-    f = np.full((B, rows.shape[0]), np.nan)
-    f[rows_ok] = model._predict_rows(theta[win], rows)
-    diagnostics = [{}] * B
-    for b, *entries in zip(
-        rows_ok.tolist(), theta[win].tolist(), norm[win].tolist(), value[win].tolist(),
-        attempt[win].tolist(), eigs.min(axis=-1).tolist(), eigs.max(axis=-1).tolist(),
-    ):
-        diagnostics[b] = dict(zip(
-            ("theta", "moment_norm", "criterion", "restart", "hessian_min_eig", "hessian_max_eig"),
-            entries,
-        ))
-    message = f"no interior solution with moment norm <= {cfg.grad_tol} in {cfg.restarts} restarts"
-    errors = {b: OptimizationError(message) for b in np.flatnonzero(~solved.any(axis=1)).tolist()}
+    Row b runs _certified_newton from start[b] (start is (B, s)) on its own:
+    theta, the norm of Q's moment vector g (OPT_LOGIT_RIDGE |theta| at a
+    certified point), Q itself, the Newton steps taken and the extreme
+    eigenvalues of the penalized Hessian are its diagnostics."""
+    args = model, rows, Omega, np.repeat(np.asarray(c, dtype=float), n), n
+    f, diagnostics, errors = np.full(np.shape(y), np.nan), [{}] * len(y), {}
+    for b in range(len(y)):
+        try:
+            theta, diagnostics[b] = _certified_newton(start[b], y[b : b + 1], args)
+        except OptimizationError as exc:
+            errors[b] = exc
+            continue
+        f[b] = model._predict_rows(theta, rows)
     return f, diagnostics, errors
 
 

@@ -152,14 +152,13 @@ def test_linear_estimate_on_a_crd_loads_no_scipy(crd_design_yaml, tmp_path):
 
 
 def test_opt_logit_simulate_with_a_certified_population_minimum_loads_no_scipy_optimize(tmp_path):
-    # the theory columns' Newton solve certifies this population's minimum,
-    # so the BFGS fallback, and with it scipy.optimize, is never imported
+    # the sample and population fits are one certified Newton solve, which
+    # imports nothing of scipy.optimize
     (tmp_path / "sim.yaml").write_text(
         "design: {kind: completely_randomized, n: 30, counts: [12, 18]}\n"
         "covariates: {generate: {p: 2, seed: 21}}\n"
         "outcome: {coeffs: [0.9, -0.6], intercepts: [-0.4, 0.5], seed: 4}\n"
         "estimators: [opt_logit]\ncontrast: [-1, 1]\nseed: 3\nreplications: 2\n"
-        "optimizer: {restarts: 2, max_steps: 200}\n"
     )
     code = (
         "import sys\n"
@@ -248,26 +247,14 @@ OPT_LOGIT_RECIPE = (
 )
 
 
-@pytest.mark.parametrize(
-    "optimizer, field",
-    [
-        ("{restarts: 0}", "restarts"),
-        ("{restarts: 2.5}", "restarts"),
-        ("{restarts: true}", "restarts"),
-        ("{max_steps: -3}", "max_steps"),
-        ("{max_steps: 10.0}", "max_steps"),
-        ("{restart_sd: -1}", "restart_sd"),
-        ("{box_half_width: 0}", "box_half_width"),
-        ("{box_expand: -0.1}", "box_expand"),
-        ("{step: .nan}", "step"),
-    ],
-)
-def test_simulate_rejects_an_invalid_optimizer_value(tmp_path, capsys, optimizer, field):
-    # these used to run and count every opt_logit replication as failed
+def test_simulate_rejects_an_optimizer_key(tmp_path, capsys):
+    # the logistic variance-minimizing fit has no settings: its solve is one
+    # certified ridge-penalized Newton iteration
     config = tmp_path / "sim.yaml"
-    config.write_text(OPT_LOGIT_RECIPE + f"optimizer: {optimizer}\n")
+    config.write_text(OPT_LOGIT_RECIPE + "optimizer: {restarts: 2, max_steps: 200}\n")
     assert main(["simulate", "--config", str(config)]) == 2
-    assert f"optimizer {field} must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown recipe key(s): optimizer;" in err
 
 
 @pytest.mark.parametrize("workers", ["0", "1.5"])
@@ -280,15 +267,6 @@ def test_simulate_rejects_a_worker_count_that_is_not_a_positive_integer(tmp_path
     assert main(["simulate", "--config", str(config), "--workers", "1"]) == 0
 
 
-def test_simulate_rejects_unknown_optimizer_keys(tmp_path, capsys):
-    # a misspelled key used to end in a TypeError traceback
-    config = tmp_path / "sim.yaml"
-    config.write_text(OPT_LOGIT_RECIPE + "optimizer: {restart: 3, max_step: 5, grad_tol: 0.1}\n")
-    assert main(["simulate", "--config", str(config)]) == 2
-    err = capsys.readouterr().err
-    assert "unknown optimizer key(s): max_step, restart;" in err
-
-
 @pytest.mark.parametrize("level", ["1.5", "-0.2", "0", "1", ".nan"])
 def test_simulate_rejects_a_level_outside_the_unit_interval(tmp_path, capsys, level):
     # these used to run and report coverage 0.0 for every estimator
@@ -298,12 +276,26 @@ def test_simulate_rejects_a_level_outside_the_unit_interval(tmp_path, capsys, le
     assert "level must lie strictly between 0 and 1" in capsys.readouterr().err
 
 
-def test_simulate_accepts_a_valid_optimizer(tmp_path):
-    config = tmp_path / "sim.yaml"
-    config.write_text(
-        OPT_LOGIT_RECIPE + "optimizer: {restarts: 1, max_steps: 0, restart_sd: 0, box_expand: 0}\n"
-    )
-    assert main(["simulate", "--config", str(config)]) == 0
+def test_simulate_fits_opt_logit(tmp_path):
+    config, js = tmp_path / "sim.yaml", tmp_path / "sim.json"
+    config.write_text(OPT_LOGIT_RECIPE)
+    assert main(["simulate", "--config", str(config), "--json", str(js)]) == 0
+    table = json.loads(js.read_text())
+    assert table["failures"] == {"opt_logit": 0} and table["theory_errors"] == {}
+
+
+def test_estimate_reports_the_opt_logit_solve(tmp_path):
+    argv = _block_route_argv(tmp_path, "crd")
+    argv[argv.index(FIRST_STAGE_ROWS)] = "opt_logit"
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    (report,) = json.loads(out.read_text())
+    diagnostics = report["diagnostics"]
+    assert list(diagnostics)[:6] == [
+        "theta", "moment_norm", "criterion", "newton_steps", "hessian_min_eig", "hessian_max_eig"
+    ]
+    assert 0 < diagnostics["hessian_min_eig"] <= diagnostics["hessian_max_eig"]
+    assert 0 < diagnostics["newton_steps"] < 50
 
 
 def test_simulate_rejects_an_unknown_moments_method(tmp_path, capsys):
@@ -806,7 +798,6 @@ def _per_row_reports(tmp, names, covariates, psd_clip, bound_of):
     from designest.linear import (
         load_covariates_csv, load_observed_csv, plugin_report, plugin_varbound
     )
-    from designest.model_assisted import OptimizerConfig
     from designest.moments import closed_form_or_exact_moments
 
     design = CompletelyRandomizedDesign(40, [15, 25])
@@ -826,7 +817,7 @@ def _per_row_reports(tmp, names, covariates, psd_clip, bound_of):
     c, reports = np.array([-1.0, 1.0]), []
     for name in names:
         chunk = ReplicationChunk(arms[None], y[None], X, moments)
-        fit = chunk.fit(estimator(name), c, OptimizerConfig())
+        fit = chunk.fit(estimator(name), c)
         if fit.errors:
             error = fit.errors[0]
             reports.append({"estimator": name, "error": f"{type(error).__name__}: {error}"})
@@ -1582,10 +1573,13 @@ def _write_every_row_recipe(tmp_path, seed, extra=""):
     return recipe, design, covariates
 
 
-def test_simulate_json_names_every_failure_the_same_for_any_worker_count(tmp_path):
-    recipe, _, _ = _write_every_row_recipe(
-        tmp_path, 3, "replications: 150\noptimizer: {restarts: 2, max_steps: 200}\n"
-    )
+def test_simulate_json_names_every_failure_the_same_for_any_worker_count(tmp_path, monkeypatch):
+    # with no Newton step allowed, opt_logit certifies no row: every sample
+    # fit and its theory column fail, and the forked workers inherit that
+    from designest import model_assisted
+
+    monkeypatch.setattr(model_assisted, "NEWTON_MAX_ITER", 0)
+    recipe, _, _ = _write_every_row_recipe(tmp_path, 3, "replications: 150\n")
     outputs = []
     for workers in (1, 2, 3):  # 150 replications make 3 chunks
         csv, js = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.json"
@@ -1598,11 +1592,13 @@ def test_simulate_json_names_every_failure_the_same_for_any_worker_count(tmp_pat
     assert list(table["failure_reasons"]) == list(ESTIMATOR_NAMES)
     for name, reasons in table["failure_reasons"].items():
         assert sum(reasons.values()) == table["failures"][name]
-    assert table["failures"]["opt_logit"] > 0
     (reason,) = table["failure_reasons"]["opt_logit"]
     assert reason.startswith("OptimizationError: ")
-    assert table["theory_errors"] == {}  # every theory column has a value
-    assert not any(np.isnan(row["theo_var_times_n"]) for row in table["metrics"].values())
+    assert table["failures"]["opt_logit"] == 150
+    assert table["theory_errors"] == {}  # a row with no fitted replication gets no theory
+    assert [name for name, row in table["metrics"].items() if np.isnan(row["theo_var_times_n"])] == [
+        "opt_logit"
+    ]
 
 
 def test_simulate_json_says_why_a_theory_column_is_nan(tmp_path, monkeypatch):

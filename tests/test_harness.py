@@ -19,7 +19,6 @@ from designest.harness import (
     ESTIMATORS,
     METRIC_COLUMNS,
     MetricsTable,
-    OptimizerConfig,
     ReplicationChunk,
     SimConfig,
     _replication_chunk,
@@ -434,17 +433,12 @@ class TestRunSimulation:
             small_sim_config(bound=block)
 
 
-# A short descent budget keeps opt_logit cheap; most of its fits succeed and
-# some fail, so both kinds of entry are compared.
-SHORT_DESCENT = OptimizerConfig(restarts=2, max_steps=40, grad_tol=0.2)
-
-
 def _linear_reference(kind):
-    return lambda data, c, bound, rep: estimate_report(kind, data, bound, c)
+    return lambda data, c, bound: estimate_report(kind, data, bound, c)
 
 
 def _two_stage_reference(fit_second_stage, family, omega):
-    def fit(data, c, bound, rep):
+    def fit(data, c, bound):
         model = ImputationModel(family, data.k, data.p)
         return fit_second_stage(fit_qmle(model, data, omega=omega), model, data, c, bound)
 
@@ -464,16 +458,14 @@ def _qmle(theta, model, data, c, bound):
 
 
 # Each table name's fit of one observed experiment through the public
-# per-replication functions; rep seeds the opt_logit descent.
+# per-replication functions.
 REFERENCE = {
     **{kind: _linear_reference(kind) for kind in LINEAR_KINDS},
     "noharm_wls": _two_stage_reference(_no_harm, "linear", "ones"),
     "qmle_logit": _two_stage_reference(_qmle, "logistic", "pi"),
     "noharm_logit": _two_stage_reference(_no_harm, "logistic", "pi"),
-    "opt_linear": lambda data, c, bound, rep: opt_gr_linear(data, data.moments.D, c, bound=bound),
-    "opt_logit": lambda data, c, bound, rep: opt_gr_logit(
-        data, data.moments.D, c, cfg=SHORT_DESCENT, bound=bound, seed=rep
-    ),
+    "opt_linear": lambda data, c, bound: opt_gr_linear(data, data.moments.D, c, bound=bound),
+    "opt_logit": lambda data, c, bound: opt_gr_logit(data, data.moments.D, c, bound=bound),
     "opt_i_ols": _two_stage_reference(_opt_i, "linear", "pi"),
     "opt_i_logit": _two_stage_reference(_opt_i, "logistic", "pi"),
 }
@@ -504,7 +496,6 @@ def chunk_config(design, moments, X, y_full, contrast, seed):
         seed=seed,
         moments=moments,
         bound=build_bound(design, moments, "aronow_samii"),
-        optimizer=SHORT_DESCENT,
     )
 
 
@@ -561,7 +552,7 @@ def reference_chunk(cfg, reps):
             warnings.simplefilter("ignore")
             for e, name in enumerate(names):
                 try:
-                    report = REFERENCE[name](data, cfg.contrast, cfg.bound, rep)
+                    report = REFERENCE[name](data, cfg.contrast, cfg.bound)
                     values[i, e], bounds[i, e] = report.contrast_value, report.varbound_times_n
                 except Exception as exc:
                     failures[rep, e] = f"{type(exc).__name__}: {exc}"
@@ -625,10 +616,10 @@ class TestBatchedChunk:
         cfg.estimators = ["hajek", "qmle_logit", "opt_i_ols"]
         values, bounds, failures = _replication_chunk(cfg, range(64))
         for name in cfg.estimators:
-            def sample(chunk, c, optimizer, original=ESTIMATORS[name]):
+            def sample(chunk, c, original=ESTIMATORS[name]):
                 if len(chunk.reps) > 1 or chunk.reps == [7]:
                     raise FloatingPointError(f"chunk {chunk.reps[0]}")
-                return original(chunk, c, optimizer)
+                return original(chunk, c)
 
             monkeypatch.setitem(ESTIMATORS, name, sample)
         refit = _replication_chunk(cfg, range(64))
@@ -663,20 +654,20 @@ def test_second_stages_keep_a_failing_row_to_itself():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name in ("noharm_wls", "opt_linear", "opt_i_ols"):
-            fit = ESTIMATORS[name](chunk, c, SHORT_DESCENT)  # one call for all rows
+            fit = ESTIMATORS[name](chunk, c)  # one call for all rows
             for b, rep in enumerate(reps):
                 data = ExperimentData.from_full(outcomes[b], draws[b], X, moments)
                 if name == "noharm_wls" and rep == 3:
                     assert isinstance(fit.errors[b], WeakIdentificationError)
                     with pytest.raises(WeakIdentificationError):
-                        REFERENCE[name](data, c, bound, rep)
+                        REFERENCE[name](data, c, bound)
                     continue
                 assert b not in fit.errors
                 plugin = plugin_varbound(fit.z[b], draws[b], bound, c)
                 report = plugin_report(
                     name, fit.mu[b], plugin, n, moments, c, fit.diagnostics[b]
                 )
-                expected = REFERENCE[name](data, c, bound, rep)
+                expected = REFERENCE[name](data, c, bound)
                 assert report.contrast_value == expected.contrast_value
                 assert report.varbound_times_n == expected.varbound_times_n
                 assert report.diagnostics == expected.diagnostics
@@ -816,6 +807,19 @@ class TestTheoreticalRows:
             assert (row["theo_var_times_n"], row["theo_bound_times_n"]) == theory[name]
 
 
+def test_an_uncertified_population_fit_raises(monkeypatch):
+    from designest import model_assisted
+
+    design = CompletelyRandomizedDesign(30, [12, 18])
+    X = centered(stream_rng(21).standard_normal((30, 2)))
+    y_full = impute_potential_outcomes(X, [0.9, -0.6], [-0.4, 0.5], seed=4)
+    moments, c = closed_form_or_exact_moments(design), np.array([-1.0, 1.0])
+    assert np.isfinite(population_contrast_residual("opt_logit", X, y_full, moments, c)).all()
+    monkeypatch.setattr(model_assisted, "NEWTON_MAX_ITER", 0)
+    with pytest.raises(model_assisted.OptimizationError, match="in 0 Newton steps"):
+        population_contrast_residual("opt_logit", X, y_full, moments, c)
+
+
 def _population_imputations(name, X, y, moments, c):
     """Imputations of a model-assisted table row at the population, from the
     public population functions alone."""
@@ -825,7 +829,7 @@ def _population_imputations(name, X, y, moments, c):
         rows = model.design_rows(X)
         return rows @ population_opt_gr_linear(rows, y, D, c, n)
     if name == "opt_logit":
-        return model.predict(population_opt_logit(model, X, y, D, c, n), X)
+        return model.predict(population_opt_logit(model, X, y, D, c, n, omega=moments.pi), X)
     omega = None if name == "noharm_wls" else moments.pi
     f = model.predict(population_qmle(model, X, y, omega=omega), X)
     if name.startswith("noharm"):

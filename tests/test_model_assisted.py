@@ -12,10 +12,15 @@ from designest.designs import (
     StratifiedDesign,
     stream_rng,
 )
-from designest.linear import ExperimentData, _pinv_flagged, estimate_linear, intercept_matrix
+from designest.linear import (
+    ExperimentData,
+    ReplicationChunk,
+    _pinv_flagged,
+    estimate_linear,
+    intercept_matrix,
+)
 from designest.model_assisted import (
     ImputationModel,
-    OptimizerConfig,
     OptimizationError,
     WeakIdentificationError,
     _weighted_qmle,
@@ -27,13 +32,14 @@ from designest.model_assisted import (
     opt_gr_linear,
     opt_gr_logit,
     opt_i_gr,
-    opt_logit_descent,
+    opt_logit_imputations,
     population_moment_vector,
     population_no_harm_alpha,
     population_opt_gr_linear,
     population_opt_logit,
     population_qmle,
     qmle_gr,
+    sample_qmle,
     theoretical_asy_variance,
 )
 from designest.harness import impute_potential_outcomes, preprocess_covariates
@@ -389,12 +395,17 @@ class TestOptGrLogit:
         data = ExperimentData.from_full(y_full, realization, X, moments)
         return model, data
 
-    def test_moment_norm_below_tolerance(self):
+    def test_fit_is_a_stationary_point_of_the_ridge_criterion(self):
         model, data = self._solvable_instance()
-        cfg = OptimizerConfig(restarts=5)
-        report = opt_gr_logit(data, data.moments.D, [-1.0, 1.0], cfg=cfg, model=model)
-        assert report.diagnostics["moment_norm"] <= cfg.grad_tol
-        assert "hessian_min_eig" in report.diagnostics
+        report = opt_gr_logit(data, data.moments.D, [-1.0, 1.0], model=model)
+        diagnostics = report.diagnostics
+        theta = np.array(diagnostics["theta"])
+        g = moment_vector(theta, model, data, data.moments.D, [-1.0, 1.0])
+        # the moment vector balances the ridge's pull: g = ridge theta
+        assert np.abs(model_assisted.OPT_LOGIT_RIDGE * theta - g).max() <= 1e-12
+        assert diagnostics["moment_norm"] == float(np.sqrt(g @ g))
+        assert 0 < diagnostics["newton_steps"] < model_assisted.NEWTON_MAX_ITER
+        assert 0 < diagnostics["hessian_min_eig"] <= diagnostics["hessian_max_eig"]
 
     def test_zero_omega_rejected(self):
         model, data = self._solvable_instance(21)
@@ -408,11 +419,11 @@ class TestOptGrLogit:
         with pytest.raises(ValueError, match="Omega must be symmetric"):
             opt_gr_logit(data, Omega, [-1.0, 1.0], model=model)
 
-    def test_restart_budget_error(self):
+    def test_newton_budget_error(self, monkeypatch):
         model, data = self._solvable_instance(22)
-        cfg = OptimizerConfig(restarts=1, grad_tol=1e-12, max_steps=3)
-        with pytest.raises(OptimizationError):
-            opt_gr_logit(data, data.moments.D, [-1.0, 1.0], cfg=cfg, model=model)
+        monkeypatch.setattr(model_assisted, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(OptimizationError, match="no certified minimum .* in 1 Newton steps"):
+            opt_gr_logit(data, data.moments.D, [-1.0, 1.0], model=model)
 
     def test_population_moments_vanish_at_bruteforce_minimizer(self):
         # grid + local refinement oracle on a 2-parameter instance
@@ -676,73 +687,7 @@ class TestLogisticNewton:
         self.assert_rows_equal_the_reference(rows, y, w)
 
 
-def _reference_moment_terms(theta, rows, y, Omega, w, n):
-    """The variance criterion Q = r' Omega r / 2n, r = w (y - f), its
-    moment vector g (minus its gradient), and the predictions, slopes and
-    weighted residuals, for one theta."""
-    f = expit(rows @ theta)
-    d = f * (1.0 - f)
-    residual = y - f
-    weighted = w * (Omega @ (w * residual))
-    return float(residual @ weighted) / (2 * n), rows.T @ (d * weighted) / n, f, d, weighted
-
-
-def _reference_criterion_hessian(theta, rows, y, Omega, w, n):
-    _, _, f, d, weighted = _reference_moment_terms(theta, rows, y, Omega, w, n)
-    grad_rows = rows * (w * d)[:, None]
-    h = d * (1.0 - 2.0 * f)
-    curvature = rows.T @ (rows * (weighted * h)[:, None])
-    return (grad_rows.T @ Omega @ grad_rows) / n - curvature / n
-
-
-def reference_opt_logit_descent(model, rows, y, Omega, c, n, cfg, seed):
-    """The scalar restart loop of the logistic descent on the variance
-    criterion, one replication and one restart at a time: its imputations
-    and diagnostics, and the attempt outcome of every restart ("solved",
-    "box" or "cap")."""
-    args = rows, y, Omega, np.repeat(np.asarray(c, dtype=float), n), n
-    rng = np.random.default_rng(seed)
-    candidates, outcomes = [], []
-    for attempt in range(cfg.restarts):
-        half_width = cfg.box_half_width + attempt * cfg.box_expand / 2.0
-        theta = rng.normal(0.0, cfg.restart_sd, size=model.s)
-        value, g = _reference_moment_terms(theta, *args)[:2]
-        outcome = "cap"
-        for _ in range(cfg.max_steps):
-            if np.linalg.norm(g) <= cfg.grad_tol:
-                break
-            norm2 = float(g @ g)
-            t = 1.0
-            while True:  # backtracking line search along -grad Q = g
-                cand_value, cand_g = _reference_moment_terms(theta + t * g, *args)[:2]
-                if cand_value <= value - cfg.step * t * norm2 or t < 1e-14:
-                    break
-                t *= cfg.backtrack
-            theta = theta + t * g
-            if np.any(np.abs(theta) > half_width):
-                outcome = "box"
-                break
-            value, g = cand_value, cand_g
-        if outcome != "box" and np.linalg.norm(g) <= cfg.grad_tol:
-            outcome = "solved"
-            candidates.append((value, attempt, theta, g))
-        outcomes.append(outcome)
-    if not candidates:
-        return None, None, outcomes
-    value, attempt, theta, g = min(candidates, key=lambda item: (item[0], item[1]))
-    eigs = np.linalg.eigvalsh(_reference_criterion_hessian(theta, *args))
-    diagnostics = {
-        "theta": theta.tolist(),
-        "moment_norm": float(np.linalg.norm(g)),
-        "criterion": value,
-        "restart": attempt,
-        "hessian_min_eig": float(eigs.min()),
-        "hessian_max_eig": float(eigs.max()),
-    }
-    return expit(rows @ theta), diagnostics, outcomes
-
-
-def descent_population(n=20):
+def crd_population(n=20):
     """A two-arm CRD of n units with n / 2 treated, its exact moments, two
     centered covariates and binary potential outcomes."""
     design = CompletelyRandomizedDesign(n, [n // 2, n // 2])
@@ -752,54 +697,111 @@ def descent_population(n=20):
     return design, moments, X, y_full
 
 
-def descent_instance(replications=20):
-    """IPW observed outcome vectors of a 20-unit two-arm CRD with two
-    covariates, one row per replication."""
-    design, moments, X, y_full = descent_population()
-    ys = np.stack([
-        ExperimentData.from_full(y_full, design.sample(stream_rng(5, rep)), X, moments).chunk.y_ipw[0]
-        for rep in range(replications)
-    ])
+def crd_chunk(replications=20):
+    """The replications of the 20-unit CRD as one ReplicationChunk, with the
+    model, design rows and D of their opt_logit fit."""
+    design, moments, X, y_full = crd_population()
+    arms = np.stack([design.sample(stream_rng(5, rep)).arm_of for rep in range(replications)])
+    y_obs = y_full[arms * 20 + np.arange(20)]
+    chunk = ReplicationChunk(arms, y_obs, X, moments, range(replications))
     model = ImputationModel("logistic", k=2, p=2)
-    return model, model.design_rows(X), ys, moments.D, 20
+    return chunk, model, model.design_rows(X), moments.D
 
 
-class TestBatchedDescent:
-    # a tight box, wide start draws and a short step cap: some replications
-    # fail every restart, and some restarts leave the box or run to max_steps
-    cfg = OptimizerConfig(restarts=3, max_steps=100, box_half_width=2.0, restart_sd=1.0)
+def ridge_criterion(theta, y, args):
+    """The ridge-penalized variance criterion Q + OPT_LOGIT_RIDGE |theta|^2 / 2
+    at theta (s,) for the outcome vector y (1, kn), and its gradient."""
+    value, g = model_assisted._moment_terms(theta[None], y, *args)[:2]
+    ridge = model_assisted.OPT_LOGIT_RIDGE
+    return value[0] + ridge / 2 * (theta @ theta), ridge * theta - g[0]
+
+
+def ridge_rounding(theta, y, args):
+    """A bound on the rounding error of the ridge criterion's evaluation: its
+    kn-term sums in absolute values, times (kn + 2) eps."""
+    model, rows, Omega, w, n = args
+    r = np.abs(w * (y[0] - model._predict_rows(theta, rows)))
+    total = r @ np.abs(Omega) @ r / (2 * n) + model_assisted.OPT_LOGIT_RIDGE / 2 * (theta @ theta)
+    return (len(r) + 2) * np.finfo(float).eps * total
+
+
+def assert_no_higher_than_bfgs(theta, start, y, args):
+    """The ridge criterion at theta is no higher than at scipy's BFGS
+    minimum from start, up to the two evaluations' rounding."""
+    from scipy.optimize import minimize
+
+    oracle = minimize(ridge_criterion, start, args=(y, args), jac=True, method="BFGS",
+                      options={"gtol": 1e-12, "maxiter": 500}).x
+    slack = ridge_rounding(theta, y, args) + ridge_rounding(oracle, y, args)
+    assert ridge_criterion(theta, y, args)[0] <= ridge_criterion(oracle, y, args)[0] + slack
+
+
+def assert_certified(theta, y, args, diagnostics=None):
+    """theta is a certified minimum of the ridge criterion: |gradient|_inf <=
+    1e-12 and the penalized Hessian less its margin has a Cholesky factor;
+    with diagnostics, they report that Hessian's extreme eigenvalues."""
+    assert np.abs(ridge_criterion(theta, y, args)[1]).max() <= 1e-12
+    eye = np.eye(len(theta))
+    hess = model_assisted._criterion_hessian(theta[None], y, *args)[0]
+    eigs = np.linalg.eigvalsh(hess + model_assisted.OPT_LOGIT_RIDGE * eye)
+    np.linalg.cholesky(hess + model_assisted.OPT_LOGIT_RIDGE * eye
+                       - model_assisted.EIG_WARN_RATIO * eigs[-1] * eye)
+    if diagnostics is not None:
+        assert (diagnostics["hessian_min_eig"], diagnostics["hessian_max_eig"]) == (eigs[0], eigs[-1])
+
+
+class TestOptLogitRows:
     c = np.array([-1.0, 1.0])
 
-    def test_rows_equal_the_scalar_restart_loop(self):
-        model, rows, ys, D, n = descent_instance()
-        f, diagnostics, errors = opt_logit_descent(model, rows, ys, D, self.c, n, self.cfg, range(20))
-        outcomes = set()
-        for b, y in enumerate(ys):
-            ref_f, ref_diagnostics, ref_outcomes = reference_opt_logit_descent(
-                model, rows, y, D, self.c, n, self.cfg, b
-            )
-            outcomes.update(ref_outcomes)
-            if ref_f is None:
-                assert isinstance(errors[b], OptimizationError)
-                assert np.isnan(f[b]).all() and diagnostics[b] == {}
-            else:
-                assert b not in errors
-                assert f[b].tobytes() == ref_f.tobytes()
-                assert diagnostics[b] == ref_diagnostics  # bitwise floats
-        assert 0 < len(errors) < len(ys)
-        assert {"solved", "box", "cap"} <= outcomes
+    def fit(self, replications=20):
+        chunk, model, rows, D = crd_chunk(replications)
+        start = chunk.first_stage("logistic", "pi")[0]
+        args = model_assisted._criterion_args(model, chunk.X, D, self.c, 20)
+        return chunk.y_ipw, start, args, opt_logit_imputations(
+            model, rows, chunk.y_ipw, D, self.c, 20, start
+        )
 
-    def test_rows_do_not_depend_on_the_slice_cap(self, monkeypatch):
-        model, rows, ys, D, n = descent_instance(replications=8)
-        expected = opt_logit_descent(model, rows, ys, D, self.c, n, self.cfg, range(8))
-        monkeypatch.setattr(model_assisted, "MOMENT_BLOCK_ENTRIES", 1)  # one slice per block
-        f, diagnostics, errors = opt_logit_descent(model, rows, ys, D, self.c, n, self.cfg, range(8))
-        assert f.tobytes() == expected[0].tobytes()
-        assert diagnostics == expected[1]
-        assert {b: repr(exc) for b, exc in errors.items()} == {
-            b: repr(exc) for b, exc in expected[2].items()
-        }
-        assert errors  # the capped run covers failing rows too
+    def test_every_row_is_a_certified_minimum_below_its_start(self):
+        # a local minimum only: Q here has several, and on 4 of these rows
+        # BFGS from the same start ends lower, on 4 others higher
+        ys, start, args, (f, diagnostics, errors) = self.fit()
+        assert not errors
+        assert max(d["newton_steps"] for d in diagnostics) <= 15
+        for b, y in enumerate(ys[:, None]):
+            theta = np.array(diagnostics[b]["theta"])
+            assert_certified(theta, y, args, diagnostics[b])
+            assert ridge_criterion(theta, y, args)[0] <= ridge_criterion(start[b], y, args)[0]
+            assert f[b].tobytes() == args[0]._predict_rows(theta, args[1]).tobytes()
+
+    def test_without_the_ridge_most_rows_have_no_certified_minimum(self, monkeypatch):
+        # on most of these 20 replications Q falls towards infinity in some
+        # direction: the unpenalized Newton iteration certifies 5 rows
+        monkeypatch.setattr(model_assisted, "OPT_LOGIT_RIDGE", 0.0)
+        errors = self.fit()[3][2]
+        assert len(errors) == 15
+        assert all(isinstance(exc, OptimizationError) for exc in errors.values())
+
+    def test_rows_equal_a_batch_of_one(self):
+        ys, start, args, (f, diagnostics, errors) = self.fit(8)
+        model, rows, D, _, n = args
+        for b in range(8):
+            one = opt_logit_imputations(model, rows, ys[[b]], D, self.c, n, start[[b]])
+            assert one[0].tobytes() == f[[b]].tobytes()
+            assert one[1] == [diagnostics[b]]
+
+    def test_a_row_fails_when_the_budget_runs_out(self, monkeypatch):
+        # the rows take 8 to 15 steps: a budget of 10 iterates certifies 5
+        monkeypatch.setattr(model_assisted, "NEWTON_MAX_ITER", 10)
+        f, diagnostics, errors = self.fit()[3]
+        assert len(errors) == 15
+        for b, diagnostic in enumerate(diagnostics):
+            if b not in errors:
+                assert diagnostic["newton_steps"] < 10
+                continue
+            assert np.isnan(f[b]).all() and diagnostic == {}
+            assert str(errors[b]) == (
+                "no certified minimum of the ridge-penalized variance criterion in 10 Newton steps"
+            )
 
 
 class TestJacobianFreeGradient:
@@ -808,7 +810,7 @@ class TestJacobianFreeGradient:
     @pytest.mark.parametrize("family", ["logistic", "linear"])
     @pytest.mark.parametrize("n", [20, 200])
     def test_moment_vector_is_minus_the_criterion_gradient(self, family, n):
-        design, moments, X, y_full = descent_population(n)
+        design, moments, X, y_full = crd_population(n)
         data = ExperimentData.from_full(y_full, design.sample(stream_rng(5, 0)), X, moments)
         model = ImputationModel(family, k=2, p=2)
         Omega, y = moments.D, data.chunk.y_ipw
@@ -829,61 +831,60 @@ class TestJacobianFreeGradient:
             ])
             assert np.abs(-g[0] - fd).max() <= 1e-6 * np.abs(fd).max()
 
-    def test_hessian_diagnostic_is_minus_the_moment_jacobian(self):
-        cfg = TestBatchedDescent.cfg
-        design, moments, X, y_full = descent_population()
-        model, rows, ys, D, n = descent_instance()
-        f, diagnostics, errors = opt_logit_descent(model, rows, ys, D, self.c, n, cfg, range(20))
+    def test_hessian_diagnostic_is_minus_the_moment_jacobian_plus_the_ridge(self):
+        design, moments, X, y_full = crd_population()
+        chunk, model, rows, D = crd_chunk()
+        start = chunk.first_stage("logistic", "pi")[0]
+        _, diagnostics, errors = opt_logit_imputations(model, rows, chunk.y_ipw, D, self.c, 20, start)
+        assert not errors
         for b, diagnostic in enumerate(diagnostics):
-            if b in errors:
-                continue
             data = ExperimentData.from_full(y_full, design.sample(stream_rng(5, b)), X, moments)
             theta = np.array(diagnostic["theta"])
-            eigs = np.linalg.eigvalsh(-moment_jacobian(theta, model, data, D, self.c))
+            hess = -moment_jacobian(theta, model, data, D, self.c)
+            eigs = np.linalg.eigvalsh(hess + model_assisted.OPT_LOGIT_RIDGE * np.eye(model.s))
             assert diagnostic["hessian_min_eig"] == eigs[0]
             assert diagnostic["hessian_max_eig"] == eigs[-1]
 
     @pytest.mark.parametrize(
-        "slope_sharing, entering",
+        "slope_sharing, absent",
         # theta is (intercepts 0..2, slopes): arm 1 has contrast weight 0, so
         # its intercept, and under separate slopes its slopes 5 and 6, do not
         # enter Q
-        [("same_slope", [0, 2, 3, 4]), ("separate_slope", [0, 2, 3, 4, 7, 8])],
+        [("same_slope", [1]), ("separate_slope", [1, 5, 6])],
     )
-    def test_hessian_diagnostic_skips_parameters_of_a_zero_weight_arm(self, slope_sharing, entering):
+    def test_the_ridge_holds_a_zero_weight_arms_parameters_at_zero(self, slope_sharing, absent):
         n, c = 15, np.array([1.0, 0.0, -1.0])
         design = CompletelyRandomizedDesign(n, [5, 5, 5])
         moments = closed_form_or_exact_moments(design)
         X = centered(stream_rng(3).standard_normal((n, 2)))
         y_full = impute_potential_outcomes(X, [0.8, 0.6], [0.3, -0.2, 0.1], seed=4)
-        data = [ExperimentData.from_full(y_full, design.sample(stream_rng(5, r)), X, moments)
-                for r in range(6)]
+        arms = np.stack([design.sample(stream_rng(5, r)).arm_of for r in range(6)])
+        chunk = ReplicationChunk(arms, y_full[arms * n + np.arange(n)], X, moments, range(6))
         model = ImputationModel("logistic", k=3, p=2, slope_sharing=slope_sharing)
-        ys = np.stack([d.chunk.y_ipw[0] for d in data])
-        _, diagnostics, errors = opt_logit_descent(
-            model, model.design_rows(X), ys, moments.D, c, n, OptimizerConfig(), range(6)
+        start = sample_qmle(model, model.design_rows(X), moments.pi, "pi", chunk.cells, chunk.y_obs)
+        _, diagnostics, errors = opt_logit_imputations(
+            model, model.design_rows(X), chunk.y_ipw, moments.D, c, n, start
         )
         assert not errors
-        for diagnostic, d in zip(diagnostics, data):
-            hess = -moment_jacobian(np.array(diagnostic["theta"]), model, d, moments.D, c)
-            assert abs(np.linalg.eigvalsh(hess)).min() < 1e-15  # the zero-weight arm's directions
-            eigs = np.linalg.eigvalsh(hess[np.ix_(entering, entering)])
-            assert diagnostic["hessian_min_eig"] == eigs[0]
-            assert diagnostic["hessian_max_eig"] == eigs[-1]
-            assert abs(eigs[0]) > 1e-5
+        ridge = model_assisted.OPT_LOGIT_RIDGE
+        for diagnostic in diagnostics:
+            # Q is flat along these parameters: the ridge's gradient ridge theta
+            # alone must vanish there, and its curvature is the Hessian's least
+            assert np.abs(np.array(diagnostic["theta"])[absent]).max() <= 1e-12 / ridge
+            assert diagnostic["hessian_min_eig"] == pytest.approx(ridge, rel=1e-9)
 
 
 def solve_population(name):
     """(model, X, y_full, D, c, n) of a named population: crd2 and
     bernoulli3 are test_harness's two theory-column populations, crd200 a
     two-arm CRD of 200 units with 3 covariates. The criteria of the others
-    have no strict interior minimum: descent is descent_population and
-    recipe the population of tools/parity.py's RECIPE, on both of which Q
-    falls towards infinity, and on bernoulli3_flat the zero contrast weight
-    of arm 1 leaves its intercept out of Q."""
+    have no strict interior minimum: crd20 is crd_population and recipe the
+    population of tools/parity.py's RECIPE, on both of which Q falls towards
+    infinity, and on bernoulli3_flat the zero contrast weight of arm 1 leaves
+    its intercept out of Q."""
     c = np.array([-1.0, 1.0])
-    if name == "descent":
-        design, moments, X, y_full = descent_population()
+    if name == "crd20":
+        design, moments, X, y_full = crd_population()
     elif name == "recipe":
         rng = np.random.default_rng(11)
         rng.permutation([1] * 5 + [2] * 7)  # parity.py draws the observed arms first
@@ -905,53 +906,29 @@ def solve_population(name):
     return model, X, y_full, closed_form_or_exact_moments(design).D, c, design.n
 
 
-def bfgs_oracle(model, X, y_full, D, c, n):
-    """scipy's BFGS on Q from the population pseudo-likelihood fit, with
-    the options population_opt_logit falls back to."""
-    from scipy.optimize import minimize
-
-    args, y = model_assisted._criterion_args(model, X, D, c, n), y_full[None]
-
-    def criterion_and_grad(theta):
-        value, g = model_assisted._moment_terms(theta[None], y, *args)[:2]
-        return float(value[0]), -g[0]
-
-    start = population_qmle(model, X, y_full)
-    return minimize(criterion_and_grad, start, jac=True, method="BFGS",
-                    options={"gtol": 1e-12, "maxiter": 500}).x
+POPULATIONS = ["crd2", "bernoulli3", "crd200", "crd20", "recipe", "bernoulli3_flat"]
 
 
 class TestPopulationSolve:
-    @pytest.mark.parametrize("name", ["crd2", "bernoulli3", "crd200"])
-    def test_newton_certifies_a_minimum_no_higher_than_bfgs(self, name):
+    @pytest.mark.parametrize("name", POPULATIONS)
+    def test_newton_certifies_a_ridge_minimum_no_higher_than_bfgs(self, name):
         model, X, y_full, D, c, n = solve_population(name)
         theta = population_opt_logit(model, X, y_full, D, c, n)
         args = model_assisted._criterion_args(model, X, D, c, n)
-        start = population_qmle(model, X, y_full)
-        assert model_assisted._certified_newton(start, y_full[None], args).tobytes() == theta.tobytes()
-        value, g = model_assisted._moment_terms(theta[None], y_full[None], *args)[:2]
-        assert np.abs(g).max() <= 1e-12
-        hess = model_assisted._criterion_hessian(theta[None], y_full[None], *args)[0]
-        top = np.linalg.eigvalsh(hess)[-1]
-        np.linalg.cholesky(hess - model_assisted.EIG_WARN_RATIO * top * np.eye(model.s))
+        assert_certified(theta, y_full[None], args)
+        assert_no_higher_than_bfgs(theta, population_qmle(model, X, y_full), y_full[None], args)
 
-        def rounding(th):
-            # a bound on the rounding error of Q's evaluation: the kn-term
-            # sums of r' D r in absolute values, times (kn + 2) eps
-            r = np.repeat(c, n) * (y_full - model.predict(th, X))
-            return (len(r) + 2) * np.finfo(float).eps * (abs(r) @ abs(D) @ abs(r)) / (2 * n)
-
-        # the two points lie within 1e-7 of each other, where Q's computed
-        # values differ by its rounding alone
-        oracle = bfgs_oracle(model, X, y_full, D, c, n)
-        oracle_value = model_assisted._moment_terms(oracle[None], y_full[None], *args)[0]
-        assert value[0] <= oracle_value[0] + rounding(theta) + rounding(oracle)
-
-    @pytest.mark.parametrize("name", ["descent", "recipe", "bernoulli3_flat"])
-    def test_without_a_certified_minimum_the_solve_is_bfgs_bitwise(self, name):
+    @pytest.mark.parametrize("name", POPULATIONS[3:])
+    def test_without_the_ridge_newton_certifies_no_minimum(self, name, monkeypatch):
         model, X, y_full, D, c, n = solve_population(name)
+        monkeypatch.setattr(model_assisted, "OPT_LOGIT_RIDGE", 0.0)
+        with pytest.raises(OptimizationError):
+            population_opt_logit(model, X, y_full, D, c, n)
+
+    def test_the_start_is_the_pseudo_likelihood_fit_with_omega_weights(self):
+        model, X, y_full, D, c, n = solve_population("crd2")
+        pi = closed_form_or_exact_moments(CompletelyRandomizedDesign(30, [12, 18])).pi
+        start = population_qmle(model, X, y_full, omega=pi)
         args = model_assisted._criterion_args(model, X, D, c, n)
-        start = population_qmle(model, X, y_full)
-        assert model_assisted._certified_newton(start, y_full[None], args) is None
-        theta = population_opt_logit(model, X, y_full, D, c, n)
-        assert theta.tobytes() == bfgs_oracle(model, X, y_full, D, c, n).tobytes()
+        theta = population_opt_logit(model, X, y_full, D, c, n, omega=pi)
+        assert theta.tobytes() == model_assisted._certified_newton(start, y_full[None], args)[0].tobytes()

@@ -9,7 +9,7 @@ under HEAD/src. The cases are small designs of every kind (moments, bound
 verdicts, complexity), every estimator table row (estimate, simulate), the
 first-stage rows on one draw of each closed-form design (estimate's
 observed-block route), a simulate whose logistic fits mostly separate, one
-whose opt_logit theory columns take the certified Newton solve, and
+whose opt_logit criterion has an unpenalized interior minimum, and
 every stage of the benchmark's three workloads at benchmark sizes (inputs
 from HEAD's bench/workloads.py). One line per case:
 the digest of its exit code, stdout, error message and output files,
@@ -48,7 +48,6 @@ outcome: {{coeffs: [0.8, -0.4], intercepts: [-0.3, 0.5], seed: 6}}
 estimators: [{ESTIMATORS}]
 contrast: [-1, 1]
 seed: 3
-optimizer: {{restarts: 2, max_steps: 200}}
 """
 # One draw of each closed-form design, for the first-stage rows: estimate fits
 # them on the observed block of the moments. The hand stratified design has
@@ -72,9 +71,9 @@ contrast: [-1, 1, 0]
 seed: 3
 replications: 20
 """
-# The theory columns' opt_logit solve certifies this population's interior
-# minimum by Newton (model_assisted._certified_newton); RECIPE's population
-# has none, and its solve falls back to BFGS.
+# This population's opt_logit criterion has an interior minimum even without
+# the ridge penalty (model_assisted._certified_newton); RECIPE's population
+# has none, so only the ridge gives its criterion one.
 NEWTON = """design: {kind: completely_randomized, n: 30, counts: [12, 18]}
 covariates: {generate: {p: 2, seed: 21}}
 outcome: {coeffs: [0.9, -0.6], intercepts: [-0.4, 0.5], seed: 4}
@@ -82,7 +81,6 @@ estimators: [qmle_logit, opt_logit]
 contrast: [-1, 1]
 seed: 3
 replications: 20
-optimizer: {restarts: 2, max_steps: 200}
 """
 SIMULATE = {"simulate": "", "simulate_psd_clip": "psd_clip: true\n",
             "simulate_mc": "moments: {method: mc, reps: 3000}\n", "simulate_neyman": "bound: neyman\n"}
