@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,16 +35,29 @@ class VarianceBound:
     """Bound matrix, its -1-entry mask, and the weighted form used by the
     plug-in estimator (Hadamard division by joint probabilities, 0/0 -> 0).
 
+    A builder hands over the joint probabilities p in place of the weighted
+    form: Dt_over_p is then formed at its first read, kept, and p released.
+    Only the plug-in reads it, so a bound that is only certified or written
+    never forms it. A weighted form given explicitly (psd_clip's clipped
+    form) is kept as it is.
+
     cells, when set, names the stacked cells that the rows and columns of
-    all three matrices stand for (an observed block); None means all kn.
+    all the matrices stand for (an observed block); None means all kn.
     """
 
     Dt: np.ndarray
     mask_minus1: np.ndarray
-    Dt_over_p: np.ndarray
+    Dt_over_p: np.ndarray | None = None
     psd_clipped: bool = False
     name: str = "custom"
     cells: np.ndarray | None = None
+    p: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._weighted is not None:
+            self.p = None
+        elif self.p is None:
+            raise ValueError("a bound needs its weighted form Dt_over_p or the joint probabilities p")
 
     @property
     def kn(self) -> int:
@@ -58,6 +71,21 @@ def _weighted_form(Dt: np.ndarray, p: np.ndarray) -> np.ndarray:
     out = np.zeros_like(Dt)
     np.divide(Dt, p, out=out, where=p != 0)
     return out
+
+
+def _read_weighted(bound: VarianceBound) -> np.ndarray:
+    if bound._weighted is None:
+        bound._weighted, bound.p = _weighted_form(bound.Dt, bound.p), None
+    return bound._weighted
+
+
+def _set_weighted(bound: VarianceBound, value: np.ndarray | None):
+    bound._weighted = value
+
+
+# Set after the dataclass is made, so that Dt_over_p stays an init field
+# (positional, keyword and dataclasses.replace) whose reads go through the cache.
+VarianceBound.Dt_over_p = property(_read_weighted, _set_weighted)
 
 
 def minus_one_mask(moments: DesignMoments, cells: np.ndarray | None = None) -> np.ndarray:
@@ -115,13 +143,7 @@ def aronow_samii_bound(moments: DesignMoments, cells=None) -> VarianceBound:
     np.copyto(Dt, 0.0, where=mask)
     diagonal = np.arange(len(Dt))
     Dt[diagonal, diagonal] += counts
-    return VarianceBound(
-        Dt=Dt,
-        mask_minus1=mask,
-        Dt_over_p=_weighted_form(Dt, p),
-        name="aronow_samii",
-        cells=cells,
-    )
+    return VarianceBound(Dt=Dt, mask_minus1=mask, name="aronow_samii", cells=cells, p=p)
 
 
 def _observed_block(moments: DesignMoments, cells: np.ndarray):
@@ -157,12 +179,8 @@ def neyman_bound_crd(n: int, n_t: int) -> VarianceBound:
     Dt[:n, :n] = (n / n_t) * a
     Dt[n:, n:] = (n / n_c) * a
     _, p = _joint(CompletelyRandomizedDesign(n, [n_t, n_c]))
-    return VarianceBound(
-        Dt=Dt,
-        mask_minus1=p == 0,  # the two arms of one unit
-        Dt_over_p=_weighted_form(Dt, p),
-        name="neyman",
-    )
+    mask = p == 0  # the two arms of one unit
+    return VarianceBound(Dt=Dt, mask_minus1=mask, name="neyman", p=p)
 
 
 def check_bound_kind(design, kind: str) -> str:
@@ -187,9 +205,7 @@ def custom_bound(Dt: np.ndarray, moments: DesignMoments, tol: float = PSD_TOL) -
     design moments."""
     Dt = np.asarray(Dt, dtype=float)
     mask = minus_one_mask(moments)
-    bound = VarianceBound(
-        Dt=Dt, mask_minus1=mask, Dt_over_p=_weighted_form(Dt, moments.p), name="custom"
-    )
+    bound = VarianceBound(Dt=Dt, mask_minus1=mask, name="custom", p=moments.p)
     report = certify_bound(moments, bound, tol=tol)
     if not (report.psd_ok and report.identified_ok):
         raise NotIdentifiedError(

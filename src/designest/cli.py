@@ -47,6 +47,7 @@ from .linear import (
 )
 from .moments import (
     DesignMoments,
+    check_symmetric,
     closed_form_or_exact_moments,
     design_complexity,
     exact_moments,
@@ -127,7 +128,9 @@ def cmd_complexity(args):
     design = _design_from_args(args)
     moments = _moments(design, args.load_moments, args.mc, args.seed)
     k = design.k
-    full = design_complexity(moments, zero_diag=args.zero_diag)
+    # once: every arm pair's block of a symmetric D is symmetric
+    check_symmetric(moments.D)
+    full = design_complexity(moments, zero_diag=args.zero_diag, checked=True)
     print(("diag-zeroed " if args.zero_diag else "") + "largest-eigenvalue measures by arm pair:")
     print("      " + "".join(f"{'arm' + str(b + 1):>11}" for b in range(k)))
     for a in range(k):
@@ -137,7 +140,9 @@ def cmd_complexity(args):
                 cells.append(" " * 11)
                 continue
             # with two arms the one pair is the whole design
-            value = full if k == 2 else design_complexity(moments, arms=[a, b], zero_diag=args.zero_diag)
+            value = full if k == 2 else design_complexity(
+                moments, arms=[a, b], zero_diag=args.zero_diag, checked=True
+            )
             cells.append(f"{value:>11.2f}")
         print(f"arm{a + 1:<3}" + "".join(cells))
     print(f"all arms: {full:.6g}")

@@ -205,9 +205,17 @@ class BernoulliDesign(Design):
         self.n = int(n)
         self.k = len(probs)
         self.probs = probs
+        cdf = probs.cumsum()
+        self._edges = (cdf / cdf[-1])[:-1]  # the last edge is 1, above every draw
 
     def sample_batch(self, rng, size):
-        return rng.choice(self.k, size=(size, self.n), p=self.probs)
+        # Generator.choice(k, p=probs)'s draw on the same stream, without its
+        # checks and its searchsorted: each arm is the count of cdf edges <= u
+        u = rng.random((size, self.n))
+        arms = np.zeros(u.shape, dtype=np.int64)
+        for edge in self._edges:
+            arms += u >= edge
+        return arms
 
     def support_size(self):
         positive = int(np.sum(self.probs > 0))

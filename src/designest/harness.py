@@ -428,6 +428,7 @@ def run_simulation(cfg: SimConfig) -> MetricsTable:
         for start in range(0, cfg.replications, REPLICATION_CHUNK)
     ]
     if cfg.workers > 1:
+        _ = bound.Dt_over_p  # formed here once, not once in every worker
         # a pool may start all its workers at once: start no more than there are chunks
         with ProcessPoolExecutor(
             max_workers=min(cfg.workers, len(chunks)), initializer=_init_worker, initargs=(cfg,)

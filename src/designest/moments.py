@@ -575,9 +575,11 @@ def check_symmetric(M: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} must be symmetric")
 
 
-def largest_eigenvalue(M: np.ndarray, zero_diag: bool = False) -> float:
+def largest_eigenvalue(M: np.ndarray, zero_diag: bool = False, checked: bool = False) -> float:
     """Largest eigenvalue of a symmetric matrix. zero_diag computes the
-    variant with the diagonal zeroed first.
+    variant with the diagonal zeroed first. checked says that the caller has
+    already checked M symmetric (for example as a principal block of a
+    checked matrix), so it is not checked again.
 
     From kn = LANCZOS_MIN_KN on, the value is the top Ritz value of a
     Lanczos run when ``_proven_top_eigenvalue`` proves it within
@@ -586,7 +588,8 @@ def largest_eigenvalue(M: np.ndarray, zero_diag: bool = False) -> float:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
-    check_symmetric(M)
+    if not checked:
+        check_symmetric(M)
     if zero_diag:
         M = M.copy()
         np.fill_diagonal(M, 0.0)
@@ -631,22 +634,32 @@ def _proven_top_eigenvalue(M: np.ndarray) -> float | None:
     return lam if info == 0 else None
 
 
-def design_complexity(moments: DesignMoments, arms=None, zero_diag: bool = False) -> float:
+def design_complexity(
+    moments: DesignMoments, arms=None, zero_diag: bool = False, checked: bool = False
+) -> float:
     """Spectral complexity measure for a design (optionally an arm subset).
 
     Infinite when a participating cell has a proven zero probability; a
-    warning (finite value) when cells are merely unhit in Monte Carlo.
+    warning (finite value) when cells are merely unhit in Monte Carlo. An
+    arm subset reads its cells' block of D and of the masks in place of
+    building its submoments. checked: the caller has already checked D
+    symmetric (check_symmetric), so the block is not checked again.
     """
     moments.require_full("design_complexity")
-    sub = moments if arms is None else moments.submoments(arms)
-    if np.any(sub.zero_mask):
+    zero, maybe = moments.zero_mask, moments.maybe_zero_mask
+    if arms is not None:
+        cells = np.concatenate([np.arange(moments.n) + a * moments.n for a in arms])
+        zero, maybe = zero[cells], maybe[cells]
+    if np.any(zero):
         return np.inf
-    if np.any(sub.maybe_zero_mask):
+    if np.any(maybe):
         warnings.warn(
             "complexity computed with possibly-zero cells; value may be unreliable",
             RuntimeWarning,
         )
-    return largest_eigenvalue(sub.D, zero_diag=zero_diag)
+    # rows, then columns: two plain gathers, several times faster than np.ix_
+    D = moments.D if arms is None else moments.D[cells][:, cells]
+    return largest_eigenvalue(D, zero_diag=zero_diag, checked=checked)
 
 
 @dataclass(frozen=True)

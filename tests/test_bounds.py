@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -365,6 +366,36 @@ class TestPsdClip:
         for _ in range(30):
             v = rng.standard_normal(5)
             assert v @ clipped.Dt_over_p @ v >= v @ bound.Dt_over_p @ v - 1e-10
+
+
+class TestWeightedFormCache:
+    def test_formed_at_the_first_read_then_kept_and_p_released(self, monkeypatch):
+        from designest import bounds
+
+        calls, form = [], bounds._weighted_form
+        monkeypatch.setattr(bounds, "_weighted_form", lambda Dt, p: calls.append(1) or form(Dt, p))
+        m = exact_moments(CompletelyRandomizedDesign(5, [2, 3]))
+        crd2 = exact_moments(CompletelyRandomizedDesign(2, [1, 1]))
+        for bound in (aronow_samii_bound(m), neyman_bound_crd(5, 2), custom_bound(CRD2_AS, crd2)):
+            calls.clear()
+            assert bound.p is not None
+            first = bound.Dt_over_p
+            assert bound.p is None and bound.Dt_over_p is first
+            assert calls == [1]
+
+    def test_an_explicit_form_is_kept_and_holds_no_p(self):
+        m = exact_moments(BernoulliDesign(2, [0.5, 0.5]))
+        bound = aronow_samii_bound(m)
+        weighted = -np.ones((4, 4))
+        replaced = dataclasses.replace(bound, Dt_over_p=weighted)
+        assert replaced.p is None and replaced.Dt_over_p is weighted
+        assert bound.p is m.p  # the source bound is not formed by the replace
+        positional = VarianceBound(bound.Dt, bound.mask_minus1, weighted)
+        assert positional.p is None and positional.Dt_over_p is weighted
+
+    def test_a_bound_needs_its_form_or_p(self):
+        with pytest.raises(ValueError, match="weighted form Dt_over_p or the joint probabilities p"):
+            VarianceBound(np.eye(2), np.zeros((2, 2), dtype=bool))
 
 
 def _bound_with_weighted(weighted):

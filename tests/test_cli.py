@@ -85,6 +85,39 @@ def test_complexity_prints_pairs(crd_design_yaml, capsys):
     assert "all arms" in output
 
 
+def test_complexity_checks_d_symmetric_once(tmp_path, monkeypatch):
+    # every arm pair's block of a symmetric D is symmetric: no block is checked again
+    from designest import cli
+    from designest import moments as moments_module
+
+    shapes, check = [], moments_module.check_symmetric
+
+    def counting(M, name="matrix"):
+        shapes.append(M.shape)
+        check(M, name)
+
+    monkeypatch.setattr(cli, "check_symmetric", counting)
+    monkeypatch.setattr(moments_module, "check_symmetric", counting)
+    design = tmp_path / "design.yaml"
+    design.write_text("design: {kind: completely_randomized, n: 6, counts: [2, 2, 2]}\n")
+    assert main(["complexity", "--design", str(design)]) == 0
+    assert shapes == [(18, 18)]
+
+
+def test_complexity_rejects_an_asymmetric_d(tmp_path, capsys):
+    from designest.designs import CompletelyRandomizedDesign
+    from designest.moments import exact_moments
+
+    design = tmp_path / "design.yaml"
+    design.write_text("design: {kind: completely_randomized, n: 6, counts: [2, 2, 2]}\n")
+    moments = exact_moments(CompletelyRandomizedDesign(6, [2, 2, 2]))
+    moments.D[0, 7] += 1.0  # in the block of the arm pair (1, 2) only
+    moments.save_npz(tmp_path / "m.npz")
+    argv = ["complexity", "--design", str(design), "--load-moments", str(tmp_path / "m.npz")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: matrix must be symmetric\n"
+
+
 def test_bound_command(crd_design_yaml, tmp_path):
     out = tmp_path / "bound.csv"
     report = tmp_path / "cert.json"
@@ -1506,6 +1539,43 @@ def test_bound_psd_clip_never_computes_the_clip(
         clustered_design_yaml, "aronow_samii", tmp_path, capsys, ["--psd-clip"]
     )
     assert stdout.startswith("aronow_samii bound ok:")
+
+
+@pytest.mark.parametrize("kind", ["aronow_samii", "neyman"])
+def test_bound_never_forms_the_weighted_form(
+    kind, clustered_design_yaml, crd_design_yaml, tmp_path, capsys, monkeypatch
+):
+    # bound writes and certifies Dt; only the plug-in reads Dt/p
+    from designest import bounds
+
+    def refuse(Dt, p):
+        raise AssertionError("bound formed the weighted form")
+
+    design_yaml = clustered_design_yaml if kind == "aronow_samii" else crd_design_yaml
+    plain = _bound_outputs(design_yaml, kind, tmp_path, capsys, [])
+    monkeypatch.setattr(bounds, "_weighted_form", refuse)
+    for flags in ([], ["--psd-clip"]):
+        assert _bound_outputs(design_yaml, kind, tmp_path, capsys, flags) == plain
+
+
+@pytest.mark.parametrize("extra", ["", "psd_clip: true\n", "bound: neyman\n"])
+def test_simulate_forms_the_weighted_form_once(extra, tmp_path, monkeypatch):
+    # two replication chunks read one bound; a clipped bound carries its own form
+    from designest import bounds, harness
+
+    calls, form = [], bounds._weighted_form
+
+    def counting(Dt, p):
+        calls.append(Dt.shape)
+        return form(Dt, p)
+
+    monkeypatch.setattr(bounds, "_weighted_form", counting)
+    recipe = OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht, wls]")
+    replications = harness.REPLICATION_CHUNK + 6
+    config = tmp_path / "recipe.yaml"
+    config.write_text(recipe.replace("replications: 4", f"replications: {replications}") + extra)
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert calls == [(16, 16)]
 
 
 def test_estimate_psd_clip_clips_once(unequal_crd, monkeypatch):

@@ -325,6 +325,51 @@ class TestComplexityMeasure:
         sub = m.submoments([0, 1])
         assert val == pytest.approx(np.linalg.eigvalsh(sub.D)[-1], rel=1e-7)
 
+    def test_arm_pairs_read_their_block_of_d_bitwise(self):
+        designs = [
+            BernoulliDesign(3, [0.2, 0.3, 0.1, 0.4]),
+            CompletelyRandomizedDesign(6, [2, 1, 3]),
+            StratifiedDesign(5, [[0, 3], [1, 2, 4]], [[1, 1, 0], [1, 1, 1]]),
+        ]
+        for design in designs:
+            m = closed_form_or_exact_moments(design)
+            for a in range(design.k):
+                for b in range(a + 1, design.k):
+                    c = np.concatenate([np.arange(design.n) + arm * design.n for arm in (a, b)])
+                    for zero_diag in (False, True):
+                        value = design_complexity(m, arms=[a, b], zero_diag=zero_diag)
+                        expected = (
+                            np.inf
+                            if m.zero_mask[c].any()  # the stratified design's empty arm
+                            else largest_eigenvalue(m.D[np.ix_(c, c)], zero_diag=zero_diag)
+                        )
+                        assert value == expected
+
+    def test_a_pair_with_a_structural_zero_cell_is_infinite(self):
+        m = exact_moments(CompletelyRandomizedDesign(4, [2, 0, 2]))
+        assert design_complexity(m, arms=[0, 1]) == np.inf
+        assert design_complexity(m, arms=[1, 2]) == np.inf
+        assert np.isfinite(design_complexity(m, arms=[0, 2]))
+
+    def test_possibly_zero_cells_warn_once_per_pair_that_holds_them(self):
+        m = exact_moments(BernoulliDesign(3, [0.25, 0.25, 0.5]))
+        m.maybe_zero_mask[2 * 3] = True  # unit 0 in the third arm
+        for arms, warns in (([0, 1], False), ([0, 2], True), ([1, 2], True)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert np.isfinite(design_complexity(m, arms=arms))
+            assert [str(w.message).startswith("complexity computed with possibly-zero")
+                    for w in caught] == ([True] if warns else [])
+
+    def test_a_direct_pair_call_rejects_an_asymmetric_block(self):
+        m = exact_moments(BernoulliDesign(2, [0.25, 0.25, 0.5]))
+        m.D[0, 5] += 1.0  # inside the pair (0, 2)'s block, outside (0, 1)'s
+        assert np.isfinite(design_complexity(m, arms=[0, 1]))
+        with pytest.raises(ValueError, match="must be symmetric"):
+            design_complexity(m, arms=[0, 2])
+        # a caller that has checked D itself skips the block's check
+        assert np.isfinite(design_complexity(m, arms=[0, 2], checked=True))
+
 
 class TestSecondOrderTensor:
     def test_degenerate_design_zero_tensor(self):

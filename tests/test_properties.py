@@ -202,6 +202,25 @@ def _exact_or_mc_moments(design, mc_reps, seed):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    weights=st.lists(st.integers(0, 9), min_size=1, max_size=5).filter(any),
+    n=st.integers(1, 12),
+    size=st.sampled_from([1, 2, 7, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bernoulli_sample_batch_is_generator_choice_bitwise(weights, n, size, seed):
+    # the oracle: Generator.choice on the same stream, zero-probability arms included
+    probs = np.array(weights) / sum(weights)
+    design = BernoulliDesign(n, probs)
+    ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    arms = design.sample_batch(ours, size)
+    expected = oracle.choice(len(probs), size=(size, n), p=probs)
+    assert arms.dtype == expected.dtype and arms.shape == expected.shape
+    assert np.array_equal(arms, expected)
+    assert ours.random() == oracle.random()  # both left the stream at the same place
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(design=designs(), data=st.data())
 def test_minus_one_mask_of_exact_moments_is_the_d_equals_minus_one_rule(design, data):
     # the mask reads p == 0 for every moments route; on exact moments that is

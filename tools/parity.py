@@ -6,7 +6,7 @@ BASE and HEAD are checkout roots, for instance a `git worktree` of the parent
 commit and the working tree. Every input is written once into a temporary
 directory; each case then runs `python -m designest.cli` under BASE/src and
 under HEAD/src. The cases are small designs of every kind (moments, bound
-verdicts, complexity), every estimator table row (estimate, simulate), the
+verdicts, complexity), Monte-Carlo moments and complexity, every estimator table row (estimate, simulate), the
 first-stage rows on one draw of each closed-form design (estimate's
 observed-block route), a simulate whose logistic fits mostly separate, one
 whose opt_logit criterion has an unpenalized interior minimum, and
@@ -40,6 +40,15 @@ DESIGNS = {
                 " {label: d01, own_arms: [1], counts: {2: [1, null]}}, {label: d00, own_arms: [1], counts: {2: [0, 0]}}]}",
     "crd400": "{kind: completely_randomized, n: 200, counts: [100, 100]}",  # complexity by Lanczos
 }
+# Monte-Carlo draws of a Bernoulli design with a zero-probability arm (its
+# cells are structural zeros), and complexity's arm-pair blocks of the exposure
+# design's Monte-Carlo moments: every cell is hit in 3000 draws, and two are
+# never hit (possibly zero) in 20.
+BERNOULLI_ZERO = "{kind: bernoulli, n: 6, probs: [0.3, 0, 0.7]}"
+MC_CASES = [("moments --mc bernoulli_zero", ["moments", "--design", "bernoulli_zero.yaml", "--mc", "4000",
+                                              "--out", "m.npz"], ["m.npz"], None)]
+MC_CASES += [(f"complexity --mc {reps} exposure", ["complexity", "--design", "exposure.yaml", "--mc", reps],
+              [], None) for reps in ("3000", "20")]
 ESTIMATORS = ("ht,hajek,ols,wls,ci,mi,gr,noharm_wls,qmle_logit,noharm_logit,"
               "opt_linear,opt_logit,opt_i_ols,opt_i_logit")
 RECIPE = f"""design: {{kind: completely_randomized, n: 12, counts: [5, 7]}}
@@ -106,6 +115,8 @@ def hand_cases(d):
                        ["cert.json"], verdicts)]
         cases += [(f"complexity {name}{flag}", ["complexity", "--design", f"{name}.yaml", *flag.split()],
                    [], None) for flag in ("", " --zero-diag")]
+    (d / "bernoulli_zero.yaml").write_text(f"design: {BERNOULLI_ZERO}\n")
+    cases += MC_CASES
     rng = np.random.default_rng(11)
     arms = rng.permutation([1] * 5 + [2] * 7)
     x = rng.standard_normal((12, 2))
