@@ -17,7 +17,9 @@ import numpy as np
 from .designs import CompletelyRandomizedDesign
 from .moments import (
     DesignMoments,
+    _assemble_d,
     _joint,
+    _observed_joint,
     coordinate_csv,
     rescaled_demeaning_matrix,
     row_bands,
@@ -94,7 +96,7 @@ def minus_one_mask(moments: DesignMoments, cells: np.ndarray | None = None) -> n
     `cells` (default: every cell) over all kn columns. Flagged cells and the
     diagonal are never in the mask.
     """
-    kn = moments.require_full("minus_one_mask").kn
+    kn = moments.kn
     mask = np.empty((kn if cells is None else len(cells), kn), dtype=bool)
     for rows in row_bands(mask.shape):
         mask[rows] = (moments.p[rows] if cells is None else moments.p[cells[rows]]) == 0
@@ -112,12 +114,38 @@ def aronow_samii_bound(moments: DesignMoments, cells=None) -> VarianceBound:
     immediate from Gershgorin).
 
     With cells (for example a realization's observed cells) only that
-    block of the bound is built, from the block of p, the block of D and
-    each block row's count of -1 entries over all kn columns
-    (_observed_block). Each entry is bitwise the full bound's. The plug-in
-    bound of that realization needs nothing else. Moments of an observed
-    block (DesignMoments.cells) give only the bound of their own cells.
+    block of the bound is built, from the blocks of p and D and each block
+    row's count of -1 entries over all kn columns. Each entry is bitwise the
+    full bound's. The plug-in bound of that realization needs nothing else.
     """
+    if cells is None:
+        return _aronow_samii(moments, moments.p, moments.D.copy())
+    cells = np.asarray(cells, dtype=np.int64)
+    counts = minus_one_mask(moments, cells).sum(axis=1)
+    # rows, then columns: two plain gathers, several times faster than np.ix_
+    p, D = moments.p[cells][:, cells], moments.D[cells][:, cells]
+    return _aronow_samii(moments, p, D, cells, counts)
+
+
+def observed_block_bound(design, cells) -> tuple[DesignMoments, VarianceBound]:
+    """The exact moments of a design that has_closed_form without p and D
+    (None), and their aronow_samii_bound(moments, cells), bitwise: built
+    from the closed form's block of the observed cells alone
+    (moments._observed_joint), so no kn x kn matrix is formed."""
+    cells = np.asarray(cells, dtype=np.int64)
+    pi, p, counts = _observed_joint(design, cells)
+    moments = DesignMoments(
+        n=design.n, k=design.k, pi=pi, p=None, D=None, method="exact", zero_mask=pi == 0
+    )
+    Dt = _assemble_d(pi[cells], p, moments.zero_mask[cells])
+    return moments, _aronow_samii(moments, p, Dt, cells, counts)
+
+
+def _aronow_samii(moments, p, Dt, cells=None, counts=None) -> VarianceBound:
+    """The bound in place of Dt, D's block of the cells (None: all kn) with
+    p's block p: D plus the indicator of its -1 entries, zeroed there, plus
+    counts, each row's -1 entries over all kn columns (default: the mask's
+    row sums, as for the full D), on the diagonal."""
     if np.any(moments.zero_mask):
         raise NotIdentifiedError(
             "moments contain structurally zero inclusion probabilities; "
@@ -128,36 +156,18 @@ def aronow_samii_bound(moments: DesignMoments, cells=None) -> VarianceBound:
             "possibly-zero cells present; bound built on the remaining cells",
             RuntimeWarning,
         )
-    if cells is None:
-        mask = minus_one_mask(moments)
-        p, Dt, counts = moments.p, moments.D.copy(), mask.sum(axis=1)
-    else:
-        cells = np.asarray(cells, dtype=np.int64)
-        p, Dt, counts = _observed_block(moments, cells)
-        # the block of minus_one_mask: p == 0 between live cells, off the diagonal
-        live = ~(moments.zero_mask | moments.maybe_zero_mask)[cells]
-        mask = (p == 0) & live[:, None] & live
-        np.fill_diagonal(mask, False)
-    # D plus the indicator of the -1 entries, zeroed there, plus row counts
-    # on the diagonal (the mask never holds a diagonal entry)
+    live = ~moments.maybe_zero_mask  # no cell is proven impossible past the check
+    live = live if cells is None else live[cells]
+    # the block of minus_one_mask, formed in place
+    mask = p == 0
+    mask &= live[:, None]
+    mask &= live
+    np.fill_diagonal(mask, False)
+    counts = mask.sum(axis=1) if counts is None else counts
     np.copyto(Dt, 0.0, where=mask)
     diagonal = np.arange(len(Dt))
     Dt[diagonal, diagonal] += counts
     return VarianceBound(Dt=Dt, mask_minus1=mask, name="aronow_samii", cells=cells, p=p)
-
-
-def _observed_block(moments: DesignMoments, cells: np.ndarray):
-    """(p block, a copy of the D block, each block row's count of -1
-    entries over all kn columns) of the cells: carried by moments of that
-    block, gathered from full moments (loaded, Monte-Carlo or any exact
-    route)."""
-    if moments.cells is not None:
-        if not np.array_equal(moments.cells, cells):
-            raise ValueError("the moments' block is not the requested cells' block")
-        return moments.p, moments.D.copy(), moments.never_joint
-    counts = minus_one_mask(moments, cells).sum(axis=1)
-    # rows, then columns: two plain gathers, several times faster than np.ix_
-    return moments.p[cells][:, cells], moments.D[cells][:, cells], counts
 
 
 def neyman_bound_crd(n: int, n_t: int) -> VarianceBound:
@@ -277,7 +287,6 @@ def certify_bound(
     Gershgorin's theorem when every live row's margin is >= -tol, as it is
     for the diagonally dominant Aronow-Samii increment; otherwise the dense
     spectrum of the live block decides."""
-    moments.require_full("certify_bound")
     if bound.Dt.shape != moments.D.shape:
         raise ValueError("bound and moments dimensions differ")
     live = ~(moments.zero_mask | moments.maybe_zero_mask)

@@ -16,7 +16,14 @@ import sys
 import numpy as np
 import yaml
 
-from .bounds import aronow_samii_bound, build_bound, certify_bound, check_bound_kind, psd_clip
+from .bounds import (
+    aronow_samii_bound,
+    build_bound,
+    certify_bound,
+    check_bound_kind,
+    observed_block_bound,
+    psd_clip,
+)
 from .designs import (
     AssignmentRealization,
     CompletelyRandomizedDesign,
@@ -30,6 +37,7 @@ from .harness import (
     READS_D,
     ReplicationChunk,
     SimConfig,
+    check_estimators,
     estimator,
     failure_text,
     fit_rows,
@@ -67,23 +75,22 @@ def _load_yaml(path):
 
 
 def _design_from_args(args):
+    check_integer("--seed", args.seed, 0)  # comes with --design; numpy takes no negative seed
     spec = _load_yaml(args.design)
     if isinstance(spec, dict) and "design" in spec:
         spec = spec["design"]
     return build_design(spec)
 
 
-def _moments(design, npz, mc, seed, cells=None):
+def _moments(design, npz, mc, seed):
     """The design's moments: read from the .npz file npz when it is set, else
     from mc Monte-Carlo draws seeded by seed when mc is set, else exact. The
-    one place a command reads a moments file or picks a route. cells, from a
-    caller that reads only one realization's observed block, selects the
-    exact moments of that block alone when the design has_closed_form."""
+    one place a command reads a moments file or picks a route."""
     if npz:
         return DesignMoments.load_npz(npz)
     if mc is not None:
         return mc_moments(design, reps=mc, seed=seed)
-    return closed_form_or_exact_moments(design, cells if has_closed_form(design) else None)
+    return closed_form_or_exact_moments(design)
 
 
 def _add_moment_source_args(parser):
@@ -192,20 +199,26 @@ def cmd_estimate(args):
         X = preprocess_covariates(raw, names=names)
     else:
         X = np.zeros((design.n, 0))
+    bad = unit_ids[(arms < 0) | (arms >= design.k)]
+    if bad.size:
+        raise ValueError(f"arm outside 1..{design.k} for unit_id {bad[0]} in the observed-data CSV")
     realization = AssignmentRealization(design.n, design.k, arms)
     cells = realization.observed_cells
-    names = [name.strip() for name in args.estimators.split(",")]
+    names = check_estimators([name.strip() for name in args.estimators.split(",")])
     # the plug-in reads only the observed block; clipping needs the full bound,
     # and the rows of READS_D the full D
     block = not args.psd_clip and READS_D.isdisjoint(names)
-    moments = _moments(design, args.load_moments, args.mc, args.seed, cells if block else None)
-    bound = (
-        psd_clip(aronow_samii_bound(moments))
-        if args.psd_clip
-        else aronow_samii_bound(moments, cells=cells)
-    )
-    if block:  # no row reads p or D once the observed block's bound is built
-        moments = dataclasses.replace(moments, p=None, D=None)
+    if block and args.load_moments is None and args.mc is None and has_closed_form(design):
+        moments, bound = observed_block_bound(design, cells)
+    else:
+        moments = _moments(design, args.load_moments, args.mc, args.seed)
+        bound = (
+            psd_clip(aronow_samii_bound(moments))
+            if args.psd_clip
+            else aronow_samii_bound(moments, cells=cells)
+        )
+        if block:  # no row reads p or D once the observed block's bound is built
+            moments = dataclasses.replace(moments, p=None, D=None)
     chunk = ReplicationChunk(realization.arm_of[None], y[None], X, moments)
     contrast = check_contrast([float(v) for v in args.contrast.split(",")], design.k)
     fits, _, raw, errors = fit_rows(chunk, names, contrast, bound)
@@ -373,17 +386,22 @@ def cmd_check(args):
 
     block_agrees = True
     crd = CompletelyRandomizedDesign(6, [2, 4])
+    stratified = StratifiedDesign(7, [[0, 3, 5], [1, 2, 4, 6]], [[1, 1, 1], [2, 1, 1]])
     for oracle_design, oracle_moments in (
         (composed[0], closed_form_or_exact_moments(composed[0])),
         (crd, mc_moments(crd, reps=2000, seed=1)),
+        (crd, closed_form_or_exact_moments(crd)),
+        (stratified, closed_form_or_exact_moments(stratified)),
     ):
         cells = oracle_design.sample(stream_rng(7)).observed_cells
         v = stream_rng(8).standard_normal(oracle_moments.kn)[None, None]
-        full = aronow_samii_bound(oracle_moments)
-        block = aronow_samii_bound(oracle_moments, cells=cells)
-        raw = [plugin_bounds(v, cells[None], b)[0, 0] for b in (block, full)]
-        block_agrees &= raw[0] == raw[1]
-    report("observed-block plug-in bound equals the full bound's (exact and MC)", block_agrees)
+        # the full bound, the block gathered from it, and the closed form's block
+        bounds = [aronow_samii_bound(oracle_moments), aronow_samii_bound(oracle_moments, cells)]
+        if oracle_moments.method == "exact" and has_closed_form(oracle_design):
+            bounds.append(observed_block_bound(oracle_design, cells)[1])
+        raw = [plugin_bounds(v, cells[None], b)[0, 0] for b in bounds]
+        block_agrees &= all(value == raw[0] for value in raw)
+    report("observed-block plug-ins (gathered, closed-form) equal the full bound's", block_agrees)
 
     bern = BernoulliDesign(3, [0.5, 0.5])
     m = exact_moments(bern)

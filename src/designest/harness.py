@@ -103,6 +103,18 @@ def estimator(name: str) -> Callable[..., SampleFit]:
     return ESTIMATORS[name]
 
 
+def check_estimators(names):
+    """names, if a nonempty list of distinct names from the estimator table;
+    otherwise a ValueError naming the first unknown or repeated one."""
+    if not isinstance(names, (list, tuple)) or not names:
+        raise ValueError(f"estimators must be a nonempty list of estimator names, got {names!r}")
+    for i, name in enumerate(names):
+        estimator(name)  # raises on a name outside the table
+        if name in names[:i]:
+            raise ValueError(f"estimator {name!r} is listed more than once")
+    return names
+
+
 REPLICATION_CHUNK = 64  # fixed chunking keeps results worker-count invariant
 TOPCODE_SD = 5.0  # top-coded columns are capped at this many standard deviations
 
@@ -264,17 +276,12 @@ class SimConfig:
         if not 0 < self.level < 1:
             raise ValueError(f"level must lie strictly between 0 and 1, not {self.level}")
         self.contrast = check_contrast(self.contrast, self.design.k)
-        if not isinstance(self.estimators, (list, tuple)) or not self.estimators:
-            raise ValueError(
-                f"estimators must be a nonempty list of estimator names, got {self.estimators!r}"
-            )
-        for name in self.estimators:
-            estimator(name)  # raises on a name outside the table
+        check_estimators(self.estimators)
         kn = self.design.n * self.design.k
         self.y_full = np.asarray(self.y_full, dtype=float)
         if self.y_full.shape != (kn,):
             raise ValueError("y_full must be a stacked kn vector")
-        if self.moments is not None and self.moments.require_full("a simulation").kn != kn:
+        if self.moments is not None and self.moments.kn != kn:
             raise ValueError(f"moments describe {self.moments.kn} cells, the design {kn}")
         if self.bound is not None and (self.bound.cells is not None or self.bound.kn != kn):
             raise ValueError(f"bound must be the full {kn} x {kn} bound of the design")

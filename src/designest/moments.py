@@ -8,7 +8,8 @@ positive. Cells with pi = 0 are flagged and their rows left unusable.
 
 All exact routes share one path: ``_joint`` gives pi and p by the design
 kind's exact law, and ``_exact`` assembles D from them. For the kinds with a
-closed form, ``_joint`` also gives one realization's observed block alone.
+closed form, ``_observed_joint`` gives one realization's observed block of p
+alone, which ``bounds.observed_block_bound`` reads.
 """
 
 from __future__ import annotations
@@ -61,14 +62,6 @@ class DesignMoments:
     additionally flags Monte-Carlo cells that were never hit but whose
     impossibility is unproven. Rows/columns of D at flagged cells are zeroed
     placeholders, not estimates.
-
-    cells, when set, makes these the moments of an observed block (see
-    ``_joint``): p and D are the cells x cells blocks of the full matrices,
-    each entry bitwise the full one's, and never_joint holds each block
-    row's count of never-joint cells (p == 0, both cells live, off the
-    diagonal) over all kn columns; pi and the masks still cover all kn
-    cells. A consumer of the full matrices refuses such moments
-    (require_full).
     """
 
     n: int
@@ -81,8 +74,6 @@ class DesignMoments:
     maybe_zero_mask: np.ndarray = field(default=None)
     reps: int | None = None
     seed: int | None = None
-    cells: np.ndarray | None = None
-    never_joint: np.ndarray | None = None
 
     def __post_init__(self):
         if self.maybe_zero_mask is None:
@@ -92,16 +83,8 @@ class DesignMoments:
     def kn(self) -> int:
         return self.n * self.k
 
-    def require_full(self, what: str) -> "DesignMoments":
-        """self, unless it holds an observed block only; then a ValueError
-        saying that `what` needs the full moments."""
-        if self.cells is not None:
-            raise ValueError(f"{what} needs the full moments, not an observed block")
-        return self
-
     def submoments(self, arms) -> "DesignMoments":
         """Principal sub-block for a subset of arms (for arm-pair measures)."""
-        self.require_full("submoments")
         arms = list(arms)
         cells = np.concatenate([np.arange(self.n) + a * self.n for a in arms])
         return DesignMoments(
@@ -123,7 +106,6 @@ class DesignMoments:
         load_npz can map the arrays in place. The zip goes to a temporary
         file beside path and is renamed over it, so arrays that a reader
         has already mapped from path keep their values."""
-        self.require_full("save_npz")
         path = os.fspath(path)
         if not path.endswith(".npz"):  # as np.savez names it
             path += ".npz"
@@ -187,7 +169,7 @@ class DesignMoments:
 
     def d_to_csv(self, path):
         """Coordinate export of D as i,j,value triplets (tiny entries dropped)."""
-        coordinate_csv(path, self.require_full("d_to_csv").D)
+        coordinate_csv(path, self.D)
 
 
 def coordinate_csv(path, M: np.ndarray):
@@ -287,24 +269,15 @@ def _warn_dense(kn: int):
         )
 
 
-def _exact(design, pi: np.ndarray, p: np.ndarray, never_joint=None, cells=None) -> DesignMoments:
+def _exact(design, pi: np.ndarray, p: np.ndarray) -> DesignMoments:
     """Exact moments from pi and p of a design or a support table, which
     sum positive probabilities: a cell or pair never realized has an exact
-    0, so pi == 0 proves a cell impossible. With cells, p and never_joint
-    are their observed block's (see DesignMoments), and D is assembled for
-    that block alone; _assemble_d works entry by entry, so each entry is
-    bitwise the full D's."""
+    0, so pi == 0 proves a cell impossible."""
     n, k = design.n, design.k
+    _warn_dense(n * k)
     zero_mask = pi == 0
-    if cells is None:
-        _warn_dense(n * k)
-        D = _assemble_d(pi, p, zero_mask)
-    else:
-        D = _assemble_d(pi[cells], p, zero_mask[cells])
-    return DesignMoments(
-        n=n, k=k, pi=pi, p=p, D=D, method="exact", zero_mask=zero_mask,
-        cells=cells, never_joint=never_joint,
-    )
+    D = _assemble_d(pi, p, zero_mask)
+    return DesignMoments(n=n, k=k, pi=pi, p=p, D=D, method="exact", zero_mask=zero_mask)
 
 
 def exact_moments(design: Design) -> DesignMoments:
@@ -350,7 +323,7 @@ def _crd_tables(n: int, counts: np.ndarray):
 
 def has_closed_form(design) -> bool:
     """Whether `_joint` has a closed form for the design's kind, and with
-    it the observed-block form."""
+    it `_observed_joint`'s observed-block form."""
     return isinstance(design, (BernoulliDesign, CompletelyRandomizedDesign, StratifiedDesign))
 
 
@@ -370,26 +343,11 @@ def _exchangeable_groups(design):
     ]
 
 
-def _joint(design, cells=None):
+def _joint(design):
     """pi and p of a design, by its kind's exact law: the closed forms of
     `_exchangeable_groups` (strata independent of one another); a clustered
     design's cluster-level support gathered to units; any other design's
-    unit-level support enumerated.
-
-    With cells, one observed cell of each unit in unit order, a kind that
-    has_closed_form gives its observed block instead: pi over all kn cells,
-    the cells x cells block of p gathered from the same tables (entries of
-    two strata are pi_s pi_t, as in the full route's outer product), and
-    each block row's never-joint count over all kn columns. A dead row
-    (pi == 0) counts 0. A live row of arm a in a group of m units counts
-    (live arms - 1), its own unit's other live cells, plus
-    (m - 1) #{live b : pair[a, b] == 0}, the group's other units in an arm
-    that never joins a; live cells of other groups always join it. Every
-    entry and count is bitwise the full route's and minus_one_mask's."""
-    if cells is not None:
-        if not has_closed_form(design):
-            raise TypeError(f"no observed-block moments for a {type(design).__name__}")
-        return _observed_joint(design, cells)
+    unit-level support enumerated."""
     if has_closed_form(design):
         n, k = design.n, design.k
         groups = _exchangeable_groups(design)
@@ -413,7 +371,19 @@ def _joint(design, cells=None):
 
 
 def _observed_joint(design, cells: np.ndarray):
-    """`_joint`'s observed-block form: (pi, p block, never-joint counts)."""
+    """`_joint`'s observed-block form for a kind that has_closed_form, with
+    cells one observed cell of each unit in unit order: pi over all kn
+    cells, the cells x cells block of p gathered from the same tables
+    (entries of two strata are pi_s pi_t, as in the full route's outer
+    product), and each block row's never-joint count (p == 0, both cells
+    live, off the diagonal) over all kn columns. A dead row (pi == 0)
+    counts 0. A live row of arm a in a group of m units counts
+    (live arms - 1), its own unit's other live cells, plus
+    (m - 1) #{live b : pair[a, b] == 0}, the group's other units in an arm
+    that never joins a; live cells of other groups always join it. Every
+    entry and count is bitwise the full route's and minus_one_mask's."""
+    if not has_closed_form(design):
+        raise TypeError(f"no observed-block form for a {type(design).__name__}")
     n, k = design.n, design.k
     arm, unit = np.divmod(cells, n)
     in_order = cells.shape == (n,) and np.array_equal(unit, np.arange(n))
@@ -438,16 +408,11 @@ def _observed_joint(design, cells: np.ndarray):
     return pi, p, never_joint
 
 
-def closed_form_or_exact_moments(design, cells=None) -> DesignMoments:
+def closed_form_or_exact_moments(design) -> DesignMoments:
     """Exact moments by the cheapest exact route that `_joint` knows for the
     design's kind. A completely randomized design goes through
     analytic_crd_moments, the name under which profiles record the closed
-    form. With cells, one observed cell of each unit, a design that
-    has_closed_form gets the moments of their block only (see
-    DesignMoments)."""
-    if cells is not None:
-        cells = np.asarray(cells, dtype=np.int64)
-        return _exact(design, *_joint(design, cells), cells)
+    form."""
     if isinstance(design, CompletelyRandomizedDesign):
         return analytic_crd_moments(design)
     return _exact(design, *_joint(design))
@@ -645,7 +610,6 @@ def design_complexity(
     building its submoments. checked: the caller has already checked D
     symmetric (check_symmetric), so the block is not checked again.
     """
-    moments.require_full("design_complexity")
     zero, maybe = moments.zero_mask, moments.maybe_zero_mask
     if arms is not None:
         cells = np.concatenate([np.arange(moments.n) + a * moments.n for a in arms])

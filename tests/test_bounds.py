@@ -12,6 +12,7 @@ from designest.bounds import (
     custom_bound,
     minus_one_mask,
     neyman_bound_crd,
+    observed_block_bound,
     psd_clip,
 )
 from designest.designs import (
@@ -417,3 +418,20 @@ def test_bound_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "i,j,value"
     assert len(lines) == 3  # two diagonal entries of 2I
+
+
+@pytest.mark.parametrize(
+    "design, cells, error",
+    [
+        (ClusteredDesign(4, [0, 0, 1, 1], CompletelyRandomizedDesign(2, [1, 1])), [0, 1, 6, 7],
+         TypeError),
+        (CompletelyRandomizedDesign(4, [2, 2]), [0, 1, 2], ValueError),
+        (CompletelyRandomizedDesign(4, [2, 2]), [1, 0, 2, 3], ValueError),
+        (CompletelyRandomizedDesign(4, [2, 2]), [0, 1, 2, 11], ValueError),
+        (CompletelyRandomizedDesign(4, [2, 2]), [-4, 1, 2, 3], ValueError),
+    ],
+    ids=["clustered", "too_few", "out_of_order", "arm_past_k", "negative_arm"],
+)
+def test_observed_block_bound_needs_a_closed_form_and_one_cell_per_unit(design, cells, error):
+    with pytest.raises(error):
+        observed_block_bound(design, cells)

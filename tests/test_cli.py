@@ -561,6 +561,51 @@ def test_estimate_rejects_a_non_finite_outcome(crd_design_yaml, tmp_path, capsys
     assert "non-finite y for unit_id 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [0, 3])
+def test_estimate_names_the_unit_of_an_arm_outside_the_design(
+    crd_design_yaml, tmp_path, capsys, bad
+):
+    # arms are 1-based in the file; 0 and k + 1 used to fail as "[0, k)" with no row
+    obs = tmp_path / "obs.csv"
+    obs.write_text("unit_id,arm,y\n" + "".join(
+        f"{i},{bad if i == 4 else 1 + i % 2},{0.5 * i}\n" for i in range(6)
+    ))
+    argv = ["estimate", "--design", str(crd_design_yaml), "--data", str(obs),
+            "--estimators", "ht", "--contrast=-1,1"]
+    assert main(argv) == 2
+    assert "arm outside 1..2 for unit_id 4 in the observed-data CSV" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["moments", "complexity", "bound", "estimate"])
+@pytest.mark.parametrize("mc", [[], ["--mc", "100"]], ids=["exact", "mc"])
+def test_a_negative_seed_is_rejected_naming_the_flag(crd_design_yaml, tmp_path, capsys, command, mc):
+    # with --mc numpy refused it without naming the flag; without, it ran
+    argv = [command, "--design", str(crd_design_yaml)]
+    if command == "estimate":
+        argv = _estimate_argv(crd_design_yaml, *_write_estimate_inputs(tmp_path, range(6), range(6)))
+    assert main(argv + mc + ["--seed", "-1"]) == 2
+    assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
+def test_estimate_rejects_a_repeated_estimator(crd_design_yaml, tmp_path, capsys):
+    # it used to fit the row twice
+    obs, cov = _write_estimate_inputs(tmp_path, range(6), range(6))
+    argv = _estimate_argv(crd_design_yaml, obs, cov, "ht,hajek,ht")
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    assert "estimator 'ht' is listed more than once" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_simulate_rejects_a_repeated_estimator(tmp_path, capsys):
+    # it used to fit the row twice: two CSV rows, one JSON metrics key
+    config = tmp_path / "sim.yaml"
+    config.write_text(OPT_LOGIT_RECIPE.replace("[opt_logit]", "[ht, opt_logit, ht]"))
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert "estimator 'ht' is listed more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_rejects_an_infinite_covariate(crd_design_yaml, tmp_path, capsys):
     # bad columns are named by the covariate CSV's header, in estimate and simulate
     obs, cov = _write_estimate_inputs(tmp_path, range(6), range(6))
@@ -950,17 +995,24 @@ def _block_route_argv(tmp_path, kind):
 
 
 def _record_routes(monkeypatch):
-    """The list to which each aronow_samii_bound call of the CLI appends
-    whether its moments were an observed block."""
+    """The list to which the CLI appends the name of each bound builder it
+    calls: observed_block_bound (the closed-form block route, no full
+    moments) or aronow_samii_bound (from the full moments)."""
     from designest import cli
 
-    routes, bound = [], cli.aronow_samii_bound
+    routes = []
 
-    def recorded(moments, cells=None):
-        routes.append(moments.cells is not None)
-        return bound(moments, cells=cells)
+    def recorder(name):
+        build = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "aronow_samii_bound", recorded)
+        def recorded(*args, **kwargs):
+            routes.append(name)
+            return build(*args, **kwargs)
+
+        return recorded
+
+    for name in ("observed_block_bound", "aronow_samii_bound"):
+        monkeypatch.setattr(cli, name, recorder(name))
     return routes
 
 
@@ -971,10 +1023,10 @@ def test_first_stage_estimate_writes_the_full_routes_bytes(tmp_path, monkeypatch
     argv = _block_route_argv(tmp_path, kind)
     routes = _record_routes(monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "block.json")]) == 0
-    closed_form = cli.closed_form_or_exact_moments
-    monkeypatch.setattr(cli, "closed_form_or_exact_moments", lambda design, cells: closed_form(design))
+    # as for a kind without a closed form: full moments, the block gathered
+    monkeypatch.setattr(cli, "has_closed_form", lambda design: False)
     assert main(argv + ["--out", str(tmp_path / "full.json")]) == 0
-    assert routes == [True, False]
+    assert routes == ["observed_block_bound", "aronow_samii_bound"]
     block = (tmp_path / "block.json").read_bytes()
     assert block == (tmp_path / "full.json").read_bytes()
     assert b"error" not in block
@@ -991,9 +1043,11 @@ def test_first_stage_estimate_fits_without_p_and_d(tmp_path, monkeypatch):
         return fit_rows(chunk, *args)
 
     monkeypatch.setattr(cli, "fit_rows", recorded)
+    routes = _record_routes(monkeypatch)
     assert main(_block_route_argv(tmp_path, "crd") + ["--out", str(tmp_path / "r.json")]) == 0
     moments = chunks[0].moments
-    assert moments.p is None and moments.D is None and moments.cells is not None
+    assert moments.p is None and moments.D is None
+    assert routes == ["observed_block_bound"]
 
 
 @pytest.mark.parametrize(
@@ -1009,7 +1063,7 @@ def test_estimate_builds_the_full_moments_when_it_needs_them(tmp_path, monkeypat
     extra = [str(npz) if arg == "m.npz" else arg for arg in extra]
     routes = _record_routes(monkeypatch)
     main(argv + extra + ["--out", str(tmp_path / "report.json")])
-    assert routes == [False]
+    assert routes == ["aronow_samii_bound"]
 
 
 @pytest.mark.parametrize("bad, yaml_bad", [("nan", ".nan"), ("inf", ".inf"), ("-inf", "-.inf")])

@@ -700,53 +700,3 @@ def test_every_exact_route_warns_once_past_the_dense_limit(monkeypatch, route, d
         warnings.simplefilter("always")
         route(design)
     assert ["dense-storage" in str(w.message) for w in caught] == [True]
-
-
-def _refusals():
-    """Each consumer of the full matrices, called on block moments m of a
-    two-arm CRD of six units in directory d."""
-    from designest.bounds import aronow_samii_bound, certify_bound, minus_one_mask, psd_clip
-    from designest.harness import SimConfig
-
-    return {
-        "save_npz": lambda m, d: m.save_npz(d / "m.npz"),
-        "d_to_csv": lambda m, d: m.d_to_csv(d / "d.csv"),
-        "submoments": lambda m, d: m.submoments([0, 1]),
-        "design_complexity": lambda m, d: design_complexity(m),
-        "minus_one_mask": lambda m, d: minus_one_mask(m),
-        "full_bound": lambda m, d: aronow_samii_bound(m),
-        "certify_bound": lambda m, d: certify_bound(m, aronow_samii_bound(m, m.cells)),
-        "psd_clip": lambda m, d: psd_clip(aronow_samii_bound(m, m.cells)),
-        "SimConfig": lambda m, d: SimConfig(
-            CompletelyRandomizedDesign(6, [2, 4]), np.zeros(12), np.zeros((6, 0)), ["ht"],
-            [-1, 1], 1, 0, moments=m,
-        ),
-        "other_cells": lambda m, d: aronow_samii_bound(m, np.arange(6)),  # all in arm 0
-    }
-
-
-@pytest.mark.parametrize("consumer", list(_refusals()))
-def test_a_consumer_of_the_full_matrices_refuses_observed_block_moments(tmp_path, consumer):
-    design = CompletelyRandomizedDesign(6, [2, 4])
-    block = closed_form_or_exact_moments(design, design.sample(stream_rng(1)).observed_cells)
-    assert block.p.shape == block.D.shape == (6, 6) and block.pi.shape == (12,)
-    with pytest.raises(ValueError, match="full moments|full bound|requested cells' block"):
-        _refusals()[consumer](block, tmp_path)
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize(
-    "design, cells, error",
-    [
-        (ClusteredDesign(4, [0, 0, 1, 1], CompletelyRandomizedDesign(2, [1, 1])), [0, 1, 6, 7],
-         TypeError),
-        (CompletelyRandomizedDesign(4, [2, 2]), [0, 1, 2], ValueError),
-        (CompletelyRandomizedDesign(4, [2, 2]), [1, 0, 2, 3], ValueError),
-        (CompletelyRandomizedDesign(4, [2, 2]), [0, 1, 2, 11], ValueError),
-        (CompletelyRandomizedDesign(4, [2, 2]), [-4, 1, 2, 3], ValueError),
-    ],
-    ids=["clustered", "too_few", "out_of_order", "arm_past_k", "negative_arm"],
-)
-def test_observed_block_moments_need_a_closed_form_and_one_cell_per_unit(design, cells, error):
-    with pytest.raises(error):
-        closed_form_or_exact_moments(design, cells)

@@ -20,6 +20,7 @@ from designest.bounds import (
     build_bound,
     certify_bound,
     minus_one_mask,
+    observed_block_bound,
 )
 from designest.designs import (
     BernoulliDesign,
@@ -286,28 +287,36 @@ def test_observed_block_plugin_is_bitwise_the_full_bounds(design, mc_reps, seed)
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(design=enumerable_designs(nested=False).filter(has_closed_form), data=st.data())
-def test_observed_block_moments_are_bitwise_the_full_moments_block(design, data):
+def test_observed_block_bound_is_bitwise_the_full_bounds_block(design, data):
     # zero-probability arms, arms of count 0 or 1 and strata with empty arms
     # included; the observed arms are any, possible or not
     n, k = design.n, design.k
     arms = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
     cells = arms * n + np.arange(n)
     full = closed_form_or_exact_moments(design)
-    block = closed_form_or_exact_moments(design, cells)
     square = np.ix_(cells, cells)
-    assert block.pi.tobytes() == full.pi.tobytes()
-    assert block.p.tobytes() == full.p[square].tobytes()
-    assert block.D.tobytes() == full.D[square].tobytes()
-    assert np.array_equal(block.zero_mask, full.zero_mask)
-    assert np.array_equal(block.never_joint, minus_one_mask(full, cells).sum(axis=1))
-    expected, expected_warnings = _bound_or_error(full, cells)
-    got, got_warnings = _bound_or_error(block, cells)
-    assert got_warnings == expected_warnings
+    pi, p, counts = moments_module._observed_joint(design, cells)
+    assert pi.tobytes() == full.pi.tobytes()
+    assert p.tobytes() == full.p[square].tobytes()
+    assert np.array_equal(counts, minus_one_mask(full, cells).sum(axis=1))
+    expected, expected_warnings = _bound_or_error(full)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            moments, got = observed_block_bound(design, cells)
+        except NotIdentifiedError as exc:
+            got = exc
+    assert [(w.category, str(w.message)) for w in caught] == expected_warnings
     if isinstance(expected, NotIdentifiedError):
         assert isinstance(got, NotIdentifiedError) and str(got) == str(expected)
         return
+    assert moments.p is None and moments.D is None and moments.method == "exact"
+    assert moments.pi.tobytes() == full.pi.tobytes()
+    assert np.array_equal(moments.zero_mask, full.zero_mask)
+    assert np.array_equal(moments.maybe_zero_mask, full.maybe_zero_mask)
+    assert np.array_equal(got.cells, cells)
     for name in ("Dt", "mask_minus1", "Dt_over_p"):
-        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+        assert getattr(got, name).tobytes() == getattr(expected, name)[square].tobytes()
 
 
 def _relabel(design, new_of):

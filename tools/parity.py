@@ -8,7 +8,8 @@ directory; each case then runs `python -m designest.cli` under BASE/src and
 under HEAD/src. The cases are small designs of every kind (moments, bound
 verdicts, complexity), Monte-Carlo moments and complexity, every estimator table row (estimate, simulate), the
 first-stage rows on one draw of each closed-form design (estimate's
-observed-block route), a simulate whose logistic fits mostly separate, one
+closed-form observed-block route, and on the crd draw with Monte-Carlo
+moments the block gathered from the full moments), a simulate whose logistic fits mostly separate, one
 whose opt_logit criterion has an unpenalized interior minimum, and
 every stage of the benchmark's three workloads at benchmark sizes (inputs
 from HEAD's bench/workloads.py). One line per case:
@@ -135,10 +136,13 @@ def hand_cases(d):
         (d / f"y_{name}.csv").write_text("unit_id,arm,y\n" + "".join(
             f"{i},{a + 1},{v}\n" for i, (a, v) in enumerate(zip(draw, y))))
         (d / f"x_{name}.csv").write_text("unit_id,x1\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(x)))
-        cases.append((f"estimate first-stage {name}",
-                      ["estimate", "--design", f"{name}.yaml", "--data", f"y_{name}.csv", "--covariates",
+        first_stage = ["estimate", "--design", f"{name}.yaml", "--data", f"y_{name}.csv", "--covariates",
                        f"x_{name}.csv", "--estimators", FIRST_STAGE, "--contrast=-1,0.5,0.5",
-                       "--out", "estimate.json"], ["estimate.json"], None))
+                       "--out", "estimate.json"]
+        cases.append((f"estimate first-stage {name}", first_stage, ["estimate.json"], None))
+        if name == "crd":
+            cases.append(("estimate first-stage crd --mc 3000", first_stage + ["--mc", "3000"],
+                          ["estimate.json"], None))
     for name, extra in SIMULATE.items():
         (d / f"{name}.yaml").write_text(RECIPE + "replications: 20\n" + extra)
         cases.append((name, ["simulate", "--config", f"{name}.yaml", *SIM_OUT], SIM_OUT[1::2], None))
