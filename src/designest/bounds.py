@@ -18,6 +18,7 @@ from .designs import CompletelyRandomizedDesign
 from .moments import (
     DesignMoments,
     _assemble_d,
+    _certified_clip,
     _joint,
     _observed_joint,
     coordinate_csv,
@@ -262,14 +263,18 @@ def _gershgorin_margin(Dt: np.ndarray, D: np.ndarray, live: np.ndarray) -> float
     """Smallest Gershgorin margin of Dt - D over the live rows: the diagonal
     entry less the off-diagonal absolute row sum, over all columns. Each
     margin is at most the live block's own, so the smallest is a lower bound
-    on that block's smallest eigenvalue. Formed one row band at a time."""
+    on that block's smallest eigenvalue. Formed one row band at a time, in
+    one band buffer."""
     margins = np.empty(len(live))
-    for rows in row_bands(Dt.shape):
-        band = Dt[rows] - D[rows]
+    bands = row_bands(Dt.shape)
+    buffer = np.empty((bands[0].stop if bands else 0, Dt.shape[1]))
+    for rows in bands:
+        size = len(margins[rows])
+        band = np.subtract(Dt[rows], D[rows], out=buffer[:size])
         index = np.arange(len(band))
         diagonal = band[index, index + rows.start].copy()
         band[index, index + rows.start] = 0.0
-        margins[rows] = diagonal - np.abs(band).sum(axis=1)
+        margins[rows] = diagonal - np.abs(band, out=band).sum(axis=1)
     return float(margins[live].min()) if live.any() else 0.0
 
 
@@ -326,11 +331,19 @@ def psd_clip(bound: VarianceBound) -> VarianceBound:
     """Zero the negative spectrum of the weighted form; the resulting
     plug-in estimates are upward biased and never negative. Needs the
     full bound: the spectrum of an observed block is not the block of the
-    full spectrum."""
+    full spectrum.
+
+    The clipped form is the weighted form less its negative eigenpairs,
+    found by Lanczos and proven by a Cholesky factor to have no eigenvalue
+    below -EIG_PROOF_RTOL times the form's largest absolute row sum
+    (moments._certified_clip). Where that proof is not made, it is the
+    full spectrum's clip."""
     if bound.cells is not None:
         raise ValueError("psd_clip needs the full bound, not an observed block")
-    eigvals, eigvecs = np.linalg.eigh(bound.Dt_over_p)
-    clipped = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
+    clipped = _certified_clip(bound.Dt_over_p)
+    if clipped is None:
+        eigvals, eigvecs = np.linalg.eigh(bound.Dt_over_p)
+        clipped = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
     return VarianceBound(
         Dt=bound.Dt,
         mask_minus1=bound.mask_minus1,

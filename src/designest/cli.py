@@ -334,7 +334,8 @@ def cmd_simulate(args):
 
 
 def cmd_check(args):
-    from .moments import crd_first_order_matrix, largest_eigenvalue
+    from .moments import _certified_clip, crd_first_order_matrix, largest_eigenvalue
+    from .network import InterferenceGraph, derive_exposure_design, standard_binary_exposure_rules
     from .designs import BernoulliDesign, ClusteredDesign, StratifiedDesign, stream_rng
     from .linear import intercept_matrix
 
@@ -402,6 +403,38 @@ def cmd_check(args):
         raw = [plugin_bounds(v, cells[None], b)[0, 0] for b in bounds]
         block_agrees &= all(value == raw[0] for value in raw)
     report("observed-block plug-ins (gathered, closed-form) equal the full bound's", block_agrees)
+
+    # the certified clip, against the full spectrum's; a 3-arm CRD's weighted
+    # form has a double negative eigenvalue. Monte-Carlo moments of exposures
+    # on a ring with chords have more negative eigenvalues than the cap, so
+    # their clip is the full spectrum's, bitwise.
+    ring = [(i, (i + 1) % 40) for i in range(40)] + [(i, i + 20) for i in range(20)]
+    exposures = derive_exposure_design(
+        BernoulliDesign(40, [0.5, 0.5]),
+        InterferenceGraph(40, ring),
+        standard_binary_exposure_rules(),
+    )
+    clip_agrees = True
+    for clip_moments in (
+        closed_form_or_exact_moments(crd),
+        closed_form_or_exact_moments(CompletelyRandomizedDesign(9, [3, 3, 3])),
+        closed_form_or_exact_moments(composed[0]),
+        mc_moments(exposures, reps=300, seed=1),
+    ):
+        bound = aronow_samii_bound(clip_moments)
+        eigvals, eigvecs = np.linalg.eigh(bound.Dt_over_p)
+        full = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
+        clipped, certified = psd_clip(bound).Dt_over_p, _certified_clip(bound.Dt_over_p)
+        if clip_moments.method == "exact":
+            scale = np.abs(bound.Dt_over_p).sum(axis=1).max()
+            clip_agrees &= certified is not None and np.array_equal(clipped, certified)
+            clip_agrees &= np.max(np.abs(clipped - full)) <= 1e-9 * scale
+        else:
+            clip_agrees &= certified is None and np.array_equal(clipped, full)
+    report(
+        "certified psd clip equals the full spectrum's (CRD, 3-arm CRD, clustered; MC falls back)",
+        clip_agrees,
+    )
 
     bern = BernoulliDesign(3, [0.5, 0.5])
     m = exact_moments(bern)

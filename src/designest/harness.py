@@ -281,8 +281,14 @@ class SimConfig:
         self.y_full = np.asarray(self.y_full, dtype=float)
         if self.y_full.shape != (kn,):
             raise ValueError("y_full must be a stacked kn vector")
-        if self.moments is not None and self.moments.kn != kn:
-            raise ValueError(f"moments describe {self.moments.kn} cells, the design {kn}")
+        if self.moments is not None:
+            if self.moments.kn != kn:
+                raise ValueError(f"moments describe {self.moments.kn} cells, the design {kn}")
+            missing = [name for name in ("p", "D") if getattr(self.moments, name) is None]
+            if missing:  # as in the moments that observed_block_bound returns
+                raise ValueError(
+                    f"moments lack {' and '.join(missing)}: a simulation needs the full moments"
+                )
         if self.bound is not None and (self.bound.cells is not None or self.bound.kn != kn):
             raise ValueError(f"bound must be the full {kn} x {kn} bound of the design")
 

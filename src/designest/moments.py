@@ -51,6 +51,15 @@ EIG_PROOF_RTOL = 1e-10  # relative margin within which a Lanczos top eigenvalue 
 # Smaller matrices take the dense solver, which is about as fast there (1.5 ms
 # against 2.0 ms at kn = 192, 2.8 ms against 2.2 ms at kn = 256, one thread).
 LANCZOS_MIN_KN = 256
+# The certified clip's Lanczos runs (_certified_clip): a negative Ritz pair
+# counts as found once its residual is at most CLIP_RESIDUAL_RTOL times the
+# largest absolute row sum; convergence is checked every LANCZOS_CHECK_EVERY
+# steps, over at most LANCZOS_STEP_BUDGET steps in all; a matrix with more
+# than NEGATIVE_PART_CAP negative eigenvalues takes the full spectrum.
+CLIP_RESIDUAL_RTOL = 1e-13
+LANCZOS_CHECK_EVERY = 8
+LANCZOS_STEP_BUDGET = 160
+NEGATIVE_PART_CAP = 16
 
 
 @dataclass
@@ -597,6 +606,103 @@ def _proven_top_eigenvalue(M: np.ndarray) -> float | None:
     # in place: the transpose view is the Fortran-ordered array LAPACK takes
     _, info = dpotrf(shifted.T, overwrite_a=1, clean=0)
     return lam if info == 0 else None
+
+
+def _certified_clip(M: np.ndarray) -> np.ndarray | None:
+    """G = M - V diag(lam) V', M less its negative eigenpairs (lam, V), or
+    None when G is not proven. With delta = EIG_PROOF_RTOL times M's largest
+    absolute row sum, G + delta I must have a Cholesky factor, which proves
+    every eigenvalue of G >= -delta.
+
+    The pairs come from Lanczos runs (_negative_ritz_pairs) from fixed seeded
+    starts. When the certificate fails, one more run, kept orthogonal to the
+    pairs found so far, looks for more: a repeated negative eigenvalue shows
+    one vector of its eigenspace per run. None also for kn < 3, for an M
+    that is not exactly symmetric or has an entry that is not finite, for
+    more than NEGATIVE_PART_CAP negative eigenvalues, when a run after a
+    failed certificate finds no new pair, and when LANCZOS_STEP_BUDGET steps
+    run out. The bytes of G depend on M's values alone, not on its memory
+    layout or address."""
+    kn = len(M)
+    if kn < 3:
+        return None
+    scale = 0.0
+    for rows in row_bands(M.shape):
+        band = M[rows]
+        if not np.array_equal(band, M[:, rows].T):  # also when an entry is NaN
+            return None
+        scale = max(scale, float(np.abs(band).sum(axis=1).max()))
+    if not math.isfinite(scale):
+        return None
+    # A matrix-vector product rounds by the matrix's layout: multiply by a
+    # C-ordered array, M itself or (equal, as M is symmetric) its transpose.
+    A = np.ascontiguousarray(M.T if M.flags.f_contiguous else M)
+    delta = EIG_PROOF_RTOL * scale
+    rng = np.random.default_rng(0)
+    Q = np.empty((LANCZOS_STEP_BUDGET, kn))  # the Lanczos vectors of every run
+    lam, V, used, retry = np.empty(0), np.empty((0, kn)), 0, False
+    G = np.empty((kn, kn))
+    while True:
+        found = _negative_ritz_pairs(
+            A, rng.standard_normal(kn), V, Q[used:], delta, CLIP_RESIDUAL_RTOL * scale,
+            NEGATIVE_PART_CAP - len(lam),
+        )
+        if found is None or (retry and not len(found[0])):
+            return None
+        used, retry = used + found[2], True
+        lam, V = np.concatenate([lam, found[0]]), np.vstack([V, found[1]])
+        # M + W W' with W = V' sqrt(-lam): matmul takes W @ W.T as one
+        # symmetric rank-update, so G is exactly symmetric
+        W = V.T * np.sqrt(-lam)
+        np.matmul(W, W.T, out=G)
+        np.add(M, G, out=G)
+        diagonal = G.diagonal().copy()
+        np.fill_diagonal(G, diagonal + delta)
+        try:
+            np.linalg.cholesky(G)
+            return G
+        except np.linalg.LinAlgError:
+            pass
+        finally:
+            np.fill_diagonal(G, diagonal)
+
+
+def _negative_ritz_pairs(A, start, V, Q, delta, tol, cap):
+    """One Lanczos run with full reorthogonalization on the symmetric A,
+    restricted to the complement of V's (orthonormal) rows, using Q's rows
+    for its vectors. Returns (values, vectors as rows, steps) of the Ritz
+    pairs below -delta once each of them, and the smallest Ritz pair, has a
+    residual at most tol. None when more than cap Ritz values lie below
+    -delta (by interlacing, the restricted A then has more than cap negative
+    eigenvalues), or when Q's rows run out first."""
+    q = start - (V @ start) @ V
+    q -= (V @ q) @ V
+    norm = np.linalg.norm(q)
+    if not norm > 0.0:
+        return None
+    q /= norm
+    alpha, beta = np.zeros(len(Q)), np.zeros(len(Q))
+    for j in range(len(Q)):
+        Q[j] = q
+        w = A @ q
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            h = Q[: j + 1] @ w
+            w -= h @ Q[: j + 1]
+            w -= (V @ w) @ V
+            alpha[j] += h[j]
+        beta[j] = np.linalg.norm(w)
+        # beta <= tol: the Krylov space is invariant, every Ritz pair converged
+        if (j + 1) % LANCZOS_CHECK_EVERY == 0 or beta[j] <= tol or j + 1 == len(Q):
+            T = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            theta, S = np.linalg.eigh(T)
+            residual = beta[j] * np.abs(S[-1])
+            negative = theta < -delta
+            if np.count_nonzero(negative) > cap:
+                return None
+            if residual[0] <= tol and np.all(residual[negative] <= tol):
+                return theta[negative], S[:, negative].T @ Q[: j + 1], j + 1
+        q = w / beta[j]
+    return None
 
 
 def design_complexity(

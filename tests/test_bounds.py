@@ -368,6 +368,77 @@ class TestPsdClip:
             v = rng.standard_normal(5)
             assert v @ clipped.Dt_over_p @ v >= v @ bound.Dt_over_p @ v - 1e-10
 
+    def test_a_double_negative_eigenvalue_takes_a_second_run(self, monkeypatch):
+        # a 3-arm CRD's weighted form has one double negative eigenvalue; the
+        # first run finds one vector of its eigenspace, the certificate fails,
+        # and a run kept orthogonal to it finds the other
+        from designest import moments
+
+        F = aronow_samii_bound(exact_moments(CompletelyRandomizedDesign(9, [3, 3, 3]))).Dt_over_p
+        eigvals = np.linalg.eigvalsh(F)
+        assert eigvals[0] < 0 and eigvals[0] == pytest.approx(eigvals[1], rel=1e-12) and eigvals[2] > 0
+        runs, find = [], moments._negative_ritz_pairs
+        monkeypatch.setattr(
+            moments, "_negative_ritz_pairs", lambda *args: runs.append(find(*args)) or runs[-1]
+        )
+        clipped = moments._certified_clip(F)
+        assert [len(values) for values, _, _ in runs] == [1, 1]
+        scale = np.abs(F).sum(axis=1).max()
+        assert np.abs(clipped - full_spectrum_clip(F)).max() <= CLIP_ATOL_RTOL * scale
+        assert np.array_equal(clipped, clipped.T)
+
+    def test_the_clip_is_the_same_bytes_in_any_layout(self):
+        # a product rounds by the matrix's memory order, never by its address
+        F = aronow_samii_bound(exact_moments(CompletelyRandomizedDesign(12, [5, 7]))).Dt_over_p
+        buffer = np.empty(F.size + 1)
+        shifted = buffer[1:].reshape(F.shape)  # 8 bytes off the copy's alignment
+        shifted[...] = F
+        expected = psd_clip(_bound_with_weighted(F)).Dt_over_p
+        for G in (F.copy(), np.asfortranarray(F), shifted):
+            assert np.array_equal(G, F)
+            assert psd_clip(_bound_with_weighted(G)).Dt_over_p.tobytes() == expected.tobytes()
+
+    def test_unproven_inputs_take_the_full_spectrum(self):
+        from designest.moments import _certified_clip
+
+        rng = stream_rng(3)
+        a = rng.standard_normal((6, 6))
+        symmetric = a + a.T
+        assert _certified_clip(symmetric) is not None
+        asymmetric = symmetric.copy()
+        asymmetric[0, 1] += 1e-12
+        nan, inf = symmetric.copy(), symmetric.copy()
+        nan[2, 2], inf[1, 4] = np.nan, np.inf
+        inf[4, 1] = np.inf
+        # 17 distinct negative eigenvalues: more than the cap, seen in one run
+        many = np.diag(np.concatenate([-np.arange(1.0, 18.0), np.ones(3)]))
+        for M in (symmetric[:2, :2], asymmetric, nan, inf, many):
+            assert _certified_clip(M) is None
+        assert _certified_clip(many[1:, 1:]) is not None  # 16 of them
+        bound = _bound_with_weighted(many)
+        assert np.array_equal(psd_clip(bound).Dt_over_p, full_spectrum_clip(many))
+
+    def test_a_run_out_of_steps_takes_the_full_spectrum_bitwise(self, monkeypatch):
+        from designest import moments
+
+        bound = aronow_samii_bound(exact_moments(CompletelyRandomizedDesign(9, [3, 3, 3])))
+        monkeypatch.setattr(moments, "LANCZOS_STEP_BUDGET", 5)  # the second run gets one step
+        assert moments._certified_clip(bound.Dt_over_p) is None
+        expected = full_spectrum_clip(bound.Dt_over_p)
+        assert psd_clip(bound).Dt_over_p.tobytes() == expected.tobytes()
+
+
+# psd_clip's certified clip lies within this times the weighted form's largest
+# absolute row sum of the full spectrum's clip: its residual tolerance and
+# the eigenvalues in (-delta, 0) that it keeps are each 1e-10 or less of it
+CLIP_ATOL_RTOL = 1e-9
+
+
+def full_spectrum_clip(F):
+    """The oracle: zero the negative eigenvalues of the full spectrum."""
+    eigvals, eigvecs = np.linalg.eigh(F)
+    return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
+
 
 class TestWeightedFormCache:
     def test_formed_at_the_first_read_then_kept_and_p_released(self, monkeypatch):

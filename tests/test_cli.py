@@ -9,7 +9,7 @@ import pytest
 
 import designest
 from designest.cli import main
-from designest.harness import ESTIMATOR_NAMES
+from designest.harness import ESTIMATOR_NAMES, READS_D
 
 
 @pytest.fixture
@@ -207,6 +207,35 @@ def test_opt_logit_simulate_with_a_certified_population_minimum_loads_no_scipy_o
     assert out.stderr.strip().splitlines()[-1] == "[]"
     theory = json.loads((tmp_path / "sim.json").read_text())["metrics"]["opt_logit"]
     assert np.isfinite(theory["theo_var_times_n"]) and np.isfinite(theory["theo_bound_times_n"])
+
+
+def test_linear_simulate_with_psd_clip_loads_no_scipy(tmp_path):
+    # the clip is the certified one, which needs numpy alone (so does its
+    # fallback, the full spectrum)
+    (tmp_path / "sim.yaml").write_text(
+        "design: {kind: clustered, cluster_of: [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 3],\n"
+        "         cluster_design: {kind: completely_randomized, n: 6, counts: [3, 3]}}\n"
+        "outcome: {intercepts: [-0.4, 0.5], seed: 4}\n"
+        "estimators: [ht, hajek, ols, wls]\ncontrast: [-1, 1]\nseed: 3\nreplications: 4\n"
+        "psd_clip: true\n"
+    )
+    code = (
+        "import sys\n"
+        "from designest import bounds\n"
+        "from designest.cli import main\n"
+        "clip, proven = bounds._certified_clip, []\n"
+        "bounds._certified_clip = lambda F: proven.append(clip(F) is not None) or clip(F)\n"
+        "assert main(['simulate', '--config', 'sim.yaml', '--json', 'sim.json']) == 0\n"
+        "assert proven == [True], proven\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+    src = str(Path(designest.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stderr.strip().splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "sim.json").read_text())["provenance"]["psd_clipped"] is True
 
 
 def test_estimate_command(crd_design_yaml, tmp_path):
@@ -927,6 +956,28 @@ def test_estimate_report_equals_its_rows_reported_one_at_a_time(
     expected = _per_row_reports(unequal_crd, names, covariates, psd_clip, cli.aronow_samii_bound)
     assert out.read_text() == expected
     assert ("error" in expected) != covariates
+
+
+@pytest.mark.parametrize("covariates", [True, False], ids=["covariates", "no_covariates"])
+def test_first_stage_estimate_report_equals_its_rows_reported_one_at_a_time(
+    unequal_crd, monkeypatch, covariates
+):
+    # no row reads D: estimate takes the closed-form observed-block route
+    from designest import bounds
+
+    names = [name for name in ESTIMATOR_NAMES if name not in READS_D]
+    out = unequal_crd / "first_stage.json"
+    argv = ["estimate", "--design", str(unequal_crd / "design.yaml"),
+            "--data", str(unequal_crd / "obs.csv"), "--estimators", ",".join(names),
+            "--contrast=-1,1", "--out", str(out)]
+    if covariates:
+        argv += ["--covariates", str(unequal_crd / "x.csv")]
+    routes = _record_routes(monkeypatch)
+    code = main(argv)
+    assert routes == ["observed_block_bound"]
+    expected = _per_row_reports(unequal_crd, names, covariates, False, bounds.aronow_samii_bound)
+    assert out.read_text() == expected
+    assert code == (1 if '"error"' in expected else 0)
 
 
 def test_estimate_warns_once_per_negative_row(unequal_crd, monkeypatch):

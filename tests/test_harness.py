@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import multiprocessing
 import os
@@ -12,7 +13,7 @@ import pytest
 from scipy.special import expit
 
 from designest import harness, linear
-from designest.bounds import aronow_samii_bound, build_bound
+from designest.bounds import aronow_samii_bound, build_bound, observed_block_bound
 from designest.designs import BernoulliDesign, CompletelyRandomizedDesign, stream_rng
 from designest.harness import (
     ESTIMATOR_NAMES,
@@ -431,6 +432,17 @@ class TestRunSimulation:
         block = aronow_samii_bound(moments, cells=np.arange(8))  # an observed block
         with pytest.raises(ValueError, match=r"bound must be the full 16 x 16 bound"):
             small_sim_config(bound=block)
+
+    def test_moments_must_hold_p_and_d(self):
+        # observed_block_bound's moments hold neither; the run would read both
+        design = small_sim_config().design
+        moments, _ = observed_block_bound(design, design.sample(stream_rng(3)).observed_cells)
+        with pytest.raises(ValueError, match="moments lack p and D: a simulation needs the full"):
+            small_sim_config(moments=moments)
+        full = closed_form_or_exact_moments(design)
+        for name in ("p", "D"):
+            with pytest.raises(ValueError, match=f"moments lack {name}: "):
+                small_sim_config(moments=dataclasses.replace(full, **{name: None}))
 
 
 def _linear_reference(kind):

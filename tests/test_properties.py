@@ -21,6 +21,7 @@ from designest.bounds import (
     certify_bound,
     minus_one_mask,
     observed_block_bound,
+    psd_clip,
 )
 from designest.designs import (
     BernoulliDesign,
@@ -40,6 +41,8 @@ from designest import model_assisted
 from designest.model_assisted import ImputationModel
 from designest import moments as moments_module
 from designest.moments import (
+    EIG_PROOF_RTOL,
+    _certified_clip,
     _proven_top_eigenvalue,
     closed_form_or_exact_moments,
     exact_moments,
@@ -52,6 +55,7 @@ from designest.network import (
     derive_exposure_design,
     standard_binary_exposure_rules,
 )
+from test_bounds import CLIP_ATOL_RTOL, full_spectrum_clip
 
 
 @st.composite
@@ -475,3 +479,26 @@ def test_lanczos_top_eigenvalue_is_proven_and_equals_the_dense_one(design, mc_re
     # the proof holds unless eigsh has no Lanczos run (kn < 3) or no start (M = 0)
     assert (proven is None) == (len(M) < 3 or not M.any())
     assert proven is None or abs(proven - dense) <= 1e-12 * max(1.0, abs(dense))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(design=enumerable_designs(), mc_reps=st.none() | st.integers(2, 40), seed=st.integers(0, 99))
+def test_the_certified_clip_is_proven_and_is_the_full_spectrums_clip(design, mc_reps, seed):
+    bound, _ = _bound_or_error(_exact_or_mc_moments(design, mc_reps, seed))
+    if isinstance(bound, NotIdentifiedError):
+        return
+    F = bound.Dt_over_p
+    oracle = full_spectrum_clip(F)
+    clipped = psd_clip(bound).Dt_over_p
+    scale = np.abs(F).sum(axis=1).max()
+    certified = _certified_clip(F)
+    # proven wherever there is a Lanczos run and a scale for the margin
+    assert (certified is None) == (len(F) < 3 or scale == 0.0)
+    if certified is None:
+        assert clipped.tobytes() == oracle.tobytes()
+    else:
+        assert clipped.tobytes() == certified.tobytes()
+        assert np.abs(clipped - oracle).max() <= CLIP_ATOL_RTOL * scale
+        np.linalg.cholesky(clipped + EIG_PROOF_RTOL * scale * np.eye(len(F)))  # the certificate
+    with patch.object(moments_module, "LANCZOS_STEP_BUDGET", 0):  # forced to the full spectrum
+        assert psd_clip(bound).Dt_over_p.tobytes() == oracle.tobytes()

@@ -9,7 +9,9 @@ under HEAD/src. The cases are small designs of every kind (moments, bound
 verdicts, complexity), Monte-Carlo moments and complexity, every estimator table row (estimate, simulate), the
 first-stage rows on one draw of each closed-form design (estimate's
 closed-form observed-block route, and on the crd draw with Monte-Carlo
-moments the block gathered from the full moments), a simulate whose logistic fits mostly separate, one
+moments the block gathered from the full moments), the psd clip of the crd
+draw and of a 40-unit exposure design's Monte-Carlo moments (the full
+spectrum's clip), a simulate whose logistic fits mostly separate, one
 whose opt_logit criterion has an unpenalized interior minimum, and
 every stage of the benchmark's three workloads at benchmark sizes (inputs
 from HEAD's bench/workloads.py). One line per case:
@@ -28,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
+RULES = ("rules: [{label: d11, own_arms: [2], counts: {2: [1, null]}}, {label: d10, own_arms: [2], counts: {2: [0, 0]}},"
+         " {label: d01, own_arms: [1], counts: {2: [1, null]}}, {label: d00, own_arms: [1], counts: {2: [0, 0]}}]}")
 DESIGNS = {
     "bernoulli": "{kind: bernoulli, n: 6, probs: [0.2, 0.3, 0.5]}",
     "crd": "{kind: completely_randomized, n: 9, counts: [2, 3, 4]}",
@@ -36,9 +40,7 @@ DESIGNS = {
     "clustered": "{kind: clustered, cluster_of: [0, 1, 2, 3, 0, 1, 2, 3, 3],"
                  " cluster_design: {kind: completely_randomized, n: 4, counts: [1, 2, 1]}}",
     "exposure": "{kind: exposure_derived, base: {kind: bernoulli, n: 6, probs: [0.4, 0.6]},"
-                " edges: [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0], [0, 3]], rules: ["
-                "{label: d11, own_arms: [2], counts: {2: [1, null]}}, {label: d10, own_arms: [2], counts: {2: [0, 0]}},"
-                " {label: d01, own_arms: [1], counts: {2: [1, null]}}, {label: d00, own_arms: [1], counts: {2: [0, 0]}}]}",
+                " edges: [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0], [0, 3]], " + RULES,
     "crd400": "{kind: completely_randomized, n: 200, counts: [100, 100]}",  # complexity by Lanczos
 }
 # Monte-Carlo draws of a Bernoulli design with a zero-probability arm (its
@@ -69,6 +71,11 @@ DRAWS = {
     "stratified": [1, 2, 0, 0, 0, 1, 0, 2, 1],
     "stratified_live": [2, 0, 1, 2, 0, 1, 1, 2, 0, 0, 1, 2],
 }
+# Exposures of a Bernoulli(1/2) design on a 40-unit ring with a chord to the
+# opposite unit.
+EXPOSURE40 = ("{kind: exposure_derived, base: {kind: bernoulli, n: 40, probs: [0.5, 0.5]}, edges: ["
+              + ", ".join(f"[{i}, {(i + 1) % 40}]" for i in range(40)) + ", "
+              + ", ".join(f"[{i}, {i + 20}]" for i in range(20)) + "], " + RULES)
 STRATIFIED_LIVE = ("{kind: stratified, strata: [[0, 4, 8], [1, 2, 3, 5, 6, 7, 9, 10, 11]],"
                    " counts: [[1, 1, 1], [3, 3, 3]]}")
 # Most draws separate in the two-unit arm, so the logistic fits halve their
@@ -143,6 +150,22 @@ def hand_cases(d):
         if name == "crd":
             cases.append(("estimate first-stage crd --mc 3000", first_stage + ["--mc", "3000"],
                           ["estimate.json"], None))
+            cases.append(("estimate first-stage crd --psd-clip", first_stage + ["--psd-clip"],
+                          ["estimate.json"], None))
+    # the clip of Monte-Carlo moments with more negative eigenvalues than the
+    # certified clip takes: the full spectrum's
+    (d / "exposure40.yaml").write_text(f"design: {EXPOSURE40}\n")
+    base = rng.integers(0, 2, size=40)
+    treated_neighbours = base[(np.arange(40) + 1) % 40] + base[(np.arange(40) - 1) % 40] + base[
+        (np.arange(40) + 20) % 40]
+    arms = 1 + 2 * (1 - base) + (treated_neighbours == 0)  # d11, d10, d01, d00
+    y = arms + rng.standard_normal(40)
+    (d / "y_exposure40.csv").write_text("unit_id,arm,y\n" + "".join(
+        f"{i},{a},{v:.17g}\n" for i, (a, v) in enumerate(zip(arms, y))))
+    cases.append(("estimate --psd-clip exposure40 --mc 300",
+                  ["estimate", "--design", "exposure40.yaml", "--data", "y_exposure40.csv",
+                   "--estimators", "ht,hajek", "--contrast=1,0,0,-1", "--mc", "300", "--seed", "1",
+                   "--psd-clip", "--out", "estimate.json"], ["estimate.json"], None))
     for name, extra in SIMULATE.items():
         (d / f"{name}.yaml").write_text(RECIPE + "replications: 20\n" + extra)
         cases.append((name, ["simulate", "--config", f"{name}.yaml", *SIM_OUT], SIM_OUT[1::2], None))
