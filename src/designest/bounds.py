@@ -211,13 +211,13 @@ def build_bound(design, moments: DesignMoments, kind: str = "aronow_samii") -> V
     return aronow_samii_bound(moments)
 
 
-def custom_bound(Dt: np.ndarray, moments: DesignMoments, tol: float = PSD_TOL) -> VarianceBound:
+def custom_bound(Dt: np.ndarray, moments: DesignMoments) -> VarianceBound:
     """Wrap a user-supplied bound matrix after certifying it against the
     design moments."""
     Dt = np.asarray(Dt, dtype=float)
     mask = minus_one_mask(moments)
     bound = VarianceBound(Dt=Dt, mask_minus1=mask, name="custom", p=moments.p)
-    report = certify_bound(moments, bound, tol=tol)
+    report = certify_bound(moments, bound)
     if not (report.psd_ok and report.identified_ok):
         raise NotIdentifiedError(
             f"supplied matrix is not a valid identified bound: "
@@ -281,7 +281,6 @@ def _gershgorin_margin(Dt: np.ndarray, D: np.ndarray, live: np.ndarray) -> float
 def certify_bound(
     moments: DesignMoments,
     bound: VarianceBound,
-    tol: float = PSD_TOL,
     compare: VarianceBound | None = None,
 ) -> BoundCertificate:
     """Validity and identification check, with an optional spectral
@@ -289,14 +288,14 @@ def certify_bound(
     is relevant for demeaned estimators).
 
     Validity (Dt - D positive semidefinite on the live cells) is proven by
-    Gershgorin's theorem when every live row's margin is >= -tol, as it is
-    for the diagonally dominant Aronow-Samii increment; otherwise the dense
-    spectrum of the live block decides."""
+    Gershgorin's theorem when every live row's margin is >= -PSD_TOL, as it
+    is for the diagonally dominant Aronow-Samii increment; otherwise the
+    dense spectrum of the live block decides."""
     if bound.Dt.shape != moments.D.shape:
         raise ValueError("bound and moments dimensions differ")
     live = ~(moments.zero_mask | moments.maybe_zero_mask)
     min_eig, proof = _gershgorin_margin(bound.Dt, moments.D, live), "gershgorin"
-    if not min_eig >= -tol:  # also when a margin is NaN
+    if not min_eig >= -PSD_TOL:  # also when a margin is NaN
         diff = (bound.Dt - moments.D)[np.ix_(live, live)]
         min_eig, proof = float(np.linalg.eigvalsh(diff).min()), "spectrum"
     # The moments' own -1 pattern, not bound.mask_minus1: a bound may carry
@@ -310,7 +309,7 @@ def certify_bound(
     cert = BoundCertificate(
         min_eigenvalue_bound=min_eig,
         psd_proof=proof,
-        psd_ok=min_eig >= -tol,
+        psd_ok=min_eig >= -PSD_TOL,
         mask_violations=violations,
         identified_ok=violations == 0,
     )

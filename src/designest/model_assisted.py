@@ -65,6 +65,12 @@ NEWTON_MAX_ITER = 50
 NEWTON_GTOL = 1e-12
 NEWTON_SHIFT = 1e-3
 NEWTON_ARMIJO = 1e-4
+# the logistic pseudo-likelihood fit (_weighted_qmle): its iteration cap,
+# its gradient stopping tolerance relative to the objective, and the
+# coefficient size at which it warns of separation
+QMLE_MAX_ITER = 500
+QMLE_GTOL = 1e-10
+QMLE_COEF_CAP = 10.0
 
 
 class WeakIdentificationError(ValueError):
@@ -77,41 +83,31 @@ class OptimizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ImputationModel:
-    """Parametric imputation family with arm intercepts.
+    """Parametric imputation family with arm intercepts and a shared slope.
 
-    theta layout: k arm intercepts followed by the slope block (one shared
-    p-vector for same_slope, k stacked p-vectors for separate_slope).
+    theta layout: k arm intercepts followed by one p-vector of slopes, the
+    columns of linear.model_matrix.
     """
 
     family: str  # "linear" | "logistic"
     k: int
     p: int
-    slope_sharing: str = "same_slope"
 
     def __post_init__(self):
         if self.family not in ("linear", "logistic"):
             raise ValueError("family must be linear or logistic")
-        if self.slope_sharing not in ("same_slope", "separate_slope"):
-            raise ValueError("slope_sharing must be same_slope or separate_slope")
 
     @property
     def s(self) -> int:
         """Number of parameters."""
-        if self.slope_sharing == "same_slope":
-            return self.k + self.p
-        return self.k + self.k * self.p
+        return self.k + self.p
 
     def design_rows(self, X: np.ndarray) -> np.ndarray:
-        """kn x s matrix of linear-predictor rows in arm-major cell order."""
-        n = X.shape[0]
-        if self.p == 0:
-            return intercept_matrix(n, self.k)
-        if self.slope_sharing == "same_slope":
-            return model_matrix(X, self.k)
-        blocks = np.zeros((self.k * n, self.k * self.p))
-        for a in range(self.k):
-            blocks[a * n : (a + 1) * n, a * self.p : (a + 1) * self.p] = X
-        return np.hstack([intercept_matrix(n, self.k), blocks])
+        """kn x s matrix of linear-predictor rows in arm-major cell order:
+        model_matrix(X, k), the rows the regression estimators fit."""
+        if X.shape[1] != self.p:
+            raise ValueError(f"X has {X.shape[1]} columns, the model p = {self.p}")
+        return model_matrix(X, self.k)
 
     def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         return self._predict_rows(theta, self.design_rows(X))
@@ -215,7 +211,7 @@ def _halve(R, y, w, start, step, old):
     return theta, eta, value
 
 
-def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
+def _weighted_qmle(model, rows, y, w):
     """Minimize sum_i w_i loss(y_i, rows_i theta) for each batch row: rows
     is (B, m, s), y and w are (B, m), and the (B, s) result's row b depends
     on row b of the inputs only, bitwise as in a batch of one.
@@ -225,7 +221,7 @@ def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
     its own. A row stops when its gradient is small; when its accepted step
     leaves theta bitwise unchanged (a stall: every further iteration would
     repeat that same step, so running on to the cap would return the same
-    theta); or at max_iter, which warns.
+    theta); or at QMLE_MAX_ITER, which warns.
 
     Step halving tries the levels t = 2^-j, j < 50, in the blocks of
     _HALVING_BLOCKS (see _halve): every row tries the full step, and a row
@@ -250,11 +246,11 @@ def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
     eta = _matvec(rows, theta)
     value = _negloglik(eta, y, w)
     active = np.arange(len(rows))  # rows still iterating
-    for _ in range(max_iter):
+    for _ in range(QMLE_MAX_ITER):
         R = rows[active]
         f = expit(eta[active])
         grad = _matvec(np.swapaxes(R, -1, -2), w[active] * (y[active] - f))  # maximize
-        moving = ~(np.sqrt(_rowdot(grad, grad)) < tol * np.fmax(1.0, np.abs(value[active])))
+        moving = ~(np.sqrt(_rowdot(grad, grad)) < QMLE_GTOL * np.fmax(1.0, np.abs(value[active])))
         active, R, f, grad = active[moving], R[moving], f[moving], grad[moving]
         if not active.size:
             break
@@ -269,7 +265,7 @@ def _weighted_qmle(model, rows, y, w, max_iter=500, tol=1e-10, coef_cap=10.0):
             break
     if active.size:
         warnings.warn("logistic QMLE hit the iteration cap", RuntimeWarning)
-    if np.any(np.abs(theta) >= coef_cap):
+    if np.any(np.abs(theta) >= QMLE_COEF_CAP):
         warnings.warn(
             "logistic QMLE coefficients at the box boundary; possible separation",
             RuntimeWarning,

@@ -590,10 +590,12 @@ def _proven_top_eigenvalue(M: np.ndarray) -> float | None:
     from scipy.sparse.linalg import ArpackError, eigsh
 
     # Fixed and seeded; not the ones vector, which a completely randomized
-    # design's D maps to 0.
+    # design's D maps to 0. ARPACK asks for a fresh start vector when its
+    # Krylov space becomes invariant; rng seeds that draw too, which eigsh
+    # otherwise takes from OS entropy, so the value is the same in every run.
     v0 = np.random.default_rng(0).standard_normal(kn)
     try:
-        values, vectors = eigsh(M, k=1, which="LA", tol=0, v0=v0)
+        values, vectors = eigsh(M, k=1, which="LA", tol=0, v0=v0, rng=np.random.default_rng(0))
     except ArpackError:  # no convergence, or an invariant subspace (M v0 = 0)
         return None
     lam = float(values[0])
@@ -741,11 +743,11 @@ class SecondOrderTensor:
     entries: np.ndarray
 
 
-def second_order_tensor(design: Design, cap: int = TENSOR_CAP) -> SecondOrderTensor:
-    """Exact second-order tensor for an enumerable design with kn <= cap."""
+def second_order_tensor(design: Design) -> SecondOrderTensor:
+    """Exact second-order tensor for an enumerable design with kn <= TENSOR_CAP."""
     kn = design.n * design.k
-    if kn > cap:
-        raise ValueError(f"kn={kn} exceeds tensor materialization cap {cap}")
+    if kn > TENSOR_CAP:
+        raise ValueError(f"kn={kn} exceeds tensor materialization cap {TENSOR_CAP}")
     table = design.enumerate_support()
     _, p = _support_joint(table)
     indicators = table.indicator_matrix()

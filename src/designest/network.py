@@ -93,15 +93,6 @@ class InterferenceGraph:
         neighbor matrix, which holds no duplicates."""
         return np.diff(self.neighbor_matrix(undirected).indptr).astype(np.int64)
 
-    def weak_components(self) -> np.ndarray:
-        """Component label per unit, ignoring edge direction."""
-        from scipy.sparse.csgraph import connected_components
-
-        n_comp, labels = connected_components(
-            self.adjacency, directed=True, connection="weak"
-        )
-        return labels
-
 
 @dataclass(frozen=True)
 class ExposureRule:
@@ -447,14 +438,13 @@ class PositivityReport:
         return not self.zero_cells and not self.small_cells
 
 
-def positivity_report(
-    moments: DesignMoments, threshold: float = POSITIVITY_THRESHOLD
-) -> PositivityReport:
-    """List cells with pi = 0 (proven or unhit) or pi below the threshold,
-    each as (arm, unit) or (arm, unit, pi) in stacked cell order."""
+def positivity_report(moments: DesignMoments) -> PositivityReport:
+    """List cells with pi = 0 (proven or unhit) or pi below
+    POSITIVITY_THRESHOLD, each as (arm, unit) or (arm, unit, pi) in stacked
+    cell order."""
     zero = moments.zero_mask | moments.maybe_zero_mask
-    small = ~zero & (moments.pi < threshold)
+    small = ~zero & (moments.pi < POSITIVITY_THRESHOLD)
     arm, unit = np.divmod(np.arange(moments.kn), moments.n)
     zeros = list(zip(arm[zero].tolist(), unit[zero].tolist()))
     smalls = list(zip(arm[small].tolist(), unit[small].tolist(), moments.pi[small].tolist()))
-    return PositivityReport(zero_cells=zeros, small_cells=smalls, threshold=threshold)
+    return PositivityReport(zero_cells=zeros, small_cells=smalls, threshold=POSITIVITY_THRESHOLD)

@@ -18,6 +18,7 @@ from designest.linear import (
     _pinv_flagged,
     estimate_linear,
     intercept_matrix,
+    model_matrix,
 )
 from designest.model_assisted import (
     ImputationModel,
@@ -61,7 +62,6 @@ def make_data(design, y_full, X, seed=0, realization=None):
 class TestImputationModel:
     def test_parameter_counts(self):
         assert ImputationModel("linear", k=2, p=3).s == 5
-        assert ImputationModel("linear", k=2, p=3, slope_sharing="separate_slope").s == 8
 
     def test_logistic_predictions_in_unit_interval(self):
         model = ImputationModel("logistic", k=2, p=1)
@@ -69,12 +69,18 @@ class TestImputationModel:
         f = model.predict(rng.standard_normal(3) * 5, centered(rng.standard_normal((4, 1))))
         assert np.all((f > 0) & (f < 1))
 
-    def test_separate_slope_blocks(self):
-        model = ImputationModel("linear", k=2, p=1, slope_sharing="separate_slope")
-        X = np.array([[1.0], [-1.0]])
-        theta = np.array([0.0, 0.0, 2.0, 3.0])
-        f = model.predict(theta, X)
-        assert f.tolist() == [2.0, -2.0, 3.0, -3.0]
+    def test_design_rows_are_the_regression_model_matrix(self):
+        model = ImputationModel("logistic", k=3, p=2)
+        X = centered(stream_rng(2).standard_normal((5, 2)))
+        rows = model.design_rows(X)
+        assert rows.shape == (15, model.s)
+        assert rows.tobytes() == model_matrix(X, 3).tobytes()
+
+    @pytest.mark.parametrize("p, columns", [(0, 2), (1, 2), (2, 0)])
+    def test_design_rows_reject_a_covariate_count_other_than_p(self, p, columns):
+        X = np.ones((4, columns))
+        with pytest.raises(ValueError, match=f"X has {columns} columns, the model p = {p}"):
+            ImputationModel("linear", k=2, p=p).design_rows(X)
 
 
 class TestFitQmle:
@@ -441,7 +447,7 @@ class TestOptGrLogit:
         y_full = (rng.uniform(size=2 * n) < 0.5).astype(float)
 
         def criterion(theta):
-            g = population_moment_vector(theta, model2, X, y_full, moments.D, c, n)
+            g = population_moment_vector(theta, model2, X[:, :0], y_full, moments.D, c, n)
             return float(g @ g)
 
         # coarse grid then refinement
@@ -451,7 +457,7 @@ class TestOptGrLogit:
         from scipy.optimize import minimize
 
         res = minimize(criterion, theta0, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14})
-        g = population_moment_vector(res.x, model2, X, y_full, moments.D, c, n)
+        g = population_moment_vector(res.x, model2, X[:, :0], y_full, moments.D, c, n)
         assert np.linalg.norm(g) < 1e-5
 
 
@@ -624,12 +630,13 @@ class TestLogisticNewton:
             theta = _weighted_qmle(self.model, rows[None], y[None], w[None])[0]
         assert theta.tobytes() == reference.tobytes()
 
-    def test_short_iteration_cap_still_warns(self):
+    def test_short_iteration_cap_still_warns(self, monkeypatch):
         rows, y, w = logistic_instance(146)
         reference, capped = reference_logistic_qmle(rows, y, w, max_iter=2)
         assert capped
+        monkeypatch.setattr(model_assisted, "QMLE_MAX_ITER", 2)
         with pytest.warns(RuntimeWarning, match="iteration cap"):
-            theta = _weighted_qmle(self.model, rows[None], y[None], w[None], max_iter=2)[0]
+            theta = _weighted_qmle(self.model, rows[None], y[None], w[None])[0]
         assert theta.tobytes() == reference.tobytes()
 
     def test_batch_rows_equal_the_reference_and_batches_of_one(self):
@@ -845,14 +852,7 @@ class TestJacobianFreeGradient:
             assert diagnostic["hessian_min_eig"] == eigs[0]
             assert diagnostic["hessian_max_eig"] == eigs[-1]
 
-    @pytest.mark.parametrize(
-        "slope_sharing, absent",
-        # theta is (intercepts 0..2, slopes): arm 1 has contrast weight 0, so
-        # its intercept, and under separate slopes its slopes 5 and 6, do not
-        # enter Q
-        [("same_slope", [1]), ("separate_slope", [1, 5, 6])],
-    )
-    def test_the_ridge_holds_a_zero_weight_arms_parameters_at_zero(self, slope_sharing, absent):
+    def test_the_ridge_holds_a_zero_weight_arms_parameters_at_zero(self):
         n, c = 15, np.array([1.0, 0.0, -1.0])
         design = CompletelyRandomizedDesign(n, [5, 5, 5])
         moments = closed_form_or_exact_moments(design)
@@ -860,7 +860,7 @@ class TestJacobianFreeGradient:
         y_full = impute_potential_outcomes(X, [0.8, 0.6], [0.3, -0.2, 0.1], seed=4)
         arms = np.stack([design.sample(stream_rng(5, r)).arm_of for r in range(6)])
         chunk = ReplicationChunk(arms, y_full[arms * n + np.arange(n)], X, moments, range(6))
-        model = ImputationModel("logistic", k=3, p=2, slope_sharing=slope_sharing)
+        model = ImputationModel("logistic", k=3, p=2)
         start = sample_qmle(model, model.design_rows(X), moments.pi, "pi", chunk.cells, chunk.y_obs)
         _, diagnostics, errors = opt_logit_imputations(
             model, model.design_rows(X), chunk.y_ipw, moments.D, c, n, start
@@ -868,9 +868,11 @@ class TestJacobianFreeGradient:
         assert not errors
         ridge = model_assisted.OPT_LOGIT_RIDGE
         for diagnostic in diagnostics:
-            # Q is flat along these parameters: the ridge's gradient ridge theta
-            # alone must vanish there, and its curvature is the Hessian's least
-            assert np.abs(np.array(diagnostic["theta"])[absent]).max() <= 1e-12 / ridge
+            # theta is (intercepts 0..2, slopes): arm 1 has contrast weight 0,
+            # so Q is flat along its intercept; the ridge's gradient ridge
+            # theta alone must vanish there, and its curvature is the
+            # Hessian's least
+            assert abs(diagnostic["theta"][1]) <= 1e-12 / ridge
             assert diagnostic["hessian_min_eig"] == pytest.approx(ridge, rel=1e-9)
 
 

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import warnings
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +313,27 @@ class TestLargestEigenvalue:
         assert _proven_top_eigenvalue(M) is None
         assert _proven_top_eigenvalue(np.zeros((4, 4))) is None  # Lanczos has no start there
 
+    def test_value_is_the_same_in_every_process_and_layout(self):
+        # kn = 8: ARPACK's Krylov space becomes invariant and it asks for a
+        # fresh start vector, which eigsh draws from OS entropy unless seeded
+        code = (
+            "import numpy as np\n"
+            "from designest.designs import BernoulliDesign\n"
+            "from designest.moments import _proven_top_eigenvalue, exact_moments\n"
+            "D = exact_moments(BernoulliDesign(4, [0.5, 0.5])).D\n"
+            "for M in (D, D.copy(), np.asfortranarray(D)) * 50:\n"
+            "    print(repr(_proven_top_eigenvalue(M)))\n"
+        )
+        src = str(Path(moments_module.__file__).parents[1])
+        values = set()
+        for _ in range(4):
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            values.update(out.stdout.split())
+        assert len(values) == 1 and float(values.pop()) == pytest.approx(2.0, rel=1e-15)
+
 
 class TestComplexityMeasure:
     def test_exact_bernoulli(self):
@@ -397,7 +422,7 @@ class TestSecondOrderTensor:
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            second_order_tensor(BernoulliDesign(40, [0.5, 0.5]), cap=64)
+            second_order_tensor(BernoulliDesign(40, [0.5, 0.5]))
 
 
 class TestTensorBounds:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from designest import network
 from designest.designs import BernoulliDesign, CompletelyRandomizedDesign
 from designest.linear import ReplicationChunk, linear_sample
 from designest.moments import exact_moments, mc_moments
@@ -65,13 +66,6 @@ class TestGraph:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             InterferenceGraph.from_csv(path, n=4)
-
-    def test_weak_components(self):
-        g = InterferenceGraph(4, [(0, 1), (2, 3)])
-        labels = g.weak_components()
-        assert labels[0] == labels[1]
-        assert labels[2] == labels[3]
-        assert labels[0] != labels[2]
 
 
 class TestExposureRules:
@@ -317,25 +311,27 @@ class TestPositivityReport:
         assert (labels.index("d11"), 2) in report.zero_cells
         assert (labels.index("d01"), 2) in report.zero_cells
 
-    def test_small_probability_flagged_on_enumerated_network(self):
+    def test_small_probability_flagged_on_enumerated_network(self, monkeypatch):
         # six units in a line: middle units need four specific neighbors,
         # so some exposures drop below the reporting threshold
         g = path_graph(6)
         base = BernoulliDesign(6, [0.5, 0.5])
         design = derive_exposure_design(base, g, standard_binary_exposure_rules())
         moments = exact_moments(design)
-        report = positivity_report(moments, threshold=0.2)
+        monkeypatch.setattr(network, "POSITIVITY_THRESHOLD", 0.2)
+        report = positivity_report(moments)
         d10 = design.rules.labels.index("d10")
         flagged = {(a, i) for a, i, _ in report.small_cells}
         for i in range(1, 5):  # interior units have degree 2: pi = 1/8 < 0.2
             assert (d10, i) in flagged
         assert report.zero_count == 0
 
-    def test_lists_are_python_tuples_in_stacked_cell_order(self):
+    def test_lists_are_python_tuples_in_stacked_cell_order(self, monkeypatch):
         # the reference is the cell-by-cell loop that built the lists before
         with pytest.warns(RuntimeWarning, match="never hit"):  # zero cells, flagged
             moments = mc_moments(BernoulliDesign(7, [0.75, 0.05, 0.2]), reps=12, seed=3)
-        report = positivity_report(moments, threshold=0.2)
+        monkeypatch.setattr(network, "POSITIVITY_THRESHOLD", 0.2)
+        report = positivity_report(moments)
         zero = moments.zero_mask | moments.maybe_zero_mask
         zeros, smalls = [], []
         for a in range(moments.k):
