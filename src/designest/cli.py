@@ -334,7 +334,8 @@ def cmd_simulate(args):
 
 
 def cmd_check(args):
-    from .moments import _certified_clip, crd_first_order_matrix, largest_eigenvalue
+    from .moments import _certified_clip, _proven_top_eigenvalue, crd_first_order_matrix
+    from .moments import largest_eigenvalue
     from .network import InterferenceGraph, derive_exposure_design, standard_binary_exposure_rules
     from .designs import BernoulliDesign, ClusteredDesign, StratifiedDesign, stream_rng
     from .linear import intercept_matrix
@@ -444,6 +445,12 @@ def cmd_check(args):
         "spectral measure equals 2 for the half-half independent design",
         abs(largest_eigenvalue(m.D) - 2.0) < 1e-8,
     )
+    # kn = 300, the Lanczos route; a two-arm CRD's top eigenvalue has multiplicity n - 1
+    lanczos_agrees, bern150 = True, BernoulliDesign(150, [0.3, 0.7])
+    for D in (crd_first_order_matrix(150, 75), mc_moments(bern150, reps=400, seed=3).D):
+        dense, proven = np.linalg.eigvalsh(D)[-1], _proven_top_eigenvalue(D)
+        lanczos_agrees &= proven is not None and abs(proven - dense) <= 1e-12 * max(1.0, abs(dense))
+    report("proven Lanczos top eigenvalue equals the dense solver's (kn = 300)", lanczos_agrees)
 
     bern2 = BernoulliDesign(2, [0.5, 0.5])
     m2 = exact_moments(bern2)

@@ -48,15 +48,18 @@ ALIGN_EXTRA_ID = 0xD935  # zip extra-field id of zipalign's padding record
 NPY_HEADER_PEEK = 4096  # bytes read to parse a member's .npy header
 CSV_DROP_TOL = 1e-12  # coordinate CSVs leave out entries smaller in magnitude
 EIG_PROOF_RTOL = 1e-10  # relative margin within which a Lanczos top eigenvalue is proven
-# Smaller matrices take the dense solver, which is about as fast there (1.5 ms
-# against 2.0 ms at kn = 192, 2.8 ms against 2.2 ms at kn = 256, one thread).
+# Smaller matrices take the dense solver. At kn = 256 it took 2.6 ms against
+# the Lanczos route's 0.8 ms on a completely randomized design's D and 3.6 ms
+# on a 2000-draw Monte-Carlo D of network exposures (7.6 against 7.2 ms at
+# kn = 400), one thread.
 LANCZOS_MIN_KN = 256
-# The certified clip's Lanczos runs (_certified_clip): a negative Ritz pair
-# counts as found once its residual is at most CLIP_RESIDUAL_RTOL times the
-# largest absolute row sum; convergence is checked every LANCZOS_CHECK_EVERY
-# steps, over at most LANCZOS_STEP_BUDGET steps in all; a matrix with more
-# than NEGATIVE_PART_CAP negative eigenvalues takes the full spectrum.
-CLIP_RESIDUAL_RTOL = 1e-13
+# The Lanczos runs (_lanczos): a Ritz pair counts as converged once its
+# residual is at most LANCZOS_RESIDUAL_RTOL times the matrix's largest
+# absolute row sum; convergence is checked every LANCZOS_CHECK_EVERY steps,
+# over at most LANCZOS_STEP_BUDGET steps in all (all of the certified clip's
+# runs together); a matrix with more than NEGATIVE_PART_CAP negative
+# eigenvalues takes the full spectrum's clip.
+LANCZOS_RESIDUAL_RTOL = 1e-13
 LANCZOS_CHECK_EVERY = 8
 LANCZOS_STEP_BUDGET = 160
 NEGATIVE_PART_CAP = 16
@@ -555,10 +558,10 @@ def largest_eigenvalue(M: np.ndarray, zero_diag: bool = False, checked: bool = F
     already checked M symmetric (for example as a principal block of a
     checked matrix), so it is not checked again.
 
-    From kn = LANCZOS_MIN_KN on, the value is the top Ritz value of a
-    Lanczos run when ``_proven_top_eigenvalue`` proves it within
-    EIG_PROOF_RTOL relative; otherwise it is the dense symmetric solver's
-    largest eigenvalue."""
+    From kn = LANCZOS_MIN_KN on, the value is the top Ritz value of the
+    numpy Lanczos run that the certified clip also uses, when
+    ``_proven_top_eigenvalue`` proves it within EIG_PROOF_RTOL relative;
+    otherwise it is the dense symmetric solver's largest eigenvalue."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
@@ -574,40 +577,60 @@ def largest_eigenvalue(M: np.ndarray, zero_diag: bool = False, checked: bool = F
 
 
 def _proven_top_eigenvalue(M: np.ndarray) -> float | None:
-    """ARPACK's top Ritz value lam of the symmetric matrix M, or None when
-    it is not proven. With delta = EIG_PROOF_RTOL * max(1, |lam|), the
-    Ritz vector's Rayleigh quotient, a lower bound on the largest
+    """The top Ritz value lam of a Lanczos run on the symmetric matrix M, or
+    None when it is not proven. With delta = EIG_PROOF_RTOL * max(1, |lam|),
+    the Ritz vector's Rayleigh quotient, a lower bound on the largest
     eigenvalue, must be at least lam - delta, and (lam + delta) I - M must
     have a Cholesky factor, which proves every eigenvalue below lam + delta.
-    None also when ARPACK fails or does not converge, when an entry is not
-    finite, and for kn < 3 (eigsh has no Lanczos run for one eigenpair
-    there)."""
-    kn = len(M)
-    # a sum is finite only when every entry is (an overflow just skips the proof)
-    if kn < 3 or not math.isfinite(M.sum()):
+
+    The run (_lanczos, from a fixed seeded start) stops once the top Ritz
+    pair's residual is at most LANCZOS_RESIDUAL_RTOL times M's largest
+    absolute row sum. None also for kn < 3, for an M that is not exactly
+    symmetric or has an entry that is not finite, and when
+    LANCZOS_STEP_BUDGET steps run out. The value depends on M's values
+    alone, not on its memory layout."""
+    prepared = _lanczos_operator(M)
+    if prepared is None:
+        return None
+    A, scale = prepared
+    kn, tol = len(A), LANCZOS_RESIDUAL_RTOL * scale
+    Q = np.empty((LANCZOS_STEP_BUDGET, kn))
+    checks = _lanczos(A, np.random.default_rng(0).standard_normal(kn), np.empty((0, kn)), Q, tol)
+    converged = next((check for check in checks if check[2][-1] <= tol), None)
+    if converged is None:
+        return None
+    theta, S, _, steps = converged
+    lam = float(theta[-1]) + 0.0  # + 0.0: a zero matrix's value is 0, never -0
+    v = S[:, -1] @ Q[:steps]
+    delta = EIG_PROOF_RTOL * max(1.0, abs(lam))
+    if not (v @ (A @ v)) / (v @ v) >= lam - delta:
         return None
     from scipy.linalg.lapack import dpotrf
-    from scipy.sparse.linalg import ArpackError, eigsh
 
-    # Fixed and seeded; not the ones vector, which a completely randomized
-    # design's D maps to 0. ARPACK asks for a fresh start vector when its
-    # Krylov space becomes invariant; rng seeds that draw too, which eigsh
-    # otherwise takes from OS entropy, so the value is the same in every run.
-    v0 = np.random.default_rng(0).standard_normal(kn)
-    try:
-        values, vectors = eigsh(M, k=1, which="LA", tol=0, v0=v0, rng=np.random.default_rng(0))
-    except ArpackError:  # no convergence, or an invariant subspace (M v0 = 0)
-        return None
-    lam = float(values[0])
-    v = vectors[:, 0]
-    delta = EIG_PROOF_RTOL * max(1.0, abs(lam))
-    if not (v @ (M @ v)) / (v @ v) >= lam - delta:
-        return None
-    shifted = np.negative(M)
+    shifted = np.negative(A)
     shifted.flat[:: kn + 1] += lam + delta
     # in place: the transpose view is the Fortran-ordered array LAPACK takes
     _, info = dpotrf(shifted.T, overwrite_a=1, clean=0)
     return lam if info == 0 else None
+
+
+def _lanczos_operator(M: np.ndarray):
+    """(A, scale) for the Lanczos runs on M: A is M as a C-ordered array,
+    scale M's largest absolute row sum. None for kn < 3 and for an M that is
+    not exactly symmetric or has an entry that is not finite."""
+    if len(M) < 3:
+        return None
+    scale = 0.0
+    for rows in row_bands(M.shape):
+        band = M[rows]
+        if not np.array_equal(band, M[:, rows].T):  # also when an entry is NaN
+            return None
+        scale = max(scale, float(np.abs(band).sum(axis=1).max()))
+    if not math.isfinite(scale):
+        return None
+    # A matrix-vector product rounds by the matrix's layout: multiply by a
+    # C-ordered array, M itself or (equal, as M is symmetric) its transpose.
+    return np.ascontiguousarray(M.T if M.flags.f_contiguous else M), scale
 
 
 def _certified_clip(M: np.ndarray) -> np.ndarray | None:
@@ -625,28 +648,18 @@ def _certified_clip(M: np.ndarray) -> np.ndarray | None:
     failed certificate finds no new pair, and when LANCZOS_STEP_BUDGET steps
     run out. The bytes of G depend on M's values alone, not on its memory
     layout or address."""
-    kn = len(M)
-    if kn < 3:
+    prepared = _lanczos_operator(M)
+    if prepared is None:
         return None
-    scale = 0.0
-    for rows in row_bands(M.shape):
-        band = M[rows]
-        if not np.array_equal(band, M[:, rows].T):  # also when an entry is NaN
-            return None
-        scale = max(scale, float(np.abs(band).sum(axis=1).max()))
-    if not math.isfinite(scale):
-        return None
-    # A matrix-vector product rounds by the matrix's layout: multiply by a
-    # C-ordered array, M itself or (equal, as M is symmetric) its transpose.
-    A = np.ascontiguousarray(M.T if M.flags.f_contiguous else M)
-    delta = EIG_PROOF_RTOL * scale
+    A, scale = prepared
+    kn, delta = len(A), EIG_PROOF_RTOL * scale
     rng = np.random.default_rng(0)
     Q = np.empty((LANCZOS_STEP_BUDGET, kn))  # the Lanczos vectors of every run
     lam, V, used, retry = np.empty(0), np.empty((0, kn)), 0, False
     G = np.empty((kn, kn))
     while True:
         found = _negative_ritz_pairs(
-            A, rng.standard_normal(kn), V, Q[used:], delta, CLIP_RESIDUAL_RTOL * scale,
+            A, rng.standard_normal(kn), V, Q[used:], delta, LANCZOS_RESIDUAL_RTOL * scale,
             NEGATIVE_PART_CAP - len(lam),
         )
         if found is None or (retry and not len(found[0])):
@@ -670,18 +683,32 @@ def _certified_clip(M: np.ndarray) -> np.ndarray | None:
 
 
 def _negative_ritz_pairs(A, start, V, Q, delta, tol, cap):
-    """One Lanczos run with full reorthogonalization on the symmetric A,
-    restricted to the complement of V's (orthonormal) rows, using Q's rows
-    for its vectors. Returns (values, vectors as rows, steps) of the Ritz
-    pairs below -delta once each of them, and the smallest Ritz pair, has a
+    """(values, vectors as rows, steps) of the Ritz pairs of _lanczos's run
+    below -delta once each of them, and the smallest Ritz pair, has a
     residual at most tol. None when more than cap Ritz values lie below
     -delta (by interlacing, the restricted A then has more than cap negative
-    eigenvalues), or when Q's rows run out first."""
+    eigenvalues), or when the run ends first."""
+    for theta, S, residual, steps in _lanczos(A, start, V, Q, tol):
+        negative = theta < -delta
+        if np.count_nonzero(negative) > cap:
+            return None
+        if residual[0] <= tol and np.all(residual[negative] <= tol):
+            return theta[negative], S[:, negative].T @ Q[:steps], steps
+    return None
+
+
+def _lanczos(A, start, V, Q, tol):
+    """One Lanczos run with full reorthogonalization on the symmetric A,
+    restricted to the complement of V's (orthonormal) rows, using Q's rows
+    for its vectors. Every LANCZOS_CHECK_EVERY steps, at Q's last row and at
+    an invariant Krylov space (beta <= tol), where the run ends, yields the
+    ascending Ritz values theta, the tridiagonal matrix's eigenvectors S (the
+    Ritz vectors are S' Q[:steps]), each Ritz pair's residual, and steps."""
     q = start - (V @ start) @ V
     q -= (V @ q) @ V
     norm = np.linalg.norm(q)
     if not norm > 0.0:
-        return None
+        return
     q /= norm
     alpha, beta = np.zeros(len(Q)), np.zeros(len(Q))
     for j in range(len(Q)):
@@ -690,21 +717,17 @@ def _negative_ritz_pairs(A, start, V, Q, delta, tol, cap):
         for _ in range(2):  # classical Gram-Schmidt, twice
             h = Q[: j + 1] @ w
             w -= h @ Q[: j + 1]
-            w -= (V @ w) @ V
+            if len(V):
+                w -= (V @ w) @ V
             alpha[j] += h[j]
         beta[j] = np.linalg.norm(w)
-        # beta <= tol: the Krylov space is invariant, every Ritz pair converged
         if (j + 1) % LANCZOS_CHECK_EVERY == 0 or beta[j] <= tol or j + 1 == len(Q):
             T = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
             theta, S = np.linalg.eigh(T)
-            residual = beta[j] * np.abs(S[-1])
-            negative = theta < -delta
-            if np.count_nonzero(negative) > cap:
-                return None
-            if residual[0] <= tol and np.all(residual[negative] <= tol):
-                return theta[negative], S[:, negative].T @ Q[: j + 1], j + 1
+            yield theta, S, beta[j] * np.abs(S[-1]), j + 1
+            if beta[j] <= tol:
+                return
         q = w / beta[j]
-    return None
 
 
 def design_complexity(

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -159,6 +160,28 @@ def test_commands_on_a_crd_load_no_scipy(crd_design_yaml, tmp_path):
     )
     assert out.stderr.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "b.csv").exists()
+
+
+def test_complexity_on_the_lanczos_route_loads_no_scipy_sparse(tmp_path):
+    # kn = 400 takes the numpy Lanczos run; only its Cholesky proof needs
+    # scipy, for LAPACK's in-place dpotrf
+    design = tmp_path / "design.yaml"
+    design.write_text("design: {kind: completely_randomized, n: 200, counts: [100, 100]}\n")
+    code = (
+        "import sys\n"
+        "from designest.cli import main\n"
+        f"assert main(['complexity', '--design', {str(design)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+    src = str(Path(designest.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+    )
+    loaded = ast.literal_eval(out.stderr.strip().splitlines()[-1])
+    assert "scipy.linalg.lapack" in loaded  # the proof ran
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
+    assert f"all arms: {2 * 200 / 199:.6g}" in out.stdout
 
 
 def test_linear_estimate_on_a_crd_loads_no_scipy(crd_design_yaml, tmp_path):
